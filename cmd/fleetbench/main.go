@@ -277,7 +277,7 @@ func bestRate(headURL, id string, interval time.Duration, events []trace.RecordE
 // apply + sampling + monitor intake) with the push ticker running,
 // then close (settle + final push). Returns the feed-loop throughput.
 func feedMember(headURL, id string, interval time.Duration, events []trace.RecordEvent) (float64, error) {
-	mon := live.New(live.Config{RingSize: 1 << 14})
+	mon := live.New(live.Config{})
 	mon.Start()
 	mb, err := fleet.NewMember(fleet.MemberConfig{
 		ID: id, Head: headURL, Monitor: mon, PushInterval: interval,

@@ -3,7 +3,7 @@
 //
 //   - monitor throughput: records/sec through the sharded flow table
 //     via the blocking ingest path, worker goroutines running;
-//   - ingest latency: p50/p99 of a single IngestWait call under load;
+//   - ingest latency: p50/p99 of a one-record IngestBatchWait under load;
 //   - batch vs incremental: records/sec through core.Analyze versus
 //     NewIncremental Feed/Flush over the same flows — the streaming
 //     analyzer's overhead relative to the batch path it reimplements;
@@ -278,7 +278,7 @@ func ratio(num, den float64) float64 {
 }
 
 // benchChunk is the batch-intake granularity: the chunk size a replay
-// source hands IngestBatchWait, matching the shard drain batch.
+// source hands IngestBatchWait.
 const benchChunk = 512
 
 // benchMonitor pushes the event set through a running Monitor reps
@@ -287,13 +287,13 @@ const benchChunk = 512
 // heap allocations per record across the final rep's whole pipeline
 // (intake, shard processing, eviction; ReadMemStats deltas, so shard
 // goroutine allocations count too). Per-call latency quantiles come
-// from one extra per-record IngestWait pass, sampled every 64th call
-// so timer overhead doesn't dominate the measured loop.
+// from one extra pass of one-record IngestBatchWait calls, sampled
+// every 64th call so timer overhead doesn't dominate the measured loop.
 func benchMonitor(events []trace.RecordEvent, reps int) (rate, elapsedMS, p50us, p99us, allocsPerRec float64) {
 	best := time.Duration(1 << 62)
 	var ms0, ms1 runtime.MemStats
 	for r := 0; r < reps; r++ {
-		m := live.New(live.Config{RingSize: 1 << 14})
+		m := live.New(live.Config{})
 		m.Start()
 		last := r == reps-1
 		if last {
@@ -319,15 +319,15 @@ func benchMonitor(events []trace.RecordEvent, reps int) (rate, elapsedMS, p50us,
 	allocsPerRec = ratio(float64(ms1.Mallocs-ms0.Mallocs), float64(len(events)))
 
 	lat := stats.NewSample(len(events)/64 + 1)
-	m := live.New(live.Config{RingSize: 1 << 14})
+	m := live.New(live.Config{})
 	m.Start()
 	for i := range events {
 		if i%64 == 0 {
 			t0 := time.Now()
-			m.IngestWait(events[i])
+			m.IngestBatchWait(events[i : i+1])
 			lat.Add(float64(time.Since(t0)) / float64(time.Microsecond))
 		} else {
-			m.IngestWait(events[i])
+			m.IngestBatchWait(events[i : i+1])
 		}
 	}
 	m.Close()
@@ -389,7 +389,7 @@ func benchMix(events []trace.RecordEvent, reps int, triaged bool) (rate, allocsP
 	best := time.Duration(1 << 62)
 	var ms0, ms1 runtime.MemStats
 	for r := 0; r < reps; r++ {
-		cfg := live.Config{RingSize: 1 << 14}
+		cfg := live.Config{}
 		if triaged {
 			cfg.Triage = &triage.Config{}
 		}

@@ -72,7 +72,7 @@ func main() {
 		logger.Info("config preset installed", "version", v, "settings", settings)
 	}
 
-	srv := &http.Server{Addr: *listen, Handler: fleet.NewHandler(head)}
+	srv := fleet.NewServer(*listen, fleet.NewHandler(head))
 	go func() {
 		logger.Info("fleet head serving", "listen", *listen, "expiry", *expiry)
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

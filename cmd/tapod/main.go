@@ -19,15 +19,15 @@
 //
 // Memory is bounded end to end: the flow table caps active flows (LRU
 // eviction), every flow caps its analyzer records, and the per-shard
-// ingest rings cap queued packets; every drop is counted in /metrics.
-// SIGINT/SIGTERM drain the rings, flush every live flow, and print a
+// intake queues cap queued packets; every drop is counted in /metrics.
+// SIGINT/SIGTERM drain the queues, flush every live flow, and print a
 // final summary before exiting.
 //
 // Fleet mode (-head) attaches the daemon to a tapoctl head: it
 // registers for an epoch, pushes cumulative snapshots of its stall
 // aggregates every -push-interval, and applies config the head sends
 // back (sampling rate, record caps, triage/flight toggles) between
-// records — so one control plane steers many tapods. Each push also
+// batches — so one control plane steers many tapods. Each push also
 // carries a bounded digest of recent stall events (-digest, default
 // 256 per push) that feeds the head's live event stream and dashboard;
 // the digest is visibility only and never enters the fleet totals.
@@ -81,8 +81,7 @@ func main() {
 	maxRecs := flag.Int("max-records", 0, "per-flow analyzer record cap (0: default 100000, -1: unlimited)")
 	idle := flag.Duration("idle", 5*time.Minute, "evict flows idle this long")
 	window := flag.Duration("window", time.Minute, "rolling aggregation window")
-	ringSize := flag.Int("ring", 0, "per-shard ingest ring size (0: default 4096)")
-	shed := flag.Bool("shed", false, "drop records when rings fill instead of applying backpressure")
+	shed := flag.Bool("shed", false, "drop records when shard queues fill instead of applying backpressure")
 	triageMode := flag.String("triage", "auto", "two-phase triage: on, off, or auto (on with -gen, off with -pcap)")
 	triageRing := flag.Int("triage-ring", 0, "triage per-flow ring of recent records (0: default 1024)")
 	flightOn := flag.Bool("flight", true, "attach a flight recorder to every flow (serves /debug/flows/{id}/trace)")
@@ -111,7 +110,6 @@ func main() {
 		MaxRecordsPerFlow: *maxRecs,
 		IdleTimeout:       *idle,
 		Window:            *window,
-		RingSize:          *ringSize,
 		DigestSize:        *digest,
 		Analysis:          cfg,
 		OnFlow: func(reason string, a *core.FlowAnalysis) {
@@ -163,7 +161,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
-	srv := &http.Server{Addr: *listen, Handler: mux}
+	srv := fleet.NewServer(*listen, mux)
 	go func() {
 		logger.Info("serving metrics and admin API", "listen", *listen,
 			"flight", *flightOn, "pprof", *pprofOn)
@@ -176,9 +174,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	ingest := m.IngestWait
+	ingest := func(evs []trace.RecordEvent) { m.IngestBatchWait(evs) }
 	if *shed {
-		ingest = m.Ingest
+		ingest = func(evs []trace.RecordEvent) { m.IngestBatch(evs) }
 	}
 
 	var member *fleet.Member
@@ -202,7 +200,7 @@ func main() {
 			logger.Error("fleet member setup failed", "err", err)
 			os.Exit(2)
 		}
-		ingest = member.WrapIngestEvent(ingest)
+		ingest = member.WrapIngest(ingest)
 		logger.Info("fleet member mode", "head", *headURL, "id", id, "push_interval", *pushInterval)
 		go func() {
 			// Run exits on registration failure; keep retrying so a head
@@ -210,10 +208,7 @@ func main() {
 			for ctx.Err() == nil {
 				if err := member.Run(ctx); err != nil && ctx.Err() == nil {
 					logger.Warn("fleet push loop error, retrying", "err", err)
-					select {
-					case <-time.After(*pushInterval):
-					case <-ctx.Done():
-					}
+					_ = sleepCtx(ctx, *pushInterval) // cancellation ends the loop
 				}
 			}
 		}()
@@ -223,7 +218,7 @@ func main() {
 	var err error
 	switch {
 	case *pcapPath != "":
-		err = replayPcap(ctx, m, *pcapPath, uint16(*port), *speed, ingest)
+		err = replayPcap(ctx, *pcapPath, uint16(*port), *speed, sleepCtx, ingest)
 	default:
 		err = generate(ctx, *gen, *seed, workload.StreamOptions{
 			Flows:       *flows,
@@ -283,7 +278,7 @@ func watchDrops(ctx context.Context, m *live.Monitor, logger *slog.Logger) {
 		case <-tick.C:
 			s := m.Snapshot()
 			if s.RingDrops > lastRing {
-				logger.Warn("ingest rings shedding records: source outpaces analysis",
+				logger.Warn("shard queues shedding records: source outpaces analysis",
 					"dropped", s.RingDrops-lastRing, "total", s.RingDrops)
 			}
 			if s.RecordsCapDrop > lastCap {
@@ -295,14 +290,38 @@ func watchDrops(ctx context.Context, m *live.Monitor, logger *slog.Logger) {
 	}
 }
 
-// replayPcap streams a capture through the monitor, paced by the
-// capture's own timestamps when speed > 0.
-func replayPcap(ctx context.Context, m *live.Monitor, path string, port uint16, speed float64, ingest func(trace.RecordEvent) bool) error {
+// replayChunk is the most records replayPcap hands over in one batch.
+const replayChunk = 512
+
+// sleepCtx waits out d unless ctx is cancelled first.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	select {
+	case <-time.After(d):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// replayPcap streams a capture through ingest in batches, paced by the
+// capture's own timestamps when speed > 0 (sleep is sleepCtx outside
+// tests). The buffer is handed over before every pacing sleep, so no
+// record waits one out, and once more however the replay ends.
+func replayPcap(ctx context.Context, path string, port uint16, speed float64,
+	sleep func(context.Context, time.Duration) error, ingest func([]trace.RecordEvent)) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
+	buf := make([]trace.RecordEvent, 0, replayChunk)
+	flush := func() {
+		if len(buf) > 0 {
+			ingest(buf)
+			buf = buf[:0]
+		}
+	}
+	defer flush()
 	wallStart := time.Now()
 	return trace.ImportPcapRecords(f, trace.ImportConfig{ServerPort: port}, func(ev trace.RecordEvent) error {
 		if ctx.Err() != nil {
@@ -311,20 +330,24 @@ func replayPcap(ctx context.Context, m *live.Monitor, path string, port uint16, 
 		if speed > 0 {
 			target := wallStart.Add(time.Duration(float64(ev.Rec.T) / speed))
 			if d := time.Until(target); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-ctx.Done():
-					return ctx.Err()
+				flush()
+				if err := sleep(ctx, d); err != nil {
+					return err
 				}
 			}
 		}
-		ingest(ev)
+		buf = append(buf, ev)
+		if len(buf) == replayChunk {
+			flush()
+		}
 		return nil
 	})
 }
 
-// generate runs a service model live into the monitor.
-func generate(ctx context.Context, name string, seed int64, opt workload.StreamOptions, ingest func(trace.RecordEvent) bool, logger *slog.Logger) error {
+// generate runs a service model live into the monitor. Stream emits
+// from one goroutine per connection and paces inside itself, so each
+// record is handed over as a batch of one.
+func generate(ctx context.Context, name string, seed int64, opt workload.StreamOptions, ingest func([]trace.RecordEvent), logger *slog.Logger) error {
 	var svc workload.Service
 	found := false
 	for _, s := range workload.Services() {
@@ -337,7 +360,7 @@ func generate(ctx context.Context, name string, seed int64, opt workload.StreamO
 		return fmt.Errorf("unknown service %q (want cloud-storage, software-download or web-search)", name)
 	}
 	logger.Info("generating connections", "service", name, "flows", opt.Flows)
-	n := workload.Stream(ctx, svc, seed, opt, func(ev trace.RecordEvent) { ingest(ev) })
+	n := workload.Stream(ctx, svc, seed, opt, func(ev trace.RecordEvent) { ingest([]trace.RecordEvent{ev}) })
 	logger.Info("source finished", "records", n)
 	return nil
 }

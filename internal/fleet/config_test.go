@@ -215,7 +215,7 @@ func TestConfigSampling(t *testing.T) {
 // with an integer divide by zero — remotely triggerable via config
 // push. Out-of-range values must be rejected like malformed ones
 // (counted, not applied), and the largest representable N must sample
-// without panicking on both the batch and per-event paths.
+// without panicking on both IngestBatch and WrapIngest.
 func TestConfigSamplingRejectsUnrepresentable(t *testing.T) {
 	ctx := context.Background()
 	head := NewHead(HeadConfig{})
@@ -255,14 +255,15 @@ func TestConfigSamplingRejectsUnrepresentable(t *testing.T) {
 	}
 
 	// The largest representable N applies and samples (nearly)
-	// everything out — on the per-event path too — without panicking.
+	// everything out — through WrapIngest, a batch of one at a time, as
+	// tapod's sources do — without panicking.
 	head.SetConfig(map[string]any{SettingSampleOneIn: float64(math.MaxUint32)})
 	if err := mb.Push(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ingest := mb.WrapIngestEvent(func(trace.RecordEvent) bool { return true })
+	ingest := mb.WrapIngest(func([]trace.RecordEvent) {})
 	for _, ev := range cfgEvents("c", 8, 1) {
-		ingest(ev)
+		ingest([]trace.RecordEvent{ev})
 	}
 	st = mb.Stats()
 	if st.UnknownConfigKeys != 2 {

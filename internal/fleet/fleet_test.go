@@ -22,10 +22,9 @@ import (
 // flight configured, so the head can toggle both).
 func newTestMonitor() *live.Monitor {
 	m := live.New(live.Config{
-		Shards:   2,
-		RingSize: 1 << 14,
-		Triage:   &triage.Config{},
-		Flight:   &flight.Config{},
+		Shards: 2,
+		Triage: &triage.Config{},
+		Flight: &flight.Config{},
 	})
 	m.Start()
 	return m

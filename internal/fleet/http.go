@@ -10,6 +10,19 @@ import (
 	"time"
 )
 
+// NewServer builds the http.Server behind tapoctl's and tapod's HTTP
+// port so that a client which never finishes its request headers
+// cannot hold a connection and a goroutine forever. There is
+// deliberately no WriteTimeout: /fleet/events/stream is long-lived SSE.
+func NewServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // NewHandler exposes the head's control and observation planes:
 //
 //	POST /fleet/register       member registration → epoch assignment

@@ -291,21 +291,24 @@ func (mb *Member) Close(ctx context.Context) error {
 // IngestBatch applies any staged config, samples the batch, and feeds
 // it to the monitor, blocking until the records are queued.
 func (mb *Member) IngestBatch(evs []trace.RecordEvent) {
-	mb.WrapIngest(func(kept []trace.RecordEvent) { mb.mon.IngestBatchWait(kept) })(evs)
+	mb.mon.IngestBatchWait(mb.prepareBatch(evs))
 }
 
 // WrapIngest decorates a monitor ingest function with the member's
-// batch-boundary duties: apply staged config first, then flow
-// sampling, then batch-size accounting.
+// batch-boundary duties.
 func (mb *Member) WrapIngest(fn func([]trace.RecordEvent)) func([]trace.RecordEvent) {
-	return func(evs []trace.RecordEvent) {
-		mb.applyPending()
-		kept := mb.sampleBatch(evs)
-		mb.batchMu.Lock()
-		mb.batches.Add(float64(len(kept)))
-		mb.batchMu.Unlock()
-		fn(kept)
-	}
+	return func(evs []trace.RecordEvent) { fn(mb.prepareBatch(evs)) }
+}
+
+// prepareBatch does the batch-boundary duties — staged config first,
+// then flow sampling, then batch-size accounting — and returns what is kept.
+func (mb *Member) prepareBatch(evs []trace.RecordEvent) []trace.RecordEvent {
+	mb.applyPending()
+	kept := mb.sampleBatch(evs)
+	mb.batchMu.Lock()
+	mb.batches.Add(float64(len(kept)))
+	mb.batchMu.Unlock()
+	return kept
 }
 
 // applyPending applies the staged config update, if any. Known keys
@@ -355,23 +358,6 @@ func (mb *Member) applyPending() {
 		}
 	}
 	mb.cfgVersion.Store(cu.Version)
-}
-
-// WrapIngestEvent is WrapIngest for per-event sources (pcap replay,
-// live streaming): staged config applies between events, and sampling
-// stays flow-granular through the hash. Batch-size accounting is
-// skipped — a stream has no batches to summarize.
-func (mb *Member) WrapIngestEvent(fn func(trace.RecordEvent) bool) func(trace.RecordEvent) bool {
-	return func(ev trace.RecordEvent) bool {
-		if mb.pending.Load() != nil {
-			mb.applyPending()
-		}
-		if n := mb.sampleOneIn.Load(); n > 1 && uint64(flowHash(ev.FlowID))%uint64(n) != 0 {
-			mb.sampledOut.Add(1)
-			return true
-		}
-		return fn(ev)
-	}
 }
 
 // sampleBatch drops flows hashed out by the sample_one_in setting.

@@ -88,7 +88,6 @@ func NewHandler(m *Monitor) http.Handler {
 			"max_flows":            cfg.MaxFlows,
 			"max_records_per_flow": cfg.MaxRecordsPerFlow,
 			"idle_timeout":         cfg.IdleTimeout.String(),
-			"ring_size":            cfg.RingSize,
 			"window":               cfg.Window.String(),
 			"window_buckets":       cfg.WindowBuckets,
 			"recent_stalls":        cfg.RecentStalls,
@@ -207,7 +206,7 @@ func writeMetrics(w io.Writer, s Snapshot) {
 	p("# TYPE tapod_uptime_seconds gauge\n")
 	p("tapod_uptime_seconds %s\n", fnum(s.Uptime.Seconds()))
 
-	p("# HELP tapod_records_ingested_total Records accepted into shard rings.\n")
+	p("# HELP tapod_records_ingested_total Records accepted into shard queues.\n")
 	p("# TYPE tapod_records_ingested_total counter\n")
 	p("tapod_records_ingested_total %d\n", s.Ingested)
 
@@ -216,7 +215,7 @@ func writeMetrics(w io.Writer, s Snapshot) {
 	p("tapod_records_dropped_total{reason=%q} %d\n", "ring_full", s.RingDrops)
 	p("tapod_records_dropped_total{reason=%q} %d\n", "flow_record_cap", s.RecordsCapDrop)
 
-	p("# HELP tapod_shard_ring_drops_total Records shed at each shard's full ingest ring.\n")
+	p("# HELP tapod_shard_ring_drops_total Records shed at each shard's full intake queue.\n")
 	p("# TYPE tapod_shard_ring_drops_total counter\n")
 	for i, n := range s.ShardRingDrops {
 		p("tapod_shard_ring_drops_total{shard=\"%d\"} %d\n", i, n)

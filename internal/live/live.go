@@ -1,13 +1,13 @@
 // Package live turns TAPO into an always-on, bounded-memory server
-// monitor. A Monitor shards live flows over per-shard goroutines fed
-// by bounded ingest rings; each flow's records stream through the
-// same incremental analyzer (core.Incremental) the batch path uses,
-// so a flow evicted after teardown carries exactly the analysis
-// core.Analyze would have produced from its completed trace.
+// monitor. A Monitor shards live flows over per-shard goroutines, each
+// fed by one bounded queue of record batches; each flow's records
+// stream through the same incremental analyzer (core.Incremental) the
+// batch path uses, so a flow evicted after teardown carries exactly the
+// analysis core.Analyze would have produced from its completed trace.
 //
 // Memory is hard-bounded: the flow table caps active flows (LRU
-// eviction), each flow caps retained analyzer records, and the ingest
-// rings cap queued events — every discard is counted, never silent.
+// eviction), each flow caps retained analyzer records, and the shard
+// queues cap queued batches — every discard is counted, never silent.
 // Stalls surface the moment they close; per-service cause counters, a
 // rolling aggregation window, stall-duration histograms and the
 // Table-5 retransmission breakdown feed the /metrics and admin planes
@@ -60,10 +60,6 @@ type Config struct {
 	IdleTimeout time.Duration
 	// SweepEvery is the idle-sweep period (default IdleTimeout/4).
 	SweepEvery time.Duration
-	// RingSize is the per-shard ingest buffer in events (default
-	// 4096). Ingest drops (with accounting) when a ring is full;
-	// IngestWait blocks instead — that is the backpressure mode.
-	RingSize int
 	// Window/WindowBuckets shape the rolling aggregation window
 	// (default 60s over 12 buckets).
 	Window        time.Duration
@@ -124,9 +120,6 @@ func (c *Config) defaults() {
 	if c.SweepEvery <= 0 {
 		c.SweepEvery = c.IdleTimeout / 4
 	}
-	if c.RingSize <= 0 {
-		c.RingSize = 4096
-	}
 	if c.Window <= 0 {
 		c.Window = time.Minute
 	}
@@ -166,7 +159,8 @@ func (c *Config) defaults() {
 }
 
 // Monitor is the live flow table. Create with New, Start, feed with
-// Ingest/IngestWait, and Close to drain.
+// IngestBatchWait (or IngestBatch to shed instead of block), and Close
+// to drain.
 type Monitor struct {
 	cfg     Config
 	shards  []*shard
@@ -188,9 +182,9 @@ type Monitor struct {
 	dynTriage  atomic.Bool
 	dynFlight  atomic.Bool
 
-	// batchFree recycles the per-shard event buffers IngestBatchWait
-	// splits a batch into: the shard returns each buffer after
-	// draining it, so steady-state batch intake allocates nothing.
+	// batchFree recycles the per-shard event buffers ingest splits a
+	// batch into: the shard returns each buffer after draining it, so
+	// steady-state intake allocates nothing.
 	batchFree batchFreeList
 
 	recent stallRing
@@ -198,8 +192,8 @@ type Monitor struct {
 }
 
 // batchFreeList is a mutex-guarded stack of event buffers shared by
-// IngestBatchWait (producer side) and the shard goroutines (return
-// side). One lock operation per batch, not per record.
+// ingest (producer side) and the shard goroutines (return side). One
+// lock operation per batch, not per record.
 type batchFreeList struct {
 	mu   sync.Mutex
 	free [][]trace.RecordEvent
@@ -249,8 +243,7 @@ func New(cfg Config) *Monitor {
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
 			m:        m,
-			in:       make(chan trace.RecordEvent, cfg.RingSize),
-			inb:      make(chan []trace.RecordEvent, 64),
+			in:       make(chan []trace.RecordEvent, shardQueueDepth),
 			flows:    map[string]*flowEntry{},
 			maxFlows: perShard,
 			agg:      newAggregates(cfg.Window, cfg.WindowBuckets),
@@ -340,102 +333,77 @@ func (m *Monitor) shardIdx(id string) int {
 	return int(h % uint32(len(m.shards)))
 }
 
-// Ingest offers one record without blocking. It reports false — and
-// counts the drop — when the target shard's ring is full or the
-// monitor is closed. This is the shed-load mode: the capture keeps
-// up, the monitor sees what it can.
-func (m *Monitor) Ingest(ev trace.RecordEvent) bool {
-	if m.closed.Load() {
-		m.ringDrops.Add(1)
-		return false
-	}
-	sh := m.shardOf(ev.FlowID)
-	select {
-	case sh.in <- ev:
-		m.ingested.Add(1)
-		return true
-	default:
-		m.ringDrops.Add(1)
-		sh.ringDrops.Add(1)
-		return false
-	}
-}
-
-// IngestWait blocks until the record is queued — backpressure mode
-// for replay sources that prefer slowing down to dropping. It reports
-// false only when the monitor is closed.
-func (m *Monitor) IngestWait(ev trace.RecordEvent) bool {
-	if m.closed.Load() {
-		m.ringDrops.Add(1)
-		return false
-	}
-	m.shardOf(ev.FlowID).in <- ev
-	m.ingested.Add(1)
-	return true
-}
-
-// IngestBatchWait queues a slice of records in one pass, blocking
-// like IngestWait: events are grouped by shard (order preserved
-// within each flow) and handed over one channel operation per shard
-// instead of per record — the line-rate intake path for replay and
-// generation sources that produce records faster than a per-record
-// channel hop can move them. The caller keeps ownership of evs; its
-// contents are copied. Records of one flow must not be split between
-// concurrent IngestBatchWait calls or mixed with per-record Ingest
-// calls, or their relative order is undefined. It reports false only
-// when the monitor is closed.
+// IngestBatchWait queues a slice of records, blocking while a target
+// shard's queue is full — backpressure for sources that prefer slowing
+// down to dropping. The caller keeps ownership of evs; its contents
+// are copied. Records of one flow must not be split between concurrent
+// intake calls, or their relative order is undefined. It reports false
+// only when the monitor is closed.
 func (m *Monitor) IngestBatchWait(evs []trace.RecordEvent) bool {
+	return m.ingest(evs, true) == len(evs)
+}
+
+// IngestBatch is the shed-load form of IngestBatchWait: it never
+// blocks. A shard whose queue is full has its share of the batch
+// dropped and counted, and the call reports how many records were
+// queued — the capture keeps up, the monitor sees what it can.
+func (m *Monitor) IngestBatch(evs []trace.RecordEvent) int {
+	return m.ingest(evs, false)
+}
+
+// ingest is the one intake: events are grouped by shard (order
+// preserved within each flow) into recycled buffers and handed over
+// with one channel operation per shard, not per record. It returns the
+// number of records queued.
+func (m *Monitor) ingest(evs []trace.RecordEvent, wait bool) int {
 	if len(evs) == 0 {
-		return true
+		return 0
 	}
 	if m.closed.Load() {
 		m.ringDrops.Add(uint64(len(evs)))
-		return false
+		return 0
 	}
+	queued := 0
 	if len(m.shards) == 1 {
-		b := append(m.batchFree.get(), evs...)
-		m.shards[0].inb <- b
-		m.ingested.Add(uint64(len(evs)))
-		return true
-	}
-	// Split by shard into recycled buffers; each shard returns its
-	// buffer to the free list once drained. The outer index array is
-	// stack-sized for the common shard counts.
-	var bufArr [64][]trace.RecordEvent
-	var bufs [][]trace.RecordEvent
-	if len(m.shards) <= len(bufArr) {
-		bufs = bufArr[:len(m.shards)]
+		queued = m.shards[0].enqueue(append(m.batchFree.get(), evs...), wait)
 	} else {
-		bufs = make([][]trace.RecordEvent, len(m.shards))
-	}
-	for i := range evs {
-		s := m.shardIdx(evs[i].FlowID)
-		if bufs[s] == nil {
-			bufs[s] = m.batchFree.get()
+		// The outer index array is stack-sized for the common shard
+		// counts.
+		var bufArr [64][]trace.RecordEvent
+		var bufs [][]trace.RecordEvent
+		if len(m.shards) <= len(bufArr) {
+			bufs = bufArr[:len(m.shards)]
+		} else {
+			bufs = make([][]trace.RecordEvent, len(m.shards))
+		}
+		for i := range evs {
+			s := m.shardIdx(evs[i].FlowID)
 			if bufs[s] == nil {
-				bufs[s] = make([]trace.RecordEvent, 0, len(evs))
+				bufs[s] = m.batchFree.get()
+				if bufs[s] == nil {
+					bufs[s] = make([]trace.RecordEvent, 0, len(evs))
+				}
+			}
+			bufs[s] = append(bufs[s], evs[i])
+		}
+		for s, b := range bufs {
+			if len(b) > 0 {
+				queued += m.shards[s].enqueue(b, wait)
 			}
 		}
-		bufs[s] = append(bufs[s], evs[i])
 	}
-	for s, b := range bufs {
-		if len(b) > 0 {
-			m.shards[s].inb <- b
-		}
-	}
-	m.ingested.Add(uint64(len(evs)))
-	return true
+	m.ingested.Add(uint64(queued))
+	return queued
 }
 
-// Close stops intake, drains the rings, flushes every remaining flow
-// (reason "shutdown") and waits for the shard workers to exit.
+// Close stops intake, drains the shard queues, flushes every remaining
+// flow (reason "shutdown") and waits for the shard workers to exit.
 func (m *Monitor) Close() {
 	if !m.closed.CompareAndSwap(false, true) {
 		return
 	}
 	for _, sh := range m.shards {
 		close(sh.in)
-		close(sh.inb)
 	}
 	if m.started.Load() {
 		m.wg.Wait()
@@ -457,20 +425,18 @@ type flowEntry struct {
 	lastSeen  time.Time     // guarded by the owning shard's mu (external)
 	finOut    bool          // guarded by the owning shard's mu (external)
 	finIn     bool          // guarded by the owning shard's mu (external)
-	dropped   int           // guarded by the owning shard's mu (external)
 	truncated bool          // guarded by the owning shard's mu (external)
 }
 
 // shard owns one slice of the flow table. Its goroutine is the only
 // writer; Snapshot and the admin plane read under mu.
 type shard struct {
-	m  *Monitor
-	in chan trace.RecordEvent
-	// inb carries pre-grouped event batches (IngestBatchWait): one
-	// channel operation per batch instead of per record.
-	inb      chan []trace.RecordEvent
+	m *Monitor
+	// in is the intake queue: pre-grouped event batches, one channel
+	// operation per batch instead of per record.
+	in       chan []trace.RecordEvent
 	maxFlows int
-	// ringDrops counts records shed at THIS shard's full ring — the
+	// ringDrops counts records shed at THIS shard's full queue — the
 	// per-shard split of Monitor.ringDrops, so /metrics can show which
 	// shard a hot flow is overloading.
 	ringDrops atomic.Uint64
@@ -496,11 +462,29 @@ type shard struct {
 	parked   int
 }
 
-// drainBatch bounds how many queued events one lock acquisition may
-// process: large enough to amortize the mutex and clock read to
-// noise, small enough that Snapshot and the admin plane never wait
-// behind a full ring.
-const drainBatch = 256
+// shardQueueDepth is each shard's intake queue capacity in batches:
+// deep enough that a source rarely waits on a busy shard, shallow
+// enough to bound queued memory.
+const shardQueueDepth = 64
+
+// enqueue hands one buffer to the shard and reports how many records
+// were queued. Without wait a full queue sheds the buffer: counted
+// against the monitor and this shard, and recycled.
+func (sh *shard) enqueue(b []trace.RecordEvent, wait bool) int {
+	if wait {
+		sh.in <- b
+		return len(b)
+	}
+	select {
+	case sh.in <- b:
+		return len(b)
+	default:
+		sh.m.ringDrops.Add(uint64(len(b)))
+		sh.ringDrops.Add(uint64(len(b)))
+		sh.m.batchFree.put(b)
+		return 0
+	}
+}
 
 func (sh *shard) run() {
 	defer sh.m.wg.Done()
@@ -508,39 +492,15 @@ func (sh *shard) run() {
 	defer sweep.Stop()
 	for {
 		select {
-		case ev, ok := <-sh.in:
+		case evs, ok := <-sh.in:
 			if !ok {
-				sh.drainAndShutdown()
-				return
-			}
-			// Batch drain: everything already queued behind this event
-			// is processed under one lock with one clock read — the
-			// per-record overhead that would otherwise dominate the
-			// triage fast path.
-			closed := false
-			now := sh.m.cfg.Clock()
-			sh.mu.Lock()
-			sh.processLocked(now, &ev)
-			for n := 1; n < drainBatch && !closed; n++ {
-				select {
-				case ev, ok = <-sh.in:
-					if !ok {
-						closed = true
-						break
-					}
-					sh.processLocked(now, &ev)
-				default:
-					n = drainBatch
+				// A closed channel hands over its buffered batches before
+				// reporting closed: all that is left is to evict.
+				sh.mu.Lock()
+				for sh.lru.Len() > 0 {
+					sh.evictLocked(sh.lru.Back().Value.(*flowEntry), EvictShutdown)
 				}
-			}
-			sh.mu.Unlock()
-			if closed {
-				sh.drainAndShutdown()
-				return
-			}
-		case evs, ok := <-sh.inb:
-			if !ok {
-				sh.drainAndShutdown()
+				sh.mu.Unlock()
 				return
 			}
 			sh.processBatch(evs)
@@ -552,60 +512,19 @@ func (sh *shard) run() {
 }
 
 // processBatch runs one pre-grouped event batch under a single lock
-// acquisition and clock read, splitting it into consecutive same-flow
-// runs so always-on flows are fed through FeedBatch instead of
-// re-entering Feed per record.
+// acquisition and clock read, one same-flow run at a time.
 func (sh *shard) processBatch(evs []trace.RecordEvent) {
 	now := sh.m.cfg.Clock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for i := 0; i < len(evs); {
-		j := i + 1
-		for j < len(evs) && evs[j].FlowID == evs[i].FlowID {
-			j++
-		}
-		for i < j {
-			i += sh.processRunLocked(now, evs[i:j])
-		}
+	for len(evs) > 0 {
+		evs = evs[sh.feedRunLocked(now, evs):]
 	}
-}
-
-// drainAndShutdown empties both intake channels, then evicts
-// everything. Close closes them together, so both ranges terminate.
-func (sh *shard) drainAndShutdown() {
-	for ev := range sh.in {
-		sh.process(&ev)
-	}
-	for evs := range sh.inb {
-		sh.processBatch(evs)
-		sh.m.batchFree.put(evs)
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for sh.lru.Len() > 0 {
-		sh.evictLocked(sh.lru.Back().Value.(*flowEntry), EvictShutdown)
-	}
-}
-
-// process feeds one event through its flow's analyzer, admitting,
-// truncating or evicting as the caps and teardown dictate.
-func (sh *shard) process(ev *trace.RecordEvent) {
-	now := sh.m.cfg.Clock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.processLocked(now, ev)
-}
-
-// processLocked is process with the lock held and the wall clock
-// read, so a batch drain pays for both once.
-func (sh *shard) processLocked(now time.Time, ev *trace.RecordEvent) {
-	e := sh.admitLocked(now, ev)
-	sh.feedLocked(e, ev)
 }
 
 // admitLocked looks up ev's flow, admitting it (displacing the
-// least-recently-active flow when full) if new, refreshes its recency
-// and absorbs late-arriving meta facts. Callers hold sh.mu.
+// least-recently-active flow when full) if new, and refreshes its
+// recency. Callers hold sh.mu.
 func (sh *shard) admitLocked(now time.Time, ev *trace.RecordEvent) *flowEntry {
 	e := sh.flows[ev.FlowID]
 	if e == nil {
@@ -628,150 +547,93 @@ func (sh *shard) admitLocked(now time.Time, ev *trace.RecordEvent) *flowEntry {
 			// come from the shard arena and return at eviction.
 			e.tri = triage.NewFlowIn(*sh.m.cfg.Triage, sh.arena)
 		} else {
-			e.inc = core.NewIncremental(sh.m.cfg.Analysis)
-			e.inc.SetMeta(e.meta)
-			e.inc.OnStall = sh.stallClosedLocked
-			if sh.m.FlightEnabled() {
-				e.rec = flight.NewRecorder(*sh.m.cfg.Flight)
-				e.inc.SetRecorder(e.rec)
-			}
+			sh.newAnalyzerLocked(e)
 		}
 		e.el = sh.lru.PushFront(e)
 		sh.flows[ev.FlowID] = e
 		sh.agg.flowsSeen++
-	} else {
-		if sh.lru.Front() != e.el {
-			sh.lru.MoveToFront(e.el)
-		}
-		sh.absorbMetaLocked(e, ev)
+	} else if sh.lru.Front() != e.el {
+		sh.lru.MoveToFront(e.el)
 	}
 	e.lastSeen = now
 	return e
 }
 
-// absorbMetaLocked folds late facts — the SYN's MSS, the client's
-// initial window — into an admitted flow. Callers hold sh.mu.
-func (sh *shard) absorbMetaLocked(e *flowEntry, ev *trace.RecordEvent) {
-	if (ev.MSS > 0 && ev.MSS != e.meta.MSS) || (ev.InitRwnd != 0 && e.meta.InitRwnd == 0) {
-		if ev.MSS > 0 {
-			e.meta.MSS = ev.MSS
-		}
-		if ev.InitRwnd != 0 && e.meta.InitRwnd == 0 {
-			e.meta.InitRwnd = ev.InitRwnd
-		}
-		if e.inc != nil {
-			e.inc.SetMeta(e.meta)
-		}
+// newAnalyzerLocked attaches a fresh full analyzer (flight recorder
+// included when configured) to e. Callers hold sh.mu.
+func (sh *shard) newAnalyzerLocked(e *flowEntry) {
+	e.inc = core.NewIncremental(sh.m.cfg.Analysis)
+	e.inc.SetMeta(e.meta)
+	e.inc.OnStall = sh.stallClosedLocked
+	if sh.m.FlightEnabled() {
+		e.rec = flight.NewRecorder(*sh.m.cfg.Flight)
+		e.inc.SetRecorder(e.rec)
 	}
 }
 
-// feedLocked runs the cap check, the feed (triage fast path or
-// always-on analyzer) and the teardown check for one event of an
-// already-admitted flow, reporting whether the flow was evicted.
-// Callers hold sh.mu.
-func (sh *shard) feedLocked(e *flowEntry, ev *trace.RecordEvent) bool {
-	capRecs := int(sh.m.dynMaxRecs.Load())
-	over := false
-	if capRecs > 0 {
-		if e.tri != nil {
-			over = e.tri.Total() >= uint64(capRecs)
-		} else {
-			over = e.inc.Records() >= capRecs
-		}
-	}
-	switch {
-	case over:
-		// Elephant-flow guard: analysis covers the retained prefix.
-		e.truncated = true
-		e.dropped++
-		sh.agg.recordsCapDrop++
-	case e.tri != nil:
-		sh.processTriagedLocked(e, ev)
-	default:
-		e.inc.Feed(&ev.Rec)
-		sh.agg.recordsFed++
-	}
-
-	if done := observeTeardown(e, ev); done || ev.FlowDone {
-		sh.evictLocked(e, EvictDone)
-		return true
-	}
-	return false
-}
-
-// processRunLocked processes a prefix of run — events that all carry
-// one flow ID — and returns how many it consumed. Always-on flows
-// take the FeedBatch path; triage flows stay per-record, since
-// Observe's symptom machine wants each record individually. A
-// teardown mid-run evicts the flow and returns early: the caller
-// re-enters with the remainder, which then opens a fresh flow exactly
-// as the per-record path would. Callers hold sh.mu.
-func (sh *shard) processRunLocked(now time.Time, run []trace.RecordEvent) int {
-	e := sh.admitLocked(now, &run[0])
-	if e.tri == nil {
-		return sh.feedRunLocked(e, run)
-	}
-	for i := range run {
-		if i > 0 {
-			sh.absorbMetaLocked(e, &run[i])
-		}
-		if sh.feedLocked(e, &run[i]) {
-			return i + 1
-		}
-	}
-	return len(run)
-}
-
-// feedRunLocked streams one always-on flow's run through FeedBatch:
-// records accumulate in the shard scratch buffer and flush at exactly
-// the boundaries where per-record processing would have acted — a
-// meta change (SetMeta must not overtake earlier records), the
-// per-flow record cap, teardown, and the end of the run. Returns how
-// many events it consumed. Callers hold sh.mu.
-func (sh *shard) feedRunLocked(e *flowEntry, run []trace.RecordEvent) int {
+// feedRunLocked is the one feed loop: it feeds the leading run of evs
+// — the events that carry the first one's flow ID — and returns how
+// many it consumed. A flow without triage state is the always-promoted
+// case: its records accumulate in the shard scratch buffer and reach
+// the analyzer through FeedBatch, flushed where order matters — a meta
+// change (SetMeta must not overtake earlier records), teardown, the
+// end of the run. Triage flows go record by record, since Observe's
+// symptom machine wants each one individually. A teardown evicts the
+// flow and ends the run early, so a remainder under the same ID opens
+// a fresh flow when the caller re-enters. Callers hold sh.mu.
+func (sh *shard) feedRunLocked(now time.Time, evs []trace.RecordEvent) int {
+	e := sh.admitLocked(now, &evs[0])
 	pending := sh.scratch[:0]
 	capRecs := int(sh.m.dynMaxRecs.Load())
-	consumed := len(run)
-	evict := false
-	for i := range run {
-		ev := &run[i]
+	n, evict := 0, false
+	for ; n < len(evs) && !evict && evs[n].FlowID == e.id; n++ {
+		ev := &evs[n]
+		// Late facts — the SYN's MSS, the client's initial window.
 		if (ev.MSS > 0 && ev.MSS != e.meta.MSS) || (ev.InitRwnd != 0 && e.meta.InitRwnd == 0) {
-			if len(pending) > 0 {
-				e.inc.FeedBatch(pending)
-				sh.agg.recordsFed += uint64(len(pending))
-				pending = pending[:0]
-			}
+			pending = sh.flushLocked(e, pending)
 			if ev.MSS > 0 {
 				e.meta.MSS = ev.MSS
 			}
 			if ev.InitRwnd != 0 && e.meta.InitRwnd == 0 {
 				e.meta.InitRwnd = ev.InitRwnd
 			}
-			e.inc.SetMeta(e.meta)
+			if e.inc != nil {
+				e.inc.SetMeta(e.meta)
+			}
 		}
-		if capRecs > 0 && e.inc.Records()+len(pending) >= capRecs {
+		have := len(pending) // records the flow is already charged for
+		if e.tri != nil {
+			have = satInt(e.tri.Total())
+		} else {
+			have += e.inc.Records()
+		}
+		switch {
+		case capRecs > 0 && have >= capRecs:
 			// Elephant-flow guard: analysis covers the retained prefix.
 			e.truncated = true
-			e.dropped++
 			sh.agg.recordsCapDrop++
-		} else {
+		case e.tri != nil:
+			sh.processTriagedLocked(e, ev)
+		default:
 			pending = append(pending, ev.Rec)
 		}
-		if done := observeTeardown(e, ev); done || ev.FlowDone {
-			consumed = i + 1
-			evict = true
-			break
-		}
+		evict = observeTeardown(e, ev) || ev.FlowDone
 	}
+	sh.scratch = sh.flushLocked(e, pending)
+	if evict {
+		sh.evictLocked(e, EvictDone)
+	}
+	return n
+}
+
+// flushLocked feeds an always-on flow's pending records to its
+// analyzer in one call and returns the emptied buffer. Callers hold sh.mu.
+func (sh *shard) flushLocked(e *flowEntry, pending []trace.Record) []trace.Record {
 	if len(pending) > 0 {
 		e.inc.FeedBatch(pending)
 		sh.agg.recordsFed += uint64(len(pending))
 	}
-	sh.scratch = pending[:0]
-	if evict {
-		sh.evictLocked(e, EvictDone)
-	}
-	return consumed
+	return pending[:0]
 }
 
 // processTriagedLocked runs one record of a triage-mode flow: fast path
@@ -814,13 +676,7 @@ func (sh *shard) processTriagedLocked(e *flowEntry, ev *trace.RecordEvent) {
 // sh.mu; the caller replays the buffered suffix right after.
 func (sh *shard) promoteLocked(e *flowEntry, sym triage.Symptom) {
 	if e.inc == nil {
-		e.inc = core.NewIncremental(sh.m.cfg.Analysis)
-		e.inc.SetMeta(e.meta)
-		e.inc.OnStall = sh.stallClosedLocked
-		if sh.m.FlightEnabled() {
-			e.rec = flight.NewRecorder(*sh.m.cfg.Flight)
-			e.inc.SetRecorder(e.rec)
-		}
+		sh.newAnalyzerLocked(e)
 	} else {
 		sh.parked--
 		sh.agg.triRepromotions++
@@ -856,7 +712,7 @@ func observeTeardown(e *flowEntry, ev *trace.RecordEvent) bool {
 }
 
 // stallClosedLocked runs synchronously inside Feed; the caller (the
-// shard goroutine, via process) holds sh.mu.
+// shard goroutine, via processBatch) holds sh.mu.
 func (sh *shard) stallClosedLocked(ls core.LiveStall) {
 	now := sh.m.cfg.Clock()
 	sh.agg.stallClosed(now, ls)

@@ -2,6 +2,8 @@ package live
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -47,12 +49,208 @@ func events(f *trace.Flow) []trace.RecordEvent {
 	return out
 }
 
+// interleave merges the flows' event sequences round-robin — one
+// record from each flow per round — so shard queues carry a realistic
+// multi-flow mix.
+func interleave(flows []*trace.Flow) []trace.RecordEvent {
+	evs := make([][]trace.RecordEvent, len(flows))
+	for i, f := range flows {
+		evs[i] = events(f)
+	}
+	var all []trace.RecordEvent
+	for round := 0; ; round++ {
+		fed := false
+		for i := range evs {
+			if round < len(evs[i]) {
+				all = append(all, evs[i][round])
+				fed = true
+			}
+		}
+		if !fed {
+			return all
+		}
+	}
+}
+
+// chunkSizes are the intake batch sizes every live≡batch equivalence
+// test runs at: the batch of one a paced source hands over, a size
+// unaligned with everything, the replay chunk, and (0) the whole
+// stream in one call.
+var chunkSizes = []int{1, 7, 512, 0}
+
+// chunkRun is what one pass over an input at one chunk size produced:
+// every eviction per flow ID in order, and the final counters.
+type chunkRun struct {
+	evicted map[string][]capture
+	snap    Snapshot
+}
+
+// runChunked pushes all through a running four-shard monitor in
+// IngestBatchWait calls of chunk records and closes it.
+func runChunked(t *testing.T, cfg Config, all []trace.RecordEvent, chunk int) chunkRun {
+	t.Helper()
+	var mu sync.Mutex
+	r := chunkRun{evicted: map[string][]capture{}}
+	cfg.Shards, cfg.MaxFlows = 4, 4096
+	cfg.OnFlow = func(reason string, a *core.FlowAnalysis) {
+		b, err := core.MarshalAnalyses([]*core.FlowAnalysis{a})
+		if err != nil {
+			t.Errorf("marshal %s: %v", a.FlowID, err)
+			return
+		}
+		mu.Lock()
+		r.evicted[a.FlowID] = append(r.evicted[a.FlowID], capture{a: a, b: b})
+		mu.Unlock()
+	}
+	m := New(cfg)
+	m.Start()
+	if chunk <= 0 {
+		chunk = len(all)
+	}
+	for i := 0; i < len(all); i += chunk {
+		end := i + chunk
+		if end > len(all) {
+			end = len(all)
+		}
+		if !m.IngestBatchWait(all[i:end]) {
+			t.Fatal("IngestBatchWait refused while open")
+		}
+	}
+	m.Close()
+	r.snap = m.Snapshot()
+	if r.snap.RingDrops != 0 {
+		t.Errorf("IngestBatchWait dropped %d records", r.snap.RingDrops)
+	}
+	return r
+}
+
+// forEachChunkSize runs the input at every chunk size, hands each run
+// to check, and requires what must not depend on how the source cut
+// its batches — every flow's evictions byte for byte, and the feed
+// counters — to be identical across sizes.
+func forEachChunkSize(t *testing.T, cfg Config, all []trace.RecordEvent, check func(*testing.T, chunkRun)) {
+	var base *chunkRun
+	for _, n := range chunkSizes {
+		name := fmt.Sprintf("chunk_%d", n)
+		if n == 0 {
+			name = "chunk_all"
+		}
+		t.Run(name, func(t *testing.T) {
+			r := runChunked(t, cfg, all, n)
+			check(t, r)
+			if base == nil {
+				base = &r
+				return
+			}
+			if len(r.evicted) != len(base.evicted) {
+				t.Errorf("%d flow IDs evicted, chunk_%d evicted %d", len(r.evicted), chunkSizes[0], len(base.evicted))
+			}
+			for id, want := range base.evicted {
+				got := r.evicted[id]
+				if len(got) != len(want) {
+					t.Errorf("flow %s evicted %d times, want %d", id, len(got), len(want))
+					continue
+				}
+				for k := range want {
+					if !bytes.Equal(got[k].b, want[k].b) {
+						t.Errorf("flow %s eviction %d depends on chunk size\ngot:  %s\nwant: %s", id, k, got[k].b, want[k].b)
+					}
+				}
+			}
+			g, w := r.snap, base.snap
+			if g.RecordsFed != w.RecordsFed || g.RecordsCapDrop != w.RecordsCapDrop ||
+				g.TriageFastRecords != w.TriageFastRecords || !reflect.DeepEqual(g.TriagePromotions, w.TriagePromotions) {
+				t.Errorf("counters depend on chunk size: fed %d/%d cap-drop %d/%d fast %d/%d promotions %v/%v",
+					g.RecordsFed, w.RecordsFed, g.RecordsCapDrop, w.RecordsCapDrop,
+					g.TriageFastRecords, w.TriageFastRecords, g.TriagePromotions, w.TriagePromotions)
+			}
+		})
+	}
+}
+
+// edgeInput is the input for the boundary cases of the feed loop: a
+// few interleaved generated flows, then — contiguous, so whole-stream
+// intake sees each as one long same-flow run — a full generated flow
+// and a hand-built connection that stalls, tears down by FIN/FIN/ACK
+// and reconnects under the same flow ID.
+func edgeInput(t *testing.T) []trace.RecordEvent {
+	t.Helper()
+	var flows []*trace.Flow
+	for _, fr := range workload.Generate(workload.Services()[2], 5, workload.GenOptions{Flows: 5}) {
+		if len(fr.Flow.Records) > 0 {
+			flows = append(flows, fr.Flow)
+		}
+	}
+	if len(flows) < 2 {
+		t.Fatalf("generated only %d usable flows", len(flows))
+	}
+	solo := flows[len(flows)-1]
+	all := append(interleave(flows[:len(flows)-1]), events(solo)...)
+	for life := 0; life < 2; life++ {
+		isn := uint32(7000 + 100000*life)
+		add := func(tms int64, dir tcpsim.Dir, seg tcpsim.Segment) {
+			all = append(all, trace.RecordEvent{FlowID: "reconnect", Service: "edge", MSS: 1000,
+				Rec: trace.Record{T: msAt(tms), Dir: dir, Seg: seg}})
+		}
+		add(0, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagSYN, Seq: 42, Wnd: 60000})
+		add(10, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: isn, Ack: 43, Wnd: 65535})
+		add(20, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1, Wnd: 60000})
+		at := int64(30)
+		for i := uint32(0); i < 8; i++ {
+			if i == 5 {
+				at += 900 // the last segments leave after a stall
+			}
+			add(at, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagACK, Seq: isn + 1 + i*1000, Len: 1000, Wnd: 65535})
+			add(at+10, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1 + (i+1)*1000, Wnd: 60000})
+			at += 20
+		}
+		add(at, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagFIN | packet.FlagACK, Seq: isn + 8001, Ack: 43, Wnd: 65535})
+		add(at+10, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagFIN | packet.FlagACK, Seq: 43, Ack: isn + 8002, Wnd: 60000})
+		add(at+20, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagACK, Seq: isn + 8002, Ack: 44, Wnd: 65535})
+	}
+	return all
+}
+
+// checkEdgeCases runs the feed loop's boundary cases at every chunk
+// size under cfg (always-on or triage): a per-flow record cap small
+// enough to cut flows mid-run, and a teardown mid-run followed by a
+// reconnect on the same flow ID.
+func checkEdgeCases(t *testing.T, cfg Config) {
+	all := edgeInput(t)
+	t.Run("record_cap", func(t *testing.T) {
+		capped := cfg
+		capped.MaxRecordsPerFlow = 25
+		forEachChunkSize(t, capped, all, func(t *testing.T, r chunkRun) {
+			if r.snap.RecordsCapDrop == 0 || r.snap.FlowsTruncated == 0 {
+				t.Errorf("cap never engaged: cap drops %d, truncated flows %d", r.snap.RecordsCapDrop, r.snap.FlowsTruncated)
+			}
+		})
+	})
+	t.Run("reconnect", func(t *testing.T) {
+		forEachChunkSize(t, cfg, all, func(t *testing.T, r chunkRun) {
+			lives := r.evicted["reconnect"]
+			if len(lives) != 2 {
+				t.Fatalf("reconnecting flow evicted %d times, want 2 (teardown, then its second life)", len(lives))
+			}
+			for k, c := range lives {
+				if len(c.a.Stalls) == 0 {
+					t.Errorf("life %d lost its stall", k)
+				}
+			}
+			if got := r.snap.FlowsEvicted[EvictDone]; got < 2 {
+				t.Errorf("done evictions = %d, want >= 2", got)
+			}
+		})
+	})
+}
+
 // TestMonitorMatchesBatch is the subsystem's equivalence guarantee:
 // flows from every service model, their records interleaved
 // round-robin across flows and pushed through the concurrent shard
 // workers, must come out of eviction with FlowAnalysis JSON
-// byte-identical to the batch analyzer's. Run under -race this also
-// guards the shard locking.
+// byte-identical to the batch analyzer's — however the source cut the
+// stream into intake batches. Run under -race this also guards the
+// shard locking.
 func TestMonitorMatchesBatch(t *testing.T) {
 	var flows []*trace.Flow
 	for _, svc := range workload.Services() {
@@ -65,69 +263,32 @@ func TestMonitorMatchesBatch(t *testing.T) {
 	if len(flows) < 20 {
 		t.Fatalf("generated only %d usable flows", len(flows))
 	}
-
-	var mu sync.Mutex
-	got := map[string][]byte{}
-	m := New(Config{
-		Shards:   4,
-		MaxFlows: 1024,
-		RingSize: 1 << 14,
-		OnFlow: func(reason string, a *core.FlowAnalysis) {
-			b, err := core.MarshalAnalyses([]*core.FlowAnalysis{a})
-			if err != nil {
-				t.Errorf("marshal %s: %v", a.FlowID, err)
-				return
-			}
-			mu.Lock()
-			got[a.FlowID] = b
-			mu.Unlock()
-		},
-	})
-	m.Start()
-
-	// Interleave: one record from each flow per round, so shard rings
-	// carry a realistic multi-flow mix.
-	evs := make([][]trace.RecordEvent, len(flows))
-	for i, f := range flows {
-		evs[i] = events(f)
-	}
-	for round := 0; ; round++ {
-		fed := false
-		for i := range evs {
-			if round < len(evs[i]) {
-				if !m.IngestWait(evs[i][round]) {
-					t.Fatal("IngestWait refused while open")
-				}
-				fed = true
-			}
-		}
-		if !fed {
-			break
-		}
-	}
-	m.Close()
-
+	want := map[string][]byte{}
 	for _, f := range flows {
-		want, err := core.MarshalAnalyses([]*core.FlowAnalysis{core.Analyze(f, core.Config{})})
+		b, err := core.MarshalAnalyses([]*core.FlowAnalysis{core.Analyze(f, core.Config{})})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, ok := got[f.ID]
-		if !ok {
-			t.Fatalf("flow %s never evicted", f.ID)
-		}
-		if !bytes.Equal(g, want) {
-			t.Errorf("flow %s: live analysis differs from batch\nlive:  %s\nbatch: %s", f.ID, g, want)
-		}
+		want[f.ID] = b
 	}
 
-	s := m.Snapshot()
-	if s.RingDrops != 0 {
-		t.Errorf("IngestWait path dropped %d records", s.RingDrops)
-	}
-	if int(s.FlowsSeen) != len(flows) {
-		t.Errorf("FlowsSeen = %d, want %d", s.FlowsSeen, len(flows))
-	}
+	t.Run("generated", func(t *testing.T) {
+		forEachChunkSize(t, Config{}, interleave(flows), func(t *testing.T, r chunkRun) {
+			for _, f := range flows {
+				g := r.evicted[f.ID]
+				if len(g) != 1 {
+					t.Fatalf("flow %s evicted %d times, want once", f.ID, len(g))
+				}
+				if !bytes.Equal(g[0].b, want[f.ID]) {
+					t.Errorf("flow %s: live analysis differs from batch\nlive:  %s\nbatch: %s", f.ID, g[0].b, want[f.ID])
+				}
+			}
+			if int(r.snap.FlowsSeen) != len(flows) {
+				t.Errorf("FlowsSeen = %d, want %d", r.snap.FlowsSeen, len(flows))
+			}
+		})
+	})
+	checkEdgeCases(t, Config{})
 }
 
 // dataEvent builds a minimal outgoing data record event.
@@ -145,7 +306,7 @@ func dataEvent(id string, at sim.Time, seq uint32, n int) trace.RecordEvent {
 // feedDirect pushes an event through its shard synchronously (monitor
 // not started), keeping the test deterministic.
 func feedDirect(m *Monitor, ev trace.RecordEvent) {
-	m.shardOf(ev.FlowID).process(&ev)
+	m.shardOf(ev.FlowID).processBatch([]trace.RecordEvent{ev})
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -292,30 +453,43 @@ func TestTeardownEvicts(t *testing.T) {
 }
 
 // TestRingFullDrops pins the shed-load contract: with the workers not
-// started, the ring fills deterministically and Ingest refuses —
-// counting, not blocking.
+// started, a shard's queue fills deterministically and IngestBatch
+// refuses — counting against the monitor and the shard, not blocking.
 func TestRingFullDrops(t *testing.T) {
-	m := New(Config{Shards: 1, RingSize: 2})
-	ok1 := m.Ingest(dataEvent("f", 0, 1000, 1460))
-	ok2 := m.Ingest(dataEvent("f", sim.Time(time.Millisecond), 2460, 1460))
-	ok3 := m.Ingest(dataEvent("f", sim.Time(2*time.Millisecond), 3920, 1460))
-	if !ok1 || !ok2 {
-		t.Fatal("ring rejected records below capacity")
+	m := New(Config{Shards: 1})
+	for i := 0; i < shardQueueDepth; i++ {
+		ev := dataEvent("f", sim.Time(i)*sim.Time(time.Millisecond), 1000+uint32(i)*1460, 1460)
+		if m.IngestBatch([]trace.RecordEvent{ev}) != 1 {
+			t.Fatalf("queue rejected batch %d, below capacity", i)
+		}
 	}
-	if ok3 {
-		t.Fatal("ring accepted a record beyond capacity")
+	over := []trace.RecordEvent{
+		dataEvent("f", sim.Time(time.Second), 200000, 1460),
+		dataEvent("g", sim.Time(time.Second), 1000, 1460),
+	}
+	if n := m.IngestBatch(over); n != 0 {
+		t.Fatalf("full queue accepted %d records", n)
 	}
 	s := m.Snapshot()
-	if s.Ingested != 2 || s.RingDrops != 1 {
-		t.Errorf("Ingested/RingDrops = %d/%d, want 2/1", s.Ingested, s.RingDrops)
+	if s.Ingested != shardQueueDepth || s.RingDrops != 2 || s.ShardRingDrops[0] != 2 {
+		t.Errorf("Ingested/RingDrops/ShardRingDrops[0] = %d/%d/%d, want %d/2/2",
+			s.Ingested, s.RingDrops, s.ShardRingDrops[0], shardQueueDepth)
 	}
 	m.Start()
 	m.Close()
 	if !m.closed.Load() {
 		t.Error("monitor did not close")
 	}
-	if m.Ingest(dataEvent("f", sim.Time(3*time.Millisecond), 5380, 1460)) {
-		t.Error("Ingest accepted a record after Close")
+	if got := m.Snapshot().RecordsFed; got != shardQueueDepth {
+		t.Errorf("RecordsFed after Close = %d, want the %d queued", got, shardQueueDepth)
+	}
+	if m.IngestBatch(over) != 0 || m.IngestBatchWait(over) {
+		t.Error("intake accepted records after Close")
+	}
+	s = m.Snapshot()
+	if s.RingDrops != 6 || s.ShardRingDrops[0] != 2 {
+		t.Errorf("after Close RingDrops/ShardRingDrops[0] = %d/%d, want 6/2 (refusals count against the monitor only)",
+			s.RingDrops, s.ShardRingDrops[0])
 	}
 }
 
@@ -329,7 +503,7 @@ func TestShutdownFlushesAll(t *testing.T) {
 	}})
 	m.Start()
 	for _, id := range []string{"x", "y", "z"} {
-		m.IngestWait(dataEvent(id, 0, 1000, 1460))
+		m.IngestBatchWait([]trace.RecordEvent{dataEvent(id, 0, 1000, 1460)})
 	}
 	m.Close()
 	for _, id := range []string{"x", "y", "z"} {

@@ -41,7 +41,7 @@ func feedN(m *Monitor, flowID string, n int) {
 }
 
 // drain waits until the monitor's counters have settled: the shard
-// rings are empty for two consecutive polls. Promotion replays can
+// queues are empty for two consecutive polls. Promotion replays can
 // double-count a record (fast path + analyzer), so summed counters
 // cannot be compared to Ingested directly.
 func drain(m *Monitor) {
@@ -68,7 +68,7 @@ func drain(m *Monitor) {
 }
 
 func TestSetMaxRecordsPerFlowBetweenBatches(t *testing.T) {
-	m := New(Config{Shards: 1, RingSize: 1 << 12})
+	m := New(Config{Shards: 1})
 	m.Start()
 	defer m.Close()
 
@@ -110,7 +110,7 @@ func TestSetMaxRecordsPerFlowBetweenBatches(t *testing.T) {
 }
 
 func TestSetTriageEnabledAffectsNewAdmissionsOnly(t *testing.T) {
-	m := New(Config{Shards: 1, RingSize: 1 << 12, Triage: &triage.Config{}})
+	m := New(Config{Shards: 1, Triage: &triage.Config{}})
 	m.Start()
 	defer m.Close()
 
@@ -165,7 +165,7 @@ func TestSetTriageEnabledRequiresConfiguredTriage(t *testing.T) {
 }
 
 func TestSetFlightEnabledAffectsNewAnalyzers(t *testing.T) {
-	m := New(Config{Shards: 1, RingSize: 1 << 12, Flight: &flight.Config{}})
+	m := New(Config{Shards: 1, Flight: &flight.Config{}})
 	m.Start()
 	defer m.Close()
 

@@ -81,8 +81,9 @@ func assertTriageEquiv(t *testing.T, f *trace.Flow, c capture) bool {
 // TestTriageMatchesBatch is the two-phase subsystem's equivalence
 // guarantee over generated workloads: every pathological service plus
 // its healthy twin, records interleaved round-robin across flows and
-// pushed through the concurrent shard workers with triage enabled.
-// Every flow the batch analyzer finds stalls in must come out
+// pushed through the concurrent shard workers with triage enabled, at
+// every intake chunk size (boundaries slicing arbitrarily across
+// flows). Every flow the batch analyzer finds stalls in must come out
 // byte-identical (it was promoted in time); stall-free flows may take
 // the synthesized fast-path exit. Run under -race this also guards
 // the promotion/demotion locking.
@@ -104,133 +105,46 @@ func TestTriageMatchesBatch(t *testing.T) {
 		t.Fatalf("generated only %d usable flows", len(flows))
 	}
 
-	onFlow, got, mu := collector(t)
-	m := New(Config{
-		Shards:   4,
-		MaxFlows: 4096,
-		RingSize: 1 << 14,
-		Triage:   &triage.Config{},
-		OnFlow:   onFlow,
-	})
-	m.Start()
-
-	evs := make([][]trace.RecordEvent, len(flows))
-	for i, f := range flows {
-		evs[i] = events(f)
-	}
-	for round := 0; ; round++ {
-		fed := false
-		for i := range evs {
-			if round < len(evs[i]) {
-				if !m.IngestWait(evs[i][round]) {
-					t.Fatal("IngestWait refused while open")
+	cfg := Config{Triage: &triage.Config{}}
+	t.Run("generated", func(t *testing.T) {
+		forEachChunkSize(t, cfg, interleave(flows), func(t *testing.T, r chunkRun) {
+			var stalled, clean int
+			for _, f := range flows {
+				g := r.evicted[f.ID]
+				if len(g) != 1 {
+					t.Fatalf("flow %s evicted %d times, want once", f.ID, len(g))
 				}
-				fed = true
+				if assertTriageEquiv(t, f, g[0]) && len(g[0].a.Stalls) > 0 {
+					stalled++
+				} else if len(g[0].a.Stalls) == 0 {
+					clean++
+				}
 			}
-		}
-		if !fed {
-			break
-		}
-	}
-	m.Close()
-
-	mu.Lock()
-	defer mu.Unlock()
-	var stalled, clean int
-	for _, f := range flows {
-		c, ok := got[f.ID]
-		if !ok {
-			t.Fatalf("flow %s never evicted", f.ID)
-		}
-		if assertTriageEquiv(t, f, c) && len(c.a.Stalls) > 0 {
-			stalled++
-		} else if len(c.a.Stalls) == 0 {
-			clean++
-		}
-	}
-	if stalled == 0 {
-		t.Error("no flow exercised the promoted path (want some stalls)")
-	}
-	if clean == 0 {
-		t.Error("no flow exercised the fast path (want some stall-free flows)")
-	}
-
-	s := m.Snapshot()
-	if s.TriageFastRecords == 0 {
-		t.Error("TriageFastRecords = 0: triage never engaged")
-	}
-	var promos uint64
-	for _, v := range s.TriagePromotions {
-		promos += v
-	}
-	if promos == 0 {
-		t.Error("no promotions recorded despite stalling flows")
-	}
-	if s.PromotedFlows != 0 || s.ParkedFlows != 0 {
-		t.Errorf("gauges not drained after Close: promoted=%d parked=%d",
-			s.PromotedFlows, s.ParkedFlows)
-	}
-}
-
-// TestTriageBatchIngestMatchesBatch drives the same contract through
-// IngestBatchWait, the bulk intake the bench harness and pcap replay
-// use, with arbitrary chunk boundaries slicing across flows.
-func TestTriageBatchIngestMatchesBatch(t *testing.T) {
-	var flows []*trace.Flow
-	svcs := workload.Services()
-	for _, svc := range svcs[:2] {
-		for _, fr := range workload.Generate(svc, 3, workload.GenOptions{Flows: 5}) {
-			if len(fr.Flow.Records) > 0 {
-				flows = append(flows, fr.Flow)
+			if stalled == 0 {
+				t.Error("no flow exercised the promoted path (want some stalls)")
 			}
-		}
-	}
-	var all []trace.RecordEvent
-	evs := make([][]trace.RecordEvent, len(flows))
-	for i, f := range flows {
-		evs[i] = events(f)
-	}
-	for round := 0; ; round++ {
-		fed := false
-		for i := range evs {
-			if round < len(evs[i]) {
-				all = append(all, evs[i][round])
-				fed = true
+			if clean == 0 {
+				t.Error("no flow exercised the fast path (want some stall-free flows)")
 			}
-		}
-		if !fed {
-			break
-		}
-	}
 
-	onFlow, got, mu := collector(t)
-	m := New(Config{Shards: 4, MaxFlows: 4096, RingSize: 1 << 14,
-		Triage: &triage.Config{}, OnFlow: onFlow})
-	m.Start()
-	const chunk = 237 // deliberately unaligned with flow boundaries
-	for i := 0; i < len(all); i += chunk {
-		end := i + chunk
-		if end > len(all) {
-			end = len(all)
-		}
-		if !m.IngestBatchWait(all[i:end]) {
-			t.Fatal("IngestBatchWait refused while open")
-		}
-	}
-	m.Close()
-
-	mu.Lock()
-	defer mu.Unlock()
-	for _, f := range flows {
-		c, ok := got[f.ID]
-		if !ok {
-			t.Fatalf("flow %s never evicted", f.ID)
-		}
-		assertTriageEquiv(t, f, c)
-	}
-	if s := m.Snapshot(); s.RingDrops != 0 {
-		t.Errorf("IngestBatchWait dropped %d records", s.RingDrops)
-	}
+			s := r.snap
+			if s.TriageFastRecords == 0 {
+				t.Error("TriageFastRecords = 0: triage never engaged")
+			}
+			var promos uint64
+			for _, v := range s.TriagePromotions {
+				promos += v
+			}
+			if promos == 0 {
+				t.Error("no promotions recorded despite stalling flows")
+			}
+			if s.PromotedFlows != 0 || s.ParkedFlows != 0 {
+				t.Errorf("gauges not drained after Close: promoted=%d parked=%d",
+					s.PromotedFlows, s.ParkedFlows)
+			}
+		})
+	})
+	checkEdgeCases(t, cfg)
 }
 
 // loadGoldenPcap imports one Figure-5 golden capture from the core
@@ -822,7 +736,7 @@ func FuzzTriagePromotion(f *testing.F) {
 		fed := 0
 		for i := range recs {
 			ev := trace.RecordEvent{FlowID: "fuzz", Service: "fuzz", Rec: recs[i]}
-			sh.process(&ev)
+			sh.processBatch([]trace.RecordEvent{ev})
 			fed = i + 1
 			if len(got) > 0 {
 				// Teardown evicted the flow mid-stream; grade the
