@@ -345,7 +345,7 @@ func serveHead(head *fleet.Head) (*http.Server, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	srv := &http.Server{Handler: fleet.NewHandler(head)}
+	srv := fleet.NewServer(ln.Addr().String(), fleet.NewHandler(head))
 	go func() {
 		// Serve returns ErrServerClosed once main's deferred srv.Close
 		// fires; anything else means the bench lost its head mid-run,

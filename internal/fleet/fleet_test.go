@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -212,12 +213,14 @@ func TestDifferentialReplayByteIdentical(t *testing.T) {
 // miniSnap builds the smallest valid wire snapshot.
 func miniSnap(id string, epoch, seq, ingested uint64) *Snapshot {
 	return &Snapshot{
-		Version:     WireVersion,
-		MemberID:    id,
-		Epoch:       epoch,
-		Seq:         seq,
-		Ingested:    ingested,
-		DurationsMS: stats.NewHistogram(live.DurationBoundsMS).State(),
+		Version:  WireVersion,
+		MemberID: id,
+		Epoch:    epoch,
+		Seq:      seq,
+		Counters: Counters{
+			Ingested:    ingested,
+			DurationsMS: stats.NewHistogram(live.DurationBoundsMS).State(),
+		},
 	}
 }
 
@@ -352,6 +355,65 @@ func TestExpiryRetiresSilentMembers(t *testing.T) {
 	}
 }
 
+// TestExpiredMemberKeepsUnheardRecords: a member the head expired —
+// partitioned past Expiry — re-registers and rebases on its last
+// ACCEPTED push, not on its state at re-registration, so the records
+// it ingested while the head could not hear it still reach the fleet
+// totals. (That nothing retired is reported twice is pinned by
+// TestDifferentialReplayByteIdentical.)
+func TestExpiredMemberKeepsUnheardRecords(t *testing.T) {
+	var now atomic.Int64 // read by the handler goroutine
+	now.Store(time.Unix(1_000_000, 0).UnixNano())
+	head := NewHead(HeadConfig{
+		Expiry: 10 * time.Second,
+		Clock:  func() time.Time { return time.Unix(0, now.Load()) },
+	})
+	srv := httptest.NewServer(NewHandler(head))
+	defer srv.Close()
+	ctx := context.Background()
+	mb, err := NewMember(MemberConfig{ID: "m", Head: srv.URL, Monitor: newTestMonitor()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest := func(evs []trace.RecordEvent) {
+		for len(evs) > 0 {
+			n := min(512, len(evs))
+			mb.IngestBatch(evs[:n])
+			evs = evs[n:]
+		}
+	}
+	evs := memberEvents(workload.Services()[0], 7, 6)
+	third := len(evs) / 3
+
+	if err := mb.Register(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ingest(evs[:third])
+	if err := mb.Push(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ingest(evs[third : 2*third]) // the head never hears these pushed
+	now.Add(int64(11 * time.Second))
+	if err := mb.Push(ctx); err != nil { // stale_epoch, re-register, retry
+		t.Fatal(err)
+	}
+	ingest(evs[2*third:])
+	if err := mb.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	tot, err := head.Totals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tot.Ingested != uint64(len(evs)) {
+		t.Errorf("fleet ingested = %d, want %d", tot.Ingested, len(evs))
+	}
+	if st := head.Stats(); st.Expiries != 1 || st.Restarts != 1 || tot.Epochs != 2 {
+		t.Errorf("expiries=%d restarts=%d epochs=%d, want 1/1/2", st.Expiries, st.Restarts, tot.Epochs)
+	}
+}
+
 // TestPushRejectsBadSnapshots covers the protocol's input validation.
 func TestPushRejectsBadSnapshots(t *testing.T) {
 	head := NewHead(HeadConfig{})
@@ -376,6 +438,44 @@ func TestPushRejectsBadSnapshots(t *testing.T) {
 	}
 	if _, err := head.Totals(); err != nil {
 		t.Errorf("totals poisoned by rejected snapshot: %v", err)
+	}
+	// Cell lists are sorted sets on the wire; the fold rejects disorder
+	// and duplicates instead of summing them, and a negative summary
+	// count is corrupt. None of them may move the totals.
+	before, err := head.Totals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := func(svc, cause string) StallCounter {
+		return StallCounter{Service: svc, Cause: cause, Count: 1, Seconds: 0.5}
+	}
+	for name, mutate := range map[string]func(*Snapshot){
+		"unsorted stall cells": func(s *Snapshot) {
+			s.Stalls = []StallCounter{cell("web", "zero-rwnd"), cell("web", "pkt-delay")}
+		},
+		"duplicated retrans cell": func(s *Snapshot) {
+			rc := RetransCounter{Subcause: "double", Count: 1, Seconds: 1}
+			s.Retrans = []RetransCounter{rc, rc}
+		},
+		"unsorted window cells": func(s *Snapshot) {
+			s.WindowStalls = []StallCounter{cell("web", "pkt-delay"), cell("cdn", "pkt-delay")}
+		},
+		"negative summary count": func(s *Snapshot) {
+			s.IngestBatchSizes = stats.SummaryState{N: -1}
+		},
+	} {
+		bad := miniSnap("m", reg.Epoch, 1, 1)
+		mutate(bad)
+		if resp := head.Push(bad); resp.OK || resp.Error != ErrBadSnapshot {
+			t.Errorf("%s: %+v, want bad_snapshot", name, resp)
+		}
+		after, err := head.Totals()
+		if err != nil {
+			t.Fatalf("%s: totals poisoned: %v", name, err)
+		}
+		if !bytes.Equal(marshal(t, before), marshal(t, after)) {
+			t.Errorf("%s: rejected push changed totals", name)
+		}
 	}
 	if _, err := head.Register(RegisterRequest{Version: WireVersion + 1, MemberID: "x"}); err == nil {
 		t.Error("version-mismatched registration accepted")
@@ -474,7 +574,7 @@ func TestRetiredEpochCompaction(t *testing.T) {
 	}
 	head.mu.Lock()
 	pending := len(head.retired)
-	folded := head.compacted.t.Epochs
+	folded := head.compacted.Epochs
 	head.mu.Unlock()
 	if pending != 0 {
 		t.Errorf("retired backlog = %d snapshots, want 0 (a single flapping member compacts fully)", pending)

@@ -54,7 +54,7 @@ type Head struct {
 	// below every live member's. Folding them once keeps head memory
 	// and per-push merge cost bounded by live cardinality instead of
 	// epochs-ever-retired. guarded by mu
-	compacted *aggState
+	compacted Totals
 	// retired holds dead epochs not yet folded into compacted: those
 	// whose epoch is still above some live member's, so folding them
 	// now would break the epoch-order fold. guarded by mu
@@ -117,14 +117,13 @@ func NewHead(cfg HeadConfig) *Head {
 		cfg.Expiry = DefaultExpiry
 	}
 	return &Head{
-		clock:     cfg.Clock,
-		expiry:    cfg.Expiry,
-		members:   map[string]*memberState{},
-		compacted: newAggState(),
-		mergeLat:  stats.NewSample(0),
-		counters:  headCounters{rejects: map[string]uint64{}},
-		series:    newSeriesStore(cfg.SeriesStep, cfg.SeriesBuckets),
-		events:    newEventRing(cfg.EventRing),
+		clock:    cfg.Clock,
+		expiry:   cfg.Expiry,
+		members:  map[string]*memberState{},
+		mergeLat: stats.NewSample(0),
+		counters: headCounters{rejects: map[string]uint64{}},
+		series:   newSeriesStore(cfg.SeriesStep, cfg.SeriesBuckets),
+		events:   newEventRing(cfg.EventRing),
 	}
 }
 
@@ -206,10 +205,14 @@ func (h *Head) Push(snap *Snapshot) PushResponse {
 	// previous good snapshot keeps contributing, its seq stays where it
 	// was, and a Final flag cannot retire garbage into the compacted
 	// totals. The fold is also the per-push merge cost fleetbench
-	// gates, so it runs under the clock.
+	// gates, so it runs under the clock. The window cells, which
+	// Window folds rather than Totals, get the same sortedness check.
 	start := time.Now()
 	_, err := h.foldLocked(ms, &cp)
 	h.mergeLat.Add(float64(time.Since(start)) / float64(time.Millisecond))
+	if err == nil {
+		_, err = freshCells(nil, cp.WindowStalls)
+	}
 	if err != nil {
 		return h.rejectLocked(ErrBadSnapshot)
 	}
@@ -319,52 +322,38 @@ func (h *Head) compactLocked() {
 	if n == 0 {
 		return
 	}
-	// Fold into a clone and swap on success: every retired snapshot
-	// already passed full-fold validation at push time, so a failure
-	// here should be impossible — but if one happens, keeping the
-	// epochs uncompacted beats poisoning the running total.
-	next := h.compacted.clone()
+	// Every retired snapshot already passed the fold at push time, so
+	// a failure here should be impossible; if one happens, the epochs
+	// from the failing one on stay uncompacted (Totals.add leaves the
+	// total unchanged on error), which beats poisoning the running total.
 	for i := 0; i < n; i++ {
-		if err := next.add(&h.retired[i]); err != nil {
-			return
+		if err := h.compacted.add(&h.retired[i]); err != nil {
+			n = i
+			break
 		}
 	}
-	h.compacted = next
 	h.retired = append(h.retired[:0], h.retired[n:]...)
 }
 
-// totalsLocked merges the compacted prefix, uncompacted retired
-// epochs, and every live member's latest snapshot, in epoch order
-// (see Aggregate).
-func (h *Head) totalsLocked() (Totals, error) {
-	return h.foldLocked(nil, nil)
-}
-
-// foldLocked computes fleet totals, optionally substituting candidate
-// for member skip's latest snapshot — Push's dry run: what totals
-// WOULD be if the candidate were accepted, touching no state.
+// foldLocked computes fleet totals — the compacted prefix, uncompacted
+// retired epochs and every live member's latest snapshot, in epoch
+// order (see Aggregate) — optionally substituting candidate for member
+// skip's latest snapshot: Push's dry run, what totals WOULD be if the
+// candidate were accepted, touching no state.
 func (h *Head) foldLocked(skip *memberState, candidate *Snapshot) (Totals, error) {
-	snaps := make([]Snapshot, 0, len(h.retired)+len(h.members)+1)
-	snaps = append(snaps, h.retired...)
+	snaps := make([]*Snapshot, 0, len(h.retired)+len(h.members)+1)
+	for i := range h.retired {
+		snaps = append(snaps, &h.retired[i])
+	}
 	for _, ms := range h.members {
-		if ms == skip {
-			continue
-		}
-		if ms.last != nil {
-			snaps = append(snaps, *ms.last)
+		if ms != skip && ms.last != nil {
+			snaps = append(snaps, ms.last)
 		}
 	}
 	if candidate != nil {
-		snaps = append(snaps, *candidate)
+		snaps = append(snaps, candidate)
 	}
-	sort.SliceStable(snaps, func(i, j int) bool { return snaps[i].Epoch < snaps[j].Epoch })
-	a := h.compacted.clone()
-	for i := range snaps {
-		if err := a.add(&snaps[i]); err != nil {
-			return Totals{}, err
-		}
-	}
-	return a.finish(), nil
+	return foldEpochs(Totals{Epochs: h.compacted.Epochs, Counters: h.compacted.Clone()}, snaps)
 }
 
 func (h *Head) configCopyLocked() *ConfigUpdate {
@@ -380,7 +369,7 @@ func (h *Head) Totals() (Totals, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.sweepLocked(h.clock())
-	return h.totalsLocked()
+	return h.foldLocked(nil, nil)
 }
 
 // WindowTotals is the fleet's rolling-window view: live members only,
@@ -396,42 +385,22 @@ func (h *Head) Window() WindowTotals {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.sweepLocked(h.clock())
-	var snaps []Snapshot
+	var snaps []*Snapshot
 	for _, ms := range h.members {
 		if ms.last != nil {
-			snaps = append(snaps, *ms.last)
+			snaps = append(snaps, ms.last)
 		}
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Epoch < snaps[j].Epoch })
 	out := WindowTotals{Members: len(snaps)}
-	acc := map[StallKey]*StallCounter{}
-	for i := range snaps {
-		s := &snaps[i]
-		if s.WindowSpanS > out.SpanS {
-			out.SpanS = s.WindowSpanS
-		}
-		for _, sc := range s.WindowStalls {
-			k := StallKey{Service: sc.Service, Cause: sc.Cause}
-			cell := acc[k]
-			if cell == nil {
-				cell = &StallCounter{Service: sc.Service, Cause: sc.Cause}
-				acc[k] = cell
-			}
-			cell.Count += sc.Count
-			cell.Seconds += sc.Seconds
+	for _, s := range snaps {
+		out.SpanS = max(out.SpanS, s.WindowSpanS)
+		// Push checked the cells sorted, so this cannot fail.
+		if fresh, err := freshCells(out.Stalls, s.WindowStalls); err == nil {
+			out.Stalls = mergeCells(out.Stalls, s.WindowStalls, fresh)
 		}
 	}
-	for _, cell := range acc {
-		out.Stalls = append(out.Stalls, *cell)
-	}
-	sortStalls(out.Stalls)
 	return out
-}
-
-// StallKey is the composite (service, cause) map key.
-type StallKey struct {
-	Service string
-	Cause   string
 }
 
 // MemberInfo is one row of the /fleet/members view.
@@ -587,27 +556,21 @@ func (h *Head) Stats() HeadStats {
 // gauges, no identity, no rolling window — so that the sum of every
 // epoch's final snapshot is exactly the head's total, byte for byte.
 type Totals struct {
-	Epochs                    int               `json:"epochs"`
-	Ingested                  uint64            `json:"records_ingested"`
-	RingDrops                 uint64            `json:"ring_drops"`
-	RecordsFed                uint64            `json:"records_fed"`
-	RecordCapDrops            uint64            `json:"record_cap_drops"`
-	SampledOut                uint64            `json:"records_sampled_out"`
-	FlowsSeen                 uint64            `json:"flows_seen"`
-	FlowsEvicted              map[string]uint64 `json:"flows_evicted,omitempty"`
-	FlowsTruncated            uint64            `json:"flows_truncated"`
-	UnknownConfigKeys         uint64            `json:"unknown_config_keys"`
-	TriageFastRecords         uint64            `json:"triage_fast_records"`
-	TriagePromotions          map[string]uint64 `json:"triage_promotions,omitempty"`
-	TriageRepromotions        uint64            `json:"triage_repromotions"`
-	TriageDemotions           uint64            `json:"triage_demotions"`
-	TriageTruncatedPromotions uint64            `json:"triage_truncated_promotions"`
+	Epochs int `json:"epochs"`
+	Counters
+}
 
-	Stalls      []StallCounter       `json:"stalls,omitempty"`
-	Retrans     []RetransCounter     `json:"retrans,omitempty"`
-	DurationsMS stats.HistogramState `json:"stall_duration_ms"`
-
-	IngestBatchSizes stats.SummaryState `json:"ingest_batch_sizes"`
+// add folds one snapshot in: the version check, one more epoch, and
+// Counters.Merge. On error t is unchanged.
+func (t *Totals) add(s *Snapshot) error {
+	if s.Version != WireVersion {
+		return fmt.Errorf("fleet: aggregate: snapshot from %q speaks wire v%d, want v%d", s.MemberID, s.Version, WireVersion)
+	}
+	if err := t.Merge(&s.Counters); err != nil {
+		return fmt.Errorf("fleet: aggregate: snapshot from %q: %w", s.MemberID, err)
+	}
+	t.Epochs++
+	return nil
 }
 
 // Aggregate merges snapshots into fleet totals. It is the ONE merge
@@ -618,174 +581,26 @@ type Totals struct {
 // unique), so float accumulation order — and therefore the exact bits
 // — cannot depend on map iteration or on when the head compacted.
 func Aggregate(snaps ...Snapshot) (Totals, error) {
-	ordered := make([]Snapshot, len(snaps))
-	copy(ordered, snaps)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Epoch < ordered[j].Epoch })
-	a := newAggState()
-	for i := range ordered {
-		if err := a.add(&ordered[i]); err != nil {
+	ps := make([]*Snapshot, len(snaps))
+	for i := range snaps {
+		ps[i] = &snaps[i]
+	}
+	return foldEpochs(Totals{}, ps)
+}
+
+// foldEpochs continues the fold t over snaps in epoch order. Continuing
+// from the head's compacted prefix is the same left fold — the same
+// float additions in the same order — as folding every epoch anew.
+// A fold that saw no histogram renders the default layout.
+func foldEpochs(t Totals, snaps []*Snapshot) (Totals, error) {
+	sort.SliceStable(snaps, func(i, j int) bool { return snaps[i].Epoch < snaps[j].Epoch })
+	for _, s := range snaps {
+		if err := t.add(s); err != nil {
 			return Totals{}, err
 		}
 	}
-	return a.finish(), nil
-}
-
-// aggState is the incremental epoch-order fold behind Aggregate. The
-// head keeps one as its compacted-prefix accumulator; continuing a
-// fold from a clone produces the same left fold — the same float
-// additions in the same order — as refolding every snapshot from
-// scratch.
-type aggState struct {
-	// t accumulates the scalar and map counter fields; the slice and
-	// distribution fields are rendered by finish.
-	t       Totals
-	hist    *stats.Histogram
-	batches stats.Summary
-	stalls  map[StallKey]*StallCounter
-	retrans map[string]*RetransCounter
-}
-
-func newAggState() *aggState {
-	return &aggState{
-		stalls:  map[StallKey]*StallCounter{},
-		retrans: map[string]*RetransCounter{},
+	if len(t.DurationsMS.Counts) == 0 {
+		t.DurationsMS = stats.NewHistogram(live.DurationBoundsMS).State()
 	}
-}
-
-// add folds one snapshot in. On error the state is garbage — callers
-// fold into a throwaway clone when they need to survive a failure.
-func (a *aggState) add(s *Snapshot) error {
-	if s.Version != WireVersion {
-		return fmt.Errorf("fleet: aggregate: snapshot from %q speaks wire v%d, want v%d", s.MemberID, s.Version, WireVersion)
-	}
-	t := &a.t
-	t.Epochs++
-	t.Ingested += s.Ingested
-	t.RingDrops += s.RingDrops
-	t.RecordsFed += s.RecordsFed
-	t.RecordCapDrops += s.RecordCapDrops
-	t.SampledOut += s.SampledOut
-	t.FlowsSeen += s.FlowsSeen
-	t.FlowsTruncated += s.FlowsTruncated
-	t.UnknownConfigKeys += s.UnknownConfigKeys
-	t.TriageFastRecords += s.TriageFastRecords
-	t.TriageRepromotions += s.TriageRepromotions
-	t.TriageDemotions += s.TriageDemotions
-	t.TriageTruncatedPromotions += s.TriageTruncatedPromotions
-	for k, n := range s.FlowsEvicted {
-		if t.FlowsEvicted == nil {
-			t.FlowsEvicted = map[string]uint64{}
-		}
-		t.FlowsEvicted[k] += n
-	}
-	for k, n := range s.TriagePromotions {
-		if t.TriagePromotions == nil {
-			t.TriagePromotions = map[string]uint64{}
-		}
-		t.TriagePromotions[k] += n
-	}
-	for _, sc := range s.Stalls {
-		k := StallKey{Service: sc.Service, Cause: sc.Cause}
-		cell := a.stalls[k]
-		if cell == nil {
-			cell = &StallCounter{Service: sc.Service, Cause: sc.Cause}
-			a.stalls[k] = cell
-		}
-		cell.Count += sc.Count
-		cell.Seconds += sc.Seconds
-	}
-	for _, rc := range s.Retrans {
-		cell := a.retrans[rc.Subcause]
-		if cell == nil {
-			cell = &RetransCounter{Subcause: rc.Subcause}
-			a.retrans[rc.Subcause] = cell
-		}
-		cell.Count += rc.Count
-		cell.Seconds += rc.Seconds
-	}
-	hs, err := stats.HistogramFromState(s.DurationsMS)
-	if err != nil {
-		return fmt.Errorf("fleet: aggregate: snapshot from %q: %w", s.MemberID, err)
-	}
-	if a.hist == nil {
-		a.hist = hs
-	} else {
-		if !boundsEqual(a.hist.Bounds(), hs.Bounds()) {
-			return fmt.Errorf("fleet: aggregate: snapshot from %q has a different histogram layout", s.MemberID)
-		}
-		a.hist.Merge(hs)
-	}
-	bs, err := stats.SummaryFromState(s.IngestBatchSizes)
-	if err != nil {
-		return fmt.Errorf("fleet: aggregate: snapshot from %q: %w", s.MemberID, err)
-	}
-	a.batches.Merge(bs)
-	return nil
-}
-
-// clone deep-copies the accumulator so a continued fold cannot
-// disturb the original.
-func (a *aggState) clone() *aggState {
-	cp := newAggState()
-	cp.t = a.t
-	cp.t.FlowsEvicted = copyCounts(a.t.FlowsEvicted)
-	cp.t.TriagePromotions = copyCounts(a.t.TriagePromotions)
-	if a.hist != nil {
-		cp.hist = a.hist.Clone()
-	}
-	cp.batches = a.batches
-	for k, v := range a.stalls {
-		c := *v
-		cp.stalls[k] = &c
-	}
-	for k, v := range a.retrans {
-		c := *v
-		cp.retrans[k] = &c
-	}
-	return cp
-}
-
-// finish renders the accumulated fold as Totals. The result shares the
-// map fields with a, so finish a clone (or a state about to be
-// discarded), never a live accumulator.
-func (a *aggState) finish() Totals {
-	t := a.t
-	for _, cell := range a.stalls {
-		t.Stalls = append(t.Stalls, *cell)
-	}
-	sortStalls(t.Stalls)
-	for _, cell := range a.retrans {
-		t.Retrans = append(t.Retrans, *cell)
-	}
-	sort.Slice(t.Retrans, func(i, j int) bool { return t.Retrans[i].Subcause < t.Retrans[j].Subcause })
-	hist := a.hist
-	if hist == nil {
-		hist = stats.NewHistogram(live.DurationBoundsMS)
-	}
-	t.DurationsMS = hist.State()
-	t.IngestBatchSizes = a.batches.State()
-	return t
-}
-
-func copyCounts(m map[string]uint64) map[string]uint64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(m))
-	for k, n := range m {
-		out[k] = n
-	}
-	return out
-}
-
-func boundsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return t, nil
 }

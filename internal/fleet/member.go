@@ -73,11 +73,18 @@ type Member struct {
 	epoch uint64
 	// seq is the last sequence number used. guarded by mu
 	seq uint64
-	// base is the monitor snapshot taken at re-registration: pushes
-	// report the monitor's counters relative to it, so a fresh epoch
-	// starts from zero and the head never double-counts state the old
-	// epoch already retired. Nil for the first epoch. guarded by mu
-	base *Snapshot
+	// base is what this epoch's pushes report their counters relative
+	// to, so the head never double-counts what an old epoch retired:
+	// nil for the first epoch, acked from every re-registration on.
+	// guarded by mu
+	base *Counters
+	// acked is the raw cumulative counters (monitor plus member-owned)
+	// of the last push the head accepted — exactly what the head holds
+	// of this member. Rebasing on it rather than on the state at
+	// re-registration means records ingested while the head could not
+	// hear this member (partition, expiry) reach the new epoch instead
+	// of being lost. guarded by mu
+	acked *Counters
 	// digest accumulates stall events drained from the monitor but not
 	// yet delivered by an accepted push — a failed push keeps them, so
 	// transient head trouble loses no events; the next accepted push
@@ -134,15 +141,11 @@ func (mb *Member) registerLocked(ctx context.Context) error {
 		return fmt.Errorf("fleet: register: head assigned epoch 0")
 	}
 	if mb.epoch != 0 {
-		// Re-registration within the same process: the old epoch's last
-		// push already covers the monitor's counters up to now, so
-		// rebase this epoch on the current state and reset the
-		// member-owned accumulators.
-		ls := mb.mon.Snapshot()
-		snap := snapshotOf(&ls)
-		mb.base = &snap
-		mb.sampledOut.Store(0)
-		mb.unknownKeys.Store(0)
+		// Re-registration within the same process: the old epoch counts
+		// up to its last accepted push, so this one starts there. Only
+		// the batch-size summary, which cannot be differenced, starts
+		// over.
+		mb.base = mb.acked
 		mb.batchMu.Lock()
 		mb.batches = stats.Summary{}
 		mb.batchMu.Unlock()
@@ -174,7 +177,7 @@ func (mb *Member) pushLocked(ctx context.Context, final, mayReregister bool) err
 			return err
 		}
 	}
-	snap := mb.snapshotLocked()
+	snap, raw := mb.snapshotLocked()
 	mb.seq++
 	snap.Seq = mb.seq
 	snap.Final = final
@@ -197,6 +200,7 @@ func (mb *Member) pushLocked(ctx context.Context, final, mayReregister bool) err
 		return fmt.Errorf("fleet: push rejected: %s", resp.Error)
 	}
 	mb.bytesPushed.Add(uint64(len(body)))
+	mb.acked = &raw
 	// The head has the digest now; start the next interval empty.
 	mb.digest = nil
 	mb.digestDropped = 0
@@ -206,27 +210,29 @@ func (mb *Member) pushLocked(ctx context.Context, final, mayReregister bool) err
 	return nil
 }
 
-// snapshotLocked builds the wire snapshot for the current epoch: the
-// monitor's cumulative state rebased on the epoch baseline, plus the
-// member-owned counters. Seq/Final are the caller's.
-func (mb *Member) snapshotLocked() Snapshot {
+// snapshotLocked builds the wire snapshot for the current epoch — the
+// monitor's and the member's cumulative counters rebased on the epoch
+// baseline — and returns the raw counters alongside, for acked.
+// Seq/Final are the caller's.
+func (mb *Member) snapshotLocked() (Snapshot, Counters) {
 	ls := mb.mon.Snapshot()
 	snap := snapshotOf(&ls)
-	if mb.base != nil {
-		subSnapshot(&snap, mb.base)
-	}
-	snap.MemberID = mb.id
-	snap.Epoch = mb.epoch
-	snap.ConfigVersion = mb.cfgVersion.Load()
 	snap.SampledOut = mb.sampledOut.Load()
 	snap.UnknownConfigKeys = mb.unknownKeys.Load()
 	mb.batchMu.Lock()
 	snap.IngestBatchSizes = mb.batches.State()
 	mb.batchMu.Unlock()
+	raw := snap.Counters
+	if mb.base != nil {
+		snap.Counters = raw.Sub(mb.base)
+	}
+	snap.MemberID = mb.id
+	snap.Epoch = mb.epoch
+	snap.ConfigVersion = mb.cfgVersion.Load()
 	mb.drainDigestLocked()
 	snap.Events = mb.digest
 	snap.EventsDropped = mb.digestDropped
-	return snap
+	return snap, raw
 }
 
 // drainDigestLocked moves the monitor's digested stall closes into
@@ -256,7 +262,8 @@ func (mb *Member) drainDigestLocked() {
 func (mb *Member) Snapshot() Snapshot {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	return mb.snapshotLocked()
+	snap, _ := mb.snapshotLocked()
+	return snap
 }
 
 // Run registers and then pushes on the configured interval until ctx
@@ -448,99 +455,6 @@ func (mb *Member) postBytes(ctx context.Context, path string, body []byte, out a
 		return fmt.Errorf("%s: %s", hresp.Status, bytes.TrimSpace(data))
 	}
 	return json.Unmarshal(data, out)
-}
-
-// subSnapshot rebases snap on base: every monitor-derived cumulative
-// counter becomes "since base". Gauges and the rolling window pass
-// through untouched, and member-owned counters are reset (not
-// subtracted) at re-registration, so they are not handled here.
-func subSnapshot(snap, base *Snapshot) {
-	snap.Ingested = sub64(snap.Ingested, base.Ingested)
-	snap.RingDrops = sub64(snap.RingDrops, base.RingDrops)
-	snap.RecordsFed = sub64(snap.RecordsFed, base.RecordsFed)
-	snap.RecordCapDrops = sub64(snap.RecordCapDrops, base.RecordCapDrops)
-	snap.FlowsSeen = sub64(snap.FlowsSeen, base.FlowsSeen)
-	snap.FlowsTruncated = sub64(snap.FlowsTruncated, base.FlowsTruncated)
-	snap.TriageFastRecords = sub64(snap.TriageFastRecords, base.TriageFastRecords)
-	snap.TriageRepromotions = sub64(snap.TriageRepromotions, base.TriageRepromotions)
-	snap.TriageDemotions = sub64(snap.TriageDemotions, base.TriageDemotions)
-	snap.TriageTruncatedPromotions = sub64(snap.TriageTruncatedPromotions, base.TriageTruncatedPromotions)
-	snap.FlowsEvicted = subMap(snap.FlowsEvicted, base.FlowsEvicted)
-	snap.TriagePromotions = subMap(snap.TriagePromotions, base.TriagePromotions)
-	snap.Stalls = subStalls(snap.Stalls, base.Stalls)
-	snap.Retrans = subRetrans(snap.Retrans, base.Retrans)
-	if boundsEqual(snap.DurationsMS.Bounds, base.DurationsMS.Bounds) {
-		for i := range snap.DurationsMS.Counts {
-			snap.DurationsMS.Counts[i] = sub64(snap.DurationsMS.Counts[i], base.DurationsMS.Counts[i])
-		}
-		snap.DurationsMS.Sum -= base.DurationsMS.Sum
-	}
-}
-
-// sub64 subtracts with a floor at zero: the minuend is cumulative and
-// monotone, so a would-be underflow means a bug upstream, and a zero
-// beats poisoning fleet totals with a wrapped uint64.
-func sub64(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}
-
-func subMap(cur, base map[string]uint64) map[string]uint64 {
-	if len(cur) == 0 {
-		return nil
-	}
-	out := map[string]uint64{}
-	for k, n := range cur {
-		if d := sub64(n, base[k]); d > 0 {
-			out[k] = d
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-func subStalls(cur, base []StallCounter) []StallCounter {
-	if len(cur) == 0 {
-		return nil
-	}
-	prev := map[StallKey]StallCounter{}
-	for _, sc := range base {
-		prev[StallKey{Service: sc.Service, Cause: sc.Cause}] = sc
-	}
-	var out []StallCounter
-	for _, sc := range cur {
-		b := prev[StallKey{Service: sc.Service, Cause: sc.Cause}]
-		sc.Count = sub64(sc.Count, b.Count)
-		sc.Seconds -= b.Seconds
-		if sc.Count > 0 || sc.Seconds != 0 {
-			out = append(out, sc)
-		}
-	}
-	return out
-}
-
-func subRetrans(cur, base []RetransCounter) []RetransCounter {
-	if len(cur) == 0 {
-		return nil
-	}
-	prev := map[string]RetransCounter{}
-	for _, rc := range base {
-		prev[rc.Subcause] = rc
-	}
-	var out []RetransCounter
-	for _, rc := range cur {
-		b := prev[rc.Subcause]
-		rc.Count = sub64(rc.Count, b.Count)
-		rc.Seconds -= b.Seconds
-		if rc.Count > 0 || rc.Seconds != 0 {
-			out = append(out, rc)
-		}
-	}
-	return out
 }
 
 // asInt accepts the integer shapes a JSON decode can produce.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"time"
 
 	"tcpstall/internal/stats"
@@ -20,9 +21,9 @@ import (
 // differenced against zero and a restart's rebase-to-zero folds in as
 // the new epoch's own small cumulative, never as a negative delta.
 // Within an epoch, cumulative counters only grow (seq-gated replace of
-// a monotone counter set), so deltas are non-negative; sub64 and
-// subF64 clamp at zero as belt and braces against a malformed payload
-// that slipped past fold validation.
+// a monotone counter set), so deltas are non-negative; Counters.Sub
+// clamps at zero as belt and braces against a malformed payload that
+// slipped past fold validation.
 
 // Series geometry defaults. ~10 minutes of 5-second buckets.
 const (
@@ -110,143 +111,30 @@ func (r *seriesRing) bucket(ep int64) *seriesBucket {
 	return b
 }
 
-// snapDelta is the per-push difference of two cumulative snapshots of
-// the same member epoch.
-type snapDelta struct {
-	records    uint64
-	recordsFed uint64
-	stalls     []StallCounter // per-(service,cause) deltas, non-zero cells only
-	durDelta   *stats.Histogram
-}
-
-// deltaOf differences cur against prev. prev == nil means "epoch just
-// started": the baseline is zero and cur's cumulative state IS the
-// delta. All subtractions clamp at zero.
-func deltaOf(prev, cur *Snapshot) snapDelta {
-	if prev == nil {
-		d := snapDelta{
-			records:    cur.Ingested,
-			recordsFed: cur.RecordsFed,
-			stalls:     append([]StallCounter(nil), cur.Stalls...),
-		}
-		if h, err := stats.HistogramFromState(cur.DurationsMS); err == nil {
-			d.durDelta = h
-		}
-		return d
-	}
-	d := snapDelta{
-		records:    sub64(cur.Ingested, prev.Ingested),
-		recordsFed: sub64(cur.RecordsFed, prev.RecordsFed),
-	}
-	base := make(map[StallKey]StallCounter, len(prev.Stalls))
-	for _, sc := range prev.Stalls {
-		base[StallKey{Service: sc.Service, Cause: sc.Cause}] = sc
-	}
-	for _, sc := range cur.Stalls {
-		p := base[StallKey{Service: sc.Service, Cause: sc.Cause}]
-		dc := sub64(sc.Count, p.Count)
-		ds := subF64(sc.Seconds, p.Seconds)
-		if dc == 0 && ds == 0 {
-			continue
-		}
-		d.stalls = append(d.stalls, StallCounter{
-			Service: sc.Service, Cause: sc.Cause, Count: dc, Seconds: ds,
-		})
-	}
-	d.durDelta = histDelta(prev.DurationsMS, cur.DurationsMS)
-	return d
-}
-
-// histDelta differences two histogram states bucket by bucket,
-// clamping each count at zero. Layout drift (which fold validation
-// rejects before any delta is computed) yields nil — no duration
-// contribution.
-func histDelta(prev, cur stats.HistogramState) *stats.Histogram {
-	if len(prev.Bounds) != len(cur.Bounds) || len(prev.Counts) != len(cur.Counts) {
-		return nil
-	}
-	for i := range cur.Bounds {
-		if cur.Bounds[i] != prev.Bounds[i] {
-			return nil
-		}
-	}
-	d := stats.HistogramState{
-		Bounds: cur.Bounds,
-		Counts: make([]uint64, len(cur.Counts)),
-		Sum:    subF64(cur.Sum, prev.Sum),
-	}
-	for i := range cur.Counts {
-		d.Counts[i] = sub64(cur.Counts[i], prev.Counts[i])
-	}
-	h, err := stats.HistogramFromState(d)
-	if err != nil {
-		return nil
-	}
-	return h
-}
-
-func subF64(a, b float64) float64 {
-	if a <= b {
-		return 0
-	}
-	return a - b
-}
-
 // fold differences cur against prev and folds the delta into the
-// fleet, member, and per-service rings at the bucket holding now.
+// fleet, member, and per-service rings at the bucket holding now. prev
+// == nil means "epoch just started": the baseline is zero and cur's
+// cumulative state IS the delta.
 func (ss *seriesStore) fold(now time.Time, prev, cur *Snapshot) {
-	d := deltaOf(prev, cur)
+	d := cur.Counters
+	if prev != nil {
+		d = cur.Sub(&prev.Counters)
+	}
 	ep := now.UnixNano() / int64(ss.step)
 
 	var stalls uint64
 	var stallSecs float64
-	for _, sc := range d.stalls {
+	for _, sc := range d.Stalls {
 		stalls += sc.Count
 		stallSecs += sc.Seconds
 	}
-
-	apply := func(b *seriesBucket, withDurs bool) {
-		b.pushes++
-		b.records += d.records
-		b.recordsFed += d.recordsFed
-		b.stalls += stalls
-		b.stallSeconds += stallSecs
-		for _, sc := range d.stalls {
-			if sc.Count == 0 {
-				continue
-			}
-			if b.causes == nil {
-				b.causes = map[string]uint64{}
-			}
-			b.causes[sc.Cause] += sc.Count
-		}
-		if withDurs && d.durDelta != nil && d.durDelta.N() > 0 {
-			if b.durs == nil {
-				b.durs = stats.NewHistogram(d.durDelta.Bounds())
-			}
-			if boundsEqual(b.durs.Bounds(), d.durDelta.Bounds()) {
-				b.durs.Merge(d.durDelta)
-			}
-		}
+	durs, err := stats.HistogramFromState(d.DurationsMS)
+	if err != nil || durs.N() == 0 {
+		durs = nil
 	}
 
-	apply(ss.fleet.bucket(ep), true)
-	if r := ss.ring(ss.members, cur.MemberID); r != nil {
-		apply(r.bucket(ep), true)
-	}
-	for _, svc := range serviceNames(d.stalls) {
-		r := ss.ring(ss.services, svc)
-		if r == nil {
-			continue
-		}
-		b := r.bucket(ep)
-		b.pushes++
-		for _, sc := range d.stalls {
-			if sc.Service != svc {
-				continue
-			}
-			b.stalls += sc.Count
-			b.stallSeconds += sc.Seconds
+	causes := func(b *seriesBucket, cells []StallCounter) {
+		for _, sc := range cells {
 			if sc.Count > 0 {
 				if b.causes == nil {
 					b.causes = map[string]uint64{}
@@ -254,6 +142,47 @@ func (ss *seriesStore) fold(now time.Time, prev, cur *Snapshot) {
 				b.causes[sc.Cause] += sc.Count
 			}
 		}
+	}
+	apply := func(b *seriesBucket) {
+		b.pushes++
+		b.records += d.Ingested
+		b.recordsFed += d.RecordsFed
+		b.stalls += stalls
+		b.stallSeconds += stallSecs
+		causes(b, d.Stalls)
+		if durs != nil {
+			if b.durs == nil {
+				b.durs = stats.NewHistogram(durs.Bounds())
+			}
+			if slices.Equal(b.durs.Bounds(), durs.Bounds()) {
+				b.durs.Merge(durs)
+			}
+		}
+	}
+
+	apply(ss.fleet.bucket(ep))
+	if r := ss.ring(ss.members, cur.MemberID); r != nil {
+		apply(r.bucket(ep))
+	}
+	// The cells are sorted, so each service's cells are one run.
+	for cells := d.Stalls; len(cells) > 0; {
+		n := 1
+		for n < len(cells) && cells[n].Service == cells[0].Service {
+			n++
+		}
+		run := cells[:n]
+		cells = cells[n:]
+		r := ss.ring(ss.services, run[0].Service)
+		if r == nil {
+			continue
+		}
+		b := r.bucket(ep)
+		b.pushes++
+		for _, sc := range run {
+			b.stalls += sc.Count
+			b.stallSeconds += sc.Seconds
+		}
+		causes(b, run)
 	}
 }
 
@@ -273,18 +202,6 @@ func (ss *seriesStore) ring(m map[string]*seriesRing, key string) *seriesRing {
 		m[key] = r
 	}
 	return r
-}
-
-// serviceNames lists the distinct services in a delta's stall cells,
-// in first-seen (sorted-input) order.
-func serviceNames(stalls []StallCounter) []string {
-	var out []string
-	for _, sc := range stalls {
-		if len(out) == 0 || out[len(out)-1] != sc.Service {
-			out = append(out, sc.Service)
-		}
-	}
-	return out
 }
 
 // SeriesPoint is one rendered time-series bucket. Counts are the

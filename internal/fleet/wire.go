@@ -29,7 +29,8 @@
 package fleet
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"tcpstall/internal/live"
 	"tcpstall/internal/stats"
@@ -57,35 +58,14 @@ type Snapshot struct {
 	// so the head can tell which members have converged.
 	ConfigVersion uint64 `json:"config_version"`
 
-	ActiveFlows       int               `json:"active_flows"`
-	Ingested          uint64            `json:"records_ingested"`
-	RingDrops         uint64            `json:"ring_drops"`
-	RecordsFed        uint64            `json:"records_fed"`
-	RecordCapDrops    uint64            `json:"record_cap_drops"`
-	SampledOut        uint64            `json:"records_sampled_out"`
-	FlowsSeen         uint64            `json:"flows_seen"`
-	FlowsEvicted      map[string]uint64 `json:"flows_evicted,omitempty"`
-	FlowsTruncated    uint64            `json:"flows_truncated"`
-	UnknownConfigKeys uint64            `json:"unknown_config_keys"`
+	// Gauges: the monitor's occupancy at snapshot time. They describe
+	// one member now, so they never enter Totals.
+	ActiveFlows   int `json:"active_flows"`
+	PromotedFlows int `json:"promoted_flows"`
+	ParkedFlows   int `json:"parked_flows"`
 
-	PromotedFlows             int               `json:"promoted_flows"`
-	ParkedFlows               int               `json:"parked_flows"`
-	TriageFastRecords         uint64            `json:"triage_fast_records"`
-	TriagePromotions          map[string]uint64 `json:"triage_promotions,omitempty"`
-	TriageRepromotions        uint64            `json:"triage_repromotions"`
-	TriageDemotions           uint64            `json:"triage_demotions"`
-	TriageTruncatedPromotions uint64            `json:"triage_truncated_promotions"`
-
-	// Stalls and Retrans are sorted by (service, cause) and subcause
-	// respectively — composite keys cannot be JSON map keys, and the
-	// sorted slice keeps the encoding canonical.
-	Stalls      []StallCounter       `json:"stalls,omitempty"`
-	Retrans     []RetransCounter     `json:"retrans,omitempty"`
-	DurationsMS stats.HistogramState `json:"stall_duration_ms"`
-
-	// IngestBatchSizes summarizes the member's post-sampling ingest
-	// batch sizes — a fleet-wide view of batching health.
-	IngestBatchSizes stats.SummaryState `json:"ingest_batch_sizes"`
+	// Counters are cumulative since the member epoch started.
+	Counters
 
 	// The rolling window, for "right now" fleet views. Only live
 	// members' windows are summed; retired epochs contribute nothing
@@ -118,21 +98,6 @@ type StallEvent struct {
 	Cause      string  `json:"cause"`
 	DurationMS float64 `json:"duration_ms"`
 	FlowHash   uint32  `json:"flow_hash"`
-}
-
-// StallCounter is one (service, cause) stall cell.
-type StallCounter struct {
-	Service string  `json:"service"`
-	Cause   string  `json:"cause"`
-	Count   uint64  `json:"count"`
-	Seconds float64 `json:"seconds"`
-}
-
-// RetransCounter is one Table-5 retransmission sub-cause cell.
-type RetransCounter struct {
-	Subcause string  `json:"subcause"`
-	Count    uint64  `json:"count"`
-	Seconds  float64 `json:"seconds"`
 }
 
 // RegisterRequest announces a member (or a restarted incarnation of
@@ -197,42 +162,31 @@ const (
 
 // snapshotOf converts a live monitor snapshot into wire form.
 // Identity (member, epoch, seq) and member-level counters (sampling,
-// config) are the caller's to fill.
+// config, batch sizes) are the caller's to fill.
 func snapshotOf(s *live.Snapshot) Snapshot {
 	out := Snapshot{
-		Version:     WireVersion,
-		ActiveFlows: s.ActiveFlows,
-		Ingested:    s.Ingested,
-		RingDrops:   s.RingDrops,
-		RecordsFed:  s.RecordsFed,
-
-		RecordCapDrops: s.RecordsCapDrop,
-		FlowsSeen:      s.FlowsSeen,
-		FlowsTruncated: s.FlowsTruncated,
-
-		PromotedFlows:             s.PromotedFlows,
-		ParkedFlows:               s.ParkedFlows,
-		TriageFastRecords:         s.TriageFastRecords,
-		TriageRepromotions:        s.TriageRepromotions,
-		TriageDemotions:           s.TriageDemotions,
-		TriageTruncatedPromotions: s.TriageTruncatedPromotions,
-
-		WindowSpanS: s.Window.Span.Seconds(),
+		Version:       WireVersion,
+		ActiveFlows:   s.ActiveFlows,
+		PromotedFlows: s.PromotedFlows,
+		ParkedFlows:   s.ParkedFlows,
+		Counters: Counters{
+			Ingested:                  s.Ingested,
+			RingDrops:                 s.RingDrops,
+			RecordsFed:                s.RecordsFed,
+			RecordCapDrops:            s.RecordsCapDrop,
+			FlowsSeen:                 s.FlowsSeen,
+			FlowsEvicted:              maps.Clone(s.FlowsEvicted),
+			FlowsTruncated:            s.FlowsTruncated,
+			TriageFastRecords:         s.TriageFastRecords,
+			TriagePromotions:          maps.Clone(s.TriagePromotions),
+			TriageRepromotions:        s.TriageRepromotions,
+			TriageDemotions:           s.TriageDemotions,
+			TriageTruncatedPromotions: s.TriageTruncatedPromotions,
+			Stalls:                    stallCounters(s.StallCount, s.StallSeconds),
+		},
+		WindowSpanS:  s.Window.Span.Seconds(),
+		WindowStalls: stallCounters(s.Window.StallCount, s.Window.StallSeconds),
 	}
-	if len(s.FlowsEvicted) > 0 {
-		out.FlowsEvicted = make(map[string]uint64, len(s.FlowsEvicted))
-		for k, n := range s.FlowsEvicted {
-			out.FlowsEvicted[k] = n
-		}
-	}
-	if len(s.TriagePromotions) > 0 {
-		out.TriagePromotions = make(map[string]uint64, len(s.TriagePromotions))
-		for k, n := range s.TriagePromotions {
-			out.TriagePromotions[k] = n
-		}
-	}
-	out.Stalls = stallCounters(s.StallCount, s.StallSeconds)
-	out.WindowStalls = stallCounters(s.Window.StallCount, s.Window.StallSeconds)
 	for c, n := range s.RetransCount {
 		out.Retrans = append(out.Retrans, RetransCounter{
 			Subcause: c.String(),
@@ -240,7 +194,7 @@ func snapshotOf(s *live.Snapshot) Snapshot {
 			Seconds:  s.RetransSeconds[c],
 		})
 	}
-	sort.Slice(out.Retrans, func(i, j int) bool { return out.Retrans[i].Subcause < out.Retrans[j].Subcause })
+	slices.SortFunc(out.Retrans, func(a, b RetransCounter) int { return a.cmp(&b) })
 	if s.DurationsMS != nil {
 		out.DurationsMS = s.DurationsMS.State()
 	} else {
@@ -264,15 +218,6 @@ func stallCounters(count map[live.CauseKey]uint64, secs map[live.CauseKey]float6
 			Seconds: secs[k],
 		})
 	}
-	sortStalls(out)
+	slices.SortFunc(out, func(a, b StallCounter) int { return a.cmp(&b) })
 	return out
-}
-
-func sortStalls(s []StallCounter) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Service != s[j].Service {
-			return s[i].Service < s[j].Service
-		}
-		return s[i].Cause < s[j].Cause
-	})
 }

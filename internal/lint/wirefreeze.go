@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -239,16 +240,42 @@ func collectWireTypes(t types.Type, hashes map[string]string) {
 			hashes[key] = fingerprintLines([]string{types.TypeString(x.Underlying(), wireQualifier)})
 			return
 		}
-		var lines []string
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			lines = append(lines, f.Name()+"|"+types.TypeString(f.Type(), wireQualifier)+"|"+st.Tag(i))
-		}
-		hashes[key] = fingerprintLines(lines)
-		for i := 0; i < st.NumFields(); i++ {
-			collectWireTypes(st.Field(i).Type(), hashes)
-		}
+		hashes[key] = "" // cycle guard while the fields are walked
+		hashes[key] = fingerprintLines(wireFields(st, hashes))
 	}
+}
+
+// wireFields lists a struct's fields as encoding/json puts them on the
+// wire, collecting the wire types they reach. An untagged embedded
+// struct (or pointer to one) is inlined: its fields are the outer
+// struct's, and it is no wire type of its own. A tagged embedded
+// struct is one nested field like any other.
+func wireFields(st *types.Struct, hashes map[string]string) []string {
+	var lines []string
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if inner := inlinedStruct(f, st.Tag(i)); inner != nil {
+			lines = append(lines, wireFields(inner, hashes)...)
+			continue
+		}
+		lines = append(lines, f.Name()+"|"+types.TypeString(f.Type(), wireQualifier)+"|"+st.Tag(i))
+		collectWireTypes(f.Type(), hashes)
+	}
+	return lines
+}
+
+// inlinedStruct returns the struct an embedded field inlines, or nil.
+func inlinedStruct(f *types.Var, tag string) *types.Struct {
+	name, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ",")
+	if !f.Embedded() || name != "" {
+		return nil
+	}
+	t := f.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
 }
 
 // wireKey names a type module-relatively, so a testdata package

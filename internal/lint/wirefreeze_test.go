@@ -11,10 +11,12 @@ import (
 
 // TestWirefreeze drives the full freeze workflow against a seeded
 // protocol package: -update-wirefreeze freezes ok/, ok/ then checks
-// clean (false-positive guard), bad/ drifts a field rename and a new
-// struct without a version bump, and vbump/ bumps the version
-// without regenerating. The real repo snapshot is exercised by
-// TestRepoClean.
+// clean (false-positive guard), embed/ moves fields into untagged
+// embedded structs and still checks clean (encoding/json inlines
+// them), bad/ drifts a retag inside an embedded struct, a field rename
+// and a new struct without a version bump, and vbump/ bumps the
+// version without regenerating. The real repo snapshot is exercised
+// by TestRepoClean.
 func TestWirefreeze(t *testing.T) {
 	oldRoots, oldSnap, oldUpd := lint.WirefreezeRoots, lint.WirefreezeSnapshot, lint.WirefreezeUpdate
 	defer func() {
@@ -33,6 +35,9 @@ func TestWirefreeze(t *testing.T) {
 
 	t.Run("clean", func(t *testing.T) {
 		linttest.Run(t, lint.Wirefreeze, "testdata/wirefreeze/ok", "tcpstall/internal/fleet")
+	})
+	t.Run("embedded-clean", func(t *testing.T) {
+		linttest.Run(t, lint.Wirefreeze, "testdata/wirefreeze/embed", "tcpstall/internal/fleet")
 	})
 	t.Run("drift", func(t *testing.T) {
 		linttest.Run(t, lint.Wirefreeze, "testdata/wirefreeze/bad", "tcpstall/internal/fleet")

@@ -33,18 +33,27 @@ func (h *Histogram) State() HistogramState {
 	}
 }
 
-// HistogramFromState reconstructs a Histogram from its wire form,
-// validating the invariants NewHistogram enforces plus the
-// bounds/counts length contract — wire data is untrusted input.
-func HistogramFromState(st HistogramState) (*Histogram, error) {
+// Validate checks the invariants NewHistogram enforces plus the
+// bounds/counts length contract — wire data is untrusted input. It
+// does not allocate unless it fails.
+func (st HistogramState) Validate() error {
 	for i := 1; i < len(st.Bounds); i++ {
 		if st.Bounds[i] <= st.Bounds[i-1] {
-			return nil, fmt.Errorf("stats: histogram state bounds not strictly ascending at index %d", i)
+			return fmt.Errorf("stats: histogram state bounds not strictly ascending at index %d", i)
 		}
 	}
 	if len(st.Counts) != len(st.Bounds)+1 {
-		return nil, fmt.Errorf("stats: histogram state has %d counts for %d bounds (want %d)",
+		return fmt.Errorf("stats: histogram state has %d counts for %d bounds (want %d)",
 			len(st.Counts), len(st.Bounds), len(st.Bounds)+1)
+	}
+	return nil
+}
+
+// HistogramFromState reconstructs a Histogram from its wire form,
+// rejecting a state that fails Validate.
+func HistogramFromState(st HistogramState) (*Histogram, error) {
+	if err := st.Validate(); err != nil {
+		return nil, err
 	}
 	h := NewHistogram(append([]float64{}, st.Bounds...))
 	var n uint64
