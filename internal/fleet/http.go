@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"time"
+
+	"tcpstall/internal/promtext"
 )
 
 // NewServer builds the http.Server behind tapoctl's and tapod's HTTP
@@ -339,146 +341,76 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// writeMetrics renders the head's fleet-wide state in the Prometheus
-// text exposition format, hand-rolled like the tapod exporter so the
-// head stays dependency-free. Label sets are sorted for deterministic
-// scrapes.
+// The families the head's /metrics exposes, in exposition order.
+var (
+	famMembers       = promtext.NewFamily("tapoctl_members", promtext.Gauge, "Members ever registered.")
+	famLiveMembers   = promtext.NewFamily("tapoctl_live_members", promtext.Gauge, "Members with a live (unretired) epoch.")
+	famRegistrations = promtext.NewFamily("tapoctl_registrations_total", promtext.Counter, "Epoch assignments, including restarts.")
+	famRestarts      = promtext.NewFamily("tapoctl_member_restarts_total", promtext.Counter, "Re-registrations of a known member.")
+	famExpiries      = promtext.NewFamily("tapoctl_member_expiries_total", promtext.Counter, "Epochs retired for going silent.")
+	famPushes        = promtext.NewFamily("tapoctl_pushes_total", promtext.Counter, "Snapshot pushes accepted.")
+	famFinalPushes   = promtext.NewFamily("tapoctl_final_pushes_total", promtext.Counter, "Accepted pushes that retired their epoch.")
+	famRejects       = promtext.NewFamily("tapoctl_push_rejects_total", promtext.Counter, "Rejected pushes, by reason.", "reason")
+	famSnapshotBytes = promtext.NewFamily("tapoctl_snapshot_bytes_total", promtext.Counter, "Wire bytes of accepted snapshots.")
+	famMergeLatency  = promtext.NewFamily("tapoctl_merge_latency_ms", promtext.Summary, "Totals-rebuild latency per accepted push.")
+	famEpochs        = promtext.NewFamily("fleet_epochs_total", promtext.Counter, "Epochs folded into the fleet totals.")
+	famIngested      = promtext.NewFamily("fleet_records_ingested_total", promtext.Counter, "Records accepted across the fleet.")
+	famDropped       = promtext.NewFamily("fleet_records_dropped_total", promtext.Counter, "Records discarded across the fleet, by reason.", "reason")
+	famFed           = promtext.NewFamily("fleet_records_fed_total", promtext.Counter, "Records fed into analyzers across the fleet.")
+	famTriageRecords = promtext.NewFamily("fleet_triage_records_total", promtext.Counter, "Records handled by triage fast paths across the fleet.")
+	famFlowsSeen     = promtext.NewFamily("fleet_flows_seen_total", promtext.Counter, "Flows admitted across the fleet.")
+	famFlowsEvicted  = promtext.NewFamily("fleet_flows_evicted_total", promtext.Counter, "Flows evicted across the fleet, by reason.", "reason")
+	famUnknownKeys   = promtext.NewFamily("fleet_unknown_config_keys_total", promtext.Counter, "Config keys members did not understand.")
+	famStalls        = promtext.NewFamily("fleet_stalls_total", promtext.Counter, "Closed stalls across the fleet, by service and cause.", "service", "cause")
+	famStallSeconds  = promtext.NewFamily("fleet_stall_seconds_total", promtext.Counter, "Stalled seconds across the fleet, by service and cause.", "service", "cause")
+	famRetransStalls = promtext.NewFamily("fleet_retrans_stalls_total", promtext.Counter, "Retransmission stalls across the fleet, by Table-5 sub-cause.", "subcause")
+	famStallDuration = promtext.NewFamily("fleet_stall_duration_ms", promtext.Histogram, "Closed stall durations across the fleet, in milliseconds.")
+	famWindowStalls  = promtext.NewFamily("fleet_window_stalls", promtext.Gauge, "Stalls inside the rolling window across live members.", "service", "cause")
+	famWindowSpan    = promtext.NewFamily("fleet_window_span_seconds", promtext.Gauge, "Width of the rolling window.")
+)
+
+// writeMetrics renders the head's fleet-wide state. Label sets are
+// sorted for deterministic scrapes.
 func writeMetrics(w io.Writer, st HeadStats, t Totals, win WindowTotals) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
+	pw := promtext.NewWriter(w)
+	pw.Uint(famMembers, uint64(st.Members))
+	pw.Uint(famLiveMembers, uint64(st.LiveMembers))
+	pw.Uint(famRegistrations, st.Registrations)
+	pw.Uint(famRestarts, st.Restarts)
+	pw.Uint(famExpiries, st.Expiries)
+	pw.Uint(famPushes, st.Pushes)
+	pw.Uint(famFinalPushes, st.FinalPushes)
+	pw.Counts(famRejects, st.Rejects)
+	pw.Uint(famSnapshotBytes, st.SnapshotBytes)
+	pw.Summary(famMergeLatency, uint64(st.MergeCount),
+		promtext.Quantile{Q: 0.5, V: st.MergeP50MS}, promtext.Quantile{Q: 0.99, V: st.MergeP99MS})
 
-	p("# HELP tapoctl_members Members ever registered.\n")
-	p("# TYPE tapoctl_members gauge\n")
-	p("tapoctl_members %d\n", st.Members)
-
-	p("# HELP tapoctl_live_members Members with a live (unretired) epoch.\n")
-	p("# TYPE tapoctl_live_members gauge\n")
-	p("tapoctl_live_members %d\n", st.LiveMembers)
-
-	p("# HELP tapoctl_registrations_total Epoch assignments, including restarts.\n")
-	p("# TYPE tapoctl_registrations_total counter\n")
-	p("tapoctl_registrations_total %d\n", st.Registrations)
-
-	p("# HELP tapoctl_member_restarts_total Re-registrations of a known member.\n")
-	p("# TYPE tapoctl_member_restarts_total counter\n")
-	p("tapoctl_member_restarts_total %d\n", st.Restarts)
-
-	p("# HELP tapoctl_member_expiries_total Epochs retired for going silent.\n")
-	p("# TYPE tapoctl_member_expiries_total counter\n")
-	p("tapoctl_member_expiries_total %d\n", st.Expiries)
-
-	p("# HELP tapoctl_pushes_total Snapshot pushes accepted.\n")
-	p("# TYPE tapoctl_pushes_total counter\n")
-	p("tapoctl_pushes_total %d\n", st.Pushes)
-
-	p("# HELP tapoctl_final_pushes_total Accepted pushes that retired their epoch.\n")
-	p("# TYPE tapoctl_final_pushes_total counter\n")
-	p("tapoctl_final_pushes_total %d\n", st.FinalPushes)
-
-	p("# HELP tapoctl_push_rejects_total Rejected pushes, by reason.\n")
-	p("# TYPE tapoctl_push_rejects_total counter\n")
-	for _, reason := range sortedKeys(st.Rejects) {
-		p("tapoctl_push_rejects_total{reason=%q} %d\n", reason, st.Rejects[reason])
-	}
-
-	p("# HELP tapoctl_snapshot_bytes_total Wire bytes of accepted snapshots.\n")
-	p("# TYPE tapoctl_snapshot_bytes_total counter\n")
-	p("tapoctl_snapshot_bytes_total %d\n", st.SnapshotBytes)
-
-	p("# HELP tapoctl_merge_latency_ms Totals-rebuild latency per accepted push.\n")
-	p("# TYPE tapoctl_merge_latency_ms summary\n")
-	p("tapoctl_merge_latency_ms{quantile=\"0.5\"} %s\n", fnum(st.MergeP50MS))
-	p("tapoctl_merge_latency_ms{quantile=\"0.99\"} %s\n", fnum(st.MergeP99MS))
-	p("tapoctl_merge_latency_ms_count %d\n", st.MergeCount)
-
-	p("# HELP fleet_epochs_total Epochs folded into the fleet totals.\n")
-	p("# TYPE fleet_epochs_total counter\n")
-	p("fleet_epochs_total %d\n", t.Epochs)
-
-	p("# HELP fleet_records_ingested_total Records accepted across the fleet.\n")
-	p("# TYPE fleet_records_ingested_total counter\n")
-	p("fleet_records_ingested_total %d\n", t.Ingested)
-
-	p("# HELP fleet_records_dropped_total Records discarded across the fleet, by reason.\n")
-	p("# TYPE fleet_records_dropped_total counter\n")
-	p("fleet_records_dropped_total{reason=%q} %d\n", "ring_full", t.RingDrops)
-	p("fleet_records_dropped_total{reason=%q} %d\n", "flow_record_cap", t.RecordCapDrops)
-	p("fleet_records_dropped_total{reason=%q} %d\n", "sampled_out", t.SampledOut)
-
-	p("# HELP fleet_records_fed_total Records fed into analyzers across the fleet.\n")
-	p("# TYPE fleet_records_fed_total counter\n")
-	p("fleet_records_fed_total %d\n", t.RecordsFed)
-
-	p("# HELP fleet_triage_records_total Records handled by triage fast paths across the fleet.\n")
-	p("# TYPE fleet_triage_records_total counter\n")
-	p("fleet_triage_records_total %d\n", t.TriageFastRecords)
-
-	p("# HELP fleet_flows_seen_total Flows admitted across the fleet.\n")
-	p("# TYPE fleet_flows_seen_total counter\n")
-	p("fleet_flows_seen_total %d\n", t.FlowsSeen)
-
-	p("# HELP fleet_flows_evicted_total Flows evicted across the fleet, by reason.\n")
-	p("# TYPE fleet_flows_evicted_total counter\n")
-	for _, reason := range sortedKeys(t.FlowsEvicted) {
-		p("fleet_flows_evicted_total{reason=%q} %d\n", reason, t.FlowsEvicted[reason])
-	}
-
-	p("# HELP fleet_unknown_config_keys_total Config keys members did not understand.\n")
-	p("# TYPE fleet_unknown_config_keys_total counter\n")
-	p("fleet_unknown_config_keys_total %d\n", t.UnknownConfigKeys)
-
-	p("# HELP fleet_stalls_total Closed stalls across the fleet, by service and cause.\n")
-	p("# TYPE fleet_stalls_total counter\n")
+	pw.Uint(famEpochs, uint64(t.Epochs))
+	pw.Uint(famIngested, t.Ingested)
+	pw.Uint(famDropped, t.RingDrops, "ring_full")
+	pw.Uint(famDropped, t.RecordCapDrops, "flow_record_cap")
+	pw.Uint(famDropped, t.SampledOut, "sampled_out")
+	pw.Uint(famFed, t.RecordsFed)
+	pw.Uint(famTriageRecords, t.TriageFastRecords)
+	pw.Uint(famFlowsSeen, t.FlowsSeen)
+	pw.Counts(famFlowsEvicted, t.FlowsEvicted)
+	pw.Uint(famUnknownKeys, t.UnknownConfigKeys)
+	pw.Family(famStalls)
 	for _, sc := range t.Stalls {
-		p("fleet_stalls_total{service=%q,cause=%q} %d\n", sc.Service, sc.Cause, sc.Count)
+		pw.Uint(famStalls, sc.Count, sc.Service, sc.Cause)
 	}
-
-	p("# HELP fleet_stall_seconds_total Stalled seconds across the fleet, by service and cause.\n")
-	p("# TYPE fleet_stall_seconds_total counter\n")
+	pw.Family(famStallSeconds)
 	for _, sc := range t.Stalls {
-		p("fleet_stall_seconds_total{service=%q,cause=%q} %s\n", sc.Service, sc.Cause, fnum(sc.Seconds))
+		pw.Float(famStallSeconds, sc.Seconds, sc.Service, sc.Cause)
 	}
-
-	p("# HELP fleet_retrans_stalls_total Retransmission stalls across the fleet, by Table-5 sub-cause.\n")
-	p("# TYPE fleet_retrans_stalls_total counter\n")
+	pw.Family(famRetransStalls)
 	for _, rc := range t.Retrans {
-		p("fleet_retrans_stalls_total{subcause=%q} %d\n", rc.Subcause, rc.Count)
+		pw.Uint(famRetransStalls, rc.Count, rc.Subcause)
 	}
-
-	p("# HELP fleet_stall_duration_ms Closed stall durations across the fleet, in milliseconds.\n")
-	p("# TYPE fleet_stall_duration_ms histogram\n")
-	var cum uint64
-	for i, ub := range t.DurationsMS.Bounds {
-		cum += t.DurationsMS.Counts[i]
-		p("fleet_stall_duration_ms_bucket{le=%q} %d\n", fnum(ub), cum)
-	}
-	var n uint64
-	for _, c := range t.DurationsMS.Counts {
-		n += c
-	}
-	p("fleet_stall_duration_ms_bucket{le=\"+Inf\"} %d\n", n)
-	p("fleet_stall_duration_ms_sum %s\n", fnum(t.DurationsMS.Sum))
-	p("fleet_stall_duration_ms_count %d\n", n)
-
-	p("# HELP fleet_window_stalls Stalls inside the rolling window across live members.\n")
-	p("# TYPE fleet_window_stalls gauge\n")
+	pw.Histogram(famStallDuration, t.DurationsMS)
+	pw.Family(famWindowStalls)
 	for _, sc := range win.Stalls {
-		p("fleet_window_stalls{service=%q,cause=%q} %d\n", sc.Service, sc.Cause, sc.Count)
+		pw.Uint(famWindowStalls, sc.Count, sc.Service, sc.Cause)
 	}
-
-	p("# HELP fleet_window_span_seconds Width of the rolling window.\n")
-	p("# TYPE fleet_window_span_seconds gauge\n")
-	p("fleet_window_span_seconds %s\n", fnum(win.SpanS))
-}
-
-// fnum formats a float the way Prometheus clients do: shortest
-// round-trip representation.
-func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	pw.Float(famWindowSpan, win.SpanS)
 }

@@ -80,21 +80,10 @@ func (p *ProgramPass) Reportf(pkg *Package, pos token.Pos, format string, args .
 	})
 }
 
-// ReportAt records one finding at an already-resolved position — for
-// findings anchored outside Go source, like a stale metric row in
-// README.md.
-func (p *ProgramPass) ReportAt(pos token.Position, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      pos,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // Analyzers is the full tapolint suite in reporting order.
 var Analyzers = []*Analyzer{
 	Seqsafe, Detclock, Lockcheck, Evpurity, Jsontags, Hotalloc,
-	Lockorder, Goexit, Wirefreeze, Metricsreg,
+	Lockorder, Goexit, Wirefreeze,
 }
 
 // ByName returns the named analyzer, or nil.
@@ -273,6 +262,16 @@ func Allows(pkgs []*Package) []Allow {
 // pkgIs reports whether pkgPath is importPath or a package under it.
 func pkgIs(pkgPath, importPath string) bool {
 	return pkgPath == importPath || strings.HasPrefix(pkgPath, importPath+"/")
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // modulePkg converts a repo-relative package name to its import path.

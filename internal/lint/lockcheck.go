@@ -74,18 +74,14 @@ func collectGuards(pass *Pass) map[types.Object]guardInfo {
 		if !ok || st.Fields == nil {
 			return true
 		}
-		for _, field := range st.Fields.List {
-			text := commentText(field.Doc) + "\n" + commentText(field.Comment)
-			if !proseGuardRe.MatchString(text) {
-				continue
-			}
-			m := strictGuardRe.FindStringSubmatch(text)
-			for _, name := range field.Names {
+		for _, g := range structGuards(st) {
+			for _, name := range g.field.Names {
 				obj := pass.Info.Defs[name]
 				if obj == nil {
 					continue
 				}
-				if m == nil {
+				switch {
+				case g.mutex == "":
 					// External-contract prose: encapsulation is the only
 					// machine-checkable half, so demand it.
 					if name.IsExported() {
@@ -93,20 +89,44 @@ func collectGuards(pass *Pass) map[types.Object]guardInfo {
 							"field %s declares an external guarded-by contract but is exported; unexport it or name a sibling mutex", name.Name)
 					}
 					guards[obj] = guardInfo{field: name.Name}
-					continue
-				}
-				mu := m[1]
-				if !hasSiblingMutex(st, mu) {
+				case !g.sibling:
 					pass.Reportf(name.Pos(),
-						"field %s is `guarded by %s` but the struct has no sync.Mutex/RWMutex field %q", name.Name, mu, mu)
-					continue
+						"field %s is `guarded by %s` but the struct has no sync.Mutex/RWMutex field %q", name.Name, g.mutex, g.mutex)
+				default:
+					guards[obj] = guardInfo{mutex: g.mutex, field: name.Name}
 				}
-				guards[obj] = guardInfo{mutex: mu, field: name.Name}
 			}
 		}
 		return true
 	})
 	return guards
+}
+
+// fieldGuard is one field's `// guarded by` annotation: mutex is the
+// sibling field the strict form names ("" for prose), and sibling
+// reports that the struct declares it as a sync.Mutex/RWMutex.
+type fieldGuard struct {
+	field   *ast.Field
+	mutex   string
+	sibling bool
+}
+
+// structGuards parses the annotations on st's fields, for lockcheck
+// and for lockorder's *Locked seeds.
+func structGuards(st *ast.StructType) []fieldGuard {
+	var out []fieldGuard
+	for _, field := range st.Fields.List {
+		text := commentText(field.Doc) + "\n" + commentText(field.Comment)
+		if !proseGuardRe.MatchString(text) {
+			continue
+		}
+		g := fieldGuard{field: field}
+		if m := strictGuardRe.FindStringSubmatch(text); m != nil {
+			g.mutex, g.sibling = m[1], hasSiblingMutex(st, m[1])
+		}
+		out = append(out, g)
+	}
+	return out
 }
 
 func commentText(cg *ast.CommentGroup) string {

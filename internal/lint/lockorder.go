@@ -115,16 +115,14 @@ func annotatedMutexes(pkg *Package) map[string]map[string]bool {
 				if !ok || st.Fields == nil {
 					continue
 				}
-				for _, field := range st.Fields.List {
-					text := commentText(field.Doc) + "\n" + commentText(field.Comment)
-					m := strictGuardRe.FindStringSubmatch(text)
-					if m == nil || !hasSiblingMutex(st, m[1]) {
+				for _, g := range structGuards(st) {
+					if !g.sibling {
 						continue
 					}
 					if out[ts.Name.Name] == nil {
 						out[ts.Name.Name] = map[string]bool{}
 					}
-					out[ts.Name.Name][m[1]] = true
+					out[ts.Name.Name][g.mutex] = true
 				}
 			}
 		}
@@ -197,7 +195,7 @@ func summarizeLockBody(summaries map[string]*loSummary, pkg *Package, body *ast.
 			key, kind := mutexCallKey(pkg, x)
 			switch kind {
 			case "lock":
-				for _, h := range sortedKeysOf(held) {
+				for _, h := range sortedKeys(held) {
 					s.edges = append(s.edges, loEdge{from: h, to: key, pkg: pkg, pos: x.Pos()})
 				}
 				if _, ok := s.acquires[key]; !ok {
@@ -212,7 +210,7 @@ func summarizeLockBody(summaries map[string]*loSummary, pkg *Package, body *ast.
 				if callee := funcObjOf(pkg.Info, x); callee != nil {
 					s.calls = append(s.calls, loCall{
 						callee: callee.FullName(),
-						held:   sortedKeysOf(held),
+						held:   sortedKeys(held),
 						pkg:    pkg,
 						pos:    x.Pos(),
 					})
@@ -352,26 +350,13 @@ func typeOf(info *types.Info, e ast.Expr) types.Type {
 	return nil
 }
 
-func sortedKeysOf(m map[string]bool) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // resolveLockEdges closes the per-function summaries over the static
 // call graph: each function's transitive acquisition set is the
 // fixpoint of its own acquisitions plus its callees', and every call
 // made with locks held contributes held → transitively-acquired
 // edges at the call site.
 func resolveLockEdges(summaries map[string]*loSummary) []loEdge {
-	names := make([]string, 0, len(summaries))
-	for name := range summaries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := sortedKeys(summaries)
 
 	trans := map[string]map[string]loAcq{}
 	for name, s := range summaries {
@@ -406,22 +391,13 @@ func resolveLockEdges(summaries map[string]*loSummary) []loEdge {
 			}
 			acq := trans[c.callee]
 			for _, h := range c.held {
-				for _, k := range sortedAcqKeys(acq) {
+				for _, k := range sortedKeys(acq) {
 					edges = append(edges, loEdge{from: h, to: k, pkg: c.pkg, pos: c.pos})
 				}
 			}
 		}
 	}
 	return edges
-}
-
-func sortedAcqKeys(m map[string]loAcq) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // reportLockCycles finds strongly connected components of the edge

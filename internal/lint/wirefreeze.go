@@ -166,7 +166,7 @@ func runWirefreeze(pp *ProgramPass) error {
 		}
 	}
 	drift := false
-	for _, key := range sortedWireKeys(hashes) {
+	for _, key := range sortedKeys(hashes) {
 		want, known := snap.Types[key]
 		switch {
 		case !known:
@@ -177,7 +177,7 @@ func runWirefreeze(pp *ProgramPass) error {
 			reportAt(key, "wire struct %s changed (fingerprint %s, snapshot %s) without regenerating the wirefreeze snapshot; bump WireVersion and run -update-wirefreeze", key, hashes[key], want)
 		}
 	}
-	for _, key := range sortedWireKeys(snap.Types) {
+	for _, key := range sortedKeys(snap.Types) {
 		if _, still := hashes[key]; !still {
 			drift = true
 			reportAt(key, "wire struct %s was removed from the wire surface but is still in the wirefreeze snapshot; bump WireVersion and regenerate with -update-wirefreeze", key)
@@ -293,15 +293,6 @@ func fingerprintLines(lines []string) string {
 	sort.Strings(sorted)
 	sum := sha256.Sum256([]byte(strings.Join(sorted, "\n")))
 	return fmt.Sprintf("%x", sum[:8])
-}
-
-func sortedWireKeys(m map[string]string) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func writeWireSnapshot(path string, snap wireSnapshot) error {

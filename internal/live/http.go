@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tcpstall/internal/core"
+	"tcpstall/internal/promtext"
 	"tcpstall/internal/stats"
 )
 
@@ -28,7 +29,6 @@ func NewHandler(m *Monitor) http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		writeMetrics(w, m.Snapshot())
-		writeRuntimeMetrics(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		if m.closed.Load() {
@@ -195,191 +195,107 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// writeMetrics renders a Snapshot in the Prometheus text exposition
-// format (version 0.0.4), hand-rolled so the monitor stays
-// dependency-free. Label sets are emitted in sorted order so scrapes
-// are deterministic and diffable.
+// The families tapod's /metrics exposes, in exposition order.
+var (
+	famUptime             = promtext.NewFamily("tapod_uptime_seconds", promtext.Gauge, "Time since the monitor started.")
+	famIngested           = promtext.NewFamily("tapod_records_ingested_total", promtext.Counter, "Records accepted into shard queues.")
+	famDropped            = promtext.NewFamily("tapod_records_dropped_total", promtext.Counter, "Records discarded, by reason.", "reason")
+	famShardRingDrops     = promtext.NewFamily("tapod_shard_ring_drops_total", promtext.Counter, "Records shed at each shard's full intake queue.", "shard")
+	famFlightDrops        = promtext.NewFamily("tapod_flight_drops_total", promtext.Counter, "Flight-recorder ring truncation (settled at flow eviction), by kind.", "kind")
+	famFed                = promtext.NewFamily("tapod_records_fed_total", promtext.Counter, "Records fed into per-flow analyzers.")
+	famTriageRecords      = promtext.NewFamily("tapod_triage_records_total", promtext.Counter, "Records handled by the triage fast path.")
+	famTriagePromotions   = promtext.NewFamily("tapod_triage_promotions_total", promtext.Counter, "Flow promotions to full analysis, by symptom.", "symptom")
+	famTriageRepromotions = promtext.NewFamily("tapod_triage_repromotions_total", promtext.Counter, "Promotions that re-attached a parked analyzer.")
+	famTriageDemotions    = promtext.NewFamily("tapod_triage_demotions_total", promtext.Counter, "Promoted flows parked after staying symptom-free.")
+	famTriageTruncated    = promtext.NewFamily("tapod_triage_truncated_promotions_total", promtext.Counter, "Promotions whose symptom evidence predated the record ring (replayed from ring start).")
+	famPromotedFlows      = promtext.NewFamily("tapod_triage_promoted_flows", promtext.Gauge, "Live flows currently promoted to full analysis.")
+	famParkedFlows        = promtext.NewFamily("tapod_triage_parked_flows", promtext.Gauge, "Live flows holding a demoted (parked) analyzer.")
+	famFlowsActive        = promtext.NewFamily("tapod_flows_active", promtext.Gauge, "Flows currently tracked.")
+	famFlowsSeen          = promtext.NewFamily("tapod_flows_seen_total", promtext.Counter, "Flows ever admitted.")
+	famFlowsEvicted       = promtext.NewFamily("tapod_flows_evicted_total", promtext.Counter, "Flows evicted, by reason.", "reason")
+	famFlowsTruncated     = promtext.NewFamily("tapod_flows_truncated_total", promtext.Counter, "Flows that hit the per-flow record cap.")
+	famStalls             = promtext.NewFamily("tapod_stalls_total", promtext.Counter, "Closed stalls by service and Figure-5 cause.", "service", "cause", "category")
+	famStallSeconds       = promtext.NewFamily("tapod_stall_seconds_total", promtext.Counter, "Total stalled seconds by service and cause.", "service", "cause")
+	famStallDuration      = promtext.NewFamily("tapod_stall_duration_ms", promtext.Histogram, "Closed stall durations in milliseconds.")
+	famRetransStalls      = promtext.NewFamily("tapod_retrans_stalls_total", promtext.Counter, "Retransmission stalls by Table-5 sub-cause (settled at eviction).", "subcause")
+	famRetransSeconds     = promtext.NewFamily("tapod_retrans_stall_seconds_total", promtext.Counter, "Retransmission stall seconds by Table-5 sub-cause.", "subcause")
+	famWindowStalls       = promtext.NewFamily("tapod_window_stalls", promtext.Gauge, "Stalls closed inside the rolling window, by service and cause.", "service", "cause")
+	famWindowSeconds      = promtext.NewFamily("tapod_window_stall_seconds", promtext.Gauge, "Stalled seconds inside the rolling window.", "service", "cause")
+	famWindowSpan         = promtext.NewFamily("tapod_window_span_seconds", promtext.Gauge, "Width of the rolling window.")
+	famGoroutines         = promtext.NewFamily("tapod_goroutines", promtext.Gauge, "Current goroutine count.")
+	famHeapAlloc          = promtext.NewFamily("tapod_heap_alloc_bytes", promtext.Gauge, "Bytes of allocated heap objects.")
+	famHeapSys            = promtext.NewFamily("tapod_heap_sys_bytes", promtext.Gauge, "Heap memory obtained from the OS.")
+	famGCCycles           = promtext.NewFamily("tapod_gc_cycles_total", promtext.Counter, "Completed GC cycles.")
+	famGCPause            = promtext.NewFamily("tapod_gc_pause_seconds_total", promtext.Counter, "Cumulative GC stop-the-world pause time.")
+)
+
+// writeMetrics renders a Snapshot, then the daemon's own Go runtime
+// health (goroutines, heap, GC pause), so the monitor watches itself
+// with the same scrape that watches the flows. Label sets are emitted
+// in sorted order so scrapes are deterministic and diffable.
 func writeMetrics(w io.Writer, s Snapshot) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-
-	p("# HELP tapod_uptime_seconds Time since the monitor started.\n")
-	p("# TYPE tapod_uptime_seconds gauge\n")
-	p("tapod_uptime_seconds %s\n", fnum(s.Uptime.Seconds()))
-
-	p("# HELP tapod_records_ingested_total Records accepted into shard queues.\n")
-	p("# TYPE tapod_records_ingested_total counter\n")
-	p("tapod_records_ingested_total %d\n", s.Ingested)
-
-	p("# HELP tapod_records_dropped_total Records discarded, by reason.\n")
-	p("# TYPE tapod_records_dropped_total counter\n")
-	p("tapod_records_dropped_total{reason=%q} %d\n", "ring_full", s.RingDrops)
-	p("tapod_records_dropped_total{reason=%q} %d\n", "flow_record_cap", s.RecordsCapDrop)
-
-	p("# HELP tapod_shard_ring_drops_total Records shed at each shard's full intake queue.\n")
-	p("# TYPE tapod_shard_ring_drops_total counter\n")
+	pw := promtext.NewWriter(w)
+	pw.Float(famUptime, s.Uptime.Seconds())
+	pw.Uint(famIngested, s.Ingested)
+	pw.Uint(famDropped, s.RingDrops, "ring_full")
+	pw.Uint(famDropped, s.RecordsCapDrop, "flow_record_cap")
+	pw.Family(famShardRingDrops)
 	for i, n := range s.ShardRingDrops {
-		p("tapod_shard_ring_drops_total{shard=\"%d\"} %d\n", i, n)
+		pw.Uint(famShardRingDrops, n, strconv.Itoa(i))
 	}
+	pw.Uint(famFlightDrops, s.FlightEventDrops, "event")
+	pw.Uint(famFlightDrops, s.FlightEvidenceDrops, "evidence")
+	pw.Uint(famFed, s.RecordsFed)
+	pw.Uint(famTriageRecords, s.TriageFastRecords)
+	pw.Counts(famTriagePromotions, s.TriagePromotions)
+	pw.Uint(famTriageRepromotions, s.TriageRepromotions)
+	pw.Uint(famTriageDemotions, s.TriageDemotions)
+	pw.Uint(famTriageTruncated, s.TriageTruncatedPromotions)
+	pw.Uint(famPromotedFlows, uint64(s.PromotedFlows))
+	pw.Uint(famParkedFlows, uint64(s.ParkedFlows))
+	pw.Uint(famFlowsActive, uint64(s.ActiveFlows))
+	pw.Uint(famFlowsSeen, s.FlowsSeen)
+	pw.Counts(famFlowsEvicted, s.FlowsEvicted)
+	pw.Uint(famFlowsTruncated, s.FlowsTruncated)
 
-	p("# HELP tapod_flight_drops_total Flight-recorder ring truncation (settled at flow eviction), by kind.\n")
-	p("# TYPE tapod_flight_drops_total counter\n")
-	p("tapod_flight_drops_total{kind=%q} %d\n", "event", s.FlightEventDrops)
-	p("tapod_flight_drops_total{kind=%q} %d\n", "evidence", s.FlightEvidenceDrops)
-
-	p("# HELP tapod_records_fed_total Records fed into per-flow analyzers.\n")
-	p("# TYPE tapod_records_fed_total counter\n")
-	p("tapod_records_fed_total %d\n", s.RecordsFed)
-
-	p("# HELP tapod_triage_records_total Records handled by the triage fast path.\n")
-	p("# TYPE tapod_triage_records_total counter\n")
-	p("tapod_triage_records_total %d\n", s.TriageFastRecords)
-
-	p("# HELP tapod_triage_promotions_total Flow promotions to full analysis, by symptom.\n")
-	p("# TYPE tapod_triage_promotions_total counter\n")
-	for _, sym := range sortedKeys(s.TriagePromotions) {
-		p("tapod_triage_promotions_total{symptom=%q} %d\n", sym, s.TriagePromotions[sym])
-	}
-
-	p("# HELP tapod_triage_repromotions_total Promotions that re-attached a parked analyzer.\n")
-	p("# TYPE tapod_triage_repromotions_total counter\n")
-	p("tapod_triage_repromotions_total %d\n", s.TriageRepromotions)
-
-	p("# HELP tapod_triage_demotions_total Promoted flows parked after staying symptom-free.\n")
-	p("# TYPE tapod_triage_demotions_total counter\n")
-	p("tapod_triage_demotions_total %d\n", s.TriageDemotions)
-
-	p("# HELP tapod_triage_truncated_promotions_total Promotions whose symptom evidence predated the record ring (replayed from ring start).\n")
-	p("# TYPE tapod_triage_truncated_promotions_total counter\n")
-	p("tapod_triage_truncated_promotions_total %d\n", s.TriageTruncatedPromotions)
-
-	p("# HELP tapod_triage_promoted_flows Live flows currently promoted to full analysis.\n")
-	p("# TYPE tapod_triage_promoted_flows gauge\n")
-	p("tapod_triage_promoted_flows %d\n", s.PromotedFlows)
-
-	p("# HELP tapod_triage_parked_flows Live flows holding a demoted (parked) analyzer.\n")
-	p("# TYPE tapod_triage_parked_flows gauge\n")
-	p("tapod_triage_parked_flows %d\n", s.ParkedFlows)
-
-	p("# HELP tapod_flows_active Flows currently tracked.\n")
-	p("# TYPE tapod_flows_active gauge\n")
-	p("tapod_flows_active %d\n", s.ActiveFlows)
-
-	p("# HELP tapod_flows_seen_total Flows ever admitted.\n")
-	p("# TYPE tapod_flows_seen_total counter\n")
-	p("tapod_flows_seen_total %d\n", s.FlowsSeen)
-
-	p("# HELP tapod_flows_evicted_total Flows evicted, by reason.\n")
-	p("# TYPE tapod_flows_evicted_total counter\n")
-	for _, r := range sortedKeys(s.FlowsEvicted) {
-		p("tapod_flows_evicted_total{reason=%q} %d\n", r, s.FlowsEvicted[r])
-	}
-
-	p("# HELP tapod_flows_truncated_total Flows that hit the per-flow record cap.\n")
-	p("# TYPE tapod_flows_truncated_total counter\n")
-	p("tapod_flows_truncated_total %d\n", s.FlowsTruncated)
-
-	p("# HELP tapod_stalls_total Closed stalls by service and Figure-5 cause.\n")
-	p("# TYPE tapod_stalls_total counter\n")
+	pw.Family(famStalls)
 	forEachCause(s.StallCount, func(k CauseKey) {
-		p("tapod_stalls_total{service=%q,cause=%q,category=%q} %d\n",
-			k.Service, k.Cause.String(), core.CategoryOf(k.Cause).String(), s.StallCount[k])
+		pw.Uint(famStalls, s.StallCount[k], k.Service, k.Cause.String(), core.CategoryOf(k.Cause).String())
 	})
-
-	p("# HELP tapod_stall_seconds_total Total stalled seconds by service and cause.\n")
-	p("# TYPE tapod_stall_seconds_total counter\n")
+	pw.Family(famStallSeconds)
 	forEachCause(s.StallSeconds, func(k CauseKey) {
-		p("tapod_stall_seconds_total{service=%q,cause=%q} %s\n",
-			k.Service, k.Cause.String(), fnum(s.StallSeconds[k]))
+		pw.Float(famStallSeconds, s.StallSeconds[k], k.Service, k.Cause.String())
 	})
-
-	writeHistogram(p, "tapod_stall_duration_ms", "Closed stall durations in milliseconds.", s.DurationsMS)
-
-	p("# HELP tapod_retrans_stalls_total Retransmission stalls by Table-5 sub-cause (settled at eviction).\n")
-	p("# TYPE tapod_retrans_stalls_total counter\n")
+	durs := s.DurationsMS
+	if durs == nil {
+		durs = stats.NewHistogram(DurationBoundsMS)
+	}
+	pw.Histogram(famStallDuration, durs.State())
+	pw.Family(famRetransStalls)
 	for _, c := range sortedRetrans(s.RetransCount) {
-		p("tapod_retrans_stalls_total{subcause=%q} %d\n", c.String(), s.RetransCount[c])
+		pw.Uint(famRetransStalls, s.RetransCount[c], c.String())
 	}
-
-	p("# HELP tapod_retrans_stall_seconds_total Retransmission stall seconds by Table-5 sub-cause.\n")
-	p("# TYPE tapod_retrans_stall_seconds_total counter\n")
+	pw.Family(famRetransSeconds)
 	for _, c := range sortedRetrans(s.RetransSeconds) {
-		p("tapod_retrans_stall_seconds_total{subcause=%q} %s\n", c.String(), fnum(s.RetransSeconds[c]))
+		pw.Float(famRetransSeconds, s.RetransSeconds[c], c.String())
 	}
-
-	p("# HELP tapod_window_stalls Stalls closed inside the rolling window, by service and cause.\n")
-	p("# TYPE tapod_window_stalls gauge\n")
+	pw.Family(famWindowStalls)
 	forEachCause(s.Window.StallCount, func(k CauseKey) {
-		p("tapod_window_stalls{service=%q,cause=%q} %d\n", k.Service, k.Cause.String(), s.Window.StallCount[k])
+		pw.Uint(famWindowStalls, s.Window.StallCount[k], k.Service, k.Cause.String())
 	})
-
-	p("# HELP tapod_window_stall_seconds Stalled seconds inside the rolling window.\n")
-	p("# TYPE tapod_window_stall_seconds gauge\n")
+	pw.Family(famWindowSeconds)
 	forEachCause(s.Window.StallSeconds, func(k CauseKey) {
-		p("tapod_window_stall_seconds{service=%q,cause=%q} %s\n", k.Service, k.Cause.String(), fnum(s.Window.StallSeconds[k]))
+		pw.Float(famWindowSeconds, s.Window.StallSeconds[k], k.Service, k.Cause.String())
 	})
+	pw.Float(famWindowSpan, s.Window.Span.Seconds())
 
-	p("# HELP tapod_window_span_seconds Width of the rolling window.\n")
-	p("# TYPE tapod_window_span_seconds gauge\n")
-	p("tapod_window_span_seconds %s\n", fnum(s.Window.Span.Seconds()))
-}
-
-// writeRuntimeMetrics emits the daemon's own Go runtime health —
-// goroutine count, heap, GC pause — so the monitor watches itself
-// with the same scrape that watches the flows.
-func writeRuntimeMetrics(w io.Writer) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-
-	p("# HELP tapod_goroutines Current goroutine count.\n")
-	p("# TYPE tapod_goroutines gauge\n")
-	p("tapod_goroutines %d\n", runtime.NumGoroutine())
-
-	p("# HELP tapod_heap_alloc_bytes Bytes of allocated heap objects.\n")
-	p("# TYPE tapod_heap_alloc_bytes gauge\n")
-	p("tapod_heap_alloc_bytes %d\n", ms.HeapAlloc)
-
-	p("# HELP tapod_heap_sys_bytes Heap memory obtained from the OS.\n")
-	p("# TYPE tapod_heap_sys_bytes gauge\n")
-	p("tapod_heap_sys_bytes %d\n", ms.HeapSys)
-
-	p("# HELP tapod_gc_cycles_total Completed GC cycles.\n")
-	p("# TYPE tapod_gc_cycles_total counter\n")
-	p("tapod_gc_cycles_total %d\n", ms.NumGC)
-
-	p("# HELP tapod_gc_pause_seconds_total Cumulative GC stop-the-world pause time.\n")
-	p("# TYPE tapod_gc_pause_seconds_total counter\n")
-	p("tapod_gc_pause_seconds_total %s\n", fnum(float64(ms.PauseTotalNs)/1e9))
-}
-
-// writeHistogram emits one Prometheus histogram family from a
-// stats.Histogram whose bounds are in milliseconds.
-func writeHistogram(p func(string, ...any), name, help string, h *stats.Histogram) {
-	p("# HELP %s %s\n", name, help)
-	p("# TYPE %s histogram\n", name)
-	if h == nil {
-		h = stats.NewHistogram(DurationBoundsMS)
-	}
-	bounds := h.Bounds()
-	for i, ub := range bounds {
-		p("%s_bucket{le=%q} %d\n", name, fnum(ub), h.Cumulative(i))
-	}
-	p("%s_bucket{le=\"+Inf\"} %d\n", name, h.N())
-	p("%s_sum %s\n", name, fnum(h.Sum()))
-	p("%s_count %d\n", name, h.N())
-}
-
-// fnum formats a float the way Prometheus clients do: shortest
-// round-trip representation.
-func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	pw.Uint(famGoroutines, uint64(runtime.NumGoroutine()))
+	pw.Uint(famHeapAlloc, ms.HeapAlloc)
+	pw.Uint(famHeapSys, ms.HeapSys)
+	pw.Uint(famGCCycles, uint64(ms.NumGC))
+	pw.Float(famGCPause, float64(ms.PauseTotalNs)/1e9)
 }
 
 func sortedRetrans[V any](m map[core.RetransCause]V) []core.RetransCause {
