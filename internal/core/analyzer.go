@@ -104,6 +104,15 @@ type analyzer struct {
 	segs   []aSeg
 	segIdx map[uint64]int
 
+	// The scoreboard's kernel-style counters and acked-prefix cursor:
+	// unacked is packets_out and sackedUnacked is sacked_out, kept
+	// current where acked/sacked are set instead of rescanned per ACK;
+	// every entry of segs[:lo] is acked, so the ACK-time scans start
+	// at lo and do not grow with the flow's length.
+	unacked       int
+	sackedUnacked int
+	lo            int
+
 	// u maps wire sequence/ACK values of the server's data stream onto
 	// monotonic uint64 offsets; every scoreboard comparison below is in
 	// offset space, so wrapped ISNs and >4 GiB flows replay correctly.
@@ -342,7 +351,7 @@ func (a *analyzer) onStall(endIdx int, start sim.Time, cur *trace.Record) {
 // segsAbove counts distinct sent, unacked segments strictly above seq.
 func (a *analyzer) segsAbove(seq uint64) int {
 	n := 0
-	for i := range a.segs {
+	for i := a.lo; i < len(a.segs); i++ {
 		g := &a.segs[i]
 		if g.seq > seq && !g.acked {
 			n++
@@ -351,28 +360,11 @@ func (a *analyzer) segsAbove(seq uint64) int {
 	return n
 }
 
-func (a *analyzer) sackedOut() int {
-	n := 0
-	for i := range a.segs {
-		g := &a.segs[i]
-		if g.sacked && !g.acked {
-			n++
-		}
-	}
-	return n
-}
+// sackedOut is the kernel's sacked_out: SACKed, not yet acked.
+func (a *analyzer) sackedOut() int { return a.sackedUnacked }
 
 // packetsOut is snd_nxt − snd_una in segments.
-func (a *analyzer) packetsOut() int {
-	n := 0
-	for i := range a.segs {
-		g := &a.segs[i]
-		if !g.acked && g.sent > 0 {
-			n++
-		}
-	}
-	return n
-}
+func (a *analyzer) packetsOut() int { return a.unacked }
 
 // inFlight evaluates Equation 1 with the replayer's best estimates:
 // packets_out + retrans_out − (sacked_out + lost_out). The replayer
@@ -419,6 +411,7 @@ func (a *analyzer) processOut(r *trace.Record) {
 			ordinal:  idx,
 			lastSent: r.T,
 		})
+		a.unacked++
 		a.out.DataPackets++
 	}
 	g := &a.segs[idx]
@@ -541,6 +534,9 @@ func (a *analyzer) processIn(r *trace.Record) {
 				seqspace.LessEq(b0.Right, sblocks[1].Right)) {
 			dsacked = true
 			l0, r0 := a.u.Unwrap(b0.Left), a.u.Unwrap(b0.Right)
+			// The whole scoreboard, not segs[lo:]: a DSACK reports a
+			// duplicate of data already acked, and retransCause reads
+			// the stamp on those acked segments at flush.
 			for i := range a.segs {
 				g := &a.segs[i]
 				if g.seq >= l0 && g.end() <= r0 {
@@ -559,7 +555,7 @@ func (a *analyzer) processIn(r *trace.Record) {
 			continue
 		}
 		l, rr := a.u.Unwrap(b.Left), a.u.Unwrap(b.Right)
-		for i := range a.segs {
+		for i := a.lo; i < len(a.segs); i++ {
 			g := &a.segs[i]
 			if g.acked || g.sacked {
 				continue
@@ -571,6 +567,7 @@ func (a *analyzer) processIn(r *trace.Record) {
 			}
 		}
 	}
+	a.sackedUnacked += sackedCount
 	if sackedCount > 0 {
 		a.emit(flight.KindSack, "sack-mark", int64(sackedCount), 0, int64(a.dupacks))
 	}
@@ -598,15 +595,22 @@ func (a *analyzer) processIn(r *trace.Record) {
 func (a *analyzer) newAck(r *trace.Record, seg *tcpsim.Segment, ack uint64) {
 	newlyAcked := 0
 	var edge *aSeg
-	for i := range a.segs {
+	for i := a.lo; i < len(a.segs); i++ {
 		g := &a.segs[i]
 		if !g.acked && g.end() <= ack {
 			g.acked = true
 			newlyAcked++
+			if g.sacked {
+				a.sackedUnacked--
+			}
 			if g.end() == ack {
 				edge = g
 			}
 		}
+	}
+	a.unacked -= newlyAcked
+	for a.lo < len(a.segs) && a.segs[a.lo].acked {
+		a.lo++
 	}
 	a.sndUna = ack
 	a.dupacks = 0

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"tcpstall/internal/netem"
+	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
 	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
@@ -73,6 +75,83 @@ func BenchmarkFeed(b *testing.B) {
 			inc.Feed(&fl.Records[j])
 		}
 		inc.Flush()
+	}
+}
+
+// longFlow builds one synthetic flow of n full-size data segments, sent
+// in flights of 32 with one segment in every 64 lost mid-flight: the
+// receiver SACKs the 23 segments past the hole, the sender
+// fast-retransmits it, and the next cumulative ACK covers the flight.
+// Every data segment draws one ACK, so the flow is about 2n records
+// and the scoreboard holds n entries.
+func longFlow(n int) []trace.Record {
+	const (
+		mss    = 1460
+		flight = 32
+		isn    = 1000
+	)
+	ms := func(f float64) sim.Time { return sim.Time(f * 1e6) }
+	start := func(i int) uint32 { return isn + 1 + uint32(i*mss) }
+	var t float64
+	recs := []trace.Record{
+		{T: ms(t), Dir: tcpsim.DirIn, Seg: tcpsim.Segment{Flags: packet.FlagSYN, Wnd: 65535}},
+		{T: ms(t + 10), Dir: tcpsim.DirOut, Seg: tcpsim.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: isn, Ack: 1, Wnd: 65535}},
+		{T: ms(t + 20), Dir: tcpsim.DirIn, Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 1, Ack: isn + 1, Len: 100, Wnd: 65535}},
+	}
+	t = 21
+	out := func(i int) {
+		recs = append(recs, trace.Record{T: ms(t), Dir: tcpsim.DirOut,
+			Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: start(i), Ack: 101, Len: mss, Wnd: 65535}})
+	}
+	ack := func(cum uint32, sack packet.SACKList) {
+		recs = append(recs, trace.Record{T: ms(t), Dir: tcpsim.DirIn,
+			Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 101, Ack: cum, Wnd: 65535, SACK: sack}})
+	}
+	for lo := 0; lo < n; lo += flight {
+		hi := min(lo+flight, n)
+		for i := lo; i < hi; i++ {
+			out(i)
+			t += 0.1
+		}
+		t += 10
+		hole := -1
+		for i := lo; i < hi; i++ {
+			switch {
+			case i%64 == 40:
+				hole = i // lost: no ACK for it
+			case hole < 0:
+				ack(start(i+1), packet.SACKList{})
+			default:
+				ack(start(hole), packet.SACKBlocks(packet.SACKBlock{Left: start(hole + 1), Right: start(i + 1)}))
+			}
+			t += 0.1
+		}
+		if hole >= 0 {
+			out(hole)
+			t += 10
+			ack(start(hi), packet.SACKList{})
+		}
+		t += 0.1
+	}
+	return recs
+}
+
+// BenchmarkFeedLongFlow measures the per-record cost of one long flow
+// at two lengths. A scoreboard rescanned on every ACK makes the cost
+// grow with flow length; counters and the acked-prefix cursor keep it
+// flat. Run with -benchmem.
+func BenchmarkFeedLongFlow(b *testing.B) {
+	for _, n := range []int{1 << 10, 1 << 14} {
+		recs := longFlow(n)
+		b.Run(fmt.Sprintf("segs=%dk", n>>10), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				inc := NewIncremental(DefaultConfig())
+				inc.FeedBatch(recs)
+				inc.Flush()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+		})
 	}
 }
 

@@ -92,9 +92,10 @@ func encodeFuzzRecord(dir tcpsim.Dir, flags packet.TCPFlags, seq, ack uint32, wn
 
 // FuzzIncrementalFeed drives the streaming analyzer with arbitrary
 // record sequences and checks the invariants no input may break:
-// no panic, byte-identical output to the batch analyzer over the same
-// records, stall bounds ordered with nondecreasing close times, and
-// exactly one live event per final stall.
+// no panic, a scoreboard whose counters and cursor match a full scan
+// after every record, byte-identical output to the batch analyzer over
+// the same records, stall bounds ordered with nondecreasing close
+// times, and exactly one live event per final stall.
 func FuzzIncrementalFeed(f *testing.F) {
 	// Seed: a plausible handshake + request + paced response.
 	var normal []byte
@@ -161,9 +162,7 @@ func FuzzIncrementalFeed(f *testing.F) {
 		inc := NewIncremental(Config{})
 		inc.SetMeta(FlowMeta{ID: "fuzz", Service: "fuzz"})
 		inc.OnStall = func(ls LiveStall) { events = append(events, ls) }
-		for i := range recs {
-			inc.Feed(&recs[i])
-		}
+		FeedChecked(t, inc, recs)
 		a := inc.Flush()
 
 		flow := &trace.Flow{ID: "fuzz", Service: "fuzz", Records: recs}

@@ -12,15 +12,14 @@ import (
 )
 
 // incremental runs a flow through the streaming analyzer one record
-// at a time and returns its marshalled analysis.
+// at a time, checking the scoreboard after each, and returns its
+// marshalled analysis.
 func incremental(t *testing.T, f *trace.Flow, onStall func(core.LiveStall)) []byte {
 	t.Helper()
 	inc := core.NewIncremental(core.Config{})
 	inc.SetMeta(core.FlowMeta{ID: f.ID, Service: f.Service, MSS: f.MSS, InitRwnd: f.InitRwnd})
 	inc.OnStall = onStall
-	for i := range f.Records {
-		inc.Feed(&f.Records[i])
-	}
+	core.FeedChecked(t, inc, f.Records)
 	b, err := core.MarshalAnalyses([]*core.FlowAnalysis{inc.Flush()})
 	if err != nil {
 		t.Fatal(err)
@@ -60,17 +59,20 @@ func TestIncrementalMatchesBatchGolden(t *testing.T) {
 }
 
 // TestIncrementalMatchesBatchGenerated sweeps generated flows from
-// every service model — wireless jitter, slow readers, loss bursts,
-// random ISNs — and requires byte-identical JSON from both paths.
+// every service model and its healthy twin — wireless jitter, slow
+// readers, loss bursts, random ISNs — and requires byte-identical JSON
+// from both paths.
 func TestIncrementalMatchesBatchGenerated(t *testing.T) {
-	for _, svc := range workload.Services() {
-		for _, fr := range workload.Generate(svc, 3, workload.GenOptions{Flows: 10}) {
-			f := fr.Flow
-			if len(f.Records) == 0 {
-				continue
-			}
-			if got, want := incremental(t, f, nil), batch(t, f); !bytes.Equal(got, want) {
-				t.Errorf("%s: incremental != batch\ninc:   %s\nbatch: %s", f.ID, got, want)
+	for _, base := range workload.Services() {
+		for _, svc := range []workload.Service{base, workload.Healthy(base)} {
+			for _, fr := range workload.Generate(svc, 3, workload.GenOptions{Flows: 10}) {
+				f := fr.Flow
+				if len(f.Records) == 0 {
+					continue
+				}
+				if got, want := incremental(t, f, nil), batch(t, f); !bytes.Equal(got, want) {
+					t.Errorf("%s: incremental != batch\ninc:   %s\nbatch: %s", f.ID, got, want)
+				}
 			}
 		}
 	}

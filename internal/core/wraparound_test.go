@@ -21,6 +21,36 @@ func summarize(a *FlowAnalysis) string {
 	return s
 }
 
+// wrapISNs puts both ISNs close enough to 2^32 that the
+// handshake-relative streams wrap within the first handful of segments.
+func wrapISNs(c *tcpsim.ConnConfig) {
+	c.ServerISN = 0xFFFFF000 // wraps ~4 KB into the response
+	c.ClientISN = 0xFFFFFF80 // wraps during the first request
+}
+
+// wrapCases are the stall-producing scenarios replayed at ISN 0 and
+// under wrapISNs.
+var wrapCases = []struct {
+	name string
+	sc   scenario
+}{
+	{"clean", scenario{seed: 101, reqs: []tcpsim.Request{{Size: 100_000}}}},
+	{"data-unavailable", scenario{seed: 102, reqs: []tcpsim.Request{
+		{Size: 20_000, HeadDelay: 400 * time.Millisecond},
+	}}},
+	{"client-idle", scenario{seed: 103, reqs: []tcpsim.Request{
+		{Size: 20_000},
+		{IdleBefore: 500 * time.Millisecond, Size: 20_000},
+	}}},
+	// Drop the 3rd distinct data segment twice: with the server ISN
+	// at 0xFFFFF000 the loss, the SACK blocks, and the RTO-driven
+	// retransmission all straddle the 2^32 boundary.
+	{"retrans-across-wrap", scenario{seed: 104,
+		reqs:     []tcpsim.Request{{Size: 60_000}},
+		dropPlan: map[int]int{3: 2},
+	}},
+}
+
 // TCP sequence numbers are modular; TAPO must produce the same
 // analysis whether a flow's ISN is 0 or a few kilobytes below 2^32 so
 // that the transfer crosses the wrap. Each case replays a
@@ -30,40 +60,14 @@ func summarize(a *FlowAnalysis) string {
 // behaviour), post-wrap segments compare below maxEnd, are miscounted
 // as retransmissions, and this test fails.
 func TestAnalysisInvariantUnderISNWrap(t *testing.T) {
-	// Both ISNs sit close enough to 2^32 that the handshake-relative
-	// streams wrap within the first handful of segments.
-	wrap := func(c *tcpsim.ConnConfig) {
-		c.ServerISN = 0xFFFFF000 // wraps ~4 KB into the response
-		c.ClientISN = 0xFFFFFF80 // wraps during the first request
-	}
-	cases := []struct {
-		name string
-		sc   scenario
-	}{
-		{"clean", scenario{seed: 101, reqs: []tcpsim.Request{{Size: 100_000}}}},
-		{"data-unavailable", scenario{seed: 102, reqs: []tcpsim.Request{
-			{Size: 20_000, HeadDelay: 400 * time.Millisecond},
-		}}},
-		{"client-idle", scenario{seed: 103, reqs: []tcpsim.Request{
-			{Size: 20_000},
-			{IdleBefore: 500 * time.Millisecond, Size: 20_000},
-		}}},
-		// Drop the 3rd distinct data segment twice: with the server ISN
-		// at 0xFFFFF000 the loss, the SACK blocks, and the RTO-driven
-		// retransmission all straddle the 2^32 boundary.
-		{"retrans-across-wrap", scenario{seed: 104,
-			reqs:     []tcpsim.Request{{Size: 60_000}},
-			dropPlan: map[int]int{3: 2},
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range wrapCases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := tc.sc
 			base.mutate = nil
 			got0 := summarize(base.run(t))
 
 			shifted := tc.sc
-			shifted.mutate = wrap
+			shifted.mutate = wrapISNs
 			got1 := summarize(shifted.run(t))
 
 			if got0 != got1 {

@@ -197,10 +197,16 @@ type Monitor struct {
 type batchFreeList struct {
 	mu   sync.Mutex
 	free [][]trace.RecordEvent
+	// max bounds retained buffers, so draining a backlog of queued
+	// batches cannot pin one buffer per queue slot. Set once in New.
+	max int
 }
 
-// batchFreeMax bounds retained buffers so a burst cannot pin memory.
-const batchFreeMax = 64
+// batchFreePerShard sizes the free list: per shard, the buffer being
+// filled by intake, the one being drained, and slack for a queue that
+// is never quite empty. Steady-state intake keeps recycling; a backlog's
+// extra buffers go to the garbage collector once drained.
+const batchFreePerShard = 4
 
 func (p *batchFreeList) get() []trace.RecordEvent {
 	p.mu.Lock()
@@ -220,7 +226,7 @@ func (p *batchFreeList) put(b []trace.RecordEvent) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.free) < batchFreeMax {
+	if len(p.free) < p.max {
 		p.free = append(p.free, b[:0])
 	}
 }
@@ -232,6 +238,7 @@ func New(cfg Config) *Monitor {
 	m.dynMaxRecs.Store(int64(cfg.MaxRecordsPerFlow))
 	m.dynTriage.Store(cfg.Triage != nil)
 	m.dynFlight.Store(cfg.Flight != nil)
+	m.batchFree.max = batchFreePerShard * cfg.Shards
 	m.recent.buf = make([]core.LiveStall, cfg.RecentStalls)
 	if cfg.DigestSize > 0 {
 		m.digest.cap = cfg.DigestSize

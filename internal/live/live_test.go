@@ -493,6 +493,40 @@ func TestRingFullDrops(t *testing.T) {
 	}
 }
 
+// TestBatchFreeListBounded backs up every shard queue, drains it, and
+// checks that the intake free list keeps no more buffers than its
+// per-shard bound: a drained backlog must not stay pinned.
+func TestBatchFreeListBounded(t *testing.T) {
+	m := New(Config{Shards: 2})
+	// One flow per shard, so every intake call fills both queues.
+	var ids [2]string
+	for i := 0; ids[0] == "" || ids[1] == ""; i++ {
+		id := fmt.Sprintf("f%d", i)
+		if ids[m.shardIdx(id)] == "" {
+			ids[m.shardIdx(id)] = id
+		}
+	}
+	for i := 0; i < 2*shardQueueDepth; i++ {
+		at := sim.Time(i) * sim.Time(time.Millisecond)
+		m.IngestBatch([]trace.RecordEvent{
+			dataEvent(ids[0], at, 1000+uint32(i)*1460, 1460),
+			dataEvent(ids[1], at, 1000+uint32(i)*1460, 1460),
+		})
+	}
+	if got := m.Snapshot().Ingested; got != 2*shardQueueDepth {
+		t.Fatalf("Ingested = %d, want both queues full (%d)", got, 2*shardQueueDepth)
+	}
+	m.Start()
+	m.Close()
+	m.batchFree.mu.Lock()
+	held := len(m.batchFree.free)
+	m.batchFree.mu.Unlock()
+	if bound := batchFreePerShard * 2; held == 0 || held > bound {
+		t.Errorf("free list holds %d buffers after draining %d, want 1..%d",
+			held, 2*shardQueueDepth, bound)
+	}
+}
+
 func TestShutdownFlushesAll(t *testing.T) {
 	var mu sync.Mutex
 	reasons := map[string]string{}

@@ -9,6 +9,7 @@
 package pcap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -57,7 +58,9 @@ const (
 type Packet struct {
 	// Timestamp is the capture instant as an absolute time.
 	Timestamp time.Time
-	// Data is the captured bytes (up to snaplen).
+	// Data is the captured bytes (up to snaplen). In a Packet returned
+	// by Reader.ReadPacket it is valid only until the next ReadPacket
+	// call, which reuses the buffer; copy what must outlive it.
 	Data []byte
 	// OrigLen is the original wire length; ≥ len(Data).
 	OrigLen int
@@ -145,6 +148,9 @@ type Reader struct {
 	hdr   Header
 	order binary.ByteOrder
 	buf   [recordHeaderLen]byte
+	// data is the record buffer every ReadPacket reuses, grown to the
+	// largest record seen.
+	data []byte
 }
 
 // NewReader parses the file header and prepares to iterate records.
@@ -177,7 +183,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 func (r *Reader) Header() Header { return r.hdr }
 
 // ReadPacket returns the next record, or io.EOF at a clean end of
-// stream.
+// stream. The returned Data aliases the reader's record buffer and is
+// valid only until the next ReadPacket call.
 func (r *Reader) ReadPacket() (Packet, error) {
 	if _, err := io.ReadFull(r.r, r.buf[:]); err != nil {
 		if err == io.EOF {
@@ -195,7 +202,10 @@ func (r *Reader) ReadPacket() (Packet, error) {
 	if inclLen > MaxRecordLen {
 		return Packet{}, fmt.Errorf("%w: record length %d", ErrSnaplen, inclLen)
 	}
-	data := make([]byte, inclLen)
+	if uint32(cap(r.data)) < inclLen {
+		r.data = make([]byte, inclLen)
+	}
+	data := r.data[:inclLen]
 	if _, err := io.ReadFull(r.r, data); err != nil {
 		return Packet{}, fmt.Errorf("pcap: reading record data: %w", errors.Join(ErrTruncated, err))
 	}
@@ -210,7 +220,8 @@ func (r *Reader) ReadPacket() (Packet, error) {
 	}, nil
 }
 
-// ReadAll drains the stream into a slice.
+// ReadAll drains the stream into a slice. Each packet's Data is its
+// own copy.
 func (r *Reader) ReadAll() ([]Packet, error) {
 	var pkts []Packet
 	for {
@@ -221,6 +232,7 @@ func (r *Reader) ReadAll() ([]Packet, error) {
 		if err != nil {
 			return pkts, err
 		}
+		p.Data = bytes.Clone(p.Data)
 		pkts = append(pkts, p)
 	}
 }

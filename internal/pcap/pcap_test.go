@@ -198,6 +198,39 @@ func TestRecordExceedingSnaplenRejected(t *testing.T) {
 	}
 }
 
+// ReadPacket reuses one record buffer; ReadAll must hand back packets
+// whose Data neither alias that buffer nor each other.
+func TestReadAllDoesNotAlias(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, LinkTypeEthernet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := [][]byte{{1, 1, 1, 1}, {2, 2}, {3, 3, 3}}
+	for i, d := range in {
+		if err := w.WritePacket(Packet{Timestamp: time.Unix(int64(i), 0), Data: d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.ReadAll()
+	if err != nil || len(got) != len(in) {
+		t.Fatalf("ReadAll = %d pkts, %v", len(got), err)
+	}
+	for i := range got {
+		got[i].Data[0] = 0xee
+	}
+	for i := range got {
+		want := append([]byte{0xee}, in[i][1:]...)
+		if !bytes.Equal(got[i].Data, want) {
+			t.Errorf("pkt %d data = %v, want %v (shared backing array?)", i, got[i].Data, want)
+		}
+	}
+}
+
 func TestEmptyCapture(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := NewWriter(&buf, LinkTypeEthernet); err != nil {

@@ -55,10 +55,11 @@ func seedCapture(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// FuzzImportPcap feeds arbitrary bytes to both importers. The
-// contract under attack: they must return an error, never panic, and
-// whenever the batch importer succeeds the streaming importer must
-// reassemble the same total record count.
+// FuzzImportPcap feeds arbitrary bytes to all three importers. The
+// contract under attack: they must return an error, never panic, fail
+// or succeed together, and whenever the batch importer succeeds the
+// streaming and per-record importers must see the same total record
+// count.
 func FuzzImportPcap(f *testing.F) {
 	valid := seedCapture(f)
 	f.Add(valid)
@@ -87,6 +88,18 @@ func FuzzImportPcap(f *testing.F) {
 		}
 		if err == nil && batchRecords != streamRecords {
 			t.Fatalf("batch reassembled %d records, stream %d", batchRecords, streamRecords)
+		}
+
+		var perRecord int
+		rerr := ImportPcapRecords(bytes.NewReader(data), ImportConfig{}, func(RecordEvent) error {
+			perRecord++
+			return nil
+		})
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("batch err = %v, per-record err = %v", err, rerr)
+		}
+		if err == nil && batchRecords != perRecord {
+			t.Fatalf("batch reassembled %d records, per-record importer %d", batchRecords, perRecord)
 		}
 	})
 }

@@ -198,6 +198,9 @@ type demux struct {
 	gens     map[flowKey]int // completed generations per key
 	base     time.Time
 	haveBase bool
+
+	// fr is the decode frame every record reuses.
+	fr packet.Frame
 }
 
 func newDemux(cfg ImportConfig, emitEarly bool) *demux {
@@ -238,12 +241,12 @@ type decodedRecord struct {
 }
 
 // decodeTCP parses one captured frame down to a keyed TCP record from
-// the server's vantage point. It is the shared front half of the
+// the server's vantage point, decoding into fr, which the caller owns
+// and reuses across records. It is the shared front half of the
 // flow-assembling demux and the per-record streaming importer.
-func decodeTCP(data []byte, raw bool, serverPort uint16) (decodedRecord, bool) {
+func decodeTCP(fr *packet.Frame, data []byte, raw bool, serverPort uint16) (decodedRecord, bool) {
 	var dr decodedRecord
-	fr, ok := decodeFrame(data, raw)
-	if !ok {
+	if !decodeFrame(fr, data, raw) {
 		return dr, false
 	}
 	var srcIP, dstIP [16]byte
@@ -324,7 +327,7 @@ func (td *teardown) observe(dir tcpsim.Dir, seg *tcpsim.Segment) (done bool) {
 // add folds one captured record in and returns a flow that just
 // completed, if any.
 func (d *demux) add(pkt pcap.Packet, raw bool) *Flow {
-	dr, ok := decodeTCP(pkt.Data, raw, d.cfg.ServerPort)
+	dr, ok := decodeTCP(&d.fr, pkt.Data, raw, d.cfg.ServerPort)
 	if !ok {
 		return nil
 	}
@@ -455,42 +458,41 @@ func ImportPcap(r io.Reader, cfg ImportConfig) ([]*Flow, error) {
 	return d.flush(), nil
 }
 
-// decodeFrame parses one captured record down to TCP, handling both
-// Ethernet and raw-IP link layers.
-func decodeFrame(data []byte, rawIP bool) (*packet.Frame, bool) {
-	var fr packet.Frame
+// decodeFrame parses one captured record down to TCP into fr,
+// handling both Ethernet and raw-IP link layers, and reports whether
+// fr now holds a TCP segment.
+func decodeFrame(fr *packet.Frame, data []byte, rawIP bool) bool {
 	if !rawIP {
-		if err := fr.Decode(data); err != nil || !fr.HasTCP {
-			return nil, false
-		}
-		return &fr, true
+		return fr.Decode(data) == nil && fr.HasTCP
 	}
+	// fr carries the previous record's decode: reset what the raw-IP
+	// path reads but does not always write. Payload stays nil, so
+	// decodeTCP's segment-length fallback sees what a fresh frame gave.
+	fr.IsIPv6, fr.HasTCP, fr.Payload = false, false, nil
 	if len(data) == 0 {
-		return nil, false
+		return false
 	}
 	switch data[0] >> 4 {
 	case 4:
 		rest, err := fr.IP4.DecodeFromBytes(data)
 		if err != nil || fr.IP4.Protocol != packet.IPProtoTCP {
-			return nil, false
+			return false
 		}
 		if _, err := fr.TCP.DecodeFromBytes(rest); err != nil {
-			return nil, false
+			return false
 		}
-		fr.HasTCP = true
-		return &fr, true
 	case 6:
 		rest, err := fr.IP6.DecodeFromBytes(data)
 		if err != nil || fr.IP6.NextHeader != packet.IPProtoTCP {
-			return nil, false
+			return false
 		}
 		if _, err := fr.TCP.DecodeFromBytes(rest); err != nil {
-			return nil, false
+			return false
 		}
 		fr.IsIPv6 = true
-		fr.HasTCP = true
-		return &fr, true
 	default:
-		return nil, false
+		return false
 	}
+	fr.HasTCP = true
+	return true
 }

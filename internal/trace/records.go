@@ -68,7 +68,7 @@ func ImportPcapRecords(r io.Reader, cfg ImportConfig, h func(RecordEvent) error)
 	raw := pr.Header().LinkType == pcap.LinkTypeRaw
 	flows := map[flowKey]*recFlow{}
 	gens := map[flowKey]int{}
-	d := demux{gens: gens} // for flowID rendering only
+	d := demux{gens: gens} // for flowID rendering and its decode frame only
 	var base timeBase
 	for {
 		pkt, err := pr.ReadPacket()
@@ -78,7 +78,7 @@ func ImportPcapRecords(r io.Reader, cfg ImportConfig, h func(RecordEvent) error)
 		if err != nil {
 			return err
 		}
-		dr, ok := decodeTCP(pkt.Data, raw, cfg.ServerPort)
+		dr, ok := decodeTCP(&d.fr, pkt.Data, raw, cfg.ServerPort)
 		if !ok {
 			continue
 		}

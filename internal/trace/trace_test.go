@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -289,6 +290,98 @@ func TestImportRawIPPcap(t *testing.T) {
 	}
 	if f.Records[1].Dir != tcpsim.DirIn {
 		t.Errorf("record 1 dir = %v", f.Records[1].Dir)
+	}
+}
+
+// The importers reuse one decode frame across records. On a raw-IP
+// capture an IPv6 record followed by an IPv4 record must still decode
+// the second as IPv4 — two flows, keyed by their own addresses — in
+// both the flow and the per-record importer.
+func TestImportRawIPv6ThenIPv4(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := pcap.NewWriterHeader(&buf, pcap.Header{LinkType: pcap.LinkTypeRaw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Unix(1700000000, 0).UTC()
+	tcp := packet.TCPHeader{SrcPort: 80, DstPort: 4242, Seq: 1, Flags: packet.FlagACK, Window: 1000}
+	segLen := tcp.HeaderLen() + 300
+	var srv6, cli6 [16]byte
+	srv6[15], cli6[15] = 1, 2
+	ip6 := packet.IPv6{HopLimit: 64, NextHeader: packet.IPProtoTCP, Src: srv6, Dst: cli6}
+	v6 := tcp.AppendTo(ip6.AppendTo(nil, segLen), make([]byte, 300), packet.V6Context(srv6, cli6, segLen))
+	ip4 := packet.IPv4{TTL: 64, Protocol: packet.IPProtoTCP, Src: [4]byte{10, 0, 0, 1}, Dst: [4]byte{10, 0, 0, 2}}
+	v4 := tcp.AppendTo(ip4.AppendTo(nil, segLen), make([]byte, 300), packet.V4Context(ip4.Src, ip4.Dst, segLen))
+	w.WritePacket(pcap.Packet{Timestamp: base, Data: v6})
+	w.WritePacket(pcap.Packet{Timestamp: base.Add(time.Millisecond), Data: v4})
+
+	want := []string{fmt.Sprintf("[%x]:4242", cli6), "10.0.0.2:4242"}
+	flows, err := ImportPcap(bytes.NewReader(buf.Bytes()), ImportConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range flows {
+		got = append(got, f.ID)
+		if len(f.Records) != 1 || f.Records[0].Seg.Len != 300 {
+			t.Errorf("flow %s: records %+v, want one 300-byte segment", f.ID, f.Records)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("ImportPcap flows = %v, want %v", got, want)
+	}
+	got = got[:0]
+	err = ImportPcapRecords(bytes.NewReader(buf.Bytes()), ImportConfig{}, func(ev RecordEvent) error {
+		got = append(got, ev.FlowID)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("ImportPcapRecords flows = %v, want %v", got, want)
+	}
+}
+
+// ImportPcapRecords decodes into one reused frame and one reused
+// record buffer, so a one-flow capture costs a fixed handful of
+// allocations (reader, maps, the flow's state and ID, buffer growth),
+// not some per record.
+func TestImportPcapRecordsAllocs(t *testing.T) {
+	const n = 1000
+	f := &Flow{ID: "one", Service: "test", MSS: 1460}
+	for i := 0; i < n; i++ {
+		dir, seg := tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagACK, Seq: uint32(1 + i*1460), Ack: 1, Len: 1460, Wnd: 65535}
+		if i%2 == 1 {
+			dir, seg = tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 1, Ack: uint32(1 + (i+1)*1460), Wnd: 65535,
+				SACK: packet.SACKBlocks(packet.SACKBlock{Left: 9, Right: 99})}
+		}
+		f.Records = append(f.Records, Record{T: sim.Time(i) * sim.Time(time.Millisecond), Dir: dir, Seg: seg})
+	}
+	var buf bytes.Buffer
+	if err := ExportPcap(&buf, []*Flow{f}, ExportConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	var rd bytes.Reader
+	records := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		rd.Reset(data)
+		records = 0
+		err := ImportPcapRecords(&rd, ImportConfig{}, func(RecordEvent) error {
+			records++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if records != n {
+		t.Fatalf("imported %d records, want %d", records, n)
+	}
+	const budget = 16
+	if allocs > budget {
+		t.Errorf("ImportPcapRecords made %.0f allocations over %d records, budget %d", allocs, n, budget)
 	}
 }
 
