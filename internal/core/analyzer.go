@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"sort"
 	"time"
 
 	"tcpstall/internal/flight"
@@ -51,21 +53,36 @@ func DefaultConfig() Config {
 // unwrapped stream offset (low 32 bits = wire value), so entries stay
 // distinct even when a >4 GiB flow reuses wire sequence numbers.
 type aSeg struct {
-	seq     uint64
-	len     int
-	ordinal int
-	sent    int // transmissions seen (1 = original only)
-	sacked  bool
-	acked   bool
+	seq    uint64
+	len    int
+	sent   int // transmissions seen (1 = original only)
+	sacked bool
+	acked  bool
 	// firstRetransTimeout records whether the FIRST retransmission
 	// ended a stall (timeout-driven) — the f-double/t-double split.
 	firstRetransTimeout bool
 	lastSent            sim.Time
-	// spuriousAt holds times a DSACK covered this segment.
+	// spuriousAt holds times a DSACK covered this segment while it was
+	// unacked; a stall closing on the segment takes a copy.
 	spuriousAt []sim.Time
 }
 
 func (g *aSeg) end() uint64 { return g.seq + uint64(g.len) }
+
+// retiredRun is n contiguous retired segments of segLen bytes each,
+// the first starting at offset start.
+type retiredRun struct {
+	start  uint64
+	segLen int
+	n      int
+}
+
+func (r *retiredRun) end() uint64 { return r.start + uint64(r.segLen)*uint64(r.n) }
+
+// retireMin is the shortest acked prefix newAck retires; once it is
+// also half the window, sliding the window down costs at most one
+// copy per retired entry.
+const retireMin = 64
 
 // pendingStall is a detected stall awaiting post-hoc classification.
 type pendingStall struct {
@@ -78,10 +95,16 @@ type pendingStall struct {
 	endDir tcpsim.Dir
 	endLen int
 	endOff uint64
-	// retransSegIdx / copiesBefore describe the stall-ending
-	// retransmission, when there is one.
+	// retransSegIdx (the segment's ordinal, or -1), copiesBefore,
+	// retransLen and spuriousAt describe the stall-ending
+	// retransmission, whose offset is endOff. The stall owns these
+	// facts, so classification never reads the scoreboard, which
+	// retires the segment once it is acked; DSACKs arriving after the
+	// close are stamped on spuriousAt directly.
 	retransSegIdx       int
 	copiesBefore        int
+	retransLen          int
+	spuriousAt          []sim.Time
 	firstRetransTimeout bool
 	// sackedDuringStall reports whether any SACK progress arrived in
 	// the stall window (continuous-loss test).
@@ -101,8 +124,14 @@ type analyzer struct {
 	cfg Config
 	mss int
 
-	segs   []aSeg
-	segIdx map[uint64]int
+	// segs is the scoreboard window over unacked data: entry i is the
+	// segment with ordinal segBase+i (its rank in first-send order),
+	// and segIdx maps each window entry's offset to its ordinal. Like
+	// the kernel freeing a cumulatively acked skb, newAck retires the
+	// acked prefix, so the window holds about one flight.
+	segs    []aSeg
+	segIdx  map[uint64]int
+	segBase int
 
 	// The scoreboard's kernel-style counters and acked-prefix cursor:
 	// unacked is packets_out and sackedUnacked is sacked_out, kept
@@ -112,6 +141,17 @@ type analyzer struct {
 	unacked       int
 	sackedUnacked int
 	lo            int
+
+	// The retired set answers the one question later records still ask
+	// of acked history — was this exact offset sent, and how often.
+	// retired holds sorted, non-overlapping runs of segments retired in
+	// offset order; retiredSent (made on first use) holds the count of
+	// every retired segment sent more than once or retired below
+	// retiredEnd, and overrides the runs' implicit count of one.
+	// retiredEnd is the highest end of any retired segment.
+	retired     []retiredRun
+	retiredSent map[uint64]int
+	retiredEnd  uint64
 
 	// u maps wire sequence/ACK values of the server's data stream onto
 	// monotonic uint64 offsets; every scoreboard comparison below is in
@@ -331,13 +371,17 @@ func (a *analyzer) onStall(endIdx int, start sim.Time, cur *trace.Record) {
 		outstandingAtStart: a.packetsOut(),
 		maxEndAtStall:      a.maxEnd,
 	}
-	// Is cur_pkt a retransmission of an already-sent segment?
+	// Is cur_pkt a retransmission of an already-sent, unacked segment?
+	// Retired segments are all acked, so the window is the only place
+	// to look.
 	if cur.Dir == tcpsim.DirOut && cur.Seg.Len > 0 {
 		ps.endOff = a.u.Unwrap(cur.Seg.Seq)
-		if idx, ok := a.segIdx[ps.endOff]; ok && a.segs[idx].sent >= 1 && !a.segs[idx].acked {
-			g := &a.segs[idx]
-			ps.retransSegIdx = idx
+		if ord, ok := a.segIdx[ps.endOff]; ok && !a.segs[ord-a.segBase].acked {
+			g := &a.segs[ord-a.segBase]
+			ps.retransSegIdx = ord
 			ps.copiesBefore = g.sent
+			ps.retransLen = g.len
+			ps.spuriousAt = slices.Clone(g.spuriousAt)
 			ps.firstRetransTimeout = g.firstRetransTimeout
 			ps.segsAboveOutstanding = a.segsAbove(g.seq)
 		}
@@ -401,36 +445,45 @@ func (a *analyzer) processOut(r *trace.Record) {
 		a.respBounds = append(a.respBounds, off)
 		a.pendingResp = 0
 	}
-	idx, seen := a.segIdx[off]
-	if !seen {
-		idx = len(a.segs)
-		a.segIdx[off] = idx
+	// Was this exact offset sent before: in the window, else in the
+	// retired set, else it is a new segment.
+	var g *aSeg
+	sent := 1
+	if ord, ok := a.segIdx[off]; ok {
+		g = &a.segs[ord-a.segBase]
+		g.sent++
+		g.lastSent = r.T
+		sent = g.sent
+	} else if n := a.retiredCount(off); n > 0 {
+		sent = n + 1
+		a.setRetiredSent(off, sent)
+	} else {
+		a.segIdx[off] = a.segBase + len(a.segs)
 		a.segs = append(a.segs, aSeg{
 			seq:      off,
 			len:      seg.Len,
-			ordinal:  idx,
+			sent:     1,
 			lastSent: r.T,
 		})
 		a.unacked++
 		a.out.DataPackets++
 	}
-	g := &a.segs[idx]
-	g.sent++
-	g.lastSent = r.T
 	if off+uint64(seg.Len) > a.maxEnd {
 		a.maxEnd = off + uint64(seg.Len)
 	}
-	if !seen {
+	if sent == 1 {
 		a.emit(flight.KindSeg, "data-sent", a.rel(off), int64(seg.Len), 1)
 	}
-	if g.sent > 1 {
+	if sent > 1 {
 		// Retransmission.
 		a.out.RetransPackets++
 		isTimeout := a.wasStallEnding(r.T)
-		if g.sent == 2 {
+		// A retired segment is acked and never ends a stall again, so
+		// it keeps no f-double/t-double fact.
+		if sent == 2 && g != nil {
 			g.firstRetransTimeout = isTimeout
 		}
-		a.emit(flight.KindSeg, "retransmit", a.rel(off), int64(seg.Len), int64(g.sent))
+		a.emit(flight.KindSeg, "retransmit", a.rel(off), int64(seg.Len), int64(sent))
 		if isTimeout {
 			// Mimic tcp_enter_loss.
 			a.out.RTOSamplesMS = append(a.out.RTOSamplesMS, float64(a.rto)/1e6)
@@ -534,13 +587,20 @@ func (a *analyzer) processIn(r *trace.Record) {
 				seqspace.LessEq(b0.Right, sblocks[1].Right)) {
 			dsacked = true
 			l0, r0 := a.u.Unwrap(b0.Left), a.u.Unwrap(b0.Right)
-			// The whole scoreboard, not segs[lo:]: a DSACK reports a
-			// duplicate of data already acked, and retransCause reads
-			// the stamp on those acked segments at flush.
-			for i := range a.segs {
+			// A stamp is read only through a stall that closed on the
+			// segment, which copied the stamps so far: stamp those
+			// stalls, and the unacked segments a stall may still close
+			// on. An acked segment never ends a stall again.
+			for i := a.lo; i < len(a.segs); i++ {
 				g := &a.segs[i]
-				if g.seq >= l0 && g.end() <= r0 {
+				if !g.acked && g.seq >= l0 && g.end() <= r0 {
 					g.spuriousAt = append(g.spuriousAt, r.T)
+				}
+			}
+			for i := range a.pending {
+				ps := &a.pending[i]
+				if ps.retransSegIdx >= 0 && ps.endOff >= l0 && ps.endOff+uint64(ps.retransLen) <= r0 {
+					ps.spuriousAt = append(ps.spuriousAt, r.T)
 				}
 			}
 			a.emit(flight.KindSack, "dsack", a.rel(l0), int64(r0-l0), int64(a.dupacks))
@@ -658,6 +718,74 @@ func (a *analyzer) newAck(r *trace.Record, seg *tcpsim.Segment, ack uint64) {
 		}
 	}
 	a.emit(flight.KindAck, "ack-advance", a.rel(ack), int64(newlyAcked), int64(a.cwnd))
+
+	// Retire last: edge points into segs.
+	if a.lo >= retireMin && 2*a.lo >= len(a.segs) {
+		a.retire()
+	}
+}
+
+// retire moves the acked prefix segs[:lo] into the retired set and
+// slides the window down over it.
+func (a *analyzer) retire() {
+	for i := 0; i < a.lo; i++ {
+		g := &a.segs[i]
+		delete(a.segIdx, g.seq)
+		a.retireSeg(g)
+	}
+	n := copy(a.segs, a.segs[a.lo:])
+	clear(a.segs[n:])
+	a.segs = a.segs[:n]
+	a.segBase += a.lo
+	a.lo = 0
+}
+
+// retireSeg adds one acked segment to the retired set. A segment at or
+// above retiredEnd extends the last run when it is contiguous with it
+// and of the same length, else starts a new one; below retiredEnd
+// (retired out of order, or overlapping a run) it is an exception.
+func (a *analyzer) retireSeg(g *aSeg) {
+	if g.seq < a.retiredEnd {
+		a.setRetiredSent(g.seq, g.sent)
+		a.retiredEnd = max(a.retiredEnd, g.end())
+		return
+	}
+	if k := len(a.retired) - 1; k >= 0 && a.retired[k].end() == g.seq && g.len == a.retired[k].segLen {
+		a.retired[k].n++
+	} else {
+		a.retired = append(a.retired, retiredRun{start: g.seq, segLen: g.len, n: 1})
+	}
+	a.retiredEnd = g.end()
+	if g.sent > 1 {
+		a.setRetiredSent(g.seq, g.sent)
+	}
+}
+
+// setRetiredSent records the copy count of the retired segment at off.
+func (a *analyzer) setRetiredSent(off uint64, sent int) {
+	if a.retiredSent == nil {
+		a.retiredSent = make(map[uint64]int)
+	}
+	a.retiredSent[off] = sent
+}
+
+// retiredCount reports how many times the retired segment starting at
+// off was sent, or 0 when no retired segment starts there: an offset
+// inside a run but off its segment grid is not a retired segment.
+func (a *analyzer) retiredCount(off uint64) int {
+	if off >= a.retiredEnd {
+		return 0
+	}
+	if n, ok := a.retiredSent[off]; ok {
+		return n
+	}
+	i := sort.Search(len(a.retired), func(i int) bool { return a.retired[i].end() > off })
+	if i < len(a.retired) {
+		if r := &a.retired[i]; off >= r.start && (off-r.start)%uint64(r.segLen) == 0 {
+			return 1
+		}
+	}
+	return 0
 }
 
 // rttSample applies RFC 6298.

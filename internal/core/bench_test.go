@@ -85,32 +85,13 @@ func BenchmarkFeed(b *testing.B) {
 // Every data segment draws one ACK, so the flow is about 2n records
 // and the scoreboard holds n entries.
 func longFlow(n int) []trace.Record {
-	const (
-		mss    = 1460
-		flight = 32
-		isn    = 1000
-	)
-	ms := func(f float64) sim.Time { return sim.Time(f * 1e6) }
-	start := func(i int) uint32 { return isn + 1 + uint32(i*mss) }
-	var t float64
-	recs := []trace.Record{
-		{T: ms(t), Dir: tcpsim.DirIn, Seg: tcpsim.Segment{Flags: packet.FlagSYN, Wnd: 65535}},
-		{T: ms(t + 10), Dir: tcpsim.DirOut, Seg: tcpsim.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: isn, Ack: 1, Wnd: 65535}},
-		{T: ms(t + 20), Dir: tcpsim.DirIn, Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 1, Ack: isn + 1, Len: 100, Wnd: 65535}},
-	}
-	t = 21
-	out := func(i int) {
-		recs = append(recs, trace.Record{T: ms(t), Dir: tcpsim.DirOut,
-			Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: start(i), Ack: 101, Len: mss, Wnd: 65535}})
-	}
-	ack := func(cum uint32, sack packet.SACKList) {
-		recs = append(recs, trace.Record{T: ms(t), Dir: tcpsim.DirIn,
-			Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 101, Ack: cum, Wnd: 65535, SACK: sack}})
-	}
+	const flight = 32
+	recs := synHandshake()
+	t := 21.0
 	for lo := 0; lo < n; lo += flight {
 		hi := min(lo+flight, n)
 		for i := lo; i < hi; i++ {
-			out(i)
+			recs = append(recs, synData(t, segSeq(i), segLen))
 			t += 0.1
 		}
 		t += 10
@@ -120,16 +101,16 @@ func longFlow(n int) []trace.Record {
 			case i%64 == 40:
 				hole = i // lost: no ACK for it
 			case hole < 0:
-				ack(start(i+1), packet.SACKList{})
+				recs = append(recs, synAck(t, segSeq(i+1)))
 			default:
-				ack(start(hole), packet.SACKBlocks(packet.SACKBlock{Left: start(hole + 1), Right: start(i + 1)}))
+				recs = append(recs, synAck(t, segSeq(hole), packet.SACKBlock{Left: segSeq(hole + 1), Right: segSeq(i + 1)}))
 			}
 			t += 0.1
 		}
 		if hole >= 0 {
-			out(hole)
+			recs = append(recs, synData(t, segSeq(hole), segLen))
 			t += 10
-			ack(start(hi), packet.SACKList{})
+			recs = append(recs, synAck(t, segSeq(hi)))
 		}
 		t += 0.1
 	}

@@ -34,7 +34,7 @@ func (a *analyzer) finalize() {
 		st.Cause = a.topCause(ps, tr)
 		if st.Cause == CauseTimeoutRetrans {
 			st.RetransCause, st.DoubleKind, st.TailState = a.retransCause(ps, tr)
-			st.Position = float64(a.segs[ps.retransSegIdx].ordinal) / float64(total)
+			st.Position = float64(ps.retransSegIdx) / float64(total)
 		}
 		if a.rec != nil {
 			sub, dk := "", ""
@@ -148,13 +148,11 @@ func (a *analyzer) topCause(ps *pendingStall, tr *flight.Trail) Cause {
 // timeout-retransmission stall, optionally recording each examined
 // rule into the trail.
 func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCause, DoubleKind, tcpsim.CongState) {
-	g := &a.segs[ps.retransSegIdx]
-
 	// 1. Double retransmission: the packet had been retransmitted
 	// before this stall-ending retransmission.
 	if tr.Check("T5.1 double: segment was already retransmitted before this stall",
 		ps.copiesBefore >= 2,
-		flight.V("copies_before", ps.copiesBefore), flight.V("seg_ordinal", g.ordinal),
+		flight.V("copies_before", ps.copiesBefore), flight.V("seg_ordinal", ps.retransSegIdx),
 		flight.V("first_retrans_by_timeout", ps.firstRetransTimeout)) {
 		kind := DoubleFast
 		if ps.firstRetransTimeout {
@@ -166,7 +164,7 @@ func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCaus
 	// 2. Tail retransmission: every byte of the response was already
 	// sent and too few segments sit above the loss to produce
 	// dupthres dupacks.
-	_, respEnd := a.respRange(g.seq)
+	_, respEnd := a.respRange(ps.endOff)
 	allSent := ps.maxEndAtStall >= respEnd
 	if tr.Check("T5.2 tail: response fully sent and too few segments above the loss",
 		allSent && ps.segsAboveOutstanding < a.cfg.DupThresh,
@@ -191,7 +189,7 @@ func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCaus
 	// be swallowed by them.
 	spurious := false
 	var spuriousAt sim.Time
-	for _, t := range g.spuriousAt {
+	for _, t := range ps.spuriousAt {
 		if t > ps.stall.End && t.Sub(ps.stall.End) <= a.cfg.DSACKHorizon {
 			spurious = true
 			spuriousAt = t
@@ -200,7 +198,7 @@ func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCaus
 	}
 	if tr.Check("T5.3 spurious: a DSACK covered the retransmission within the horizon",
 		spurious,
-		flight.V("dsacks_for_seg", len(g.spuriousAt)), flight.V("dsack_at", spuriousAt),
+		flight.V("dsacks_for_seg", len(ps.spuriousAt)), flight.V("dsack_at", spuriousAt),
 		flight.V("horizon", a.cfg.DSACKHorizon)) {
 		return RetransAckDelayLoss, 0, 0
 	}

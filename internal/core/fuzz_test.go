@@ -93,7 +93,8 @@ func encodeFuzzRecord(dir tcpsim.Dir, flags packet.TCPFlags, seq, ack uint32, wn
 // FuzzIncrementalFeed drives the streaming analyzer with arbitrary
 // record sequences and checks the invariants no input may break:
 // no panic, a scoreboard whose counters and cursor match a full scan
-// after every record, byte-identical output to the batch analyzer over
+// and whose window and retired set hold each sent offset once with its
+// copy count (FeedChecked), byte-identical output to the batch analyzer over
 // the same records, stall bounds ordered with nondecreasing close
 // times, and exactly one live event per final stall.
 func FuzzIncrementalFeed(f *testing.F) {
@@ -144,6 +145,34 @@ func FuzzIncrementalFeed(f *testing.F) {
 		skew = append(skew, blk[:]...)
 	}
 	f.Add(skew)
+
+	// Seed: enough segments ACKed one by one that the analyzer retires
+	// acked history, one of them short so that two runs meet, then a
+	// resend of a retired segment and a DSACK for it — the retired
+	// set's lookups.
+	var long []byte
+	long = append(long, encodeFuzzRecord(tcpsim.DirIn, packet.FlagSYN, 100, 0, 65535, 0, 0)...)
+	long = append(long, encodeFuzzRecord(tcpsim.DirOut, packet.FlagSYN|packet.FlagACK, 5000, 101, 65535, 0, 1)...)
+	long = append(long, encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 101, 5001, 65535, 3, 10)...)
+	seq := uint32(5001)
+	for i := 0; i < retireMin+8; i++ {
+		code := 15
+		if i == 10 {
+			code = 5
+		}
+		long = append(long, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, seq, 101, 65535, code, 1)...)
+		seq += uint32(code * 97)
+		long = append(long, encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 101, seq, 65535, 0, 2)...)
+	}
+	long = append(long, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, 5001+3*1455, 101, 65535, 15, 1)...)
+	dsack := encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 101, seq, 65535, 0, 2)
+	dsack[0] |= 64 // attach a SACK block: segment 3, below the ACK
+	var dblk [8]byte
+	binary.LittleEndian.PutUint32(dblk[0:4], 5001+3*1455)
+	binary.LittleEndian.PutUint32(dblk[4:8], 5001+4*1455)
+	long = append(long, dsack...)
+	long = append(long, dblk[:]...)
+	f.Add(long)
 
 	// Seed: pathological — a retransmission-shaped repeat with RST.
 	var hostile []byte

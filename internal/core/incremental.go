@@ -84,7 +84,7 @@ func NewIncremental(cfg Config) *Incremental {
 			if total < 1 {
 				total = 1
 			}
-			st.Position = float64(a.segs[ps.retransSegIdx].ordinal) / float64(total)
+			st.Position = float64(ps.retransSegIdx) / float64(total)
 		}
 		inc.OnStall(LiveStall{
 			FlowID:  inc.meta.ID,
