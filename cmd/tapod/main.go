@@ -86,7 +86,7 @@ func main() {
 	triageRing := flag.Int("triage-ring", 0, "triage per-flow ring of recent records (0: default 1024)")
 	flightOn := flag.Bool("flight", true, "attach a flight recorder to every flow (serves /debug/flows/{id}/trace)")
 	flightK := flag.Int("flight-k", 0, "flight packet-window radius around each stall gap (0: default)")
-	flightRing := flag.Int("flight-ring", 0, "flight event-ring size per flow (0: default)")
+	flightRing := flag.Int("flight-ring", 0, "flight event-ring size N per flow (0: default 256); the ring grows on demand, so memory is paid per event held, up to N")
 	headURL := flag.String("head", "", "fleet mode: push snapshots to this tapoctl head URL")
 	memberID := flag.String("member-id", "", "with -head: fleet member identity (default: hostname + listen address)")
 	pushInterval := flag.Duration("push-interval", fleet.DefaultPushInterval, "with -head: snapshot push interval")

@@ -49,22 +49,21 @@ func DefaultConfig() Config {
 	}
 }
 
-// aSeg is the replayer's per-segment scoreboard entry. seq is an
-// unwrapped stream offset (low 32 bits = wire value), so entries stay
-// distinct even when a >4 GiB flow reuses wire sequence numbers.
+// aSeg is the replayer's per-segment scoreboard entry, 32 bytes. seq
+// is an unwrapped stream offset (low 32 bits = wire value), so entries
+// stay distinct even when a >4 GiB flow reuses wire sequence numbers.
+// A segment's DSACK stamps live in the analyzer's spurious table, not
+// here: almost no segment is ever DSACKed.
 type aSeg struct {
-	seq    uint64
-	len    int
-	sent   int // transmissions seen (1 = original only)
-	sacked bool
-	acked  bool
+	seq      uint64
+	lastSent sim.Time
+	len      int32
+	sent     int32 // transmissions seen (1 = original only)
+	sacked   bool
+	acked    bool
 	// firstRetransTimeout records whether the FIRST retransmission
 	// ended a stall (timeout-driven) — the f-double/t-double split.
 	firstRetransTimeout bool
-	lastSent            sim.Time
-	// spuriousAt holds times a DSACK covered this segment while it was
-	// unacked; a stall closing on the segment takes a copy.
-	spuriousAt []sim.Time
 }
 
 func (g *aSeg) end() uint64 { return g.seq + uint64(g.len) }
@@ -132,6 +131,12 @@ type analyzer struct {
 	segs    []aSeg
 	segIdx  map[uint64]int
 	segBase int
+
+	// spurious (made on first use) maps a window entry's offset to the
+	// times a DSACK covered it while it was unacked; a stall closing on
+	// the segment takes a copy, and retire deletes the retired
+	// prefix's keys, so every key is a window offset.
+	spurious map[uint64][]sim.Time
 
 	// The scoreboard's kernel-style counters and acked-prefix cursor:
 	// unacked is packets_out and sackedUnacked is sacked_out, kept
@@ -270,9 +275,9 @@ func (a *analyzer) feed(r *trace.Record) {
 			closed = true
 			if a.rec != nil {
 				id := int64(a.pending[len(a.pending)-1].stall.ID)
-				a.rec.Emit(a.nRecs-1, a.lastT, flight.KindStallOpen, "gap exceeded min(tau*SRTT, RTO)",
+				a.rec.Emit(a.nRecs-1, a.lastT, flight.KindStallOpen, flight.NameStallOpen,
 					int64(gap/time.Microsecond), int64(th/time.Microsecond), id)
-				a.rec.Emit(a.nRecs, r.T, flight.KindStallClose, "silence broken",
+				a.rec.Emit(a.nRecs, r.T, flight.KindStallClose, flight.NameStallClose,
 					id, int64(gap/time.Microsecond), 0)
 			}
 		}
@@ -307,7 +312,7 @@ func (a *analyzer) feed(r *trace.Record) {
 
 // emit forwards one typed event to the flight recorder; with no
 // recorder attached it is a single pointer test.
-func (a *analyzer) emit(k flight.Kind, name string, v1, v2, v3 int64) {
+func (a *analyzer) emit(k flight.Kind, name flight.Name, v1, v2, v3 int64) {
 	if a.rec == nil {
 		return
 	}
@@ -379,9 +384,9 @@ func (a *analyzer) onStall(endIdx int, start sim.Time, cur *trace.Record) {
 		if ord, ok := a.segIdx[ps.endOff]; ok && !a.segs[ord-a.segBase].acked {
 			g := &a.segs[ord-a.segBase]
 			ps.retransSegIdx = ord
-			ps.copiesBefore = g.sent
-			ps.retransLen = g.len
-			ps.spuriousAt = slices.Clone(g.spuriousAt)
+			ps.copiesBefore = int(g.sent)
+			ps.retransLen = int(g.len)
+			ps.spuriousAt = slices.Clone(a.spurious[g.seq])
 			ps.firstRetransTimeout = g.firstRetransTimeout
 			ps.segsAboveOutstanding = a.segsAbove(g.seq)
 		}
@@ -453,7 +458,7 @@ func (a *analyzer) processOut(r *trace.Record) {
 		g = &a.segs[ord-a.segBase]
 		g.sent++
 		g.lastSent = r.T
-		sent = g.sent
+		sent = int(g.sent)
 	} else if n := a.retiredCount(off); n > 0 {
 		sent = n + 1
 		a.setRetiredSent(off, sent)
@@ -461,7 +466,7 @@ func (a *analyzer) processOut(r *trace.Record) {
 		a.segIdx[off] = a.segBase + len(a.segs)
 		a.segs = append(a.segs, aSeg{
 			seq:      off,
-			len:      seg.Len,
+			len:      int32(seg.Len),
 			sent:     1,
 			lastSent: r.T,
 		})
@@ -472,7 +477,7 @@ func (a *analyzer) processOut(r *trace.Record) {
 		a.maxEnd = off + uint64(seg.Len)
 	}
 	if sent == 1 {
-		a.emit(flight.KindSeg, "data-sent", a.rel(off), int64(seg.Len), 1)
+		a.emit(flight.KindSeg, flight.NameDataSent, a.rel(off), int64(seg.Len), 1)
 	}
 	if sent > 1 {
 		// Retransmission.
@@ -483,11 +488,11 @@ func (a *analyzer) processOut(r *trace.Record) {
 		if sent == 2 && g != nil {
 			g.firstRetransTimeout = isTimeout
 		}
-		a.emit(flight.KindSeg, "retransmit", a.rel(off), int64(seg.Len), int64(sent))
+		a.emit(flight.KindSeg, flight.NameRetransmit, a.rel(off), int64(seg.Len), int64(sent))
 		if isTimeout {
 			// Mimic tcp_enter_loss.
 			a.out.RTOSamplesMS = append(a.out.RTOSamplesMS, float64(a.rto)/1e6)
-			a.emit(flight.KindState, "enter-loss", int64(a.caState), int64(tcpsim.StateLoss), int64(a.rtoBackoff+1))
+			a.emit(flight.KindState, flight.NameEnterLoss, int64(a.caState), int64(tcpsim.StateLoss), int64(a.rtoBackoff+1))
 			a.caState = tcpsim.StateLoss
 			a.recoverSeq = a.maxEnd
 			a.ssthresh = maxf(float64(a.inFlight())/2, 2)
@@ -498,7 +503,7 @@ func (a *analyzer) processOut(r *trace.Record) {
 			if a.rto > a.cfg.MaxRTO {
 				a.rto = a.cfg.MaxRTO
 			}
-			a.emit(flight.KindCwnd, "loss-reset", int64(a.cwnd), int64(a.ssthresh), int64(a.rto/time.Microsecond))
+			a.emit(flight.KindCwnd, flight.NameLossReset, int64(a.cwnd), int64(a.ssthresh), int64(a.rto/time.Microsecond))
 		} else if a.caState != tcpsim.StateLoss && a.caState != tcpsim.StateRecovery {
 			// Fast retransmit observed: Recovery.
 			a.enterRecovery()
@@ -516,12 +521,12 @@ func (a *analyzer) wasStallEnding(t sim.Time) bool {
 }
 
 func (a *analyzer) enterRecovery() {
-	a.emit(flight.KindState, "enter-recovery", int64(a.caState), int64(tcpsim.StateRecovery), 0)
+	a.emit(flight.KindState, flight.NameEnterRecovery, int64(a.caState), int64(tcpsim.StateRecovery), 0)
 	a.caState = tcpsim.StateRecovery
 	a.recoverSeq = a.maxEnd
 	a.ssthresh = maxf(float64(a.inFlight())/2, 2)
 	a.cwnd = a.ssthresh
-	a.emit(flight.KindCwnd, "recovery-halve", int64(a.cwnd), int64(a.ssthresh), int64(a.rto/time.Microsecond))
+	a.emit(flight.KindCwnd, flight.NameRecoveryHalve, int64(a.cwnd), int64(a.ssthresh), int64(a.rto/time.Microsecond))
 }
 
 func (a *analyzer) processIn(r *trace.Record) {
@@ -550,10 +555,10 @@ func (a *analyzer) processIn(r *trace.Record) {
 	if seg.Wnd == 0 {
 		a.out.ZeroRwndSeen = true
 		if prevRwnd != 0 {
-			a.emit(flight.KindState, "zero-window", int64(prevRwnd), 0, 0)
+			a.emit(flight.KindState, flight.NameZeroWindow, int64(prevRwnd), 0, 0)
 		}
 	} else if prevRwnd == 0 && a.out.ZeroRwndSeen {
-		a.emit(flight.KindState, "window-reopen", 0, int64(seg.Wnd), 0)
+		a.emit(flight.KindState, flight.NameWindowReopen, 0, int64(seg.Wnd), 0)
 	}
 
 	if seg.Len > 0 {
@@ -594,7 +599,10 @@ func (a *analyzer) processIn(r *trace.Record) {
 			for i := a.lo; i < len(a.segs); i++ {
 				g := &a.segs[i]
 				if !g.acked && g.seq >= l0 && g.end() <= r0 {
-					g.spuriousAt = append(g.spuriousAt, r.T)
+					if a.spurious == nil {
+						a.spurious = make(map[uint64][]sim.Time)
+					}
+					a.spurious[g.seq] = append(a.spurious[g.seq], r.T)
 				}
 			}
 			for i := range a.pending {
@@ -603,7 +611,7 @@ func (a *analyzer) processIn(r *trace.Record) {
 					ps.spuriousAt = append(ps.spuriousAt, r.T)
 				}
 			}
-			a.emit(flight.KindSack, "dsack", a.rel(l0), int64(r0-l0), int64(a.dupacks))
+			a.emit(flight.KindSack, flight.NameDSACK, a.rel(l0), int64(r0-l0), int64(a.dupacks))
 		}
 	}
 
@@ -629,7 +637,7 @@ func (a *analyzer) processIn(r *trace.Record) {
 	}
 	a.sackedUnacked += sackedCount
 	if sackedCount > 0 {
-		a.emit(flight.KindSack, "sack-mark", int64(sackedCount), 0, int64(a.dupacks))
+		a.emit(flight.KindSack, flight.NameSACKMark, int64(sackedCount), 0, int64(a.dupacks))
 	}
 
 	switch {
@@ -638,9 +646,9 @@ func (a *analyzer) processIn(r *trace.Record) {
 	case a.haveBase && hasAck && ack == a.sndUna && seg.Len == 0 &&
 		a.packetsOut() > 0 && (sackedNew || len(sblocks) > 0 || seg.Wnd == prevRwnd):
 		a.dupacks++
-		a.emit(flight.KindAck, "dupack", int64(a.dupacks), int64(a.dupThresh), 0)
+		a.emit(flight.KindAck, flight.NameDupack, int64(a.dupacks), int64(a.dupThresh), 0)
 		if a.caState == tcpsim.StateOpen {
-			a.emit(flight.KindState, "enter-disorder", int64(tcpsim.StateOpen), int64(tcpsim.StateDisorder), 0)
+			a.emit(flight.KindState, flight.NameEnterDisorder, int64(tcpsim.StateOpen), int64(tcpsim.StateDisorder), 0)
 			a.caState = tcpsim.StateDisorder
 		}
 		if a.caState == tcpsim.StateDisorder && a.dupacks >= a.dupThresh {
@@ -700,12 +708,12 @@ func (a *analyzer) newAck(r *trace.Record, seg *tcpsim.Segment, ack uint64) {
 	switch a.caState {
 	case tcpsim.StateRecovery, tcpsim.StateLoss:
 		if ack >= a.recoverSeq {
-			a.emit(flight.KindState, "recovery-point-acked", int64(a.caState), int64(tcpsim.StateOpen), 0)
+			a.emit(flight.KindState, flight.NameRecoveryPointAcked, int64(a.caState), int64(tcpsim.StateOpen), 0)
 			a.caState = tcpsim.StateOpen
 			a.cwnd = maxf(a.ssthresh, 2)
 		}
 	case tcpsim.StateDisorder:
-		a.emit(flight.KindState, "disorder-cleared", int64(tcpsim.StateDisorder), int64(tcpsim.StateOpen), 0)
+		a.emit(flight.KindState, flight.NameDisorderCleared, int64(tcpsim.StateDisorder), int64(tcpsim.StateOpen), 0)
 		a.caState = tcpsim.StateOpen
 	}
 	if a.caState == tcpsim.StateOpen {
@@ -717,7 +725,7 @@ func (a *analyzer) newAck(r *trace.Record, seg *tcpsim.Segment, ack uint64) {
 			}
 		}
 	}
-	a.emit(flight.KindAck, "ack-advance", a.rel(ack), int64(newlyAcked), int64(a.cwnd))
+	a.emit(flight.KindAck, flight.NameAckAdvance, a.rel(ack), int64(newlyAcked), int64(a.cwnd))
 
 	// Retire last: edge points into segs.
 	if a.lo >= retireMin && 2*a.lo >= len(a.segs) {
@@ -731,6 +739,7 @@ func (a *analyzer) retire() {
 	for i := 0; i < a.lo; i++ {
 		g := &a.segs[i]
 		delete(a.segIdx, g.seq)
+		delete(a.spurious, g.seq)
 		a.retireSeg(g)
 	}
 	n := copy(a.segs, a.segs[a.lo:])
@@ -746,18 +755,18 @@ func (a *analyzer) retire() {
 // (retired out of order, or overlapping a run) it is an exception.
 func (a *analyzer) retireSeg(g *aSeg) {
 	if g.seq < a.retiredEnd {
-		a.setRetiredSent(g.seq, g.sent)
+		a.setRetiredSent(g.seq, int(g.sent))
 		a.retiredEnd = max(a.retiredEnd, g.end())
 		return
 	}
-	if k := len(a.retired) - 1; k >= 0 && a.retired[k].end() == g.seq && g.len == a.retired[k].segLen {
+	if k := len(a.retired) - 1; k >= 0 && a.retired[k].end() == g.seq && int(g.len) == a.retired[k].segLen {
 		a.retired[k].n++
 	} else {
-		a.retired = append(a.retired, retiredRun{start: g.seq, segLen: g.len, n: 1})
+		a.retired = append(a.retired, retiredRun{start: g.seq, segLen: int(g.len), n: 1})
 	}
 	a.retiredEnd = g.end()
 	if g.sent > 1 {
-		a.setRetiredSent(g.seq, g.sent)
+		a.setRetiredSent(g.seq, int(g.sent))
 	}
 }
 
@@ -818,7 +827,7 @@ func (a *analyzer) rttSample(rtt time.Duration) {
 		rto = a.cfg.MaxRTO
 	}
 	a.rto = rto
-	a.emit(flight.KindRTT, "rtt-sample",
+	a.emit(flight.KindRTT, flight.NameRTTSample,
 		int64(a.srtt/time.Microsecond), int64(a.rttvar/time.Microsecond), int64(a.rto/time.Microsecond))
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tcpstall/internal/core"
+	"tcpstall/internal/flight"
 	"tcpstall/internal/trace"
 	"tcpstall/internal/workload"
 )
@@ -192,4 +193,33 @@ func TestFeedBatchAfterFlushPanics(t *testing.T) {
 		}
 	}()
 	inc.FeedBatch(make([]trace.Record, 1))
+}
+
+// BenchmarkFeedFlight feeds generated flows of every service, one
+// record at a time, each with a default flight recorder attached — the
+// always-on configuration. Run with -benchmem: B/op is what the
+// analyzers and recorders of 150 flows allocate, most of it per-flow
+// state that the live monitor holds until eviction.
+func BenchmarkFeedFlight(b *testing.B) {
+	var flows []*trace.Flow
+	records := 0
+	for _, svc := range workload.Services() {
+		for _, fr := range workload.Generate(svc, 1, workload.GenOptions{Flows: 50}) {
+			flows = append(flows, fr.Flow)
+			records += len(fr.Flow.Records)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range flows {
+			inc := core.NewIncremental(core.Config{})
+			inc.SetRecorder(flight.NewRecorder(flight.Config{}))
+			for j := range f.Records {
+				inc.Feed(&f.Records[j])
+			}
+			inc.Flush()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }

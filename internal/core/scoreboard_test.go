@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"tcpstall/internal/flight"
 	"tcpstall/internal/packet"
@@ -52,6 +53,11 @@ func (a *analyzer) checkScoreboard() error {
 			return fmt.Errorf("segs[%d]: segIdx ordinal %d (present %v), want %d", i, ord, ok, a.segBase+i)
 		}
 	}
+	for off := range a.spurious {
+		if _, ok := a.segIdx[off]; !ok {
+			return fmt.Errorf("spurious table keeps offset %d, which is not in the window", off)
+		}
+	}
 	var end uint64
 	for i, r := range a.retired {
 		if r.n < 1 || r.segLen < 1 || (i > 0 && r.start < end) {
@@ -70,7 +76,7 @@ func (a *analyzer) checkScoreboard() error {
 func (a *analyzer) checkSent(off uint64, want int) error {
 	win := 0
 	if ord, ok := a.segIdx[off]; ok {
-		win = a.segs[ord-a.segBase].sent
+		win = int(a.segs[ord-a.segBase].sent)
 	}
 	ret := a.retiredCount(off)
 	if win > 0 && ret > 0 {
@@ -237,6 +243,15 @@ func TestScoreboardMemoryBudget(t *testing.T) {
 	}
 }
 
+// TestSegEntrySize: the scoreboard window holds one aSeg per segment in
+// flight, so its size is a per-flight term of live_heap_mb on the sick
+// replay.
+func TestSegEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(aSeg{}); n > 32 {
+		t.Errorf("aSeg is %d bytes, want ≤ 32", n)
+	}
+}
+
 // TestRetireOnEdgeRTTSample: the ACK that retires history also yields
 // an edge RTT sample, which reads the acked segment before it leaves
 // the window.
@@ -293,7 +308,7 @@ func TestRetiredSegmentResent(t *testing.T) {
 	type seg struct{ rel, copies int64 }
 	var got []seg
 	for _, e := range rec.Events() {
-		if e.Kind == flight.KindSeg && e.Name == "retransmit" {
+		if e.Kind == flight.KindSeg && e.Name == flight.NameRetransmit {
 			got = append(got, seg{e.A, e.C})
 		}
 	}

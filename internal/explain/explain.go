@@ -78,7 +78,7 @@ func Stall(w io.Writer, st *core.Stall, ev *flight.Evidence) {
 			mark = "  <- cur_pkt"
 		}
 		fmt.Fprintf(w, "    %5d %12.6f %-3s %6d %11d %11d %7d %s%s\n",
-			s.Idx, s.T.Seconds(), s.Dir, s.Len, s.Seq, s.Ack, s.Wnd, s.Flags, mark)
+			s.Idx, s.T.Seconds(), s.Dir(), s.Len, s.Seq, s.Ack, s.Wnd, s.Flags, mark)
 	}
 
 	if len(ev.Events) > 0 {

@@ -202,13 +202,13 @@ func (s RecSample) JSON() SampleJSON {
 	return SampleJSON{
 		Idx:   s.Idx,
 		TS:    s.T.Seconds(),
-		Dir:   s.Dir.String(),
+		Dir:   s.Dir().String(),
 		Seq:   s.Seq,
 		Ack:   s.Ack,
-		Len:   s.Len,
-		Wnd:   s.Wnd,
+		Len:   int(s.Len),
+		Wnd:   int(s.Wnd),
 		Flags: s.Flags.String(),
-		Sack:  s.Sack,
+		Sack:  int(s.Sack),
 	}
 }
 
@@ -218,7 +218,7 @@ func (e Event) JSON() EventJSON {
 		Idx:  e.Idx,
 		TS:   e.T.Seconds(),
 		Kind: e.Kind.String(),
-		Name: e.Name,
+		Name: e.Name.String(),
 		A:    e.A,
 		B:    e.B,
 		C:    e.C,

@@ -3,7 +3,7 @@
 // auditable evidence chain. When a Recorder is attached, the core
 // analyzer emits typed events (congestion-state transitions,
 // cwnd/ssthresh moves, SRTT/RTO updates, scoreboard edits, stall
-// open/close) into a fixed-size ring, and every classified stall is
+// open/close) into a bounded ring, and every classified stall is
 // stored as an Evidence entry: the Figure-5/Table-5 decision path
 // with the concrete variable values that decided each branch, plus
 // the ±K packet records around the silent gap (tcptrace-style
@@ -82,16 +82,69 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Event is one recorder event. Name is always a static string (a
-// label chosen at the emission site), so emitting an event never
-// allocates.
+// Name labels one emission site. It is a byte rather than a string so
+// that an Event stays 48 bytes; String renders the site's label.
+type Name uint8
+
+// Emission-site names, one per site in the analyzer.
+const (
+	NameStallOpen Name = iota
+	NameStallClose
+	NameDataSent
+	NameRetransmit
+	NameEnterLoss
+	NameLossReset
+	NameEnterRecovery
+	NameRecoveryHalve
+	NameZeroWindow
+	NameWindowReopen
+	NameDSACK
+	NameSACKMark
+	NameDupack
+	NameEnterDisorder
+	NameRecoveryPointAcked
+	NameDisorderCleared
+	NameAckAdvance
+	NameRTTSample
+)
+
+var nameLabels = [...]string{
+	NameStallOpen:          "gap exceeded min(tau*SRTT, RTO)",
+	NameStallClose:         "silence broken",
+	NameDataSent:           "data-sent",
+	NameRetransmit:         "retransmit",
+	NameEnterLoss:          "enter-loss",
+	NameLossReset:          "loss-reset",
+	NameEnterRecovery:      "enter-recovery",
+	NameRecoveryHalve:      "recovery-halve",
+	NameZeroWindow:         "zero-window",
+	NameWindowReopen:       "window-reopen",
+	NameDSACK:              "dsack",
+	NameSACKMark:           "sack-mark",
+	NameDupack:             "dupack",
+	NameEnterDisorder:      "enter-disorder",
+	NameRecoveryPointAcked: "recovery-point-acked",
+	NameDisorderCleared:    "disorder-cleared",
+	NameAckAdvance:         "ack-advance",
+	NameRTTSample:          "rtt-sample",
+}
+
+func (n Name) String() string {
+	if int(n) < len(nameLabels) {
+		return nameLabels[n]
+	}
+	return fmt.Sprintf("name(%d)", int(n))
+}
+
+// Event is one recorder event: 48 bytes, no pointers, so emitting an
+// event never allocates once the ring has room.
 type Event struct {
 	// Idx is the record index (0-based feed order) the event is
 	// attributed to.
 	Idx  int
 	T    sim.Time
 	Kind Kind
-	Name string
+	Name Name
 	// A, B, C carry the payload; meaning is per Kind.
 	A, B, C int64
 }
@@ -103,16 +156,25 @@ func (e Event) String() string {
 
 // RecSample is one packet record captured into a stall's evidence
 // window — the raw material of a tcptrace-style time/sequence plot.
+// Its fields are as narrow as the wire allows, so a sample is 40 bytes.
 type RecSample struct {
 	Idx   int
 	T     sim.Time
-	Dir   tcpsim.Dir
 	Seq   uint32
 	Ack   uint32
-	Len   int
-	Wnd   int
+	Len   int32
+	Wnd   int32
 	Flags packet.TCPFlags
-	Sack  int // SACK blocks carried
+	Sack  uint8 // SACK blocks carried
+	out   bool  // direction: see Dir
+}
+
+// Dir reports the record's direction.
+func (s RecSample) Dir() tcpsim.Dir {
+	if s.out {
+		return tcpsim.DirOut
+	}
+	return tcpsim.DirIn
 }
 
 // sampleOf flattens a trace record.
@@ -120,21 +182,23 @@ func sampleOf(idx int, r *trace.Record) RecSample {
 	return RecSample{
 		Idx:   idx,
 		T:     r.T,
-		Dir:   r.Dir,
 		Seq:   r.Seg.Seq,
 		Ack:   r.Seg.Ack,
-		Len:   r.Seg.Len,
-		Wnd:   r.Seg.Wnd,
+		Len:   int32(r.Seg.Len),
+		Wnd:   int32(r.Seg.Wnd),
 		Flags: r.Seg.Flags,
-		Sack:  r.Seg.SACK.Len(),
+		Sack:  uint8(r.Seg.SACK.Len()),
+		out:   r.Dir == tcpsim.DirOut,
 	}
 }
 
 // Config sizes a Recorder. The zero value selects the documented
 // defaults.
 type Config struct {
-	// RingSize is the event-ring capacity (default 256). When full,
-	// the oldest event is overwritten and counted in EventDrops.
+	// RingSize is the event-ring capacity (default 256). The ring
+	// grows on demand, so a flow pays only for the events it holds.
+	// When full, the oldest event is overwritten and counted in
+	// EventDrops.
 	RingSize int
 	// WindowK is how many records are kept on each side of a stall
 	// gap (default 8): a stall's window holds up to WindowK records
@@ -174,8 +238,10 @@ func (r Ref) String() string { return fmt.Sprintf("%s/stall/%d", r.Flow, r.Stall
 type Recorder struct {
 	cfg Config
 
-	// events is the bounded ring; total counts events ever emitted,
-	// so ring position is total%len and drops = total-len once full.
+	// events is the bounded ring. It grows by doubling up to
+	// RingSize and wraps only once full; total counts events ever
+	// emitted, so ring position is total%len and drops = total-len
+	// once full.
 	// guarded by the owning analyzer's single goroutine (external)
 	events []Event
 	total  uint64 // guarded by the owning analyzer's single goroutine (external)
@@ -194,12 +260,15 @@ type Recorder struct {
 	evidenceDrops uint64 // guarded by the owning analyzer's single goroutine (external)
 }
 
-// NewRecorder builds an enabled recorder.
+// ringMinCap is the event ring's first allocation.
+const ringMinCap = 16
+
+// NewRecorder builds an enabled recorder. The event ring is allocated
+// on the first Emit.
 func NewRecorder(cfg Config) *Recorder {
 	cfg.defaults()
 	return &Recorder{
 		cfg:    cfg,
-		events: make([]Event, 0, cfg.RingSize),
 		recent: make([]RecSample, 0, cfg.WindowK+1),
 		stalls: make(map[int]*Evidence),
 	}
@@ -210,12 +279,16 @@ func (r *Recorder) Enabled() bool { return r != nil }
 
 // Emit appends one event to the ring, overwriting the oldest when
 // full. Nil-receiver safe.
-func (r *Recorder) Emit(idx int, t sim.Time, kind Kind, name string, a, b, c int64) {
+func (r *Recorder) Emit(idx int, t sim.Time, kind Kind, name Name, a, b, c int64) {
 	if r == nil {
 		return
 	}
 	e := Event{Idx: idx, T: t, Kind: kind, Name: name, A: a, B: b, C: c}
-	if len(r.events) < r.cfg.RingSize {
+	if n := len(r.events); n < r.cfg.RingSize {
+		if n == cap(r.events) {
+			// Not yet wrapped, so the events sit in order from index 0.
+			r.events = append(make([]Event, 0, min(max(2*n, ringMinCap), r.cfg.RingSize)), r.events...)
+		}
 		r.events = append(r.events, e)
 	} else {
 		r.events[r.total%uint64(r.cfg.RingSize)] = e
@@ -270,15 +343,31 @@ func (r *Recorder) StallClosed(ref Ref, startIdx, endIdx int, start, end sim.Tim
 		DoubleKind:  doubleKind,
 		Provisional: true,
 		Decision:    tr.steps(),
-		Window:      append([]RecSample(nil), r.recent...),
-		postWanted:  r.cfg.WindowK,
+		// Room for the WindowK post-gap samples Sample appends.
+		Window:     append(make([]RecSample, 0, len(r.recent)+r.cfg.WindowK), r.recent...),
+		postWanted: r.cfg.WindowK,
 	}
 	// Events inside or near the stall: everything currently in the
-	// ring whose record index is at or after the window start.
+	// ring whose record index is at or after the window start, counted
+	// first so the copy is allocated once at its exact length.
 	lo := startIdx - r.cfg.WindowK
-	for _, e := range r.ringOrdered() {
-		if e.Idx >= lo {
-			ev.Events = append(ev.Events, e)
+	older, newer := r.halves()
+	n := 0
+	for _, half := range [2][]Event{older, newer} {
+		for i := range half {
+			if half[i].Idx >= lo {
+				n++
+			}
+		}
+	}
+	if n > 0 {
+		ev.Events = make([]Event, 0, n)
+		for _, half := range [2][]Event{older, newer} {
+			for i := range half {
+				if half[i].Idx >= lo {
+					ev.Events = append(ev.Events, half[i])
+				}
+			}
 		}
 	}
 	ev.EventDrops = r.EventDrops()
@@ -345,26 +434,28 @@ func (r *Recorder) Evidences() []*Evidence {
 	return out
 }
 
-// ringOrdered returns the ring contents oldest-first.
-func (r *Recorder) ringOrdered() []Event {
-	if r.total <= uint64(len(r.events)) {
-		return r.events
+// halves returns the ring contents oldest-first as two slices of the
+// ring itself: older runs from the oldest event to the end of the
+// array, newer from its start to the newest. Until the ring wraps,
+// len(events) == total and newer is empty.
+func (r *Recorder) halves() (older, newer []Event) {
+	if len(r.events) == 0 {
+		return nil, nil
 	}
-	out := make([]Event, 0, len(r.events))
-	start := r.total % uint64(r.cfg.RingSize)
-	for i := 0; i < len(r.events); i++ {
-		out = append(out, r.events[(start+uint64(i))%uint64(r.cfg.RingSize)])
-	}
-	return out
+	start := r.total % uint64(len(r.events))
+	return r.events[start:], r.events[:start]
 }
 
 // Events returns the event ring oldest-first (a copy).
 // Nil-receiver safe.
 func (r *Recorder) Events() []Event {
-	if r == nil {
+	if r == nil || len(r.events) == 0 {
 		return nil
 	}
-	return append([]Event(nil), r.ringOrdered()...)
+	older, newer := r.halves()
+	out := make([]Event, len(r.events))
+	copy(out[copy(out, older):], newer)
+	return out
 }
 
 // EventDrops reports how many events the ring has overwritten.

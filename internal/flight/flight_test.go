@@ -2,8 +2,11 @@ package flight
 
 import (
 	"encoding/json"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tcpstall/internal/sim"
 	"tcpstall/internal/tcpsim"
@@ -21,7 +24,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
-	r.Emit(0, 0, KindState, "x", 1, 2, 3)
+	r.Emit(0, 0, KindState, NameEnterLoss, 1, 2, 3)
 	r.Sample(0, rec(0, tcpsim.DirOut, 0, 1))
 	r.StallClosed(Ref{"f", 0}, 0, 1, 0, 0, "c", "", "", nil)
 	r.Finalize(0, "c", "", "", nil)
@@ -43,7 +46,7 @@ func TestNilRecorderSafe(t *testing.T) {
 func TestEventRingTruncationAccounting(t *testing.T) {
 	r := NewRecorder(Config{RingSize: 4})
 	for i := 0; i < 10; i++ {
-		r.Emit(i, sim.Time(i), KindSeg, "send", int64(i), 0, 0)
+		r.Emit(i, sim.Time(i), KindSeg, NameDataSent, int64(i), 0, 0)
 	}
 	if got := r.EventDrops(); got != 6 {
 		t.Fatalf("EventDrops = %d, want 6", got)
@@ -145,7 +148,7 @@ func TestFinalizeReplacesProvisional(t *testing.T) {
 // label-building helpers coherent.
 func TestEvidenceJSON(t *testing.T) {
 	r := NewRecorder(Config{WindowK: 1})
-	r.Emit(0, 0, KindRTT, "rtt-sample", 1000, 500, 200000)
+	r.Emit(0, 0, KindRTT, NameRTTSample, 1000, 500, 200000)
 	r.Sample(0, rec(0, tcpsim.DirOut, 42, 1460))
 	tr := &Trail{}
 	tr.Check("stall ends with outgoing data", true, V("len", 1460))
@@ -168,5 +171,106 @@ func TestEvidenceJSON(t *testing.T) {
 	}
 	if back.Window[0].Seq != 42 || back.Events[0].Kind != "rtt" {
 		t.Fatalf("round-trip payload = %+v", back)
+	}
+}
+
+// The entry sizes are what a flow's recorder costs per event held and
+// per sample kept; together with the lazy ring they set the flight
+// recorder's share of live_heap_mb on the sick replay.
+func TestEntrySizes(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 48 {
+		t.Errorf("Event is %d bytes, want ≤ 48 (live_heap_mb pays it per event held)", n)
+	}
+	if n := unsafe.Sizeof(RecSample{}); n > 40 {
+		t.Errorf("RecSample is %d bytes, want ≤ 40 (live_heap_mb pays it per window sample)", n)
+	}
+}
+
+// A recorder that has emitted nothing must cost next to nothing,
+// whatever its RingSize: the ring is allocated on demand.
+func TestNewRecorderLazyRing(t *testing.T) {
+	const n = 100
+	for _, size := range []int{256, 1 << 20} {
+		keep := make([]*Recorder, n)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			keep[i] = NewRecorder(Config{RingSize: size})
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(keep)
+		if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n; per > 1024 {
+			t.Errorf("RingSize %d: a fresh recorder retains %d B, want ≤ 1 KB", size, per)
+		}
+	}
+}
+
+// The grow-on-demand ring must behave exactly like a naive ring of
+// RingSize slots — same Events, same drop count — never allocate past
+// RingSize, and cut each stall's events out of the ring as it stands
+// at close, at every wrap position.
+func TestEventRingMatchesModel(t *testing.T) {
+	const k = 2
+	for _, size := range []int{1, 7, 16, 17, 100, 256} {
+		for _, count := range []int{0, 1, size - 1, size, size + 1, 3*size + 5} {
+			r := NewRecorder(Config{RingSize: size, WindowK: k, MaxStalls: 1 << 20})
+			var all []Event // every event emitted, oldest first
+			model := func() []Event { return all[max(0, len(all)-size):] }
+			for i := 0; i < count; i++ {
+				// Two events per record index, so the filter cuts inside runs.
+				e := Event{Idx: i / 2, T: sim.Time(i), Kind: KindSeg, Name: NameDataSent, A: int64(i)}
+				r.Emit(e.Idx, e.T, e.Kind, e.Name, e.A, 0, 0)
+				all = append(all, e)
+				if cap(r.events) > size {
+					t.Fatalf("size %d, %d events: cap(events) = %d", size, i+1, cap(r.events))
+				}
+				startIdx := i/2 - i%5
+				r.StallClosed(Ref{"f", i}, startIdx, startIdx+1, 0, 0, "c", "", "", nil)
+				var want []Event
+				for _, m := range model() {
+					if m.Idx >= startIdx-k {
+						want = append(want, m)
+					}
+				}
+				if got := r.Evidence(i).Events; !slices.Equal(got, want) {
+					t.Fatalf("size %d, %d events: evidence events %v, want %v", size, i+1, got, want)
+				}
+			}
+			if got, want := r.Events(), model(); !slices.Equal(got, want) {
+				t.Fatalf("size %d, %d events: Events() = %v, want %v", size, count, got, want)
+			}
+			if got, want := r.EventDrops(), uint64(count-len(model())); got != want {
+				t.Fatalf("size %d, %d events: EventDrops = %d, want %d", size, count, got, want)
+			}
+		}
+	}
+}
+
+// Reading a wrapped ring copies its two halves straight into the
+// result: Events allocates only the copy, and StallClosed only the
+// evidence, its window and its events.
+func TestWrappedRingAllocs(t *testing.T) {
+	r := NewRecorder(Config{RingSize: 1 << 10, MaxStalls: 1 << 20})
+	for i := 0; i < 3<<10+5; i++ {
+		r.Emit(i, sim.Time(i), KindSeg, NameDataSent, int64(i), 0, 0)
+	}
+	if r.EventDrops() == 0 {
+		t.Fatal("ring did not wrap")
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Events() }); n != 1 {
+		t.Errorf("Events on a wrapped ring: %v allocs, want 1", n)
+	}
+	id := 0
+	n := testing.AllocsPerRun(100, func() {
+		id++
+		r.StallClosed(Ref{"f", id}, 0, 1, 0, 0, "c", "", "", nil)
+	})
+	if n > 3 {
+		t.Errorf("StallClosed on a wrapped ring: %v allocs, want ≤ 3", n)
+	}
+	if got := len(r.Evidence(id).Events); got != 1<<10 {
+		t.Fatalf("evidence holds %d events, want the whole ring", got)
 	}
 }

@@ -20,7 +20,7 @@ type analyzer struct {
 func (a *analyzer) goodEmit(t sim.Time) {
 	if a.rec != nil {
 		id := int64(a.nRecs) // region-local: fine
-		a.rec.Emit(a.nRecs, t, flight.KindAck, "ack", id, 0, 0)
+		a.rec.Emit(a.nRecs, t, flight.KindAck, flight.NameAckAdvance, id, 0, 0)
 	}
 }
 
@@ -37,7 +37,7 @@ func (a *analyzer) goodEarlyReturn(t sim.Time) {
 	if a.rec == nil {
 		return
 	}
-	a.rec.Emit(a.nRecs, t, flight.KindCwnd, "cwnd", int64(a.readCwnd()), 0, 0)
+	a.rec.Emit(a.nRecs, t, flight.KindCwnd, flight.NameLossReset, int64(a.readCwnd()), 0, 0)
 }
 
 func (a *analyzer) readCwnd() int { return a.cwnd }
@@ -54,7 +54,7 @@ func (a *analyzer) badAssign(t sim.Time) {
 		return
 	}
 	a.cwnd = 0 // want `write to a\.cwnd inside a recorder-attached region`
-	a.rec.Emit(a.nRecs, t, flight.KindCwnd, "cwnd", 0, 0, 0)
+	a.rec.Emit(a.nRecs, t, flight.KindCwnd, flight.NameLossReset, 0, 0, 0)
 }
 
 func (a *analyzer) bumpCwnd() { a.cwnd++ }
