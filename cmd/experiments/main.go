@@ -8,7 +8,10 @@
 //	experiments [-seed N] [-scale F] [-flows N] [-only LIST]
 //
 // -only selects a comma-separated subset, e.g.
-// "table1,figure3,table8". Default: everything.
+// "table1,figure3,table8". Default: every paper table and figure.
+// Two S-RTO ablations run only when named: "srtosweep" (T1, T2 and
+// probe-timer multiple sweeps) and "strategies" (all five recovery
+// strategies on one workload); both use -seed and -abflows.
 package main
 
 import (
@@ -24,7 +27,7 @@ func main() {
 	seed := flag.Int64("seed", 20141222, "root RNG seed")
 	scale := flag.Float64("scale", 0.5, "dataset size multiplier")
 	flows := flag.Int("flows", 0, "fixed per-service flow count (overrides -scale)")
-	abFlows := flag.Int("abflows", 400, "flows per strategy for Tables 8/9")
+	abFlows := flag.Int("abflows", 400, "flows per strategy for Tables 8/9 and the S-RTO ablations")
 	workers := flag.Int("workers", 0, "simulation/analysis worker count (0: one per CPU)")
 	only := flag.String("only", "", "comma-separated experiment subset (e.g. table1,figure3)")
 	flag.Parse()
@@ -134,6 +137,15 @@ func main() {
 		_, out := experiments.ValidationTable(experiments.Options{
 			Seed: *seed, Scale: *scale, FlowsOverride: *flows, Workers: *workers,
 		})
+		fmt.Println(out)
+	}
+	// The ablations are not paper tables: they run only when named.
+	if want["srtosweep"] {
+		_, out := experiments.SRTOSweep(*seed, *abFlows)
+		fmt.Println(out)
+	}
+	if want["strategies"] {
+		_, out := experiments.StrategyComparison(*seed, *abFlows)
 		fmt.Println(out)
 	}
 }

@@ -20,7 +20,7 @@ jsontags   serialized structs carry complete, snake_case, duplicate-free json ta
 hotalloc   flags heap-allocating constructs in functions marked tapo:hotpath
 lockorder  whole-program lock-acquisition graph must be acyclic (deadlock freedom)
 goexit     every goroutine launch must have a provable termination path
-wirefreeze wire structs and BENCH schemas must match the committed fingerprint snapshot
+wirefreeze fleet wire structs must match the committed fingerprint snapshot
 `
 	var sb strings.Builder
 	listAnalyzers(&sb)

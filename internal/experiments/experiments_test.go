@@ -542,3 +542,76 @@ func TestFigure2SeriesShape(t *testing.T) {
 		t.Errorf("series tops out at %d bytes", prev)
 	}
 }
+
+// TestSRTOSweepShapes checks the ablation's layout, and that the
+// deployed setting (T1 = 10, T2 = 5, 2·RTT), which all three sweeps
+// visit, gives the same numbers each time.
+func TestSRTOSweepShapes(t *testing.T) {
+	rows, rendered := SRTOSweep(777, 400)
+	var params []string
+	deployed := map[string]SweepRow{}
+	for _, r := range rows {
+		params = append(params, r.Param)
+		if r.MeanMS <= 0 || r.P90MS < r.MeanMS*0.5 || r.RetransPct <= 0 {
+			t.Errorf("%s=%s: implausible row %+v", r.Param, r.Value, r)
+		}
+		switch r.Param + "=" + r.Value {
+		case "T1=10", "T2=5", "multiple=2.0·RTT":
+			deployed[r.Param] = r
+		}
+	}
+	want := "T1 T1 T1 T1 T1 T2 T2 T2 T2 T2 multiple multiple multiple multiple"
+	if got := strings.Join(params, " "); got != want {
+		t.Fatalf("params = %q, want %q", got, want)
+	}
+	if rows[4].Value != "∞" || rows[9].Value != "∞" {
+		t.Errorf("last T1/T2 values %q, %q; want ∞", rows[4].Value, rows[9].Value)
+	}
+	if len(deployed) != 3 {
+		t.Fatalf("deployed setting found in %d sweeps, want 3", len(deployed))
+	}
+	for _, p := range []string{"T2", "multiple"} {
+		a, b := deployed["T1"], deployed[p]
+		if a.MeanMS != b.MeanMS || a.P90MS != b.P90MS || a.RetransPct != b.RetransPct {
+			t.Errorf("deployed setting differs between the T1 and %s sweeps: %+v vs %+v", p, a, b)
+		}
+	}
+	for _, title := range []string{"S-RTO T1 sweep", "S-RTO T2 sweep", "S-RTO probe-timer multiple sweep"} {
+		if !strings.Contains(rendered, title) {
+			t.Errorf("render lacks %q", title)
+		}
+	}
+}
+
+// TestStrategyComparisonShapes checks the five-strategy table: the
+// probing strategies fire fewer RTOs than native Linux and do no harm
+// on average, and its S-RTO row is the deployed setting of the sweep.
+func TestStrategyComparisonShapes(t *testing.T) {
+	rows, rendered := StrategyComparison(777, 400)
+	by := map[string]StrategyRow{}
+	var names []string
+	for _, r := range rows {
+		names = append(names, r.Strategy)
+		by[r.Strategy] = r
+	}
+	if got := strings.Join(names, " "); got != "linux early-retransmit tlp tcp-ncl srto" {
+		t.Fatalf("strategies = %q", got)
+	}
+	linux := by["linux"]
+	for _, name := range []string{"tlp", "tcp-ncl", "srto"} {
+		r := by[name]
+		if r.RTOFirings >= linux.RTOFirings {
+			t.Errorf("%s: %d RTO firings, native %d; want fewer", name, r.RTOFirings, linux.RTOFirings)
+		}
+		if r.MeanMS > linux.MeanMS*1.03 {
+			t.Errorf("%s: mean %.0fms vs native %.0fms, want no harm", name, r.MeanMS, linux.MeanMS)
+		}
+	}
+	sweep, _ := SRTOSweep(777, 400)
+	if s, d := by["srto"], sweep[2]; s.MeanMS != d.MeanMS || s.P90MS != d.P90MS || s.RetransPct != d.RetransPct {
+		t.Errorf("srto row %+v differs from the sweep's T1=10 row %+v", s, d)
+	}
+	if !strings.Contains(rendered, "All strategies") {
+		t.Error("render")
+	}
+}

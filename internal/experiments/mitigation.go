@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"tcpstall/internal/mitigation"
@@ -51,13 +52,19 @@ func newStrategy(kind mitigation.Kind, service string) func() tcpsim.Recovery {
 func RunAB(svc workload.Service, seed int64, flows int) *ABResult {
 	res := &ABResult{Workload: svc.Name, ByStrategy: map[string][]workload.FlowResult{}}
 	for _, kind := range Strategies {
-		res.ByStrategy[string(kind)] = workload.Generate(svc, seed, workload.GenOptions{
-			Flows:       flows,
-			SkipTraces:  true,
-			NewRecovery: newStrategy(kind, svc.Name),
-		})
+		res.ByStrategy[string(kind)] = runRecovery(svc, seed, flows, newStrategy(kind, svc.Name))
 	}
 	return res
+}
+
+// runRecovery generates the service with every connection recovering
+// through a fresh instance from newRec, skipping traces.
+func runRecovery(svc workload.Service, seed int64, flows int, newRec func() tcpsim.Recovery) []workload.FlowResult {
+	return workload.Generate(svc, seed, workload.GenOptions{
+		Flows:       flows,
+		SkipTraces:  true,
+		NewRecovery: newRec,
+	})
 }
 
 // latencySample extracts completed-flow latencies in milliseconds,
@@ -76,6 +83,20 @@ func latencySample(res []workload.FlowResult, shortOnly bool) *stats.Sample {
 	return s
 }
 
+// retransPct is retransmitted data segments over all data segments
+// sent, in percent, optionally counting completed flows only.
+func retransPct(res []workload.FlowResult, doneOnly bool) float64 {
+	var retrans, total float64
+	for _, r := range res {
+		if doneOnly && !r.Metrics.Done {
+			continue
+		}
+		retrans += float64(r.Metrics.Sender.Retransmissions)
+		total += float64(r.Metrics.Sender.DataSegmentsSent)
+	}
+	return 100 * retrans / maxF(total, 1)
+}
+
 // Table8Row is one workload's latency-reduction comparison.
 type Table8Row struct {
 	Workload string
@@ -88,6 +109,29 @@ type Table8Row struct {
 }
 
 var table8Metrics = []string{"p50", "p90", "p95", "mean"}
+
+// reductionRow compares TLP and S-RTO against native on one A/B run.
+func reductionRow(label string, ab *ABResult, shortOnly bool) Table8Row {
+	base := metricsOf(latencySample(ab.ByStrategy[string(mitigation.KindNative)], shortOnly))
+	row := Table8Row{
+		Workload:  label,
+		Reduction: map[string]map[string]float64{},
+		Flows:     map[string]int{},
+	}
+	for _, kind := range Strategies[1:] {
+		s := latencySample(ab.ByStrategy[string(kind)], shortOnly)
+		m := metricsOf(s)
+		red := map[string]float64{}
+		for _, k := range table8Metrics {
+			if base[k] > 0 {
+				red[k] = (m[k] - base[k]) / base[k]
+			}
+		}
+		row.Reduction[string(kind)] = red
+		row.Flows[string(kind)] = s.Len()
+	}
+	return row
+}
 
 func metricsOf(s *stats.Sample) map[string]float64 {
 	return map[string]float64{
@@ -117,25 +161,7 @@ func Table8(seed int64, wsFlows, csFlows int) ([]Table8Row, string) {
 		"quantile", "web search TLP", "S-RTO", "cloud s. TLP", "S-RTO")
 	cells := map[string]map[string]map[string]float64{} // label → strategy → metric
 	for _, j := range jobs {
-		ab := RunAB(j.svc, seed, j.flows)
-		base := metricsOf(latencySample(ab.ByStrategy[string(mitigation.KindNative)], j.shortOnly))
-		row := Table8Row{
-			Workload:  j.label,
-			Reduction: map[string]map[string]float64{},
-			Flows:     map[string]int{},
-		}
-		for _, kind := range Strategies[1:] {
-			s := latencySample(ab.ByStrategy[string(kind)], j.shortOnly)
-			m := metricsOf(s)
-			red := map[string]float64{}
-			for _, k := range table8Metrics {
-				if base[k] > 0 {
-					red[k] = (m[k] - base[k]) / base[k]
-				}
-			}
-			row.Reduction[string(kind)] = red
-			row.Flows[string(kind)] = s.Len()
-		}
+		row := reductionRow(j.label, RunAB(j.svc, seed, j.flows), j.shortOnly)
 		rows = append(rows, row)
 		cells[j.label] = row.Reduction
 	}
@@ -178,12 +204,7 @@ func Table9(seed int64, wsFlows, csFlows int) ([]Table9Row, string) {
 		row := Table9Row{Service: j.svc.Name, RatioPct: map[string]float64{}}
 		cells := []string{ShortName(j.svc.Name)}
 		for _, kind := range Strategies {
-			var retrans, total float64
-			for _, r := range ab.ByStrategy[string(kind)] {
-				retrans += float64(r.Metrics.Sender.Retransmissions)
-				total += float64(r.Metrics.Sender.DataSegmentsSent)
-			}
-			ratio := 100 * retrans / maxF(total, 1)
+			ratio := retransPct(ab.ByStrategy[string(kind)], false)
 			row.RatioPct[string(kind)] = ratio
 			cells = append(cells, fmt.Sprintf("%.1f%%", ratio))
 		}
@@ -219,34 +240,9 @@ func FloorRegimeComparison(seed int64, flows int) ([]Table8Row, string) {
 	svc.BurstLossP = 0.6
 	svc.LossGB = 0.018
 
-	ab := &ABResult{Workload: "floor-regime", ByStrategy: map[string][]workload.FlowResult{}}
-	for _, kind := range Strategies {
-		ab.ByStrategy[string(kind)] = workload.Generate(svc, seed, workload.GenOptions{
-			Flows:       flows,
-			SkipTraces:  true,
-			NewRecovery: newStrategy(kind, svc.Name),
-		})
-	}
-	base := metricsOf(latencySample(ab.ByStrategy[string(mitigation.KindNative)], true))
-	row := Table8Row{
-		Workload:  "floor-regime short flows",
-		Reduction: map[string]map[string]float64{},
-		Flows:     map[string]int{},
-	}
+	row := reductionRow("floor-regime short flows", RunAB(svc, seed, flows), true)
 	t := stats.NewTable("Floor-regime A/B (40ms RTT, RTO ≈ 6×RTT): latency change vs native.",
 		"quantile", "TLP", "S-RTO")
-	for _, kind := range Strategies[1:] {
-		s := latencySample(ab.ByStrategy[string(kind)], true)
-		m := metricsOf(s)
-		red := map[string]float64{}
-		for _, k := range table8Metrics {
-			if base[k] > 0 {
-				red[k] = (m[k] - base[k]) / base[k]
-			}
-		}
-		row.Reduction[string(kind)] = red
-		row.Flows[string(kind)] = s.Len()
-	}
 	for _, metric := range table8Metrics {
 		t.AddRow(metric,
 			pct(row.Reduction[string(mitigation.KindTLP)][metric]),
@@ -283,4 +279,110 @@ func LargeFlowThroughput(seed int64, flows int) (map[string]float64, string) {
 		txt += fmt.Sprintf(" %s %+.1f%%", kind, 100*chg)
 	}
 	return out, txt + "\n"
+}
+
+// SweepRow is one S-RTO setting's outcome on cloud-storage short
+// flows.
+type SweepRow struct {
+	// Param is the swept parameter: "T1", "T2" or "multiple".
+	Param string
+	// Value is the setting as rendered ("∞" disables a guard).
+	Value                     string
+	MeanMS, P90MS, RetransPct float64
+}
+
+// SRTOSweep is the S-RTO ablation: the T1 activation threshold, the
+// T2 cwnd-halving guard and the probe-timer RTT multiple, each swept
+// with the others at their deployed values, on cloud-storage short
+// flows. It renders one table per parameter.
+func SRTOSweep(seed int64, flows int) ([]SweepRow, string) {
+	type setting struct {
+		label string
+		cfg   mitigation.SRTOConfig
+	}
+	ints := func(cfg func(int) mitigation.SRTOConfig, vals ...int) []setting {
+		var out []setting
+		for _, v := range vals {
+			label := fmt.Sprintf("%d", v)
+			if v >= 1<<20 {
+				label = "∞"
+			}
+			out = append(out, setting{label, cfg(v)})
+		}
+		return out
+	}
+	var mults []setting
+	for _, m := range []float64{1.5, 2, 3, 4} {
+		mults = append(mults, setting{fmt.Sprintf("%.1f·RTT", m), mitigation.SRTOConfig{T1: 10, T2: 5, RTTMultiple: m}})
+	}
+	sweeps := []struct {
+		param, title string
+		settings     []setting
+	}{
+		{"T1", "T1", ints(func(v int) mitigation.SRTOConfig { return mitigation.SRTOConfig{T1: v, T2: 5} }, 2, 5, 10, 20, 1<<20)},
+		{"T2", "T2", ints(func(v int) mitigation.SRTOConfig { return mitigation.SRTOConfig{T1: 10, T2: v} }, 1, 3, 5, 10, 1<<20)},
+		{"multiple", "probe-timer multiple", mults},
+	}
+	var rows []SweepRow
+	var tables []string
+	for _, sw := range sweeps {
+		t := stats.NewTable(fmt.Sprintf("S-RTO %s sweep (cloud-storage short flows).", sw.title),
+			sw.param, "mean latency", "p90", "retrans ratio")
+		for _, st := range sw.settings {
+			res := runRecovery(workload.CloudStorageShort(), seed, flows,
+				func() tcpsim.Recovery { return mitigation.NewSRTO(st.cfg) })
+			lat := latencySample(res, false)
+			row := SweepRow{Param: sw.param, Value: st.label,
+				MeanMS: lat.Mean(), P90MS: lat.Quantile(0.9), RetransPct: retransPct(res, true)}
+			rows = append(rows, row)
+			t.AddRow(row.Value, fmt.Sprintf("%.0fms", row.MeanMS), fmt.Sprintf("%.0fms", row.P90MS),
+				fmt.Sprintf("%.2f%%", row.RetransPct))
+		}
+		tables = append(tables, t.String())
+	}
+	return rows, strings.Join(tables, "\n")
+}
+
+// StrategyRow is one recovery strategy's outcome on cloud-storage
+// short flows.
+type StrategyRow struct {
+	Strategy             string
+	P50MS, P90MS, MeanMS float64
+	RTOFirings           int
+	RetransPct           float64
+}
+
+// StrategyComparison runs all five recovery strategies — the paper's
+// three plus the related-work comparators Early Retransmit and
+// TCP-NCL — on identical cloud-storage short-flow workloads.
+func StrategyComparison(seed int64, flows int) ([]StrategyRow, string) {
+	strategies := []func() tcpsim.Recovery{
+		func() tcpsim.Recovery { return tcpsim.NativeRecovery{} },
+		func() tcpsim.Recovery { return mitigation.EarlyRetransmit{} },
+		func() tcpsim.Recovery { return mitigation.NewTLP(mitigation.TLPConfig{}) },
+		func() tcpsim.Recovery { return mitigation.NewNCL(mitigation.NCLConfig{}) },
+		func() tcpsim.Recovery { return mitigation.NewSRTO(mitigation.SRTOConfig{T1: 10, T2: 5}) },
+	}
+	var rows []StrategyRow
+	t := stats.NewTable("All strategies on cloud-storage short flows (identical workload).",
+		"strategy", "p50", "p90", "mean", "RTO firings", "retrans ratio")
+	for _, mk := range strategies {
+		res := runRecovery(workload.CloudStorageShort(), seed, flows, mk)
+		lat := latencySample(res, false)
+		row := StrategyRow{Strategy: mk().Name(), P50MS: lat.Quantile(0.5), P90MS: lat.Quantile(0.9),
+			MeanMS: lat.Mean(), RetransPct: retransPct(res, true)}
+		for _, r := range res {
+			if r.Metrics.Done {
+				row.RTOFirings += r.Metrics.Sender.RTOFirings
+			}
+		}
+		rows = append(rows, row)
+		t.AddRow(row.Strategy,
+			fmt.Sprintf("%.0fms", row.P50MS),
+			fmt.Sprintf("%.0fms", row.P90MS),
+			fmt.Sprintf("%.0fms", row.MeanMS),
+			fmt.Sprintf("%d", row.RTOFirings),
+			fmt.Sprintf("%.2f%%", row.RetransPct))
+	}
+	return rows, t.String()
 }

@@ -204,8 +204,8 @@ func (h *Head) Push(snap *Snapshot) PushResponse {
 	// corrupt summary) leaves head state untouched — the member's
 	// previous good snapshot keeps contributing, its seq stays where it
 	// was, and a Final flag cannot retire garbage into the compacted
-	// totals. The fold is also the per-push merge cost fleetbench
-	// gates, so it runs under the clock. The window cells, which
+	// totals. The fold is also the per-push merge cost (the chain
+	// benchmark's fleet.head_merge_p99_ms), so it runs under the clock. The window cells, which
 	// Window folds rather than Totals, get the same sortedness check.
 	start := time.Now()
 	_, err := h.foldLocked(ms, &cp)
@@ -482,7 +482,7 @@ func (h *Head) ConfigSnapshot() *ConfigUpdate {
 // layer with each accepted snapshot's body size).
 func (h *Head) AddSnapshotBytes(n int) { h.snapBytes.Add(uint64(n)) }
 
-// HeadStats is the head's own accounting, for /metrics and fleetbench.
+// HeadStats is the head's own accounting, for /metrics and the chain benchmark.
 type HeadStats struct {
 	Members       int               `json:"members"`
 	LiveMembers   int               `json:"live_members"`

@@ -15,10 +15,9 @@ import (
 	"strings"
 )
 
-// Wirefreeze pins the fleet wire protocol and the BENCH JSON schemas
-// to a committed snapshot. Every struct reachable from the roots —
-// fleet.Snapshot and the register/push/config/events/timeseries wire
-// types, plus the livebench/fleetbench report structs — is
+// Wirefreeze pins the fleet wire protocol to a committed snapshot.
+// Every struct reachable from the roots — fleet.Snapshot and the
+// register/push/config/events/timeseries wire types — is
 // fingerprinted (field names, fully-qualified field types, json
 // tags; order-insensitive hash) and compared against
 // internal/lint/testdata/wirefreeze/wire.json, which also records
@@ -38,7 +37,7 @@ import (
 // commit a partial snapshot.
 var Wirefreeze = &Analyzer{
 	Name:       "wirefreeze",
-	Doc:        "wire structs and BENCH schemas must match the committed fingerprint snapshot",
+	Doc:        "fleet wire structs must match the committed fingerprint snapshot",
 	RunProgram: runWirefreeze,
 }
 
@@ -59,8 +58,6 @@ var (
 		{modulePkg("internal/fleet"), "Event"},
 		{modulePkg("internal/fleet"), "EventsResponse"},
 		{modulePkg("internal/fleet"), "SeriesResponse"},
-		{modulePkg("cmd/livebench"), "result"},
-		{modulePkg("cmd/fleetbench"), "result"},
 	}
 	WirefreezeSnapshot string
 	WirefreezeUpdate   bool

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -524,6 +525,45 @@ func TestBatchFreeListBounded(t *testing.T) {
 	if bound := batchFreePerShard * 2; held == 0 || held > bound {
 		t.Errorf("free list holds %d buffers after draining %d, want 1..%d",
 			held, 2*shardQueueDepth, bound)
+	}
+}
+
+// TestMonitorAllocsPerRecord is the always-on monitor's allocation
+// budget: heap objects per record from Start through Close, counting
+// batch intake, shard processing and eviction on every goroutine. The
+// input is 25 generated flows per service at seed 11, handed over in
+// replay-sized IngestBatchWait chunks. The steady state is about 0.1;
+// the best of three runs must stay at or under 0.5.
+func TestMonitorAllocsPerRecord(t *testing.T) {
+	const chunk = 512
+	var all []trace.RecordEvent
+	for _, svc := range workload.Services() {
+		for _, fr := range workload.Generate(svc, 11, workload.GenOptions{Flows: 25}) {
+			all = append(all, events(fr.Flow)...)
+		}
+	}
+	best := -1.0
+	for rep := 0; rep < 3; rep++ {
+		m := New(Config{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.Start()
+		for i := 0; i < len(all); i += chunk {
+			m.IngestBatchWait(all[i:min(i+chunk, len(all))])
+		}
+		m.Close()
+		runtime.ReadMemStats(&after)
+		if got := m.Snapshot().RecordsFed; got != uint64(len(all)) {
+			t.Fatalf("fed %d of %d records", got, len(all))
+		}
+		perRec := float64(after.Mallocs-before.Mallocs) / float64(len(all))
+		if best < 0 || perRec < best {
+			best = perRec
+		}
+	}
+	t.Logf("%d records, %.3f allocs/record", len(all), best)
+	if best > 0.5 {
+		t.Errorf("always-on monitor allocates %.3f objects per record, budget 0.5", best)
 	}
 }
 
