@@ -3,8 +3,8 @@ package packet
 import "fmt"
 
 // Frame is a fully parsed Ethernet/IP/TCP stack. After a successful
-// Decode, exactly one of IP4/IP6 is valid (see IsIPv6) and TCP and
-// Payload are set when the transport is TCP.
+// Decode or DecodeIP, exactly one of IP4/IP6 is valid (see IsIPv6)
+// and TCP and Payload are set when the transport is TCP.
 type Frame struct {
 	Eth     Ethernet
 	IP4     IPv4
@@ -17,35 +17,55 @@ type Frame struct {
 
 // Decode parses an Ethernet frame down to the TCP payload. Non-IP and
 // non-TCP frames decode as far as possible with HasTCP=false; they
-// are not an error unless malformed.
+// are not an error unless malformed. The EtherType selects the IP
+// version, so an IP header of the other version is an error.
 func (f *Frame) Decode(data []byte) error {
-	f.HasTCP = false
-	f.Payload = nil
+	f.HasTCP, f.Payload = false, nil
 	rest, err := f.Eth.DecodeFromBytes(data)
 	if err != nil {
 		return err
 	}
-	var proto IPProto
 	switch f.Eth.Type {
 	case EtherTypeIPv4:
-		f.IsIPv6 = false
-		if rest, err = f.IP4.DecodeFromBytes(rest); err != nil {
-			return err
-		}
-		proto = f.IP4.Protocol
+		return f.decodeIP(rest, 4)
 	case EtherTypeIPv6:
+		return f.decodeIP(rest, 6)
+	}
+	return fmt.Errorf("%w: ethertype %#04x", ErrUnsupported, uint16(f.Eth.Type))
+}
+
+// DecodeIP parses a bare IP packet, as a raw-IP capture holds it,
+// down to the TCP payload. The version nibble selects IPv4 or IPv6;
+// otherwise it behaves as Decode does after the Ethernet header, and
+// leaves Eth untouched.
+func (f *Frame) DecodeIP(data []byte) error {
+	f.HasTCP, f.Payload = false, nil
+	if len(data) == 0 {
+		return fmt.Errorf("ip: %w (0 bytes)", ErrTruncated)
+	}
+	return f.decodeIP(data, data[0]>>4)
+}
+
+// decodeIP parses an IP packet of the given version and, when it
+// carries TCP, the TCP header.
+func (f *Frame) decodeIP(data []byte, version byte) (err error) {
+	var proto IPProto
+	switch version {
+	case 4:
+		f.IsIPv6 = false
+		data, err = f.IP4.DecodeFromBytes(data)
+		proto = f.IP4.Protocol
+	case 6:
 		f.IsIPv6 = true
-		if rest, err = f.IP6.DecodeFromBytes(rest); err != nil {
-			return err
-		}
+		data, err = f.IP6.DecodeFromBytes(data)
 		proto = f.IP6.NextHeader
 	default:
-		return fmt.Errorf("%w: ethertype %#04x", ErrUnsupported, uint16(f.Eth.Type))
+		return fmt.Errorf("%w: IP version %d", ErrUnsupported, version)
 	}
-	if proto != IPProtoTCP {
-		return nil
+	if err != nil || proto != IPProtoTCP {
+		return err
 	}
-	if f.Payload, err = f.TCP.DecodeFromBytes(rest); err != nil {
+	if f.Payload, err = f.TCP.DecodeFromBytes(data); err != nil {
 		return err
 	}
 	f.HasTCP = true

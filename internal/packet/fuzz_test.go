@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -75,18 +76,48 @@ func FuzzParseIPv4(f *testing.F) {
 }
 
 // FuzzDecodeFrame checks the full Ethernet-to-TCP frame decoder on
-// arbitrary bytes.
+// arbitrary bytes, and that DecodeIP on a bare IP packet agrees with
+// Decode on the same packet behind an Ethernet header whose EtherType
+// matches its version nibble.
 func FuzzDecodeFrame(f *testing.F) {
 	var eth Ethernet
 	var ip IPv4
 	ip.TTL = 64
 	tcp := TCPHeader{SrcPort: 80, DstPort: 12345, Flags: FlagACK}
-	f.Add(EncodeTCPv4(&eth, &ip, &tcp, []byte("hello")))
+	frame4 := EncodeTCPv4(&eth, &ip, &tcp, []byte("hello"))
+	f.Add(frame4)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x00}, 14))
+	// Bare IP packets, for the DecodeIP leg.
+	f.Add(frame4[EthernetHeaderLen:])
+	var ip6 IPv6
+	ip6.HopLimit = 64
+	f.Add(EncodeTCPv6(&eth, &ip6, &tcp, []byte("hello"))[EthernetHeaderLen:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fr Frame
 		_ = fr.Decode(data) // must not panic
+
+		var raw Frame
+		rawErr := raw.DecodeIP(data) // must not panic
+		var et EtherType
+		switch {
+		case len(data) > 0 && data[0]>>4 == 4:
+			et = EtherTypeIPv4
+		case len(data) > 0 && data[0]>>4 == 6:
+			et = EtherTypeIPv6
+		default:
+			return
+		}
+		hdr := Ethernet{Type: et}
+		var framed Frame
+		ethErr := framed.Decode(append(hdr.AppendTo(nil), data...))
+		if fmt.Sprint(rawErr) != fmt.Sprint(ethErr) {
+			t.Fatalf("DecodeIP err = %v, Decode err = %v", rawErr, ethErr)
+		}
+		if raw.HasTCP != framed.HasTCP || raw.TCP != framed.TCP || !bytes.Equal(raw.Payload, framed.Payload) {
+			t.Fatalf("DecodeIP: HasTCP=%v TCP=%+v payload=%x; Decode: HasTCP=%v TCP=%+v payload=%x",
+				raw.HasTCP, raw.TCP, raw.Payload, framed.HasTCP, framed.TCP, framed.Payload)
+		}
 	})
 }

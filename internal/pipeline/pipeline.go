@@ -68,7 +68,7 @@ func FromResults(results []workload.FlowResult) Source {
 // instead of waiting for one giant slice.
 func FromPcap(r io.Reader, cfg trace.ImportConfig) Source {
 	return func(yield func(*trace.Flow) error) error {
-		return trace.ImportPcapStream(r, cfg, trace.FlowHandler(yield))
+		return trace.ImportPcapStream(r, cfg, yield)
 	}
 }
 

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"tcpstall/internal/packet"
+	"tcpstall/internal/pcap"
 	"tcpstall/internal/sim"
 	"tcpstall/internal/tcpsim"
 )
@@ -55,11 +58,12 @@ func seedCapture(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// FuzzImportPcap feeds arbitrary bytes to all three importers. The
-// contract under attack: they must return an error, never panic, fail
-// or succeed together, and whenever the batch importer succeeds the
-// streaming and per-record importers must see the same total record
-// count.
+// FuzzImportPcap feeds arbitrary bytes to all three importers. They
+// must return an error, never panic, and fail or succeed together.
+// On success the demux must hold its invariants: a flow's FlowDone
+// event, if any, is its last (no ID reappears after it), and the
+// streaming importer emits exactly the flows the batch importer
+// returns.
 func FuzzImportPcap(f *testing.F) {
 	valid := seedCapture(f)
 	f.Add(valid)
@@ -70,36 +74,54 @@ func FuzzImportPcap(f *testing.F) {
 	hostile := append([]byte{}, valid[:24+8]...)
 	hostile = append(hostile, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(hostile)
+	// A reset, then the same endpoint reconnects.
+	c := newCapture(f)
+	c.frame(false, clientA, packet.FlagSYN, 0, 0, 0)
+	c.frame(true, clientA, packet.FlagSYN|packet.FlagACK, 0, 1, 0)
+	c.frame(true, clientA, packet.FlagRST, 1, 1, 0)
+	c.frame(false, clientA, packet.FlagSYN, 50, 0, 0)
+	c.frame(true, clientA, packet.FlagSYN|packet.FlagACK, 90, 51, 0)
+	f.Add(c.buf.Bytes())
+	// A raw-IP capture over IPv4 and IPv6, and an Ethernet one holding
+	// a TSO segment whose IP length field is 0.
+	f.Add(linkCapture(f, pcap.LinkTypeRaw,
+		ipSegment(false, false, packet.FlagSYN, 0, 0),
+		ipSegment(true, true, packet.FlagACK, 1, 100),
+		ipSegment(false, false, packet.FlagRST, 1, 0)))
+	f.Add(linkCapture(f, pcap.LinkTypeEthernet,
+		ipSegment(false, true, packet.FlagACK, 1, 100),
+		zeroIPLen(ipSegment(false, true, packet.FlagACK, 101, 500))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		flows, err := ImportPcap(bytes.NewReader(data), ImportConfig{})
-		var batchRecords int
-		for _, fl := range flows {
-			batchRecords += len(fl.Records)
-		}
 
-		var streamRecords int
+		var streamed []string
 		serr := ImportPcapStream(bytes.NewReader(data), ImportConfig{}, func(fl *Flow) error {
-			streamRecords += len(fl.Records)
+			streamed = append(streamed, fl.ID)
 			return nil
 		})
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("batch err = %v, stream err = %v", err, serr)
-		}
-		if err == nil && batchRecords != streamRecords {
-			t.Fatalf("batch reassembled %d records, stream %d", batchRecords, streamRecords)
-		}
-
-		var perRecord int
-		rerr := ImportPcapRecords(bytes.NewReader(data), ImportConfig{}, func(RecordEvent) error {
-			perRecord++
+		done := map[string]bool{}
+		rerr := ImportPcapRecords(bytes.NewReader(data), ImportConfig{}, func(ev RecordEvent) error {
+			if done[ev.FlowID] {
+				t.Fatalf("flow %s has an event after its FlowDone", ev.FlowID)
+			}
+			done[ev.FlowID] = ev.FlowDone
 			return nil
 		})
-		if (err == nil) != (rerr == nil) {
-			t.Fatalf("batch err = %v, per-record err = %v", err, rerr)
+		if (err == nil) != (serr == nil) || (err == nil) != (rerr == nil) {
+			t.Fatalf("batch err = %v, stream err = %v, per-record err = %v", err, serr, rerr)
 		}
-		if err == nil && batchRecords != perRecord {
-			t.Fatalf("batch reassembled %d records, per-record importer %d", batchRecords, perRecord)
+		if err != nil {
+			return
+		}
+		var batch []string
+		for _, fl := range flows {
+			batch = append(batch, fl.ID)
+		}
+		sort.Strings(batch)
+		sort.Strings(streamed)
+		if !slices.Equal(batch, streamed) {
+			t.Fatalf("batch flows %v, streamed flows %v", batch, streamed)
 		}
 	})
 }

@@ -168,67 +168,10 @@ type ImportConfig struct {
 	ServerPort uint16
 }
 
-// FlowHandler consumes one completed flow. Returning an error aborts
-// the import and propagates the error to the caller.
-type FlowHandler func(*Flow) error
-
 // flowKey identifies a connection by the client endpoint.
 type flowKey struct {
 	ip   [16]byte // IPv4 addresses mapped into the low 4 bytes
 	port uint16
-}
-
-// flowState is a demux entry: the flow under assembly plus the
-// teardown tracking that lets the streaming importer emit it early.
-type flowState struct {
-	flow *Flow
-	td   teardown
-}
-
-// demux reassembles per-connection flows from decoded frames. With
-// emitEarly set it completes flows as soon as the capture shows the
-// connection is over (RST, or both FINs followed by a pure ACK);
-// otherwise every flow is held until flush.
-type demux struct {
-	cfg       ImportConfig
-	emitEarly bool
-
-	flows    map[flowKey]*flowState
-	order    []flowKey
-	gens     map[flowKey]int // completed generations per key
-	base     time.Time
-	haveBase bool
-
-	// fr is the decode frame every record reuses.
-	fr packet.Frame
-}
-
-func newDemux(cfg ImportConfig, emitEarly bool) *demux {
-	if cfg.ServerPort == 0 {
-		cfg.ServerPort = 80
-	}
-	return &demux{
-		cfg:       cfg,
-		emitEarly: emitEarly,
-		flows:     map[flowKey]*flowState{},
-		gens:      map[flowKey]int{},
-	}
-}
-
-// flowID renders the demux key as a flow identifier, suffixed with
-// the generation ordinal when the same endpoint reappears after its
-// connection completed.
-func (d *demux) flowID(k flowKey, ipv6 bool) string {
-	var id string
-	if ipv6 {
-		id = fmt.Sprintf("[%x]:%d", k.ip, k.port)
-	} else {
-		id = fmt.Sprintf("%d.%d.%d.%d:%d", k.ip[0], k.ip[1], k.ip[2], k.ip[3], k.port)
-	}
-	if g := d.gens[k]; g > 0 {
-		id = fmt.Sprintf("%s#%d", id, g+1)
-	}
-	return id
 }
 
 // decodedRecord is one parsed TCP packet attributed to a connection.
@@ -242,8 +185,7 @@ type decodedRecord struct {
 
 // decodeTCP parses one captured frame down to a keyed TCP record from
 // the server's vantage point, decoding into fr, which the caller owns
-// and reuses across records. It is the shared front half of the
-// flow-assembling demux and the per-record streaming importer.
+// and reuses across records.
 func decodeTCP(fr *packet.Frame, data []byte, raw bool, serverPort uint16) (decodedRecord, bool) {
 	var dr decodedRecord
 	if !decodeFrame(fr, data, raw) {
@@ -298,12 +240,25 @@ func decodeTCP(fr *packet.Frame, data []byte, raw bool, serverPort uint16) (deco
 	return dr, true
 }
 
+// decodeFrame parses one captured record down to TCP into fr — an
+// Ethernet frame, or a bare IP packet on a raw-IP capture — and
+// reports whether fr now holds a TCP segment.
+func decodeFrame(fr *packet.Frame, data []byte, rawIP bool) bool {
+	var err error
+	if rawIP {
+		err = fr.DecodeIP(data)
+	} else {
+		err = fr.Decode(data)
+	}
+	return err == nil && fr.HasTCP
+}
+
 // teardown tracks connection-close progress and reports whether the
 // segment at hand completes the connection. An RST closes it
 // outright; after FINs in both directions, the next pure ACK (the
 // teardown's final acknowledgment) closes it. A FIN-only teardown
 // with no trailing ACK — the simulator's shape — never reports
-// completion and is handled at flush/EOF by the callers.
+// completion and is handled at EOF by the callers.
 type teardown struct {
 	finOut, finIn bool
 }
@@ -324,74 +279,46 @@ func (td *teardown) observe(dir tcpsim.Dir, seg *tcpsim.Segment) (done bool) {
 	return false
 }
 
-// add folds one captured record in and returns a flow that just
-// completed, if any.
-func (d *demux) add(pkt pcap.Packet, raw bool) *Flow {
-	dr, ok := decodeTCP(&d.fr, pkt.Data, raw, d.cfg.ServerPort)
-	if !ok {
-		return nil
-	}
-	k := dr.key
-	if !d.haveBase {
-		d.base = pkt.Timestamp
-		d.haveBase = true
-	}
-	st, ok := d.flows[k]
-	if !ok {
-		st = &flowState{
-			flow: &Flow{
-				ID:      d.flowID(k, dr.ipv6),
-				Service: "pcap",
-				Done:    true,
-				MSS:     1460,
-			},
+// assemble groups ImportPcapRecords' events into flows by FlowID. A
+// flow takes its last event's MSS and its first non-zero InitRwnd.
+// seen, when non-nil, gets each flow at its first event; done gets
+// each flow at its FlowDone event and, at EOF, the flows still open
+// in first-seen order. Only open flows are held.
+func assemble(r io.Reader, cfg ImportConfig, seen func(*Flow), done func(*Flow) error) error {
+	open := map[string]*Flow{}
+	var order []string // flow IDs in first-seen order
+	err := ImportPcapRecords(r, cfg, func(ev RecordEvent) error {
+		f := open[ev.FlowID]
+		if f == nil {
+			f = &Flow{ID: ev.FlowID, Service: ev.Service, Done: true}
+			open[ev.FlowID] = f
+			order = append(order, ev.FlowID)
+			if seen != nil {
+				seen(f)
+			}
 		}
-		d.flows[k] = st
-		d.order = append(d.order, k)
-	}
-	f := st.flow
-	if dr.mss > 0 {
-		f.MSS = dr.mss
-	}
-	if dr.dir == tcpsim.DirIn && dr.seg.Flags.Has(packet.FlagSYN) && f.InitRwnd == 0 {
-		f.InitRwnd = dr.seg.Wnd
-	}
-	f.Records = append(f.Records, Record{
-		T:   sim.Time(pkt.Timestamp.Sub(d.base)),
-		Dir: dr.dir,
-		Seg: dr.seg,
+		f.MSS = ev.MSS
+		if f.InitRwnd == 0 {
+			f.InitRwnd = ev.InitRwnd
+		}
+		f.Records = append(f.Records, ev.Rec)
+		if !ev.FlowDone {
+			return nil
+		}
+		delete(open, ev.FlowID)
+		return done(f)
 	})
-	if !d.emitEarly {
-		return nil
+	if err != nil {
+		return err
 	}
-	if st.td.observe(dr.dir, &dr.seg) {
-		return d.complete(k)
+	for _, id := range order {
+		if f := open[id]; f != nil {
+			if err := done(f); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
-}
-
-// complete detaches and returns the flow for k.
-func (d *demux) complete(k flowKey) *Flow {
-	st := d.flows[k]
-	delete(d.flows, k)
-	d.gens[k]++
-	return st.flow
-}
-
-// flush returns the incomplete flows in first-seen order. A key can
-// appear in order once per generation, so delete as we emit to keep
-// each remaining flow to a single emission.
-func (d *demux) flush() []*Flow {
-	flows := make([]*Flow, 0, len(d.flows))
-	for _, k := range d.order {
-		if st, ok := d.flows[k]; ok {
-			flows = append(flows, st.flow)
-			delete(d.flows, k)
-		}
-	}
-	d.flows = map[flowKey]*flowState{}
-	d.order = nil
-	return flows
 }
 
 // ImportPcapStream reads a capture and hands each reassembled flow to
@@ -399,100 +326,22 @@ func (d *demux) flush() []*Flow {
 // — for flows still open when the capture ends — at EOF in
 // first-seen order. This is the streaming entry point the analysis
 // pipeline demuxes from; it holds only open flows in memory instead
-// of the whole capture.
-//
-// If packets for a client endpoint arrive after its connection
-// completed, they start a new flow whose ID carries a "#n" generation
-// suffix.
-func ImportPcapStream(r io.Reader, cfg ImportConfig, h FlowHandler) error {
-	pr, err := pcap.NewReader(r)
-	if err != nil {
-		return err
-	}
-	raw := pr.Header().LinkType == pcap.LinkTypeRaw
-	d := newDemux(cfg, true)
-	for {
-		pkt, err := pr.ReadPacket()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if f := d.add(pkt, raw); f != nil {
-			if err := h(f); err != nil {
-				return err
-			}
-		}
-	}
-	for _, f := range d.flush() {
-		if err := h(f); err != nil {
-			return err
-		}
-	}
-	return nil
+// of the whole capture. Flows split at reconnects exactly as in
+// ImportPcapRecords.
+func ImportPcapStream(r io.Reader, cfg ImportConfig, h func(*Flow) error) error {
+	return assemble(r, cfg, nil, h)
 }
 
 // ImportPcap reads a capture and reassembles per-connection flows
 // from the server's vantage point. Ethernet and raw-IP link types are
 // supported; IPv4 and IPv6 frames both decode. Non-TCP frames are
-// skipped. Flows are returned in first-seen order, each holding every
-// packet of its client endpoint.
+// skipped. Flows are returned in first-seen order and split at
+// reconnects exactly as in ImportPcapRecords and ImportPcapStream.
 func ImportPcap(r io.Reader, cfg ImportConfig) ([]*Flow, error) {
-	pr, err := pcap.NewReader(r)
+	var flows []*Flow
+	err := assemble(r, cfg, func(f *Flow) { flows = append(flows, f) }, func(*Flow) error { return nil })
 	if err != nil {
 		return nil, err
 	}
-	raw := pr.Header().LinkType == pcap.LinkTypeRaw
-	d := newDemux(cfg, false)
-	for {
-		pkt, err := pr.ReadPacket()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		d.add(pkt, raw)
-	}
-	return d.flush(), nil
-}
-
-// decodeFrame parses one captured record down to TCP into fr,
-// handling both Ethernet and raw-IP link layers, and reports whether
-// fr now holds a TCP segment.
-func decodeFrame(fr *packet.Frame, data []byte, rawIP bool) bool {
-	if !rawIP {
-		return fr.Decode(data) == nil && fr.HasTCP
-	}
-	// fr carries the previous record's decode: reset what the raw-IP
-	// path reads but does not always write. Payload stays nil, so
-	// decodeTCP's segment-length fallback sees what a fresh frame gave.
-	fr.IsIPv6, fr.HasTCP, fr.Payload = false, false, nil
-	if len(data) == 0 {
-		return false
-	}
-	switch data[0] >> 4 {
-	case 4:
-		rest, err := fr.IP4.DecodeFromBytes(data)
-		if err != nil || fr.IP4.Protocol != packet.IPProtoTCP {
-			return false
-		}
-		if _, err := fr.TCP.DecodeFromBytes(rest); err != nil {
-			return false
-		}
-	case 6:
-		rest, err := fr.IP6.DecodeFromBytes(data)
-		if err != nil || fr.IP6.NextHeader != packet.IPProtoTCP {
-			return false
-		}
-		if _, err := fr.TCP.DecodeFromBytes(rest); err != nil {
-			return false
-		}
-		fr.IsIPv6 = true
-	default:
-		return false
-	}
-	fr.HasTCP = true
-	return true
+	return flows, nil
 }

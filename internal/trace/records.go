@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"fmt"
 	"io"
 	"time"
 
+	"tcpstall/internal/packet"
 	"tcpstall/internal/pcap"
 	"tcpstall/internal/sim"
 	"tcpstall/internal/tcpsim"
@@ -15,9 +17,9 @@ import (
 // the producer's memory is bounded by connection count, not trace
 // length.
 type RecordEvent struct {
-	// FlowID identifies the connection; for pcap sources it carries
-	// the same "#n" generation suffix the flow importer uses when a
-	// client endpoint reconnects.
+	// FlowID identifies the connection; when a client endpoint
+	// reconnects after its connection completed, the new connection's
+	// ID carries a "#n" generation suffix.
 	FlowID  string
 	Service string
 	// MSS is the flow's negotiated MSS as known so far (0 = unknown;
@@ -34,12 +36,6 @@ type RecordEvent struct {
 	FlowDone bool
 }
 
-// RecordSource streams tagged records, calling emit once per record
-// in capture order. An emit error aborts the source, which must
-// return it. It mirrors pipeline.Source one layer down: flows are the
-// batch unit, records are the live unit.
-type RecordSource func(emit func(RecordEvent) error) error
-
 // recFlow is the per-connection state the record streamer keeps: the
 // identity and teardown progress, never the records.
 type recFlow struct {
@@ -51,12 +47,13 @@ type recFlow struct {
 // ImportPcapRecords reads a capture and hands every TCP record to h
 // in capture order, tagged with its connection identity. Memory is
 // bounded by the number of concurrently open connections (a few
-// dozen bytes each), not by trace length — this is the streaming
-// source the live monitor replays captures through.
+// dozen bytes each), not by trace length. It is the one capture
+// reader and flow demux: the live monitor replays captures through
+// it, and ImportPcap and ImportPcapStream assemble its events into
+// flows.
 //
-// Like ImportPcapStream, a client endpoint reappearing after its
-// connection completed starts a new flow with a "#n" generation
-// suffix.
+// A client endpoint reappearing after its connection completed starts
+// a new flow with a "#n" generation suffix.
 func ImportPcapRecords(r io.Reader, cfg ImportConfig, h func(RecordEvent) error) error {
 	pr, err := pcap.NewReader(r)
 	if err != nil {
@@ -67,8 +64,8 @@ func ImportPcapRecords(r io.Reader, cfg ImportConfig, h func(RecordEvent) error)
 	}
 	raw := pr.Header().LinkType == pcap.LinkTypeRaw
 	flows := map[flowKey]*recFlow{}
-	gens := map[flowKey]int{}
-	d := demux{gens: gens} // for flowID rendering and its decode frame only
+	gens := map[flowKey]int{} // completed generations per key
+	var fr packet.Frame       // the decode frame every record reuses
 	var base timeBase
 	for {
 		pkt, err := pr.ReadPacket()
@@ -78,13 +75,13 @@ func ImportPcapRecords(r io.Reader, cfg ImportConfig, h func(RecordEvent) error)
 		if err != nil {
 			return err
 		}
-		dr, ok := decodeTCP(&d.fr, pkt.Data, raw, cfg.ServerPort)
+		dr, ok := decodeTCP(&fr, pkt.Data, raw, cfg.ServerPort)
 		if !ok {
 			continue
 		}
 		st, ok := flows[dr.key]
 		if !ok {
-			st = &recFlow{id: d.flowID(dr.key, dr.ipv6), mss: 1460}
+			st = &recFlow{id: flowID(dr.key, dr.ipv6, gens[dr.key]), mss: 1460}
 			flows[dr.key] = st
 		}
 		if dr.mss > 0 {
@@ -114,8 +111,23 @@ func ImportPcapRecords(r io.Reader, cfg ImportConfig, h func(RecordEvent) error)
 	}
 }
 
-// timeBase anchors capture timestamps to the first packet, like the
-// flow demux does.
+// flowID renders a connection key as a flow identifier, suffixed with
+// the generation ordinal when the endpoint has completed gen earlier
+// connections.
+func flowID(k flowKey, ipv6 bool, gen int) string {
+	var id string
+	if ipv6 {
+		id = fmt.Sprintf("[%x]:%d", k.ip, k.port)
+	} else {
+		id = fmt.Sprintf("%d.%d.%d.%d:%d", k.ip[0], k.ip[1], k.ip[2], k.ip[3], k.port)
+	}
+	if gen > 0 {
+		id = fmt.Sprintf("%s#%d", id, gen+1)
+	}
+	return id
+}
+
+// timeBase anchors capture timestamps to the first TCP record.
 type timeBase struct {
 	base time.Time
 	have bool

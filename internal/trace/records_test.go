@@ -70,8 +70,7 @@ func TestImportPcapRecordsMatchesFlows(t *testing.T) {
 	}
 
 	// Reassemble per flow and compare against the streaming flow
-	// importer, whose generation-splitting semantics the record
-	// streamer shares.
+	// importer's assembly of the same events.
 	byID := map[string][]Record{}
 	var order []string
 	for _, ev := range evs {

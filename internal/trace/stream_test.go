@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,13 +13,13 @@ import (
 // capture hand-builds an Ethernet/IPv4/TCP pcap, one frame at a time,
 // so tests control teardown shapes the simulator never produces.
 type capture struct {
-	t   *testing.T
+	t   testing.TB
 	buf bytes.Buffer
 	pw  *pcap.Writer
 	now time.Time
 }
 
-func newCapture(t *testing.T) *capture {
+func newCapture(t testing.TB) *capture {
 	c := &capture{t: t, now: time.Date(2014, 12, 22, 18, 0, 0, 0, time.UTC)}
 	pw, err := pcap.NewWriter(&c.buf, pcap.LinkTypeEthernet)
 	if err != nil {
@@ -42,8 +43,19 @@ const (
 // frame appends one packet. fromServer selects direction; payloadLen
 // bytes of zeros ride along.
 func (c *capture) frame(fromServer bool, clientIP [4]byte, flags packet.TCPFlags, seq, ack uint32, payloadLen int) {
+	c.segment(fromServer, clientIP, packet.TCPHeader{Seq: seq, Ack: ack, Flags: flags, Window: 65535}, payloadLen)
+}
+
+// syn appends a client SYN advertising mss and window wnd.
+func (c *capture) syn(clientIP [4]byte, seq uint32, mss, wnd uint16) {
+	tcp := packet.TCPHeader{Seq: seq, Flags: packet.FlagSYN, Window: wnd}
+	tcp.Options.HasMSS, tcp.Options.MSS = true, mss
+	c.segment(false, clientIP, tcp, 0)
+}
+
+// segment appends one packet carrying tcp, whose ports it fills in.
+func (c *capture) segment(fromServer bool, clientIP [4]byte, tcp packet.TCPHeader, payloadLen int) {
 	c.now = c.now.Add(time.Millisecond)
-	tcp := packet.TCPHeader{Seq: seq, Ack: ack, Flags: flags, Window: 65535}
 	var eth packet.Ethernet
 	var ip packet.IPv4
 	ip.TTL = 64
@@ -156,12 +168,14 @@ func TestStreamFINWithoutFinalACKFlushesAtEOF(t *testing.T) {
 }
 
 // TestStreamMatchesBatchImport: over an interleaved two-client
-// capture, the streaming importer reassembles exactly the flows the
-// batch importer does, record for record.
+// capture in which client A resets and reconnects from the same
+// endpoint, the streaming importer reassembles exactly the flows the
+// batch importer does: the same IDs ("#2" included), MSS, initial
+// window and records.
 func TestStreamMatchesBatchImport(t *testing.T) {
 	c := newCapture(t)
-	c.frame(false, clientA, packet.FlagSYN, 0, 0, 0)
-	c.frame(false, clientB, packet.FlagSYN, 0, 0, 0)
+	c.syn(clientA, 0, 1400, 64000)
+	c.syn(clientB, 0, 1460, 65535)
 	c.frame(true, clientA, packet.FlagSYN|packet.FlagACK, 0, 1, 0)
 	c.frame(true, clientB, packet.FlagSYN|packet.FlagACK, 0, 1, 0)
 	c.frame(false, clientA, packet.FlagACK, 1, 1, 0)
@@ -169,30 +183,38 @@ func TestStreamMatchesBatchImport(t *testing.T) {
 	c.frame(true, clientA, packet.FlagACK, 1, 1, 300)
 	c.frame(false, clientB, packet.FlagACK, 1, 501, 0)
 	c.frame(false, clientA, packet.FlagACK, 1, 301, 0)
+	c.frame(false, clientA, packet.FlagRST, 301, 0, 0)
+	// Same endpoint, new connection with its own MSS and window.
+	c.syn(clientA, 9000, 1200, 32000)
+	c.frame(true, clientA, packet.FlagSYN|packet.FlagACK, 5000, 9001, 0)
+	c.frame(true, clientA, packet.FlagACK, 5001, 9001, 200)
 
 	streamed := c.stream()
 	batch, err := ImportPcap(bytes.NewReader(c.buf.Bytes()), ImportConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(batch) != 3 {
+		t.Errorf("batch import gave %d flows, want 3 (A, B, A#2)", len(batch))
+	}
 	if len(streamed) != len(batch) {
 		t.Fatalf("streamed %d flows, batch %d", len(streamed), len(batch))
 	}
+	// The stream emits A at its RST, then B and A#2 at EOF in
+	// first-seen order: the same order batch import returns.
 	for i := range batch {
-		if streamed[i].ID != batch[i].ID {
-			t.Errorf("flow %d: streamed ID %q, batch ID %q", i, streamed[i].ID, batch[i].ID)
+		sf, bf := streamed[i], batch[i]
+		if sf.ID != bf.ID || sf.MSS != bf.MSS || sf.InitRwnd != bf.InitRwnd {
+			t.Errorf("flow %d: streamed %s mss=%d rwnd=%d, batch %s mss=%d rwnd=%d",
+				i, sf.ID, sf.MSS, sf.InitRwnd, bf.ID, bf.MSS, bf.InitRwnd)
 		}
-		if len(streamed[i].Records) != len(batch[i].Records) {
-			t.Errorf("flow %s: streamed %d records, batch %d",
-				batch[i].ID, len(streamed[i].Records), len(batch[i].Records))
-			continue
+		if !reflect.DeepEqual(sf.Records, bf.Records) {
+			t.Errorf("flow %s: streamed records %+v, batch %+v", bf.ID, sf.Records, bf.Records)
 		}
-		for j := range batch[i].Records {
-			sr, br := streamed[i].Records[j], batch[i].Records[j]
-			if sr.T != br.T || sr.Dir != br.Dir || sr.Seg.Seq != br.Seg.Seq ||
-				sr.Seg.Len != br.Seg.Len || sr.Seg.Flags != br.Seg.Flags {
-				t.Errorf("flow %s record %d: streamed %+v, batch %+v", batch[i].ID, j, sr, br)
-			}
-		}
+	}
+	a2 := batch[len(batch)-1]
+	if a2.ID != batch[0].ID+"#2" || a2.MSS != 1200 || a2.InitRwnd != 32000 || len(a2.Records) != 3 {
+		t.Errorf("reconnect = %s mss=%d rwnd=%d records=%d, want %s#2 mss=1200 rwnd=32000 records=3",
+			a2.ID, a2.MSS, a2.InitRwnd, len(a2.Records), batch[0].ID)
 	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -340,6 +341,125 @@ func TestImportRawIPv6ThenIPv4(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("ImportPcapRecords flows = %v, want %v", got, want)
+	}
+}
+
+// ipSegment builds one bare IP/TCP packet between server port 80 and
+// client port 4242, over IPv6 when v6 is set.
+func ipSegment(v6, fromServer bool, flags packet.TCPFlags, seq uint32, payloadLen int) []byte {
+	tcp := packet.TCPHeader{SrcPort: 4242, DstPort: 80, Seq: seq, Flags: flags, Window: 1000}
+	if fromServer {
+		tcp.SrcPort, tcp.DstPort = 80, 4242
+	}
+	segLen := tcp.HeaderLen() + payloadLen
+	payload := make([]byte, payloadLen)
+	if v6 {
+		var srv, cli [16]byte
+		srv[15], cli[15] = 1, 2
+		ip := packet.IPv6{HopLimit: 64, NextHeader: packet.IPProtoTCP, Src: cli, Dst: srv}
+		if fromServer {
+			ip.Src, ip.Dst = srv, cli
+		}
+		return tcp.AppendTo(ip.AppendTo(nil, segLen), payload, packet.V6Context(ip.Src, ip.Dst, segLen))
+	}
+	ip := packet.IPv4{TTL: 64, Protocol: packet.IPProtoTCP, Src: [4]byte{10, 0, 0, 2}, Dst: [4]byte{10, 0, 0, 1}}
+	if fromServer {
+		ip.Src, ip.Dst = ip.Dst, ip.Src
+	}
+	return tcp.AppendTo(ip.AppendTo(nil, segLen), payload, packet.V4Context(ip.Src, ip.Dst, segLen))
+}
+
+// zeroIPLen clears an IP packet's length field, as a capture on a
+// TSO sender records the oversized segments it hands the NIC.
+func zeroIPLen(b []byte) []byte {
+	if b[0]>>4 == 6 {
+		b[4], b[5] = 0, 0
+	} else {
+		b[2], b[3] = 0, 0
+	}
+	return b
+}
+
+// linkCapture writes bare IP packets 1 ms apart as one capture: as
+// they are under LinkTypeRaw, behind an Ethernet header whose
+// EtherType matches each packet's IP version under LinkTypeEthernet.
+func linkCapture(tb testing.TB, link pcap.LinkType, pkts ...[]byte) []byte {
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf, link)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base := time.Unix(1700000000, 0).UTC()
+	for i, p := range pkts {
+		data := p
+		if link == pcap.LinkTypeEthernet {
+			eth := packet.Ethernet{Type: packet.EtherTypeIPv4}
+			if p[0]>>4 == 6 {
+				eth.Type = packet.EtherTypeIPv6
+			}
+			data = append(eth.AppendTo(nil), p...)
+		}
+		if err := w.WritePacket(pcap.Packet{Timestamp: base.Add(time.Duration(i) * time.Millisecond), Data: data}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// The same IP packets import to the same flows and events whether the
+// capture is raw-IP or Ethernet, over IPv4 and IPv6 — including a
+// TSO segment whose IP length field is 0, which takes its length from
+// the captured bytes on both link types. The IPv6 decoder cuts a
+// packet at its payload length, so the IPv6 frame with payload
+// length 0 holds no TCP header and is skipped on both.
+func TestImportRawIPMatchesEthernet(t *testing.T) {
+	var pkts [][]byte
+	for _, v6 := range []bool{false, true} {
+		pkts = append(pkts,
+			ipSegment(v6, false, packet.FlagSYN, 0, 0),
+			ipSegment(v6, true, packet.FlagSYN|packet.FlagACK, 0, 0),
+			zeroIPLen(ipSegment(v6, true, packet.FlagACK, 1, 500)),
+			ipSegment(v6, true, packet.FlagACK, 501, 300),
+			ipSegment(v6, false, packet.FlagACK, 1, 0),
+		)
+	}
+	type imported struct {
+		flows  []*Flow
+		events []RecordEvent
+	}
+	var got [2]imported
+	for i, link := range []pcap.LinkType{pcap.LinkTypeRaw, pcap.LinkTypeEthernet} {
+		data := linkCapture(t, link, pkts...)
+		flows, err := ImportPcap(bytes.NewReader(data), ImportConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i].flows = flows
+		err = ImportPcapRecords(bytes.NewReader(data), ImportConfig{}, func(ev RecordEvent) error {
+			got[i].events = append(got[i].events, ev)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, eth := got[0], got[1]
+	if !reflect.DeepEqual(raw.flows, eth.flows) {
+		t.Error("ImportPcap: raw-IP flows differ from Ethernet flows")
+	}
+	if len(raw.events) != len(eth.events) {
+		t.Errorf("ImportPcapRecords: %d raw-IP events, %d Ethernet events", len(raw.events), len(eth.events))
+	}
+	for i := range min(len(raw.events), len(eth.events)) {
+		if raw.events[i] != eth.events[i] {
+			t.Errorf("ImportPcapRecords event %d: raw-IP %+v, Ethernet %+v", i, raw.events[i], eth.events[i])
+		}
+	}
+	if len(raw.flows) != 2 || len(raw.flows[0].Records) != 5 || len(raw.flows[1].Records) != 4 {
+		t.Fatalf("raw-IP import: %v, want a 5-record IPv4 flow and a 4-record IPv6 flow", raw.flows)
+	}
+	if n := raw.flows[0].Records[2].Seg.Len; n != 500 {
+		t.Errorf("IPv4 segment with total length 0 imported with Len %d, want 500", n)
 	}
 }
 
