@@ -409,7 +409,7 @@ func report(m *live.Monitor, member *fleet.Member) {
 	if s.DurationsMS != nil && s.DurationsMS.N() > 0 {
 		out["stall_duration_ms"] = map[string]any{
 			"count": s.DurationsMS.N(),
-			"mean":  s.DurationsMS.Mean(),
+			"mean":  float64(s.DurationsMS.Mean()) / float64(time.Millisecond),
 			"p50":   s.DurationsMS.Quantile(0.50),
 			"p99":   s.DurationsMS.Quantile(0.99),
 		}

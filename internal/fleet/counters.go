@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
+	"time"
 
 	"tcpstall/internal/stats"
 )
@@ -16,6 +18,11 @@ import (
 // member rebases with it and the head's time-series rings difference
 // with it. Merge is the one fold and Sub the one difference; nothing
 // else in the package walks these fields.
+//
+// Every sum is an integer — counts, nanoseconds of stall time, the
+// histogram's nanosecond sum, and the batch-size summary's whole-number
+// sums — so folding any set of counters gives the same bits in any
+// order.
 type Counters struct {
 	Ingested                  uint64            `json:"records_ingested"`
 	RingDrops                 uint64            `json:"ring_drops"`
@@ -44,31 +51,36 @@ type Counters struct {
 	IngestBatchSizes stats.SummaryState `json:"ingest_batch_sizes"`
 }
 
-// StallCounter is one (service, cause) stall cell.
+// StallCounter is one (service, cause) stall cell: how many stalls
+// closed and their summed duration.
 type StallCounter struct {
-	Service string  `json:"service"`
-	Cause   string  `json:"cause"`
-	Count   uint64  `json:"count"`
-	Seconds float64 `json:"seconds"`
+	Service string        `json:"service"`
+	Cause   string        `json:"cause"`
+	Count   uint64        `json:"count"`
+	Time    time.Duration `json:"ns"`
 }
 
 // RetransCounter is one Table-5 retransmission sub-cause cell.
 type RetransCounter struct {
-	Subcause string  `json:"subcause"`
-	Count    uint64  `json:"count"`
-	Seconds  float64 `json:"seconds"`
+	Subcause string        `json:"subcause"`
+	Count    uint64        `json:"count"`
+	Time     time.Duration `json:"ns"`
 }
+
+// maxExactSum bounds the batch-size summary's sums: every whole number
+// up to 2^53 is exact in a float64, so sums below it add exactly in any
+// order.
+const maxExactSum = 1 << 53
 
 // Merge folds o into c. Scalars and map entries add; the cell lists
 // merge by key; the duration histogram and the batch-size summary
-// merge as state. Floats accumulate in call order, so a left fold in a
-// fixed order always produces the same bits.
+// merge as state.
 //
 // o is untrusted wire input. A cell list that is not strictly
 // ascending by key, a malformed histogram, a histogram whose layout
-// differs from c's, or a summary with a negative count is an error,
-// and c is then unchanged. An o with no observations leaves c's
-// histogram alone; an empty c adopts o's layout.
+// differs from c's, a summary with a negative count, or a summary sum
+// that is not a whole number of at most 2^53 is an error, and c is
+// then unchanged.
 //
 // c is updated in place and allocates only when o brings a cell key c
 // lacks, so the head's steady-state fold — every member reports the
@@ -85,8 +97,7 @@ func (c *Counters) Merge(o *Counters) error {
 	if err := o.DurationsMS.Validate(); err != nil {
 		return err
 	}
-	adopt := len(c.DurationsMS.Counts) == 0
-	if !adopt && !slices.Equal(c.DurationsMS.Bounds, o.DurationsMS.Bounds) {
+	if !slices.Equal(c.DurationsMS.Bounds, o.DurationsMS.Bounds) || len(c.DurationsMS.Counts) != len(o.DurationsMS.Counts) {
 		return errors.New("different histogram layout")
 	}
 	batches, err := stats.SummaryFromState(c.IngestBatchSizes)
@@ -96,6 +107,11 @@ func (c *Counters) Merge(o *Counters) error {
 	ob, err := stats.SummaryFromState(o.IngestBatchSizes)
 	if err != nil {
 		return err
+	}
+	for _, v := range []float64{o.IngestBatchSizes.Sum, o.IngestBatchSizes.SumSq} {
+		if v != math.Trunc(v) || math.Abs(v) > maxExactSum {
+			return fmt.Errorf("batch-size summary sum %v is not a whole number of at most 2^53", v)
+		}
 	}
 
 	c.Ingested += o.Ingested
@@ -115,31 +131,20 @@ func (c *Counters) Merge(o *Counters) error {
 	c.Stalls = mergeCells(c.Stalls, o.Stalls, freshStalls)
 	c.Retrans = mergeCells(c.Retrans, o.Retrans, freshRetrans)
 
-	h, oh := &c.DurationsMS, &o.DurationsMS
-	switch {
-	case adopt: // non-nil copies: an empty layout encodes as [], like Histogram.State
-		*h = stats.HistogramState{
-			Bounds: append([]float64{}, oh.Bounds...),
-			Counts: append([]uint64{}, oh.Counts...),
-			Sum:    oh.Sum,
-		}
-	case slices.ContainsFunc(oh.Counts, func(n uint64) bool { return n > 0 }):
-		for i, n := range oh.Counts {
-			h.Counts[i] += n
-		}
-		h.Sum += oh.Sum
+	for i, n := range o.DurationsMS.Counts {
+		c.DurationsMS.Counts[i] += n
 	}
+	c.DurationsMS.SumNS += o.DurationsMS.SumNS
 	batches.Merge(ob)
 	c.IngestBatchSizes = batches.State()
 	return nil
 }
 
 // Sub returns c − prev: what c counted since the earlier cumulative
-// state prev. Every count is floored at zero, uint64 and float64
-// alike, so a prev that is not below c cannot wrap a counter; cells
-// and map entries that come out zero are dropped. The histogram is
-// differenced bucket by bucket when the layouts match and is c's
-// otherwise. The batch-size summary is carried from c, not
+// state prev. Every count and duration is floored at zero, so a prev
+// that is not below c cannot wrap a counter; cells and map entries
+// that come out zero are dropped. The histogram is differenced bucket
+// by bucket when the layouts match and is c's otherwise. The batch-size summary is carried from c, not
 // differenced: min and max do not subtract.
 func (c *Counters) Sub(prev *Counters) Counters {
 	d := Counters{
@@ -168,7 +173,7 @@ func (c *Counters) Sub(prev *Counters) Counters {
 		for i, n := range p.Counts {
 			h.Counts[i] = floorSub(h.Counts[i], n)
 		}
-		h.Sum = floorSub(h.Sum, p.Sum)
+		h.SumNS = floorSub(h.SumNS, p.SumNS)
 	}
 	return d
 }
@@ -213,7 +218,7 @@ func subCounts(cur, prev map[string]uint64) map[string]uint64 {
 // cumulative and the minuend is the later one, so a would-be underflow
 // means a bug upstream, and a zero beats poisoning fleet totals with a
 // wrapped uint64 or a negative duration.
-func floorSub[N uint64 | float64](a, b N) N {
+func floorSub[N ~uint64 | ~int64](a, b N) N {
 	if a <= b {
 		return 0
 	}
@@ -237,23 +242,23 @@ func (s *StallCounter) cmp(o *StallCounter) int {
 	return strings.Compare(s.Cause, o.Cause)
 }
 
-func (s *StallCounter) add(o *StallCounter) { s.Count += o.Count; s.Seconds += o.Seconds }
+func (s *StallCounter) add(o *StallCounter) { s.Count += o.Count; s.Time += o.Time }
 
 func (s *StallCounter) sub(o *StallCounter) {
-	s.Count, s.Seconds = floorSub(s.Count, o.Count), floorSub(s.Seconds, o.Seconds)
+	s.Count, s.Time = floorSub(s.Count, o.Count), floorSub(s.Time, o.Time)
 }
 
-func (s *StallCounter) zero() bool { return s.Count == 0 && s.Seconds == 0 }
+func (s *StallCounter) zero() bool { return s.Count == 0 && s.Time == 0 }
 
 func (r *RetransCounter) cmp(o *RetransCounter) int { return strings.Compare(r.Subcause, o.Subcause) }
 
-func (r *RetransCounter) add(o *RetransCounter) { r.Count += o.Count; r.Seconds += o.Seconds }
+func (r *RetransCounter) add(o *RetransCounter) { r.Count += o.Count; r.Time += o.Time }
 
 func (r *RetransCounter) sub(o *RetransCounter) {
-	r.Count, r.Seconds = floorSub(r.Count, o.Count), floorSub(r.Seconds, o.Seconds)
+	r.Count, r.Time = floorSub(r.Count, o.Count), floorSub(r.Time, o.Time)
 }
 
-func (r *RetransCounter) zero() bool { return r.Count == 0 && r.Seconds == 0 }
+func (r *RetransCounter) zero() bool { return r.Count == 0 && r.Time == 0 }
 
 var errUnsorted = errors.New("cells not strictly ascending by key")
 

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"tcpstall/internal/live"
 	"tcpstall/internal/stats"
@@ -15,7 +17,8 @@ import (
 )
 
 // randCounters draws a valid Counters: sorted cells with non-zero
-// counts, the live histogram layout, a summary built by Add.
+// counts and stall times, the live histogram layout, a summary of
+// batch sizes built by Add.
 func randCounters(rng *rand.Rand) Counters {
 	n := func() uint64 { return uint64(rng.Intn(1 << 20)) }
 	c := Counters{
@@ -41,19 +44,19 @@ func randCounters(rng *rand.Rand) Counters {
 	for _, svc := range []string{"cdn", "search", "storage"} {
 		for _, cause := range []string{"data-unavailable", "pkt-delay", "zero-rwnd"} {
 			if rng.Intn(2) == 0 {
-				c.Stalls = append(c.Stalls, StallCounter{Service: svc, Cause: cause, Count: 1 + n(), Seconds: rng.Float64() * 100})
+				c.Stalls = append(c.Stalls, StallCounter{Service: svc, Cause: cause, Count: 1 + n(), Time: time.Duration(1 + rng.Int63n(int64(100*time.Second)))})
 			}
 		}
 	}
 	for _, sub := range []string{"double", "tail", "timeout"} {
 		if rng.Intn(2) == 0 {
-			c.Retrans = append(c.Retrans, RetransCounter{Subcause: sub, Count: 1 + n(), Seconds: rng.Float64() * 10})
+			c.Retrans = append(c.Retrans, RetransCounter{Subcause: sub, Count: 1 + n(), Time: time.Duration(1 + rng.Int63n(int64(10*time.Second)))})
 		}
 	}
 	h := stats.NewHistogram(live.DurationBoundsMS)
 	var s stats.Summary
 	for i := rng.Intn(50); i > 0; i-- {
-		h.Add(rng.Float64() * 5000)
+		h.Add(time.Duration(rng.Int63n(int64(5 * time.Second))))
 		s.Add(float64(1 + rng.Intn(512)))
 	}
 	c.DurationsMS, c.IngestBatchSizes = h.State(), s.State()
@@ -61,7 +64,8 @@ func randCounters(rng *rand.Rand) Counters {
 }
 
 // ints flattens every integer a Counters carries, keyed by field and
-// cell, dropping zeros (Sub drops zero cells and entries).
+// cell, dropping zeros (Sub drops zero cells and entries). Durations
+// are nanoseconds.
 func ints(c *Counters) map[string]uint64 {
 	out := map[string]uint64{
 		"ingested": c.Ingested, "ring_drops": c.RingDrops, "fed": c.RecordsFed,
@@ -78,13 +82,16 @@ func ints(c *Counters) map[string]uint64 {
 	}
 	for _, sc := range c.Stalls {
 		out["stall/"+sc.Service+"/"+sc.Cause] = sc.Count
+		out["stall_ns/"+sc.Service+"/"+sc.Cause] = uint64(sc.Time)
 	}
 	for _, rc := range c.Retrans {
 		out["retrans/"+rc.Subcause] = rc.Count
+		out["retrans_ns/"+rc.Subcause] = uint64(rc.Time)
 	}
 	for i, n := range c.DurationsMS.Counts {
 		out[fmt.Sprintf("hist/%d", i)] = n
 	}
+	out["hist_sum_ns"] = uint64(c.DurationsMS.SumNS)
 	for k, n := range out {
 		if n == 0 {
 			delete(out, k)
@@ -94,11 +101,33 @@ func ints(c *Counters) map[string]uint64 {
 }
 
 // TestCountersMergeSubProperties pins the algebra the fleet tier rests
-// on, over seeded random valid counter sets: Sub undoes Merge on every
-// integer, merging into or with an empty set changes nothing, and Sub
-// never wraps when prev is the larger.
+// on, over seeded random valid counter sets: folding sets in any order
+// gives byte-identical JSON, Sub undoes Merge on every integer, merging
+// into or with an empty set changes nothing, and Sub never wraps when
+// prev is the larger.
 func TestCountersMergeSubProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
+	var sets []Counters
+	fold := func() []byte {
+		acc := emptyTotals().Counters
+		for i := range sets {
+			if err := acc.Merge(&sets[i]); err != nil {
+				t.Fatalf("merge: %v", err)
+			}
+		}
+		return mustJSON(t, acc)
+	}
+	for i := 0; i < 200; i++ {
+		sets = append(sets, randCounters(rng))
+	}
+	want := fold()
+	for i := 0; i < 200; i++ {
+		rng.Shuffle(len(sets), func(a, b int) { sets[a], sets[b] = sets[b], sets[a] })
+		if got := fold(); !bytes.Equal(got, want) {
+			t.Fatalf("shuffle %d: the fold depends on order\n got  %s\n want %s", i, got, want)
+		}
+	}
+
 	for i := 0; i < 200; i++ {
 		a, b := randCounters(rng), randCounters(rng)
 
@@ -111,7 +140,7 @@ func TestCountersMergeSubProperties(t *testing.T) {
 			t.Fatalf("case %d: (a+b)-a != b\n got  %v\n want %v", i, got, want)
 		}
 
-		var empty Counters
+		empty := emptyTotals().Counters
 		if err := empty.Merge(&a); err != nil {
 			t.Fatalf("case %d: merge into empty: %v", i, err)
 		}
@@ -130,7 +159,7 @@ func TestCountersMergeSubProperties(t *testing.T) {
 		if got := ints(&under); len(got) != 0 {
 			t.Fatalf("case %d: a-(a+b) left non-zero counts %v", i, got)
 		}
-		if under.DurationsMS.Sum != 0 || len(under.Stalls) != 0 || len(under.Retrans) != 0 {
+		if len(under.Stalls) != 0 || len(under.Retrans) != 0 {
 			t.Fatalf("case %d: a-(a+b) left %+v", i, under)
 		}
 	}
@@ -198,10 +227,10 @@ func TestHeadPushSteadyStateAllocs(t *testing.T) {
 }
 
 // FuzzHeadPush feeds arbitrary bytes as a push body to a head holding
-// one retired epoch (so a histogram layout is already fixed) and one
-// live registration. The head must never panic; a rejected push must
-// leave the totals byte-identical; an accepted one must leave them
-// computable.
+// one retired epoch and one live registration. The head must never
+// panic; a rejected push must leave the totals byte-identical; an
+// accepted one must leave them equal to Aggregate over the retired
+// snapshot and the push in either order, with whole-number batch sums.
 func FuzzHeadPush(f *testing.F) {
 	good := realSnapshot(f)
 	good.Epoch, good.Seq = 2, 1
@@ -223,16 +252,17 @@ func FuzzHeadPush(f *testing.F) {
 			s.DurationsMS.Bounds[i] *= 2
 		}
 	})
+	seed(func(s *Snapshot) { s.IngestBatchSizes.Sum += 0.5 })
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		head := NewHead(HeadConfig{})
+		prior := good
 		for epoch, final := range []bool{true, false} {
 			reg, err := head.Register(RegisterRequest{Version: WireVersion, MemberID: "m"})
 			if err != nil || reg.Epoch != uint64(epoch+1) {
 				t.Fatalf("register: epoch %d, %v", reg.Epoch, err)
 			}
 			if final {
-				prior := good
 				prior.Epoch, prior.Final = reg.Epoch, true
 				if resp := head.Push(&prior); !resp.OK {
 					t.Fatalf("prior epoch push: %+v", resp)
@@ -254,6 +284,21 @@ func FuzzHeadPush(f *testing.F) {
 		}
 		if !resp.OK && !bytes.Equal(mustJSON(t, before), mustJSON(t, after)) {
 			t.Fatalf("rejected push (%s) changed the totals", resp.Error)
+		}
+		if resp.OK {
+			for _, order := range [][]Snapshot{{prior, snap}, {snap, prior}} {
+				want, err := Aggregate(order...)
+				if err != nil {
+					t.Fatalf("aggregate of an accepted push: %v", err)
+				}
+				if !bytes.Equal(mustJSON(t, want), mustJSON(t, after)) {
+					t.Fatalf("head totals differ from Aggregate(%s, %s)\n head: %s\n want: %s",
+						order[0].MemberID, order[1].MemberID, mustJSON(t, after), mustJSON(t, want))
+				}
+			}
+			if b := snap.IngestBatchSizes; b.Sum != math.Trunc(b.Sum) || b.SumSq != math.Trunc(b.SumSq) {
+				t.Fatalf("accepted a batch summary with fractional sums %+v", b)
+			}
 		}
 		head.Window()
 		head.TimeSeries("")

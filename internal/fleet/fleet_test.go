@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -447,14 +448,14 @@ func TestPushRejectsBadSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := func(svc, cause string) StallCounter {
-		return StallCounter{Service: svc, Cause: cause, Count: 1, Seconds: 0.5}
+		return StallCounter{Service: svc, Cause: cause, Count: 1, Time: 500 * time.Millisecond}
 	}
 	for name, mutate := range map[string]func(*Snapshot){
 		"unsorted stall cells": func(s *Snapshot) {
 			s.Stalls = []StallCounter{cell("web", "zero-rwnd"), cell("web", "pkt-delay")}
 		},
 		"duplicated retrans cell": func(s *Snapshot) {
-			rc := RetransCounter{Subcause: "double", Count: 1, Seconds: 1}
+			rc := RetransCounter{Subcause: "double", Count: 1, Time: time.Second}
 			s.Retrans = []RetransCounter{rc, rc}
 		},
 		"unsorted window cells": func(s *Snapshot) {
@@ -462,6 +463,12 @@ func TestPushRejectsBadSnapshots(t *testing.T) {
 		},
 		"negative summary count": func(s *Snapshot) {
 			s.IngestBatchSizes = stats.SummaryState{N: -1}
+		},
+		"fractional summary sum": func(s *Snapshot) {
+			s.IngestBatchSizes = stats.SummaryState{N: 2, Sum: 3.5, Min: 1, Max: 2.5, SumSq: 7.25}
+		},
+		"foreign histogram layout": func(s *Snapshot) {
+			s.DurationsMS = stats.HistogramState{Bounds: []float64{100}, Counts: []uint64{0, 0}}
 		},
 	} {
 		bad := miniSnap("m", reg.Epoch, 1, 1)
@@ -551,13 +558,13 @@ func TestBadFinalPushLeavesHeadStateUnchanged(t *testing.T) {
 }
 
 // TestRetiredEpochCompaction pins that dead epochs fold into the
-// compacted running total instead of accumulating forever — a flapping
-// member must not grow head memory or per-push merge cost without
-// bound — and that compaction changes no bits: the head's totals stay
-// byte-identical to a from-scratch Aggregate over every epoch's last
-// snapshot.
+// retired total instead of accumulating forever — a flapping member
+// must not grow head memory or per-push cost without bound — and that
+// the head's totals are byte-identical to Aggregate over every epoch's
+// last snapshot in shuffled order.
 func TestRetiredEpochCompaction(t *testing.T) {
 	head := NewHead(HeadConfig{})
+	rng := rand.New(rand.NewSource(50))
 	const cycles = 50
 	var all []Snapshot
 	for i := 0; i < cycles; i++ {
@@ -566,6 +573,7 @@ func TestRetiredEpochCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := miniSnap("flappy", reg.Epoch, 1, 10)
+		s.Counters = randCounters(rng)
 		s.Final = i%2 == 1 // retire half by final push, half by re-registration
 		if resp := head.Push(s); !resp.OK {
 			t.Fatalf("cycle %d push: %+v", i, resp)
@@ -573,25 +581,22 @@ func TestRetiredEpochCompaction(t *testing.T) {
 		all = append(all, *s)
 	}
 	head.mu.Lock()
-	pending := len(head.retired)
-	folded := head.compacted.Epochs
+	folded := head.retired.Epochs
 	head.mu.Unlock()
-	if pending != 0 {
-		t.Errorf("retired backlog = %d snapshots, want 0 (a single flapping member compacts fully)", pending)
-	}
 	if folded != cycles {
-		t.Errorf("compacted epochs = %d, want %d", folded, cycles)
+		t.Errorf("retired epochs = %d, want %d", folded, cycles)
 	}
 	got, err := head.Totals()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 	want, err := Aggregate(all...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(marshal(t, got), marshal(t, want)) {
-		t.Errorf("compacted totals diverged from full aggregate\n head: %s\n sum:  %s", marshal(t, got), marshal(t, want))
+		t.Errorf("retired totals diverged from the shuffled aggregate\n head: %s\n sum:  %s", marshal(t, got), marshal(t, want))
 	}
 }
 

@@ -49,20 +49,14 @@ type Head struct {
 	// lastEpoch is the epoch counter; registration hands out
 	// lastEpoch+1. guarded by mu
 	lastEpoch uint64
-	// compacted is the running fold of every retired epoch whose
-	// position in the epoch-order fold can no longer change — epochs
-	// below every live member's. Folding them once keeps head memory
-	// and per-push merge cost bounded by live cardinality instead of
-	// epochs-ever-retired. guarded by mu
-	compacted Totals
-	// retired holds dead epochs not yet folded into compacted: those
-	// whose epoch is still above some live member's, so folding them
-	// now would break the epoch-order fold. guarded by mu
-	retired []Snapshot
+	// retired is the fold of every dead epoch's last snapshot, folded
+	// in as the epoch retires, so head memory and per-push cost stay
+	// bounded by live members, not epochs ever seen. guarded by mu
+	retired Totals
 	// config is the current downlink, nil until SetConfig. guarded by mu
 	config *ConfigUpdate
-	// mergeLat samples the totals-rebuild latency per accepted push,
-	// in milliseconds. guarded by mu
+	// mergeLat samples the validation fold's latency per push that
+	// reaches it, in milliseconds. guarded by mu
 	mergeLat *stats.Sample
 	// counters is the head's own accounting. guarded by mu
 	counters headCounters
@@ -120,6 +114,7 @@ func NewHead(cfg HeadConfig) *Head {
 		clock:    cfg.Clock,
 		expiry:   cfg.Expiry,
 		members:  map[string]*memberState{},
+		retired:  emptyTotals(),
 		mergeLat: stats.NewSample(0),
 		counters: headCounters{rejects: map[string]uint64{}},
 		series:   newSeriesStore(cfg.SeriesStep, cfg.SeriesBuckets),
@@ -166,7 +161,6 @@ func (h *Head) Register(req RegisterRequest) (RegisterResponse, error) {
 	ms.expired = false
 	ms.configVersion = 0
 	h.counters.registrations++
-	h.compactLocked()
 	resp := RegisterResponse{Epoch: ms.epoch}
 	if h.config != nil {
 		resp.Config = h.configCopyLocked()
@@ -198,17 +192,20 @@ func (h *Head) Push(snap *Snapshot) PushResponse {
 		return h.rejectLocked(ErrDuplicateSeq)
 	}
 	cp := *snap
-	// Validate the payload BEFORE committing anything: dry-run the
-	// totals fold with this snapshot standing in for the member's
-	// current one. A payload the fold rejects (histogram layout drift,
-	// corrupt summary) leaves head state untouched — the member's
-	// previous good snapshot keeps contributing, its seq stays where it
-	// was, and a Final flag cannot retire garbage into the compacted
-	// totals. The fold is also the per-push merge cost (the chain
-	// benchmark's fleet.head_merge_p99_ms), so it runs under the clock. The window cells, which
-	// Window folds rather than Totals, get the same sortedness check.
+	// Validate the payload BEFORE committing anything by folding it
+	// alone into an empty total. Merge's checks look only at the
+	// payload and the fixed histogram layout, so a snapshot that folds
+	// here folds into any total. A payload the fold rejects (foreign
+	// histogram layout, corrupt summary) leaves head state untouched —
+	// the member's previous good snapshot keeps contributing, its seq
+	// stays where it was, and a Final flag cannot retire garbage. The
+	// fold is the per-push merge cost (the chain benchmark's
+	// fleet.head_merge_p99_ms), so it runs under the clock. The window
+	// cells, which Window folds rather than Totals, get the same
+	// sortedness check.
 	start := time.Now()
-	_, err := h.foldLocked(ms, &cp)
+	probe := emptyTotals()
+	err := probe.add(&cp)
 	h.mergeLat.Add(float64(time.Since(start)) / float64(time.Millisecond))
 	if err == nil {
 		_, err = freshCells(nil, cp.WindowStalls)
@@ -238,7 +235,6 @@ func (h *Head) Push(snap *Snapshot) PushResponse {
 		ms.final = true
 		h.retireLocked(ms)
 		h.counters.finals++
-		h.compactLocked()
 		h.publishLocked(Event{
 			Type: EventMemberFinal, Member: snap.MemberID,
 			Detail: fmt.Sprintf("epoch %d settled", snap.Epoch),
@@ -265,13 +261,15 @@ func (h *Head) rejectLocked(code string) PushResponse {
 	return PushResponse{OK: false, Error: code}
 }
 
-// retireLocked freezes a member's last snapshot into the retired
+// retireLocked folds a member's last snapshot into the retired
 // totals. Idempotent: the snapshot moves out of the live set as it is
 // retired, so a final push followed by expiry (or re-registration)
-// cannot double-count.
+// cannot double-count. The fold cannot fail short of the batch count
+// wrapping int: Push accepted the snapshot only after it folded alone
+// into an empty total, and the retired total carries the same layout.
 func (h *Head) retireLocked(ms *memberState) {
 	if ms.last != nil {
-		h.retired = append(h.retired, *ms.last)
+		_ = h.retired.add(ms.last)
 		ms.last = nil
 	}
 }
@@ -279,7 +277,6 @@ func (h *Head) retireLocked(ms *memberState) {
 // sweepLocked retires every live member that has gone silent past the
 // expiry window.
 func (h *Head) sweepLocked(now time.Time) {
-	swept := false
 	for _, ms := range h.members {
 		if !ms.done && now.Sub(ms.lastSeen) > h.expiry {
 			ms.done = true
@@ -290,70 +287,8 @@ func (h *Head) sweepLocked(now time.Time) {
 				Type: EventMemberExpired, Member: ms.id,
 				Detail: fmt.Sprintf("epoch %d silent %.0fs", ms.epoch, now.Sub(ms.lastSeen).Seconds()),
 			})
-			swept = true
 		}
 	}
-	if swept {
-		h.compactLocked()
-	}
-}
-
-// compactLocked folds every retired epoch that can no longer be
-// reordered against a live one — epoch below every live member's —
-// into the compacted running total. Because the compacted prefix is
-// always below everything still pending, the continued fold is the
-// same left fold (same order, same bits) as a from-scratch Aggregate
-// over every epoch: totals never depend on when compaction ran.
-func (h *Head) compactLocked() {
-	if len(h.retired) == 0 {
-		return
-	}
-	threshold := h.lastEpoch + 1
-	for _, ms := range h.members {
-		if !ms.done && ms.epoch < threshold {
-			threshold = ms.epoch
-		}
-	}
-	sort.Slice(h.retired, func(i, j int) bool { return h.retired[i].Epoch < h.retired[j].Epoch })
-	n := 0
-	for n < len(h.retired) && h.retired[n].Epoch < threshold {
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	// Every retired snapshot already passed the fold at push time, so
-	// a failure here should be impossible; if one happens, the epochs
-	// from the failing one on stay uncompacted (Totals.add leaves the
-	// total unchanged on error), which beats poisoning the running total.
-	for i := 0; i < n; i++ {
-		if err := h.compacted.add(&h.retired[i]); err != nil {
-			n = i
-			break
-		}
-	}
-	h.retired = append(h.retired[:0], h.retired[n:]...)
-}
-
-// foldLocked computes fleet totals — the compacted prefix, uncompacted
-// retired epochs and every live member's latest snapshot, in epoch
-// order (see Aggregate) — optionally substituting candidate for member
-// skip's latest snapshot: Push's dry run, what totals WOULD be if the
-// candidate were accepted, touching no state.
-func (h *Head) foldLocked(skip *memberState, candidate *Snapshot) (Totals, error) {
-	snaps := make([]*Snapshot, 0, len(h.retired)+len(h.members)+1)
-	for i := range h.retired {
-		snaps = append(snaps, &h.retired[i])
-	}
-	for _, ms := range h.members {
-		if ms != skip && ms.last != nil {
-			snaps = append(snaps, ms.last)
-		}
-	}
-	if candidate != nil {
-		snaps = append(snaps, candidate)
-	}
-	return foldEpochs(Totals{Epochs: h.compacted.Epochs, Counters: h.compacted.Clone()}, snaps)
 }
 
 func (h *Head) configCopyLocked() *ConfigUpdate {
@@ -364,12 +299,21 @@ func (h *Head) configCopyLocked() *ConfigUpdate {
 	return &cp
 }
 
-// Totals returns the fleet-wide cumulative totals.
+// Totals returns the fleet-wide cumulative totals: the retired total
+// plus every live member's latest snapshot, in map order.
 func (h *Head) Totals() (Totals, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.sweepLocked(h.clock())
-	return h.foldLocked(nil, nil)
+	t := Totals{Epochs: h.retired.Epochs, Counters: h.retired.Clone()}
+	for _, ms := range h.members {
+		if ms.last != nil {
+			if err := t.add(ms.last); err != nil {
+				return Totals{}, err
+			}
+		}
+	}
+	return t, nil
 }
 
 // WindowTotals is the fleet's rolling-window view: live members only,
@@ -385,19 +329,15 @@ func (h *Head) Window() WindowTotals {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.sweepLocked(h.clock())
-	var snaps []*Snapshot
+	var out WindowTotals
 	for _, ms := range h.members {
-		if ms.last != nil {
-			snaps = append(snaps, ms.last)
-		}
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Epoch < snaps[j].Epoch })
-	out := WindowTotals{Members: len(snaps)}
-	for _, s := range snaps {
-		out.SpanS = max(out.SpanS, s.WindowSpanS)
-		// Push checked the cells sorted, so this cannot fail.
-		if fresh, err := freshCells(out.Stalls, s.WindowStalls); err == nil {
-			out.Stalls = mergeCells(out.Stalls, s.WindowStalls, fresh)
+		if s := ms.last; s != nil {
+			out.Members++
+			out.SpanS = max(out.SpanS, s.WindowSpanS)
+			// Push checked the cells sorted, so this cannot fail.
+			if fresh, err := freshCells(out.Stalls, s.WindowStalls); err == nil {
+				out.Stalls = mergeCells(out.Stalls, s.WindowStalls, fresh)
+			}
 		}
 	}
 	return out
@@ -573,34 +513,22 @@ func (t *Totals) add(s *Snapshot) error {
 	return nil
 }
 
-// Aggregate merges snapshots into fleet totals. It is the ONE merge
-// implementation: the head's totals go through it (as a fold continued
-// from the compacted prefix), and the differential test feeds it the
-// members' final reports directly — byte-identical output is the
-// contract. Inputs are folded in epoch order (epochs are globally
-// unique), so float accumulation order — and therefore the exact bits
-// — cannot depend on map iteration or on when the head compacted.
+// Aggregate merges snapshots into fleet totals. It is the fold the
+// head runs, and the differential test feeds it the members' final
+// reports directly: byte-identical output is the contract. The fold is
+// exact integer arithmetic, so input order does not matter.
 func Aggregate(snaps ...Snapshot) (Totals, error) {
-	ps := make([]*Snapshot, len(snaps))
+	t := emptyTotals()
 	for i := range snaps {
-		ps[i] = &snaps[i]
-	}
-	return foldEpochs(Totals{}, ps)
-}
-
-// foldEpochs continues the fold t over snaps in epoch order. Continuing
-// from the head's compacted prefix is the same left fold — the same
-// float additions in the same order — as folding every epoch anew.
-// A fold that saw no histogram renders the default layout.
-func foldEpochs(t Totals, snaps []*Snapshot) (Totals, error) {
-	sort.SliceStable(snaps, func(i, j int) bool { return snaps[i].Epoch < snaps[j].Epoch })
-	for _, s := range snaps {
-		if err := t.add(s); err != nil {
+		if err := t.add(&snaps[i]); err != nil {
 			return Totals{}, err
 		}
 	}
-	if len(t.DurationsMS.Counts) == 0 {
-		t.DurationsMS = stats.NewHistogram(live.DurationBoundsMS).State()
-	}
 	return t, nil
+}
+
+// emptyTotals is the fold's starting point: no epochs, and the one
+// histogram layout the head accepts, live.DurationBoundsMS.
+func emptyTotals() Totals {
+	return Totals{Counters: Counters{DurationsMS: stats.NewHistogram(live.DurationBoundsMS).State()}}
 }

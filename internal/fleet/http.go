@@ -303,7 +303,7 @@ func serviceRows(t Totals, w WindowTotals) []serviceRow {
 	for _, sc := range t.Stalls {
 		r := row(sc.Service)
 		r.Stalls += sc.Count
-		r.StallSeconds += sc.Seconds
+		r.StallSeconds += sc.Time.Seconds()
 		if sc.Count > topCount[sc.Service] {
 			topCount[sc.Service] = sc.Count
 			r.TopCause = sc.Cause
@@ -312,7 +312,7 @@ func serviceRows(t Totals, w WindowTotals) []serviceRow {
 	for _, sc := range w.Stalls {
 		r := row(sc.Service)
 		r.WindowStalls += sc.Count
-		r.WindowStallSeconds += sc.Seconds
+		r.WindowStallSeconds += sc.Time.Seconds()
 	}
 	out := make([]serviceRow, 0, len(bySvc))
 	for _, r := range bySvc {
@@ -401,7 +401,7 @@ func writeMetrics(w io.Writer, st HeadStats, t Totals, win WindowTotals) {
 	}
 	pw.Family(famStallSeconds)
 	for _, sc := range t.Stalls {
-		pw.Float(famStallSeconds, sc.Seconds, sc.Service, sc.Cause)
+		pw.Float(famStallSeconds, sc.Time.Seconds(), sc.Service, sc.Cause)
 	}
 	pw.Family(famRetransStalls)
 	for _, rc := range t.Retrans {

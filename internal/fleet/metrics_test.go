@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"testing"
+	"time"
 
 	"tcpstall/internal/stats"
 )
@@ -28,22 +29,22 @@ func TestMetricsGolden(t *testing.T) {
 		FlowsSeen: 42, FlowsEvicted: map[string]uint64{"lru": 1, "done": 30},
 		UnknownConfigKeys: 1, TriageFastRecords: 99000,
 		Stalls: []StallCounter{
-			{Service: "", Cause: "zero-rwnd", Count: 1, Seconds: 2},
-			{Service: "web-search", Cause: "pkt-delay", Count: 3, Seconds: 0.375},
-			{Service: odd, Cause: "retransmission", Count: 2, Seconds: 1.25},
+			{Service: "", Cause: "zero-rwnd", Count: 1, Time: 2 * time.Second},
+			{Service: "web-search", Cause: "pkt-delay", Count: 3, Time: 375 * time.Millisecond},
+			{Service: odd, Cause: "retransmission", Count: 2, Time: 1250 * time.Millisecond},
 		},
 		Retrans: []RetransCounter{
-			{Subcause: "double-retrans", Count: 1, Seconds: 0.75},
-			{Subcause: "tail-retrans", Count: 1, Seconds: 0.5},
+			{Subcause: "double-retrans", Count: 1, Time: 750 * time.Millisecond},
+			{Subcause: "tail-retrans", Count: 1, Time: 500 * time.Millisecond},
 		},
 		DurationsMS: stats.HistogramState{
 			Bounds: []float64{50, 100, 200},
 			Counts: []uint64{1, 0, 2, 3},
-			Sum:    9630.5,
+			SumNS:  9_630_500_000,
 		},
 	}}
 	win := WindowTotals{SpanS: 60, Members: 2, Stalls: []StallCounter{
-		{Service: odd, Cause: "retransmission", Count: 1, Seconds: 0.45},
+		{Service: odd, Cause: "retransmission", Count: 1, Time: 450 * time.Millisecond},
 	}}
 
 	var buf bytes.Buffer

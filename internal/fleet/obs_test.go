@@ -133,7 +133,7 @@ func TestSeriesDeltaDifferential(t *testing.T) {
 	var wantSecs float64
 	for _, sc := range totals.Stalls {
 		wantStalls += sc.Count
-		wantSecs += sc.Seconds
+		wantSecs += sc.Time.Seconds()
 	}
 	if wantStalls == 0 {
 		t.Fatal("replay produced no stalls; the test is vacuous")
@@ -173,9 +173,9 @@ func TestSeriesDeltaDifferential(t *testing.T) {
 
 // stallSnap is miniSnap plus explicit stall cells, for deterministic
 // delta arithmetic.
-func stallSnap(id string, epoch, seq, ingested uint64, count uint64, secs float64) *Snapshot {
+func stallSnap(id string, epoch, seq, ingested uint64, count uint64, stall time.Duration) *Snapshot {
 	s := miniSnap(id, epoch, seq, ingested)
-	s.Stalls = []StallCounter{{Service: "svc", Cause: "rto", Count: count, Seconds: secs}}
+	s.Stalls = []StallCounter{{Service: "svc", Cause: "rto", Count: count, Time: stall}}
 	return s
 }
 
@@ -191,11 +191,11 @@ func TestSeriesEpochRestartRebase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := head.Push(stallSnap("m", reg.Epoch, 1, 1000, 100, 5)); !resp.OK {
+	if resp := head.Push(stallSnap("m", reg.Epoch, 1, 1000, 100, 5*time.Second)); !resp.OK {
 		t.Fatalf("push 1: %+v", resp)
 	}
 	now = now.Add(DefaultSeriesStep)
-	if resp := head.Push(stallSnap("m", reg.Epoch, 2, 1200, 120, 6)); !resp.OK {
+	if resp := head.Push(stallSnap("m", reg.Epoch, 2, 1200, 120, 6*time.Second)); !resp.OK {
 		t.Fatalf("push 2: %+v", resp)
 	}
 
@@ -205,7 +205,7 @@ func TestSeriesEpochRestartRebase(t *testing.T) {
 		t.Fatal(err)
 	}
 	now = now.Add(DefaultSeriesStep)
-	if resp := head.Push(stallSnap("m", reg2.Epoch, 1, 50, 5, 0.5)); !resp.OK {
+	if resp := head.Push(stallSnap("m", reg2.Epoch, 1, 50, 5, 500*time.Millisecond)); !resp.OK {
 		t.Fatalf("push 3: %+v", resp)
 	}
 
@@ -352,8 +352,8 @@ func TestServiceFilterGuards(t *testing.T) {
 	}
 	snap := miniSnap("m", reg.Epoch, 1, 100)
 	snap.Stalls = []StallCounter{
-		{Service: "alpha", Cause: "rto", Count: 3, Seconds: 1.5},
-		{Service: "beta", Cause: "appstall", Count: 2, Seconds: 0.5},
+		{Service: "alpha", Cause: "rto", Count: 3, Time: 1500 * time.Millisecond},
+		{Service: "beta", Cause: "appstall", Count: 2, Time: 500 * time.Millisecond},
 	}
 	if resp := head.Push(snap); !resp.OK {
 		t.Fatalf("push: %+v", resp)

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"slices"
 	"time"
 
 	"tcpstall/internal/stats"
@@ -89,12 +88,12 @@ type seriesBucket struct {
 	used  bool
 	epoch int64
 
-	pushes       uint64
-	records      uint64
-	recordsFed   uint64
-	stalls       uint64
-	stallSeconds float64
-	causes       map[string]uint64
+	pushes     uint64
+	records    uint64
+	recordsFed uint64
+	stalls     uint64
+	stallTime  time.Duration
+	causes     map[string]uint64
 	// durs holds the interval's stall-duration deltas for quantiles.
 	// Only fleet and member rings carry it — the wire histogram is
 	// member-level, so per-service duration attribution is impossible.
@@ -123,10 +122,10 @@ func (ss *seriesStore) fold(now time.Time, prev, cur *Snapshot) {
 	ep := now.UnixNano() / int64(ss.step)
 
 	var stalls uint64
-	var stallSecs float64
+	var stallTime time.Duration
 	for _, sc := range d.Stalls {
 		stalls += sc.Count
-		stallSecs += sc.Seconds
+		stallTime += sc.Time
 	}
 	durs, err := stats.HistogramFromState(d.DurationsMS)
 	if err != nil || durs.N() == 0 {
@@ -148,15 +147,13 @@ func (ss *seriesStore) fold(now time.Time, prev, cur *Snapshot) {
 		b.records += d.Ingested
 		b.recordsFed += d.RecordsFed
 		b.stalls += stalls
-		b.stallSeconds += stallSecs
+		b.stallTime += stallTime
 		causes(b, d.Stalls)
 		if durs != nil {
 			if b.durs == nil {
 				b.durs = stats.NewHistogram(durs.Bounds())
 			}
-			if slices.Equal(b.durs.Bounds(), durs.Bounds()) {
-				b.durs.Merge(durs)
-			}
+			b.durs.Merge(durs)
 		}
 	}
 
@@ -180,7 +177,7 @@ func (ss *seriesStore) fold(now time.Time, prev, cur *Snapshot) {
 		b.pushes++
 		for _, sc := range run {
 			b.stalls += sc.Count
-			b.stallSeconds += sc.Seconds
+			b.stallTime += sc.Time
 		}
 		causes(b, run)
 	}
@@ -247,7 +244,7 @@ func (ss *seriesStore) render(r *seriesRing, now time.Time) []SeriesPoint {
 			TimeMS:       time.Unix(0, b.epoch*int64(ss.step)).UnixMilli(),
 			Pushes:       b.pushes,
 			Stalls:       b.stalls,
-			StallSeconds: b.stallSeconds,
+			StallSeconds: b.stallTime.Seconds(),
 			Records:      b.records,
 		}
 		if b.records > 0 {

@@ -22,15 +22,18 @@
 //     head discards any push whose seq does not advance.
 //
 // Fleet-wide totals are then: retired-epoch totals + the latest
-// snapshot of every live epoch. Aggregate implements exactly that
-// merge, and the differential test pins that the head's totals after
-// arbitrary protocol churn (restarts, duplicates, reordering) are
-// byte-identical to a direct merge of the members' final reports.
+// snapshot of every live epoch. Every summed value is an integer, so
+// the fold gives the same bits in any order: Aggregate is the same
+// fold over a list, and the differential test pins that the head's
+// totals after arbitrary protocol churn (restarts, duplicates,
+// reordering) are byte-identical to a direct merge of the members'
+// final reports.
 package fleet
 
 import (
 	"maps"
 	"slices"
+	"time"
 
 	"tcpstall/internal/live"
 	"tcpstall/internal/stats"
@@ -40,7 +43,7 @@ import (
 // snapshots whose version it does not speak; bumping this is the
 // signal that a field changed meaning (adding fields is not a bump —
 // unknown JSON fields are ignored on both sides).
-const WireVersion = 1
+const WireVersion = 2
 
 // Snapshot is one member's cumulative state as pushed to the head.
 type Snapshot struct {
@@ -182,16 +185,16 @@ func snapshotOf(s *live.Snapshot) Snapshot {
 			TriageRepromotions:        s.TriageRepromotions,
 			TriageDemotions:           s.TriageDemotions,
 			TriageTruncatedPromotions: s.TriageTruncatedPromotions,
-			Stalls:                    stallCounters(s.StallCount, s.StallSeconds),
+			Stalls:                    stallCounters(s.StallCount, s.StallTime),
 		},
 		WindowSpanS:  s.Window.Span.Seconds(),
-		WindowStalls: stallCounters(s.Window.StallCount, s.Window.StallSeconds),
+		WindowStalls: stallCounters(s.Window.StallCount, s.Window.StallTime),
 	}
 	for c, n := range s.RetransCount {
 		out.Retrans = append(out.Retrans, RetransCounter{
 			Subcause: c.String(),
 			Count:    n,
-			Seconds:  s.RetransSeconds[c],
+			Time:     s.RetransTime[c],
 		})
 	}
 	slices.SortFunc(out.Retrans, func(a, b RetransCounter) int { return a.cmp(&b) })
@@ -205,7 +208,7 @@ func snapshotOf(s *live.Snapshot) Snapshot {
 
 // stallCounters flattens cause-keyed maps into the canonical sorted
 // slice form.
-func stallCounters(count map[live.CauseKey]uint64, secs map[live.CauseKey]float64) []StallCounter {
+func stallCounters(count map[live.CauseKey]uint64, dur map[live.CauseKey]time.Duration) []StallCounter {
 	if len(count) == 0 {
 		return nil
 	}
@@ -215,7 +218,7 @@ func stallCounters(count map[live.CauseKey]uint64, secs map[live.CauseKey]float6
 			Service: k.Service,
 			Cause:   k.Cause.String(),
 			Count:   n,
-			Seconds: secs[k],
+			Time:    dur[k],
 		})
 	}
 	slices.SortFunc(out, func(a, b StallCounter) int { return a.cmp(&b) })

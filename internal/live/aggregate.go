@@ -50,40 +50,40 @@ type aggregates struct {
 	triDemotions           uint64
 	triTruncatedPromotions uint64
 
-	stallCount   map[CauseKey]uint64
-	stallSeconds map[CauseKey]float64
-	durationsMS  *stats.Histogram
+	stallCount  map[CauseKey]uint64
+	stallTime   map[CauseKey]time.Duration
+	durationsMS *stats.Histogram
 
-	retransCount   map[core.RetransCause]uint64
-	retransSeconds map[core.RetransCause]float64
+	retransCount map[core.RetransCause]uint64
+	retransTime  map[core.RetransCause]time.Duration
 
 	window *rollWindow
 }
 
 func newAggregates(window time.Duration, buckets int) *aggregates {
 	return &aggregates{
-		flowsEvicted:   map[string]uint64{},
-		triPromotions:  map[string]uint64{},
-		stallCount:     map[CauseKey]uint64{},
-		stallSeconds:   map[CauseKey]float64{},
-		durationsMS:    stats.NewHistogram(DurationBoundsMS),
-		retransCount:   map[core.RetransCause]uint64{},
-		retransSeconds: map[core.RetransCause]float64{},
-		window:         newRollWindow(window, buckets),
+		flowsEvicted:  map[string]uint64{},
+		triPromotions: map[string]uint64{},
+		stallCount:    map[CauseKey]uint64{},
+		stallTime:     map[CauseKey]time.Duration{},
+		durationsMS:   stats.NewHistogram(DurationBoundsMS),
+		retransCount:  map[core.RetransCause]uint64{},
+		retransTime:   map[core.RetransCause]time.Duration{},
+		window:        newRollWindow(window, buckets),
 	}
 }
 
 // stallClosed folds one live stall event in.
 func (ag *aggregates) stallClosed(now time.Time, ls core.LiveStall) {
 	k := CauseKey{Service: ls.Service, Cause: ls.Stall.Cause}
-	ms := float64(ls.Stall.Duration) / float64(time.Millisecond)
+	d := ls.Stall.Duration
 	ag.stallCount[k]++
-	ag.stallSeconds[k] += ls.Stall.Duration.Seconds()
-	ag.durationsMS.Add(ms)
+	ag.stallTime[k] += d
+	ag.durationsMS.Add(d)
 	b := ag.window.bucket(now)
 	b.count[k]++
-	b.secs[k] += ls.Stall.Duration.Seconds()
-	b.durs.Add(ms)
+	b.stallTime[k] += d
+	b.durs.Add(d)
 }
 
 // flowEvicted folds a completed flow's settled analysis in.
@@ -97,7 +97,7 @@ func (ag *aggregates) flowEvicted(reason string, a *core.FlowAnalysis, truncated
 			continue
 		}
 		ag.retransCount[st.RetransCause]++
-		ag.retransSeconds[st.RetransCause] += st.Duration.Seconds()
+		ag.retransTime[st.RetransCause] += st.Duration
 	}
 }
 
@@ -123,15 +123,15 @@ func (ag *aggregates) merge(o *aggregates) {
 	for k, n := range o.stallCount {
 		ag.stallCount[k] += n
 	}
-	for k, s := range o.stallSeconds {
-		ag.stallSeconds[k] += s
+	for k, d := range o.stallTime {
+		ag.stallTime[k] += d
 	}
 	ag.durationsMS.Merge(o.durationsMS)
 	for c, n := range o.retransCount {
 		ag.retransCount[c] += n
 	}
-	for c, s := range o.retransSeconds {
-		ag.retransSeconds[c] += s
+	for c, d := range o.retransTime {
+		ag.retransTime[c] += d
 	}
 }
 
@@ -146,8 +146,8 @@ func (ag *aggregates) clone() *aggregates {
 		for k, n := range src.count {
 			dst.count[k] = n
 		}
-		for k, s := range src.secs {
-			dst.secs[k] = s
+		for k, d := range src.stallTime {
+			dst.stallTime[k] = d
 		}
 		dst.durs.Merge(src.durs)
 	}
@@ -164,10 +164,10 @@ type rollWindow struct {
 }
 
 type wbucket struct {
-	epoch int64 // step index since the Unix epoch; -1 = empty
-	count map[CauseKey]uint64
-	secs  map[CauseKey]float64
-	durs  *stats.Histogram
+	epoch     int64 // step index since the Unix epoch; -1 = empty
+	count     map[CauseKey]uint64
+	stallTime map[CauseKey]time.Duration
+	durs      *stats.Histogram
 }
 
 func newRollWindow(span time.Duration, buckets int) *rollWindow {
@@ -181,10 +181,10 @@ func newRollWindow(span time.Duration, buckets int) *rollWindow {
 	w := &rollWindow{step: step, buckets: make([]wbucket, buckets)}
 	for i := range w.buckets {
 		w.buckets[i] = wbucket{
-			epoch: -1,
-			count: map[CauseKey]uint64{},
-			secs:  map[CauseKey]float64{},
-			durs:  stats.NewHistogram(DurationBoundsMS),
+			epoch:     -1,
+			count:     map[CauseKey]uint64{},
+			stallTime: map[CauseKey]time.Duration{},
+			durs:      stats.NewHistogram(DurationBoundsMS),
 		}
 	}
 	return w
@@ -198,8 +198,8 @@ func (w *rollWindow) bucket(now time.Time) *wbucket {
 		for k := range b.count {
 			delete(b.count, k)
 		}
-		for k := range b.secs {
-			delete(b.secs, k)
+		for k := range b.stallTime {
+			delete(b.stallTime, k)
 		}
 		b.durs.Reset()
 	}
@@ -208,19 +208,19 @@ func (w *rollWindow) bucket(now time.Time) *wbucket {
 
 // WindowSnapshot is the rolling window summed over its live buckets.
 type WindowSnapshot struct {
-	Span         time.Duration
-	StallCount   map[CauseKey]uint64
-	StallSeconds map[CauseKey]float64
-	DurationsMS  *stats.Histogram
+	Span        time.Duration
+	StallCount  map[CauseKey]uint64
+	StallTime   map[CauseKey]time.Duration
+	DurationsMS *stats.Histogram
 }
 
 // snapshot sums the buckets still inside the window ending at now.
 func (w *rollWindow) snapshot(now time.Time) WindowSnapshot {
 	s := WindowSnapshot{
-		Span:         w.step * time.Duration(len(w.buckets)),
-		StallCount:   map[CauseKey]uint64{},
-		StallSeconds: map[CauseKey]float64{},
-		DurationsMS:  stats.NewHistogram(DurationBoundsMS),
+		Span:        w.step * time.Duration(len(w.buckets)),
+		StallCount:  map[CauseKey]uint64{},
+		StallTime:   map[CauseKey]time.Duration{},
+		DurationsMS: stats.NewHistogram(DurationBoundsMS),
 	}
 	epoch := now.UnixNano() / int64(w.step)
 	oldest := epoch - int64(len(w.buckets)) + 1
@@ -232,8 +232,8 @@ func (w *rollWindow) snapshot(now time.Time) WindowSnapshot {
 		for k, n := range b.count {
 			s.StallCount[k] += n
 		}
-		for k, sec := range b.secs {
-			s.StallSeconds[k] += sec
+		for k, d := range b.stallTime {
+			s.StallTime[k] += d
 		}
 		s.DurationsMS.Merge(b.durs)
 	}
@@ -245,8 +245,8 @@ func (s *WindowSnapshot) mergeWindow(o WindowSnapshot) {
 	for k, n := range o.StallCount {
 		s.StallCount[k] += n
 	}
-	for k, sec := range o.StallSeconds {
-		s.StallSeconds[k] += sec
+	for k, d := range o.StallTime {
+		s.StallTime[k] += d
 	}
 	s.DurationsMS.Merge(o.DurationsMS)
 }

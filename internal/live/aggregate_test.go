@@ -34,8 +34,8 @@ func TestRollWindowAges(t *testing.T) {
 	if win.StallCount[k] != 1 {
 		t.Fatalf("aged window count = %d, want 1", win.StallCount[k])
 	}
-	if got := win.StallSeconds[k]; got < 0.19 || got > 0.21 {
-		t.Errorf("aged window seconds = %v, want 0.2", got)
+	if got := win.StallTime[k]; got != 200*time.Millisecond {
+		t.Errorf("aged window stall time = %v, want 200ms", got)
 	}
 
 	// Far future: empty window, but cumulative totals persist.
@@ -91,8 +91,8 @@ func TestAggregatesMerge(t *testing.T) {
 	if a.stallCount[k] != 2 {
 		t.Errorf("merged count = %d, want 2", a.stallCount[k])
 	}
-	if got := a.stallSeconds[k]; got != 3 {
-		t.Errorf("merged seconds = %v, want 3", got)
+	if got := a.stallTime[k]; got != 3*time.Second {
+		t.Errorf("merged stall time = %v, want 3s", got)
 	}
 	if a.durationsMS.N() != 3 {
 		t.Errorf("merged histogram N = %d, want 3", a.durationsMS.N())

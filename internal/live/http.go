@@ -263,8 +263,8 @@ func writeMetrics(w io.Writer, s Snapshot) {
 		pw.Uint(famStalls, s.StallCount[k], k.Service, k.Cause.String(), core.CategoryOf(k.Cause).String())
 	})
 	pw.Family(famStallSeconds)
-	forEachCause(s.StallSeconds, func(k CauseKey) {
-		pw.Float(famStallSeconds, s.StallSeconds[k], k.Service, k.Cause.String())
+	forEachCause(s.StallTime, func(k CauseKey) {
+		pw.Float(famStallSeconds, s.StallTime[k].Seconds(), k.Service, k.Cause.String())
 	})
 	durs := s.DurationsMS
 	if durs == nil {
@@ -276,16 +276,16 @@ func writeMetrics(w io.Writer, s Snapshot) {
 		pw.Uint(famRetransStalls, s.RetransCount[c], c.String())
 	}
 	pw.Family(famRetransSeconds)
-	for _, c := range sortedRetrans(s.RetransSeconds) {
-		pw.Float(famRetransSeconds, s.RetransSeconds[c], c.String())
+	for _, c := range sortedRetrans(s.RetransTime) {
+		pw.Float(famRetransSeconds, s.RetransTime[c].Seconds(), c.String())
 	}
 	pw.Family(famWindowStalls)
 	forEachCause(s.Window.StallCount, func(k CauseKey) {
 		pw.Uint(famWindowStalls, s.Window.StallCount[k], k.Service, k.Cause.String())
 	})
 	pw.Family(famWindowSeconds)
-	forEachCause(s.Window.StallSeconds, func(k CauseKey) {
-		pw.Float(famWindowSeconds, s.Window.StallSeconds[k], k.Service, k.Cause.String())
+	forEachCause(s.Window.StallTime, func(k CauseKey) {
+		pw.Float(famWindowSeconds, s.Window.StallTime[k].Seconds(), k.Service, k.Cause.String())
 	})
 	pw.Float(famWindowSpan, s.Window.Span.Seconds())
 

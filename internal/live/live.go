@@ -963,11 +963,11 @@ type Snapshot struct {
 	TriageDemotions           uint64
 	TriageTruncatedPromotions uint64
 
-	StallCount     map[CauseKey]uint64
-	StallSeconds   map[CauseKey]float64
-	DurationsMS    *stats.Histogram
-	RetransCount   map[core.RetransCause]uint64
-	RetransSeconds map[core.RetransCause]float64
+	StallCount   map[CauseKey]uint64
+	StallTime    map[CauseKey]time.Duration
+	DurationsMS  *stats.Histogram
+	RetransCount map[core.RetransCause]uint64
+	RetransTime  map[core.RetransCause]time.Duration
 
 	Window WindowSnapshot
 }
@@ -977,10 +977,10 @@ func (m *Monitor) Snapshot() Snapshot {
 	now := m.cfg.Clock()
 	total := newAggregates(m.cfg.Window, m.cfg.WindowBuckets)
 	win := WindowSnapshot{
-		Span:         m.cfg.Window,
-		StallCount:   map[CauseKey]uint64{},
-		StallSeconds: map[CauseKey]float64{},
-		DurationsMS:  stats.NewHistogram(DurationBoundsMS),
+		Span:        m.cfg.Window,
+		StallCount:  map[CauseKey]uint64{},
+		StallTime:   map[CauseKey]time.Duration{},
+		DurationsMS: stats.NewHistogram(DurationBoundsMS),
 	}
 	active := 0
 	promoted, parked := 0, 0
@@ -1017,12 +1017,12 @@ func (m *Monitor) Snapshot() Snapshot {
 		TriageDemotions:           total.triDemotions,
 		TriageTruncatedPromotions: total.triTruncatedPromotions,
 
-		StallCount:     total.stallCount,
-		StallSeconds:   total.stallSeconds,
-		DurationsMS:    total.durationsMS,
-		RetransCount:   total.retransCount,
-		RetransSeconds: total.retransSeconds,
-		Window:         win,
+		StallCount:   total.stallCount,
+		StallTime:    total.stallTime,
+		DurationsMS:  total.durationsMS,
+		RetransCount: total.retransCount,
+		RetransTime:  total.retransTime,
+		Window:       win,
 	}
 	if m.started.Load() {
 		s.Uptime = now.Sub(m.startAt)

@@ -19,11 +19,11 @@ var updateMetrics = flag.Bool("update", false, "rewrite testdata/metrics.golden 
 func goldenSnapshot() Snapshot {
 	odd := `web"search\v2`
 	durs := stats.NewHistogram(DurationBoundsMS)
-	for _, v := range []float64{30, 120, 450, 450, 9000, 250000} {
-		durs.Add(v)
+	for _, ms := range []time.Duration{30, 120, 450, 450, 9000, 250000} {
+		durs.Add(ms * time.Millisecond)
 	}
 	wdurs := stats.NewHistogram(DurationBoundsMS)
-	wdurs.Add(450)
+	wdurs.Add(450 * time.Millisecond)
 	return Snapshot{
 		Uptime:         90*time.Second + 250*time.Millisecond,
 		ActiveFlows:    7,
@@ -53,19 +53,19 @@ func goldenSnapshot() Snapshot {
 			{"web-search", core.CausePacketDelay}: 3,
 			{"", core.CauseZeroWindow}:            1,
 		},
-		StallSeconds: map[CauseKey]float64{
-			{odd, core.CauseTimeoutRetrans}:       1.25,
-			{"web-search", core.CausePacketDelay}: 0.375,
-			{"", core.CauseZeroWindow}:            2,
+		StallTime: map[CauseKey]time.Duration{
+			{odd, core.CauseTimeoutRetrans}:       1250 * time.Millisecond,
+			{"web-search", core.CausePacketDelay}: 375 * time.Millisecond,
+			{"", core.CauseZeroWindow}:            2 * time.Second,
 		},
-		DurationsMS:    durs,
-		RetransCount:   map[core.RetransCause]uint64{core.RetransTail: 1, core.RetransDouble: 1},
-		RetransSeconds: map[core.RetransCause]float64{core.RetransTail: 0.5, core.RetransDouble: 0.75},
+		DurationsMS:  durs,
+		RetransCount: map[core.RetransCause]uint64{core.RetransTail: 1, core.RetransDouble: 1},
+		RetransTime:  map[core.RetransCause]time.Duration{core.RetransTail: 500 * time.Millisecond, core.RetransDouble: 750 * time.Millisecond},
 		Window: WindowSnapshot{
-			Span:         time.Minute,
-			StallCount:   map[CauseKey]uint64{{odd, core.CauseTimeoutRetrans}: 1},
-			StallSeconds: map[CauseKey]float64{{odd, core.CauseTimeoutRetrans}: 0.45},
-			DurationsMS:  wdurs,
+			Span:        time.Minute,
+			StallCount:  map[CauseKey]uint64{{odd, core.CauseTimeoutRetrans}: 1},
+			StallTime:   map[CauseKey]time.Duration{{odd, core.CauseTimeoutRetrans}: 450 * time.Millisecond},
+			DurationsMS: wdurs,
 		},
 	}
 }

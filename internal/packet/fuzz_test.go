@@ -92,7 +92,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frame4[EthernetHeaderLen:])
 	var ip6 IPv6
 	ip6.HopLimit = 64
-	f.Add(EncodeTCPv6(&eth, &ip6, &tcp, []byte("hello"))[EthernetHeaderLen:])
+	bare6 := EncodeTCPv6(&eth, &ip6, &tcp, []byte("hello"))[EthernetHeaderLen:]
+	f.Add(bare6)
+	// IPv6 payload length 0: a TSO or BIG TCP segment captured on the
+	// sender.
+	tso6 := bytes.Clone(bare6)
+	tso6[4], tso6[5] = 0, 0
+	f.Add(tso6)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fr Frame

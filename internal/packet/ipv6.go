@@ -22,6 +22,9 @@ type IPv6 struct {
 
 // DecodeFromBytes parses the header and returns the payload
 // (truncated to PayloadLen when the buffer carries trailing padding).
+// A PayloadLen of 0 takes the payload from the captured bytes, as
+// IPv4 does for total length 0: a TSO or BIG TCP segment captured on
+// the sender carries no length of its own.
 func (ip *IPv6) DecodeFromBytes(data []byte) (payload []byte, err error) {
 	if len(data) < IPv6HeaderLen {
 		return nil, fmt.Errorf("ipv6: %w (%d bytes)", ErrTruncated, len(data))
@@ -38,7 +41,7 @@ func (ip *IPv6) DecodeFromBytes(data []byte) (payload []byte, err error) {
 	copy(ip.Src[:], data[8:24])
 	copy(ip.Dst[:], data[24:40])
 	end := IPv6HeaderLen + int(ip.PayloadLen)
-	if end > len(data) {
+	if ip.PayloadLen == 0 || end > len(data) {
 		end = len(data)
 	}
 	return data[IPv6HeaderLen:end], nil

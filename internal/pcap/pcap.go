@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -202,11 +203,8 @@ func (r *Reader) ReadPacket() (Packet, error) {
 	if inclLen > MaxRecordLen {
 		return Packet{}, fmt.Errorf("%w: record length %d", ErrSnaplen, inclLen)
 	}
-	if uint32(cap(r.data)) < inclLen {
-		r.data = make([]byte, inclLen)
-	}
-	data := r.data[:inclLen]
-	if _, err := io.ReadFull(r.r, data); err != nil {
+	data, err := r.readData(int(inclLen))
+	if err != nil {
 		return Packet{}, fmt.Errorf("pcap: reading record data: %w", errors.Join(ErrTruncated, err))
 	}
 	nanos := int64(sub)
@@ -218,6 +216,34 @@ func (r *Reader) ReadPacket() (Packet, error) {
 		Data:      data,
 		OrigLen:   int(origLen),
 	}, nil
+}
+
+// firstGrowth is the record buffer a read that outgrows the reused one
+// starts from.
+const firstGrowth = 64 << 10
+
+// readData reads an n-byte record body into the reused buffer. A
+// buffer that already fits reads in one call. A larger record grows
+// the buffer only as its bytes arrive, from min(n, firstGrowth) and
+// doubling, because n comes from an untrusted record header: a lying
+// length costs memory in proportion to the input, not to the claim.
+func (r *Reader) readData(n int) ([]byte, error) {
+	data := r.data[:0]
+	if cap(data) < n {
+		data = make([]byte, 0, min(n, firstGrowth))
+	}
+	for len(data) < n {
+		if len(data) == cap(data) {
+			data = slices.Grow(data, min(n, 2*cap(data))-len(data))
+		}
+		m, err := io.ReadFull(r.r, data[len(data):min(n, cap(data))])
+		data = data[:len(data)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	r.data = data
+	return data, nil
 }
 
 // ReadAll drains the stream into a slice. Each packet's Data is its

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -151,6 +152,35 @@ func TestTruncatedRecord(t *testing.T) {
 	r, _ = NewReader(bytes.NewReader(full[:24+8]))
 	if _, err := r.ReadPacket(); !errors.Is(err, ErrTruncated) {
 		t.Errorf("mid-header: err = %v, want ErrTruncated", err)
+	}
+}
+
+// TestHostileRecordLength pins that a record header claiming
+// MaxRecordLen over a capture that ends 10 bytes later fails as
+// truncated without allocating anything near the claimed length.
+func TestHostileRecordLength(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := NewWriterHeader(&buf, Header{LinkType: LinkTypeEthernet, Snaplen: MaxRecordLen}); err != nil {
+		t.Fatal(err)
+	}
+	var rec [16]byte
+	binary.LittleEndian.PutUint32(rec[8:12], MaxRecordLen)
+	binary.LittleEndian.PutUint32(rec[12:16], MaxRecordLen)
+	buf.Write(rec[:])
+	buf.Write(make([]byte, 10))
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = r.ReadPacket()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Errorf("err = %v, want ErrTruncated", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("a 10-byte record claiming %d bytes allocated %d bytes, want < 1 MiB", MaxRecordLen, n)
 	}
 }
 

@@ -149,7 +149,8 @@ func (w *Writer) scalar(f *Family, value string, labelValues []string) {
 
 // Histogram writes the whole of histogram family f from st, which must
 // be valid (see stats.HistogramState.Validate): the cumulative buckets
-// ending in +Inf, then _sum and _count.
+// ending in +Inf, then _sum and _count. The bounds and _sum are in
+// milliseconds, the histogram's bucket unit.
 func (w *Writer) Histogram(f *Family, st stats.HistogramState) {
 	w.whole(f, Histogram)
 	var n uint64
@@ -162,7 +163,7 @@ func (w *Writer) Histogram(f *Family, st stats.HistogramState) {
 		w.sample(f.name+"_bucket", leLabel, []string{fnum(ub)}, strconv.FormatUint(cum, 10))
 	}
 	w.sample(f.name+"_bucket", leLabel, []string{"+Inf"}, strconv.FormatUint(n, 10))
-	w.sample(f.name+"_sum", nil, nil, fnum(st.Sum))
+	w.sample(f.name+"_sum", nil, nil, fnum(float64(st.SumNS)/1e6))
 	w.sample(f.name+"_count", nil, nil, strconv.FormatUint(n, 10))
 }
 

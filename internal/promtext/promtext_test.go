@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 	"unicode/utf8"
 
 	"tcpstall/internal/fleet"
@@ -379,20 +380,24 @@ func headFixture(t *testing.T) *fleet.Head {
 		if err != nil {
 			t.Fatal(err)
 		}
+		durs := stats.NewHistogram(live.DurationBoundsMS)
+		for _, d := range []time.Duration{50 * time.Millisecond, 200 * time.Millisecond, 1500 * time.Millisecond} {
+			durs.Add(d)
+		}
 		snap := &fleet.Snapshot{
 			Version: fleet.WireVersion, MemberID: id, Epoch: reg.Epoch, Seq: 1, Final: final,
 			Counters: fleet.Counters{
 				Ingested: 100, RingDrops: 1, RecordsFed: 90, FlowsSeen: 4,
 				FlowsEvicted: map[string]uint64{"done": 3, "idle": 1},
 				Stalls: []fleet.StallCounter{
-					{Service: "cloud-storage", Cause: "zero-rwnd", Count: 1, Seconds: 0.5},
-					{Service: "web-search", Cause: "retransmission", Count: 2, Seconds: 1.25},
+					{Service: "cloud-storage", Cause: "zero-rwnd", Count: 1, Time: 500 * time.Millisecond},
+					{Service: "web-search", Cause: "retransmission", Count: 2, Time: 1250 * time.Millisecond},
 				},
-				Retrans:     []fleet.RetransCounter{{Subcause: "tail-retrans", Count: 2, Seconds: 1.25}},
-				DurationsMS: stats.HistogramState{Bounds: []float64{100, 1000}, Counts: []uint64{1, 1, 1}, Sum: 1750},
+				Retrans:     []fleet.RetransCounter{{Subcause: "tail-retrans", Count: 2, Time: 1250 * time.Millisecond}},
+				DurationsMS: durs.State(),
 			},
 			WindowSpanS:  60,
-			WindowStalls: []fleet.StallCounter{{Service: "web-search", Cause: "retransmission", Count: 1, Seconds: 0.5}},
+			WindowStalls: []fleet.StallCounter{{Service: "web-search", Cause: "retransmission", Count: 1, Time: 500 * time.Millisecond}},
 		}
 		if resp := h.Push(snap); !resp.OK {
 			t.Fatalf("push %s: %s", id, resp.Error)
@@ -513,10 +518,10 @@ func TestHeadLabelValuesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := &fleet.Snapshot{Version: fleet.WireVersion, MemberID: "edge-1", Epoch: reg.Epoch, Seq: 1}
-	snap.DurationsMS = stats.HistogramState{Bounds: []float64{100}, Counts: []uint64{0, 0}}
+	snap.DurationsMS = stats.NewHistogram(live.DurationBoundsMS).State()
 	want := map[string]bool{}
 	for _, svc := range services {
-		snap.Stalls = append(snap.Stalls, fleet.StallCounter{Service: svc, Cause: "pkt-delay", Count: 1, Seconds: 0.5})
+		snap.Stalls = append(snap.Stalls, fleet.StallCounter{Service: svc, Cause: "pkt-delay", Count: 1, Time: 500 * time.Millisecond})
 		want[strings.ToValidUTF8(svc, string(utf8.RuneError))] = true
 	}
 	if resp := h.Push(snap); !resp.OK {

@@ -79,7 +79,7 @@ func TestWriterOutput(t *testing.T) {
 	w.Float(f, 0.1, "")
 	w.Counts(NewFamily("r_total", Counter, "R.", "reason"), map[string]uint64{"b": 2, "a": 1})
 	w.Family(NewFamily("empty", Gauge, "E."))
-	w.Histogram(NewFamily("h_ms", Histogram, "H."), stats.HistogramState{Bounds: []float64{0.5, 10}, Counts: []uint64{1, 0, 2}, Sum: 99.5})
+	w.Histogram(NewFamily("h_ms", Histogram, "H."), stats.HistogramState{Bounds: []float64{0.5, 10}, Counts: []uint64{1, 0, 2}, SumNS: 99_500_000})
 	w.Summary(NewFamily("s_ms", Summary, "S."), 7, Quantile{0.5, 1.25}, Quantile{0.99, 3})
 	const want = `# HELP x_total Back\\slash and\nnewline.
 # TYPE x_total counter

@@ -1,8 +1,8 @@
 package stats
 
 import (
-	"math"
 	"testing"
+	"time"
 )
 
 // Edge cases the analysis pipeline actually produces: services with
@@ -81,6 +81,9 @@ func TestSummaryEmptyAndConstant(t *testing.T) {
 	}
 }
 
+// ms converts a millisecond count to the Duration Histogram.Add takes.
+func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram([]float64{1, 10, 100})
 	if h.N() != 0 || h.Sum() != 0 {
@@ -101,7 +104,7 @@ func TestHistogramEmpty(t *testing.T) {
 
 func TestHistogramSingleAndOverflow(t *testing.T) {
 	h := NewHistogram([]float64{1, 10, 100})
-	h.Add(5)
+	h.Add(ms(5))
 	if h.N() != 1 || h.Count(1) != 1 {
 		t.Fatalf("N=%d counts=%v", h.N(), []uint64{h.Count(0), h.Count(1), h.Count(2), h.Count(3)})
 	}
@@ -111,7 +114,7 @@ func TestHistogramSingleAndOverflow(t *testing.T) {
 	}
 
 	// An observation beyond every bound lands in +Inf and clamps.
-	h.Add(1e9)
+	h.Add(ms(1e9))
 	if h.Count(3) != 1 {
 		t.Errorf("+Inf bucket count = %d, want 1", h.Count(3))
 	}
@@ -126,7 +129,7 @@ func TestHistogramSingleAndOverflow(t *testing.T) {
 func TestHistogramConstantSeries(t *testing.T) {
 	h := NewHistogram([]float64{50, 100, 200})
 	for i := 0; i < 1000; i++ {
-		h.Add(75)
+		h.Add(ms(75))
 	}
 	// Every quantile lies in the one occupied bucket (50, 100].
 	for _, q := range []float64{0.01, 0.5, 0.99} {
@@ -134,17 +137,17 @@ func TestHistogramConstantSeries(t *testing.T) {
 			t.Errorf("constant Quantile(%v) = %v, want in (50,100]", q, got)
 		}
 	}
-	if got := h.Mean(); got != 75 {
-		t.Errorf("Mean = %v, want 75", got)
+	if got := h.Mean(); got != ms(75) {
+		t.Errorf("Mean = %v, want 75ms", got)
 	}
 }
 
 func TestHistogramMergeAndReset(t *testing.T) {
 	a := NewHistogram([]float64{1, 2})
 	b := NewHistogram([]float64{1, 2})
-	a.Add(0.5)
-	b.Add(1.5)
-	b.Add(99)
+	a.Add(ms(0.5))
+	b.Add(ms(1.5))
+	b.Add(ms(99))
 	a.Merge(b)
 	if a.N() != 3 {
 		t.Fatalf("merged N = %d, want 3", a.N())
@@ -152,7 +155,7 @@ func TestHistogramMergeAndReset(t *testing.T) {
 	if a.Count(0) != 1 || a.Count(1) != 1 || a.Count(2) != 1 {
 		t.Errorf("merged counts = %d,%d,%d", a.Count(0), a.Count(1), a.Count(2))
 	}
-	if got, want := a.Sum(), 101.0; math.Abs(got-want) > 1e-9 {
+	if got, want := a.Sum(), ms(101); got != want {
 		t.Errorf("merged Sum = %v, want %v", got, want)
 	}
 	a.Merge(nil) // no-op
@@ -170,7 +173,7 @@ func TestHistogramMergeAndReset(t *testing.T) {
 		}
 	}()
 	c := NewHistogram([]float64{1, 2, 3})
-	c.Add(1) // empty merges are no-ops; only a populated mismatch panics
+	c.Add(ms(1)) // empty merges are no-ops; only a populated mismatch panics
 	a.Merge(c)
 }
 

@@ -1,22 +1,27 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"time"
+)
 
-// Histogram counts observations against fixed ascending bucket upper
-// bounds, with an implicit +Inf bucket at the end. Unlike Sample it
-// retains no observations, so it is cheap enough for per-record hot
-// paths (the live monitor's rolling windows) and merges in O(buckets).
-// The cumulative-count layout matches what a Prometheus histogram
-// exposition needs.
+// Histogram counts durations against fixed ascending bucket upper
+// bounds in milliseconds, with an implicit +Inf bucket at the end.
+// Unlike Sample it retains no observations, so it is cheap enough for
+// per-record hot paths (the live monitor's rolling windows) and merges
+// in O(buckets). The sum is integer nanoseconds, so merges give the
+// same bits in any order. The cumulative-count layout matches what a
+// Prometheus histogram exposition needs.
 type Histogram struct {
-	bounds []float64
-	counts []uint64 // len(bounds)+1; counts[len(bounds)] is +Inf
+	bounds []float64 // milliseconds
+	counts []uint64  // len(bounds)+1; counts[len(bounds)] is +Inf
 	n      uint64
-	sum    float64
+	sum    time.Duration
 }
 
 // NewHistogram builds a histogram over the given ascending upper
-// bounds. The bounds slice is retained; callers must not modify it.
+// bounds, in milliseconds. The bounds slice is retained; callers must
+// not modify it.
 func NewHistogram(bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
@@ -30,28 +35,29 @@ func NewHistogram(bounds []float64) *Histogram {
 func (h *Histogram) Bounds() []float64 { return h.bounds }
 
 // Add folds one observation in.
-func (h *Histogram) Add(v float64) {
+func (h *Histogram) Add(d time.Duration) {
+	ms := float64(d) / float64(time.Millisecond)
 	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
+	for i < len(h.bounds) && ms > h.bounds[i] {
 		i++
 	}
 	h.counts[i]++
 	h.n++
-	h.sum += v
+	h.sum += d
 }
 
 // N reports the observation count.
 func (h *Histogram) N() uint64 { return h.n }
 
 // Sum reports the sum of observations.
-func (h *Histogram) Sum() float64 { return h.sum }
+func (h *Histogram) Sum() time.Duration { return h.sum }
 
 // Mean reports the observation mean (0 when empty).
-func (h *Histogram) Mean() float64 {
+func (h *Histogram) Mean() time.Duration {
 	if h.n == 0 {
 		return 0
 	}
-	return h.sum / float64(h.n)
+	return h.sum / time.Duration(h.n)
 }
 
 // Count reports the count in bucket i (i == len(Bounds()) is +Inf).
@@ -106,11 +112,11 @@ func (h *Histogram) Reset() {
 	h.sum = 0
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) by linear
-// interpolation within the bucket holding the target rank, the same
-// estimate Prometheus's histogram_quantile computes. Returns 0 when
-// empty. Observations in the +Inf bucket clamp to the highest finite
-// bound.
+// Quantile estimates the q-quantile (q in [0,1]) in milliseconds by
+// linear interpolation within the bucket holding the target rank, the
+// same estimate Prometheus's histogram_quantile computes. Returns 0
+// when empty. Observations in the +Inf bucket clamp to the highest
+// finite bound.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.n == 0 {
 		return 0

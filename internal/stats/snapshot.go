@@ -1,6 +1,9 @@
 package stats
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // This file is the serialization boundary for the fleet tier: each
 // accumulator gets a plain, JSON-tagged State twin that round-trips
@@ -16,11 +19,12 @@ import "fmt"
 // HistogramState is the wire form of a Histogram. Counts has one
 // entry per bound plus the trailing +Inf bucket; the observation
 // count is implied (it equals the sum of Counts), so it cannot drift
-// out of sync with the buckets in transit.
+// out of sync with the buckets in transit. SumNS is the sum of
+// observations in nanoseconds.
 type HistogramState struct {
 	Bounds []float64 `json:"bounds"`
 	Counts []uint64  `json:"counts"`
-	Sum    float64   `json:"sum"`
+	SumNS  int64     `json:"sum_ns"`
 }
 
 // State snapshots the histogram into its wire form. The returned
@@ -29,7 +33,7 @@ func (h *Histogram) State() HistogramState {
 	return HistogramState{
 		Bounds: append([]float64{}, h.bounds...),
 		Counts: append([]uint64{}, h.counts...),
-		Sum:    h.sum,
+		SumNS:  int64(h.sum),
 	}
 }
 
@@ -62,7 +66,7 @@ func HistogramFromState(st HistogramState) (*Histogram, error) {
 		n += c
 	}
 	h.n = n
-	h.sum = st.Sum
+	h.sum = time.Duration(st.SumNS)
 	return h, nil
 }
 

@@ -54,10 +54,10 @@ func TestHistogramSnapshotRoundTripMerge(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			a, b := NewHistogram(bounds), NewHistogram(bounds)
 			for _, v := range obs[0] {
-				a.Add(v)
+				a.Add(ms(v))
 			}
 			for _, v := range obs[1] {
-				b.Add(v)
+				b.Add(ms(v))
 			}
 			// Direct merge of the live accumulators.
 			direct := NewHistogram(bounds)
@@ -68,7 +68,7 @@ func TestHistogramSnapshotRoundTripMerge(t *testing.T) {
 			wired.Merge(encodeDecodeHist(t, a))
 			wired.Merge(encodeDecodeHist(t, b))
 			if !histsEqual(direct, wired) {
-				t.Errorf("wire merge diverged: direct n=%d sum=%g, wired n=%d sum=%g",
+				t.Errorf("wire merge diverged: direct n=%d sum=%v, wired n=%d sum=%v",
 					direct.N(), direct.Sum(), wired.N(), wired.Sum())
 			}
 			if direct.N() > 0 && wired.Quantile(0.99) != direct.Quantile(0.99) {
@@ -96,7 +96,7 @@ func TestHistogramFromStateRejectsCorruptWire(t *testing.T) {
 
 func TestHistogramStateCopies(t *testing.T) {
 	h := NewHistogram([]float64{1, 2})
-	h.Add(1.5)
+	h.Add(ms(1.5))
 	st := h.State()
 	st.Counts[1] = 999
 	st.Bounds[0] = -1

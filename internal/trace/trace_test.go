@@ -409,9 +409,7 @@ func linkCapture(tb testing.TB, link pcap.LinkType, pkts ...[]byte) []byte {
 // The same IP packets import to the same flows and events whether the
 // capture is raw-IP or Ethernet, over IPv4 and IPv6 — including a
 // TSO segment whose IP length field is 0, which takes its length from
-// the captured bytes on both link types. The IPv6 decoder cuts a
-// packet at its payload length, so the IPv6 frame with payload
-// length 0 holds no TCP header and is skipped on both.
+// the captured bytes on both link types and both IP versions.
 func TestImportRawIPMatchesEthernet(t *testing.T) {
 	var pkts [][]byte
 	for _, v6 := range []bool{false, true} {
@@ -455,11 +453,13 @@ func TestImportRawIPMatchesEthernet(t *testing.T) {
 			t.Errorf("ImportPcapRecords event %d: raw-IP %+v, Ethernet %+v", i, raw.events[i], eth.events[i])
 		}
 	}
-	if len(raw.flows) != 2 || len(raw.flows[0].Records) != 5 || len(raw.flows[1].Records) != 4 {
-		t.Fatalf("raw-IP import: %v, want a 5-record IPv4 flow and a 4-record IPv6 flow", raw.flows)
+	if len(raw.flows) != 2 || len(raw.flows[0].Records) != 5 || len(raw.flows[1].Records) != 5 {
+		t.Fatalf("raw-IP import: %v, want a 5-record IPv4 flow and a 5-record IPv6 flow", raw.flows)
 	}
-	if n := raw.flows[0].Records[2].Seg.Len; n != 500 {
-		t.Errorf("IPv4 segment with total length 0 imported with Len %d, want 500", n)
+	for i, ver := range []string{"IPv4", "IPv6"} {
+		if n := raw.flows[i].Records[2].Seg.Len; n != 500 {
+			t.Errorf("%s segment with IP length 0 imported with Len %d, want 500", ver, n)
+		}
 	}
 }
 
