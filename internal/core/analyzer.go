@@ -9,7 +9,6 @@ import (
 	"tcpstall/internal/packet"
 	"tcpstall/internal/seqspace"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 )
 
@@ -91,7 +90,7 @@ type pendingStall struct {
 	// unwrapped stream offset at the moment the stall closed. Holding
 	// these here frees classification from the record slice, so the
 	// incremental analyzer never needs the flow history.
-	endDir tcpsim.Dir
+	endDir trace.Dir
 	endLen int
 	endOff uint64
 	// retransSegIdx (the segment's ordinal, or -1), copiesBefore,
@@ -170,7 +169,7 @@ type analyzer struct {
 
 	dupacks    int
 	dupThresh  int
-	caState    tcpsim.CongState
+	caState    trace.CongState
 	recoverSeq uint64
 
 	cwnd     float64
@@ -285,9 +284,9 @@ func (a *analyzer) feed(r *trace.Record) {
 		a.firstT = r.T
 	}
 	switch r.Dir {
-	case tcpsim.DirOut:
+	case trace.DirOut:
 		a.processOut(r)
-	case tcpsim.DirIn:
+	case trace.DirIn:
 		a.processIn(r)
 	}
 	a.lastT = r.T
@@ -379,7 +378,7 @@ func (a *analyzer) onStall(endIdx int, start sim.Time, cur *trace.Record) {
 	// Is cur_pkt a retransmission of an already-sent, unacked segment?
 	// Retired segments are all acked, so the window is the only place
 	// to look.
-	if cur.Dir == tcpsim.DirOut && cur.Seg.Len > 0 {
+	if cur.Dir == trace.DirOut && cur.Seg.Len > 0 {
 		ps.endOff = a.u.Unwrap(cur.Seg.Seq)
 		if ord, ok := a.segIdx[ps.endOff]; ok && !a.segs[ord-a.segBase].acked {
 			g := &a.segs[ord-a.segBase]
@@ -492,8 +491,8 @@ func (a *analyzer) processOut(r *trace.Record) {
 		if isTimeout {
 			// Mimic tcp_enter_loss.
 			a.out.RTOSamplesMS = append(a.out.RTOSamplesMS, float64(a.rto)/1e6)
-			a.emit(flight.KindState, flight.NameEnterLoss, int64(a.caState), int64(tcpsim.StateLoss), int64(a.rtoBackoff+1))
-			a.caState = tcpsim.StateLoss
+			a.emit(flight.KindState, flight.NameEnterLoss, int64(a.caState), int64(trace.StateLoss), int64(a.rtoBackoff+1))
+			a.caState = trace.StateLoss
 			a.recoverSeq = a.maxEnd
 			a.ssthresh = maxf(float64(a.inFlight())/2, 2)
 			a.cwnd = 1
@@ -504,7 +503,7 @@ func (a *analyzer) processOut(r *trace.Record) {
 				a.rto = a.cfg.MaxRTO
 			}
 			a.emit(flight.KindCwnd, flight.NameLossReset, int64(a.cwnd), int64(a.ssthresh), int64(a.rto/time.Microsecond))
-		} else if a.caState != tcpsim.StateLoss && a.caState != tcpsim.StateRecovery {
+		} else if a.caState != trace.StateLoss && a.caState != trace.StateRecovery {
 			// Fast retransmit observed: Recovery.
 			a.enterRecovery()
 		}
@@ -521,8 +520,8 @@ func (a *analyzer) wasStallEnding(t sim.Time) bool {
 }
 
 func (a *analyzer) enterRecovery() {
-	a.emit(flight.KindState, flight.NameEnterRecovery, int64(a.caState), int64(tcpsim.StateRecovery), 0)
-	a.caState = tcpsim.StateRecovery
+	a.emit(flight.KindState, flight.NameEnterRecovery, int64(a.caState), int64(trace.StateRecovery), 0)
+	a.caState = trace.StateRecovery
 	a.recoverSeq = a.maxEnd
 	a.ssthresh = maxf(float64(a.inFlight())/2, 2)
 	a.cwnd = a.ssthresh
@@ -647,11 +646,11 @@ func (a *analyzer) processIn(r *trace.Record) {
 		a.packetsOut() > 0 && (sackedNew || len(sblocks) > 0 || seg.Wnd == prevRwnd):
 		a.dupacks++
 		a.emit(flight.KindAck, flight.NameDupack, int64(a.dupacks), int64(a.dupThresh), 0)
-		if a.caState == tcpsim.StateOpen {
-			a.emit(flight.KindState, flight.NameEnterDisorder, int64(tcpsim.StateOpen), int64(tcpsim.StateDisorder), 0)
-			a.caState = tcpsim.StateDisorder
+		if a.caState == trace.StateOpen {
+			a.emit(flight.KindState, flight.NameEnterDisorder, int64(trace.StateOpen), int64(trace.StateDisorder), 0)
+			a.caState = trace.StateDisorder
 		}
-		if a.caState == tcpsim.StateDisorder && a.dupacks >= a.dupThresh {
+		if a.caState == trace.StateDisorder && a.dupacks >= a.dupThresh {
 			a.enterRecovery()
 		}
 	}
@@ -660,7 +659,7 @@ func (a *analyzer) processIn(r *trace.Record) {
 	a.out.InFlightOnAck = append(a.out.InFlightOnAck, a.inFlight())
 }
 
-func (a *analyzer) newAck(r *trace.Record, seg *tcpsim.Segment, ack uint64) {
+func (a *analyzer) newAck(r *trace.Record, seg *trace.Segment, ack uint64) {
 	newlyAcked := 0
 	var edge *aSeg
 	for i := a.lo; i < len(a.segs); i++ {
@@ -706,17 +705,17 @@ func (a *analyzer) newAck(r *trace.Record, seg *tcpsim.Segment, ack uint64) {
 
 	// State transitions.
 	switch a.caState {
-	case tcpsim.StateRecovery, tcpsim.StateLoss:
+	case trace.StateRecovery, trace.StateLoss:
 		if ack >= a.recoverSeq {
-			a.emit(flight.KindState, flight.NameRecoveryPointAcked, int64(a.caState), int64(tcpsim.StateOpen), 0)
-			a.caState = tcpsim.StateOpen
+			a.emit(flight.KindState, flight.NameRecoveryPointAcked, int64(a.caState), int64(trace.StateOpen), 0)
+			a.caState = trace.StateOpen
 			a.cwnd = maxf(a.ssthresh, 2)
 		}
-	case tcpsim.StateDisorder:
-		a.emit(flight.KindState, flight.NameDisorderCleared, int64(tcpsim.StateDisorder), int64(tcpsim.StateOpen), 0)
-		a.caState = tcpsim.StateOpen
+	case trace.StateDisorder:
+		a.emit(flight.KindState, flight.NameDisorderCleared, int64(trace.StateDisorder), int64(trace.StateOpen), 0)
+		a.caState = trace.StateOpen
 	}
-	if a.caState == tcpsim.StateOpen {
+	if a.caState == trace.StateOpen {
 		for i := 0; i < newlyAcked; i++ {
 			if a.cwnd < a.ssthresh {
 				a.cwnd++

@@ -5,7 +5,7 @@ import (
 
 	"tcpstall/internal/flight"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
+	"tcpstall/internal/trace"
 )
 
 // finalize resolves response boundaries, classifies every pending
@@ -94,7 +94,7 @@ func (a *analyzer) topCause(ps *pendingStall, tr *flight.Trail) Cause {
 	}
 
 	if tr.Check("cur_pkt is outgoing data (server sent after the silence)",
-		ps.endDir == tcpsim.DirOut && ps.endLen > 0,
+		ps.endDir == trace.DirOut && ps.endLen > 0,
 		flight.V("dir", ps.endDir.String()), flight.V("len", ps.endLen),
 		flight.V("end_rec", ps.stall.EndRecIdx)) {
 		if tr.Check("cur_pkt retransmits a sent, unacked segment",
@@ -121,7 +121,7 @@ func (a *analyzer) topCause(ps *pendingStall, tr *flight.Trail) Cause {
 	}
 
 	if tr.Check("cur_pkt is incoming (client broke the silence)",
-		ps.endDir == tcpsim.DirIn, flight.V("dir", ps.endDir.String())) {
+		ps.endDir == trace.DirIn, flight.V("dir", ps.endDir.String())) {
 		if tr.Check("cur_pkt carries a client request",
 			ps.endLen > 0, flight.V("len", ps.endLen)) {
 			// A client request ends the stall.
@@ -147,7 +147,7 @@ func (a *analyzer) topCause(ps *pendingStall, tr *flight.Trail) Cause {
 // retransCause applies the Table-5 precedence to a
 // timeout-retransmission stall, optionally recording each examined
 // rule into the trail.
-func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCause, DoubleKind, tcpsim.CongState) {
+func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCause, DoubleKind, trace.CongState) {
 	// 1. Double retransmission: the packet had been retransmitted
 	// before this stall-ending retransmission.
 	if tr.Check("T5.1 double: segment was already retransmitted before this stall",
@@ -173,10 +173,10 @@ func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCaus
 		flight.V("segs_above", ps.segsAboveOutstanding), flight.V("dupthresh", a.cfg.DupThresh)) {
 		tailState := ps.stall.CaState
 		switch tailState {
-		case tcpsim.StateDisorder:
-			tailState = tcpsim.StateOpen
-		case tcpsim.StateLoss:
-			tailState = tcpsim.StateRecovery
+		case trace.StateDisorder:
+			tailState = trace.StateOpen
+		case trace.StateLoss:
+			tailState = trace.StateRecovery
 		}
 		return RetransTail, 0, tailState
 	}

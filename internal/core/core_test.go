@@ -64,7 +64,7 @@ func (sc scenario) runFlow(t *testing.T) *trace.Flow {
 		distinct := 0
 		ordinalOf := map[uint32]int{}
 		copies := map[uint32]int{}
-		conn.Sender().Output = func(seg *tcpsim.Segment) {
+		conn.Sender().Output = func(seg *trace.Segment) {
 			if seg.Len > 0 {
 				if _, ok := ordinalOf[seg.Seq]; !ok {
 					distinct++
@@ -73,7 +73,7 @@ func (sc scenario) runFlow(t *testing.T) *trace.Flow {
 				copies[seg.Seq]++
 				if n, ok := sc.dropPlan[ordinalOf[seg.Seq]]; ok && copies[seg.Seq] <= n {
 					// The server NIC saw it; the network ate it.
-					col.Record(s.Now(), tcpsim.DirOut, *seg)
+					col.Record(s.Now(), trace.DirOut, *seg)
 					return
 				}
 			}
@@ -253,7 +253,7 @@ func TestTailRetransmissionStall(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("tail-retrans stalls = %d (all: %+v)", len(got), a.Stalls)
 	}
-	if got[0].TailState != tcpsim.StateOpen {
+	if got[0].TailState != trace.StateOpen {
 		t.Errorf("tail state = %v, want Open", got[0].TailState)
 	}
 	if got[0].Position < 0 {
@@ -571,11 +571,11 @@ func TestAnalyzeMidCaptureFlow(t *testing.T) {
 	}, down, up, col)
 	inner := conn.Sender().Output
 	n := 0
-	conn.Sender().Output = func(seg *tcpsim.Segment) {
+	conn.Sender().Output = func(seg *trace.Segment) {
 		if seg.Len > 0 {
 			n++
 			if n == 21 {
-				col.Record(s.Now(), tcpsim.DirOut, *seg)
+				col.Record(s.Now(), trace.DirOut, *seg)
 				return
 			}
 		}
@@ -620,10 +620,10 @@ func TestTailRetransInRecoveryState(t *testing.T) {
 	if len(tails) == 0 {
 		t.Fatalf("no tail stall (all: %+v)", a.Stalls)
 	}
-	if tails[0].TailState != tcpsim.StateRecovery {
+	if tails[0].TailState != trace.StateRecovery {
 		t.Errorf("tail state = %v, want Recovery", tails[0].TailState)
 	}
-	if tails[0].CaState != tcpsim.StateRecovery {
+	if tails[0].CaState != trace.StateRecovery {
 		t.Errorf("ca state at stall = %v, want Recovery", tails[0].CaState)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 )
 
@@ -26,9 +25,9 @@ func decodeFuzzRecords(data []byte) []trace.Record {
 	var t sim.Time
 	for len(data) >= fuzzRecSize && len(recs) < 4096 {
 		ctl := data[0]
-		dir := tcpsim.DirOut
+		dir := trace.DirOut
 		if ctl&1 != 0 {
-			dir = tcpsim.DirIn
+			dir = trace.DirIn
 		}
 		var flags packet.TCPFlags
 		if ctl&2 != 0 {
@@ -46,7 +45,7 @@ func decodeFuzzRecords(data []byte) []trace.Record {
 		if ctl&32 != 0 {
 			flags |= packet.FlagPSH
 		}
-		seg := tcpsim.Segment{
+		seg := trace.Segment{
 			Flags: flags,
 			Seq:   binary.LittleEndian.Uint32(data[1:5]),
 			Ack:   binary.LittleEndian.Uint32(data[5:9]),
@@ -68,9 +67,9 @@ func decodeFuzzRecords(data []byte) []trace.Record {
 }
 
 // encodeFuzzRecord builds one seed record in the fuzz wire format.
-func encodeFuzzRecord(dir tcpsim.Dir, flags packet.TCPFlags, seq, ack uint32, wnd, lenCode int, dtMS uint16) []byte {
+func encodeFuzzRecord(dir trace.Dir, flags packet.TCPFlags, seq, ack uint32, wnd, lenCode int, dtMS uint16) []byte {
 	b := make([]byte, fuzzRecSize)
-	if dir == tcpsim.DirIn {
+	if dir == trace.DirIn {
 		b[0] |= 1
 	}
 	if flags.Has(packet.FlagSYN) {
@@ -100,11 +99,11 @@ func encodeFuzzRecord(dir tcpsim.Dir, flags packet.TCPFlags, seq, ack uint32, wn
 func FuzzIncrementalFeed(f *testing.F) {
 	// Seed: a plausible handshake + request + paced response.
 	var normal []byte
-	normal = append(normal, encodeFuzzRecord(tcpsim.DirIn, packet.FlagSYN, 100, 0, 65535, 0, 0)...)
-	normal = append(normal, encodeFuzzRecord(tcpsim.DirOut, packet.FlagSYN|packet.FlagACK, 5000, 101, 65535, 0, 1)...)
-	normal = append(normal, encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 101, 5001, 65535, 3, 30)...)
+	normal = append(normal, encodeFuzzRecord(trace.DirIn, packet.FlagSYN, 100, 0, 65535, 0, 0)...)
+	normal = append(normal, encodeFuzzRecord(trace.DirOut, packet.FlagSYN|packet.FlagACK, 5000, 101, 65535, 0, 1)...)
+	normal = append(normal, encodeFuzzRecord(trace.DirIn, packet.FlagACK, 101, 5001, 65535, 3, 30)...)
 	for i := 0; i < 6; i++ {
-		normal = append(normal, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, 5001+uint32(i)*1455, 101, 65535, 15, uint16(20+400*(i%2)))...)
+		normal = append(normal, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 5001+uint32(i)*1455, 101, 65535, 15, uint16(20+400*(i%2)))...)
 	}
 	f.Add(normal)
 
@@ -112,11 +111,11 @@ func FuzzIncrementalFeed(f *testing.F) {
 	// through 2^32 — the seqspace.Unwrapper's hard case.
 	var wrapped []byte
 	wrapISN := uint32(0xFFFFF000)
-	wrapped = append(wrapped, encodeFuzzRecord(tcpsim.DirIn, packet.FlagSYN, 7, 0, 60000, 0, 0)...)
-	wrapped = append(wrapped, encodeFuzzRecord(tcpsim.DirOut, packet.FlagSYN|packet.FlagACK, wrapISN, 8, 65535, 0, 1)...)
+	wrapped = append(wrapped, encodeFuzzRecord(trace.DirIn, packet.FlagSYN, 7, 0, 60000, 0, 0)...)
+	wrapped = append(wrapped, encodeFuzzRecord(trace.DirOut, packet.FlagSYN|packet.FlagACK, wrapISN, 8, 65535, 0, 1)...)
 	for i := 0; i < 8; i++ {
-		wrapped = append(wrapped, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, wrapISN+1+uint32(i)*1455, 8, 65535, 15, uint16(25+700*(i%3/2)))...)
-		wrapped = append(wrapped, encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 8, wrapISN+1+uint32(i+1)*1455, 60000, 0, 5)...)
+		wrapped = append(wrapped, encodeFuzzRecord(trace.DirOut, packet.FlagACK, wrapISN+1+uint32(i)*1455, 8, 65535, 15, uint16(25+700*(i%3/2)))...)
+		wrapped = append(wrapped, encodeFuzzRecord(trace.DirIn, packet.FlagACK, 8, wrapISN+1+uint32(i+1)*1455, 60000, 0, 5)...)
 	}
 	f.Add(wrapped)
 
@@ -127,16 +126,16 @@ func FuzzIncrementalFeed(f *testing.F) {
 	// right at the wrap with hostile pacing.
 	var skew []byte
 	skewISN := uint32(0xFFFFFB00)
-	skew = append(skew, encodeFuzzRecord(tcpsim.DirIn, packet.FlagSYN, 42, 0, 60000, 0, 0)...)
-	skew = append(skew, encodeFuzzRecord(tcpsim.DirOut, packet.FlagSYN|packet.FlagACK, skewISN, 43, 65535, 0, 1)...)
+	skew = append(skew, encodeFuzzRecord(trace.DirIn, packet.FlagSYN, 42, 0, 60000, 0, 0)...)
+	skew = append(skew, encodeFuzzRecord(trace.DirOut, packet.FlagSYN|packet.FlagACK, skewISN, 43, 65535, 0, 1)...)
 	for i := 0; i < 6; i++ {
 		dt := uint16(1)
 		if i%2 == 1 {
 			dt = 65000 // ~65s jump: alternating tiny/huge deltas
 		}
-		skew = append(skew, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, skewISN+1+uint32(i)*1455, 43, 65535, 15, dt)...)
+		skew = append(skew, encodeFuzzRecord(trace.DirOut, packet.FlagACK, skewISN+1+uint32(i)*1455, 43, 65535, 15, dt)...)
 		// Cumulative ACK lags behind; a SACK block crosses the wrap.
-		ackRec := encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 43, skewISN+1, 60000, 0, 1)
+		ackRec := encodeFuzzRecord(trace.DirIn, packet.FlagACK, 43, skewISN+1, 60000, 0, 1)
 		ackRec[0] |= 64 // attach a SACK block
 		var blk [8]byte
 		binary.LittleEndian.PutUint32(blk[0:4], skewISN+1+uint32(i)*1455)   // left edge below the wrap…
@@ -151,21 +150,21 @@ func FuzzIncrementalFeed(f *testing.F) {
 	// resend of a retired segment and a DSACK for it — the retired
 	// set's lookups.
 	var long []byte
-	long = append(long, encodeFuzzRecord(tcpsim.DirIn, packet.FlagSYN, 100, 0, 65535, 0, 0)...)
-	long = append(long, encodeFuzzRecord(tcpsim.DirOut, packet.FlagSYN|packet.FlagACK, 5000, 101, 65535, 0, 1)...)
-	long = append(long, encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 101, 5001, 65535, 3, 10)...)
+	long = append(long, encodeFuzzRecord(trace.DirIn, packet.FlagSYN, 100, 0, 65535, 0, 0)...)
+	long = append(long, encodeFuzzRecord(trace.DirOut, packet.FlagSYN|packet.FlagACK, 5000, 101, 65535, 0, 1)...)
+	long = append(long, encodeFuzzRecord(trace.DirIn, packet.FlagACK, 101, 5001, 65535, 3, 10)...)
 	seq := uint32(5001)
 	for i := 0; i < retireMin+8; i++ {
 		code := 15
 		if i == 10 {
 			code = 5
 		}
-		long = append(long, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, seq, 101, 65535, code, 1)...)
+		long = append(long, encodeFuzzRecord(trace.DirOut, packet.FlagACK, seq, 101, 65535, code, 1)...)
 		seq += uint32(code * 97)
-		long = append(long, encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 101, seq, 65535, 0, 2)...)
+		long = append(long, encodeFuzzRecord(trace.DirIn, packet.FlagACK, 101, seq, 65535, 0, 2)...)
 	}
-	long = append(long, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, 5001+3*1455, 101, 65535, 15, 1)...)
-	dsack := encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 101, seq, 65535, 0, 2)
+	long = append(long, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 5001+3*1455, 101, 65535, 15, 1)...)
+	dsack := encodeFuzzRecord(trace.DirIn, packet.FlagACK, 101, seq, 65535, 0, 2)
 	dsack[0] |= 64 // attach a SACK block: segment 3, below the ACK
 	var dblk [8]byte
 	binary.LittleEndian.PutUint32(dblk[0:4], 5001+3*1455)
@@ -176,9 +175,9 @@ func FuzzIncrementalFeed(f *testing.F) {
 
 	// Seed: pathological — a retransmission-shaped repeat with RST.
 	var hostile []byte
-	hostile = append(hostile, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, 1000, 1, 0, 20, 0)...)
-	hostile = append(hostile, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, 1000, 1, 0, 20, 9000)...)
-	hostile = append(hostile, encodeFuzzRecord(tcpsim.DirIn, packet.FlagRST, 1, 0, 0, 0, 1)...)
+	hostile = append(hostile, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 1000, 1, 0, 20, 0)...)
+	hostile = append(hostile, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 1000, 1, 0, 20, 9000)...)
+	hostile = append(hostile, encodeFuzzRecord(trace.DirIn, packet.FlagRST, 1, 0, 0, 0, 1)...)
 	f.Add(hostile)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -3,7 +3,6 @@ package core
 import (
 	"tcpstall/internal/flight"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 )
 
@@ -67,7 +66,7 @@ func NewIncremental(cfg Config) *Incremental {
 		mss:       1460,
 		segIdx:    make(map[uint64]int),
 		dupThresh: cfg.DupThresh,
-		caState:   tcpsim.StateOpen,
+		caState:   trace.StateOpen,
 		cwnd:      float64(cfg.InitCwnd),
 		ssthresh:  1 << 30,
 		rto:       cfg.InitRTO,
@@ -119,9 +118,6 @@ func (inc *Incremental) SetMeta(m FlowMeta) {
 		inc.a.mss = m.MSS
 	}
 }
-
-// Meta reports the flow identity currently attached.
-func (inc *Incremental) Meta() FlowMeta { return inc.meta }
 
 // Feed advances the analyzer by one record. Records must arrive in
 // capture order. Feed panics if called after Flush.

@@ -3,7 +3,7 @@ package core
 import (
 	"time"
 
-	"tcpstall/internal/tcpsim"
+	"tcpstall/internal/trace"
 )
 
 // Report aggregates per-flow analyses into the paper's table shapes.
@@ -26,7 +26,7 @@ type Report struct {
 	DoubleTimeByKind map[DoubleKind]time.Duration
 
 	// Table 7: tail-retransmission stalls by congestion state.
-	TailTimeByState map[tcpsim.CongState]time.Duration
+	TailTimeByState map[trace.CongState]time.Duration
 
 	// Table 4 ingredients.
 	FlowsZeroRwnd int
@@ -40,7 +40,7 @@ func NewReport(analyses []*FlowAnalysis) *Report {
 		RetransCountByCause: map[RetransCause]int{},
 		RetransTimeByCause:  map[RetransCause]time.Duration{},
 		DoubleTimeByKind:    map[DoubleKind]time.Duration{},
-		TailTimeByState:     map[tcpsim.CongState]time.Duration{},
+		TailTimeByState:     map[trace.CongState]time.Duration{},
 	}
 	for _, a := range analyses {
 		r.Add(a)
@@ -153,7 +153,7 @@ func (r *Report) DoublePctTime(k DoubleKind) float64 {
 
 // TailPctTime reports a state's share of tail-retransmission stall
 // time (Table 7).
-func (r *Report) TailPctTime(s tcpsim.CongState) float64 {
+func (r *Report) TailPctTime(s trace.CongState) float64 {
 	total := r.RetransTimeByCause[RetransTail]
 	if total == 0 {
 		return 0

@@ -8,7 +8,6 @@ import (
 
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 )
 
@@ -22,7 +21,7 @@ func TestPropertyAnalyzerNeverPanics(t *testing.T) {
 		var now sim.Time
 		for i := 0; i < int(n); i++ {
 			now = now.Add(time.Duration(rng.Intn(1_000_000)) * time.Microsecond)
-			seg := tcpsim.Segment{
+			seg := trace.Segment{
 				Flags: packet.TCPFlags(rng.Intn(256)),
 				Seq:   uint32(rng.Intn(1 << 20)),
 				Ack:   uint32(rng.Intn(1 << 20)),
@@ -39,9 +38,9 @@ func TestPropertyAnalyzerNeverPanics(t *testing.T) {
 				seg.TSVal = sim.Time(rng.Intn(1 << 30))
 				seg.TSEcr = sim.Time(rng.Intn(1 << 30))
 			}
-			dir := tcpsim.DirOut
+			dir := trace.DirOut
 			if rng.Bool(0.5) {
-				dir = tcpsim.DirIn
+				dir = trace.DirIn
 			}
 			fl.Records = append(fl.Records, trace.Record{T: now, Dir: dir, Seg: seg})
 		}

@@ -9,7 +9,6 @@ import (
 	"tcpstall/internal/flight"
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 )
 
@@ -121,7 +120,7 @@ func FeedChecked(tb testing.TB, inc *Incremental, recs []trace.Record) {
 	sent := make(map[uint64]int)
 	for i := range recs {
 		r := &recs[i]
-		data := r.Dir == tcpsim.DirOut && r.Seg.Len > 0
+		data := r.Dir == trace.DirOut && r.Seg.Len > 0
 		var off uint64
 		if data {
 			u := a.u // a copy, so peeking does not move the analyzer's reference
@@ -160,22 +159,22 @@ func msT(ms float64) sim.Time { return sim.Time(ms * 1e6) }
 // flow, at 0, 10 and 20 ms: a 10 ms handshake RTT.
 func synHandshake() []trace.Record {
 	return []trace.Record{
-		{T: msT(0), Dir: tcpsim.DirIn, Seg: tcpsim.Segment{Flags: packet.FlagSYN, Wnd: 65535}},
-		{T: msT(10), Dir: tcpsim.DirOut, Seg: tcpsim.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: synISN, Ack: 1, Wnd: 65535}},
-		{T: msT(20), Dir: tcpsim.DirIn, Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 1, Ack: synISN + 1, Len: 100, Wnd: 65535}},
+		{T: msT(0), Dir: trace.DirIn, Seg: trace.Segment{Flags: packet.FlagSYN, Wnd: 65535}},
+		{T: msT(10), Dir: trace.DirOut, Seg: trace.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: synISN, Ack: 1, Wnd: 65535}},
+		{T: msT(20), Dir: trace.DirIn, Seg: trace.Segment{Flags: packet.FlagACK, Seq: 1, Ack: synISN + 1, Len: 100, Wnd: 65535}},
 	}
 }
 
 // synData is an n-byte data record at wire sequence seq.
 func synData(ms float64, seq uint32, n int) trace.Record {
-	return trace.Record{T: msT(ms), Dir: tcpsim.DirOut,
-		Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: seq, Ack: 101, Len: n, Wnd: 65535}}
+	return trace.Record{T: msT(ms), Dir: trace.DirOut,
+		Seg: trace.Segment{Flags: packet.FlagACK, Seq: seq, Ack: 101, Len: n, Wnd: 65535}}
 }
 
 // synAck is a client ACK of cum carrying blocks as its SACK option.
 func synAck(ms float64, cum uint32, blocks ...packet.SACKBlock) trace.Record {
-	return trace.Record{T: msT(ms), Dir: tcpsim.DirIn,
-		Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 101, Ack: cum, Wnd: 65535, SACK: packet.SACKBlocks(blocks...)}}
+	return trace.Record{T: msT(ms), Dir: trace.DirIn,
+		Seg: trace.Segment{Flags: packet.FlagACK, Seq: 101, Ack: cum, Wnd: 65535, SACK: packet.SACKBlocks(blocks...)}}
 }
 
 // pipelined appends to recs segments first..first+n-1, sent every

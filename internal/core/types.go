@@ -13,7 +13,7 @@ import (
 
 	"tcpstall/internal/flight"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
+	"tcpstall/internal/trace"
 )
 
 // Cause is a top-level stall cause (Figure 5 / Table 3).
@@ -159,7 +159,7 @@ type Stall struct {
 
 	// Context captured at stall start (after processing the last
 	// pre-stall record).
-	CaState    tcpsim.CongState
+	CaState    trace.CongState
 	InFlight   int // Equation 1
 	PacketsOut int
 	Rwnd       int
@@ -170,7 +170,7 @@ type Stall struct {
 	// a retransmission stall.
 	Position float64
 	// TailState is the congestion state for tail stalls (Table 7).
-	TailState tcpsim.CongState
+	TailState trace.CongState
 }
 
 // FlowAnalysis is TAPO's per-flow output.

@@ -9,7 +9,6 @@ package experiments
 import (
 	"tcpstall/internal/core"
 	"tcpstall/internal/pipeline"
-	"tcpstall/internal/trace"
 	"tcpstall/internal/workload"
 )
 
@@ -118,17 +117,3 @@ func (d *Dataset) analysisByID() map[string]*core.FlowAnalysis {
 	}
 	return m
 }
-
-// filterShort keeps flows under the paper's 200KB short-flow bound.
-func filterShort(res []workload.FlowResult) []workload.FlowResult {
-	var out []workload.FlowResult
-	for _, r := range res {
-		if r.Metrics.Done && r.Metrics.BytesServed < workload.ShortFlowLimit {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// flowOf is a small helper for tests.
-func flowOf(r workload.FlowResult) *trace.Flow { return r.Flow }

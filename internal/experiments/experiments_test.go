@@ -8,7 +8,7 @@ import (
 
 	"tcpstall/internal/core"
 	"tcpstall/internal/mitigation"
-	"tcpstall/internal/tcpsim"
+	"tcpstall/internal/trace"
 )
 
 // The dataset is expensive; build it once for all tests.
@@ -287,7 +287,7 @@ func TestTable6FDoubleDominates(t *testing.T) {
 func TestTable7TailStates(t *testing.T) {
 	res, rendered := Table7(testDatasets(t))
 	for svc, m := range res {
-		sum := m[tcpsim.StateOpen] + m[tcpsim.StateRecovery]
+		sum := m[trace.StateOpen] + m[trace.StateRecovery]
 		if sum > 0 && (sum < 99 || sum > 101) {
 			t.Errorf("%s: states sum to %.1f", svc, sum)
 		}

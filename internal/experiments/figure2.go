@@ -53,7 +53,7 @@ func seqSeries(fl *trace.Flow) []SeqPoint {
 	haveBase := false
 	for i := range fl.Records {
 		r := &fl.Records[i]
-		if r.Dir != tcpsim.DirOut || r.Seg.Len == 0 {
+		if r.Dir != trace.DirOut || r.Seg.Len == 0 {
 			continue
 		}
 		off := uw.Unwrap(r.Seg.Seq)

@@ -5,7 +5,7 @@ import (
 
 	"tcpstall/internal/core"
 	"tcpstall/internal/stats"
-	"tcpstall/internal/tcpsim"
+	"tcpstall/internal/trace"
 )
 
 // Table1Row reproduces one row of Table 1 (flow-level dataset
@@ -278,7 +278,7 @@ func Table6(ds []*Dataset) (Table6Result, string) {
 
 // Table7Result maps service → congestion state → tail-stall-time
 // share.
-type Table7Result map[string]map[tcpsim.CongState]float64
+type Table7Result map[string]map[trace.CongState]float64
 
 // Table7 computes where tail retransmission stalls happen.
 func Table7(ds []*Dataset) (Table7Result, string) {
@@ -289,12 +289,12 @@ func Table7(ds []*Dataset) (Table7Result, string) {
 	}
 	t := stats.NewTable("Table 7: Percentage of each type of tail retransmission stalls in terms of stalled time.", header...)
 	for _, d := range ds {
-		res[d.Service.Name] = map[tcpsim.CongState]float64{
-			tcpsim.StateOpen:     100 * d.Report.TailPctTime(tcpsim.StateOpen),
-			tcpsim.StateRecovery: 100 * d.Report.TailPctTime(tcpsim.StateRecovery),
+		res[d.Service.Name] = map[trace.CongState]float64{
+			trace.StateOpen:     100 * d.Report.TailPctTime(trace.StateOpen),
+			trace.StateRecovery: 100 * d.Report.TailPctTime(trace.StateRecovery),
 		}
 	}
-	for _, st := range []tcpsim.CongState{tcpsim.StateOpen, tcpsim.StateRecovery} {
+	for _, st := range []trace.CongState{trace.StateOpen, trace.StateRecovery} {
 		row := []string{st.String() + " state"}
 		for _, d := range ds {
 			row = append(row, fmt.Sprintf("%.1f%%", res[d.Service.Name][st]))

@@ -13,7 +13,6 @@ import (
 	"tcpstall/internal/live"
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 )
 
@@ -31,8 +30,8 @@ func cfgEvents(prefix string, flows, perFlow int) []trace.RecordEvent {
 				MSS:     1460,
 				Rec: trace.Record{
 					T:   sim.Time(time.Duration(i) * 10 * time.Millisecond),
-					Dir: tcpsim.DirOut,
-					Seg: tcpsim.Segment{
+					Dir: trace.DirOut,
+					Seg: trace.Segment{
 						Seq:   uint32(1 + i*100),
 						Len:   100,
 						Wnd:   65535,

@@ -230,7 +230,8 @@ func TestHeadPushSteadyStateAllocs(t *testing.T) {
 // one retired epoch and one live registration. The head must never
 // panic; a rejected push must leave the totals byte-identical; an
 // accepted one must leave them equal to Aggregate over the retired
-// snapshot and the push in either order, with whole-number batch sums.
+// snapshot and the push in either order, with whole-number batch sums
+// and a batch count that saturates instead of wrapping negative.
 func FuzzHeadPush(f *testing.F) {
 	good := realSnapshot(f)
 	good.Epoch, good.Seq = 2, 1
@@ -253,6 +254,9 @@ func FuzzHeadPush(f *testing.F) {
 		}
 	})
 	seed(func(s *Snapshot) { s.IngestBatchSizes.Sum += 0.5 })
+	// A batch count that, added to the retired epoch's, passes MaxInt:
+	// the total must saturate, not wrap negative and fail Totals.
+	seed(func(s *Snapshot) { s.IngestBatchSizes.N = math.MaxInt })
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		head := NewHead(HeadConfig{})
@@ -298,6 +302,9 @@ func FuzzHeadPush(f *testing.F) {
 			}
 			if b := snap.IngestBatchSizes; b.Sum != math.Trunc(b.Sum) || b.SumSq != math.Trunc(b.SumSq) {
 				t.Fatalf("accepted a batch summary with fractional sums %+v", b)
+			}
+			if n := after.IngestBatchSizes.N; n < 0 {
+				t.Fatalf("batch count wrapped to %d: the next fold would reject the totals", n)
 			}
 		}
 		head.Window()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -614,5 +615,64 @@ func TestAggregateEmptyMatchesIdleHead(t *testing.T) {
 	}
 	if !bytes.Equal(marshal(t, got), marshal(t, want)) {
 		t.Errorf("idle head totals %s != empty aggregate %s", marshal(t, got), marshal(t, want))
+	}
+}
+
+// TestHeadMergeLatencyBounded pins that the head keeps only the most
+// recent mergeLatCap merge latencies while MergeCount still counts
+// every validation, so Stats' sort stays bounded on a long-lived head.
+func TestHeadMergeLatencyBounded(t *testing.T) {
+	head := NewHead(HeadConfig{})
+	reg, err := head.Register(RegisterRequest{Version: WireVersion, MemberID: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pushes = 10_000
+	for seq := uint64(1); seq <= pushes; seq++ {
+		if resp := head.Push(miniSnap("m", reg.Epoch, seq, seq)); !resp.OK {
+			t.Fatalf("push %d: %+v", seq, resp)
+		}
+	}
+	if held := len(head.mergeLat); held > 4096 {
+		t.Errorf("head holds %d merge latencies, want ≤ 4096", held)
+	}
+	if st := head.Stats(); st.MergeCount != pushes {
+		t.Errorf("MergeCount = %d, want %d", st.MergeCount, pushes)
+	}
+}
+
+// TestHeadBatchCountSaturates is the hostile-count case: each push's
+// batch-size count folds alone, so members reporting MaxInt, 1 and 1
+// are all accepted, and the fleet total must saturate at MaxInt rather
+// than wrap negative and fail every later Totals — also once the
+// members retire.
+func TestHeadBatchCountSaturates(t *testing.T) {
+	head := NewHead(HeadConfig{})
+	for i, n := range []int{math.MaxInt, 1, 1} {
+		id := fmt.Sprintf("m%d", i)
+		reg, err := head.Register(RegisterRequest{Version: WireVersion, MemberID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := miniSnap(id, reg.Epoch, 1, 1)
+		s.IngestBatchSizes = stats.SummaryState{N: n, Sum: 1, Min: 1, Max: 1, SumSq: 1}
+		s.Final = i == 1
+		if resp := head.Push(s); !resp.OK {
+			t.Fatalf("push %s: %+v", id, resp)
+		}
+	}
+	for _, phase := range []string{"live", "retired"} {
+		got, err := head.Totals()
+		if err != nil {
+			t.Fatalf("%s totals: %v", phase, err)
+		}
+		if got.IngestBatchSizes.N != math.MaxInt {
+			t.Errorf("%s batch count = %d, want MaxInt", phase, got.IngestBatchSizes.N)
+		}
+		for _, id := range []string{"m0", "m2"} {
+			if _, err := head.Register(RegisterRequest{Version: WireVersion, MemberID: id}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -55,9 +55,11 @@ type Head struct {
 	retired Totals
 	// config is the current downlink, nil until SetConfig. guarded by mu
 	config *ConfigUpdate
-	// mergeLat samples the validation fold's latency per push that
-	// reaches it, in milliseconds. guarded by mu
-	mergeLat *stats.Sample
+	// mergeLat is a ring of the validation fold's latency, in
+	// milliseconds, over the last mergeLatCap pushes that reach it;
+	// mergeN counts every one. guarded by mu
+	mergeLat [mergeLatCap]float64
+	mergeN   int
 	// counters is the head's own accounting. guarded by mu
 	counters headCounters
 	// series holds the per-interval delta rings fed by accepted
@@ -115,7 +117,6 @@ func NewHead(cfg HeadConfig) *Head {
 		expiry:   cfg.Expiry,
 		members:  map[string]*memberState{},
 		retired:  emptyTotals(),
-		mergeLat: stats.NewSample(0),
 		counters: headCounters{rejects: map[string]uint64{}},
 		series:   newSeriesStore(cfg.SeriesStep, cfg.SeriesBuckets),
 		events:   newEventRing(cfg.EventRing),
@@ -206,7 +207,8 @@ func (h *Head) Push(snap *Snapshot) PushResponse {
 	start := time.Now()
 	probe := emptyTotals()
 	err := probe.add(&cp)
-	h.mergeLat.Add(float64(time.Since(start)) / float64(time.Millisecond))
+	h.mergeLat[h.mergeN%mergeLatCap] = float64(time.Since(start)) / float64(time.Millisecond)
+	h.mergeN++
 	if err == nil {
 		_, err = freshCells(nil, cp.WindowStalls)
 	}
@@ -264,9 +266,10 @@ func (h *Head) rejectLocked(code string) PushResponse {
 // retireLocked folds a member's last snapshot into the retired
 // totals. Idempotent: the snapshot moves out of the live set as it is
 // retired, so a final push followed by expiry (or re-registration)
-// cannot double-count. The fold cannot fail short of the batch count
-// wrapping int: Push accepted the snapshot only after it folded alone
-// into an empty total, and the retired total carries the same layout.
+// cannot double-count. The fold cannot fail: Push accepted the
+// snapshot only after it folded alone into an empty total, the
+// retired total carries the same layout, and the batch count
+// saturates rather than wrapping negative.
 func (h *Head) retireLocked(ms *memberState) {
 	if ms.last != nil {
 		_ = h.retired.add(ms.last)
@@ -466,7 +469,7 @@ func (h *Head) Stats() HeadStats {
 		Pushes:        h.counters.pushes,
 		FinalPushes:   h.counters.finals,
 		SnapshotBytes: h.snapBytes.Load(),
-		MergeCount:    h.mergeLat.Len(),
+		MergeCount:    h.mergeN,
 
 		StallEvents:       h.counters.stallEvents,
 		DigestDropped:     h.counters.digestDropped,
@@ -485,12 +488,19 @@ func (h *Head) Stats() HeadStats {
 			st.Rejects[k] = n
 		}
 	}
-	if h.mergeLat.Len() > 0 {
-		st.MergeP50MS = h.mergeLat.Quantile(0.5)
-		st.MergeP99MS = h.mergeLat.Quantile(0.99)
+	if h.mergeN > 0 {
+		lat := stats.NewSample(0)
+		lat.AddAll(h.mergeLat[:min(h.mergeN, mergeLatCap)])
+		st.MergeP50MS = lat.Quantile(0.5)
+		st.MergeP99MS = lat.Quantile(0.99)
 	}
 	return st
 }
+
+// mergeLatCap bounds the merge-latency ring, so Stats sorts at most
+// this many values under mu however long the head runs. One
+// chain-benchmark fleet_push run is about 3.5k pushes.
+const mergeLatCap = 4096
 
 // Totals is the fleet-wide cumulative merge: counters only — no
 // gauges, no identity, no rolling window — so that the sum of every

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
+	"tcpstall/internal/trace"
 )
 
 // KV is one named variable value backing a branch test, e.g.
@@ -32,7 +32,7 @@ func V(key string, val any) KV {
 		return KV{key, x.String()}
 	case sim.Time:
 		return KV{key, fmt.Sprintf("%.6fs", x.Seconds())}
-	case tcpsim.CongState:
+	case trace.CongState:
 		return KV{key, x.String()}
 	default:
 		return KV{key, fmt.Sprint(val)}

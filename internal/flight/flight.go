@@ -27,7 +27,6 @@ import (
 
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 )
 
@@ -40,7 +39,7 @@ type Kind uint8
 // Event kinds.
 const (
 	// KindState: congestion state transition. A=from, B=to
-	// (tcpsim.CongState values), C=RTO backoff count.
+	// (trace.CongState values), C=RTO backoff count.
 	KindState Kind = iota
 	// KindCwnd: congestion window move. A=cwnd (segments),
 	// B=ssthresh (segments), C=RTO µs.
@@ -170,11 +169,11 @@ type RecSample struct {
 }
 
 // Dir reports the record's direction.
-func (s RecSample) Dir() tcpsim.Dir {
+func (s RecSample) Dir() trace.Dir {
 	if s.out {
-		return tcpsim.DirOut
+		return trace.DirOut
 	}
-	return tcpsim.DirIn
+	return trace.DirIn
 }
 
 // sampleOf flattens a trace record.
@@ -188,7 +187,7 @@ func sampleOf(idx int, r *trace.Record) RecSample {
 		Wnd:   int32(r.Seg.Wnd),
 		Flags: r.Seg.Flags,
 		Sack:  uint8(r.Seg.SACK.Len()),
-		out:   r.Dir == tcpsim.DirOut,
+		out:   r.Dir == trace.DirOut,
 	}
 }
 

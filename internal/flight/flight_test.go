@@ -9,12 +9,11 @@ import (
 	"unsafe"
 
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 )
 
-func rec(t sim.Time, dir tcpsim.Dir, seq uint32, length int) *trace.Record {
-	return &trace.Record{T: t, Dir: dir, Seg: tcpsim.Segment{Seq: seq, Len: length}}
+func rec(t sim.Time, dir trace.Dir, seq uint32, length int) *trace.Record {
+	return &trace.Record{T: t, Dir: dir, Seg: trace.Segment{Seq: seq, Len: length}}
 }
 
 // A nil recorder must accept every call and report empty state — this
@@ -25,7 +24,7 @@ func TestNilRecorderSafe(t *testing.T) {
 		t.Fatal("nil recorder reports enabled")
 	}
 	r.Emit(0, 0, KindState, NameEnterLoss, 1, 2, 3)
-	r.Sample(0, rec(0, tcpsim.DirOut, 0, 1))
+	r.Sample(0, rec(0, trace.DirOut, 0, 1))
 	r.StallClosed(Ref{"f", 0}, 0, 1, 0, 0, "c", "", "", nil)
 	r.Finalize(0, "c", "", "", nil)
 	if r.Evidence(0) != nil || r.Evidences() != nil || r.Events() != nil {
@@ -67,13 +66,13 @@ func TestEventRingTruncationAccounting(t *testing.T) {
 func TestWindowCapture(t *testing.T) {
 	r := NewRecorder(Config{WindowK: 2})
 	for i := 0; i < 5; i++ {
-		r.Sample(i, rec(sim.Time(i)*sim.Time(time.Second), tcpsim.DirOut, uint32(i*1460), 1460))
+		r.Sample(i, rec(sim.Time(i)*sim.Time(time.Second), trace.DirOut, uint32(i*1460), 1460))
 	}
 	// Stall closed at record 4 (gap between 3 and 4).
 	r.StallClosed(Ref{"f", 0}, 3, 4, 3e9, 4e9, "pkt-delay", "", "", nil)
 	// Two post-gap records arrive; a third must not extend the window.
 	for i := 5; i < 8; i++ {
-		r.Sample(i, rec(sim.Time(i)*sim.Time(time.Second), tcpsim.DirIn, 0, 0))
+		r.Sample(i, rec(sim.Time(i)*sim.Time(time.Second), trace.DirIn, 0, 0))
 	}
 	ev := r.Evidence(0)
 	if ev == nil {
@@ -95,8 +94,8 @@ func TestWindowCapture(t *testing.T) {
 
 	// A stall right at the start of a short flow keeps what exists.
 	r2 := NewRecorder(Config{WindowK: 4})
-	r2.Sample(0, rec(0, tcpsim.DirOut, 0, 1460))
-	r2.Sample(1, rec(2e9, tcpsim.DirOut, 1460, 1460))
+	r2.Sample(0, rec(0, trace.DirOut, 0, 1460))
+	r2.Sample(1, rec(2e9, trace.DirOut, 1460, 1460))
 	r2.StallClosed(Ref{"f", 0}, 0, 1, 0, 2e9, "pkt-delay", "", "", nil)
 	if n := len(r2.Evidence(0).Window); n != 2 {
 		t.Fatalf("short-flow window = %d samples, want 2", n)
@@ -107,7 +106,7 @@ func TestWindowCapture(t *testing.T) {
 func TestEvidenceCap(t *testing.T) {
 	r := NewRecorder(Config{MaxStalls: 2, WindowK: 1})
 	for id := 0; id < 5; id++ {
-		r.Sample(id, rec(sim.Time(id), tcpsim.DirOut, 0, 1))
+		r.Sample(id, rec(sim.Time(id), trace.DirOut, 0, 1))
 		r.StallClosed(Ref{"f", id}, id, id, 0, 0, "c", "", "", nil)
 	}
 	if got := r.EvidenceDrops(); got != 3 {
@@ -126,7 +125,7 @@ func TestEvidenceCap(t *testing.T) {
 // unknown IDs.
 func TestFinalizeReplacesProvisional(t *testing.T) {
 	r := NewRecorder(Config{})
-	r.Sample(0, rec(0, tcpsim.DirOut, 0, 1))
+	r.Sample(0, rec(0, trace.DirOut, 0, 1))
 	tr := &Trail{}
 	tr.Check("provisional rule", true)
 	r.StallClosed(Ref{"f", 0}, 0, 0, 0, 1e9, "retransmission", "small-cwnd", "", tr)
@@ -149,7 +148,7 @@ func TestFinalizeReplacesProvisional(t *testing.T) {
 func TestEvidenceJSON(t *testing.T) {
 	r := NewRecorder(Config{WindowK: 1})
 	r.Emit(0, 0, KindRTT, NameRTTSample, 1000, 500, 200000)
-	r.Sample(0, rec(0, tcpsim.DirOut, 42, 1460))
+	r.Sample(0, rec(0, trace.DirOut, 42, 1460))
 	tr := &Trail{}
 	tr.Check("stall ends with outgoing data", true, V("len", 1460))
 	r.StallClosed(Ref{"flow-1", 3}, 0, 0, 0, 5e8, "retransmission", "double-retrans", "t-double", tr)

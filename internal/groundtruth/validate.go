@@ -34,7 +34,7 @@ func (ft *FlowTruth) Cause(f *trace.Flow, st *core.Stall) core.Cause {
 		return core.CauseZeroWindow
 	}
 	end := &f.Records[st.EndRecIdx]
-	if end.Dir == tcpsim.DirOut && end.Seg.Len > 0 {
+	if end.Dir == trace.DirOut && end.Seg.Len > 0 {
 		for i := range ft.Events {
 			e := &ft.Events[i]
 			if e.T == st.End && e.Kind == EventRetrans && e.WireSeq == end.Seg.Seq {
@@ -51,7 +51,7 @@ func (ft *FlowTruth) Cause(f *trace.Flow, st *core.Stall) core.Cause {
 			}
 		}
 	}
-	if end.Dir == tcpsim.DirIn && end.Seg.Len > 0 {
+	if end.Dir == trace.DirIn && end.Seg.Len > 0 {
 		for i := range ft.Events {
 			e := &ft.Events[i]
 			if e.T == st.End && e.Kind == EventRequest {
@@ -62,7 +62,7 @@ func (ft *FlowTruth) Cause(f *trace.Flow, st *core.Stall) core.Cause {
 			}
 		}
 	}
-	if end.Dir == tcpsim.DirIn {
+	if end.Dir == trace.DirIn {
 		return core.CausePacketDelay
 	}
 	return core.CauseUndetermined

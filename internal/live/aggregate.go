@@ -56,11 +56,9 @@ type aggregates struct {
 
 	retransCount map[core.RetransCause]uint64
 	retransTime  map[core.RetransCause]time.Duration
-
-	window *rollWindow
 }
 
-func newAggregates(window time.Duration, buckets int) *aggregates {
+func newAggregates() *aggregates {
 	return &aggregates{
 		flowsEvicted:  map[string]uint64{},
 		triPromotions: map[string]uint64{},
@@ -69,21 +67,15 @@ func newAggregates(window time.Duration, buckets int) *aggregates {
 		durationsMS:   stats.NewHistogram(DurationBoundsMS),
 		retransCount:  map[core.RetransCause]uint64{},
 		retransTime:   map[core.RetransCause]time.Duration{},
-		window:        newRollWindow(window, buckets),
 	}
 }
 
 // stallClosed folds one live stall event in.
-func (ag *aggregates) stallClosed(now time.Time, ls core.LiveStall) {
+func (ag *aggregates) stallClosed(ls core.LiveStall) {
 	k := CauseKey{Service: ls.Service, Cause: ls.Stall.Cause}
-	d := ls.Stall.Duration
 	ag.stallCount[k]++
-	ag.stallTime[k] += d
-	ag.durationsMS.Add(d)
-	b := ag.window.bucket(now)
-	b.count[k]++
-	b.stallTime[k] += d
-	b.durs.Add(d)
+	ag.stallTime[k] += ls.Stall.Duration
+	ag.durationsMS.Add(ls.Stall.Duration)
 }
 
 // flowEvicted folds a completed flow's settled analysis in.
@@ -101,8 +93,7 @@ func (ag *aggregates) flowEvicted(reason string, a *core.FlowAnalysis, truncated
 	}
 }
 
-// merge folds o into ag (for cross-shard snapshots). The rolling
-// windows merge bucket-by-epoch.
+// merge folds o into ag (for cross-shard snapshots).
 func (ag *aggregates) merge(o *aggregates) {
 	ag.flowsSeen += o.flowsSeen
 	ag.flowsTruncated += o.flowsTruncated
@@ -135,25 +126,6 @@ func (ag *aggregates) merge(o *aggregates) {
 	}
 }
 
-// clone deep-copies ag (called with the owning shard locked).
-func (ag *aggregates) clone() *aggregates {
-	c := newAggregates(ag.window.step*time.Duration(len(ag.window.buckets)), len(ag.window.buckets))
-	c.merge(ag)
-	for i := range ag.window.buckets {
-		src := &ag.window.buckets[i]
-		dst := &c.window.buckets[i]
-		dst.epoch = src.epoch
-		for k, n := range src.count {
-			dst.count[k] = n
-		}
-		for k, d := range src.stallTime {
-			dst.stallTime[k] = d
-		}
-		dst.durs.Merge(src.durs)
-	}
-	return c
-}
-
 // rollWindow is a ring of time buckets implementing the rolling
 // aggregation window: bucket i holds epoch e ≡ i (mod len), and a
 // bucket is reset the first time a newer epoch lands on it, so stale
@@ -167,7 +139,6 @@ type wbucket struct {
 	epoch     int64 // step index since the Unix epoch; -1 = empty
 	count     map[CauseKey]uint64
 	stallTime map[CauseKey]time.Duration
-	durs      *stats.Histogram
 }
 
 func newRollWindow(span time.Duration, buckets int) *rollWindow {
@@ -184,43 +155,38 @@ func newRollWindow(span time.Duration, buckets int) *rollWindow {
 			epoch:     -1,
 			count:     map[CauseKey]uint64{},
 			stallTime: map[CauseKey]time.Duration{},
-			durs:      stats.NewHistogram(DurationBoundsMS),
 		}
 	}
 	return w
 }
 
-func (w *rollWindow) bucket(now time.Time) *wbucket {
+// stallClosed counts one live stall in the bucket of now.
+func (w *rollWindow) stallClosed(now time.Time, ls core.LiveStall) {
 	epoch := now.UnixNano() / int64(w.step)
 	b := &w.buckets[int(epoch%int64(len(w.buckets)))]
 	if b.epoch != epoch {
 		b.epoch = epoch
-		for k := range b.count {
-			delete(b.count, k)
-		}
-		for k := range b.stallTime {
-			delete(b.stallTime, k)
-		}
-		b.durs.Reset()
+		clear(b.count)
+		clear(b.stallTime)
 	}
-	return b
+	k := CauseKey{Service: ls.Service, Cause: ls.Stall.Cause}
+	b.count[k]++
+	b.stallTime[k] += ls.Stall.Duration
 }
 
 // WindowSnapshot is the rolling window summed over its live buckets.
 type WindowSnapshot struct {
-	Span        time.Duration
-	StallCount  map[CauseKey]uint64
-	StallTime   map[CauseKey]time.Duration
-	DurationsMS *stats.Histogram
+	Span       time.Duration
+	StallCount map[CauseKey]uint64
+	StallTime  map[CauseKey]time.Duration
 }
 
 // snapshot sums the buckets still inside the window ending at now.
 func (w *rollWindow) snapshot(now time.Time) WindowSnapshot {
 	s := WindowSnapshot{
-		Span:        w.step * time.Duration(len(w.buckets)),
-		StallCount:  map[CauseKey]uint64{},
-		StallTime:   map[CauseKey]time.Duration{},
-		DurationsMS: stats.NewHistogram(DurationBoundsMS),
+		Span:       w.step * time.Duration(len(w.buckets)),
+		StallCount: map[CauseKey]uint64{},
+		StallTime:  map[CauseKey]time.Duration{},
 	}
 	epoch := now.UnixNano() / int64(w.step)
 	oldest := epoch - int64(len(w.buckets)) + 1
@@ -235,7 +201,6 @@ func (w *rollWindow) snapshot(now time.Time) WindowSnapshot {
 		for k, d := range b.stallTime {
 			s.StallTime[k] += d
 		}
-		s.DurationsMS.Merge(b.durs)
 	}
 	return s
 }
@@ -248,5 +213,4 @@ func (s *WindowSnapshot) mergeWindow(o WindowSnapshot) {
 	for k, d := range o.StallTime {
 		s.StallTime[k] += d
 	}
-	s.DurationsMS.Merge(o.DurationsMS)
 }

@@ -16,21 +16,27 @@ func stallEvent(service string, cause core.Cause, d time.Duration) core.LiveStal
 }
 
 func TestRollWindowAges(t *testing.T) {
-	ag := newAggregates(10*time.Second, 5) // 2s buckets
+	ag := newAggregates()
+	w := newRollWindow(10*time.Second, 5) // 2s buckets
 	base := time.Unix(10_000, 0)
 	k := CauseKey{Service: "svc", Cause: core.CausePacketDelay}
 
-	ag.stallClosed(base, stallEvent("svc", core.CausePacketDelay, 100*time.Millisecond))
-	ag.stallClosed(base.Add(4*time.Second), stallEvent("svc", core.CausePacketDelay, 200*time.Millisecond))
+	closeAt := func(at, d time.Duration) {
+		ls := stallEvent("svc", core.CausePacketDelay, d)
+		ag.stallClosed(ls)
+		w.stallClosed(base.Add(at), ls)
+	}
+	closeAt(0, 100*time.Millisecond)
+	closeAt(4*time.Second, 200*time.Millisecond)
 
 	// Both stalls inside the window.
-	win := ag.window.snapshot(base.Add(5 * time.Second))
+	win := w.snapshot(base.Add(5 * time.Second))
 	if win.StallCount[k] != 2 {
 		t.Fatalf("window count = %d, want 2", win.StallCount[k])
 	}
 
 	// 11s after the first stall: only the second remains.
-	win = ag.window.snapshot(base.Add(11 * time.Second))
+	win = w.snapshot(base.Add(11 * time.Second))
 	if win.StallCount[k] != 1 {
 		t.Fatalf("aged window count = %d, want 1", win.StallCount[k])
 	}
@@ -39,7 +45,7 @@ func TestRollWindowAges(t *testing.T) {
 	}
 
 	// Far future: empty window, but cumulative totals persist.
-	win = ag.window.snapshot(base.Add(time.Hour))
+	win = w.snapshot(base.Add(time.Hour))
 	if len(win.StallCount) != 0 {
 		t.Errorf("stale window still counts %v", win.StallCount)
 	}
@@ -52,29 +58,28 @@ func TestRollWindowAges(t *testing.T) {
 }
 
 func TestRollWindowBucketReuse(t *testing.T) {
-	ag := newAggregates(4*time.Second, 4) // 1s buckets
+	w := newRollWindow(4*time.Second, 4) // 1s buckets
 	base := time.Unix(20_000, 0)
 	k := CauseKey{Service: "s", Cause: core.CauseClientIdle}
 
-	ag.stallClosed(base, stallEvent("s", core.CauseClientIdle, time.Second))
+	w.stallClosed(base, stallEvent("s", core.CauseClientIdle, time.Second))
 	// Same ring slot, 4 steps later: the old epoch must be wiped, not
 	// accumulated into.
-	ag.stallClosed(base.Add(4*time.Second), stallEvent("s", core.CauseClientIdle, time.Second))
+	w.stallClosed(base.Add(4*time.Second), stallEvent("s", core.CauseClientIdle, time.Second))
 
-	win := ag.window.snapshot(base.Add(4 * time.Second))
+	win := w.snapshot(base.Add(4 * time.Second))
 	if win.StallCount[k] != 1 {
 		t.Fatalf("reused bucket count = %d, want 1 (stale epoch leaked)", win.StallCount[k])
 	}
 }
 
 func TestAggregatesMerge(t *testing.T) {
-	a := newAggregates(time.Minute, 6)
-	b := newAggregates(time.Minute, 6)
-	now := time.Unix(30_000, 0)
+	a := newAggregates()
+	b := newAggregates()
 
-	a.stallClosed(now, stallEvent("s1", core.CauseZeroWindow, time.Second))
-	b.stallClosed(now, stallEvent("s1", core.CauseZeroWindow, 2*time.Second))
-	b.stallClosed(now, stallEvent("s2", core.CauseDataUnavailable, 50*time.Millisecond))
+	a.stallClosed(stallEvent("s1", core.CauseZeroWindow, time.Second))
+	b.stallClosed(stallEvent("s1", core.CauseZeroWindow, 2*time.Second))
+	b.stallClosed(stallEvent("s2", core.CauseDataUnavailable, 50*time.Millisecond))
 	a.flowsSeen, b.flowsSeen = 3, 4
 	a.flowsEvicted[EvictDone] = 2
 	b.flowsEvicted[EvictDone] = 1
@@ -100,7 +105,7 @@ func TestAggregatesMerge(t *testing.T) {
 }
 
 func TestRetransBreakdownAtEviction(t *testing.T) {
-	ag := newAggregates(time.Minute, 6)
+	ag := newAggregates()
 	a := &core.FlowAnalysis{Stalls: []core.Stall{
 		{Cause: core.CauseTimeoutRetrans, RetransCause: core.RetransTail, Duration: sim.Duration(time.Second)},
 		{Cause: core.CauseTimeoutRetrans, RetransCause: core.RetransDouble, Duration: sim.Duration(2 * time.Second)},

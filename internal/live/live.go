@@ -23,17 +23,15 @@ import (
 
 	"tcpstall/internal/core"
 	"tcpstall/internal/flight"
-	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
 	"tcpstall/internal/stats"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 	"tcpstall/internal/triage"
 )
 
 // Eviction reasons, as they appear in metrics labels.
 const (
-	EvictDone     = "done"     // connection tore down (RST or FIN handshake)
+	EvictDone     = "done"     // the event marked FlowDone (RST or FIN handshake)
 	EvictIdle     = "idle"     // no packet for Config.IdleTimeout
 	EvictLRU      = "lru"      // flow table full; least-recently-active flow displaced
 	EvictShutdown = "shutdown" // monitor closing
@@ -253,7 +251,8 @@ func New(cfg Config) *Monitor {
 			in:       make(chan []trace.RecordEvent, shardQueueDepth),
 			flows:    map[string]*flowEntry{},
 			maxFlows: perShard,
-			agg:      newAggregates(cfg.Window, cfg.WindowBuckets),
+			agg:      newAggregates(),
+			window:   newRollWindow(cfg.Window, cfg.WindowBuckets),
 		}
 		if cfg.Triage != nil {
 			sh.arena = triage.NewArena()
@@ -430,8 +429,6 @@ type flowEntry struct {
 	meta      core.FlowMeta
 	el        *list.Element // guarded by the owning shard's mu (external)
 	lastSeen  time.Time     // guarded by the owning shard's mu (external)
-	finOut    bool          // guarded by the owning shard's mu (external)
-	finIn     bool          // guarded by the owning shard's mu (external)
 	truncated bool          // guarded by the owning shard's mu (external)
 }
 
@@ -463,6 +460,9 @@ type shard struct {
 	lru list.List
 	// agg folds per-shard counters and stall aggregates. guarded by mu
 	agg *aggregates
+	// window holds the stalls closed inside the rolling window.
+	// guarded by mu
+	window *rollWindow
 	// promoted/parked count triage-mode flows with a live analyzer
 	// (actively fed / demoted but retained). guarded by mu
 	promoted int
@@ -585,9 +585,9 @@ func (sh *shard) newAnalyzerLocked(e *flowEntry) {
 // the analyzer through FeedBatch, flushed where order matters — a meta
 // change (SetMeta must not overtake earlier records), teardown, the
 // end of the run. Triage flows go record by record, since Observe's
-// symptom machine wants each one individually. A teardown evicts the
-// flow and ends the run early, so a remainder under the same ID opens
-// a fresh flow when the caller re-enters. Callers hold sh.mu.
+// symptom machine wants each one individually. An event marked FlowDone
+// evicts the flow and ends the run early, so a remainder under the same
+// ID opens a fresh flow when the caller re-enters. Callers hold sh.mu.
 func (sh *shard) feedRunLocked(now time.Time, evs []trace.RecordEvent) int {
 	e := sh.admitLocked(now, &evs[0])
 	pending := sh.scratch[:0]
@@ -624,7 +624,7 @@ func (sh *shard) feedRunLocked(now time.Time, evs []trace.RecordEvent) int {
 		default:
 			pending = append(pending, ev.Rec)
 		}
-		evict = observeTeardown(e, ev) || ev.FlowDone
+		evict = ev.FlowDone
 	}
 	sh.scratch = sh.flushLocked(e, pending)
 	if evict {
@@ -698,31 +698,12 @@ func (sh *shard) promoteLocked(e *flowEntry, sym triage.Symptom) {
 	sh.agg.triPromotions[sym.String()]++
 }
 
-// observeTeardown mirrors the pcap demuxer's completion rule: RST
-// ends the connection outright; after FINs both ways, the next pure
-// ACK does.
-func observeTeardown(e *flowEntry, ev *trace.RecordEvent) bool {
-	seg := &ev.Rec.Seg
-	switch {
-	case seg.Flags.Has(packet.FlagRST):
-		return true
-	case seg.Flags.Has(packet.FlagFIN):
-		if ev.Rec.Dir == tcpsim.DirOut {
-			e.finOut = true
-		} else {
-			e.finIn = true
-		}
-	case e.finOut && e.finIn && seg.Len == 0 && !seg.Flags.Has(packet.FlagSYN):
-		return true
-	}
-	return false
-}
-
 // stallClosedLocked runs synchronously inside Feed; the caller (the
 // shard goroutine, via processBatch) holds sh.mu.
 func (sh *shard) stallClosedLocked(ls core.LiveStall) {
 	now := sh.m.cfg.Clock()
-	sh.agg.stallClosed(now, ls)
+	sh.agg.stallClosed(ls)
+	sh.window.stallClosed(now, ls)
 	sh.m.recent.push(ls)
 	sh.m.digest.push(now, ls)
 	if sh.m.cfg.OnStall != nil {
@@ -975,12 +956,11 @@ type Snapshot struct {
 // Snapshot merges every shard's counters under their locks.
 func (m *Monitor) Snapshot() Snapshot {
 	now := m.cfg.Clock()
-	total := newAggregates(m.cfg.Window, m.cfg.WindowBuckets)
+	total := newAggregates()
 	win := WindowSnapshot{
-		Span:        m.cfg.Window,
-		StallCount:  map[CauseKey]uint64{},
-		StallTime:   map[CauseKey]time.Duration{},
-		DurationsMS: stats.NewHistogram(DurationBoundsMS),
+		Span:       m.cfg.Window,
+		StallCount: map[CauseKey]uint64{},
+		StallTime:  map[CauseKey]time.Duration{},
 	}
 	active := 0
 	promoted, parked := 0, 0
@@ -988,7 +968,7 @@ func (m *Monitor) Snapshot() Snapshot {
 	for i, sh := range m.shards {
 		sh.mu.Lock()
 		total.merge(sh.agg)
-		win.mergeWindow(sh.agg.window.snapshot(now))
+		win.mergeWindow(sh.window.snapshot(now))
 		active += len(sh.flows)
 		promoted += sh.promoted
 		parked += sh.parked

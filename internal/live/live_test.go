@@ -12,7 +12,6 @@ import (
 	"tcpstall/internal/core"
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 	"tcpstall/internal/workload"
 )
@@ -189,25 +188,26 @@ func edgeInput(t *testing.T) []trace.RecordEvent {
 	all := append(interleave(flows[:len(flows)-1]), events(solo)...)
 	for life := 0; life < 2; life++ {
 		isn := uint32(7000 + 100000*life)
-		add := func(tms int64, dir tcpsim.Dir, seg tcpsim.Segment) {
+		add := func(tms int64, dir trace.Dir, seg trace.Segment) {
 			all = append(all, trace.RecordEvent{FlowID: "reconnect", Service: "edge", MSS: 1000,
 				Rec: trace.Record{T: msAt(tms), Dir: dir, Seg: seg}})
 		}
-		add(0, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagSYN, Seq: 42, Wnd: 60000})
-		add(10, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: isn, Ack: 43, Wnd: 65535})
-		add(20, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1, Wnd: 60000})
+		add(0, trace.DirIn, trace.Segment{Flags: packet.FlagSYN, Seq: 42, Wnd: 60000})
+		add(10, trace.DirOut, trace.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: isn, Ack: 43, Wnd: 65535})
+		add(20, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1, Wnd: 60000})
 		at := int64(30)
 		for i := uint32(0); i < 8; i++ {
 			if i == 5 {
 				at += 900 // the last segments leave after a stall
 			}
-			add(at, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagACK, Seq: isn + 1 + i*1000, Len: 1000, Wnd: 65535})
-			add(at+10, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1 + (i+1)*1000, Wnd: 60000})
+			add(at, trace.DirOut, trace.Segment{Flags: packet.FlagACK, Seq: isn + 1 + i*1000, Len: 1000, Wnd: 65535})
+			add(at+10, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1 + (i+1)*1000, Wnd: 60000})
 			at += 20
 		}
-		add(at, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagFIN | packet.FlagACK, Seq: isn + 8001, Ack: 43, Wnd: 65535})
-		add(at+10, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagFIN | packet.FlagACK, Seq: 43, Ack: isn + 8002, Wnd: 60000})
-		add(at+20, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagACK, Seq: isn + 8002, Ack: 44, Wnd: 65535})
+		add(at, trace.DirOut, trace.Segment{Flags: packet.FlagFIN | packet.FlagACK, Seq: isn + 8001, Ack: 43, Wnd: 65535})
+		add(at+10, trace.DirIn, trace.Segment{Flags: packet.FlagFIN | packet.FlagACK, Seq: 43, Ack: isn + 8002, Wnd: 60000})
+		add(at+20, trace.DirOut, trace.Segment{Flags: packet.FlagACK, Seq: isn + 8002, Ack: 44, Wnd: 65535})
+		all[len(all)-1].FlowDone = true // the closing ACK, as the importer marks it
 	}
 	return all
 }
@@ -298,8 +298,8 @@ func dataEvent(id string, at sim.Time, seq uint32, n int) trace.RecordEvent {
 		FlowID: id,
 		Rec: trace.Record{
 			T:   at,
-			Dir: tcpsim.DirOut,
-			Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: seq, Len: n, Wnd: 65535},
+			Dir: trace.DirOut,
+			Seg: trace.Segment{Flags: packet.FlagACK, Seq: seq, Len: n, Wnd: 65535},
 		},
 	}
 }
@@ -415,35 +415,42 @@ func TestTeardownEvicts(t *testing.T) {
 	m := New(Config{Shards: 1, Clock: clk.Now,
 		OnFlow: func(reason string, a *core.FlowAnalysis) { reasons[a.FlowID] = reason }})
 
-	// RST tears down immediately.
+	// FlowDone evicts at once.
 	feedDirect(m, dataEvent("rst", 0, 1000, 1460))
-	rst := trace.RecordEvent{FlowID: "rst", Rec: trace.Record{
-		T: sim.Time(time.Millisecond), Dir: tcpsim.DirIn,
-		Seg: tcpsim.Segment{Flags: packet.FlagRST, Seq: 5000},
+	rst := trace.RecordEvent{FlowID: "rst", FlowDone: true, Rec: trace.Record{
+		T: sim.Time(time.Millisecond), Dir: trace.DirIn,
+		Seg: trace.Segment{Flags: packet.FlagRST, Seq: 5000},
 	}}
 	feedDirect(m, rst)
 	if reasons["rst"] != EvictDone {
-		t.Fatalf("RST eviction reason = %q, want %q", reasons["rst"], EvictDone)
+		t.Fatalf("FlowDone eviction reason = %q, want %q", reasons["rst"], EvictDone)
 	}
 
-	// FIN both ways, then the closing pure ACK.
-	finOut := trace.RecordEvent{FlowID: "fin", Rec: trace.Record{
-		T: 0, Dir: tcpsim.DirOut,
-		Seg: tcpsim.Segment{Flags: packet.FlagFIN | packet.FlagACK, Seq: 2000},
+	// FINs both ways and the closing pure ACK evict nothing unless the
+	// producer marks the ACK FlowDone: the monitor reads no teardown
+	// from the flags itself.
+	outFIN := trace.RecordEvent{FlowID: "fin", Rec: trace.Record{
+		T: 0, Dir: trace.DirOut,
+		Seg: trace.Segment{Flags: packet.FlagFIN | packet.FlagACK, Seq: 2000},
 	}}
-	finIn := trace.RecordEvent{FlowID: "fin", Rec: trace.Record{
-		T: sim.Time(time.Millisecond), Dir: tcpsim.DirIn,
-		Seg: tcpsim.Segment{Flags: packet.FlagFIN | packet.FlagACK, Seq: 9000},
+	inFIN := trace.RecordEvent{FlowID: "fin", Rec: trace.Record{
+		T: sim.Time(time.Millisecond), Dir: trace.DirIn,
+		Seg: trace.Segment{Flags: packet.FlagFIN | packet.FlagACK, Seq: 9000},
 	}}
 	lastAck := trace.RecordEvent{FlowID: "fin", Rec: trace.Record{
-		T: sim.Time(2 * time.Millisecond), Dir: tcpsim.DirOut,
-		Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 2001, Ack: 9001},
+		T: sim.Time(2 * time.Millisecond), Dir: trace.DirOut,
+		Seg: trace.Segment{Flags: packet.FlagACK, Seq: 2001, Ack: 9001},
 	}}
-	feedDirect(m, finOut)
-	feedDirect(m, finIn)
+	feedDirect(m, outFIN)
+	feedDirect(m, inFIN)
+	feedDirect(m, lastAck)
 	if r, ok := reasons["fin"]; ok {
-		t.Fatalf("evicted before handshake completed (reason %q)", r)
+		t.Fatalf("evicted without FlowDone (reason %q)", r)
 	}
+	if got := m.Snapshot().ActiveFlows; got != 1 {
+		t.Fatalf("ActiveFlows = %d without FlowDone, want 1", got)
+	}
+	lastAck.FlowDone = true
 	feedDirect(m, lastAck)
 	if reasons["fin"] != EvictDone {
 		t.Fatalf("FIN eviction reason = %q, want %q", reasons["fin"], EvictDone)

@@ -22,8 +22,6 @@ func goldenSnapshot() Snapshot {
 	for _, ms := range []time.Duration{30, 120, 450, 450, 9000, 250000} {
 		durs.Add(ms * time.Millisecond)
 	}
-	wdurs := stats.NewHistogram(DurationBoundsMS)
-	wdurs.Add(450 * time.Millisecond)
 	return Snapshot{
 		Uptime:         90*time.Second + 250*time.Millisecond,
 		ActiveFlows:    7,
@@ -62,10 +60,9 @@ func goldenSnapshot() Snapshot {
 		RetransCount: map[core.RetransCause]uint64{core.RetransTail: 1, core.RetransDouble: 1},
 		RetransTime:  map[core.RetransCause]time.Duration{core.RetransTail: 500 * time.Millisecond, core.RetransDouble: 750 * time.Millisecond},
 		Window: WindowSnapshot{
-			Span:        time.Minute,
-			StallCount:  map[CauseKey]uint64{{odd, core.CauseTimeoutRetrans}: 1},
-			StallTime:   map[CauseKey]time.Duration{{odd, core.CauseTimeoutRetrans}: 450 * time.Millisecond},
-			DurationsMS: wdurs,
+			Span:       time.Minute,
+			StallCount: map[CauseKey]uint64{{odd, core.CauseTimeoutRetrans}: 1},
+			StallTime:  map[CauseKey]time.Duration{{odd, core.CauseTimeoutRetrans}: 450 * time.Millisecond},
 		},
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"tcpstall/internal/flight"
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 	"tcpstall/internal/triage"
 )
@@ -21,8 +20,8 @@ func rtEvent(flowID string, i int) trace.RecordEvent {
 		MSS:    1460,
 		Rec: trace.Record{
 			T:   sim.Time(time.Duration(i) * 10 * time.Millisecond),
-			Dir: tcpsim.DirOut,
-			Seg: tcpsim.Segment{
+			Dir: trace.DirOut,
+			Seg: trace.Segment{
 				Seq:   uint32(1 + i*100),
 				Len:   100,
 				Wnd:   65535,

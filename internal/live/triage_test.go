@@ -15,7 +15,6 @@ import (
 	"tcpstall/internal/groundtruth"
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 	"tcpstall/internal/triage"
 	"tcpstall/internal/workload"
@@ -230,26 +229,26 @@ func wrappedStallFlow() *trace.Flow {
 	const mss = 1000
 	isn := uint32(0xFFFFFB00)
 	var recs []trace.Record
-	add := func(tms int64, dir tcpsim.Dir, seg tcpsim.Segment) {
+	add := func(tms int64, dir trace.Dir, seg trace.Segment) {
 		recs = append(recs, trace.Record{T: msAt(tms), Dir: dir, Seg: seg})
 	}
-	add(0, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagSYN, Seq: 42, Wnd: 60000})
-	add(10, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: isn, Ack: 43, Wnd: 65535})
-	add(110, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1, Wnd: 60000})
+	add(0, trace.DirIn, trace.Segment{Flags: packet.FlagSYN, Seq: 42, Wnd: 60000})
+	add(10, trace.DirOut, trace.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: isn, Ack: 43, Wnd: 65535})
+	add(110, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1, Wnd: 60000})
 	for i := uint32(0); i < 6; i++ {
-		add(200+60*int64(i), tcpsim.DirOut,
-			tcpsim.Segment{Flags: packet.FlagACK, Seq: isn + 1 + i*mss, Len: mss, Wnd: 65535})
+		add(200+60*int64(i), trace.DirOut,
+			trace.Segment{Flags: packet.FlagACK, Seq: isn + 1 + i*mss, Len: mss, Wnd: 65535})
 		if i < 5 {
-			add(230+60*int64(i), tcpsim.DirIn,
-				tcpsim.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1 + (i+1)*mss, Wnd: 60000})
+			add(230+60*int64(i), trace.DirIn,
+				trace.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1 + (i+1)*mss, Wnd: 60000})
 		}
 	}
 	// Five seconds of silence with one segment outstanding, closed by
 	// its timeout retransmission (below the send edge, past the wrap).
-	add(5500, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagACK, Seq: isn + 1 + 5*mss, Len: mss, Wnd: 65535})
-	add(5530, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1 + 6*mss, Wnd: 60000})
-	add(5600, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagACK, Seq: isn + 1 + 6*mss, Len: mss, Wnd: 65535})
-	add(5630, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1 + 7*mss, Wnd: 60000})
+	add(5500, trace.DirOut, trace.Segment{Flags: packet.FlagACK, Seq: isn + 1 + 5*mss, Len: mss, Wnd: 65535})
+	add(5530, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1 + 6*mss, Wnd: 60000})
+	add(5600, trace.DirOut, trace.Segment{Flags: packet.FlagACK, Seq: isn + 1 + 6*mss, Len: mss, Wnd: 65535})
+	add(5630, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 43, Ack: isn + 1 + 7*mss, Wnd: 60000})
 	return &trace.Flow{ID: "wrap", Service: "crafted", Records: recs}
 }
 
@@ -281,12 +280,12 @@ func TestTriageWrappedISNMatchesBatch(t *testing.T) {
 func churnFlow(cycles int) *trace.Flow {
 	const mss = 1460
 	var recs []trace.Record
-	add := func(tms int64, dir tcpsim.Dir, seg tcpsim.Segment) {
+	add := func(tms int64, dir trace.Dir, seg trace.Segment) {
 		recs = append(recs, trace.Record{T: msAt(tms), Dir: dir, Seg: seg})
 	}
-	add(0, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagSYN, Seq: 100, Wnd: 60000})
-	add(10, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: 5000, Ack: 101, Wnd: 65535})
-	add(110, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 101, Ack: 5001, Wnd: 60000})
+	add(0, trace.DirIn, trace.Segment{Flags: packet.FlagSYN, Seq: 100, Wnd: 60000})
+	add(10, trace.DirOut, trace.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: 5000, Ack: 101, Wnd: 65535})
+	add(110, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 101, Ack: 5001, Wnd: 60000})
 	seq := uint32(5001)
 	tms := int64(200)
 	for c := 0; c < cycles; c++ {
@@ -296,9 +295,9 @@ func churnFlow(cycles int) *trace.Flow {
 		// Healthy burst: a data/ack pair every 50ms for 1.2s, each ACK
 		// advancing the edge — long enough to outlast DemoteAfter.
 		for i := 0; i < 24; i++ {
-			add(tms, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagACK, Seq: seq, Len: mss, Wnd: 65535})
+			add(tms, trace.DirOut, trace.Segment{Flags: packet.FlagACK, Seq: seq, Len: mss, Wnd: 65535})
 			seq += mss
-			add(tms+25, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 101, Ack: seq, Wnd: 60000})
+			add(tms+25, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 101, Ack: seq, Wnd: 60000})
 			tms += 50
 		}
 	}
@@ -412,24 +411,24 @@ func TestTriageEvictionFlushesPendingStall(t *testing.T) {
 func truncationFlow() *trace.Flow {
 	const mss = 1460
 	var recs []trace.Record
-	add := func(tms int64, dir tcpsim.Dir, seg tcpsim.Segment) {
+	add := func(tms int64, dir trace.Dir, seg trace.Segment) {
 		recs = append(recs, trace.Record{T: msAt(tms), Dir: dir, Seg: seg})
 	}
-	add(0, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagSYN, Seq: 100, Wnd: 60000})
-	add(10, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: 5000, Ack: 101, Wnd: 65535})
-	add(110, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 101, Ack: 5001, Wnd: 60000})
+	add(0, trace.DirIn, trace.Segment{Flags: packet.FlagSYN, Seq: 100, Wnd: 60000})
+	add(10, trace.DirOut, trace.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: 5000, Ack: 101, Wnd: 65535})
+	add(110, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 101, Ack: 5001, Wnd: 60000})
 	seq := uint32(5001)
 	tms := int64(200)
 	for i := 0; i < 30; i++ {
-		add(tms, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagACK, Seq: seq, Len: mss, Wnd: 65535})
+		add(tms, trace.DirOut, trace.Segment{Flags: packet.FlagACK, Seq: seq, Len: mss, Wnd: 65535})
 		seq += mss
-		add(tms+25, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 101, Ack: seq, Wnd: 60000})
+		add(tms+25, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 101, Ack: seq, Wnd: 60000})
 		tms += 50
 	}
 	// Ten seconds of silence closed by the next send.
 	tms += 10000
-	add(tms, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagACK, Seq: seq, Len: mss, Wnd: 65535})
-	add(tms+30, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 101, Ack: seq + mss, Wnd: 60000})
+	add(tms, trace.DirOut, trace.Segment{Flags: packet.FlagACK, Seq: seq, Len: mss, Wnd: 65535})
+	add(tms+30, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 101, Ack: seq + mss, Wnd: 60000})
 	return &trace.Flow{ID: "trunc", Service: "crafted", Records: recs}
 }
 
@@ -553,9 +552,9 @@ func decodeFuzzRecords(data []byte) []trace.Record {
 	var tt sim.Time
 	for len(data) >= fuzzRecSize && len(recs) < 4096 {
 		ctl := data[0]
-		dir := tcpsim.DirOut
+		dir := trace.DirOut
 		if ctl&1 != 0 {
-			dir = tcpsim.DirIn
+			dir = trace.DirIn
 		}
 		var flags packet.TCPFlags
 		if ctl&2 != 0 {
@@ -573,7 +572,7 @@ func decodeFuzzRecords(data []byte) []trace.Record {
 		if ctl&32 != 0 {
 			flags |= packet.FlagPSH
 		}
-		seg := tcpsim.Segment{
+		seg := trace.Segment{
 			Flags: flags,
 			Seq:   binary.LittleEndian.Uint32(data[1:5]),
 			Ack:   binary.LittleEndian.Uint32(data[5:9]),
@@ -594,9 +593,9 @@ func decodeFuzzRecords(data []byte) []trace.Record {
 	return recs
 }
 
-func encodeFuzzRecord(dir tcpsim.Dir, flags packet.TCPFlags, seq, ack uint32, wnd, lenCode int, dtMS uint16) []byte {
+func encodeFuzzRecord(dir trace.Dir, flags packet.TCPFlags, seq, ack uint32, wnd, lenCode int, dtMS uint16) []byte {
 	b := make([]byte, fuzzRecSize)
-	if dir == tcpsim.DirIn {
+	if dir == trace.DirIn {
 		b[0] |= 1
 	}
 	if flags.Has(packet.FlagSYN) {
@@ -624,9 +623,9 @@ func encodeFuzzRecord(dir tcpsim.Dir, flags packet.TCPFlags, seq, ack uint32, wn
 // seeds, so no symptom fires during the run.
 func fuzzSeedHealthyRun(b []byte, seq *uint32, n int, dtMS uint16) []byte {
 	for i := 0; i < n; i++ {
-		b = append(b, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, *seq, 101, 65535, 10, dtMS)...)
+		b = append(b, encodeFuzzRecord(trace.DirOut, packet.FlagACK, *seq, 101, 65535, 10, dtMS)...)
 		*seq += 970
-		b = append(b, encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 101, *seq, 60000, 0, dtMS)...)
+		b = append(b, encodeFuzzRecord(trace.DirIn, packet.FlagACK, 101, *seq, 60000, 0, dtMS)...)
 	}
 	return b
 }
@@ -635,9 +634,9 @@ func fuzzSeedHealthyRun(b []byte, seq *uint32, n int, dtMS uint16) []byte {
 // RTT on both paths.
 func fuzzSeedHandshake() []byte {
 	var b []byte
-	b = append(b, encodeFuzzRecord(tcpsim.DirIn, packet.FlagSYN, 100, 0, 60000, 0, 0)...)
-	b = append(b, encodeFuzzRecord(tcpsim.DirOut, packet.FlagSYN|packet.FlagACK, 5000, 101, 65535, 0, 1)...)
-	b = append(b, encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 101, 5001, 60000, 0, 30)...)
+	b = append(b, encodeFuzzRecord(trace.DirIn, packet.FlagSYN, 100, 0, 60000, 0, 0)...)
+	b = append(b, encodeFuzzRecord(trace.DirOut, packet.FlagSYN|packet.FlagACK, 5000, 101, 65535, 0, 1)...)
+	b = append(b, encodeFuzzRecord(trace.DirIn, packet.FlagACK, 101, 5001, 60000, 0, 30)...)
 	return b
 }
 
@@ -651,33 +650,33 @@ func FuzzTriagePromotion(f *testing.F) {
 	var normal []byte
 	normal = append(normal, fuzzSeedHandshake()...)
 	for i := 0; i < 6; i++ {
-		normal = append(normal, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, 5001+uint32(i)*1455, 101, 65535, 15, uint16(20+400*(i%2)))...)
+		normal = append(normal, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 5001+uint32(i)*1455, 101, 65535, 15, uint16(20+400*(i%2)))...)
 	}
 	f.Add(normal)
 
 	// Seed: ISN near 2^32 so the stream wraps mid-flow.
 	var wrapped []byte
 	wrapISN := uint32(0xFFFFF000)
-	wrapped = append(wrapped, encodeFuzzRecord(tcpsim.DirIn, packet.FlagSYN, 7, 0, 60000, 0, 0)...)
-	wrapped = append(wrapped, encodeFuzzRecord(tcpsim.DirOut, packet.FlagSYN|packet.FlagACK, wrapISN, 8, 65535, 0, 1)...)
+	wrapped = append(wrapped, encodeFuzzRecord(trace.DirIn, packet.FlagSYN, 7, 0, 60000, 0, 0)...)
+	wrapped = append(wrapped, encodeFuzzRecord(trace.DirOut, packet.FlagSYN|packet.FlagACK, wrapISN, 8, 65535, 0, 1)...)
 	for i := 0; i < 8; i++ {
-		wrapped = append(wrapped, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, wrapISN+1+uint32(i)*1455, 8, 65535, 15, uint16(25+700*(i%3/2)))...)
-		wrapped = append(wrapped, encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 8, wrapISN+1+uint32(i+1)*1455, 60000, 0, 5)...)
+		wrapped = append(wrapped, encodeFuzzRecord(trace.DirOut, packet.FlagACK, wrapISN+1+uint32(i)*1455, 8, 65535, 15, uint16(25+700*(i%3/2)))...)
+		wrapped = append(wrapped, encodeFuzzRecord(trace.DirIn, packet.FlagACK, 8, wrapISN+1+uint32(i+1)*1455, 60000, 0, 5)...)
 	}
 	f.Add(wrapped)
 
 	// Seed: wrapped ISN + clock skew, SACK blocks straddling the wrap.
 	var skew []byte
 	skewISN := uint32(0xFFFFFB00)
-	skew = append(skew, encodeFuzzRecord(tcpsim.DirIn, packet.FlagSYN, 42, 0, 60000, 0, 0)...)
-	skew = append(skew, encodeFuzzRecord(tcpsim.DirOut, packet.FlagSYN|packet.FlagACK, skewISN, 43, 65535, 0, 1)...)
+	skew = append(skew, encodeFuzzRecord(trace.DirIn, packet.FlagSYN, 42, 0, 60000, 0, 0)...)
+	skew = append(skew, encodeFuzzRecord(trace.DirOut, packet.FlagSYN|packet.FlagACK, skewISN, 43, 65535, 0, 1)...)
 	for i := 0; i < 6; i++ {
 		dt := uint16(1)
 		if i%2 == 1 {
 			dt = 65000
 		}
-		skew = append(skew, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, skewISN+1+uint32(i)*1455, 43, 65535, 15, dt)...)
-		ackRec := encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 43, skewISN+1, 60000, 0, 1)
+		skew = append(skew, encodeFuzzRecord(trace.DirOut, packet.FlagACK, skewISN+1+uint32(i)*1455, 43, 65535, 15, dt)...)
+		ackRec := encodeFuzzRecord(trace.DirIn, packet.FlagACK, 43, skewISN+1, 60000, 0, 1)
 		ackRec[0] |= 64
 		var blk [8]byte
 		binary.LittleEndian.PutUint32(blk[0:4], skewISN+1+uint32(i)*1455)
@@ -689,7 +688,7 @@ func FuzzTriagePromotion(f *testing.F) {
 
 	// Seed: the symptom is the very first record (incoming zero
 	// window) — promotion with a single-record ring.
-	first := encodeFuzzRecord(tcpsim.DirIn, packet.FlagACK, 43, 5001, 0, 0, 0)
+	first := encodeFuzzRecord(trace.DirIn, packet.FlagACK, 43, 5001, 0, 0, 0)
 	f.Add(first)
 
 	// Seed: symptom exactly at a ring-growth edge — 33 healthy pairs
@@ -698,7 +697,7 @@ func FuzzTriagePromotion(f *testing.F) {
 	edge = append(edge, fuzzSeedHandshake()...)
 	seq := uint32(5001)
 	edge = fuzzSeedHealthyRun(edge, &seq, 33, 10)
-	edge = append(edge, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, seq, 101, 65535, 10, 5000)...)
+	edge = append(edge, encodeFuzzRecord(trace.DirOut, packet.FlagACK, seq, 101, 65535, 10, 5000)...)
 	f.Add(edge)
 
 	// Seed: demote-then-repromote — promote on a gap, stay healthy
@@ -707,19 +706,19 @@ func FuzzTriagePromotion(f *testing.F) {
 	churn = append(churn, fuzzSeedHandshake()...)
 	seq = uint32(5001)
 	churn = fuzzSeedHealthyRun(churn, &seq, 4, 10)
-	churn = append(churn, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, seq, 101, 65535, 10, 3000)...)
+	churn = append(churn, encodeFuzzRecord(trace.DirOut, packet.FlagACK, seq, 101, 65535, 10, 3000)...)
 	seq += 970
 	churn = fuzzSeedHealthyRun(churn, &seq, 50, 50) // 2.5s of health: demotes
-	churn = append(churn, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, seq, 101, 65535, 10, 5000)...)
+	churn = append(churn, encodeFuzzRecord(trace.DirOut, packet.FlagACK, seq, 101, 65535, 10, 5000)...)
 	f.Add(churn)
 
 	// Seed: hostile — retransmission-shaped repeat plus RST teardown
-	// mid-stream (the monitor evicts on the RST; remaining bytes are
-	// a second life the harness ignores).
+	// mid-stream (the RST carries FlowDone, so the monitor evicts on it;
+	// remaining bytes are a second life the harness ignores).
 	var hostile []byte
-	hostile = append(hostile, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, 1000, 1, 0, 20, 0)...)
-	hostile = append(hostile, encodeFuzzRecord(tcpsim.DirOut, packet.FlagACK, 1000, 1, 0, 20, 9000)...)
-	hostile = append(hostile, encodeFuzzRecord(tcpsim.DirIn, packet.FlagRST, 1, 0, 0, 0, 1)...)
+	hostile = append(hostile, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 1000, 1, 0, 20, 0)...)
+	hostile = append(hostile, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 1000, 1, 0, 20, 9000)...)
+	hostile = append(hostile, encodeFuzzRecord(trace.DirIn, packet.FlagRST, 1, 0, 0, 0, 1)...)
 	f.Add(hostile)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -735,7 +734,9 @@ func FuzzTriagePromotion(f *testing.F) {
 		sh := m.shardOf("fuzz")
 		fed := 0
 		for i := range recs {
-			ev := trace.RecordEvent{FlowID: "fuzz", Service: "fuzz", Rec: recs[i]}
+			// An RST completes the connection, as the importer marks it.
+			ev := trace.RecordEvent{FlowID: "fuzz", Service: "fuzz", Rec: recs[i],
+				FlowDone: recs[i].Seg.Flags.Has(packet.FlagRST)}
 			sh.processBatch([]trace.RecordEvent{ev})
 			fed = i + 1
 			if len(got) > 0 {

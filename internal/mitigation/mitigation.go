@@ -14,6 +14,7 @@ import (
 
 	"tcpstall/internal/sim"
 	"tcpstall/internal/tcpsim"
+	"tcpstall/internal/trace"
 )
 
 // Kind names a strategy for harness switching.
@@ -105,7 +106,7 @@ func (t *TLP) pto() time.Duration {
 }
 
 func (t *TLP) rearm() {
-	if t.snd.State() == tcpsim.StateOpen && t.snd.HasOutstanding() && !t.fired {
+	if t.snd.State() == trace.StateOpen && t.snd.HasOutstanding() && !t.fired {
 		pto := t.pto()
 		if pto >= t.snd.RTO() {
 			// The native RTO fires first; probing buys nothing.
@@ -131,7 +132,7 @@ func (t *TLP) OnAck() {
 func (t *TLP) OnRTO() { t.timer.Stop() }
 
 func (t *TLP) onPTO() {
-	if t.snd.State() != tcpsim.StateOpen || !t.snd.HasOutstanding() {
+	if t.snd.State() != trace.StateOpen || !t.snd.HasOutstanding() {
 		return
 	}
 	t.fired = true
@@ -208,7 +209,7 @@ func (s *SRTO) set() {
 		s.timer.Stop()
 		return
 	}
-	if s.probed && (s.snd.SndUna() == s.probedUna || s.snd.State() != tcpsim.StateOpen) {
+	if s.probed && (s.snd.SndUna() == s.probedUna || s.snd.State() != trace.StateOpen) {
 		// One probe per recovery episode: if the probe did not settle
 		// things (head unmoved, or the episode it opened is still
 		// running), fall back to the native RTO. Serializing probes
@@ -246,7 +247,7 @@ func (s *SRTO) trigger() {
 	}
 	s.probed = true
 	s.probedUna = s.snd.SndUna()
-	wasRecovery := s.snd.State() == tcpsim.StateRecovery
+	wasRecovery := s.snd.State() == trace.StateRecovery
 	// Enter Recovery first so the episode snapshot (for DSACK undo)
 	// captures the pre-reduction cwnd.
 	s.snd.EnterRecoveryExternal()
@@ -267,7 +268,7 @@ func (s *SRTO) OnSent(bool) { s.set() }
 
 // OnAck implements tcpsim.Recovery.
 func (s *SRTO) OnAck() {
-	if s.probed && s.snd.SndUna() != s.probedUna && s.snd.State() == tcpsim.StateOpen {
+	if s.probed && s.snd.SndUna() != s.probedUna && s.snd.State() == trace.StateOpen {
 		s.probed = false // episode settled: new probe budget
 	}
 	s.set()

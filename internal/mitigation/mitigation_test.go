@@ -7,6 +7,7 @@ import (
 	"tcpstall/internal/netem"
 	"tcpstall/internal/sim"
 	"tcpstall/internal/tcpsim"
+	"tcpstall/internal/trace"
 )
 
 // lab builds a 40ms-RTT connection with a drop plan keyed on distinct
@@ -39,7 +40,7 @@ func newLab(seed int64, size int64, strategy tcpsim.Recovery, dropPlan map[int]i
 	distinct := 0
 	ordinalOf := map[uint32]int{}
 	copies := map[uint32]int{}
-	conn.Sender().Output = func(seg *tcpsim.Segment) {
+	conn.Sender().Output = func(seg *trace.Segment) {
 		if seg.Len > 0 {
 			if _, ok := ordinalOf[seg.Seq]; !ok {
 				distinct++
@@ -171,7 +172,7 @@ func TestSRTOCwndHalvingGuard(t *testing.T) {
 	if srto.Triggers == 0 {
 		t.Fatal("expected a trigger")
 	}
-	if snd.State() == tcpsim.StateLoss {
+	if snd.State() == trace.StateLoss {
 		t.Error("S-RTO should have kept the sender out of Loss state")
 	}
 }
@@ -280,7 +281,7 @@ func TestNCLRecoversTailLossWithoutCwndReduction(t *testing.T) {
 		t.Fatal("NCL never probed")
 	}
 	// Non-congestion assumption: no Loss state, no cwnd collapse.
-	if snd.State() == tcpsim.StateLoss {
+	if snd.State() == trace.StateLoss {
 		t.Error("NCL should not enter Loss")
 	}
 	if snd.Cwnd() < 2 {

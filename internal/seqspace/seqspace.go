@@ -61,9 +61,6 @@ type Unwrapper struct {
 	init bool
 }
 
-// Initialized reports whether the unwrapper has seen a value.
-func (u *Unwrapper) Initialized() bool { return u.init }
-
 // Unwrap returns the stream offset of seq. The reference only moves
 // forward (to the highest offset returned), so values up to 2^31−1
 // behind the latest point keep resolving to their original offsets.

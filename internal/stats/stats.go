@@ -44,7 +44,8 @@ func (s *Summary) Mean() float64 {
 // Merge folds another summary into s. The operation is associative
 // and commutative, so per-worker summaries built by the parallel
 // pipeline combine into the same totals regardless of how the work
-// was sharded.
+// was sharded. N saturates at math.MaxInt instead of wrapping;
+// saturating addition of non-negative counts keeps both properties.
 func (s *Summary) Merge(o Summary) {
 	if o.N == 0 {
 		return
@@ -55,7 +56,11 @@ func (s *Summary) Merge(o Summary) {
 	if s.N == 0 || o.Max > s.Max {
 		s.Max = o.Max
 	}
-	s.N += o.N
+	if o.N > math.MaxInt-s.N {
+		s.N = math.MaxInt
+	} else {
+		s.N += o.N
+	}
 	s.Sum += o.Sum
 	s.sumSq += o.sumSq
 }

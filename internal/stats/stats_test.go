@@ -233,3 +233,15 @@ func TestFormatX(t *testing.T) {
 		}
 	}
 }
+
+func TestSummaryMergeSaturatesCount(t *testing.T) {
+	for _, order := range [][]int{{math.MaxInt, 1, 1}, {1, math.MaxInt, 1}, {1, 1, math.MaxInt}} {
+		var s Summary
+		for _, n := range order {
+			s.Merge(Summary{N: n, Sum: 1, Min: 1, Max: 1})
+		}
+		if s.N != math.MaxInt {
+			t.Errorf("merge of counts %v = %d, want MaxInt", order, s.N)
+		}
+	}
+}

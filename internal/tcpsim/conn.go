@@ -6,6 +6,7 @@ import (
 	"tcpstall/internal/packet"
 	"tcpstall/internal/seqspace"
 	"tcpstall/internal/sim"
+	"tcpstall/internal/trace"
 )
 
 // TraceSink observes the connection's packets from the server's
@@ -13,7 +14,7 @@ import (
 // outgoing segments at transmit time (before any network drop),
 // incoming segments at delivery time.
 type TraceSink interface {
-	Record(t sim.Time, dir Dir, seg Segment)
+	Record(t sim.Time, dir trace.Dir, seg trace.Segment)
 }
 
 // AppPause models a mid-transfer server application stall (the
@@ -101,8 +102,8 @@ func (m *ConnMetrics) FlowLatency() time.Duration {
 type PathPair struct {
 	// Down carries server→client segments; Up the reverse. Both
 	// take the segment and its wire size.
-	Down func(seg *Segment, size int)
-	Up   func(seg *Segment, size int)
+	Down func(seg *trace.Segment, size int)
+	Up   func(seg *trace.Segment, size int)
 }
 
 // Conn is a simulated server↔client TCP connection.
@@ -131,7 +132,7 @@ type Conn struct {
 	synSent     bool
 	cliTimer    *sim.Timer
 	cliBackoff  int
-	pendingReq  *Segment // unacknowledged request (or SYN) to retransmit
+	pendingReq  *trace.Segment // unacknowledged request (or SYN) to retransmit
 
 	reqIdx      int      // next request to issue
 	served      int      // requests handed to the server app
@@ -243,19 +244,19 @@ func (c *Conn) finish(done bool) {
 // Loss of these segments is tolerated without retransmission; the
 // analysis metrics are already final.
 func (c *Conn) exchangeFINs() {
-	fin := &Segment{Flags: packet.FlagFIN | packet.FlagACK, Seq: c.snd.SndNxt(), Ack: uint32(c.srvRcvNxt), Wnd: c.srvWnd}
-	c.record(DirOut, fin)
-	c.paths.Down(fin, fin.WireSize())
+	fin := &trace.Segment{Flags: packet.FlagFIN | packet.FlagACK, Seq: c.snd.SndNxt(), Ack: uint32(c.srvRcvNxt), Wnd: c.srvWnd}
+	c.record(trace.DirOut, fin)
+	c.paths.Down(fin, wireSize(fin))
 }
 
 // --- client side ---
 
 func (c *Conn) sendSYN() {
 	c.synSent = true
-	syn := &Segment{Flags: packet.FlagSYN, Seq: c.cliISN, Wnd: c.cfg.Receiver.InitRwnd}
+	syn := &trace.Segment{Flags: packet.FlagSYN, Seq: c.cliISN, Wnd: c.cfg.Receiver.InitRwnd}
 	c.pendingReq = syn
 	c.cliTimer.Reset(c.clientRTO())
-	c.paths.Up(syn, syn.WireSize())
+	c.paths.Up(syn, wireSize(syn))
 }
 
 func (c *Conn) clientRTO() time.Duration {
@@ -276,13 +277,13 @@ func (c *Conn) onClientTimer() {
 	c.cliBackoff++
 	seg := *c.pendingReq
 	c.cliTimer.Reset(c.clientRTO())
-	c.paths.Up(&seg, seg.WireSize())
+	c.paths.Up(&seg, wireSize(&seg))
 }
 
 // clientTransmit sends a receiver-generated pure ACK upstream.
-func (c *Conn) clientTransmit(seg *Segment) {
+func (c *Conn) clientTransmit(seg *trace.Segment) {
 	seg.Seq = uint32(c.cliSndNxt)
-	c.paths.Up(seg, seg.WireSize())
+	c.paths.Up(seg, wireSize(seg))
 }
 
 // ClientDeliver is the downlink path's delivery callback: a segment
@@ -291,7 +292,7 @@ func (c *Conn) ClientDeliver(pkt any) {
 	if c.doneFired {
 		return
 	}
-	seg := pkt.(*Segment)
+	seg := pkt.(*trace.Segment)
 	if seg.Flags.Has(packet.FlagSYN | packet.FlagACK) {
 		if !c.established {
 			c.established = true
@@ -301,16 +302,16 @@ func (c *Conn) ClientDeliver(pkt any) {
 			c.cliBackoff = 0
 			c.cliSndNxt = seqspace.Expand(c.cliISN) + 1
 			// Handshake-completing ACK.
-			ack := &Segment{Flags: packet.FlagACK, Seq: uint32(c.cliSndNxt), Ack: seg.Seq + 1, Wnd: c.rcv.Window()}
-			c.paths.Up(ack, ack.WireSize())
+			ack := &trace.Segment{Flags: packet.FlagACK, Seq: uint32(c.cliSndNxt), Ack: seg.Seq + 1, Wnd: c.rcv.Window()}
+			c.paths.Up(ack, wireSize(ack))
 			c.scheduleNextRequest()
 		}
 		return
 	}
 	if seg.Flags.Has(packet.FlagFIN) {
 		// Passive close: ACK the FIN; nothing else matters.
-		ack := &Segment{Flags: packet.FlagACK | packet.FlagFIN, Seq: uint32(c.cliSndNxt), Ack: seg.End(), Wnd: c.rcv.Window()}
-		c.paths.Up(ack, ack.WireSize())
+		ack := &trace.Segment{Flags: packet.FlagACK | packet.FlagFIN, Seq: uint32(c.cliSndNxt), Ack: seg.End(), Wnd: c.rcv.Window()}
+		c.paths.Up(ack, wireSize(ack))
 		return
 	}
 	// The server's ACK state rides on every downlink segment; once it
@@ -338,7 +339,7 @@ func (c *Conn) issueRequest(idx int) {
 	if c.doneFired {
 		return
 	}
-	seg := &Segment{
+	seg := &trace.Segment{
 		Flags: packet.FlagACK | packet.FlagPSH,
 		Seq:   uint32(c.cliSndNxt),
 		Len:   c.cfg.RequestSize,
@@ -352,7 +353,7 @@ func (c *Conn) issueRequest(idx int) {
 	c.cliBackoff = 0
 	c.cliTimer.Reset(c.clientRTO())
 	cp := *seg
-	c.paths.Up(&cp, cp.WireSize())
+	c.paths.Up(&cp, wireSize(&cp))
 }
 
 // onClientDeliver tracks how much response data the client app has
@@ -374,11 +375,11 @@ func (c *Conn) onClientDeliver(n int) {
 
 // serverTransmit stamps server receive state onto an outgoing
 // sender segment, records it, and puts it on the downlink.
-func (c *Conn) serverTransmit(seg *Segment) {
+func (c *Conn) serverTransmit(seg *trace.Segment) {
 	seg.Ack = uint32(c.srvRcvNxt)
 	seg.Wnd = c.srvWnd
-	c.record(DirOut, seg)
-	c.paths.Down(seg, seg.WireSize())
+	c.record(trace.DirOut, seg)
+	c.paths.Down(seg, wireSize(seg))
 }
 
 // ServerDeliver is the uplink path's delivery callback: a segment has
@@ -387,8 +388,8 @@ func (c *Conn) ServerDeliver(pkt any) {
 	if c.doneFired {
 		return
 	}
-	seg := pkt.(*Segment)
-	c.record(DirIn, seg)
+	seg := pkt.(*trace.Segment)
+	c.record(trace.DirIn, seg)
 
 	if seg.Flags.Has(packet.FlagSYN) {
 		// (Re)send SYN-ACK; duplicates are harmless (the unwrapper
@@ -396,10 +397,10 @@ func (c *Conn) ServerDeliver(pkt any) {
 		if off := c.srvRcvU.Unwrap(seg.Seq); off+1 > c.srvRcvNxt {
 			c.srvRcvNxt = off + 1
 		}
-		synack := &Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: c.srvISN, Ack: uint32(c.srvRcvNxt), Wnd: c.srvWnd}
+		synack := &trace.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: c.srvISN, Ack: uint32(c.srvRcvNxt), Wnd: c.srvWnd}
 		c.synackSentAt = c.sm.Now()
-		c.record(DirOut, synack)
-		c.paths.Down(synack, synack.WireSize())
+		c.record(trace.DirOut, synack)
+		c.paths.Down(synack, wireSize(synack))
 		return
 	}
 	// Seed the RTT estimator from the handshake, as Linux does: the
@@ -425,9 +426,9 @@ func (c *Conn) ServerDeliver(pkt any) {
 			c.truth.RequestArrival(c.sm.Now(), c.snd.HasOutstanding())
 		}
 		// Quick-ACK the request so the client timer disarms.
-		ack := &Segment{Flags: packet.FlagACK, Seq: c.snd.SndNxt(), Ack: uint32(c.srvRcvNxt), Wnd: c.srvWnd}
-		c.record(DirOut, ack)
-		c.paths.Down(ack, ack.WireSize())
+		ack := &trace.Segment{Flags: packet.FlagACK, Seq: c.snd.SndNxt(), Ack: uint32(c.srvRcvNxt), Wnd: c.srvWnd}
+		c.record(trace.DirOut, ack)
+		c.paths.Down(ack, wireSize(ack))
 		if isNew {
 			c.serveRequest()
 		}
@@ -511,7 +512,7 @@ func (c *Conn) checkRequestCompletion() {
 	}
 }
 
-func (c *Conn) record(dir Dir, seg *Segment) {
+func (c *Conn) record(dir trace.Dir, seg *trace.Segment) {
 	if c.sink == nil {
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"tcpstall/internal/netem"
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
+	"tcpstall/internal/trace"
 )
 
 // recSink captures trace records for assertions.
@@ -17,11 +18,11 @@ type recSink struct {
 
 type traceRec struct {
 	t   sim.Time
-	dir Dir
-	seg Segment
+	dir trace.Dir
+	seg trace.Segment
 }
 
-func (r *recSink) Record(t sim.Time, dir Dir, seg Segment) {
+func (r *recSink) Record(t sim.Time, dir trace.Dir, seg trace.Segment) {
 	r.recs = append(r.recs, traceRec{t, dir, seg})
 }
 
@@ -153,7 +154,7 @@ func dropCopies(h *harness, ordinal, copies int) {
 	var target uint32
 	haveTarget := false
 	perSeq := map[uint32]int{}
-	h.conn.snd.Output = func(seg *Segment) {
+	h.conn.snd.Output = func(seg *trace.Segment) {
 		if seg.Len > 0 {
 			if perSeq[seg.Seq] == 0 {
 				distinct++
@@ -168,7 +169,7 @@ func dropCopies(h *harness, ordinal, copies int) {
 				// NIC would have, but never deliver.
 				seg.Ack = uint32(h.conn.srvRcvNxt)
 				seg.Wnd = h.conn.srvWnd
-				h.conn.record(DirOut, seg)
+				h.conn.record(trace.DirOut, seg)
 				return
 			}
 		}
@@ -357,15 +358,15 @@ func TestTraceRecordsBothDirections(t *testing.T) {
 	var in, out, syn, data int
 	for _, r := range h.sink.recs {
 		switch r.dir {
-		case DirIn:
+		case trace.DirIn:
 			in++
-		case DirOut:
+		case trace.DirOut:
 			out++
 		}
 		if r.seg.Flags.Has(packet.FlagSYN) {
 			syn++
 		}
-		if r.dir == DirOut && r.seg.Len > 0 {
+		if r.dir == trace.DirOut && r.seg.Len > 0 {
 			data++
 		}
 	}
@@ -411,7 +412,7 @@ func TestRTOBackoffDoubles(t *testing.T) {
 	dropAll := false
 	inner := h.conn.snd.Output
 	var firings []sim.Time
-	h.conn.snd.Output = func(seg *Segment) {
+	h.conn.snd.Output = func(seg *trace.Segment) {
 		if dropAll && seg.Len > 0 {
 			firings = append(firings, h.sim.Now())
 			return
@@ -438,7 +439,7 @@ func TestEquation1Invariant(t *testing.T) {
 	snd := h.conn.Sender()
 	bad := 0
 	inner := h.conn.snd.Output
-	h.conn.snd.Output = func(seg *Segment) {
+	h.conn.snd.Output = func(seg *trace.Segment) {
 		sacked, lost, retrans := snd.counters()
 		if sacked < 0 || lost < 0 || retrans < 0 {
 			bad++
@@ -553,7 +554,7 @@ func TestSenderPanicsWithoutOutput(t *testing.T) {
 func TestWriteAfterClosePanics(t *testing.T) {
 	s := sim.New()
 	snd := NewSender(s, DefaultSenderConfig(), 1)
-	snd.Output = func(*Segment) {}
+	snd.Output = func(*trace.Segment) {}
 	snd.Close()
 	defer func() {
 		if recover() == nil {
@@ -564,26 +565,26 @@ func TestWriteAfterClosePanics(t *testing.T) {
 }
 
 func TestSegmentHelpers(t *testing.T) {
-	s := Segment{Flags: packet.FlagSYN, Seq: 0}
+	s := trace.Segment{Flags: packet.FlagSYN, Seq: 0}
 	if s.End() != 1 {
 		t.Errorf("SYN End = %d", s.End())
 	}
-	d := Segment{Flags: packet.FlagACK, Seq: 100, Len: 50}
+	d := trace.Segment{Flags: packet.FlagACK, Seq: 100, Len: 50}
 	if d.End() != 150 {
 		t.Errorf("data End = %d", d.End())
 	}
-	if d.WireSize() != 14+20+20+50 {
-		t.Errorf("WireSize = %d", d.WireSize())
+	if wireSize(&d) != 14+20+20+50 {
+		t.Errorf("WireSize = %d", wireSize(&d))
 	}
-	withSack := Segment{SACK: packet.SACKBlocks(packet.SACKBlock{Left: 1, Right: 2})}
-	if withSack.WireSize() <= 54 {
-		t.Errorf("SACK wire size = %d", withSack.WireSize())
+	withSack := trace.Segment{SACK: packet.SACKBlocks(packet.SACKBlock{Left: 1, Right: 2})}
+	if wireSize(&withSack) <= 54 {
+		t.Errorf("SACK wire size = %d", wireSize(&withSack))
 	}
-	if DirOut.String() != "out" || DirIn.String() != "in" {
+	if trace.DirOut.String() != "out" || trace.DirIn.String() != "in" {
 		t.Error("Dir strings")
 	}
-	if StateOpen.String() != "Open" || StateLoss.String() != "Loss" ||
-		StateDisorder.String() != "Disorder" || StateRecovery.String() != "Recovery" {
+	if trace.StateOpen.String() != "Open" || trace.StateLoss.String() != "Loss" ||
+		trace.StateDisorder.String() != "Disorder" || trace.StateRecovery.String() != "Recovery" {
 		t.Error("state strings")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"tcpstall/internal/packet"
 	"tcpstall/internal/seqspace"
 	"tcpstall/internal/sim"
+	"tcpstall/internal/trace"
 )
 
 // ReceiverConfig parameterizes the client-side receiver model.
@@ -83,7 +84,7 @@ type Receiver struct {
 
 	// Output transmits a pure ACK toward the server; the connection
 	// stamps the client's Seq before the wire.
-	Output func(seg *Segment)
+	Output func(seg *trace.Segment)
 
 	// OnDeliver, if set, observes in-order data as the app would
 	// read it (byte count per advance).
@@ -227,7 +228,7 @@ func (r *Receiver) drainInstant() {
 
 // HandleData processes an arriving server segment (data, zero-window
 // probe, or FIN-bearing).
-func (r *Receiver) HandleData(seg *Segment) {
+func (r *Receiver) HandleData(seg *trace.Segment) {
 	r.stats.SegmentsReceived++
 	// Unwrap the wire sequence into offset space once; every ordering
 	// decision below compares offsets, never raw uint32s.
@@ -382,7 +383,7 @@ func (r *Receiver) sendAck(dsack *span) {
 	r.pendingSegs = 0
 	r.delack.Stop()
 	w := r.Window()
-	seg := &Segment{
+	seg := &trace.Segment{
 		Flags: packet.FlagACK,
 		Ack:   uint32(r.rcvNxt),
 		Wnd:   w,

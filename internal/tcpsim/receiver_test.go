@@ -6,6 +6,7 @@ import (
 
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
+	"tcpstall/internal/trace"
 )
 
 // receiverRig wires a receiver to a capture buffer; the test plays
@@ -13,13 +14,13 @@ import (
 type receiverRig struct {
 	sim  *sim.Simulator
 	rcv  *Receiver
-	acks []Segment
+	acks []trace.Segment
 }
 
 func newReceiverRig(cfg ReceiverConfig) *receiverRig {
 	s := sim.New()
 	r := &receiverRig{sim: s, rcv: NewReceiver(s, cfg, 1)}
-	r.rcv.Output = func(seg *Segment) {
+	r.rcv.Output = func(seg *trace.Segment) {
 		// Inline SACK storage: a value copy is deep.
 		r.acks = append(r.acks, *seg)
 	}
@@ -27,10 +28,10 @@ func newReceiverRig(cfg ReceiverConfig) *receiverRig {
 }
 
 func (r *receiverRig) data(seq uint32, length int) {
-	r.rcv.HandleData(&Segment{Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Len: length, TSVal: r.sim.Now()})
+	r.rcv.HandleData(&trace.Segment{Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Len: length, TSVal: r.sim.Now()})
 }
 
-func (r *receiverRig) lastAck(t *testing.T) Segment {
+func (r *receiverRig) lastAck(t *testing.T) trace.Segment {
 	t.Helper()
 	if len(r.acks) == 0 {
 		t.Fatal("no ACK emitted")
@@ -163,12 +164,12 @@ func TestReceiverZeroWindowProbeResponse(t *testing.T) {
 	r.data(1461, 1460) // buffer full → zero window
 	n := len(r.acks)
 	// Out-of-window probe (seq = snd_una − 1 = 2920).
-	r.rcv.HandleData(&Segment{Flags: packet.FlagACK, Seq: 2920, Len: 0})
+	r.rcv.HandleData(&trace.Segment{Flags: packet.FlagACK, Seq: 2920, Len: 0})
 	if len(r.acks) != n+1 {
 		t.Fatal("probe not answered")
 	}
 	// An in-window bare ACK must NOT be answered (no ack loops).
-	r.rcv.HandleData(&Segment{Flags: packet.FlagACK, Seq: 2921, Len: 0})
+	r.rcv.HandleData(&trace.Segment{Flags: packet.FlagACK, Seq: 2921, Len: 0})
 	if len(r.acks) != n+1 {
 		t.Error("bare in-window ACK was answered")
 	}
@@ -264,15 +265,15 @@ func TestReceiverRateLimitedRead(t *testing.T) {
 func TestReceiverTimestampEcho(t *testing.T) {
 	r := newReceiverRig(DefaultReceiverConfig())
 	ts := sim.Time(123 * time.Millisecond)
-	r.rcv.HandleData(&Segment{Flags: packet.FlagACK, Seq: 1, Len: 1460, TSVal: ts})
-	r.rcv.HandleData(&Segment{Flags: packet.FlagACK, Seq: 1461, Len: 1460, TSVal: ts + 1})
+	r.rcv.HandleData(&trace.Segment{Flags: packet.FlagACK, Seq: 1, Len: 1460, TSVal: ts})
+	r.rcv.HandleData(&trace.Segment{Flags: packet.FlagACK, Seq: 1461, Len: 1460, TSVal: ts + 1})
 	a := r.lastAck(t)
 	// ts_recent = TSVal of the segment advancing the left edge.
 	if a.TSEcr != ts+1 {
 		t.Errorf("TSEcr = %v, want %v", a.TSEcr, ts+1)
 	}
 	// An out-of-order segment must NOT update ts_recent.
-	r.rcv.HandleData(&Segment{Flags: packet.FlagACK, Seq: 10000, Len: 100, TSVal: ts + 99})
+	r.rcv.HandleData(&trace.Segment{Flags: packet.FlagACK, Seq: 10000, Len: 100, TSVal: ts + 99})
 	a = r.lastAck(t)
 	if a.TSEcr != ts+1 {
 		t.Errorf("ooo segment updated ts_recent: TSEcr = %v", a.TSEcr)

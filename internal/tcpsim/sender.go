@@ -6,6 +6,7 @@ import (
 	"tcpstall/internal/packet"
 	"tcpstall/internal/seqspace"
 	"tcpstall/internal/sim"
+	"tcpstall/internal/trace"
 )
 
 // SenderConfig parameterizes the server-side TCP sender.
@@ -113,7 +114,7 @@ type Sender struct {
 
 	// Output transmits a segment (set by the connection). The
 	// connection stamps Ack/Wnd before putting it on the wire.
-	Output func(seg *Segment)
+	Output func(seg *trace.Segment)
 
 	// OnAllAcked, if set, fires once when every written byte has
 	// been cumulatively acknowledged and the stream is closed.
@@ -135,7 +136,7 @@ type Sender struct {
 	maxAckSeen  uint64
 	cwnd        float64
 	ssthresh    float64
-	state       CongState
+	state       trace.CongState
 	dupacks     int
 	dupThresh   int
 	recoverSeq  uint64 // snd_nxt at recovery/loss entry (unwrapped)
@@ -222,7 +223,7 @@ func (s *Sender) Config() SenderConfig { return s.cfg }
 func (s *Sender) Stats() SenderStats { return s.stats }
 
 // State reports the congestion-avoidance state.
-func (s *Sender) State() CongState { return s.state }
+func (s *Sender) State() trace.CongState { return s.state }
 
 // Cwnd reports the congestion window in whole segments.
 func (s *Sender) Cwnd() int { return int(s.cwnd) }
@@ -238,9 +239,9 @@ func (s *Sender) SetCwnd(c int) {
 // EnterRecoveryExternal forces the Recovery state without a
 // retransmission (S-RTO's state adjustment).
 func (s *Sender) EnterRecoveryExternal() {
-	if s.state != StateRecovery {
+	if s.state != trace.StateRecovery {
 		s.beginEpisode()
-		s.state = StateRecovery
+		s.state = trace.StateRecovery
 		s.recoverSeq = s.sndNxt64()
 		// The strategy manages its own window reduction (Algorithm 1
 		// halves cwnd at most once); disable rate-halving for this
@@ -447,7 +448,7 @@ func (s *Sender) sendOne() bool {
 		return false
 	}
 	// Retransmissions of lost segments take priority.
-	if s.state == StateRecovery || s.state == StateLoss {
+	if s.state == trace.StateRecovery || s.state == trace.StateLoss {
 		if i := s.firstLostIdx(); i >= 0 {
 			s.transmit(i, false)
 			return true
@@ -472,7 +473,7 @@ func (s *Sender) sendOne() bool {
 // than the RTO with nothing in flight (true application idleness, not
 // a loss stall), the congestion window restarts from IW.
 func (s *Sender) maybeIdleRestart() {
-	if !s.cfg.SlowStartAfterIdle || s.state != StateOpen ||
+	if !s.cfg.SlowStartAfterIdle || s.state != trace.StateOpen ||
 		s.HasOutstanding() || s.lastSendAt == 0 {
 		return
 	}
@@ -559,7 +560,7 @@ func (s *Sender) transmit(i int, probe bool) {
 		s.stats.Retransmissions++
 		if probe {
 			s.stats.ProbeRetransmits++
-		} else if s.state == StateLoss {
+		} else if s.state == trace.StateLoss {
 			s.stats.RTORetransmits++
 		} else {
 			s.stats.FastRetransmits++
@@ -567,7 +568,7 @@ func (s *Sender) transmit(i int, probe bool) {
 	}
 	g.sentAt = now
 	s.stats.DataSegmentsSent++
-	seg := &Segment{
+	seg := &trace.Segment{
 		Flags: packet.FlagACK | packet.FlagPSH,
 		Seq:   uint32(g.seq),
 		Len:   g.len,
@@ -627,13 +628,6 @@ func (s *Sender) armRTO() {
 // (strategy use, mirroring TLP's PTO→RTO handover).
 func (s *Sender) RearmRTO() { s.armRTO() }
 
-// StopRTOTimer cancels the retransmission timer (strategy use when a
-// probe timer replaces it).
-func (s *Sender) StopRTOTimer() { s.rtoTimer.Stop() }
-
-// RTOTimerArmed reports whether the retransmission timer is pending.
-func (s *Sender) RTOTimerArmed() bool { return s.rtoTimer.Armed() }
-
 func (s *Sender) onRTO() {
 	if !s.HasOutstanding() {
 		return
@@ -651,7 +645,7 @@ func (s *Sender) onRTO() {
 	}
 	s.ssthresh = s.cc.AfterLoss(s.cwnd, float64(fl), s.sm.Now())
 	s.cwnd = 1
-	s.state = StateLoss
+	s.state = trace.StateLoss
 	s.dupacks = 0
 	s.prrOut = 0
 	s.recoverSeq = s.sndNxt64()
@@ -696,7 +690,7 @@ func (s *Sender) onPersist() {
 	// out-of-window segment (seq = snd_una − 1) that the receiver
 	// must answer with an ACK carrying the current window.
 	s.stats.ZeroWindowProbes++
-	seg := &Segment{Flags: packet.FlagACK, Seq: uint32(s.sndUna64() - 1), Len: 0, TSVal: s.sm.Now()}
+	seg := &trace.Segment{Flags: packet.FlagACK, Seq: uint32(s.sndUna64() - 1), Len: 0, TSVal: s.sm.Now()}
 	s.Output(seg)
 	if s.persistN < 10 {
 		s.persistN++
@@ -708,7 +702,7 @@ func (s *Sender) onPersist() {
 
 // HandleAck processes an arriving client segment's acknowledgment
 // fields (cumulative ACK, SACK blocks, advertised window).
-func (s *Sender) HandleAck(seg *Segment) {
+func (s *Sender) HandleAck(seg *trace.Segment) {
 	prevRwnd := s.rwnd
 	s.rwnd = seg.Wnd
 	if prevRwnd == 0 && s.rwnd > 0 {
@@ -733,7 +727,7 @@ func (s *Sender) HandleAck(seg *Segment) {
 	}
 
 	s.updateLostMarks()
-	if s.state == StateRecovery {
+	if s.state == trace.StateRecovery {
 		s.rateHalve()
 	}
 	s.trySend()
@@ -745,7 +739,7 @@ func (s *Sender) HandleAck(seg *Segment) {
 // data, does not advance snd_una, does not change the window, and
 // arrives while data is outstanding. Both classic NewReno dupacks and
 // SACK-bearing ACKs qualify (the paper folds both into "dupack").
-func (s *Sender) isDupAck(seg *Segment, ack uint64, prevRwnd int, sackedNew bool) bool {
+func (s *Sender) isDupAck(seg *trace.Segment, ack uint64, prevRwnd int, sackedNew bool) bool {
 	if !s.HasOutstanding() {
 		return false
 	}
@@ -761,7 +755,7 @@ func (s *Sender) isDupAck(seg *Segment, ack uint64, prevRwnd int, sackedNew bool
 // applySACK marks scoreboard entries from the segment's SACK blocks.
 // It reports whether a DSACK was present and whether any new segment
 // got SACKed.
-func (s *Sender) applySACK(seg *Segment) (dsack, sackedNew bool) {
+func (s *Sender) applySACK(seg *trace.Segment) (dsack, sackedNew bool) {
 	blocks := seg.SACK.Slice()
 	if len(blocks) == 0 {
 		return false, false
@@ -857,9 +851,9 @@ func (s *Sender) handleNewAck(ack uint64, tsecr sim.Time) {
 	// State transitions out of Recovery/Loss once the recovery point
 	// is acked.
 	switch s.state {
-	case StateRecovery, StateLoss:
+	case trace.StateRecovery, trace.StateLoss:
 		if ack >= s.recoverSeq {
-			s.state = StateOpen
+			s.state = trace.StateOpen
 			s.inEpisode = false
 			// tcp_complete_cwr: never RAISE cwnd on recovery exit —
 			// an externally-entered recovery (S-RTO) may have left
@@ -880,12 +874,12 @@ func (s *Sender) handleNewAck(ack uint64, tsecr sim.Time) {
 		// waits for the RTO — the paper's "tail retransmission in
 		// Recovery state" (Table 7).
 		_ = coveredRetrans
-	case StateDisorder:
-		s.state = StateOpen
+	case trace.StateDisorder:
+		s.state = trace.StateOpen
 	}
 
 	// Congestion window growth in Open state.
-	if s.state == StateOpen {
+	if s.state == trace.StateOpen {
 		for i := 0; i < newlyAcked; i++ {
 			if s.cwnd < s.ssthresh {
 				s.cwnd++ // slow start
@@ -904,10 +898,10 @@ func (s *Sender) handleNewAck(ack uint64, tsecr sim.Time) {
 
 func (s *Sender) handleDupAck(sackedNew bool) {
 	s.dupacks++
-	if s.state == StateOpen {
-		s.state = StateDisorder
+	if s.state == trace.StateOpen {
+		s.state = trace.StateDisorder
 	}
-	if s.state == StateDisorder {
+	if s.state == trace.StateDisorder {
 		// Limited transmit: send a new segment for each of the first
 		// two dupacks.
 		if s.cfg.LimitedTransmit && s.dupacks <= 2 && s.nxtIdx < len(s.segs) {
@@ -960,10 +954,10 @@ func (s *Sender) maybeUndo() {
 	if !s.inEpisode || s.undoRetrans > 0 {
 		return
 	}
-	if s.state != StateRecovery && s.state != StateLoss {
+	if s.state != trace.StateRecovery && s.state != trace.StateLoss {
 		return
 	}
-	s.state = StateOpen
+	s.state = trace.StateOpen
 	if s.priorCwnd > s.cwnd {
 		s.cwnd = s.priorCwnd
 	}
@@ -977,7 +971,7 @@ func (s *Sender) maybeUndo() {
 
 func (s *Sender) enterRecovery() {
 	s.beginEpisode()
-	s.state = StateRecovery
+	s.state = trace.StateRecovery
 	s.stats.EnteredRecovery++
 	s.recoverSeq = s.sndNxt64()
 	fl := float64(s.InFlight())
@@ -1012,7 +1006,7 @@ func (s *Sender) rateHalve() {
 // updateLostMarks applies the RFC 6675-style IsLost heuristic: a
 // segment with ≥ dupThresh SACKed segments above it is lost.
 func (s *Sender) updateLostMarks() {
-	if s.state != StateRecovery && s.state != StateDisorder {
+	if s.state != trace.StateRecovery && s.state != trace.StateDisorder {
 		return
 	}
 	sackedAbove := 0
@@ -1025,7 +1019,7 @@ func (s *Sender) updateLostMarks() {
 		if g.acked || g.lost || g.retransOut {
 			continue
 		}
-		if sackedAbove >= s.dupThresh && s.state == StateRecovery {
+		if sackedAbove >= s.dupThresh && s.state == trace.StateRecovery {
 			g.lost = true
 		}
 	}

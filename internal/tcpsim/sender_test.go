@@ -6,6 +6,7 @@ import (
 
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
+	"tcpstall/internal/trace"
 )
 
 // senderRig wires a sender to a capture buffer with no network: the
@@ -13,13 +14,13 @@ import (
 type senderRig struct {
 	sim  *sim.Simulator
 	snd  *Sender
-	sent []Segment
+	sent []trace.Segment
 }
 
 func newSenderRig(cfg SenderConfig) *senderRig {
 	s := sim.New()
 	r := &senderRig{sim: s, snd: NewSender(s, cfg, 1)}
-	r.snd.Output = func(seg *Segment) {
+	r.snd.Output = func(seg *trace.Segment) {
 		cp := *seg
 		r.sent = append(r.sent, cp)
 	}
@@ -28,17 +29,17 @@ func newSenderRig(cfg SenderConfig) *senderRig {
 
 // ackUpTo delivers a cumulative ACK for everything below seq.
 func (r *senderRig) ackUpTo(seq uint32, wnd int) {
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: seq, Wnd: wnd})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: seq, Wnd: wnd})
 }
 
 // dupack delivers a duplicate ACK carrying one SACK block.
 func (r *senderRig) dupack(ack uint32, wnd int, blocks ...packet.SACKBlock) {
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: ack, Wnd: wnd, SACK: packet.SACKBlocks(blocks...)})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: ack, Wnd: wnd, SACK: packet.SACKBlocks(blocks...)})
 }
 
 func TestSenderWriteSegmentation(t *testing.T) {
 	r := newSenderRig(DefaultSenderConfig())
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 	r.snd.Write(3000) // 1460 + 1460 + 80
 	if got := len(r.sent); got != 3 {
 		t.Fatalf("sent %d segments with IW=3, want 3", got)
@@ -77,7 +78,7 @@ func TestSenderCwndLimitsBurst(t *testing.T) {
 	cfg := DefaultSenderConfig()
 	cfg.InitCwnd = 2
 	r := newSenderRig(cfg)
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 	r.snd.Write(100_000)
 	if len(r.sent) != 2 {
 		t.Fatalf("IW=2 sent %d segments", len(r.sent))
@@ -94,7 +95,7 @@ func TestSenderCwndLimitsBurst(t *testing.T) {
 func TestSenderRwndLimits(t *testing.T) {
 	r := newSenderRig(DefaultSenderConfig())
 	// Peer advertises only 2 MSS.
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 2 * 1460})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 2 * 1460})
 	r.snd.Write(100_000)
 	if len(r.sent) != 2 {
 		t.Fatalf("rwnd 2 MSS: sent %d", len(r.sent))
@@ -106,7 +107,7 @@ func TestSenderRwndLimits(t *testing.T) {
 
 func TestSenderZeroWindowProbing(t *testing.T) {
 	r := newSenderRig(DefaultSenderConfig())
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1460})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1460})
 	r.snd.Write(10_000)
 	if len(r.sent) != 1 {
 		t.Fatalf("sent %d", len(r.sent))
@@ -133,21 +134,21 @@ func TestSenderZeroWindowProbing(t *testing.T) {
 
 func TestSenderFastRetransmitAtDupThresh(t *testing.T) {
 	r := newSenderRig(DefaultSenderConfig())
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 	r.snd.Write(20 * 1460)
 	firstEnd := uint32(1 + 1460)
 	// Segment 1 (seq 1) is lost; SACKs arrive for segments above.
 	r.dupack(1, 1<<20, packet.SACKBlock{Left: firstEnd, Right: firstEnd + 1460})
-	if r.snd.State() != StateDisorder {
+	if r.snd.State() != trace.StateDisorder {
 		t.Fatalf("after 1 dupack state = %v", r.snd.State())
 	}
 	r.dupack(1, 1<<20, packet.SACKBlock{Left: firstEnd, Right: firstEnd + 2*1460})
-	if r.snd.State() != StateDisorder {
+	if r.snd.State() != trace.StateDisorder {
 		t.Fatalf("after 2 dupacks state = %v", r.snd.State())
 	}
 	countBefore := r.snd.Stats().FastRetransmits
 	r.dupack(1, 1<<20, packet.SACKBlock{Left: firstEnd, Right: firstEnd + 3*1460})
-	if r.snd.State() != StateRecovery {
+	if r.snd.State() != trace.StateRecovery {
 		t.Fatalf("after 3 dupacks state = %v, want Recovery", r.snd.State())
 	}
 	if r.snd.Stats().FastRetransmits != countBefore+1 {
@@ -171,7 +172,7 @@ func TestSenderLimitedTransmit(t *testing.T) {
 	cfg := DefaultSenderConfig()
 	cfg.InitCwnd = 4
 	r := newSenderRig(cfg)
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 	r.snd.Write(40 * 1460)
 	sentBefore := len(r.sent) // 4 (IW)
 	// First dupack → limited transmit sends 1 new segment.
@@ -207,14 +208,14 @@ func TestSenderRTOFormulaKernelStyle(t *testing.T) {
 func TestSenderRTOBackoffAndExpiry(t *testing.T) {
 	r := newSenderRig(DefaultSenderConfig())
 	r.snd.SeedRTT(50 * time.Millisecond)
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 	r.snd.Write(1460)
 	rto1 := r.snd.RTO()
 	r.sim.RunFor(rto1 + time.Millisecond)
 	if r.snd.Stats().RTOFirings != 1 {
 		t.Fatalf("RTO firings = %d", r.snd.Stats().RTOFirings)
 	}
-	if r.snd.State() != StateLoss {
+	if r.snd.State() != trace.StateLoss {
 		t.Errorf("state = %v, want Loss", r.snd.State())
 	}
 	if r.snd.Cwnd() != 1 {
@@ -233,28 +234,28 @@ func TestSenderDSACKUndo(t *testing.T) {
 	// cwnd and return the state to Open.
 	r := newSenderRig(DefaultSenderConfig())
 	r.snd.SeedRTT(50 * time.Millisecond)
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 	r.snd.Write(3 * 1460)
 	r.ackUpTo(1461, 1<<20)
 	cwndBefore := r.snd.Cwnd()
 	// Let the timer expire exactly once (backoff retransmissions
 	// would each need their own DSACK for the undo to engage).
 	r.sim.RunFor(r.snd.RTO() + 5*time.Millisecond)
-	if r.snd.State() != StateLoss {
+	if r.snd.State() != trace.StateLoss {
 		t.Fatalf("state = %v", r.snd.State())
 	}
 	if r.snd.Stats().RTOFirings != 1 {
 		t.Fatalf("RTO firings = %d, want exactly 1", r.snd.Stats().RTOFirings)
 	}
 	// Late ACK covers everything and DSACKs the spurious copy.
-	r.snd.HandleAck(&Segment{
+	r.snd.HandleAck(&trace.Segment{
 		Flags: packet.FlagACK, Ack: 1 + 3*1460, Wnd: 1 << 20,
 		SACK: packet.SACKBlocks(packet.SACKBlock{Left: 1461, Right: 2921}), // below ack ⇒ DSACK
 	})
 	if r.snd.Stats().SpuriousRetrans == 0 {
 		t.Error("spurious retransmission not detected")
 	}
-	if r.snd.State() != StateOpen {
+	if r.snd.State() != trace.StateOpen {
 		t.Errorf("state = %v after undo, want Open", r.snd.State())
 	}
 	if r.snd.Cwnd() < cwndBefore {
@@ -267,15 +268,15 @@ func TestSenderRecoveryExitNeverRaisesCwnd(t *testing.T) {
 	// initial huge value; exiting must not explode cwnd.
 	r := newSenderRig(DefaultSenderConfig())
 	r.snd.SeedRTT(50 * time.Millisecond)
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 	r.snd.Write(10 * 1460)
 	r.snd.EnterRecoveryExternal()
-	if r.snd.State() != StateRecovery {
+	if r.snd.State() != trace.StateRecovery {
 		t.Fatal("not in recovery")
 	}
 	cwnd := r.snd.Cwnd()
 	r.ackUpTo(1+10*1460, 1<<20)
-	if r.snd.State() != StateOpen {
+	if r.snd.State() != trace.StateOpen {
 		t.Fatalf("state = %v", r.snd.State())
 	}
 	if r.snd.Cwnd() > cwnd+10 {
@@ -285,7 +286,7 @@ func TestSenderRecoveryExitNeverRaisesCwnd(t *testing.T) {
 
 func TestSenderEquation1Accessors(t *testing.T) {
 	r := newSenderRig(DefaultSenderConfig())
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 	r.snd.Write(5 * 1460)
 	if r.snd.PacketsOut() != 3 { // IW
 		t.Fatalf("PacketsOut = %d", r.snd.PacketsOut())
@@ -314,7 +315,7 @@ func TestSenderAdaptiveDupThresh(t *testing.T) {
 	cfg := DefaultSenderConfig()
 	cfg.InitCwnd = 10
 	r := newSenderRig(cfg)
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 	r.snd.Write(10 * 1460)
 	// SACK segments 4..8 first, then segment 1 arrives late (SACKed):
 	// reordering extent ≥ 3 should raise dupThresh above 3.
@@ -328,7 +329,7 @@ func TestSenderAdaptiveDupThresh(t *testing.T) {
 
 func TestSenderCloseAndAllAcked(t *testing.T) {
 	r := newSenderRig(DefaultSenderConfig())
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 	done := false
 	r.snd.OnAllAcked = func() { done = true }
 	r.snd.Write(1000)
@@ -361,7 +362,7 @@ func TestSenderAccessorsMisc(t *testing.T) {
 		t.Errorf("SetCwnd clamps to 1, got %d", r.snd.Cwnd())
 	}
 	r.snd.SetRecovery(nil) // resets to native; must not panic
-	seg := Segment{Flags: packet.FlagACK, Seq: 9, Len: 5, Ack: 2, Wnd: 7}
+	seg := trace.Segment{Flags: packet.FlagACK, Seq: 9, Len: 5, Ack: 2, Wnd: 7}
 	if seg.String() == "" {
 		t.Error("Segment.String empty")
 	}
@@ -390,11 +391,11 @@ func TestSenderPacingSpacesTransmissions(t *testing.T) {
 	cfg.InitCwnd = 4
 	r := newSenderRig(cfg)
 	r.snd.SeedRTT(100 * time.Millisecond)
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 
 	var sentAt []sim.Time
 	inner := r.snd.Output
-	r.snd.Output = func(seg *Segment) {
+	r.snd.Output = func(seg *trace.Segment) {
 		sentAt = append(sentAt, r.sim.Now())
 		inner(seg)
 	}
@@ -418,7 +419,7 @@ func TestSenderPacingCompletesTransfer(t *testing.T) {
 	cfg.Pacing = true
 	r := newSenderRig(cfg)
 	r.snd.SeedRTT(40 * time.Millisecond)
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 	r.snd.Write(50 * 1460)
 	// Ack everything the pacer sends, repeatedly.
 	for i := 0; i < 200; i++ {
@@ -442,7 +443,7 @@ func TestSenderSlowStartAfterIdle(t *testing.T) {
 	cfg := DefaultSenderConfig()
 	r := newSenderRig(cfg)
 	r.snd.SeedRTT(50 * time.Millisecond)
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 	// Grow the window with a first response.
 	r.snd.Write(30 * 1460)
 	for r.snd.HasOutstanding() {
@@ -470,7 +471,7 @@ func TestSenderNoIdleRestartWhenDisabled(t *testing.T) {
 	cfg.SlowStartAfterIdle = false
 	r := newSenderRig(cfg)
 	r.snd.SeedRTT(50 * time.Millisecond)
-	r.snd.HandleAck(&Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
+	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
 	r.snd.Write(30 * 1460)
 	for r.snd.HasOutstanding() {
 		last := r.sent[len(r.sent)-1]

@@ -10,45 +10,44 @@ import (
 	"tcpstall/internal/packet"
 	"tcpstall/internal/pcap"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 )
 
 // seedCapture builds a small two-flow capture via the real exporter so
 // the fuzzer starts from structurally valid pcap bytes.
 func seedCapture(tb testing.TB) []byte {
-	rec := func(ms int, dir tcpsim.Dir, flags packet.TCPFlags, seq, ack uint32, n int) Record {
+	rec := func(ms int, dir Dir, flags packet.TCPFlags, seq, ack uint32, n int) Record {
 		return Record{
 			T:   sim.Time(time.Duration(ms) * time.Millisecond),
 			Dir: dir,
-			Seg: tcpsim.Segment{Flags: flags, Seq: seq, Ack: ack, Len: n, Wnd: 65535},
+			Seg: Segment{Flags: flags, Seq: seq, Ack: ack, Len: n, Wnd: 65535},
 		}
 	}
 	flows := []*Flow{
 		{ID: "a", Service: "seed", MSS: 1460, Records: []Record{
-			rec(0, tcpsim.DirIn, packet.FlagSYN, 0, 0, 0),
-			rec(10, tcpsim.DirOut, packet.FlagSYN|packet.FlagACK, 0, 1, 0),
-			rec(20, tcpsim.DirIn, packet.FlagACK, 1, 1, 0),
-			rec(30, tcpsim.DirOut, packet.FlagACK, 1, 1, 1460),
-			rec(50, tcpsim.DirIn, packet.FlagACK, 1, 1461, 0),
-			rec(60, tcpsim.DirOut, packet.FlagFIN|packet.FlagACK, 1461, 1, 0),
-			rec(70, tcpsim.DirIn, packet.FlagFIN|packet.FlagACK, 1, 1462, 0),
+			rec(0, DirIn, packet.FlagSYN, 0, 0, 0),
+			rec(10, DirOut, packet.FlagSYN|packet.FlagACK, 0, 1, 0),
+			rec(20, DirIn, packet.FlagACK, 1, 1, 0),
+			rec(30, DirOut, packet.FlagACK, 1, 1, 1460),
+			rec(50, DirIn, packet.FlagACK, 1, 1461, 0),
+			rec(60, DirOut, packet.FlagFIN|packet.FlagACK, 1461, 1, 0),
+			rec(70, DirIn, packet.FlagFIN|packet.FlagACK, 1, 1462, 0),
 		}},
 		{ID: "b", Service: "seed", MSS: 1460, Records: []Record{
-			rec(5, tcpsim.DirIn, packet.FlagSYN, 0, 0, 0),
-			rec(15, tcpsim.DirOut, packet.FlagSYN|packet.FlagACK, 0, 1, 0),
-			rec(25, tcpsim.DirOut, packet.FlagRST, 1, 1, 0),
+			rec(5, DirIn, packet.FlagSYN, 0, 0, 0),
+			rec(15, DirOut, packet.FlagSYN|packet.FlagACK, 0, 1, 0),
+			rec(25, DirOut, packet.FlagRST, 1, 1, 0),
 		}},
 		// Server ISN a few KB below 2^32 so the data stream wraps
 		// mid-flow: seeds the mutator with modular sequence arithmetic.
 		{ID: "c", Service: "seed", MSS: 1460, Records: []Record{
-			rec(0, tcpsim.DirIn, packet.FlagSYN, 0xCAFE0000, 0, 0),
-			rec(10, tcpsim.DirOut, packet.FlagSYN|packet.FlagACK, 0xFFFFF000, 0xCAFE0001, 0),
-			rec(20, tcpsim.DirIn, packet.FlagACK, 0xCAFE0001, 0xFFFFF001, 0),
-			rec(30, tcpsim.DirOut, packet.FlagACK, 0xFFFFF001, 0xCAFE0001, 1460),
-			rec(40, tcpsim.DirOut, packet.FlagACK, 0xFFFFF001+1460, 0xCAFE0001, 1460),
-			rec(50, tcpsim.DirOut, packet.FlagACK, 0xFFFFF001+2920, 0xCAFE0001, 1460), // crosses 2^32
-			rec(60, tcpsim.DirIn, packet.FlagACK, 0xCAFE0001, 285, 0),                 // 0xFFFFF001+4380 mod 2^32
-			rec(70, tcpsim.DirOut, packet.FlagFIN|packet.FlagACK, 285, 0xCAFE0001, 0),
+			rec(0, DirIn, packet.FlagSYN, 0xCAFE0000, 0, 0),
+			rec(10, DirOut, packet.FlagSYN|packet.FlagACK, 0xFFFFF000, 0xCAFE0001, 0),
+			rec(20, DirIn, packet.FlagACK, 0xCAFE0001, 0xFFFFF001, 0),
+			rec(30, DirOut, packet.FlagACK, 0xFFFFF001, 0xCAFE0001, 1460),
+			rec(40, DirOut, packet.FlagACK, 0xFFFFF001+1460, 0xCAFE0001, 1460),
+			rec(50, DirOut, packet.FlagACK, 0xFFFFF001+2920, 0xCAFE0001, 1460), // crosses 2^32
+			rec(60, DirIn, packet.FlagACK, 0xCAFE0001, 285, 0),                 // 0xFFFFF001+4380 mod 2^32
+			rec(70, DirOut, packet.FlagFIN|packet.FlagACK, 285, 0xCAFE0001, 0),
 		}},
 	}
 	var buf bytes.Buffer

@@ -9,7 +9,6 @@ import (
 	"tcpstall/internal/packet"
 	"tcpstall/internal/pcap"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 )
 
 const synFlag = packet.FlagSYN
@@ -122,7 +121,7 @@ func ExportPcap(w io.Writer, flows []*Flow, cfg ExportConfig) error {
 		ip.TTL = 64
 		ipID++
 		ip.ID = ipID
-		if r.Dir == tcpsim.DirOut {
+		if r.Dir == DirOut {
 			eth.Src, eth.Dst = serverMAC, clientMAC
 			ip.Src, ip.Dst = cfg.ServerIP, cip
 			tcp.SrcPort, tcp.DstPort = cfg.ServerPort, cport
@@ -177,8 +176,8 @@ type flowKey struct {
 // decodedRecord is one parsed TCP packet attributed to a connection.
 type decodedRecord struct {
 	key  flowKey
-	dir  tcpsim.Dir
-	seg  tcpsim.Segment
+	dir  Dir
+	seg  Segment
 	ipv6 bool
 	mss  int // from SYN options; 0 when absent
 }
@@ -200,10 +199,10 @@ func decodeTCP(fr *packet.Frame, data []byte, raw bool, serverPort uint16) (deco
 	}
 	switch {
 	case fr.TCP.SrcPort == serverPort:
-		dr.dir = tcpsim.DirOut
+		dr.dir = DirOut
 		dr.key = flowKey{dstIP, fr.TCP.DstPort}
 	case fr.TCP.DstPort == serverPort:
-		dr.dir = tcpsim.DirIn
+		dr.dir = DirIn
 		dr.key = flowKey{srcIP, fr.TCP.SrcPort}
 	default:
 		return dr, false
@@ -219,7 +218,7 @@ func decodeTCP(fr *packet.Frame, data []byte, raw bool, serverPort uint16) (deco
 	if segLen < 0 {
 		segLen = len(fr.Payload)
 	}
-	dr.seg = tcpsim.Segment{
+	dr.seg = Segment{
 		Flags: fr.TCP.Flags,
 		Seq:   fr.TCP.Seq,
 		Ack:   fr.TCP.Ack,
@@ -263,12 +262,12 @@ type teardown struct {
 	finOut, finIn bool
 }
 
-func (td *teardown) observe(dir tcpsim.Dir, seg *tcpsim.Segment) (done bool) {
+func (td *teardown) observe(dir Dir, seg *Segment) (done bool) {
 	switch {
 	case seg.Flags.Has(packet.FlagRST):
 		return true
 	case seg.Flags.Has(packet.FlagFIN):
-		if dir == tcpsim.DirOut {
+		if dir == DirOut {
 			td.finOut = true
 		} else {
 			td.finIn = true

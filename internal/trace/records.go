@@ -8,7 +8,6 @@ import (
 	"tcpstall/internal/packet"
 	"tcpstall/internal/pcap"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 )
 
 // RecordEvent is one packet record tagged with its flow identity —
@@ -97,7 +96,7 @@ func ImportPcapRecords(r io.Reader, cfg ImportConfig, h func(RecordEvent) error)
 				Seg: dr.seg,
 			},
 		}
-		if dr.dir == tcpsim.DirIn && dr.seg.Flags.Has(synFlag) {
+		if dr.dir == DirIn && dr.seg.Flags.Has(synFlag) {
 			ev.InitRwnd = dr.seg.Wnd
 		}
 		if st.td.observe(dr.dir, &dr.seg) {

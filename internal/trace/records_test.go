@@ -2,18 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 )
 
 func TestCollectorMaxRecords(t *testing.T) {
 	c := NewCollector("cap", "test")
 	c.MaxRecords = 5
 	for i := 0; i < 8; i++ {
-		c.Record(sim.Time(i), tcpsim.DirOut, tcpsim.Segment{Seq: uint32(i * 1460), Len: 1460})
+		c.Record(sim.Time(i), DirOut, Segment{Seq: uint32(i * 1460), Len: 1460})
 	}
 	if got := len(c.Flow.Records); got != 5 {
 		t.Errorf("retained %d records, want 5", got)
@@ -29,7 +29,7 @@ func TestCollectorMaxRecords(t *testing.T) {
 func TestCollectorUnlimitedByDefault(t *testing.T) {
 	c := NewCollector("nocap", "test")
 	for i := 0; i < 1000; i++ {
-		c.Record(sim.Time(i), tcpsim.DirOut, tcpsim.Segment{Seq: uint32(i), Len: 1})
+		c.Record(sim.Time(i), DirOut, Segment{Seq: uint32(i), Len: 1})
 	}
 	if len(c.Flow.Records) != 1000 || c.Flow.Truncated || c.Flow.DroppedRecords != 0 {
 		t.Errorf("default collector truncated: %d records, truncated=%v dropped=%d",
@@ -41,7 +41,8 @@ func TestCollectorUnlimitedByDefault(t *testing.T) {
 // through the per-record streamer and checks every event matches the
 // flow importer's assembly: same IDs (including the generation
 // suffix), same records in the same order, and FlowDone exactly where
-// the streaming flow importer completes a connection.
+// a connection completes — on an RST, or on the pure ACK after FINs
+// both ways, never on a FIN and never on a FIN-only close.
 func TestImportPcapRecordsMatchesFlows(t *testing.T) {
 	c := newCapture(t)
 	// Connection A: handshake, data, RST teardown, then the endpoint
@@ -56,6 +57,13 @@ func TestImportPcapRecordsMatchesFlows(t *testing.T) {
 	c.frame(false, clientA, packet.FlagRST, 101, 0, 0)
 	c.frame(false, clientA, packet.FlagSYN, 7000, 0, 0) // generation 2
 	c.frame(true, clientB, packet.FlagACK, 41, 9001, 1000)
+	// A#2 closes with FINs both ways and the final ACK; B closes with
+	// FINs only, the simulator's shape, interleaved with A#2's close.
+	c.frame(true, clientA, packet.FlagFIN|packet.FlagACK, 600, 7001, 0)
+	c.frame(true, clientB, packet.FlagFIN|packet.FlagACK, 1041, 9001, 0)
+	c.frame(false, clientA, packet.FlagFIN|packet.FlagACK, 7001, 601, 0)
+	c.frame(false, clientB, packet.FlagFIN|packet.FlagACK, 9001, 1042, 0)
+	c.frame(true, clientA, packet.FlagACK, 601, 7002, 0)
 
 	var evs []RecordEvent
 	err := ImportPcapRecords(bytes.NewReader(c.buf.Bytes()), ImportConfig{}, func(ev RecordEvent) error {
@@ -65,8 +73,8 @@ func TestImportPcapRecordsMatchesFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evs) != 9 {
-		t.Fatalf("streamed %d events, want 9", len(evs))
+	if len(evs) != 14 {
+		t.Fatalf("streamed %d events, want 14", len(evs))
 	}
 
 	// Reassemble per flow and compare against the streaming flow
@@ -101,16 +109,15 @@ func TestImportPcapRecordsMatchesFlows(t *testing.T) {
 		}
 	}
 
-	// FlowDone fires on connection A's RST and nowhere else in this
-	// capture (B never tears down; A#2 never completes).
-	var doneIDs []string
-	for _, ev := range evs {
+	// FlowDone fires on A's RST and on A#2's closing ACK, nowhere else.
+	var done []int
+	for i, ev := range evs {
 		if ev.FlowDone {
-			doneIDs = append(doneIDs, ev.FlowID)
+			done = append(done, i)
 		}
 	}
-	if len(doneIDs) != 1 || doneIDs[0] != "100.64.0.1:12345" {
-		t.Errorf("FlowDone events = %v, want exactly [100.64.0.1:12345]", doneIDs)
+	if !slices.Equal(done, []int{6, 13}) || evs[6].FlowID != "100.64.0.1:12345" || evs[13].FlowID != "100.64.0.1:12345#2" {
+		t.Errorf("FlowDone at events %v, want [6 13] (A's RST, A#2's closing ACK)", done)
 	}
 
 	// The generation suffix must match the flow importer's.

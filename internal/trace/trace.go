@@ -10,18 +10,14 @@ import (
 
 	"tcpstall/internal/seqspace"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 )
 
 // Record is one packet as seen at the server NIC.
 type Record struct {
 	T   sim.Time
-	Dir tcpsim.Dir
-	Seg tcpsim.Segment
+	Dir Dir
+	Seg Segment
 }
-
-// IsData reports whether the record carries payload bytes.
-func (r *Record) IsData() bool { return r.Seg.Len > 0 }
 
 // Flow is one TCP connection's server-side record sequence plus
 // metadata the workload layer attaches.
@@ -71,7 +67,7 @@ func (f *Flow) DataBytes() int64 {
 	first := true
 	for i := range f.Records {
 		r := &f.Records[i]
-		if r.Dir != tcpsim.DirOut || r.Seg.Len == 0 {
+		if r.Dir != DirOut || r.Seg.Len == 0 {
 			continue
 		}
 		off := u.Unwrap(r.Seg.Seq)
@@ -95,7 +91,7 @@ func (f *Flow) DataBytes() int64 {
 func (f *Flow) OutDataPackets() int {
 	n := 0
 	for i := range f.Records {
-		if f.Records[i].Dir == tcpsim.DirOut && f.Records[i].Seg.Len > 0 {
+		if f.Records[i].Dir == DirOut && f.Records[i].Seg.Len > 0 {
 			n++
 		}
 	}
@@ -132,14 +128,14 @@ func NewCollector(id, service string) *Collector {
 }
 
 // Record implements tcpsim.TraceSink.
-func (c *Collector) Record(t sim.Time, dir tcpsim.Dir, seg tcpsim.Segment) {
+func (c *Collector) Record(t sim.Time, dir Dir, seg Segment) {
 	if c.MaxRecords > 0 && len(c.Flow.Records) >= c.MaxRecords {
 		c.Flow.Truncated = true
 		c.Flow.DroppedRecords++
 		return
 	}
 	c.Flow.Records = append(c.Flow.Records, Record{T: t, Dir: dir, Seg: seg})
-	if dir == tcpsim.DirIn && seg.Flags.Has(synFlag) && c.Flow.InitRwnd == 0 {
+	if dir == DirIn && seg.Flags.Has(synFlag) && c.Flow.InitRwnd == 0 {
 		c.Flow.InitRwnd = seg.Wnd
 	}
 }

@@ -7,72 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"tcpstall/internal/netem"
 	"tcpstall/internal/packet"
 	"tcpstall/internal/pcap"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 )
-
-// simFlow runs one simulated connection and returns its collected
-// flow.
-func simFlow(t *testing.T, seed int64, size int64, downLoss netem.LossModel) *Flow {
-	t.Helper()
-	s := sim.New()
-	rng := sim.NewRNG(seed)
-	down := netem.New(s, rng, netem.Config{Delay: 20 * time.Millisecond, Loss: downLoss})
-	up := netem.New(s, rng, netem.Config{Delay: 20 * time.Millisecond})
-	col := NewCollector("t-0", "test")
-	cfg := tcpsim.ConnConfig{
-		Sender:   tcpsim.DefaultSenderConfig(),
-		Receiver: tcpsim.DefaultReceiverConfig(),
-		Requests: []tcpsim.Request{{Size: size}},
-	}
-	conn := tcpsim.NewLinkedConn(s, cfg, down, up, col)
-	conn.Start()
-	s.Run()
-	if !conn.Metrics().Done {
-		t.Fatal("sim flow did not complete")
-	}
-	col.Flow.Done = true
-	col.Flow.Latency = conn.Metrics().FlowLatency()
-	return col.Flow
-}
-
-func TestCollectorBasics(t *testing.T) {
-	f := simFlow(t, 1, 30_000, nil)
-	if len(f.Records) == 0 {
-		t.Fatal("no records")
-	}
-	if f.InitRwnd != tcpsim.DefaultReceiverConfig().InitRwnd {
-		t.Errorf("InitRwnd = %d", f.InitRwnd)
-	}
-	if f.DataBytes() != 30_000 {
-		t.Errorf("DataBytes = %d", f.DataBytes())
-	}
-	if want := (30_000 + 1459) / 1460; f.OutDataPackets() != want {
-		t.Errorf("OutDataPackets = %d, want %d", f.OutDataPackets(), want)
-	}
-	if f.Duration() <= 0 {
-		t.Error("Duration <= 0")
-	}
-	if f.String() == "" {
-		t.Error("String empty")
-	}
-}
-
-func TestOutDataPacketsCountsRetransmissions(t *testing.T) {
-	clean := simFlow(t, 2, 30_000, nil)
-	lossy := simFlow(t, 2, 30_000, netem.DropList(5))
-	if lossy.OutDataPackets() != clean.OutDataPackets()+1 {
-		t.Errorf("retransmission not visible: clean=%d lossy=%d",
-			clean.OutDataPackets(), lossy.OutDataPackets())
-	}
-	if lossy.DataBytes() != clean.DataBytes() {
-		t.Errorf("DataBytes must ignore retransmissions: %d vs %d",
-			lossy.DataBytes(), clean.DataBytes())
-	}
-}
 
 func TestSortByTime(t *testing.T) {
 	f := &Flow{Records: []Record{
@@ -86,151 +24,6 @@ func TestSortByTime(t *testing.T) {
 			t.Fatal("not sorted")
 		}
 	}
-}
-
-func TestPcapRoundTrip(t *testing.T) {
-	orig := simFlow(t, 3, 50_000, netem.DropList(7))
-	var buf bytes.Buffer
-	if err := ExportPcap(&buf, []*Flow{orig}, ExportConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	flows, err := ImportPcap(&buf, ImportConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flows) != 1 {
-		t.Fatalf("imported %d flows", len(flows))
-	}
-	got := flows[0]
-	if len(got.Records) != len(orig.Records) {
-		t.Fatalf("record count %d, want %d", len(got.Records), len(orig.Records))
-	}
-	if got.InitRwnd != orig.InitRwnd {
-		t.Errorf("InitRwnd %d, want %d", got.InitRwnd, orig.InitRwnd)
-	}
-	if got.DataBytes() != orig.DataBytes() {
-		t.Errorf("DataBytes %d, want %d", got.DataBytes(), orig.DataBytes())
-	}
-	for i := range got.Records {
-		g, w := got.Records[i], orig.Records[i]
-		if g.Dir != w.Dir {
-			t.Fatalf("record %d dir %v, want %v", i, g.Dir, w.Dir)
-		}
-		if g.Seg.Seq != w.Seg.Seq || g.Seg.Ack != w.Seg.Ack || g.Seg.Len != w.Seg.Len {
-			t.Fatalf("record %d seg %+v, want %+v", i, g.Seg, w.Seg)
-		}
-		if g.Seg.Flags != w.Seg.Flags {
-			t.Fatalf("record %d flags %v, want %v", i, g.Seg.Flags, w.Seg.Flags)
-		}
-		if g.Seg.Wnd != clampWnd(w.Seg.Wnd) {
-			t.Fatalf("record %d wnd %d, want %d", i, g.Seg.Wnd, w.Seg.Wnd)
-		}
-		if g.Seg.SACK.Len() != w.Seg.SACK.Len() {
-			t.Fatalf("record %d SACK count %d, want %d", i, g.Seg.SACK.Len(), w.Seg.SACK.Len())
-		}
-		for bi := 0; bi < g.Seg.SACK.Len(); bi++ {
-			if g.Seg.SACK.At(bi) != w.Seg.SACK.At(bi) {
-				t.Fatalf("record %d SACK[%d] mismatch", i, bi)
-			}
-		}
-		// Timestamps survive at millisecond resolution.
-		dt := time.Duration(g.Seg.TSVal - w.Seg.TSVal)
-		if dt < 0 {
-			dt = -dt
-		}
-		if w.Seg.TSVal != 0 && dt > time.Millisecond {
-			t.Fatalf("record %d TSVal drift %v", i, dt)
-		}
-		// Capture times survive (ns resolution), rebased to the
-		// first frame.
-		want := w.T.Add(-time.Duration(orig.Records[0].T))
-		if g.T != want {
-			t.Fatalf("record %d time %v, want %v (rebased)", i, g.T, want)
-		}
-	}
-}
-
-func clampWnd(w int) int {
-	if w > 65535 {
-		return 65535
-	}
-	if w < 0 {
-		return 0
-	}
-	return w
-}
-
-func TestPcapMultiFlow(t *testing.T) {
-	f1 := simFlow(t, 4, 20_000, nil)
-	f2 := simFlow(t, 5, 40_000, nil)
-	var buf bytes.Buffer
-	if err := ExportPcap(&buf, []*Flow{f1, f2}, ExportConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	flows, err := ImportPcap(&buf, ImportConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flows) != 2 {
-		t.Fatalf("imported %d flows, want 2", len(flows))
-	}
-	sizes := map[int64]bool{flows[0].DataBytes(): true, flows[1].DataBytes(): true}
-	if !sizes[20_000] || !sizes[40_000] {
-		t.Errorf("flow sizes wrong: %v", sizes)
-	}
-}
-
-func TestExportedFramesAreValid(t *testing.T) {
-	f := simFlow(t, 6, 10_000, nil)
-	var buf bytes.Buffer
-	if err := ExportPcap(&buf, []*Flow{f}, ExportConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	// Every frame must decode and carry valid checksums.
-	flows, err := ImportPcap(bytes.NewReader(buf.Bytes()), ImportConfig{})
-	if err != nil || len(flows) != 1 {
-		t.Fatalf("import: %v", err)
-	}
-	// Deep-validate checksums via raw re-read.
-	r, _ := newRawReader(buf.Bytes())
-	n := 0
-	for _, data := range r {
-		var fr packet.Frame
-		if err := fr.Decode(data); err != nil {
-			t.Fatalf("frame %d: %v", n, err)
-		}
-		if !fr.IP4.VerifyChecksum(data[packet.EthernetHeaderLen:]) {
-			t.Fatalf("frame %d: bad IP checksum", n)
-		}
-		segLen := int(fr.IP4.TotalLen) - fr.IP4.HeaderLen()
-		ctx := packet.V4Context(fr.IP4.Src, fr.IP4.Dst, segLen)
-		seg := data[packet.EthernetHeaderLen+fr.IP4.HeaderLen():]
-		if !packet.VerifyChecksum(seg, ctx) {
-			t.Fatalf("frame %d: bad TCP checksum", n)
-		}
-		n++
-	}
-	if n == 0 {
-		t.Fatal("no frames")
-	}
-}
-
-// newRawReader extracts raw frame bytes from a pcap buffer (helper
-// for checksum validation).
-func newRawReader(data []byte) ([][]byte, error) {
-	r, err := pcap.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	pkts, err := r.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, 0, len(pkts))
-	for _, p := range pkts {
-		out = append(out, p.Data)
-	}
-	return out, nil
 }
 
 func TestTimestampTickConversion(t *testing.T) {
@@ -286,10 +79,10 @@ func TestImportRawIPPcap(t *testing.T) {
 	if len(f.Records) != 2 {
 		t.Fatalf("records = %d", len(f.Records))
 	}
-	if f.Records[0].Dir != tcpsim.DirOut || f.Records[0].Seg.Len != 500 {
+	if f.Records[0].Dir != DirOut || f.Records[0].Seg.Len != 500 {
 		t.Errorf("record 0 = %+v", f.Records[0])
 	}
-	if f.Records[1].Dir != tcpsim.DirIn {
+	if f.Records[1].Dir != DirIn {
 		t.Errorf("record 1 dir = %v", f.Records[1].Dir)
 	}
 }
@@ -471,9 +264,9 @@ func TestImportPcapRecordsAllocs(t *testing.T) {
 	const n = 1000
 	f := &Flow{ID: "one", Service: "test", MSS: 1460}
 	for i := 0; i < n; i++ {
-		dir, seg := tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagACK, Seq: uint32(1 + i*1460), Ack: 1, Len: 1460, Wnd: 65535}
+		dir, seg := DirOut, Segment{Flags: packet.FlagACK, Seq: uint32(1 + i*1460), Ack: 1, Len: 1460, Wnd: 65535}
 		if i%2 == 1 {
-			dir, seg = tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 1, Ack: uint32(1 + (i+1)*1460), Wnd: 65535,
+			dir, seg = DirIn, Segment{Flags: packet.FlagACK, Seq: 1, Ack: uint32(1 + (i+1)*1460), Wnd: 65535,
 				SACK: packet.SACKBlocks(packet.SACKBlock{Left: 9, Right: 99})}
 		}
 		f.Records = append(f.Records, Record{T: sim.Time(i) * sim.Time(time.Millisecond), Dir: dir, Seg: seg})
@@ -544,7 +337,7 @@ func TestImportIPv6Pcap(t *testing.T) {
 	if f.Records[0].Seg.Len != 700 {
 		t.Errorf("v6 payload len = %d (from PayloadLen field)", f.Records[0].Seg.Len)
 	}
-	if f.Records[1].Dir != tcpsim.DirIn {
+	if f.Records[1].Dir != DirIn {
 		t.Error("direction")
 	}
 }
@@ -579,21 +372,21 @@ func TestPcapRoundTripBackToBackSACK(t *testing.T) {
 	ms := func(n int) sim.Time { return sim.Time(time.Duration(n) * time.Millisecond) }
 	f := &Flow{ID: "t-0", Service: "test", MSS: 1460, InitRwnd: 65535, Done: true}
 	f.Records = []Record{
-		{T: ms(0), Dir: tcpsim.DirIn, Seg: tcpsim.Segment{Flags: packet.FlagSYN, Seq: 0, Wnd: 65535}},
-		{T: ms(1), Dir: tcpsim.DirOut, Seg: tcpsim.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: 0, Ack: 1, Wnd: 65535}},
-		{T: ms(2), Dir: tcpsim.DirIn, Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 1, Ack: 1, Wnd: 65535}},
-		{T: ms(3), Dir: tcpsim.DirOut, Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 1, Ack: 1, Len: 1460, Wnd: 65535}},
-		{T: ms(4), Dir: tcpsim.DirOut, Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 1461, Ack: 1, Len: 1460, Wnd: 65535}},
+		{T: ms(0), Dir: DirIn, Seg: Segment{Flags: packet.FlagSYN, Seq: 0, Wnd: 65535}},
+		{T: ms(1), Dir: DirOut, Seg: Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: 0, Ack: 1, Wnd: 65535}},
+		{T: ms(2), Dir: DirIn, Seg: Segment{Flags: packet.FlagACK, Seq: 1, Ack: 1, Wnd: 65535}},
+		{T: ms(3), Dir: DirOut, Seg: Segment{Flags: packet.FlagACK, Seq: 1, Ack: 1, Len: 1460, Wnd: 65535}},
+		{T: ms(4), Dir: DirOut, Seg: Segment{Flags: packet.FlagACK, Seq: 1461, Ack: 1, Len: 1460, Wnd: 65535}},
 		// Three blocks, then one, then none, then two: every
 		// transition where stale state could leak.
-		{T: ms(5), Dir: tcpsim.DirIn, Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 1, Ack: 1, Wnd: 65535,
+		{T: ms(5), Dir: DirIn, Seg: Segment{Flags: packet.FlagACK, Seq: 1, Ack: 1, Wnd: 65535,
 			SACK: sack(packet.SACKBlock{Left: 2921, Right: 4381},
 				packet.SACKBlock{Left: 5841, Right: 7301},
 				packet.SACKBlock{Left: 8761, Right: 10221})}},
-		{T: ms(6), Dir: tcpsim.DirIn, Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 1, Ack: 1, Wnd: 65535,
+		{T: ms(6), Dir: DirIn, Seg: Segment{Flags: packet.FlagACK, Seq: 1, Ack: 1, Wnd: 65535,
 			SACK: sack(packet.SACKBlock{Left: 2921, Right: 5841})}},
-		{T: ms(7), Dir: tcpsim.DirIn, Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 1, Ack: 5841, Wnd: 65535}},
-		{T: ms(8), Dir: tcpsim.DirIn, Seg: tcpsim.Segment{Flags: packet.FlagACK, Seq: 1, Ack: 5841, Wnd: 65535,
+		{T: ms(7), Dir: DirIn, Seg: Segment{Flags: packet.FlagACK, Seq: 1, Ack: 5841, Wnd: 65535}},
+		{T: ms(8), Dir: DirIn, Seg: Segment{Flags: packet.FlagACK, Seq: 1, Ack: 5841, Wnd: 65535,
 			SACK: sack(packet.SACKBlock{Left: 7301, Right: 8761},
 				packet.SACKBlock{Left: 10221, Right: 11681})}},
 	}

@@ -55,15 +55,6 @@ func (a *Arena) put(s []slot) {
 	a.held++
 }
 
-// Held reports how many backings the arena currently retains
-// (observability for tests and the monitor's self-metrics).
-func (a *Arena) Held() int {
-	if a == nil {
-		return 0
-	}
-	return a.held
-}
-
 // NewFlowIn returns a fast-path tracker whose ring backings come from
 // and return to a (which may be nil, degrading to NewFlow behavior).
 func NewFlowIn(cfg Config, a *Arena) *Flow {

@@ -3,14 +3,13 @@ package triage
 import (
 	"testing"
 
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 )
 
 func benchRecords(n int) []trace.Record {
 	recs := make([]trace.Record, n)
 	for i := range recs {
-		recs[i] = rec(i, tcpsim.DirOut, tcpsim.Segment{Seq: uint32(1 + i*100), Len: 100, Wnd: 65535})
+		recs[i] = rec(i, trace.DirOut, trace.Segment{Seq: uint32(1 + i*100), Len: 100, Wnd: 65535})
 	}
 	return recs
 }

@@ -25,7 +25,6 @@ import (
 	"tcpstall/internal/packet"
 	"tcpstall/internal/seqspace"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 )
 
@@ -135,7 +134,7 @@ type slot struct {
 	len   int32
 	wnd   int32
 	flags packet.TCPFlags
-	dir   tcpsim.Dir
+	dir   trace.Dir
 	sack  packet.SACKList
 }
 
@@ -237,7 +236,7 @@ func (f *Flow) observe(r *trace.Record) Symptom {
 	}
 	seg := &r.Seg
 	switch r.Dir {
-	case tcpsim.DirOut:
+	case trace.DirOut:
 		f.outSegs++
 		if seg.Len == 0 {
 			// Pure ACK, probe, FIN — or the SYN-ACK carrying the
@@ -270,7 +269,7 @@ func (f *Flow) observe(r *trace.Record) Symptom {
 		f.outBytes += uint64(seg.Len)
 		f.haveOutData = true
 		f.lastOutDataT = r.T
-	case tcpsim.DirIn:
+	case trace.DirIn:
 		f.inSegs++
 		f.inBytes += uint64(seg.Len)
 		if seg.Flags.Has(packet.FlagSYN) {
@@ -504,7 +503,7 @@ func (f *Flow) materialize(i int) trace.Record {
 	return trace.Record{
 		T:   s.t,
 		Dir: s.dir,
-		Seg: tcpsim.Segment{
+		Seg: trace.Segment{
 			Flags: s.flags,
 			Seq:   s.seq,
 			Ack:   s.ack,
@@ -558,9 +557,6 @@ func (f *Flow) Total() uint64 { return f.total }
 
 // Fed is the absolute index of the next record not yet replayed.
 func (f *Flow) Fed() uint64 { return f.fed }
-
-// Attached reports whether the flow has ever been promoted.
-func (f *Flow) Attached() bool { return f.attached }
 
 // Truncated reports whether any promotion replayed from a ring that
 // had already dropped history.

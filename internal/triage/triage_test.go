@@ -6,12 +6,11 @@ import (
 
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
-	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 )
 
 // rec builds one record at t milliseconds.
-func rec(tms int, dir tcpsim.Dir, seg tcpsim.Segment) trace.Record {
+func rec(tms int, dir trace.Dir, seg trace.Segment) trace.Record {
 	return trace.Record{
 		T:   sim.Time(time.Duration(tms) * time.Millisecond),
 		Dir: dir,
@@ -24,9 +23,9 @@ func rec(tms int, dir tcpsim.Dir, seg tcpsim.Segment) trace.Record {
 // SYN-ACK at 10, client ACK at 20.
 func handshake() []trace.Record {
 	return []trace.Record{
-		rec(0, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagSYN, Seq: 100, Wnd: 65535}),
-		rec(10, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: 0, Ack: 101, Wnd: 65535}),
-		rec(20, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 101, Ack: 1, Wnd: 65535}),
+		rec(0, trace.DirIn, trace.Segment{Flags: packet.FlagSYN, Seq: 100, Wnd: 65535}),
+		rec(10, trace.DirOut, trace.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: 0, Ack: 101, Wnd: 65535}),
+		rec(20, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 101, Ack: 1, Wnd: 65535}),
 	}
 }
 
@@ -56,15 +55,15 @@ func TestDefaults(t *testing.T) {
 // InitRTO — a sub-InitRTO gap stays quiet, anything beyond promotes.
 func TestThresholdBeforeRTT(t *testing.T) {
 	f := NewFlow(Config{})
-	r0 := rec(0, tcpsim.DirOut, tcpsim.Segment{Seq: 1, Len: 1000, Wnd: 65535})
+	r0 := rec(0, trace.DirOut, trace.Segment{Seq: 1, Len: 1000, Wnd: 65535})
 	if sym, _, _ := f.Observe(&r0); sym != SymNone {
 		t.Fatalf("first record raised %v", sym)
 	}
-	r1 := rec(999, tcpsim.DirOut, tcpsim.Segment{Seq: 1001, Len: 1000, Wnd: 65535})
+	r1 := rec(999, trace.DirOut, trace.Segment{Seq: 1001, Len: 1000, Wnd: 65535})
 	if sym, _, _ := f.Observe(&r1); sym == SymGap {
 		t.Fatalf("999ms gap under InitRTO=1s raised SymGap")
 	}
-	r2 := rec(2001, tcpsim.DirOut, tcpsim.Segment{Seq: 2001, Len: 1000, Wnd: 65535})
+	r2 := rec(2001, trace.DirOut, trace.Segment{Seq: 2001, Len: 1000, Wnd: 65535})
 	if sym, _, _ := f.Observe(&r2); sym != SymGap {
 		t.Fatalf("1002ms gap over InitRTO did not raise SymGap")
 	}
@@ -80,12 +79,12 @@ func TestHandshakeSeedLowersThreshold(t *testing.T) {
 		t.Fatalf("handshake seed: got (%v,%v), want (10ms,true)", rtt, ok)
 	}
 	// 19ms gap: under 2·minRTT, quiet.
-	r := rec(39, tcpsim.DirOut, tcpsim.Segment{Seq: 1, Len: 1000, Wnd: 65535})
+	r := rec(39, trace.DirOut, trace.Segment{Seq: 1, Len: 1000, Wnd: 65535})
 	if sym, _, _ := f.Observe(&r); sym != SymNone {
 		t.Fatalf("19ms gap raised %v", sym)
 	}
 	// 21ms gap: over 2·minRTT = 20ms, promotes.
-	r = rec(60, tcpsim.DirOut, tcpsim.Segment{Seq: 1001, Len: 1000, Wnd: 65535})
+	r = rec(60, trace.DirOut, trace.Segment{Seq: 1001, Len: 1000, Wnd: 65535})
 	if sym, _, _ := f.Observe(&r); sym != SymGap {
 		t.Fatalf("21ms gap did not raise SymGap")
 	}
@@ -113,9 +112,9 @@ func TestTSEcrSample(t *testing.T) {
 	f := NewFlow(Config{})
 	recs := handshake()
 	recs = append(recs,
-		rec(30, tcpsim.DirOut, tcpsim.Segment{Seq: 1, Len: 1000, Wnd: 65535,
+		rec(30, trace.DirOut, trace.Segment{Seq: 1, Len: 1000, Wnd: 65535,
 			TSVal: sim.Time(30 * time.Millisecond)}),
-		rec(38, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Seq: 101, Ack: 1001, Wnd: 65535,
+		rec(38, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 101, Ack: 1001, Wnd: 65535,
 			TSEcr: sim.Time(30 * time.Millisecond)}),
 	)
 	feedAll(f, recs)
@@ -130,9 +129,9 @@ func TestTSEcrSample(t *testing.T) {
 func TestSurrogateSample(t *testing.T) {
 	f := NewFlow(Config{})
 	recs := []trace.Record{
-		rec(0, tcpsim.DirOut, tcpsim.Segment{Seq: 1, Len: 1000, Wnd: 65535}),
-		rec(5, tcpsim.DirOut, tcpsim.Segment{Seq: 1001, Len: 1000, Wnd: 65535}),
-		rec(12, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Ack: 2001, Wnd: 65535}),
+		rec(0, trace.DirOut, trace.Segment{Seq: 1, Len: 1000, Wnd: 65535}),
+		rec(5, trace.DirOut, trace.Segment{Seq: 1001, Len: 1000, Wnd: 65535}),
+		rec(12, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Ack: 2001, Wnd: 65535}),
 	}
 	feedAll(f, recs)
 	// 12ms − 5ms (latest send) = 7ms, ≤ the true edge RTT of 12ms.
@@ -144,11 +143,11 @@ func TestSurrogateSample(t *testing.T) {
 func TestSymRetrans(t *testing.T) {
 	f := NewFlow(Config{})
 	recs := []trace.Record{
-		rec(0, tcpsim.DirOut, tcpsim.Segment{Seq: 1, Len: 1000, Wnd: 65535}),
-		rec(1, tcpsim.DirOut, tcpsim.Segment{Seq: 1001, Len: 1000, Wnd: 65535}),
+		rec(0, trace.DirOut, trace.Segment{Seq: 1, Len: 1000, Wnd: 65535}),
+		rec(1, trace.DirOut, trace.Segment{Seq: 1001, Len: 1000, Wnd: 65535}),
 	}
 	feedAll(f, recs)
-	r := rec(2, tcpsim.DirOut, tcpsim.Segment{Seq: 1, Len: 1000, Wnd: 65535})
+	r := rec(2, trace.DirOut, trace.Segment{Seq: 1, Len: 1000, Wnd: 65535})
 	if sym, _, _ := f.Observe(&r); sym != SymRetrans {
 		t.Fatalf("resend below edge raised %v, want SymRetrans", sym)
 	}
@@ -156,9 +155,9 @@ func TestSymRetrans(t *testing.T) {
 
 func TestSymZeroWindow(t *testing.T) {
 	f := NewFlow(Config{})
-	r0 := rec(0, tcpsim.DirOut, tcpsim.Segment{Seq: 1, Len: 1000, Wnd: 65535})
+	r0 := rec(0, trace.DirOut, trace.Segment{Seq: 1, Len: 1000, Wnd: 65535})
 	f.Observe(&r0)
-	r := rec(1, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Ack: 1001, Wnd: 0})
+	r := rec(1, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Ack: 1001, Wnd: 0})
 	if sym, _, _ := f.Observe(&r); sym != SymZeroWindow {
 		t.Fatalf("zero window raised %v", sym)
 	}
@@ -170,14 +169,14 @@ func TestSymZeroWindow(t *testing.T) {
 func TestSymDupAck(t *testing.T) {
 	f := NewFlow(Config{})
 	recs := []trace.Record{
-		rec(0, tcpsim.DirOut, tcpsim.Segment{Seq: 1, Len: 1000, Wnd: 65535}),
-		rec(1, tcpsim.DirOut, tcpsim.Segment{Seq: 1001, Len: 1000, Wnd: 65535}),
-		rec(2, tcpsim.DirOut, tcpsim.Segment{Seq: 2001, Len: 1000, Wnd: 65535}),
-		rec(10, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Ack: 1001, Wnd: 65535}),
+		rec(0, trace.DirOut, trace.Segment{Seq: 1, Len: 1000, Wnd: 65535}),
+		rec(1, trace.DirOut, trace.Segment{Seq: 1001, Len: 1000, Wnd: 65535}),
+		rec(2, trace.DirOut, trace.Segment{Seq: 2001, Len: 1000, Wnd: 65535}),
+		rec(10, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Ack: 1001, Wnd: 65535}),
 	}
 	feedAll(f, recs)
 	dup := func(tms int) trace.Record {
-		return rec(tms, tcpsim.DirIn, tcpsim.Segment{
+		return rec(tms, trace.DirIn, trace.Segment{
 			Flags: packet.FlagACK, Ack: 1001, Wnd: 65535,
 			SACK: packet.SACKBlocks(packet.SACKBlock{Left: 2001, Right: 3001}),
 		})
@@ -194,9 +193,9 @@ func TestSymDupAck(t *testing.T) {
 	// Window updates at the edge are not dupacks.
 	g := NewFlow(Config{})
 	feedAll(g, recs)
-	w := rec(11, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Ack: 1001, Wnd: 70000})
+	w := rec(11, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Ack: 1001, Wnd: 70000})
 	g.Observe(&w)
-	w2 := rec(12, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Ack: 1001, Wnd: 80000})
+	w2 := rec(12, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Ack: 1001, Wnd: 80000})
 	if sym, _, _ := g.Observe(&w2); sym == SymDupAck {
 		t.Fatalf("window updates counted as dupacks")
 	}
@@ -207,7 +206,7 @@ func TestSymDupAck(t *testing.T) {
 func TestSymNoAdvance(t *testing.T) {
 	f := NewFlow(Config{})
 	recs := append(handshake(),
-		rec(30, tcpsim.DirOut, tcpsim.Segment{Seq: 1, Len: 1000, Wnd: 65535}),
+		rec(30, trace.DirOut, trace.Segment{Seq: 1, Len: 1000, Wnd: 65535}),
 	)
 	feedAll(f, recs)
 	// minRTT=10ms → threshold 20ms → hold max(80ms, MinRTO=200ms) =
@@ -215,7 +214,7 @@ func TestSymNoAdvance(t *testing.T) {
 	// gap threshold) until the pin exceeds the hold.
 	last := SymNone
 	for tms := 45; tms < 300; tms += 15 {
-		r := rec(tms, tcpsim.DirIn, tcpsim.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 65535 + tms})
+		r := rec(tms, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 65535 + tms})
 		sym, _, _ := f.Observe(&r)
 		if sym != SymNone {
 			last = sym
@@ -234,7 +233,7 @@ func TestRingGrowthAndOverwrite(t *testing.T) {
 	f := NewFlow(Config{RingCap: 32})
 	var recs []trace.Record
 	for i := 0; i < 100; i++ {
-		recs = append(recs, rec(i, tcpsim.DirOut, tcpsim.Segment{Seq: uint32(1 + i*100), Len: 100, Wnd: 65535}))
+		recs = append(recs, rec(i, trace.DirOut, trace.Segment{Seq: uint32(1 + i*100), Len: 100, Wnd: 65535}))
 	}
 	for i := range recs {
 		f.Observe(&recs[i])
@@ -275,7 +274,7 @@ func TestRingGrowthAndOverwrite(t *testing.T) {
 func TestAttachWithinRingNotTruncated(t *testing.T) {
 	f := NewFlow(Config{RingCap: 64})
 	for i := 0; i < 10; i++ {
-		r := rec(i, tcpsim.DirOut, tcpsim.Segment{Seq: uint32(1 + i*100), Len: 100, Wnd: 65535})
+		r := rec(i, trace.DirOut, trace.Segment{Seq: uint32(1 + i*100), Len: 100, Wnd: 65535})
 		f.Observe(&r)
 	}
 	if f.Attach() {
@@ -293,7 +292,7 @@ func TestAttachWithinRingNotTruncated(t *testing.T) {
 func TestSpillWhileParked(t *testing.T) {
 	f := NewFlow(Config{RingCap: 4})
 	mk := func(i int) trace.Record {
-		return rec(i, tcpsim.DirOut, tcpsim.Segment{
+		return rec(i, trace.DirOut, trace.Segment{
 			Seq: uint32(1 + i*100), Len: 100, Wnd: 65535,
 			SACK: packet.SACKBlocks(packet.SACKBlock{Left: uint32(i), Right: uint32(i + 1)}),
 		})
@@ -350,7 +349,7 @@ func TestSpillWhileParked(t *testing.T) {
 // caller's record — the caller may reuse it immediately.
 func TestSACKInlineCopy(t *testing.T) {
 	f := NewFlow(Config{RingCap: 8})
-	r := rec(0, tcpsim.DirIn, tcpsim.Segment{
+	r := rec(0, trace.DirIn, trace.Segment{
 		Flags: packet.FlagACK, Ack: 1, Wnd: 65535,
 		SACK: packet.SACKBlocks(packet.SACKBlock{Left: 10, Right: 20}),
 	})
@@ -371,10 +370,10 @@ func TestZeroAlloc(t *testing.T) {
 	f := NewFlow(Config{RingCap: 16})
 	// Pre-grow the ring past the geometric phase.
 	for i := 0; i < 32; i++ {
-		r := rec(i, tcpsim.DirOut, tcpsim.Segment{Seq: uint32(1 + i*100), Len: 100, Wnd: 65535})
+		r := rec(i, trace.DirOut, trace.Segment{Seq: uint32(1 + i*100), Len: 100, Wnd: 65535})
 		f.Observe(&r)
 	}
-	r := rec(33, tcpsim.DirIn, tcpsim.Segment{
+	r := rec(33, trace.DirIn, trace.Segment{
 		Flags: packet.FlagACK, Ack: 1001, Wnd: 65535,
 		SACK: packet.SACKBlocks(packet.SACKBlock{Left: 5000, Right: 6000}),
 	})
@@ -392,10 +391,10 @@ func TestWrappedISN(t *testing.T) {
 	f := NewFlow(Config{})
 	const isn = 0xFFFFFF00
 	recs := []trace.Record{
-		rec(0, tcpsim.DirOut, tcpsim.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: isn, Wnd: 65535}),
-		rec(1, tcpsim.DirOut, tcpsim.Segment{Seq: isn + 1, Len: 200, Wnd: 65535}),
-		rec(2, tcpsim.DirOut, tcpsim.Segment{Seq: isn + 201, Len: 200, Wnd: 65535}), // crosses wrap
-		rec(3, tcpsim.DirOut, tcpsim.Segment{Seq: 145, Len: 200, Wnd: 65535}),       // post-wrap
+		rec(0, trace.DirOut, trace.Segment{Flags: packet.FlagSYN | packet.FlagACK, Seq: isn, Wnd: 65535}),
+		rec(1, trace.DirOut, trace.Segment{Seq: isn + 1, Len: 200, Wnd: 65535}),
+		rec(2, trace.DirOut, trace.Segment{Seq: isn + 201, Len: 200, Wnd: 65535}), // crosses wrap
+		rec(3, trace.DirOut, trace.Segment{Seq: 145, Len: 200, Wnd: 65535}),       // post-wrap
 	}
 	for i := range recs {
 		if sym, _, _ := f.Observe(&recs[i]); sym != SymNone {
@@ -406,7 +405,7 @@ func TestWrappedISN(t *testing.T) {
 		t.Fatalf("DataBytes=%d across wrap, want 600", f.DataBytes())
 	}
 	// A genuine retransmission after the wrap is still caught.
-	r := rec(4, tcpsim.DirOut, tcpsim.Segment{Seq: 145, Len: 200, Wnd: 65535})
+	r := rec(4, trace.DirOut, trace.Segment{Seq: 145, Len: 200, Wnd: 65535})
 	if sym, _, _ := f.Observe(&r); sym != SymRetrans {
 		t.Fatalf("post-wrap retransmission raised %v", sym)
 	}
@@ -416,9 +415,9 @@ func TestWrappedISN(t *testing.T) {
 // demotion decision.
 func TestSymptomClock(t *testing.T) {
 	f := NewFlow(Config{})
-	r0 := rec(0, tcpsim.DirOut, tcpsim.Segment{Seq: 1, Len: 100, Wnd: 65535})
+	r0 := rec(0, trace.DirOut, trace.Segment{Seq: 1, Len: 100, Wnd: 65535})
 	f.Observe(&r0)
-	r1 := rec(5000, tcpsim.DirOut, tcpsim.Segment{Seq: 101, Len: 100, Wnd: 65535})
+	r1 := rec(5000, trace.DirOut, trace.Segment{Seq: 101, Len: 100, Wnd: 65535})
 	if sym, _, _ := f.Observe(&r1); sym != SymGap {
 		t.Fatal("5s gap did not promote")
 	}
@@ -480,7 +479,7 @@ func TestCountersPast2to31(t *testing.T) {
 	f := NewFlow(Config{RingCap: 32})
 	var recs []trace.Record
 	for i := 0; i < 100; i++ {
-		recs = append(recs, rec(i, tcpsim.DirOut, tcpsim.Segment{Seq: uint32(1 + i*100), Len: 100, Wnd: 65535}))
+		recs = append(recs, rec(i, trace.DirOut, trace.Segment{Seq: uint32(1 + i*100), Len: 100, Wnd: 65535}))
 	}
 	for i := range recs {
 		f.Observe(&recs[i])
@@ -515,7 +514,7 @@ func TestCountersPast2to31(t *testing.T) {
 	}
 	// The flow keeps working at these indices: a fresh record lands in
 	// the ring, replay hands over exactly that record.
-	r := rec(100, tcpsim.DirOut, tcpsim.Segment{Seq: uint32(1 + 100*100), Len: 100, Wnd: 65535})
+	r := rec(100, trace.DirOut, trace.Segment{Seq: uint32(1 + 100*100), Len: 100, Wnd: 65535})
 	f.Observe(&r)
 	n := 0
 	f.ReplayUnfed(func(rr *trace.Record) {

@@ -91,7 +91,7 @@ type eventSink struct {
 	count   uint64
 }
 
-func (es *eventSink) Record(t sim.Time, dir tcpsim.Dir, seg tcpsim.Segment) {
+func (es *eventSink) Record(t sim.Time, dir trace.Dir, seg trace.Segment) {
 	ev := trace.RecordEvent{
 		FlowID:  es.flowID,
 		Service: es.service,
@@ -100,7 +100,7 @@ func (es *eventSink) Record(t sim.Time, dir tcpsim.Dir, seg tcpsim.Segment) {
 	}
 	// The client's SYN carries its initial advertised window, the
 	// fact the zero-window classifier anchors on.
-	if dir == tcpsim.DirIn && seg.Flags.Has(packet.FlagSYN) {
+	if dir == trace.DirIn && seg.Flags.Has(packet.FlagSYN) {
 		ev.InitRwnd = seg.Wnd
 	}
 	es.count++
