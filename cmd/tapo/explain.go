@@ -11,7 +11,6 @@ import (
 	"tcpstall/internal/explain"
 	"tcpstall/internal/flight"
 	"tcpstall/internal/trace"
-	"tcpstall/internal/workload"
 )
 
 // explainMain is the `tapo explain` subcommand: it re-analyzes a
@@ -20,13 +19,12 @@ import (
 // window around the silent gap.
 func explainMain(args []string) {
 	fs := flag.NewFlagSet("tapo explain", flag.ExitOnError)
-	port := fs.Uint("port", 80, "server TCP port (identifies direction)")
+	port := fs.String("port", "80", portUsage)
 	flowID := fs.String("flow", "", "only flows whose ID contains this substring")
 	stallID := fs.Int("stall", -1, "only the stall with this ID (requires -flow)")
 	winK := fs.Int("k", 0, "packet-window radius around each gap (0: recorder default)")
 	ring := fs.Int("ring", 0, "event-ring size per flow (0: recorder default)")
 	traceOut := fs.String("trace-out", "", "write time/sequence samples + verdicts as JSONL to this file")
-	demo := fs.Bool("demo", false, "explain a synthetic web-search trace instead of a file")
 	tau := fs.Float64("tau", 2, "stall threshold multiplier in min(tau*SRTT, RTO)")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	fs.Usage = func() {
@@ -35,37 +33,28 @@ func explainMain(args []string) {
 	}
 	fs.Parse(args)
 	logger := newLogger(*logFormat)
+	ports := parsePorts(*port)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		os.Exit(2)
+	}
 
 	cfg := core.DefaultConfig()
 	cfg.Tau = *tau
 	fcfg := flight.Config{WindowK: *winK, RingSize: *ring}
 
-	var flows []*trace.Flow
-	switch {
-	case *demo:
-		logger.Info("synthesizing web-search flows", "flows", 20)
-		gen := workload.Generate(workload.WebSearch(), 42, workload.GenOptions{Flows: 20})
-		for _, g := range gen {
-			flows = append(flows, g.Flow)
-		}
-	case fs.NArg() == 1:
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		flows, err = trace.ImportPcap(f, trace.ImportConfig{ServerPort: uint16(*port)})
-		if err != nil {
-			fatal(err)
-		}
-	default:
-		fs.Usage()
-		os.Exit(2)
+	in, err := os.Open(fs.Arg(0))
+	if err != nil {
+		fatal(err)
+	}
+	defer in.Close()
+	flows, err := trace.ImportPcap(in, trace.ImportConfig{Ports: ports})
+	if err != nil {
+		fatal(err)
 	}
 
 	var out *os.File
 	if *traceOut != "" {
-		var err error
 		out, err = os.Create(*traceOut)
 		if err != nil {
 			fatal(err)

@@ -10,9 +10,10 @@
 //
 // Usage:
 //
-//	tapo [-port N] [-workers N] [-v] capture.pcap
-//	tapo -demo              # run on a freshly synthesized trace
+//	tapo [-port 80[=service],...] [-workers N] [-v] capture.pcap
 //	tapo explain [-flow ID] [-stall N] [-trace-out f.jsonl] capture.pcap
+//
+// A capture to try it on: tracegen -service web-search -o ws.pcap.
 //
 // The explain subcommand re-analyzes with the flight recorder
 // attached and narrates each stall: the Figure-5/Table-5 decision
@@ -30,7 +31,6 @@ import (
 	"tcpstall/internal/pipeline"
 	"tcpstall/internal/stats"
 	"tcpstall/internal/trace"
-	"tcpstall/internal/workload"
 )
 
 func main() {
@@ -38,42 +38,29 @@ func main() {
 		explainMain(os.Args[2:])
 		return
 	}
-	port := flag.Uint("port", 80, "server TCP port (identifies direction)")
+	port := flag.String("port", "80", portUsage)
 	workers := flag.Int("workers", 0, "analysis worker count (0: one per CPU)")
 	verbose := flag.Bool("v", false, "print every stall of every flow")
 	jsonOut := flag.Bool("json", false, "emit the full analysis as JSON on stdout")
-	demo := flag.Bool("demo", false, "analyze a synthetic web-search trace instead of a file")
 	tau := flag.Float64("tau", 2, "stall threshold multiplier in min(tau*SRTT, RTO)")
-	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	flag.Parse()
-	logger := newLogger(*logFormat)
+	ports := parsePorts(*port)
+	if flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: tapo [-port 80[=service],...] [-workers N] [-v] capture.pcap")
+		os.Exit(2)
+	}
 
 	cfg := core.DefaultConfig()
 	cfg.Tau = *tau
-	opt := pipeline.Options{Workers: *workers, Config: cfg}
-
-	var res *pipeline.Result
-	var err error
-	switch {
-	case *demo:
-		logger.Info("synthesizing web-search flows", "flows", 80)
-		gen := workload.Generate(workload.WebSearch(), 42,
-			workload.GenOptions{Flows: 80, Workers: *workers})
-		res, err = pipeline.Run(pipeline.FromResults(gen), opt)
-	case flag.NArg() == 1:
-		f, oerr := os.Open(flag.Arg(0))
-		if oerr != nil {
-			fatal(oerr)
-		}
-		defer f.Close()
-		// Streaming import: flows are analyzed while the capture is
-		// still being read.
-		res, err = pipeline.Run(
-			pipeline.FromPcap(f, trace.ImportConfig{ServerPort: uint16(*port)}), opt)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: tapo [-port N] [-workers N] [-v] capture.pcap | tapo -demo")
-		os.Exit(2)
+	f, err := os.Open(flag.Arg(0))
+	if err != nil {
+		fatal(err)
 	}
+	defer f.Close()
+	// Streaming import: flows are analyzed while the capture is still
+	// being read.
+	res, err := pipeline.Run(pipeline.FromPcap(f, trace.ImportConfig{Ports: ports}),
+		pipeline.Options{Workers: *workers, Config: cfg})
 	if err != nil {
 		fatal(err)
 	}
@@ -141,6 +128,20 @@ func report(r *core.Report) {
 		}
 		fmt.Println(rt.String())
 	}
+}
+
+// portUsage documents -port, which tapo and tapo explain share.
+const portUsage = "server ports, each optionally naming its service: 80 or 80=web-search,8080=cloud-storage"
+
+// parsePorts reads a -port value, exiting with status 2 when it is
+// malformed.
+func parsePorts(s string) []trace.PortService {
+	ports, err := trace.ParsePorts(s)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tapo: -port:", err)
+		os.Exit(2)
+	}
+	return ports
 }
 
 func fatal(err error) {

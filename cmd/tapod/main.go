@@ -1,21 +1,23 @@
 // Command tapod is the online form of tapo: a daemon that watches a
-// live stream of server-side packet records, runs each flow through
-// the incremental TAPO analyzer as packets arrive, and serves the
-// results over HTTP — Prometheus metrics on /metrics, flow and stall
-// state on the JSON admin API.
+// server-side packet capture, runs each flow through the incremental
+// TAPO analyzer as packets arrive, and serves the results over HTTP —
+// Prometheus metrics on /metrics, flow and stall state on the JSON
+// admin API.
 //
-// Two sources are built in:
+// The capture is a file or, with -pcap -, standard input:
 //
-//	tapod -pcap capture.pcap [-speed 10]   replay a capture, paced by
-//	                                       its own timestamps
-//	tapod -gen web-search [-flows 200]     synthesize live traffic from
-//	                                       a service model
+//	tapod -pcap capture.pcap [-speed 10]        replay a capture, paced
+//	                                            by its own timestamps
+//	tcpdump -U -w - port 80 | tapod -pcap -     watch live traffic
 //
-// Two-phase triage (-triage, default on for -gen sources) keeps
-// healthy flows on a cheap fast path — a handful of counters plus a
-// bounded ring of recent records — and promotes a flow to the full
-// incremental analyzer only when a stall symptom fires, replaying the
-// ring so verdicts stay byte-identical to always-on analysis.
+// -port names the server ports and labels each one's flows with a
+// service: -port 80=web-search,8080=cloud-storage.
+//
+// Two-phase triage (-triage) keeps healthy flows on a cheap fast path
+// — a handful of counters plus a bounded ring of recent records — and
+// promotes a flow to the full incremental analyzer only when a stall
+// symptom fires, replaying the ring so verdicts stay byte-identical to
+// always-on analysis.
 //
 // Memory is bounded end to end: the flow table caps active flows (LRU
 // eviction), every flow caps its analyzer records, and the per-shard
@@ -41,14 +43,16 @@
 //
 // Usage:
 //
-//	tapod [-listen :9090] (-pcap file | -gen service) [-head http://ctl:7077] [options]
+//	tapod [-listen :9090] -pcap file|- [-port 80[=service],...] [-head http://ctl:7077] [options]
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -63,18 +67,13 @@ import (
 	"tcpstall/internal/live"
 	"tcpstall/internal/trace"
 	"tcpstall/internal/triage"
-	"tcpstall/internal/workload"
 )
 
 func main() {
 	listen := flag.String("listen", ":9090", "HTTP listen address for /metrics and the admin API")
-	pcapPath := flag.String("pcap", "", "replay this capture file as the record source")
-	port := flag.Uint("port", 80, "server TCP port in the capture (identifies direction)")
-	speed := flag.Float64("speed", 0, "replay/generation pace: 1 = real time, 10 = 10x, 0 = unpaced")
-	gen := flag.String("gen", "", "synthesize live traffic from this service model (cloud-storage, software-download, web-search)")
-	flows := flag.Int("flows", 100, "with -gen: connections to run")
-	conc := flag.Int("concurrency", 16, "with -gen: simultaneous connections")
-	seed := flag.Int64("seed", 1, "with -gen: workload seed")
+	pcapPath := flag.String("pcap", "", "the capture to analyze; - reads standard input")
+	port := flag.String("port", "80", "server ports, each optionally naming its service: 80 or 80=web-search,8080=cloud-storage")
+	speed := flag.Float64("speed", 0, "replay pace: 1 = real time, 10 = 10x, 0 = unpaced")
 	tau := flag.Float64("tau", 2, "stall threshold multiplier in min(tau*SRTT, RTO)")
 	shards := flag.Int("shards", 0, "flow-table shards (0: one per CPU)")
 	maxFlows := flag.Int("max-flows", 0, "active-flow cap across all shards (0: default 65536)")
@@ -82,7 +81,7 @@ func main() {
 	idle := flag.Duration("idle", 5*time.Minute, "evict flows idle this long")
 	window := flag.Duration("window", time.Minute, "rolling aggregation window")
 	shed := flag.Bool("shed", false, "drop records when shard queues fill instead of applying backpressure")
-	triageMode := flag.String("triage", "auto", "two-phase triage: on, off, or auto (on with -gen, off with -pcap)")
+	triageOn := flag.Bool("triage", false, "two-phase triage: fully analyze only flows that show a stall symptom")
 	triageRing := flag.Int("triage-ring", 0, "triage per-flow ring of recent records (0: default 1024)")
 	flightOn := flag.Bool("flight", true, "attach a flight recorder to every flow (serves /debug/flows/{id}/trace)")
 	flightK := flag.Int("flight-k", 0, "flight packet-window radius around each stall gap (0: default)")
@@ -96,10 +95,14 @@ func main() {
 	flag.Parse()
 	logger := newLogger(*logFormat)
 
-	if (*pcapPath == "") == (*gen == "") {
-		fmt.Fprintln(os.Stderr, "tapod: exactly one of -pcap or -gen is required")
-		flag.Usage()
-		os.Exit(2)
+	ports, err := trace.ParsePorts(*port)
+	switch {
+	case err != nil:
+		usageError("-port: %v", err)
+	case *pcapPath == "":
+		usageError("-pcap is required")
+	case flag.NArg() > 0:
+		usageError("unexpected argument %q", flag.Arg(0))
 	}
 
 	cfg := core.DefaultConfig()
@@ -121,32 +124,18 @@ func main() {
 			}
 		},
 	}
-	// Triage defaults on for live generation (the healthy-heavy case it
-	// exists for) and off for pcap replay, where full always-on
-	// analysis of a finite capture is usually what's wanted.
-	triageOn := false
-	switch *triageMode {
-	case "on":
-		triageOn = true
-	case "auto":
-		triageOn = *gen != ""
-	case "off":
-	default:
-		fmt.Fprintf(os.Stderr, "tapod: -triage must be on, off or auto (got %q)\n", *triageMode)
-		os.Exit(2)
-	}
 	// In fleet mode both subsystems are always CONSTRUCTED — the head
 	// may enable them at runtime — and the flags set their initial
 	// on/off state instead.
 	if *flightOn || *headURL != "" {
 		lcfg.Flight = &flight.Config{WindowK: *flightK, RingSize: *flightRing}
 	}
-	if triageOn || *headURL != "" {
+	if *triageOn || *headURL != "" {
 		lcfg.Triage = &triage.Config{RingCap: *triageRing}
 	}
 	m := live.New(lcfg)
 	if *headURL != "" {
-		m.SetTriageEnabled(triageOn)
+		m.SetTriageEnabled(*triageOn)
 		m.SetFlightEnabled(*flightOn)
 	}
 	m.Start()
@@ -215,17 +204,7 @@ func main() {
 	}
 	go watchDrops(ctx, m, logger)
 
-	var err error
-	switch {
-	case *pcapPath != "":
-		err = replayPcap(ctx, *pcapPath, uint16(*port), *speed, sleepCtx, ingest)
-	default:
-		err = generate(ctx, *gen, *seed, workload.StreamOptions{
-			Flows:       *flows,
-			Concurrency: *conc,
-			Speed:       *speed,
-		}, ingest, logger)
-	}
+	err = replayPcap(ctx, *pcapPath, trace.ImportConfig{Ports: ports}, *speed, sleepCtx, ingest)
 	if err != nil && ctx.Err() == nil {
 		logger.Error("record source failed", "err", err)
 	}
@@ -248,6 +227,13 @@ func main() {
 	}
 	srv.Shutdown(shutdownCtx)
 	report(m, member)
+}
+
+// usageError reports a bad command line and exits with status 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "tapod: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 // newLogger configures the process-wide slog logger; "json" selects
@@ -303,17 +289,20 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// replayPcap streams a capture through ingest in batches, paced by the
-// capture's own timestamps when speed > 0 (sleep is sleepCtx outside
-// tests). The buffer is handed over before every pacing sleep, so no
-// record waits one out, and once more however the replay ends.
-func replayPcap(ctx context.Context, path string, port uint16, speed float64,
+// readFunc adapts a function to io.Reader.
+type readFunc func([]byte) (int, error)
+
+func (f readFunc) Read(p []byte) (int, error) { return f(p) }
+
+// replayPcap streams the capture at path ("-": standard input) through
+// ingest in batches, paced by the capture's own timestamps when
+// speed > 0 (sleep is sleepCtx outside tests). The buffer is handed
+// over before every pacing sleep, so no record waits one out, and
+// once more however the replay ends. Standard input is usually a pipe
+// from a live capture, which blocks between packets, so there the
+// buffer is also handed over before every read of the pipe.
+func replayPcap(ctx context.Context, path string, cfg trace.ImportConfig, speed float64,
 	sleep func(context.Context, time.Duration) error, ingest func([]trace.RecordEvent)) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	buf := make([]trace.RecordEvent, 0, replayChunk)
 	flush := func() {
 		if len(buf) > 0 {
@@ -322,8 +311,22 @@ func replayPcap(ctx context.Context, path string, port uint16, speed float64,
 		}
 	}
 	defer flush()
+	var in io.Reader
+	if path == "-" {
+		in = bufio.NewReader(readFunc(func(p []byte) (int, error) {
+			flush()
+			return os.Stdin.Read(p)
+		}))
+	} else {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		in = f
+	}
 	wallStart := time.Now()
-	return trace.ImportPcapRecords(f, trace.ImportConfig{ServerPort: port}, func(ev trace.RecordEvent) error {
+	return trace.ImportPcapRecords(in, cfg, func(ev trace.RecordEvent) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -342,27 +345,6 @@ func replayPcap(ctx context.Context, path string, port uint16, speed float64,
 		}
 		return nil
 	})
-}
-
-// generate runs a service model live into the monitor. Stream emits
-// from one goroutine per connection and paces inside itself, so each
-// record is handed over as a batch of one.
-func generate(ctx context.Context, name string, seed int64, opt workload.StreamOptions, ingest func([]trace.RecordEvent), logger *slog.Logger) error {
-	var svc workload.Service
-	found := false
-	for _, s := range workload.Services() {
-		if s.Name == name {
-			svc, found = s, true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown service %q (want cloud-storage, software-download or web-search)", name)
-	}
-	logger.Info("generating connections", "service", name, "flows", opt.Flows)
-	n := workload.Stream(ctx, svc, seed, opt, func(ev trace.RecordEvent) { ingest([]trace.RecordEvent{ev}) })
-	logger.Info("source finished", "records", n)
-	return nil
 }
 
 // report prints the final snapshot as JSON on stdout.

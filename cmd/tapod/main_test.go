@@ -1,14 +1,24 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"tcpstall/internal/core"
+	"tcpstall/internal/live"
+	"tcpstall/internal/pcap"
 	"tcpstall/internal/trace"
+	"tcpstall/internal/workload"
 )
 
 const goldenPcap = "../../internal/core/testdata/golden_network.pcap"
@@ -23,7 +33,7 @@ func goldenEvents(t *testing.T) []trace.RecordEvent {
 	}
 	defer f.Close()
 	var ref []trace.RecordEvent
-	if err := trace.ImportPcapRecords(f, trace.ImportConfig{ServerPort: 80}, func(ev trace.RecordEvent) error {
+	if err := trace.ImportPcapRecords(f, trace.ImportConfig{}, func(ev trace.RecordEvent) error {
 		ref = append(ref, ev)
 		return nil
 	}); err != nil {
@@ -54,7 +64,7 @@ func TestReplayPcapUnpacedChunks(t *testing.T) {
 		t.Error("unpaced replay slept")
 		return nil
 	}
-	if err := replayPcap(context.Background(), goldenPcap, 80, 0, noSleep, rec.ingest); err != nil {
+	if err := replayPcap(context.Background(), goldenPcap, trace.ImportConfig{}, 0, noSleep, rec.ingest); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rec.got, ref) {
@@ -86,7 +96,7 @@ func TestReplayPcapFlushesBeforeEverySleep(t *testing.T) {
 		deliveredAtSleep = append(deliveredAtSleep, len(rec.got))
 		return nil
 	}
-	if err := replayPcap(context.Background(), goldenPcap, 80, slowdown, sleep, rec.ingest); err != nil {
+	if err := replayPcap(context.Background(), goldenPcap, trace.ImportConfig{}, slowdown, sleep, rec.ingest); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rec.got, ref) {
@@ -121,7 +131,7 @@ func TestReplayPcapCancelFlushesBuffer(t *testing.T) {
 		}
 		return nil
 	}
-	err := replayPcap(ctx, goldenPcap, 80, slowdown, sleep, rec.ingest)
+	err := replayPcap(ctx, goldenPcap, trace.ImportConfig{}, slowdown, sleep, rec.ingest)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -130,5 +140,175 @@ func TestReplayPcapCancelFlushesBuffer(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rec.got, ref[:paced+1]) {
 		t.Errorf("delivered %d events, want the %d read before cancellation (buffered one included)", len(rec.got), paced+1)
+	}
+}
+
+// TestReplayStdinFlushesBeforeWaiting: with -pcap -, the records read
+// so far are handed over before the replay waits on the pipe for
+// more, so a quiet live capture holds no record back.
+func TestReplayStdinFlushesBeforeWaiting(t *testing.T) {
+	ref := goldenEvents(t)
+	data, err := os.ReadFile(goldenPcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const first = 10
+	cut := 24 // the file header, then first records
+	for i := 0; i < first; i++ {
+		cut += 16 + int(binary.LittleEndian.Uint32(data[cut+8:]))
+	}
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	stdin := os.Stdin
+	os.Stdin = pr
+	defer func() { os.Stdin = stdin }()
+
+	var rec recorder
+	delivered := make(chan int, len(ref))
+	done := make(chan error, 1)
+	go func() {
+		done <- replayPcap(context.Background(), "-", trace.ImportConfig{}, 0, sleepCtx, func(evs []trace.RecordEvent) {
+			rec.ingest(evs)
+			delivered <- len(rec.got)
+		})
+	}()
+	if _, err := pw.Write(data[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < first; {
+		select {
+		case n = <-delivered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of the %d records written were handed over while the pipe was idle", n, first)
+		}
+	}
+	if _, err := pw.Write(data[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.got, ref) {
+		t.Fatalf("replay from a pipe delivered %d events, direct import %d, or they differ", len(rec.got), len(ref))
+	}
+}
+
+// twoServiceCapture exports a web-search and a cloud-storage workload
+// on server ports 80 and 8080 and merges the two captures by
+// timestamp. Flow i of each export has the same client endpoint, so
+// the capture also holds one client talking to both ports.
+func twoServiceCapture(t *testing.T) []byte {
+	t.Helper()
+	var pkts []pcap.Packet
+	var hdr pcap.Header
+	for _, svc := range []struct {
+		svc  workload.Service
+		port uint16
+	}{{workload.WebSearch(), 80}, {workload.CloudStorage(), 8080}} {
+		var flows []*trace.Flow
+		for _, r := range workload.Generate(svc.svc, 3, workload.GenOptions{Flows: 12}) {
+			flows = append(flows, r.Flow)
+		}
+		var buf bytes.Buffer
+		if err := trace.ExportPcap(&buf, flows, trace.ExportConfig{ServerPort: svc.port, Snaplen: 96}); err != nil {
+			t.Fatal(err)
+		}
+		r, err := pcap.NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr = r.Header()
+		p, err := r.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts = append(pkts, p...)
+	}
+	sort.SliceStable(pkts, func(i, j int) bool { return pkts[i].Timestamp.Before(pkts[j].Timestamp) })
+	var out bytes.Buffer
+	w, err := pcap.NewWriterHeader(&out, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkts {
+		if err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.Bytes()
+}
+
+// TestReplayLabelsServicesByPort: replaying a two-service capture
+// under a port map gives the monitor the same per-service stall counts
+// as analysing each imported flow on its own.
+func TestReplayLabelsServicesByPort(t *testing.T) {
+	data := twoServiceCapture(t)
+	path := filepath.Join(t.TempDir(), "two.pcap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ports, err := trace.ParsePorts("80=web-search,8080=cloud-storage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := trace.ImportConfig{Ports: ports}
+
+	flows, err := trace.ImportPcap(bytes.NewReader(data), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[live.CauseKey]uint64{}
+	for _, f := range flows {
+		for _, st := range core.Analyze(f, core.DefaultConfig()).Stalls {
+			want[live.CauseKey{Service: f.Service, Cause: st.Cause}]++
+		}
+	}
+
+	m := live.New(live.Config{MaxRecordsPerFlow: -1})
+	m.Start()
+	if err := replayPcap(context.Background(), path, cfg, 0, sleepCtx, func(evs []trace.RecordEvent) { m.IngestBatchWait(evs) }); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	got := m.Snapshot().StallCount
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("monitor stall counts %v\nwant %v", got, want)
+	}
+	perService := map[string]uint64{}
+	for k, n := range got {
+		perService[k.Service] += n
+	}
+	if len(perService) != 2 || perService["web-search"] == 0 || perService["cloud-storage"] == 0 {
+		t.Errorf("stalls per service = %v, want both services to stall", perService)
+	}
+}
+
+// TestUsageErrors runs main in a child process with a bad command line
+// and expects exit status 2 before anything is served.
+func TestUsageErrors(t *testing.T) {
+	if args, ok := os.LookupEnv("TAPOD_TEST_ARGS"); ok {
+		os.Args = append([]string{"tapod", "-listen", "127.0.0.1:0"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, args := range []string{
+		"",                                     // no -pcap
+		"-pcap " + goldenPcap + " -port 0",     // port 0
+		"-pcap " + goldenPcap + " -port 65616", // would wrap to 80 as a uint16
+		"-pcap " + goldenPcap + " -port 80=",   // empty service name
+		"-pcap " + goldenPcap + " -port 80,80", // duplicate port
+		"-pcap " + goldenPcap + " -triage on",  // "on" is a stray argument
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestUsageErrors$")
+		cmd.Env = append(os.Environ(), "TAPOD_TEST_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("tapod %s: err = %v, want exit status 2\n%s", args, err, out)
+		}
 	}
 }

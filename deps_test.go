@@ -20,6 +20,7 @@ var simulatorFree = []string{
 	"internal/explain",
 	"internal/promtext",
 	"cmd/tapoctl",
+	"cmd/tapod",
 }
 
 // simulatorPkgs are the simulator and the packages built on it.

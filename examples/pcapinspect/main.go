@@ -45,7 +45,7 @@ func main() {
 		panic(err)
 	}
 	defer in.Close()
-	imported, err := trace.ImportPcap(in, trace.ImportConfig{ServerPort: 80})
+	imported, err := trace.ImportPcap(in, trace.ImportConfig{})
 	if err != nil {
 		panic(err)
 	}

@@ -62,7 +62,8 @@ func seedCapture(tb testing.TB) []byte {
 // On success the demux must hold its invariants: a flow's FlowDone
 // event, if any, is its last (no ID reappears after it), and the
 // streaming importer emits exactly the flows the batch importer
-// returns.
+// returns. Read again under a two-port map, the input must import
+// without a panic and label every event with a mapped service.
 func FuzzImportPcap(f *testing.F) {
 	valid := seedCapture(f)
 	f.Add(valid)
@@ -121,6 +122,17 @@ func FuzzImportPcap(f *testing.F) {
 		sort.Strings(streamed)
 		if !slices.Equal(batch, streamed) {
 			t.Fatalf("batch flows %v, streamed flows %v", batch, streamed)
+		}
+
+		two := ImportConfig{Ports: []PortService{{80, "web"}, {10000, "storage"}}}
+		err = ImportPcapRecords(bytes.NewReader(data), two, func(ev RecordEvent) error {
+			if ev.Service != "web" && ev.Service != "storage" {
+				t.Fatalf("flow %s has service %q, which the port map does not name", ev.FlowID, ev.Service)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("two-port import failed where the one-port import succeeded: %v", err)
 		}
 	})
 }

@@ -3,7 +3,10 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"tcpstall/internal/packet"
@@ -162,20 +165,59 @@ func clampU16(v int) uint16 {
 
 // ImportConfig controls pcap parsing.
 type ImportConfig struct {
-	// ServerPort identifies the server side of each connection
-	// (default 80). Frames with this source port are DirOut.
-	ServerPort uint16
+	// Ports lists the server ports and the service each one's flows
+	// are labelled with. Frames from a listed port are DirOut, frames
+	// to one DirIn, and any other frame is skipped. Empty means port
+	// 80, service "pcap".
+	Ports []PortService
 }
 
-// flowKey identifies a connection by the client endpoint.
+// PortService names the service behind one server TCP port.
+type PortService struct {
+	Port    uint16
+	Service string
+}
+
+// defaultPorts is what an empty ImportConfig.Ports means.
+var defaultPorts = []PortService{{Port: 80, Service: "pcap"}}
+
+// ParsePorts reads a port map: comma-separated entries, each a port
+// ("80"), whose flows are labelled "pcap", or port=service
+// ("80=web-search,8080=cloud-storage"). Ports run from 1 to 65535 and
+// appear once; a service name may not be empty.
+func ParsePorts(s string) ([]PortService, error) {
+	var ports []PortService
+	for _, entry := range strings.Split(s, ",") {
+		num, svc, named := strings.Cut(entry, "=")
+		p, err := strconv.ParseUint(num, 10, 16)
+		switch {
+		case err != nil || p == 0:
+			return nil, fmt.Errorf("port map entry %q: port must be a number from 1 to 65535", entry)
+		case named && svc == "":
+			return nil, fmt.Errorf("port map entry %q: empty service name", entry)
+		case !named:
+			svc = defaultPorts[0].Service
+		}
+		if slices.ContainsFunc(ports, func(ps PortService) bool { return ps.Port == uint16(p) }) {
+			return nil, fmt.Errorf("port map: port %d listed twice", p)
+		}
+		ports = append(ports, PortService{Port: uint16(p), Service: svc})
+	}
+	return ports, nil
+}
+
+// flowKey identifies a connection by the client endpoint and the
+// server port it talks to.
 type flowKey struct {
-	ip   [16]byte // IPv4 addresses mapped into the low 4 bytes
-	port uint16
+	ip    [16]byte // IPv4 addresses mapped into the low 4 bytes
+	port  uint16
+	sport uint16
 }
 
 // decodedRecord is one parsed TCP packet attributed to a connection.
 type decodedRecord struct {
 	key  flowKey
+	svc  string // the service mapped to the server port
 	dir  Dir
 	seg  Segment
 	ipv6 bool
@@ -185,7 +227,7 @@ type decodedRecord struct {
 // decodeTCP parses one captured frame down to a keyed TCP record from
 // the server's vantage point, decoding into fr, which the caller owns
 // and reuses across records.
-func decodeTCP(fr *packet.Frame, data []byte, raw bool, serverPort uint16) (decodedRecord, bool) {
+func decodeTCP(fr *packet.Frame, data []byte, raw bool, ports []PortService) (decodedRecord, bool) {
 	var dr decodedRecord
 	if !decodeFrame(fr, data, raw) {
 		return dr, false
@@ -197,14 +239,19 @@ func decodeTCP(fr *packet.Frame, data []byte, raw bool, serverPort uint16) (deco
 		copy(srcIP[:4], fr.IP4.Src[:])
 		copy(dstIP[:4], fr.IP4.Dst[:])
 	}
-	switch {
-	case fr.TCP.SrcPort == serverPort:
-		dr.dir = DirOut
-		dr.key = flowKey{dstIP, fr.TCP.DstPort}
-	case fr.TCP.DstPort == serverPort:
-		dr.dir = DirIn
-		dr.key = flowKey{srcIP, fr.TCP.SrcPort}
-	default:
+	found := false
+	for _, ps := range ports {
+		if fr.TCP.SrcPort == ps.Port {
+			dr.dir, dr.key = DirOut, flowKey{dstIP, fr.TCP.DstPort, ps.Port}
+		} else if fr.TCP.DstPort == ps.Port {
+			dr.dir, dr.key = DirIn, flowKey{srcIP, fr.TCP.SrcPort, ps.Port}
+		} else {
+			continue
+		}
+		dr.svc, found = ps.Service, true
+		break
+	}
+	if !found {
 		return dr, false
 	}
 	dr.ipv6 = fr.IsIPv6

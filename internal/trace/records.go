@@ -39,6 +39,7 @@ type RecordEvent struct {
 // identity and teardown progress, never the records.
 type recFlow struct {
 	id  string
+	svc string
 	mss int
 	td  teardown
 }
@@ -51,15 +52,17 @@ type recFlow struct {
 // it, and ImportPcap and ImportPcapStream assemble its events into
 // flows.
 //
-// A client endpoint reappearing after its connection completed starts
-// a new flow with a "#n" generation suffix.
+// Each event's Service is the one cfg.Ports maps the flow's server
+// port to. A client endpoint reappearing after its connection
+// completed starts a new flow with a "#n" generation suffix.
 func ImportPcapRecords(r io.Reader, cfg ImportConfig, h func(RecordEvent) error) error {
 	pr, err := pcap.NewReader(r)
 	if err != nil {
 		return err
 	}
-	if cfg.ServerPort == 0 {
-		cfg.ServerPort = 80
+	ports := cfg.Ports
+	if len(ports) == 0 {
+		ports = defaultPorts
 	}
 	raw := pr.Header().LinkType == pcap.LinkTypeRaw
 	flows := map[flowKey]*recFlow{}
@@ -74,13 +77,13 @@ func ImportPcapRecords(r io.Reader, cfg ImportConfig, h func(RecordEvent) error)
 		if err != nil {
 			return err
 		}
-		dr, ok := decodeTCP(&fr, pkt.Data, raw, cfg.ServerPort)
+		dr, ok := decodeTCP(&fr, pkt.Data, raw, ports)
 		if !ok {
 			continue
 		}
 		st, ok := flows[dr.key]
 		if !ok {
-			st = &recFlow{id: flowID(dr.key, dr.ipv6, gens[dr.key]), mss: 1460}
+			st = &recFlow{id: flowID(dr.key, dr.ipv6, len(ports) > 1, gens[dr.key]), svc: dr.svc, mss: 1460}
 			flows[dr.key] = st
 		}
 		if dr.mss > 0 {
@@ -88,7 +91,7 @@ func ImportPcapRecords(r io.Reader, cfg ImportConfig, h func(RecordEvent) error)
 		}
 		ev := RecordEvent{
 			FlowID:  st.id,
-			Service: "pcap",
+			Service: st.svc,
 			MSS:     st.mss,
 			Rec: Record{
 				T:   base.rel(pkt.Timestamp),
@@ -110,15 +113,19 @@ func ImportPcapRecords(r io.Reader, cfg ImportConfig, h func(RecordEvent) error)
 	}
 }
 
-// flowID renders a connection key as a flow identifier, suffixed with
-// the generation ordinal when the endpoint has completed gen earlier
-// connections.
-func flowID(k flowKey, ipv6 bool, gen int) string {
+// flowID renders a connection key as a flow identifier: the client
+// endpoint, then "@" and the server port when the capture is read
+// with several, then the generation ordinal when the endpoint has
+// completed gen earlier connections to that port.
+func flowID(k flowKey, ipv6, withPort bool, gen int) string {
 	var id string
 	if ipv6 {
 		id = fmt.Sprintf("[%x]:%d", k.ip, k.port)
 	} else {
 		id = fmt.Sprintf("%d.%d.%d.%d:%d", k.ip[0], k.ip[1], k.ip[2], k.ip[3], k.port)
+	}
+	if withPort {
+		id = fmt.Sprintf("%s@%d", id, k.sport)
 	}
 	if gen > 0 {
 		id = fmt.Sprintf("%s#%d", id, gen+1)

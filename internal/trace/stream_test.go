@@ -17,10 +17,12 @@ type capture struct {
 	buf bytes.Buffer
 	pw  *pcap.Writer
 	now time.Time
+	// port is the server port of the frames appended next.
+	port uint16
 }
 
 func newCapture(t testing.TB) *capture {
-	c := &capture{t: t, now: time.Date(2014, 12, 22, 18, 0, 0, 0, time.UTC)}
+	c := &capture{t: t, now: time.Date(2014, 12, 22, 18, 0, 0, 0, time.UTC), port: serverPort}
 	pw, err := pcap.NewWriter(&c.buf, pcap.LinkTypeEthernet)
 	if err != nil {
 		t.Fatal(err)
@@ -61,10 +63,10 @@ func (c *capture) segment(fromServer bool, clientIP [4]byte, tcp packet.TCPHeade
 	ip.TTL = 64
 	if fromServer {
 		ip.Src, ip.Dst = serverIP, clientIP
-		tcp.SrcPort, tcp.DstPort = serverPort, clientPort
+		tcp.SrcPort, tcp.DstPort = c.port, clientPort
 	} else {
 		ip.Src, ip.Dst = clientIP, serverIP
-		tcp.SrcPort, tcp.DstPort = clientPort, serverPort
+		tcp.SrcPort, tcp.DstPort = clientPort, c.port
 	}
 	data := packet.EncodeTCPv4(&eth, &ip, &tcp, make([]byte, payloadLen))
 	if err := c.pw.WritePacket(pcap.Packet{Timestamp: c.now, Data: data}); err != nil {

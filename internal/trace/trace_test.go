@@ -68,7 +68,7 @@ func TestImportRawIPPcap(t *testing.T) {
 	w.WritePacket(pcap.Packet{Timestamp: base, Data: mk4(80, 4242, 1, 500)})
 	w.WritePacket(pcap.Packet{Timestamp: base.Add(time.Millisecond), Data: mk4(4242, 80, 1, 0)})
 
-	flows, err := ImportPcap(&buf, ImportConfig{ServerPort: 80})
+	flows, err := ImportPcap(&buf, ImportConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestImportIPv6Pcap(t *testing.T) {
 	w.WritePacket(pcap.Packet{Timestamp: base, Data: mk6(true, 1, 700)})
 	w.WritePacket(pcap.Packet{Timestamp: base.Add(time.Millisecond), Data: mk6(false, 1, 0)})
 
-	flows, err := ImportPcap(&buf, ImportConfig{ServerPort: 80})
+	flows, err := ImportPcap(&buf, ImportConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

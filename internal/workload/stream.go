@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
@@ -13,7 +12,7 @@ import (
 	"tcpstall/internal/trace"
 )
 
-// StreamOptions tune a live generation run.
+// StreamOptions tune a streamed generation run.
 type StreamOptions struct {
 	// Flows is the number of connections to run (default
 	// Service.DefaultFlows).
@@ -21,21 +20,13 @@ type StreamOptions struct {
 	// Concurrency bounds the simultaneously-running connections
 	// (default 16). Each runs on its own goroutine and simulator.
 	Concurrency int
-	// Speed maps virtual time onto the wall clock: 1.0 replays each
-	// connection in real time, 10 at 10x. <= 0 runs unpaced (as fast
-	// as the simulators step) — the benchmark mode.
-	Speed float64
-	// Deadline caps each connection's virtual runtime (default 300s,
-	// as in Generate).
-	Deadline time.Duration
 }
 
-// Stream runs the service model live, emitting every packet record as
-// its connection produces it — the same flows, bit-for-bit, that
+// Stream runs the service model, emitting every packet record as its
+// connection produces it — the same flows, bit-for-bit, that
 // Generate(svc, seed, …) would collect, but delivered as a stream of
-// trace.RecordEvents for the live monitor instead of accumulated
-// flows. Connections are paced against the wall clock by
-// opt.Speed via sim.Simulator.NextAt.
+// trace.RecordEvents instead of accumulated flows. Connections run
+// unpaced, as fast as their simulators step.
 //
 // emit is called from up to opt.Concurrency goroutines, one per
 // connection, so it must be safe for concurrent use; events within
@@ -74,7 +65,7 @@ func Stream(ctx context.Context, svc Service, seed int64, opt StreamOptions, emi
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				emitted.Add(streamOne(ctx, svc, seeds[i], i, opt, emit))
+				emitted.Add(streamOne(ctx, svc, seeds[i], i, emit))
 			}
 		}()
 	}
@@ -107,42 +98,23 @@ func (es *eventSink) Record(t sim.Time, dir trace.Dir, seg trace.Segment) {
 	es.emit(ev)
 }
 
-// streamOne runs one connection, pacing its event loop against the
-// wall clock.
-func streamOne(ctx context.Context, svc Service, seed int64, idx int, opt StreamOptions, emit func(trace.RecordEvent)) uint64 {
+// streamOne runs one connection until it completes, reaches
+// Generate's default deadline or ctx is cancelled.
+func streamOne(ctx context.Context, svc Service, seed int64, idx int, emit func(trace.RecordEvent)) uint64 {
 	es := &eventSink{
 		flowID:  fmt.Sprintf("%s-%05d", svc.Name, idx),
 		service: svc.Name,
 		mss:     svc.MSS,
 		emit:    emit,
 	}
-	bc := buildConn(svc, seed, GenOptions{Deadline: opt.Deadline}, es)
+	bc := buildConn(svc, seed, GenOptions{}, es)
 	done := false
 	bc.conn.OnDone = func(*tcpsim.ConnMetrics) { done = true }
 	bc.conn.Start()
-
-	// The wall-clock reads below are the point of this function: it
-	// replays virtual-time events at real-time speed for the live
-	// monitor demo. Flow contents stay seed-deterministic; only the
-	// pacing (opt.Speed > 0, off in every test) touches the clock.
-	//lint:allow detclock real-time pacing of the live event stream
-	wallStart := time.Now()
 	for !done && ctx.Err() == nil {
 		at, ok := bc.s.NextAt()
 		if !ok || at > sim.Time(bc.deadline) {
 			break
-		}
-		if opt.Speed > 0 {
-			target := wallStart.Add(time.Duration(float64(at) / opt.Speed))
-			//lint:allow detclock real-time pacing of the live event stream
-			if d := time.Until(target); d > 0 {
-				select {
-				//lint:allow detclock real-time pacing of the live event stream
-				case <-time.After(d):
-				case <-ctx.Done():
-					return es.count
-				}
-			}
 		}
 		bc.s.Step()
 	}
