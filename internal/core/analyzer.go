@@ -195,6 +195,15 @@ type analyzer struct {
 	synackAt  sim.Time
 	rttSeeded bool
 
+	// tsOff maps the server's timestamp clock onto record time: it is
+	// the least r.T − TSVal over outbound segments, so a TSEcr echoed
+	// back was sent at about TSEcr + tsOff. A capture's clock and a
+	// connection's timestamp clock start apart (Linux randomises the
+	// latter per connection); the simulator's coincide, so there it
+	// is 0.
+	tsOff     time.Duration
+	haveTSOff bool
+
 	// firstT/lastT/nRecs replace the record slice: the state machine
 	// only ever looks one record back.
 	firstT sim.Time
@@ -429,6 +438,11 @@ func (a *analyzer) inFlight() int {
 
 func (a *analyzer) processOut(r *trace.Record) {
 	seg := &r.Seg
+	if seg.TSVal > 0 {
+		if d := r.T.Sub(seg.TSVal); !a.haveTSOff || d < a.tsOff {
+			a.tsOff, a.haveTSOff = d, true
+		}
+	}
 	if seg.Len == 0 {
 		if seg.Flags.Has(packet.FlagSYN) {
 			// The SYN-ACK carries the server's ISN; seed the unwrapper
@@ -684,23 +698,24 @@ func (a *analyzer) newAck(r *trace.Record, seg *trace.Segment, ack uint64) {
 	a.rtoBackoff = 0
 
 	// RTT sampling. Prefer timestamps (unambiguous even across
-	// cumulative-ACK jumps); fall back to the ack-edge segment when
-	// it was never retransmitted and the advance is a normal 1–2
-	// segment step (a jump's edge segment sat in the receiver's
-	// out-of-order queue and would inflate the sample).
+	// cumulative-ACK jumps) once tsOff is known; fall back to the
+	// ack-edge segment when it was never retransmitted and the advance
+	// is a normal 1–2 segment step (a jump's edge segment sat in the
+	// receiver's out-of-order queue and would inflate the sample). A
+	// timestamp sample above MaxRTO is discarded: it is what a TSval
+	// that wrapped 2^32 ticks after tsOff was set produces.
+	var rtt time.Duration
 	switch {
-	case seg.TSEcr > 0:
-		rtt := r.T.Sub(seg.TSEcr)
-		a.rttSample(rtt)
-		if rtt > 0 {
-			a.out.RTTSamplesMS = append(a.out.RTTSamplesMS, float64(rtt)/1e6)
+	case seg.TSEcr > 0 && a.haveTSOff:
+		if rtt = r.T.Sub(seg.TSEcr) - a.tsOff; rtt > a.cfg.MaxRTO {
+			rtt = 0
 		}
 	case edge != nil && edge.sent == 1 && newlyAcked <= 2:
-		rtt := r.T.Sub(edge.lastSent)
+		rtt = r.T.Sub(edge.lastSent)
+	}
+	if rtt > 0 {
 		a.rttSample(rtt)
-		if rtt > 0 {
-			a.out.RTTSamplesMS = append(a.out.RTTSamplesMS, float64(rtt)/1e6)
-		}
+		a.out.RTTSamplesMS = append(a.out.RTTSamplesMS, float64(rtt)/1e6)
 	}
 
 	// State transitions.

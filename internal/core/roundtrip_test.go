@@ -6,6 +6,7 @@ package core_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"tcpstall/internal/core"
@@ -66,17 +67,23 @@ func TestPcapRoundTripAnalysisConsistency(t *testing.T) {
 			t.Errorf("no direct analysis matches imported flow %s (%v)", fl.ID, k)
 			continue
 		}
-		ok := false
+		var match *core.FlowAnalysis
 		for _, d := range cands {
 			if closeRetransMix(a, d) && sameStructuralMix(a, d) {
-				ok = true
+				match = d
 				break
 			}
 		}
-		if !ok {
+		if match == nil {
 			t.Errorf("flow %s: stall mix diverges between direct and pcap paths\n direct: %v\n import: %v",
 				fl.ID, mixOf(cands[0]), mixOf(a))
 			continue
+		}
+		// The capture's clock starts at the first record and the
+		// exported timestamp clock at the simulator's zero; mapping one
+		// onto the other leaves only the millisecond tick quantization.
+		if d := math.Abs(a.AvgRTT() - match.AvgRTT()); d > 1 {
+			t.Errorf("flow %s: mean RTT %.3f ms through the pcap, %.3f ms direct", fl.ID, a.AvgRTT(), match.AvgRTT())
 		}
 		matched++
 	}

@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"tcpstall/internal/sim"
 	"tcpstall/internal/tcpsim"
+	"tcpstall/internal/trace"
 )
 
 // summarize flattens the analysis facts that must be invariant under a
@@ -95,5 +98,85 @@ func TestDataBytesExactAcrossWrap(t *testing.T) {
 	}
 	if a.RetransPackets == 0 {
 		t.Error("expected retransmissions across the wrap")
+	}
+}
+
+// shiftTSClock returns a copy of fl with the server's timestamp clock
+// remapped through f: every TSVal the server sends and every TSEcr
+// echoing one. Zero stays zero, since it means "no timestamp".
+func shiftTSClock(fl *trace.Flow, f func(sim.Time) sim.Time) *trace.Flow {
+	out := *fl
+	out.Records = slices.Clone(fl.Records)
+	for i := range out.Records {
+		r := &out.Records[i]
+		ts := &r.Seg.TSEcr
+		if r.Dir == trace.DirOut {
+			ts = &r.Seg.TSVal
+		}
+		if *ts != 0 {
+			*ts = f(*ts)
+		}
+	}
+	return &out
+}
+
+// tsWrap is the span of a 32-bit millisecond timestamp clock.
+const tsWrap = sim.Time(1<<32) * sim.Time(time.Millisecond)
+
+// A capture's clock and a connection's timestamp clock start apart:
+// Linux randomises each connection's TSval offset, and the counter
+// wraps every 2^32 ticks. Each wrapCase is analysed with the server's
+// timestamp clock shifted back 3 ms, forward 10 s and 1000 h (the
+// analysis must be identical, RTT samples included), and shifted so
+// it wraps after the server's fourth timestamped segment (the stalls
+// must be identical: samples past the wrap are discarded, so the RTT
+// estimate may differ, but it must not turn to days).
+func TestAnalysisInvariantUnderTSOffset(t *testing.T) {
+	for _, tc := range wrapCases {
+		t.Run(tc.name, func(t *testing.T) {
+			fl := tc.sc.runFlow(t)
+			base := Analyze(fl, DefaultConfig())
+			want, err := MarshalAnalyses([]*FlowAnalysis{base})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shift := range []time.Duration{-3 * time.Millisecond, 10 * time.Second, 1000 * time.Hour} {
+				a := Analyze(shiftTSClock(fl, func(ts sim.Time) sim.Time { return ts + sim.Time(shift) }), DefaultConfig())
+				got, err := MarshalAnalyses([]*FlowAnalysis{a})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(want) {
+					t.Errorf("timestamp clock shifted %v: analysis diverged\nwant:\n%s\ngot:\n%s", shift, want, got)
+				}
+			}
+
+			var sent []sim.Time
+			for _, r := range fl.Records {
+				if r.Dir == trace.DirOut && r.Seg.TSVal != 0 {
+					sent = append(sent, r.Seg.TSVal)
+				}
+			}
+			at := sent[3]
+			wrapped := shiftTSClock(fl, func(ts sim.Time) sim.Time {
+				return (ts + tsWrap - at + sim.Time(500*time.Microsecond)) % tsWrap
+			})
+			before, after := 0, 0
+			for _, r := range wrapped.Records {
+				if r.Dir == trace.DirOut && r.Seg.TSVal != 0 {
+					if r.Seg.TSVal > tsWrap/2 {
+						before++
+					} else {
+						after++
+					}
+				}
+			}
+			if before == 0 || after == 0 {
+				t.Fatalf("the shifted clock does not wrap within the flow: %d TSvals before the wrap, %d after", before, after)
+			}
+			if got, want := summarize(Analyze(wrapped, DefaultConfig())), summarize(base); got != want {
+				t.Errorf("timestamp clock wrapped early in the flow: analysis diverged\nwant:\n%s\ngot:\n%s", want, got)
+			}
+		})
 	}
 }

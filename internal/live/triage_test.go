@@ -218,6 +218,59 @@ func TestTriageMatchesBatchGolden(t *testing.T) {
 	}
 }
 
+// tsOffsetFlow hand-builds a flow captured mid-connection (no
+// handshake) whose server timestamp clock reads shift ahead of the
+// capture clock: a healthy second of 25 ms round trips, each ACK
+// echoing the segment it acknowledges, then a 400 ms server-side
+// silence. The silence is a stall under the 25 ms RTT the timestamps
+// give, but not under the 1 s initial RTO.
+func tsOffsetFlow(shift time.Duration) *trace.Flow {
+	const mss = 1460
+	var recs []trace.Record
+	seq := uint32(5001)
+	send := func(tms int64) {
+		tsval := msAt(tms) + sim.Time(shift)
+		recs = append(recs,
+			trace.Record{T: msAt(tms), Dir: trace.DirOut,
+				Seg: trace.Segment{Flags: packet.FlagACK, Seq: seq, Ack: 101, Len: mss, Wnd: 65535, TSVal: tsval, TSEcr: msAt(tms)}},
+			trace.Record{T: msAt(tms + 25), Dir: trace.DirIn,
+				Seg: trace.Segment{Flags: packet.FlagACK, Seq: 101, Ack: seq + mss, Wnd: 60000, TSVal: msAt(tms + 25), TSEcr: tsval}})
+		seq += mss
+	}
+	for i := int64(0); i < 20; i++ {
+		send(50 * i)
+	}
+	send(50*19 + 400)
+	return &trace.Flow{ID: "tsoff", Service: "crafted", Records: recs}
+}
+
+// TestTriageMatchesBatchUnderTSOffset: with the server's timestamp
+// clock apart from the capture clock, as Linux's per-connection TSval
+// offset makes it, the fast path's RTT bound must follow the
+// analyzer's clock mapping, or the stall slips past triage.
+func TestTriageMatchesBatchUnderTSOffset(t *testing.T) {
+	for _, shift := range []time.Duration{0, -3 * time.Millisecond, 10 * time.Second, 1000 * time.Hour} {
+		t.Run(shift.String(), func(t *testing.T) {
+			f := tsOffsetFlow(shift)
+			clk := &fakeClock{now: time.Unix(1000, 0)}
+			onFlow, got, mu := collector(t)
+			m := New(Config{Shards: 1, Clock: clk.Now, Triage: &triage.Config{}, OnFlow: onFlow})
+			feedFlowsDirect(t, m, []*trace.Flow{f})
+
+			mu.Lock()
+			defer mu.Unlock()
+			c, ok := got[f.ID]
+			if !ok {
+				t.Fatal("flow never evicted")
+			}
+			assertTriageEquiv(t, f, c)
+			if len(c.a.Stalls) != 1 {
+				t.Errorf("got %d stalls, want the one 400 ms silence", len(c.a.Stalls))
+			}
+		})
+	}
+}
+
 // ms converts integer milliseconds to a record timestamp.
 func msAt(v int64) sim.Time { return sim.Time(v) * sim.Time(time.Millisecond) }
 

@@ -123,6 +123,32 @@ func TestTSEcrSample(t *testing.T) {
 	}
 }
 
+// TestTSEcrSampleOffsetClock: the timestamp sample maps the server's
+// TSval clock onto record time through the least r.T − TSVal seen
+// outbound, as the analyzer does, and discards a sample above MaxRTO,
+// which is what an echo of a wrapped TSval gives.
+func TestTSEcrSampleOffsetClock(t *testing.T) {
+	for _, tc := range []struct {
+		off, echo time.Duration
+		want      time.Duration // 0: no sample
+	}{
+		{10 * time.Second, 30*time.Millisecond + 10*time.Second, 8 * time.Millisecond},
+		{-3 * time.Millisecond, 27 * time.Millisecond, 8 * time.Millisecond},
+		{1000 * time.Hour, time.Millisecond, 0}, // the TSval clock wrapped
+	} {
+		f := NewFlow(Config{})
+		feedAll(f, []trace.Record{
+			rec(30, trace.DirOut, trace.Segment{Seq: 1, Len: 1000, Wnd: 65535,
+				TSVal: sim.Time(30*time.Millisecond + tc.off)}),
+			rec(38, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 101, Ack: 1001, Wnd: 65535,
+				TSEcr: sim.Time(tc.echo)}),
+		})
+		if rtt, ok := f.MinRTT(); rtt != tc.want || ok != (tc.want > 0) {
+			t.Errorf("clock %v ahead, echo %v: minRTT = %v, %v; want %v", tc.off, tc.echo, rtt, ok, tc.want)
+		}
+	}
+}
+
 // TestSurrogateSample: without timestamps, an ack-advance samples the
 // time since the latest data send — a lower bound of the analyzer's
 // edge sample.
