@@ -39,7 +39,6 @@ type RecordEvent struct {
 // identity and teardown progress, never the records.
 type recFlow struct {
 	id  string
-	svc string
 	mss int
 	td  teardown
 }
@@ -83,7 +82,7 @@ func ImportPcapRecords(r io.Reader, cfg ImportConfig, h func(RecordEvent) error)
 		}
 		st, ok := flows[dr.key]
 		if !ok {
-			st = &recFlow{id: flowID(dr.key, dr.ipv6, len(ports) > 1, gens[dr.key]), svc: dr.svc, mss: 1460}
+			st = &recFlow{id: flowID(dr.key, dr.ipv6, len(ports) > 1, gens[dr.key]), mss: 1460}
 			flows[dr.key] = st
 		}
 		if dr.mss > 0 {
@@ -91,7 +90,7 @@ func ImportPcapRecords(r io.Reader, cfg ImportConfig, h func(RecordEvent) error)
 		}
 		ev := RecordEvent{
 			FlowID:  st.id,
-			Service: st.svc,
+			Service: dr.svc,
 			MSS:     st.mss,
 			Rec: Record{
 				T:   base.rel(pkt.Timestamp),
