@@ -702,15 +702,16 @@ func (a *analyzer) newAck(r *trace.Record, seg *trace.Segment, ack uint64) {
 	// ack-edge segment when it was never retransmitted and the advance
 	// is a normal 1–2 segment step (a jump's edge segment sat in the
 	// receiver's out-of-order queue and would inflate the sample). A
-	// timestamp sample above MaxRTO is discarded: it is what a TSval
-	// that wrapped 2^32 ticks after tsOff was set produces.
+	// timestamp sample outside (0, trace.MaxTSRTT] falls back too: it
+	// is what a TSval that wrapped 2^32 ticks after tsOff was set
+	// produces, and every later echo would give one.
 	var rtt time.Duration
-	switch {
-	case seg.TSEcr > 0 && a.haveTSOff:
-		if rtt = r.T.Sub(seg.TSEcr) - a.tsOff; rtt > a.cfg.MaxRTO {
+	if seg.TSEcr > 0 && a.haveTSOff {
+		if rtt = r.T.Sub(seg.TSEcr) - a.tsOff; rtt > trace.MaxTSRTT {
 			rtt = 0
 		}
-	case edge != nil && edge.sent == 1 && newlyAcked <= 2:
+	}
+	if rtt <= 0 && edge != nil && edge.sent == 1 && newlyAcked <= 2 {
 		rtt = r.T.Sub(edge.lastSent)
 	}
 	if rtt > 0 {

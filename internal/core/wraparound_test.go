@@ -180,3 +180,58 @@ func TestAnalysisInvariantUnderTSOffset(t *testing.T) {
 		})
 	}
 }
+
+// Once the server's timestamp clock wraps 2^32 ticks, every later echo
+// maps to about 49 days and is discarded. The analyzer must then take
+// the ack-edge sample, as on a flow without timestamps, or a long flow
+// takes no RTT sample after the wrap and its SRTT and RTO freeze. A
+// long transfer whose timestamp clock wraps early must analyse exactly
+// like the same flow with every echo of a post-wrap TSval removed, and
+// must keep taking RTT samples after the wrap.
+func TestRTTSamplesContinueAfterTSWrap(t *testing.T) {
+	fl := scenario{seed: 106, reqs: []tcpsim.Request{{Size: 2_000_000}}}.runFlow(t)
+	var at sim.Time
+	for i, n := 0, 0; i < len(fl.Records) && n < 4; i++ {
+		if r := &fl.Records[i]; r.Dir == trace.DirOut && r.Seg.TSVal != 0 {
+			at, n = r.Seg.TSVal, n+1
+		}
+	}
+	wrapped := shiftTSClock(fl, func(ts sim.Time) sim.Time {
+		return (ts + tsWrap - at + sim.Time(500*time.Microsecond)) % tsWrap
+	})
+	stripped := shiftTSClock(wrapped, func(ts sim.Time) sim.Time { return ts })
+	firstEcho := -1
+	for i := range stripped.Records {
+		r := &stripped.Records[i]
+		if r.Dir == trace.DirIn && r.Seg.TSEcr != 0 && r.Seg.TSEcr < tsWrap/2 {
+			r.Seg.TSEcr = 0
+			if firstEcho < 0 {
+				firstEcho = i
+			}
+		}
+	}
+	if firstEcho < 0 || firstEcho > len(stripped.Records)/10 {
+		t.Fatalf("first echo of a wrapped TSval at record %d of %d, want one early in the flow", firstEcho, len(stripped.Records))
+	}
+
+	got := Analyze(wrapped, DefaultConfig())
+	want := Analyze(stripped, DefaultConfig())
+	gotJSON, err := MarshalAnalyses([]*FlowAnalysis{got})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := MarshalAnalyses([]*FlowAnalysis{want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotJSON) != string(wantJSON) {
+		t.Errorf("wrapped timestamps analyse unlike the flow without the wrapped echoes\nwant:\n%s\ngot:\n%s", wantJSON, gotJSON)
+	}
+
+	prefix := *wrapped
+	prefix.Records = wrapped.Records[:firstEcho]
+	before := len(Analyze(&prefix, DefaultConfig()).RTTSamplesMS)
+	if after := len(got.RTTSamplesMS) - before; after < 100 {
+		t.Errorf("%d RTT samples before the first wrapped echo, %d after; want samples to keep arriving", before, after)
+	}
+}

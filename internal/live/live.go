@@ -88,8 +88,7 @@ type Config struct {
 	// repromotion replays the parked suffix into the same analyzer,
 	// so verdicts stay byte-identical to always-on analysis whenever
 	// the ring is deep enough. Zero fields inherit the documented
-	// triage defaults, with Tau/MinRTO/InitRTO/MaxRTO mirroring
-	// Analysis.
+	// triage defaults, with Tau/MinRTO/InitRTO mirroring Analysis.
 	Triage *triage.Config
 	// Clock supplies wall time (default time.Now; injectable for
 	// tests).
@@ -151,9 +150,6 @@ func (c *Config) defaults() {
 		}
 		if t.InitRTO <= 0 {
 			t.InitRTO = eff.InitRTO
-		}
-		if t.MaxRTO <= 0 {
-			t.MaxRTO = eff.MaxRTO
 		}
 		t = t.WithDefaults()
 		c.Triage = &t

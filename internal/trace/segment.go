@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"time"
 
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
@@ -50,6 +51,12 @@ type Segment struct {
 	TSVal sim.Time
 	TSEcr sim.Time
 }
+
+// MaxTSRTT bounds an RTT sample taken from TCP timestamps. A larger
+// one is what the echo of a TSval that wrapped 2^32 ticks gives, so the
+// analyses discard it and take their timestamp-free sample instead. It
+// equals the largest retransmission timeout Linux arms.
+const MaxTSRTT = 120 * time.Second
 
 // End reports Seq + Len (+1 for SYN/FIN).
 func (s *Segment) End() uint32 {

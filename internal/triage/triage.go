@@ -58,7 +58,7 @@ func (s Symptom) String() string {
 }
 
 // Config tunes the fast path. The zero value selects the documented
-// defaults; Tau/MinRTO/InitRTO/MaxRTO should mirror the core.Config the
+// defaults; Tau/MinRTO/InitRTO should mirror the core.Config the
 // promoted analyzers run with, so the conservative-threshold argument
 // holds against the analyzer actually in use.
 type Config struct {
@@ -75,9 +75,6 @@ type Config struct {
 	// InitRTO mirrors core.Config.InitRTO (default 1s): the gap
 	// threshold before any RTT sample exists.
 	InitRTO time.Duration
-	// MaxRTO mirrors core.Config.MaxRTO (default 120s): like the
-	// analyzer, the fast path discards timestamp RTT samples above it.
-	MaxRTO time.Duration
 	// DupBurst is the duplicate-ACK streak that promotes (default 2
 	// — below the analyzer's fast-retransmit threshold of 3, so the
 	// full analyzer is watching before recovery begins).
@@ -110,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InitRTO <= 0 {
 		c.InitRTO = time.Second
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 120 * time.Second
 	}
 	if c.DupBurst <= 0 {
 		c.DupBurst = 2
@@ -311,18 +305,22 @@ func (f *Flow) observe(r *trace.Record) Symptom {
 				f.lastAdvanceT = r.T
 				f.dupStreak = 0
 				// RTT sampling. The timestamp sample is the
-				// analyzer's own, discarded above MaxRTO as there;
-				// otherwise the time since the most recent data send
-				// is a lower bound of the analyzer's ack-edge sample
-				// (the edge segment was sent no later than the latest
-				// segment), floored at 1ns so a same-instant burst
-				// still covers the analyzer's positive sample.
+				// analyzer's own, and falls back where the analyzer's
+				// does; otherwise the time since the most recent data
+				// send is a lower bound of the analyzer's ack-edge
+				// sample (the edge segment was sent no later than the
+				// latest segment), floored at 1ns so a same-instant
+				// burst still covers the analyzer's positive sample.
+				var s time.Duration
 				if seg.TSEcr > 0 && f.haveTSOff {
-					if s := r.T.Sub(seg.TSEcr) - f.tsOff; s <= f.cfg.MaxRTO {
-						f.sample(s)
+					if s = r.T.Sub(seg.TSEcr) - f.tsOff; s > trace.MaxTSRTT {
+						s = 0
 					}
+				}
+				if s > 0 {
+					f.sample(s)
 				} else if f.haveOutData {
-					s := r.T.Sub(f.lastOutDataT)
+					s = r.T.Sub(f.lastOutDataT)
 					if s <= 0 {
 						s = time.Nanosecond
 					}

@@ -125,16 +125,20 @@ func TestTSEcrSample(t *testing.T) {
 
 // TestTSEcrSampleOffsetClock: the timestamp sample maps the server's
 // TSval clock onto record time through the least r.T − TSVal seen
-// outbound, as the analyzer does, and discards a sample above MaxRTO,
-// which is what an echo of a wrapped TSval gives.
+// outbound, as the analyzer does. A sample above trace.MaxTSRTT, which
+// is what an echo of a wrapped TSval gives, falls back to the time
+// since the latest data send, as the analyzer falls back to its
+// ack-edge sample.
 func TestTSEcrSampleOffsetClock(t *testing.T) {
 	for _, tc := range []struct {
 		off, echo time.Duration
-		want      time.Duration // 0: no sample
+		want      time.Duration
 	}{
 		{10 * time.Second, 30*time.Millisecond + 10*time.Second, 8 * time.Millisecond},
 		{-3 * time.Millisecond, 27 * time.Millisecond, 8 * time.Millisecond},
-		{1000 * time.Hour, time.Millisecond, 0}, // the TSval clock wrapped
+		// The TSval clock wrapped: the echo maps 1000 h back, and the
+		// surrogate, 38 ms − 30 ms, is taken instead.
+		{1000 * time.Hour, time.Millisecond, 8 * time.Millisecond},
 	} {
 		f := NewFlow(Config{})
 		feedAll(f, []trace.Record{
@@ -143,7 +147,7 @@ func TestTSEcrSampleOffsetClock(t *testing.T) {
 			rec(38, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 101, Ack: 1001, Wnd: 65535,
 				TSEcr: sim.Time(tc.echo)}),
 		})
-		if rtt, ok := f.MinRTT(); rtt != tc.want || ok != (tc.want > 0) {
+		if rtt, ok := f.MinRTT(); rtt != tc.want || !ok {
 			t.Errorf("clock %v ahead, echo %v: minRTT = %v, %v; want %v", tc.off, tc.echo, rtt, ok, tc.want)
 		}
 	}
