@@ -279,6 +279,10 @@ func watchDrops(ctx context.Context, m *live.Monitor, logger *slog.Logger) {
 // replayChunk is the most records replayPcap hands over in one batch.
 const replayChunk = 512
 
+// pipeBuf is the size of a Linux pipe buffer: the most one read of a
+// busy pipe returns.
+const pipeBuf = 64 << 10
+
 // sleepCtx waits out d unless ctx is cancelled first.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	select {
@@ -300,7 +304,10 @@ func (f readFunc) Read(p []byte) (int, error) { return f(p) }
 // over before every pacing sleep, so no record waits one out, and
 // once more however the replay ends. Standard input is usually a pipe
 // from a live capture, which blocks between packets, so there the
-// buffer is also handed over before every read of the pipe.
+// buffer is also handed over before every read of the pipe. Either
+// source is read through a buffer the size of a Linux pipe's: a busy
+// pipe then gives batches of tens of full-size frames, not two or
+// three, and a file costs one read per buffer, not two per record.
 func replayPcap(ctx context.Context, path string, cfg trace.ImportConfig, speed float64,
 	sleep func(context.Context, time.Duration) error, ingest func([]trace.RecordEvent)) error {
 	buf := make([]trace.RecordEvent, 0, replayChunk)
@@ -313,10 +320,10 @@ func replayPcap(ctx context.Context, path string, cfg trace.ImportConfig, speed 
 	defer flush()
 	var in io.Reader
 	if path == "-" {
-		in = bufio.NewReader(readFunc(func(p []byte) (int, error) {
+		in = readFunc(func(p []byte) (int, error) {
 			flush()
 			return os.Stdin.Read(p)
-		}))
+		})
 	} else {
 		f, err := os.Open(path)
 		if err != nil {
@@ -326,7 +333,7 @@ func replayPcap(ctx context.Context, path string, cfg trace.ImportConfig, speed 
 		in = f
 	}
 	wallStart := time.Now()
-	return trace.ImportPcapRecords(in, cfg, func(ev trace.RecordEvent) error {
+	return trace.ImportPcapRecords(bufio.NewReaderSize(in, pipeBuf), cfg, func(ev trace.RecordEvent) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
