@@ -32,6 +32,10 @@ type Config struct {
 	// DSACKHorizon bounds how long after a retransmission a DSACK
 	// still marks it spurious.
 	DSACKHorizon time.Duration
+	// PerACKSeries keeps FlowAnalysis's per-ACK series (RTTSamplesMS,
+	// RTOSamplesMS, InFlightOnAck), which grow with the flow's length.
+	// The paper's figures read them; a monitor leaves it off.
+	PerACKSeries bool
 }
 
 // DefaultConfig returns the paper's parameters.
@@ -504,7 +508,11 @@ func (a *analyzer) processOut(r *trace.Record) {
 		a.emit(flight.KindSeg, flight.NameRetransmit, a.rel(off), int64(seg.Len), int64(sent))
 		if isTimeout {
 			// Mimic tcp_enter_loss.
-			a.out.RTOSamplesMS = append(a.out.RTOSamplesMS, float64(a.rto)/1e6)
+			ms := float64(a.rto) / 1e6
+			a.out.rto.add(ms)
+			if a.cfg.PerACKSeries {
+				a.out.RTOSamplesMS = append(a.out.RTOSamplesMS, ms)
+			}
 			a.emit(flight.KindState, flight.NameEnterLoss, int64(a.caState), int64(trace.StateLoss), int64(a.rtoBackoff+1))
 			a.caState = trace.StateLoss
 			a.recoverSeq = a.maxEnd
@@ -670,7 +678,9 @@ func (a *analyzer) processIn(r *trace.Record) {
 	}
 
 	// Figure 11: in_flight evaluated on each ACK.
-	a.out.InFlightOnAck = append(a.out.InFlightOnAck, a.inFlight())
+	if a.cfg.PerACKSeries {
+		a.out.InFlightOnAck = append(a.out.InFlightOnAck, a.inFlight())
+	}
 }
 
 func (a *analyzer) newAck(r *trace.Record, seg *trace.Segment, ack uint64) {
@@ -716,7 +726,11 @@ func (a *analyzer) newAck(r *trace.Record, seg *trace.Segment, ack uint64) {
 	}
 	if rtt > 0 {
 		a.rttSample(rtt)
-		a.out.RTTSamplesMS = append(a.out.RTTSamplesMS, float64(rtt)/1e6)
+		ms := float64(rtt) / 1e6
+		a.out.rtt.add(ms)
+		if a.cfg.PerACKSeries {
+			a.out.RTTSamplesMS = append(a.out.RTTSamplesMS, ms)
+		}
 	}
 
 	// State transitions.
@@ -749,7 +763,10 @@ func (a *analyzer) newAck(r *trace.Record, seg *trace.Segment, ack uint64) {
 }
 
 // retire moves the acked prefix segs[:lo] into the retired set and
-// slides the window down over it.
+// slides the window down over it. Once the window's backing array is
+// over 4× what the window needs, it is reallocated at 2× and segIdx is
+// rebuilt (a Go map never shrinks), so a flow's scoreboard follows its
+// current flight, not the largest it ever had.
 func (a *analyzer) retire() {
 	for i := 0; i < a.lo; i++ {
 		g := &a.segs[i]
@@ -757,11 +774,20 @@ func (a *analyzer) retire() {
 		delete(a.spurious, g.seq)
 		a.retireSeg(g)
 	}
-	n := copy(a.segs, a.segs[a.lo:])
+	a.segBase += a.lo
+	live := a.segs[a.lo:]
+	a.lo = 0
+	if need := max(len(live), retireMin); cap(a.segs) > 4*need {
+		a.segs = append(make([]aSeg, 0, 2*need), live...)
+		a.segIdx = make(map[uint64]int, len(live))
+		for i := range a.segs {
+			a.segIdx[a.segs[i].seq] = a.segBase + i
+		}
+		return
+	}
+	n := copy(a.segs, live)
 	clear(a.segs[n:])
 	a.segs = a.segs[:n]
-	a.segBase += a.lo
-	a.lo = 0
 }
 
 // retireSeg adds one acked segment to the retired set. A segment at or

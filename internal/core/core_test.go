@@ -37,6 +37,14 @@ func (sc scenario) run(t *testing.T) *FlowAnalysis {
 	return Analyze(sc.runFlow(t), DefaultConfig())
 }
 
+// seriesConfig is DefaultConfig keeping the per-ACK series, for tests
+// that inspect them.
+func seriesConfig() Config {
+	cfg := DefaultConfig()
+	cfg.PerACKSeries = true
+	return cfg
+}
+
 // runFlow runs the scenario and returns the raw server-side trace,
 // for tests that want to drive the analyzer themselves.
 func (sc scenario) runFlow(t *testing.T) *trace.Flow {
@@ -114,7 +122,7 @@ func retransOf(a *FlowAnalysis, rc RetransCause) []Stall {
 }
 
 func TestCleanFlowNoStalls(t *testing.T) {
-	a := scenario{seed: 1, reqs: []tcpsim.Request{{Size: 100_000}}}.run(t)
+	a := Analyze(scenario{seed: 1, reqs: []tcpsim.Request{{Size: 100_000}}}.runFlow(t), seriesConfig())
 	if len(a.Stalls) != 0 {
 		t.Errorf("clean flow produced %d stalls: %+v", len(a.Stalls), a.Stalls)
 	}
@@ -408,11 +416,11 @@ func TestStalledFractionAndTotals(t *testing.T) {
 }
 
 func TestRTOSamplesRecorded(t *testing.T) {
-	a := scenario{
+	a := Analyze(scenario{
 		seed:     16,
 		reqs:     []tcpsim.Request{{Size: 3 * 1460}},
 		dropPlan: map[int]int{3: 1},
-	}.run(t)
+	}.runFlow(t), seriesConfig())
 	if len(a.RTOSamplesMS) != 1 {
 		t.Fatalf("RTO samples = %d, want 1", len(a.RTOSamplesMS))
 	}
@@ -422,7 +430,7 @@ func TestRTOSamplesRecorded(t *testing.T) {
 }
 
 func TestInFlightOnAckSamples(t *testing.T) {
-	a := scenario{seed: 17, reqs: []tcpsim.Request{{Size: 100_000}}}.run(t)
+	a := Analyze(scenario{seed: 17, reqs: []tcpsim.Request{{Size: 100_000}}}.runFlow(t), seriesConfig())
 	if len(a.InFlightOnAck) == 0 {
 		t.Fatal("no in-flight samples")
 	}

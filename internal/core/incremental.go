@@ -55,10 +55,12 @@ type Incremental struct {
 
 // NewIncremental returns a streaming analyzer with the given
 // configuration (zero-value Tau selects DefaultConfig, as in
-// Analyze).
+// Analyze, keeping the PerACKSeries choice).
 func NewIncremental(cfg Config) *Incremental {
 	if cfg.Tau <= 0 {
+		series := cfg.PerACKSeries
 		cfg = DefaultConfig()
+		cfg.PerACKSeries = series
 	}
 	inc := &Incremental{}
 	inc.a = analyzer{

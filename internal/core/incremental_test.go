@@ -8,6 +8,7 @@ import (
 
 	"tcpstall/internal/core"
 	"tcpstall/internal/flight"
+	"tcpstall/internal/tcpsim"
 	"tcpstall/internal/trace"
 	"tcpstall/internal/workload"
 )
@@ -130,6 +131,56 @@ func TestIncrementalLiveStalls(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("generated workload produced no stalls; test is vacuous")
+	}
+}
+
+// TestAveragesWithoutSeries: with the per-ACK series off, AvgRTT and
+// AvgRTO equal — exactly, as float64 — the means of the series kept
+// with them on, and no series is filled. The flows span every service
+// model, at random ISNs and at ISNs that wrap early in the flow.
+func TestAveragesWithoutSeries(t *testing.T) {
+	wrap := func(c *tcpsim.ConnConfig) {
+		c.ISNRng = nil
+		c.ServerISN = 0xFFFFF000 // wraps ~4 KB into the response
+		c.ClientISN = 0xFFFFFF80 // wraps during the first request
+	}
+	mean := func(xs []float64) float64 {
+		if len(xs) == 0 {
+			return 0
+		}
+		s := 0.0
+		for _, x := range xs {
+			s += x
+		}
+		return s / float64(len(xs))
+	}
+	rtts, rtos := 0, 0
+	for _, svc := range workload.Services() {
+		for _, mutate := range []func(*tcpsim.ConnConfig){nil, wrap} {
+			for _, fr := range workload.Generate(svc, 9, workload.GenOptions{Flows: 20, Mutate: mutate}) {
+				f := fr.Flow
+				off := core.Analyze(f, core.Config{})
+				on := core.Analyze(f, core.Config{PerACKSeries: true})
+				if off.RTTSamplesMS != nil || off.RTOSamplesMS != nil || off.InFlightOnAck != nil {
+					t.Fatalf("%s: series off, yet %d RTT, %d RTO and %d in_flight samples kept",
+						f.ID, len(off.RTTSamplesMS), len(off.RTOSamplesMS), len(off.InFlightOnAck))
+				}
+				if got, want := off.AvgRTT(), mean(on.RTTSamplesMS); got != want {
+					t.Errorf("%s: AvgRTT() = %v without the series, their mean is %v", f.ID, got, want)
+				}
+				if got, want := off.AvgRTO(), mean(on.RTOSamplesMS); got != want {
+					t.Errorf("%s: AvgRTO() = %v without the series, their mean is %v", f.ID, got, want)
+				}
+				if on.AvgRTT() != off.AvgRTT() || on.AvgRTO() != off.AvgRTO() {
+					t.Errorf("%s: keeping the series moved the averages", f.ID)
+				}
+				rtts += len(on.RTTSamplesMS)
+				rtos += len(on.RTOSamplesMS)
+			}
+		}
+	}
+	if rtts == 0 || rtos == 0 {
+		t.Fatalf("%d RTT and %d RTO samples in all; the check is vacuous", rtts, rtos)
 	}
 }
 

@@ -242,6 +242,44 @@ func TestScoreboardMemoryBudget(t *testing.T) {
 	}
 }
 
+// TestScoreboardShrinksAfterFlight: after one 4k-segment flight, a
+// flow of small flights holds a window sized by its current flight.
+// Every retire leaves cap(segs) within 4× the segments out (at least
+// retireMin), and the window rebuilt at the shrink keeps FeedChecked's
+// index and ordinal checks.
+func TestScoreboardShrinksAfterFlight(t *testing.T) {
+	const big = 1 << 12
+	recs := synHandshake()
+	for i := 0; i < big; i++ {
+		recs = append(recs, synData(30+0.001*float64(i), segSeq(i), segLen))
+	}
+	for i := 0; i < big; i++ {
+		recs = append(recs, synAck(40+0.001*float64(i), segSeq(i+1)))
+	}
+	recs = pipelined(recs, 50, big, 4*retireMin)
+
+	FeedChecked(t, NewIncremental(DefaultConfig()), recs)
+
+	inc := NewIncremental(DefaultConfig())
+	a := &inc.a
+	peak, retires := 0, 0
+	for i := range recs {
+		base := a.segBase
+		inc.Feed(&recs[i])
+		peak = max(peak, cap(a.segs))
+		if a.segBase == base {
+			continue
+		}
+		retires++
+		if c, out := cap(a.segs), a.packetsOut(); c > 4*max(out, retireMin) {
+			t.Fatalf("after the retire at record %d: cap(segs) = %d for %d segments out", i, c, out)
+		}
+	}
+	if peak < big || a.segBase != big+4*retireMin || retires < 8 {
+		t.Fatalf("peak cap %d, segBase %d after %d retires: the flow did not fill and drain the window", peak, a.segBase, retires)
+	}
+}
+
 // TestSegEntrySize: the scoreboard window holds one aSeg per segment in
 // flight, so its size is a per-flight term of live_heap_mb on the sick
 // replay.
@@ -255,7 +293,7 @@ func TestSegEntrySize(t *testing.T) {
 // an edge RTT sample, which reads the acked segment before it leaves
 // the window.
 func TestRetireOnEdgeRTTSample(t *testing.T) {
-	inc := NewIncremental(DefaultConfig())
+	inc := NewIncremental(seriesConfig())
 	// retireMin segments, each ACKed alone: only the last ACK leaves an
 	// acked prefix of retireMin.
 	FeedChecked(t, inc, pipelined(synHandshake(), 30, 0, retireMin))

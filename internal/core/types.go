@@ -185,13 +185,20 @@ type FlowAnalysis struct {
 	TransmissionTime time.Duration
 
 	// RTTSamplesMS holds one sample per non-retransmitted segment;
-	// RTOSamplesMS one per timeout retransmission (Figure 1).
+	// RTOSamplesMS one per timeout retransmission (Figure 1). Both are
+	// filled only under Config.PerACKSeries; AvgRTT and AvgRTO do not
+	// need them.
 	RTTSamplesMS []float64
 	RTOSamplesMS []float64
 
 	// InFlightOnAck records Equation-1 in_flight evaluated on every
-	// incoming ACK (Figure 11).
+	// incoming ACK (Figure 11), only under Config.PerACKSeries.
 	InFlightOnAck []int
+
+	// rtt and rto are the running sums behind AvgRTT and AvgRTO, kept
+	// whether or not the series are, so a flow's state does not grow
+	// with its length.
+	rtt, rto runningMean
 
 	// InitRwnd is the SYN-advertised window; ZeroRwndSeen reports
 	// whether any incoming segment advertised zero (Table 4).
@@ -219,18 +226,26 @@ func (a *FlowAnalysis) StalledFraction() float64 {
 }
 
 // AvgRTT reports the mean RTT sample in milliseconds.
-func (a *FlowAnalysis) AvgRTT() float64 { return mean(a.RTTSamplesMS) }
+func (a *FlowAnalysis) AvgRTT() float64 { return a.rtt.mean() }
 
 // AvgRTO reports the mean RTO sample in milliseconds.
-func (a *FlowAnalysis) AvgRTO() float64 { return mean(a.RTOSamplesMS) }
+func (a *FlowAnalysis) AvgRTO() float64 { return a.rto.mean() }
 
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
+// runningMean sums samples in arrival order, so its mean is the same
+// float64 a pass over the stored series would give.
+type runningMean struct {
+	sum float64
+	n   int
+}
+
+func (m *runningMean) add(x float64) {
+	m.sum += x
+	m.n++
+}
+
+func (m *runningMean) mean() float64 {
+	if m.n == 0 {
 		return 0
 	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
+	return m.sum / float64(m.n)
 }

@@ -94,7 +94,10 @@ func hashFlow(t *testing.T, h hash.Hash, f *trace.Flow, cfg flight.Config) (stal
 		h.Write(b)
 		h.Write([]byte{'\n'})
 	}
-	inc := core.NewIncremental(core.Config{})
+	// put(a) hashes the whole FlowAnalysis, per-ACK series included,
+	// so the harness keeps them, as every analysis did when the
+	// digests were computed.
+	inc := core.NewIncremental(core.Config{PerACKSeries: true})
 	inc.SetMeta(core.FlowMeta{ID: f.ID, Service: f.Service, MSS: f.MSS, InitRwnd: f.InitRwnd})
 	rec := flight.NewRecorder(cfg)
 	inc.SetRecorder(rec)

@@ -214,7 +214,7 @@ func TestRTTSamplesContinueAfterTSWrap(t *testing.T) {
 		t.Fatalf("first echo of a wrapped TSval at record %d of %d, want one early in the flow", firstEcho, len(stripped.Records))
 	}
 
-	got := Analyze(wrapped, DefaultConfig())
+	got := Analyze(wrapped, seriesConfig())
 	want := Analyze(stripped, DefaultConfig())
 	gotJSON, err := MarshalAnalyses([]*FlowAnalysis{got})
 	if err != nil {
@@ -230,7 +230,7 @@ func TestRTTSamplesContinueAfterTSWrap(t *testing.T) {
 
 	prefix := *wrapped
 	prefix.Records = wrapped.Records[:firstEcho]
-	before := len(Analyze(&prefix, DefaultConfig()).RTTSamplesMS)
+	before := len(Analyze(&prefix, seriesConfig()).RTTSamplesMS)
 	if after := len(got.RTTSamplesMS) - before; after < 100 {
 		t.Errorf("%d RTT samples before the first wrapped echo, %d after; want samples to keep arriving", before, after)
 	}

@@ -52,9 +52,12 @@ func BuildDataset(svc workload.Service, seed int64, flows int) *Dataset {
 func buildDataset(svc workload.Service, seed int64, flows, workers int) *Dataset {
 	res := workload.Generate(svc, seed, workload.GenOptions{Flows: flows, Workers: workers})
 	ds := &Dataset{Service: svc, Results: res}
+	// Figure 11 reads every analysis's per-ACK in_flight series.
+	cfg := core.DefaultConfig()
+	cfg.PerACKSeries = true
 	pr, err := pipeline.Run(pipeline.FromResults(res), pipeline.Options{
 		Workers: workers,
-		Config:  core.DefaultConfig(),
+		Config:  cfg,
 	})
 	if err != nil {
 		// FromResults cannot fail; a non-nil error would be a pipeline

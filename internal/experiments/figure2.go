@@ -115,7 +115,9 @@ func Figure2(seed int64) (*Figure2Result, string) {
 
 	s.RunUntil(sim.Time(60 * time.Second))
 	col.Flow.Done = conn.Metrics().Done
-	a := core.Analyze(col.Flow, core.DefaultConfig())
+	acfg := core.DefaultConfig()
+	acfg.PerACKSeries = true // the right axis
+	a := core.Analyze(col.Flow, acfg)
 
 	res := &Figure2Result{
 		Analysis:    a,

@@ -774,8 +774,9 @@ func satInt(u uint64) int {
 // a stall-closing gap would have promoted — and, having never raised
 // the retransmission symptom, every outgoing data segment advanced
 // the send edge, so the segment count equals the analyzer's
-// DataPackets. The per-ACK series (RTT samples, in_flight) are the
-// price of the fast path and stay empty.
+// DataPackets. The fast path takes no RTT samples, so AvgRTT is 0.
+// The per-ACK series stay empty, as in any analysis made without
+// core.Config.PerACKSeries.
 func synthesizeSummary(e *flowEntry) *core.FlowAnalysis {
 	a := &core.FlowAnalysis{
 		FlowID:      e.meta.ID,

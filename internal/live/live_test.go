@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tcpstall/internal/core"
+	"tcpstall/internal/flight"
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
 	"tcpstall/internal/trace"
@@ -571,6 +572,64 @@ func TestMonitorAllocsPerRecord(t *testing.T) {
 	t.Logf("%d records, %.3f allocs/record", len(all), best)
 	if best > 0.5 {
 		t.Errorf("always-on monitor allocates %.3f objects per record, budget 0.5", best)
+	}
+}
+
+// TestHeapSlopePerFlow is the always-on per-flow memory budget as a
+// slope: it holds N = 128, 512 and 1024 sick flows mid-flight (the
+// first half of each flow's records fed, flight recorders attached),
+// fits live heap = a + b·N and gates b, the heap one more concurrent
+// flow costs, at 32 KB. The flows are 32 per service at seed 11,
+// replayed under fresh IDs to reach N.
+func TestHeapSlopePerFlow(t *testing.T) {
+	const budget = 32 << 10
+	var pool []*trace.Flow
+	for _, svc := range workload.Services() {
+		for _, fr := range workload.Generate(svc, 11, workload.GenOptions{Flows: 32}) {
+			pool = append(pool, fr.Flow)
+		}
+	}
+	liveHeap := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	ns := []float64{128, 512, 1024}
+	heaps := make([]float64, len(ns))
+	for k, n := range ns {
+		before := liveHeap()
+		m := New(Config{Shards: 1, Flight: &flight.Config{}})
+		for i := 0; i < int(n); i++ {
+			f := pool[i%len(pool)]
+			evs := events(f)[:len(f.Records)/2]
+			for j := range evs {
+				evs[j].FlowID = fmt.Sprintf("%s#%d", f.ID, i)
+			}
+			m.shards[0].processBatch(evs)
+		}
+		if s := m.Snapshot(); s.ActiveFlows != int(n) {
+			t.Fatalf("N=%v: %d active flows, want all held", n, s.ActiveFlows)
+		}
+		heaps[k] = liveHeap() - before
+		m.Close()
+	}
+	// Least-squares fit of heap = a + b·N.
+	var sx, sy, sxx, sxy float64
+	for k, n := range ns {
+		sx += n
+		sy += heaps[k]
+		sxx += n * n
+		sxy += n * heaps[k]
+	}
+	c := float64(len(ns))
+	b := (c*sxy - sx*sy) / (c*sxx - sx*sx)
+	a := (sy - b*sx) / c
+	t.Logf("live heap %.0f / %.0f / %.0f KB at N = %v: a = %.0f KB, b = %.1f KB/flow",
+		heaps[0]/1024, heaps[1]/1024, heaps[2]/1024, ns, a/1024, b/1024)
+	if b > budget {
+		t.Errorf("each concurrent mid-flight flow holds %.1f KB of heap, budget %d KB", b/1024, budget>>10)
 	}
 }
 

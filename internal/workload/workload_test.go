@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,19 +154,19 @@ func TestCloudStorageShortPopulation(t *testing.T) {
 }
 
 func TestMutateHook(t *testing.T) {
-	calls := 0
+	var calls atomic.Int32 // Generate's workers call Mutate concurrently
 	Generate(WebSearch(), 4, GenOptions{
 		Flows:      5,
 		SkipTraces: true,
 		Mutate: func(c *tcpsim.ConnConfig) {
-			calls++
+			calls.Add(1)
 			if c.Sender.MSS != 1460 {
 				t.Errorf("mutate sees MSS %d", c.Sender.MSS)
 			}
 		},
 	})
-	if calls != 5 {
-		t.Errorf("Mutate called %d times", calls)
+	if n := calls.Load(); n != 5 {
+		t.Errorf("Mutate called %d times", n)
 	}
 }
 
