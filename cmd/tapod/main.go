@@ -82,7 +82,7 @@ func main() {
 	window := flag.Duration("window", time.Minute, "rolling aggregation window")
 	shed := flag.Bool("shed", false, "drop records when shard queues fill instead of applying backpressure")
 	triageOn := flag.Bool("triage", false, "two-phase triage: fully analyze only flows that show a stall symptom")
-	triageRing := flag.Int("triage-ring", 0, "triage per-flow ring of recent records (0: default 1024)")
+	triageRing := flag.Int("triage-ring", 0, "triage per-flow ring of recent records N (0: default 1024); the ring grows in 64-record blocks, so memory is paid at 48 bytes per record held, up to N")
 	flightOn := flag.Bool("flight", true, "attach a flight recorder to every flow (serves /debug/flows/{id}/trace)")
 	flightK := flag.Int("flight-k", 0, "flight packet-window radius around each stall gap (0: default)")
 	flightRing := flag.Int("flight-ring", 0, "flight event-ring size N per flow (0: default 256); the ring grows on demand, so memory is paid per event held, up to N")

@@ -448,7 +448,7 @@ type shard struct {
 	mu sync.Mutex
 	// flows is the live flow table. guarded by mu
 	flows map[string]*flowEntry
-	// arena recycles triage ring backings across this shard's flows
+	// arena recycles triage ring blocks across this shard's flows
 	// (nil outside triage mode). guarded by mu
 	arena *triage.Arena
 	// scratch batches consecutive same-flow records for FeedBatch;
@@ -550,7 +550,7 @@ func (sh *shard) admitLocked(now time.Time, ev *trace.RecordEvent) *flowEntry {
 		}
 		if sh.m.TriageEnabled() {
 			// Two-phase mode: the flow starts on the fast path; the
-			// analyzer is built lazily at first promotion. Ring backings
+			// analyzer is built lazily at first promotion. Ring blocks
 			// come from the shard arena and return at eviction.
 			e.tri = triage.NewFlowIn(*sh.m.cfg.Triage, sh.arena)
 		} else {
@@ -742,7 +742,7 @@ func (sh *shard) evictLocked(e *flowEntry, reason string) {
 		} else if e.inc != nil {
 			sh.parked--
 		}
-		// The summary and any replay are settled; the ring backing can
+		// The summary and any replay are settled; the ring blocks can
 		// go back to the shard arena for the next admitted flow.
 		e.tri.Release()
 	}

@@ -14,6 +14,7 @@ import (
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
 	"tcpstall/internal/trace"
+	"tcpstall/internal/triage"
 	"tcpstall/internal/workload"
 )
 
@@ -575,62 +576,150 @@ func TestMonitorAllocsPerRecord(t *testing.T) {
 	}
 }
 
-// TestHeapSlopePerFlow is the always-on per-flow memory budget as a
-// slope: it holds N = 128, 512 and 1024 sick flows mid-flight (the
-// first half of each flow's records fed, flight recorders attached),
-// fits live heap = a + b·N and gates b, the heap one more concurrent
-// flow costs, at 32 KB. The flows are 32 per service at seed 11,
-// replayed under fresh IDs to reach N.
-func TestHeapSlopePerFlow(t *testing.T) {
-	const budget = 32 << 10
-	var pool []*trace.Flow
-	for _, svc := range workload.Services() {
-		for _, fr := range workload.Generate(svc, 11, workload.GenOptions{Flows: 32}) {
-			pool = append(pool, fr.Flow)
-		}
-	}
-	liveHeap := func() float64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc)
-	}
-	ns := []float64{128, 512, 1024}
-	heaps := make([]float64, len(ns))
-	for k, n := range ns {
-		before := liveHeap()
-		m := New(Config{Shards: 1, Flight: &flight.Config{}})
-		for i := 0; i < int(n); i++ {
-			f := pool[i%len(pool)]
-			evs := events(f)[:len(f.Records)/2]
-			for j := range evs {
-				evs[j].FlowID = fmt.Sprintf("%s#%d", f.ID, i)
-			}
-			m.shards[0].processBatch(evs)
-		}
-		if s := m.Snapshot(); s.ActiveFlows != int(n) {
-			t.Fatalf("N=%v: %d active flows, want all held", n, s.ActiveFlows)
-		}
-		heaps[k] = liveHeap() - before
-		m.Close()
-	}
-	// Least-squares fit of heap = a + b·N.
+// liveHeap reads the heap's live bytes after two collections.
+func liveHeap() float64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc)
+}
+
+// fitLine is the least-squares fit of y = a + b·x.
+func fitLine(xs, ys []float64) (a, b float64) {
 	var sx, sy, sxx, sxy float64
-	for k, n := range ns {
-		sx += n
-		sy += heaps[k]
-		sxx += n * n
-		sxy += n * heaps[k]
+	for k, x := range xs {
+		sx += x
+		sy += ys[k]
+		sxx += x * x
+		sxy += x * ys[k]
 	}
-	c := float64(len(ns))
-	b := (c*sxy - sx*sy) / (c*sxx - sx*sx)
-	a := (sy - b*sx) / c
-	t.Logf("live heap %.0f / %.0f / %.0f KB at N = %v: a = %.0f KB, b = %.1f KB/flow",
-		heaps[0]/1024, heaps[1]/1024, heaps[2]/1024, ns, a/1024, b/1024)
-	if b > budget {
-		t.Errorf("each concurrent mid-flight flow holds %.1f KB of heap, budget %d KB", b/1024, budget>>10)
+	c := float64(len(xs))
+	b = (c*sxy - sx*sy) / (c*sxx - sx*sx)
+	return (sy - b*sx) / c, b
+}
+
+// TestHeapSlopePerFlow is the per-flow memory budget as slopes, one
+// per monitor mode. Each case holds N = 128, 512 and 1024 flows
+// mid-flight (the first half of each flow's records fed, flight
+// recorders configured) and fits the live heap against what grows
+// with N.
+//
+// always_on: sick flows under full analysis; the fit is against N and
+// gates the heap one more concurrent flow costs at 32 KB. The flows are
+// 32 per service at seed 11, replayed under fresh IDs to reach N.
+//
+// triage: workload.Healthy flows that never promote, so each holds
+// only its fast-path state and its ring; the fit is against the
+// records the rings retain and gates the heap one more retained
+// record costs, per-flow state included, at 64 B. No flow repeats, so
+// the mix of flow lengths is the generator's.
+func TestHeapSlopePerFlow(t *testing.T) {
+	ns := []int{128, 512, 1024}
+	t.Run("always_on", func(t *testing.T) {
+		const budget = 32 << 10
+		var pool []*trace.Flow
+		for _, svc := range workload.Services() {
+			for _, fr := range workload.Generate(svc, 11, workload.GenOptions{Flows: 32}) {
+				pool = append(pool, fr.Flow)
+			}
+		}
+		xs := make([]float64, len(ns))
+		heaps := make([]float64, len(ns))
+		for k, n := range ns {
+			before := liveHeap()
+			m := New(Config{Shards: 1, Flight: &flight.Config{}})
+			for i := 0; i < n; i++ {
+				f := pool[i%len(pool)]
+				evs := events(f)[:len(f.Records)/2]
+				for j := range evs {
+					evs[j].FlowID = fmt.Sprintf("%s#%d", f.ID, i)
+				}
+				m.shards[0].processBatch(evs)
+			}
+			if s := m.Snapshot(); s.ActiveFlows != n {
+				t.Fatalf("N=%d: %d active flows, want all held", n, s.ActiveFlows)
+			}
+			xs[k], heaps[k] = float64(n), liveHeap()-before
+			m.Close()
+		}
+		a, b := fitLine(xs, heaps)
+		t.Logf("live heap %.0f / %.0f / %.0f KB at N = %v: a = %.0f KB, b = %.1f KB/flow",
+			heaps[0]/1024, heaps[1]/1024, heaps[2]/1024, ns, a/1024, b/1024)
+		if b > budget {
+			t.Errorf("each concurrent mid-flight flow holds %.1f KB of heap, budget %d KB", b/1024, budget>>10)
+		}
+	})
+	t.Run("triage", func(t *testing.T) {
+		const budget = 64
+		ringCap := triage.Config{}.WithDefaults().RingCap
+		// The services' flows taken in turn, so every N sees the same
+		// mix; a flow whose fed half raises a symptom would promote
+		// and is left out.
+		var bySvc [][]*trace.Flow
+		for _, svc := range workload.Services() {
+			var fs []*trace.Flow
+			for _, fr := range workload.Generate(workload.Healthy(svc), 11, workload.GenOptions{Flows: 350}) {
+				fs = append(fs, fr.Flow)
+			}
+			bySvc = append(bySvc, fs)
+		}
+		var pool []*trace.Flow
+		for i := range bySvc[0] {
+			for _, fs := range bySvc {
+				if i < len(fs) && quietHalf(fs[i]) {
+					pool = append(pool, fs[i])
+				}
+			}
+		}
+		if len(pool) < ns[len(ns)-1] {
+			t.Fatalf("%d quiet healthy flows, want %d", len(pool), ns[len(ns)-1])
+		}
+		xs := make([]float64, len(ns))
+		heaps := make([]float64, len(ns))
+		for k, n := range ns {
+			before := liveHeap()
+			m := New(Config{Shards: 1, Flight: &flight.Config{}, Triage: &triage.Config{}})
+			retained := 0
+			for i := 0; i < n; i++ {
+				f := pool[i]
+				evs := events(f)[:len(f.Records)/2]
+				for j := range evs {
+					evs[j].FlowID = fmt.Sprintf("%s#%d", f.ID, i)
+				}
+				m.shards[0].processBatch(evs)
+				retained += min(len(evs), ringCap)
+			}
+			if s := m.Snapshot(); s.ActiveFlows != n || len(s.TriagePromotions) != 0 {
+				t.Fatalf("N=%d: %d active flows, promotions %v; want all held, none promoted",
+					n, s.ActiveFlows, s.TriagePromotions)
+			}
+			xs[k], heaps[k] = float64(retained), liveHeap()-before
+			m.Close()
+		}
+		a, b := fitLine(xs, heaps)
+		t.Logf("live heap %.0f / %.0f / %.0f KB at %v retained records (N = %v): a = %.0f KB, b = %.1f B/record",
+			heaps[0]/1024, heaps[1]/1024, heaps[2]/1024, xs, ns, a/1024, b)
+		if b > budget {
+			t.Errorf("each retained record of a parked healthy flow holds %.1f B of heap, budget %d B", b, budget)
+		}
+	})
+}
+
+// quietHalf reports whether the first half of f's records goes
+// through a fast path without raising a symptom.
+func quietHalf(f *trace.Flow) bool {
+	half := f.Records[:len(f.Records)/2]
+	if len(half) == 0 {
+		return false
 	}
+	tf := triage.NewFlow(triage.Config{})
+	for i := range half {
+		if sym, _, _ := tf.Observe(&half[i]); sym != triage.SymNone {
+			return false
+		}
+	}
+	return true
 }
 
 func TestShutdownFlushesAll(t *testing.T) {

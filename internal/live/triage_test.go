@@ -600,6 +600,20 @@ func TestTriageTruncationAccuracyBound(t *testing.T) {
 
 const fuzzRecSize = 14
 
+// fuzzWholeRing is the ring byte that selects a ring the longest
+// decodable stream (4096 records) cannot overflow.
+const fuzzWholeRing = 0xFF
+
+// fuzzRingCap maps the fuzz input's first byte to a triage RingCap:
+// 2 + b, so every ring size from the minimum up to 256 records is
+// reachable, or 4096 for fuzzWholeRing.
+func fuzzRingCap(b byte) int {
+	if b == fuzzWholeRing {
+		return 4096
+	}
+	return 2 + int(b)
+}
+
 func decodeFuzzRecords(data []byte) []trace.Record {
 	var recs []trace.Record
 	var tt sim.Time
@@ -694,13 +708,16 @@ func fuzzSeedHandshake() []byte {
 }
 
 // FuzzTriagePromotion hammers the promotion boundary: arbitrary record
-// streams go through a triage-enabled monitor shard (ring large
-// enough that promotion never truncates) and the evicted verdict must
-// match the batch analyzer over exactly the records the monitor
-// consumed — byte-identical when promoted, zero-stall when not.
+// streams go through a triage-enabled monitor shard and the evicted
+// verdict must match the batch analyzer over exactly the records the
+// monitor consumed — byte-identical when promoted, zero-stall when
+// not. The first input byte sizes the ring (fuzzRingCap), so block
+// edges and spill while parked are fuzzed along with the records; an
+// input whose promotion truncated replays from the ring start by
+// design and is not graded.
 func FuzzTriagePromotion(f *testing.F) {
 	// Seed: plausible handshake + response with promoting gaps.
-	var normal []byte
+	normal := []byte{fuzzWholeRing}
 	normal = append(normal, fuzzSeedHandshake()...)
 	for i := 0; i < 6; i++ {
 		normal = append(normal, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 5001+uint32(i)*1455, 101, 65535, 15, uint16(20+400*(i%2)))...)
@@ -708,7 +725,7 @@ func FuzzTriagePromotion(f *testing.F) {
 	f.Add(normal)
 
 	// Seed: ISN near 2^32 so the stream wraps mid-flow.
-	var wrapped []byte
+	wrapped := []byte{fuzzWholeRing}
 	wrapISN := uint32(0xFFFFF000)
 	wrapped = append(wrapped, encodeFuzzRecord(trace.DirIn, packet.FlagSYN, 7, 0, 60000, 0, 0)...)
 	wrapped = append(wrapped, encodeFuzzRecord(trace.DirOut, packet.FlagSYN|packet.FlagACK, wrapISN, 8, 65535, 0, 1)...)
@@ -719,7 +736,7 @@ func FuzzTriagePromotion(f *testing.F) {
 	f.Add(wrapped)
 
 	// Seed: wrapped ISN + clock skew, SACK blocks straddling the wrap.
-	var skew []byte
+	skew := []byte{fuzzWholeRing}
 	skewISN := uint32(0xFFFFFB00)
 	skew = append(skew, encodeFuzzRecord(trace.DirIn, packet.FlagSYN, 42, 0, 60000, 0, 0)...)
 	skew = append(skew, encodeFuzzRecord(trace.DirOut, packet.FlagSYN|packet.FlagACK, skewISN, 43, 65535, 0, 1)...)
@@ -741,12 +758,13 @@ func FuzzTriagePromotion(f *testing.F) {
 
 	// Seed: the symptom is the very first record (incoming zero
 	// window) — promotion with a single-record ring.
-	first := encodeFuzzRecord(trace.DirIn, packet.FlagACK, 43, 5001, 0, 0, 0)
+	first := append([]byte{fuzzWholeRing}, encodeFuzzRecord(trace.DirIn, packet.FlagACK, 43, 5001, 0, 0, 0)...)
 	f.Add(first)
 
-	// Seed: symptom exactly at a ring-growth edge — 33 healthy pairs
-	// cross the 8→16→32→64 doubling boundaries, then a promoting gap.
-	var edge []byte
+	// Seed: symptom just past a block edge — the handshake and 33
+	// healthy pairs carry the ring across its first 64-record block,
+	// then a promoting gap.
+	edge := []byte{fuzzWholeRing}
 	edge = append(edge, fuzzSeedHandshake()...)
 	seq := uint32(5001)
 	edge = fuzzSeedHealthyRun(edge, &seq, 33, 10)
@@ -755,34 +773,64 @@ func FuzzTriagePromotion(f *testing.F) {
 
 	// Seed: demote-then-repromote — promote on a gap, stay healthy
 	// past DemoteAfter (2s) so the flow parks, then stall again.
-	var churn []byte
+	churn := []byte{fuzzWholeRing}
 	churn = append(churn, fuzzSeedHandshake()...)
 	seq = uint32(5001)
 	churn = fuzzSeedHealthyRun(churn, &seq, 4, 10)
 	churn = append(churn, encodeFuzzRecord(trace.DirOut, packet.FlagACK, seq, 101, 65535, 10, 3000)...)
 	seq += 970
-	churn = fuzzSeedHealthyRun(churn, &seq, 50, 50) // 2.5s of health: demotes
+	churn = fuzzSeedHealthyRun(churn, &seq, 110, 10) // 2.2s of health: demotes
 	churn = append(churn, encodeFuzzRecord(trace.DirOut, packet.FlagACK, seq, 101, 65535, 10, 5000)...)
 	f.Add(churn)
 
 	// Seed: hostile — retransmission-shaped repeat plus RST teardown
 	// mid-stream (the RST carries FlowDone, so the monitor evicts on it;
 	// remaining bytes are a second life the harness ignores).
-	var hostile []byte
+	hostile := []byte{fuzzWholeRing}
 	hostile = append(hostile, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 1000, 1, 0, 20, 0)...)
 	hostile = append(hostile, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 1000, 1, 0, 20, 9000)...)
 	hostile = append(hostile, encodeFuzzRecord(trace.DirIn, packet.FlagRST, 1, 0, 0, 0, 1)...)
 	f.Add(hostile)
 
+	// Seed: SACK at a block edge in a 65-record ring. Records 63 and
+	// 64, on either side of the first block edge, are SACK-bearing
+	// duplicate ACKs that promote; the flow heals and parks, and the
+	// parked ring wraps inside its second block, spilling both SACK
+	// records, before a gap repromotes it.
+	sackEdge := []byte{65 - 2} // fuzzRingCap: a 65-record ring
+	sackEdge = append(sackEdge, fuzzSeedHandshake()...)
+	seq = uint32(5001)
+	sackEdge = fuzzSeedHealthyRun(sackEdge, &seq, 29, 10)
+	sackEdge = append(sackEdge, encodeFuzzRecord(trace.DirOut, packet.FlagACK, seq, 101, 65535, 10, 10)...)
+	sackEdge = append(sackEdge, encodeFuzzRecord(trace.DirOut, packet.FlagACK, seq+970, 101, 65535, 10, 1)...)
+	for i := 0; i < 2; i++ {
+		dup := encodeFuzzRecord(trace.DirIn, packet.FlagACK, 101, seq, 60000, 0, 5)
+		dup[0] |= 64
+		var blk [8]byte
+		binary.LittleEndian.PutUint32(blk[0:4], seq+970)
+		binary.LittleEndian.PutUint32(blk[4:8], seq+1940)
+		sackEdge = append(sackEdge, dup...)
+		sackEdge = append(sackEdge, blk[:]...)
+	}
+	sackEdge = append(sackEdge, encodeFuzzRecord(trace.DirIn, packet.FlagACK, 101, seq+1940, 60000, 0, 5)...)
+	seq += 1940
+	sackEdge = fuzzSeedHealthyRun(sackEdge, &seq, 110, 10) // 2.2s of health: parks, wraps
+	sackEdge = append(sackEdge, encodeFuzzRecord(trace.DirOut, packet.FlagACK, seq, 101, 65535, 10, 5000)...)
+	f.Add(sackEdge)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs := decodeFuzzRecords(data)
+		if len(data) == 0 {
+			return
+		}
+		ringCap := fuzzRingCap(data[0])
+		recs := decodeFuzzRecords(data[1:])
 		if len(recs) == 0 {
 			return
 		}
 		clk := &fakeClock{now: time.Unix(1000, 0)}
 		var got []*core.FlowAnalysis
 		m := New(Config{Shards: 1, Clock: clk.Now,
-			Triage: &triage.Config{RingCap: 4096},
+			Triage: &triage.Config{RingCap: ringCap},
 			OnFlow: func(reason string, a *core.FlowAnalysis) { got = append(got, a) }})
 		sh := m.shardOf("fuzz")
 		fed := 0
@@ -803,6 +851,9 @@ func FuzzTriagePromotion(f *testing.F) {
 		}
 		if len(got) != 1 {
 			t.Fatalf("eviction produced %d analyses, want 1", len(got))
+		}
+		if m.Snapshot().TriageTruncatedPromotions > 0 {
+			return
 		}
 		a := got[0]
 		flow := &trace.Flow{ID: "fuzz", Service: "fuzz", Records: recs[:fed]}

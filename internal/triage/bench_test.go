@@ -1,7 +1,9 @@
 package triage
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"tcpstall/internal/trace"
 )
@@ -15,8 +17,8 @@ func benchRecords(n int) []trace.Record {
 }
 
 // BenchmarkObserve measures the triage fast path in steady state: the
-// ring is past its geometric growth, so every record is counter math
-// plus one pointer-free slot copy. Run with -benchmem — the hot-path
+// ring is at capacity, so every record is counter math plus one
+// pointer-free slot copy. Run with -benchmem — the hot-path
 // budget is 0 allocs/op (TestZeroAlloc enforces it).
 func BenchmarkObserve(b *testing.B) {
 	recs := benchRecords(1024)
@@ -31,9 +33,9 @@ func BenchmarkObserve(b *testing.B) {
 	}
 }
 
-// benchLifecycle runs one whole flow life — admit, grow the ring
-// through its ladder to RingCap, release — per iteration. The
-// fresh/arena pair isolates what ring recycling saves at connection
+// benchLifecycle runs one whole flow life — admit, grow the ring a
+// block at a time to RingCap, release — per iteration. The
+// fresh/arena pair isolates what block recycling saves at connection
 // rate.
 func benchLifecycle(b *testing.B, arena *Arena) {
 	recs := benchRecords(256)
@@ -53,8 +55,8 @@ func BenchmarkRingGrowthFresh(b *testing.B) { benchLifecycle(b, nil) }
 func BenchmarkRingGrowthArena(b *testing.B) { benchLifecycle(b, NewArena()) }
 
 // TestArenaRecycleAllocs: once the arena is warm, a whole flow
-// lifecycle allocates only the Flow struct itself — every rung of the
-// ring ladder comes back recycled.
+// lifecycle allocates only the Flow struct and its block table —
+// every block of the ring comes back recycled.
 func TestArenaRecycleAllocs(t *testing.T) {
 	a := NewArena()
 	recs := benchRecords(256)
@@ -66,9 +68,43 @@ func TestArenaRecycleAllocs(t *testing.T) {
 		}
 		f.Release()
 	}
-	lifecycle() // seed the arena with the full ladder
+	lifecycle() // seed the arena with a full ring's blocks
 	allocs := testing.AllocsPerRun(50, lifecycle)
 	if allocs > 2 {
-		t.Fatalf("warm-arena flow lifecycle allocates %v, want <= 2 (the Flow struct)", allocs)
+		t.Fatalf("warm-arena flow lifecycle allocates %v, want <= 2 (the Flow struct and block table)", allocs)
+	}
+}
+
+// TestArenaRetentionBounded: a burst of full-ring flows closing
+// together leaves the arena holding at most arenaMaxHeld blocks; the
+// rest of their rings goes to the collector.
+func TestArenaRetentionBounded(t *testing.T) {
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	cfg := Config{}.WithDefaults()
+	recs := benchRecords(cfg.RingCap)
+	before := liveHeap()
+	a := NewArena()
+	flows := make([]*Flow, 300)
+	for i := range flows {
+		flows[i] = NewFlowIn(cfg, a)
+		for j := range recs {
+			flows[i].Observe(&recs[j])
+		}
+	}
+	for _, f := range flows {
+		f.Release()
+	}
+	flows = nil
+	held := liveHeap() - before
+	runtime.KeepAlive(a)
+	limit := int64(arenaMaxHeld*unsafe.Sizeof(block{})) + 64<<10
+	if held > limit {
+		t.Fatalf("arena retains %d KB after 300 full flows closed, want <= %d KB", held>>10, limit>>10)
 	}
 }

@@ -117,14 +117,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// slot is one buffered record, stored field-flat and pointer-free:
-// the rings dominate the monitor's heap in triage mode, and an array
-// the garbage collector never has to scan keeps GC cost independent
-// of how much history the fast path retains. SACK blocks live inline
-// in the Segment itself (packet.SACKList caps at the wire limit of
-// 4), so storing and materializing a record is a plain value copy:
-// retained records never alias caller memory and the steady-state
-// push allocates nothing.
+// slot is one buffered record, stored field-flat and pointer-free in
+// 48 bytes: the rings dominate the monitor's heap in triage mode, and
+// blocks the garbage collector never has to scan keep GC cost
+// independent of how much history the fast path retains. Few records
+// carry SACK blocks, so a slot holds only a reference to its list in
+// the flow's side store (0: none). Storing and materializing a record
+// is a value copy: retained records never alias caller memory and the
+// steady-state push allocates nothing.
 type slot struct {
 	t     sim.Time
 	tsVal sim.Time
@@ -134,9 +134,21 @@ type slot struct {
 	len   int32
 	wnd   int32
 	flags packet.TCPFlags
-	dir   trace.Dir
-	sack  packet.SACKList
+	dir   uint8
+	sack  uint32
 }
+
+// blockSlots is the ring's unit of growth. A block of 64 slots is
+// 3072 bytes, one Go size class, so a block wastes no allocator slack.
+const blockSlots = 64
+
+// block is one fixed run of ring slots. Rings grow a block at a time
+// and the shard arena recycles blocks between flows.
+type block [blockSlots]slot
+
+// reset clears a recycled block so no flow history leaks into its next
+// owner and no stale SACK reference survives.
+func (b *block) reset() { *b = block{} }
 
 // Flow is one connection's fast-path state. Not safe for concurrent
 // use: the live monitor owns each Flow from a single shard goroutine.
@@ -187,23 +199,30 @@ type Flow struct {
 	lastSymptomT sim.Time
 
 	// Ring of recent raw records: absolute indices [ringStart,
-	// total) are retained, ring[head] holds ringStart. fed is the
+	// total) are retained at ring positions head, head+1, … modulo
+	// RingCap, position p living in blocks[p/blockSlots]. Until the
+	// ring first fills, head is 0 and blocks are appended as records
+	// arrive; from then on it is one circular buffer. fed is the
 	// absolute index of the next record not yet replayed into the
 	// promoted analyzer (meaningful once attached).
-	ring      []slot
+	blocks    []*block
 	head      int
 	ringStart uint64
 	fed       uint64
 	attached  bool
 	truncated bool
 
-	// arena, when set, recycles ring backings across flows (see
-	// Arena). Nil means plain allocation.
+	// sacks holds the retained records' SACK lists; it is made at the
+	// first SACK-bearing record.
+	sacks *sackStore
+
+	// arena, when set, recycles ring blocks across flows (see Arena).
+	// Nil means plain allocation.
 	arena *Arena
 }
 
-// NewFlow returns a fast-path tracker. The ring grows geometrically
-// up to cfg.RingCap as records arrive.
+// NewFlow returns a fast-path tracker. The ring grows a block at a
+// time up to cfg.RingCap as records arrive.
 func NewFlow(cfg Config) *Flow {
 	return &Flow{cfg: cfg.withDefaults()}
 }
@@ -438,65 +457,74 @@ func satInt(u uint64) int {
 // tapo:hotpath
 func (f *Flow) retained() int { return satInt(f.total - f.ringStart) }
 
-// buffer appends r to the ring, growing it geometrically up to
-// RingCap, then overwriting the oldest record. Steady state (ring at
-// capacity) allocates nothing; growth is delegated to grow so the
-// amortized allocation stays off this path's body.
+// slotAt returns the slot at ring position p.
+//
+// tapo:hotpath
+func (f *Flow) slotAt(p int) *slot {
+	u := uint(p) // unsigned: the divisions become shifts and masks
+	return &f.blocks[u/blockSlots][u%blockSlots]
+}
+
+// buffer appends r to the ring, adding a block whenever the filling
+// ring needs one, then, once RingCap records are held, overwriting the
+// oldest record. Steady state (ring at capacity) allocates nothing;
+// growth is delegated to grow so the allocation stays off this path's
+// body.
 //
 // tapo:hotpath
 func (f *Flow) buffer(r *trace.Record) (spill trace.Record, spilled bool) {
 	n := f.retained()
-	if n == len(f.ring) && len(f.ring) < f.cfg.RingCap {
-		f.grow()
-	}
-	if n == len(f.ring) {
-		// Full at capacity: the oldest record is overwritten. If the
-		// flow is attached and that record was never fed to its
-		// analyzer (the flow is parked), hand it back for immediate
-		// trickle-feeding so exactness survives at bounded lag.
-		if f.attached && f.fed == f.ringStart {
-			// materialize is a value copy (SACK inline), so the spill
-			// stays valid after the slot is overwritten below.
-			spill = f.materialize(f.head)
-			spilled = true
-			f.fed++
+	if n < f.cfg.RingCap {
+		// Filling: nothing was overwritten yet, so head is 0 and the
+		// record lands at position n.
+		if n == len(f.blocks)*blockSlots {
+			f.grow()
 		}
-		f.write(f.head, r)
-		f.head = (f.head + 1) % len(f.ring)
-		f.ringStart++
+		f.write(n, r)
 		return spill, spilled
 	}
-	f.write((f.head+n)%len(f.ring), r)
+	// Full at capacity: the oldest record is overwritten. If the flow
+	// is attached and that record was never fed to its analyzer (the
+	// flow is parked), hand it back for immediate trickle-feeding so
+	// exactness survives at bounded lag.
+	if f.attached && f.fed == f.ringStart {
+		// materialize is a value copy, so the spill stays valid after
+		// the slot is overwritten below.
+		spill = f.materialize(f.head)
+		spilled = true
+		f.fed++
+	}
+	f.write(f.head, r)
+	if f.head++; f.head == f.cfg.RingCap {
+		f.head = 0
+	}
+	f.ringStart++
 	return spill, spilled
 }
 
-// grow doubles the ring (capped at RingCap), re-laying retained
-// records out from slot 0. The outgrown backing goes back to the
-// arena for the next flow.
+// grow appends one block to the filling ring. Blocks never move, so
+// growth copies nothing; the block table itself doubles up to the
+// blocks RingCap needs.
 func (f *Flow) grow() {
-	newCap := 2 * len(f.ring)
-	if newCap == 0 {
-		newCap = 16
+	if len(f.blocks) == cap(f.blocks) {
+		need := (f.cfg.RingCap + blockSlots - 1) / blockSlots
+		t := make([]*block, len(f.blocks), min(max(2*cap(f.blocks), 4), need))
+		copy(t, f.blocks)
+		f.blocks = t
 	}
-	if newCap > f.cfg.RingCap {
-		newCap = f.cfg.RingCap
-	}
-	fresh := f.arena.get(newCap)
-	n := f.retained()
-	for i := 0; i < n; i++ {
-		fresh[i] = f.ring[(f.head+i)%len(f.ring)]
-	}
-	f.arena.put(f.ring)
-	f.ring = fresh
-	f.head = 0
+	f.blocks = append(f.blocks, f.arena.get())
 }
 
-// write stores r into slot i, SACK blocks included — one flat value
-// copy, no pointers, no allocation.
+// write stores r at ring position p: one flat value copy, plus the
+// SACK list in the side store when the record carries one. The list
+// of the record the slot held before, if any, is freed first.
 //
 // tapo:hotpath
-func (f *Flow) write(i int, r *trace.Record) {
-	s := &f.ring[i]
+func (f *Flow) write(p int, r *trace.Record) {
+	s := f.slotAt(p)
+	if s.sack != 0 {
+		f.sacks.release(s.sack)
+	}
 	s.t = r.T
 	s.tsVal = r.Seg.TSVal
 	s.tsEcr = r.Seg.TSEcr
@@ -505,30 +533,93 @@ func (f *Flow) write(i int, r *trace.Record) {
 	s.len = int32(r.Seg.Len)
 	s.wnd = int32(r.Seg.Wnd)
 	s.flags = r.Seg.Flags
-	s.dir = r.Dir
-	s.sack = r.Seg.SACK
+	s.dir = uint8(r.Dir)
+	s.sack = 0
+	// A list without blocks is the zero value (packet.SACKList only
+	// appends), so storing none loses nothing.
+	if r.Seg.SACK.Len() > 0 {
+		if f.sacks == nil {
+			f.newSACKStore()
+		}
+		s.sack = f.sacks.store(&r.Seg.SACK)
+	}
 }
 
-// materialize rebuilds slot i's record by value: the result owns its
-// SACK blocks and stays valid after the slot is overwritten.
+// newSACKStore makes the flow's SACK side store, at its first
+// SACK-bearing record.
+func (f *Flow) newSACKStore() { f.sacks = new(sackStore) }
+
+// sackStore keeps the SACK lists of a flow's retained records out of
+// line: few records carry one, so a slot holds only a reference, the
+// list's index plus one. free[:nFree] lists the entries whose records
+// were overwritten; free is as long as lists, so releasing never grows
+// it.
+type sackStore struct {
+	lists []packet.SACKList
+	free  []uint32
+	nFree int
+}
+
+// store copies l into a free entry and returns its reference.
 //
 // tapo:hotpath
-func (f *Flow) materialize(i int) trace.Record {
-	s := &f.ring[i]
-	return trace.Record{
+func (st *sackStore) store(l *packet.SACKList) uint32 {
+	if st.nFree == 0 {
+		st.grow()
+	}
+	st.nFree--
+	i := st.free[st.nFree]
+	st.lists[i] = *l
+	return i + 1
+}
+
+// release frees the entry behind ref.
+//
+// tapo:hotpath
+func (st *sackStore) release(ref uint32) {
+	st.free[st.nFree] = ref - 1
+	st.nFree++
+}
+
+// grow doubles the entries, starting at four: a flow pays for SACK
+// storage in proportion to the SACK-bearing records it holds at once.
+func (st *sackStore) grow() {
+	n := len(st.lists)
+	grown := max(2*n, 4)
+	lists := make([]packet.SACKList, grown)
+	copy(lists, st.lists)
+	st.lists = lists
+	st.free = make([]uint32, grown)
+	for i := grown - 1; i >= n; i-- {
+		st.free[st.nFree] = uint32(i)
+		st.nFree++
+	}
+}
+
+// materialize rebuilds the record at ring position p by value: the
+// result owns its SACK blocks and stays valid after the slot is
+// overwritten.
+//
+// tapo:hotpath
+func (f *Flow) materialize(p int) trace.Record {
+	s := f.slotAt(p)
+	r := trace.Record{
 		T:   s.t,
-		Dir: s.dir,
+		Dir: trace.Dir(s.dir),
 		Seg: trace.Segment{
 			Flags: s.flags,
 			Seq:   s.seq,
 			Ack:   s.ack,
 			Len:   int(s.len),
 			Wnd:   int(s.wnd),
-			SACK:  s.sack,
 			TSVal: s.tsVal,
 			TSEcr: s.tsEcr,
 		},
 	}
+	if s.sack != 0 {
+		r.Seg.SACK = f.sacks.lists[s.sack-1]
+	}
+	return r
 }
 
 // Attach marks the flow promoted: from now on ReplayUnfed feeds the
@@ -550,16 +641,17 @@ func (f *Flow) Attach() (truncated bool) {
 
 // ReplayUnfed hands every buffered record the analyzer has not seen
 // yet to fn, in capture order. The record pointer is only valid for
-// the duration of the call (the value is a self-contained copy — its
-// SACK blocks are inline). Promoted callers invoke it once per
+// the duration of the call (the value is a self-contained copy, SACK
+// blocks included). Promoted callers invoke it once per
 // Observe (feeding exactly the new record); repromotion replays the
 // whole parked suffix.
 func (f *Flow) ReplayUnfed(fn func(*trace.Record)) {
 	for f.fed < f.total {
-		// fed-ringStart < len(ring) by the ring invariant; the modulo
+		// fed-ringStart < RingCap by the ring invariant; the modulo
 		// keeps the narrowing provably in range even on 32-bit ints.
-		i := (f.head + satInt((f.fed-f.ringStart)%uint64(len(f.ring)))) % len(f.ring)
-		r := f.materialize(i)
+		rc := f.cfg.RingCap
+		p := (f.head + satInt((f.fed-f.ringStart)%uint64(rc))) % rc
+		r := f.materialize(p)
 		fn(&r)
 		f.fed++
 	}

@@ -1,8 +1,10 @@
 package triage
 
 import (
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
@@ -256,9 +258,9 @@ func TestSymNoAdvance(t *testing.T) {
 	}
 }
 
-// TestRingGrowthAndOverwrite pins the ring mechanics: geometric
-// growth from 16, capacity clamp, oldest-first overwrite, and
-// absolute index accounting.
+// TestRingGrowthAndOverwrite pins the ring mechanics: growth a block
+// at a time, capacity clamp, oldest-first overwrite, and absolute
+// index accounting.
 func TestRingGrowthAndOverwrite(t *testing.T) {
 	f := NewFlow(Config{RingCap: 32})
 	var recs []trace.Record
@@ -375,8 +377,9 @@ func TestSpillWhileParked(t *testing.T) {
 	}
 }
 
-// TestSACKInlineCopy: buffered SACK blocks must not alias the
-// caller's record — the caller may reuse it immediately.
+// TestSACKInlineCopy: buffered SACK blocks are copied into the flow's
+// side store and must not alias the caller's record — the caller may
+// reuse it immediately.
 func TestSACKInlineCopy(t *testing.T) {
 	f := NewFlow(Config{RingCap: 8})
 	r := rec(0, trace.DirIn, trace.Segment{
@@ -393,25 +396,134 @@ func TestSACKInlineCopy(t *testing.T) {
 	})
 }
 
-// TestZeroAlloc: the steady-state fast path — Observe on a flow whose
-// ring has grown to capacity — performs zero heap allocations per
-// record, the property that makes triage line-rate.
-func TestZeroAlloc(t *testing.T) {
-	f := NewFlow(Config{RingCap: 16})
-	// Pre-grow the ring past the geometric phase.
-	for i := 0; i < 32; i++ {
-		r := rec(i, trace.DirOut, trace.Segment{Seq: uint32(1 + i*100), Len: 100, Wnd: 65535})
-		f.Observe(&r)
+// TestSlotLayout pins the ring's footprint: a 48-byte slot and a
+// 64-slot block of 3072 bytes, which is one Go size class.
+func TestSlotLayout(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 48 {
+		t.Errorf("slot is %d bytes, want 48", got)
 	}
-	r := rec(33, trace.DirIn, trace.Segment{
-		Flags: packet.FlagACK, Ack: 1001, Wnd: 65535,
-		SACK: packet.SACKBlocks(packet.SACKBlock{Left: 5000, Right: 6000}),
+	if got := unsafe.Sizeof(block{}); got != 3072 {
+		t.Errorf("block is %d bytes, want 3072", got)
+	}
+}
+
+// ringRecord builds record i of a stream whose every field varies with
+// i. Records on both sides of each 64-record block edge, and every
+// seventh one, carry SACK blocks (one to four).
+func ringRecord(i int) trace.Record {
+	r := rec(i, trace.Dir(i%2), trace.Segment{
+		Flags: packet.TCPFlags(i%7) | packet.FlagACK,
+		Seq:   uint32(1 + i*100),
+		Ack:   uint32(7 + i*3),
+		Len:   i % 1461,
+		Wnd:   65535 - i,
+		TSVal: sim.Time(i) * sim.Time(time.Microsecond),
+		TSEcr: sim.Time(2*i) * sim.Time(time.Microsecond),
 	})
-	allocs := testing.AllocsPerRun(100, func() {
-		f.Observe(&r)
-	})
-	if allocs != 0 {
-		t.Fatalf("Observe allocates %v per record in steady state, want 0", allocs)
+	if i%blockSlots == 0 || i%blockSlots == blockSlots-1 || i%7 == 3 {
+		for k := 0; k <= i%packet.MaxSACKBlocks; k++ {
+			left := uint32(i*1000 + k*10)
+			r.Seg.SACK.Append(packet.SACKBlock{Left: left, Right: left + 5})
+		}
+	}
+	return r
+}
+
+// TestRingLayout drives rings of sizes around the block edges through
+// several wraps with SACK-bearing records on both sides of each edge.
+// The flow attaches after half a ring, then alternates between
+// promoted stretches (every record replayed at once) and parked ones
+// (the ring spills what the analyzer has not consumed). Retention
+// must be exactly the last RingCap records after every Observe, and
+// every record handed back, by replay or by spill, must equal the
+// record observed at its index, in order, with none skipped. With the
+// shared arena, each ring reuses the blocks the previous ones released.
+func TestRingLayout(t *testing.T) {
+	shared := NewArena()
+	for _, ringCap := range []int{2, 63, 64, 65, 130, 1024} {
+		for _, arena := range []*Arena{nil, shared} {
+			f := NewFlowIn(Config{RingCap: ringCap}, arena)
+			total := 3*ringCap + 2*blockSlots + 5
+			recs := make([]trace.Record, total)
+			for i := range recs {
+				recs[i] = ringRecord(i)
+			}
+			next := uint64(0) // index of the next record due back
+			spills := 0
+			check := func(how string, r *trace.Record) {
+				t.Helper()
+				if !reflect.DeepEqual(*r, recs[next]) {
+					t.Fatalf("RingCap %d: %s record %d = %+v, want %+v", ringCap, how, next, *r, recs[next])
+				}
+				next++
+			}
+			for i := range recs {
+				_, spill, spilled := f.Observe(&recs[i])
+				if spilled {
+					check("spilled", &spill)
+					spills++
+				}
+				if got, want := f.retained(), min(i+1, ringCap); got != want {
+					t.Fatalf("RingCap %d: %d records retained after %d observed, want %d", ringCap, got, i+1, want)
+				}
+				// The side store holds exactly the retained SACK lists.
+				held, want := 0, 0
+				if f.sacks != nil {
+					held = len(f.sacks.lists) - f.sacks.nFree
+				}
+				for _, r := range recs[i+1-f.retained() : i+1] {
+					if r.Seg.SACK.Len() > 0 {
+						want++
+					}
+				}
+				if held != want {
+					t.Fatalf("RingCap %d: side store holds %d SACK lists after %d observed, want %d", ringCap, held, i+1, want)
+				}
+				if i+1 == ringCap/2+1 {
+					f.Attach()
+				}
+				// Promoted for ringCap/3+1 records, then parked for as
+				// many plus one ring, so parking spills.
+				if f.attached && i%(2*ringCap/3+ringCap+3) < ringCap/3+1 {
+					f.ReplayUnfed(func(r *trace.Record) { check("replayed", r) })
+				}
+			}
+			f.ReplayUnfed(func(r *trace.Record) { check("replayed", r) })
+			if next != uint64(total) || f.Truncated() || spills == 0 {
+				t.Fatalf("RingCap %d: %d of %d records handed back (%d spilled), truncated %v",
+					ringCap, next, total, spills, f.Truncated())
+			}
+			f.Release()
+		}
+	}
+}
+
+// TestZeroAlloc: the steady-state fast path — Observe on a flow whose
+// ring is at capacity — performs zero heap allocations per record, the
+// property that makes triage line-rate. The measured records cross
+// more than four block boundaries past capacity, carry SACK blocks,
+// and run with and without an arena.
+func TestZeroAlloc(t *testing.T) {
+	const ringCap = 130
+	recs := make([]trace.Record, 4*ringCap)
+	for i := range recs {
+		recs[i] = ringRecord(i)
+	}
+	for _, arena := range []*Arena{nil, NewArena()} {
+		f := NewFlowIn(Config{RingCap: ringCap}, arena)
+		// Fill the ring twice with the stream the measurement repeats,
+		// so the SACK side store has reached its size.
+		for i := range recs[:2*ringCap] {
+			f.Observe(&recs[i])
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(5*blockSlots, func() {
+			f.Observe(&recs[i%len(recs)])
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("arena %v: Observe allocates %v per record in steady state, want 0", arena != nil, allocs)
+		}
 	}
 }
 
