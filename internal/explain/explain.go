@@ -81,9 +81,9 @@ func Stall(w io.Writer, st *core.Stall, ev *flight.Evidence) {
 			s.Idx, s.T.Seconds(), s.Dir(), s.Len, s.Seq, s.Ack, s.Wnd, s.Flags, mark)
 	}
 
-	if len(ev.Events) > 0 {
+	if evs := ev.Events(); len(evs) > 0 {
 		fmt.Fprintf(w, "  analyzer events near the stall:\n")
-		for _, e := range ev.Events {
+		for _, e := range evs {
 			fmt.Fprintf(w, "    %5d %12.6f %-6s %-20s %d %d %d\n",
 				e.Idx, e.T.Seconds(), e.Kind, e.Name, e.A, e.B, e.C)
 		}

@@ -128,14 +128,31 @@ type Evidence struct {
 	// Window holds the records around the gap: up to WindowK before,
 	// the closing record, and up to WindowK after.
 	Window []RecSample
-	// Events are the ring events near the stall, oldest first.
-	Events []Event
-	// EventDrops is the ring's overwrite count when the evidence was
+	// EventDrops is the ring's drop count when the evidence was
 	// captured — non-zero means earlier events of this flow are gone.
 	EventDrops uint64
 
+	// events is the ring's encoded suffix from the first event at or
+	// after record StartIdx − WindowK (see Events); base is what its
+	// first event decodes against.
+	events []byte
+	base   cursor
 	// postWanted counts the post-gap samples still to capture.
 	postWanted int
+}
+
+// Events decodes the ring events near the stall, oldest first: every
+// event the ring held at close time attributed to record
+// StartIdx − WindowK or later.
+func (e *Evidence) Events() []Event {
+	count := 0
+	for off := 0; off < len(e.events); count++ {
+		off += int(e.events[off] >> 2)
+	}
+	if count == 0 {
+		return nil
+	}
+	return decodeEvents(e.events, e.base, count)
 }
 
 // Duration is End − Start.
@@ -249,9 +266,9 @@ func (e *Evidence) JSON() EvidenceJSON {
 	for _, s := range e.Window {
 		out.Window = append(out.Window, s.JSON())
 	}
-	if len(e.Events) > 0 {
-		out.Events = make([]EventJSON, 0, len(e.Events))
-		for _, ev := range e.Events {
+	if evs := e.Events(); len(evs) > 0 {
+		out.Events = make([]EventJSON, 0, len(evs))
+		for _, ev := range evs {
 			out.Events = append(out.Events, ev.JSON())
 		}
 	}

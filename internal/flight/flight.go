@@ -9,8 +9,9 @@
 // the ±K packet records around the silent gap (tcptrace-style
 // time/sequence samples).
 //
-// Everything is bounded and accounted: the event ring overwrites its
-// oldest entries (counted in EventDrops), the evidence store keeps
+// Everything is bounded and accounted: the event ring, a byte buffer
+// of delta-encoded events, drops its oldest events once RingSize are
+// held (counted in EventDrops), the evidence store keeps
 // the most recent MaxStalls stalls (older entries counted in
 // EvidenceDrops), and a stall's record window holds at most
 // 2·WindowK+1 samples. A nil *Recorder is the disabled mode — every
@@ -135,8 +136,8 @@ func (n Name) String() string {
 	return fmt.Sprintf("name(%d)", int(n))
 }
 
-// Event is one recorder event: 48 bytes, no pointers, so emitting an
-// event never allocates once the ring has room.
+// Event is one recorder event as Events decodes it: 48 bytes, no
+// pointers. The ring itself holds events encoded (see ring).
 type Event struct {
 	// Idx is the record index (0-based feed order) the event is
 	// attributed to.
@@ -194,10 +195,10 @@ func sampleOf(idx int, r *trace.Record) RecSample {
 // Config sizes a Recorder. The zero value selects the documented
 // defaults.
 type Config struct {
-	// RingSize is the event-ring capacity (default 256). The ring
-	// grows on demand, so a flow pays only for the events it holds.
-	// When full, the oldest event is overwritten and counted in
-	// EventDrops.
+	// RingSize is the event-ring capacity in events (default 256).
+	// The ring holds its events encoded and grows on demand, so a
+	// flow pays only for the events it holds. When full, the oldest
+	// event is dropped and counted in EventDrops.
 	RingSize int
 	// WindowK is how many records are kept on each side of a stall
 	// gap (default 8): a stall's window holds up to WindowK records
@@ -237,18 +238,16 @@ func (r Ref) String() string { return fmt.Sprintf("%s/stall/%d", r.Flow, r.Stall
 type Recorder struct {
 	cfg Config
 
-	// events is the bounded ring. It grows by doubling up to
-	// RingSize and wraps only once full; total counts events ever
-	// emitted, so ring position is total%len and drops = total-len
-	// once full.
+	// events is the bounded event ring.
 	// guarded by the owning analyzer's single goroutine (external)
-	events []Event
-	total  uint64 // guarded by the owning analyzer's single goroutine (external)
+	events ring
 
 	// recent holds the last WindowK+1 record samples (pre-gap
-	// context); open lists evidences still awaiting post-gap samples.
+	// context) as a circular window: once full, head is the oldest.
+	// open lists evidences still awaiting post-gap samples.
 	// guarded by the owning analyzer's single goroutine (external)
 	recent []RecSample
+	head   int         // guarded by the owning analyzer's single goroutine (external)
 	open   []*Evidence // guarded by the owning analyzer's single goroutine (external)
 
 	// stalls maps stall ID → evidence; order preserves insertion so
@@ -258,9 +257,6 @@ type Recorder struct {
 	order         []int  // guarded by the owning analyzer's single goroutine (external)
 	evidenceDrops uint64 // guarded by the owning analyzer's single goroutine (external)
 }
-
-// ringMinCap is the event ring's first allocation.
-const ringMinCap = 16
 
 // NewRecorder builds an enabled recorder. The event ring is allocated
 // on the first Emit.
@@ -276,23 +272,16 @@ func NewRecorder(cfg Config) *Recorder {
 // Enabled reports whether the recorder exists (nil-receiver safe).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Emit appends one event to the ring, overwriting the oldest when
-// full. Nil-receiver safe.
+// Emit appends one event to the ring, dropping the oldest once
+// RingSize events are held. idx must not decrease from one call to
+// the next — the analyzer attributes events to its record counter —
+// so the events a stall's evidence keeps are a suffix of the ring.
+// Nil-receiver safe.
 func (r *Recorder) Emit(idx int, t sim.Time, kind Kind, name Name, a, b, c int64) {
 	if r == nil {
 		return
 	}
-	e := Event{Idx: idx, T: t, Kind: kind, Name: name, A: a, B: b, C: c}
-	if n := len(r.events); n < r.cfg.RingSize {
-		if n == cap(r.events) {
-			// Not yet wrapped, so the events sit in order from index 0.
-			r.events = append(make([]Event, 0, min(max(2*n, ringMinCap), r.cfg.RingSize)), r.events...)
-		}
-		r.events = append(r.events, e)
-	} else {
-		r.events[r.total%uint64(r.cfg.RingSize)] = e
-	}
-	r.total++
+	r.events.push(r.cfg.RingSize, idx, t, kind, name, a, b, c)
 }
 
 // Sample feeds one record into the window machinery: it completes
@@ -316,9 +305,11 @@ func (r *Recorder) Sample(idx int, rec *trace.Record) {
 	}
 	if len(r.recent) < cap(r.recent) {
 		r.recent = append(r.recent, s)
-	} else {
-		copy(r.recent, r.recent[1:])
-		r.recent[len(r.recent)-1] = s
+		return
+	}
+	r.recent[r.head] = s
+	if r.head++; r.head == len(r.recent) {
+		r.head = 0
 	}
 }
 
@@ -342,33 +333,15 @@ func (r *Recorder) StallClosed(ref Ref, startIdx, endIdx int, start, end sim.Tim
 		DoubleKind:  doubleKind,
 		Provisional: true,
 		Decision:    tr.steps(),
-		// Room for the WindowK post-gap samples Sample appends.
-		Window:     append(make([]RecSample, 0, len(r.recent)+r.cfg.WindowK), r.recent...),
-		postWanted: r.cfg.WindowK,
+		postWanted:  r.cfg.WindowK,
 	}
-	// Events inside or near the stall: everything currently in the
-	// ring whose record index is at or after the window start, counted
-	// first so the copy is allocated once at its exact length.
-	lo := startIdx - r.cfg.WindowK
-	older, newer := r.halves()
-	n := 0
-	for _, half := range [2][]Event{older, newer} {
-		for i := range half {
-			if half[i].Idx >= lo {
-				n++
-			}
-		}
-	}
-	if n > 0 {
-		ev.Events = make([]Event, 0, n)
-		for _, half := range [2][]Event{older, newer} {
-			for i := range half {
-				if half[i].Idx >= lo {
-					ev.Events = append(ev.Events, half[i])
-				}
-			}
-		}
-	}
+	// Room for the WindowK post-gap samples Sample appends; the
+	// circular window is copied oldest first.
+	ev.Window = make([]RecSample, 0, len(r.recent)+r.cfg.WindowK)
+	ev.Window = append(append(ev.Window, r.recent[r.head:]...), r.recent[:r.head]...)
+	// Events inside or near the stall: the ring's suffix from its
+	// first event at or after the window start.
+	ev.events, ev.base = r.events.suffix(startIdx - r.cfg.WindowK)
 	ev.EventDrops = r.EventDrops()
 	r.stalls[ref.Stall] = ev
 	r.order = append(r.order, ref.Stall)
@@ -433,40 +406,22 @@ func (r *Recorder) Evidences() []*Evidence {
 	return out
 }
 
-// halves returns the ring contents oldest-first as two slices of the
-// ring itself: older runs from the oldest event to the end of the
-// array, newer from its start to the newest. Until the ring wraps,
-// len(events) == total and newer is empty.
-func (r *Recorder) halves() (older, newer []Event) {
-	if len(r.events) == 0 {
-		return nil, nil
-	}
-	start := r.total % uint64(len(r.events))
-	return r.events[start:], r.events[:start]
-}
-
 // Events returns the event ring oldest-first (a copy).
 // Nil-receiver safe.
 func (r *Recorder) Events() []Event {
-	if r == nil || len(r.events) == 0 {
+	if r == nil {
 		return nil
 	}
-	older, newer := r.halves()
-	out := make([]Event, len(r.events))
-	copy(out[copy(out, older):], newer)
-	return out
+	return r.events.events()
 }
 
-// EventDrops reports how many events the ring has overwritten.
+// EventDrops reports how many events the ring has dropped.
 // Nil-receiver safe.
 func (r *Recorder) EventDrops() uint64 {
 	if r == nil {
 		return 0
 	}
-	if r.total <= uint64(len(r.events)) {
-		return 0
-	}
-	return r.total - uint64(len(r.events))
+	return r.events.drops()
 }
 
 // EvidenceDrops reports how many evidence entries the MaxStalls cap

@@ -40,8 +40,8 @@ func TestNilRecorderSafe(t *testing.T) {
 	tr.Note("note")
 }
 
-// The event ring must overwrite oldest-first and account for every
-// overwritten event.
+// The event ring must drop oldest-first and account for every
+// dropped event.
 func TestEventRingTruncationAccounting(t *testing.T) {
 	r := NewRecorder(Config{RingSize: 4})
 	for i := 0; i < 10; i++ {
@@ -173,12 +173,11 @@ func TestEvidenceJSON(t *testing.T) {
 	}
 }
 
-// The entry sizes are what a flow's recorder costs per event held and
-// per sample kept; together with the lazy ring they set the flight
-// recorder's share of live_heap_mb on the sick replay.
+// A RecSample is what a flow's recorder costs per window sample kept,
+// and an Event what reading the ring costs per event decoded.
 func TestEntrySizes(t *testing.T) {
 	if n := unsafe.Sizeof(Event{}); n > 48 {
-		t.Errorf("Event is %d bytes, want ≤ 48 (live_heap_mb pays it per event held)", n)
+		t.Errorf("Event is %d bytes, want ≤ 48 (Events and Evidence.Events allocate it per event)", n)
 	}
 	if n := unsafe.Sizeof(RecSample{}); n > 40 {
 		t.Errorf("RecSample is %d bytes, want ≤ 40 (live_heap_mb pays it per window sample)", n)
@@ -206,10 +205,11 @@ func TestNewRecorderLazyRing(t *testing.T) {
 	}
 }
 
-// The grow-on-demand ring must behave exactly like a naive ring of
-// RingSize slots — same Events, same drop count — never allocate past
-// RingSize, and cut each stall's events out of the ring as it stands
-// at close, at every wrap position.
+// The encoded ring must behave exactly like a naive ring of RingSize
+// slots — same Events, same drop count — keep its buffer within
+// twice the held events' bytes plus one maximal event, and cut each
+// stall's events out of the ring as it stands at close, at every wrap
+// position.
 func TestEventRingMatchesModel(t *testing.T) {
 	const k = 2
 	for _, size := range []int{1, 7, 16, 17, 100, 256} {
@@ -222,9 +222,7 @@ func TestEventRingMatchesModel(t *testing.T) {
 				e := Event{Idx: i / 2, T: sim.Time(i), Kind: KindSeg, Name: NameDataSent, A: int64(i)}
 				r.Emit(e.Idx, e.T, e.Kind, e.Name, e.A, 0, 0)
 				all = append(all, e)
-				if cap(r.events) > size {
-					t.Fatalf("size %d, %d events: cap(events) = %d", size, i+1, cap(r.events))
-				}
+				checkRingBytes(t, r)
 				startIdx := i/2 - i%5
 				r.StallClosed(Ref{"f", i}, startIdx, startIdx+1, 0, 0, "c", "", "", nil)
 				var want []Event
@@ -233,7 +231,7 @@ func TestEventRingMatchesModel(t *testing.T) {
 						want = append(want, m)
 					}
 				}
-				if got := r.Evidence(i).Events; !slices.Equal(got, want) {
+				if got := r.Evidence(i).Events(); !slices.Equal(got, want) {
 					t.Fatalf("size %d, %d events: evidence events %v, want %v", size, i+1, got, want)
 				}
 			}
@@ -247,9 +245,9 @@ func TestEventRingMatchesModel(t *testing.T) {
 	}
 }
 
-// Reading a wrapped ring copies its two halves straight into the
-// result: Events allocates only the copy, and StallClosed only the
-// evidence, its window and its events.
+// Reading a wrapped ring decodes straight into the result: Events
+// allocates only the copy, and StallClosed only the evidence, its
+// window and its slice of the encoded ring.
 func TestWrappedRingAllocs(t *testing.T) {
 	r := NewRecorder(Config{RingSize: 1 << 10, MaxStalls: 1 << 20})
 	for i := 0; i < 3<<10+5; i++ {
@@ -269,7 +267,18 @@ func TestWrappedRingAllocs(t *testing.T) {
 	if n > 3 {
 		t.Errorf("StallClosed on a wrapped ring: %v allocs, want ≤ 3", n)
 	}
-	if got := len(r.Evidence(id).Events); got != 1<<10 {
+	if got := len(r.Evidence(id).Events()); got != 1<<10 {
 		t.Fatalf("evidence holds %d events, want the whole ring", got)
+	}
+}
+
+// checkRingBytes fails t unless r's buffer holds at most twice its
+// held events' encoded bytes plus one maximal event, so a wrapped
+// ring cannot grow without bound.
+func checkRingBytes(t testing.TB, r *Recorder) {
+	t.Helper()
+	g := &r.events
+	if live := len(g.buf) - g.start; cap(g.buf) > 2*live+maxEventBytes {
+		t.Fatalf("%d events held in %d encoded bytes, buffer of %d", g.held, live, cap(g.buf))
 	}
 }

@@ -2,7 +2,10 @@ package live
 
 import (
 	"encoding/json"
+	"flag"
 	"net/http/httptest"
+	"net/url"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -240,4 +243,49 @@ func grepLines(body, pats string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+var updateTrace = flag.Bool("update-trace", false, "rewrite testdata/trace.golden from the current recorder")
+
+// TestFlowTraceGolden pins the /debug/flows/{id}/trace body of a
+// mid-flight flow whose event ring has wrapped: golden_network's flow
+// fed up to just before its end through a 64-event recorder, so the
+// body carries drops, both halves of a wrapped ring and evidence cut
+// from it.
+func TestFlowTraceGolden(t *testing.T) {
+	f := loadGoldenPcap(t, "golden_network")[0]
+	// UTC, so last_seen reads the same in every time zone.
+	clk := &fakeClock{now: time.Unix(1000, 0).UTC()}
+	m := New(Config{Shards: 1, Clock: clk.Now, Flight: &flight.Config{RingSize: 64}})
+	evs := events(f)
+	m.shards[0].processBatch(evs[:len(evs)-8])
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	code, body := get(t, srv, "/debug/flows/"+url.PathEscape(f.ID)+"/trace")
+	if code != 200 {
+		t.Fatalf("trace = %d %q", code, body)
+	}
+	var ft FlowTrace
+	if err := json.Unmarshal([]byte(body), &ft); err != nil {
+		t.Fatal(err)
+	}
+	if ft.EventDrops == 0 || len(ft.Events) != 64 || len(ft.Evidences) != 3 {
+		t.Fatalf("trace holds %d events (%d dropped), %d evidences; want a wrapped 64-event ring and 3 stalls",
+			len(ft.Events), ft.EventDrops, len(ft.Evidences))
+	}
+
+	const path = "testdata/trace.golden"
+	if *updateTrace {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body != string(want) {
+		t.Errorf("trace body drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", path, body, want)
+	}
 }

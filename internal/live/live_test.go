@@ -601,13 +601,17 @@ func fitLine(xs, ys []float64) (a, b float64) {
 
 // TestHeapSlopePerFlow is the per-flow memory budget as slopes, one
 // per monitor mode. Each case holds N = 128, 512 and 1024 flows
-// mid-flight (the first half of each flow's records fed, flight
-// recorders configured) and fits the live heap against what grows
-// with N.
+// mid-flight (the first half of each flow's records fed) and fits the
+// live heap against what grows with N.
 //
-// always_on: sick flows under full analysis; the fit is against N and
-// gates the heap one more concurrent flow costs at 32 KB. The flows are
-// 32 per service at seed 11, replayed under fresh IDs to reach N.
+// always_on: sick flows under full analysis with flight recorders;
+// the fit is against N and gates the heap one more concurrent flow
+// costs at 32 KB. The flows are 32 per service at seed 11, replayed
+// under fresh IDs to reach N.
+//
+// no_flight: the same flows without recorders. always_on's slope
+// minus this one is what the flight recorder costs a flow, gated at
+// 6 KB.
 //
 // triage: workload.Healthy flows that never promote, so each holds
 // only its fast-path state and its ring; the fit is against the
@@ -616,19 +620,20 @@ func fitLine(xs, ys []float64) (a, b float64) {
 // the mix of flow lengths is the generator's.
 func TestHeapSlopePerFlow(t *testing.T) {
 	ns := []int{128, 512, 1024}
-	t.Run("always_on", func(t *testing.T) {
-		const budget = 32 << 10
-		var pool []*trace.Flow
-		for _, svc := range workload.Services() {
-			for _, fr := range workload.Generate(svc, 11, workload.GenOptions{Flows: 32}) {
-				pool = append(pool, fr.Flow)
-			}
+	var pool []*trace.Flow
+	for _, svc := range workload.Services() {
+		for _, fr := range workload.Generate(svc, 11, workload.GenOptions{Flows: 32}) {
+			pool = append(pool, fr.Flow)
 		}
+	}
+	// sickSlope fits the live heap of N mid-flight sick flows against
+	// N and returns the slope in bytes per flow.
+	sickSlope := func(t *testing.T, fcfg *flight.Config) float64 {
 		xs := make([]float64, len(ns))
 		heaps := make([]float64, len(ns))
 		for k, n := range ns {
 			before := liveHeap()
-			m := New(Config{Shards: 1, Flight: &flight.Config{}})
+			m := New(Config{Shards: 1, Flight: fcfg})
 			for i := 0; i < n; i++ {
 				f := pool[i%len(pool)]
 				evs := events(f)[:len(f.Records)/2]
@@ -646,8 +651,25 @@ func TestHeapSlopePerFlow(t *testing.T) {
 		a, b := fitLine(xs, heaps)
 		t.Logf("live heap %.0f / %.0f / %.0f KB at N = %v: a = %.0f KB, b = %.1f KB/flow",
 			heaps[0]/1024, heaps[1]/1024, heaps[2]/1024, ns, a/1024, b/1024)
-		if b > budget {
-			t.Errorf("each concurrent mid-flight flow holds %.1f KB of heap, budget %d KB", b/1024, budget>>10)
+		return b
+	}
+	var withFlight float64
+	t.Run("always_on", func(t *testing.T) {
+		const budget = 32 << 10
+		withFlight = sickSlope(t, &flight.Config{})
+		if withFlight > budget {
+			t.Errorf("each concurrent mid-flight flow holds %.1f KB of heap, budget %d KB", withFlight/1024, budget>>10)
+		}
+	})
+	t.Run("no_flight", func(t *testing.T) {
+		const budget = 6 << 10
+		if withFlight == 0 {
+			t.Skip("needs always_on's slope")
+		}
+		share := withFlight - sickSlope(t, nil)
+		t.Logf("flight share: %.1f KB/flow", share/1024)
+		if share > budget {
+			t.Errorf("the flight recorder costs each mid-flight flow %.1f KB of heap, budget %d KB", share/1024, budget>>10)
 		}
 	})
 	t.Run("triage", func(t *testing.T) {
