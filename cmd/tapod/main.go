@@ -27,12 +27,12 @@
 //
 // Fleet mode (-head) attaches the daemon to a tapoctl head: it
 // registers for an epoch, pushes cumulative snapshots of its stall
-// aggregates every -push-interval, and applies config the head sends
-// back (sampling rate, record caps, triage/flight toggles) between
-// batches — so one control plane steers many tapods. Each push also
-// carries a bounded digest of recent stall events (-digest, default
-// 256 per push) that feeds the head's live event stream and dashboard;
-// the digest is visibility only and never enters the fleet totals.
+// aggregates every -push-interval. The head sends nothing back but
+// acceptance: a member runs with the configuration its own flags give
+// it, in fleet mode as alone. Each push also carries a bounded digest
+// of recent stall events (-digest, default 256 per push) that feeds
+// the head's live event stream and dashboard; the digest is visibility
+// only and never enters the fleet totals.
 //
 // Self-observability: by default every flow carries a flight recorder
 // (disable with -flight=false), so /debug/flows/{id}/trace serves
@@ -124,20 +124,13 @@ func main() {
 			}
 		},
 	}
-	// In fleet mode both subsystems are always CONSTRUCTED — the head
-	// may enable them at runtime — and the flags set their initial
-	// on/off state instead.
-	if *flightOn || *headURL != "" {
+	if *flightOn {
 		lcfg.Flight = &flight.Config{WindowK: *flightK, RingSize: *flightRing}
 	}
-	if *triageOn || *headURL != "" {
+	if *triageOn {
 		lcfg.Triage = &triage.Config{RingCap: *triageRing}
 	}
 	m := live.New(lcfg)
-	if *headURL != "" {
-		m.SetTriageEnabled(*triageOn)
-		m.SetFlightEnabled(*flightOn)
-	}
 	m.Start()
 
 	mux := http.NewServeMux()

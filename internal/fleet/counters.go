@@ -28,11 +28,9 @@ type Counters struct {
 	RingDrops                 uint64            `json:"ring_drops"`
 	RecordsFed                uint64            `json:"records_fed"`
 	RecordCapDrops            uint64            `json:"record_cap_drops"`
-	SampledOut                uint64            `json:"records_sampled_out"`
 	FlowsSeen                 uint64            `json:"flows_seen"`
 	FlowsEvicted              map[string]uint64 `json:"flows_evicted,omitempty"`
 	FlowsTruncated            uint64            `json:"flows_truncated"`
-	UnknownConfigKeys         uint64            `json:"unknown_config_keys"`
 	TriageFastRecords         uint64            `json:"triage_fast_records"`
 	TriagePromotions          map[string]uint64 `json:"triage_promotions,omitempty"`
 	TriageRepromotions        uint64            `json:"triage_repromotions"`
@@ -46,8 +44,7 @@ type Counters struct {
 	Retrans     []RetransCounter     `json:"retrans,omitempty"`
 	DurationsMS stats.HistogramState `json:"stall_duration_ms"`
 
-	// IngestBatchSizes summarizes the member's post-sampling ingest
-	// batch sizes — a fleet-wide view of batching health.
+	// IngestBatchSizes summarizes the member's ingest batch sizes — a fleet-wide view of batching health.
 	IngestBatchSizes stats.SummaryState `json:"ingest_batch_sizes"`
 }
 
@@ -118,10 +115,8 @@ func (c *Counters) Merge(o *Counters) error {
 	c.RingDrops += o.RingDrops
 	c.RecordsFed += o.RecordsFed
 	c.RecordCapDrops += o.RecordCapDrops
-	c.SampledOut += o.SampledOut
 	c.FlowsSeen += o.FlowsSeen
 	c.FlowsTruncated += o.FlowsTruncated
-	c.UnknownConfigKeys += o.UnknownConfigKeys
 	c.TriageFastRecords += o.TriageFastRecords
 	c.TriageRepromotions += o.TriageRepromotions
 	c.TriageDemotions += o.TriageDemotions
@@ -152,11 +147,9 @@ func (c *Counters) Sub(prev *Counters) Counters {
 		RingDrops:                 floorSub(c.RingDrops, prev.RingDrops),
 		RecordsFed:                floorSub(c.RecordsFed, prev.RecordsFed),
 		RecordCapDrops:            floorSub(c.RecordCapDrops, prev.RecordCapDrops),
-		SampledOut:                floorSub(c.SampledOut, prev.SampledOut),
 		FlowsSeen:                 floorSub(c.FlowsSeen, prev.FlowsSeen),
 		FlowsEvicted:              subCounts(c.FlowsEvicted, prev.FlowsEvicted),
 		FlowsTruncated:            floorSub(c.FlowsTruncated, prev.FlowsTruncated),
-		UnknownConfigKeys:         floorSub(c.UnknownConfigKeys, prev.UnknownConfigKeys),
 		TriageFastRecords:         floorSub(c.TriageFastRecords, prev.TriageFastRecords),
 		TriagePromotions:          subCounts(c.TriagePromotions, prev.TriagePromotions),
 		TriageRepromotions:        floorSub(c.TriageRepromotions, prev.TriageRepromotions),

@@ -23,7 +23,7 @@ func randCounters(rng *rand.Rand) Counters {
 	n := func() uint64 { return uint64(rng.Intn(1 << 20)) }
 	c := Counters{
 		Ingested: n(), RingDrops: n(), RecordsFed: n(), RecordCapDrops: n(),
-		SampledOut: n(), FlowsSeen: n(), FlowsTruncated: n(), UnknownConfigKeys: n(),
+		FlowsSeen: n(), FlowsTruncated: n(),
 		TriageFastRecords: n(), TriageRepromotions: n(), TriageDemotions: n(),
 		TriageTruncatedPromotions: n(),
 	}
@@ -69,9 +69,9 @@ func randCounters(rng *rand.Rand) Counters {
 func ints(c *Counters) map[string]uint64 {
 	out := map[string]uint64{
 		"ingested": c.Ingested, "ring_drops": c.RingDrops, "fed": c.RecordsFed,
-		"cap_drops": c.RecordCapDrops, "sampled_out": c.SampledOut, "flows_seen": c.FlowsSeen,
-		"truncated": c.FlowsTruncated, "unknown_keys": c.UnknownConfigKeys,
-		"fast": c.TriageFastRecords, "repromotions": c.TriageRepromotions,
+		"cap_drops": c.RecordCapDrops, "flows_seen": c.FlowsSeen,
+		"truncated": c.FlowsTruncated,
+		"fast":      c.TriageFastRecords, "repromotions": c.TriageRepromotions,
 		"demotions": c.TriageDemotions, "truncated_promotions": c.TriageTruncatedPromotions,
 	}
 	for k, n := range c.FlowsEvicted {

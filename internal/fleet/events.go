@@ -18,8 +18,6 @@ const (
 	EventMemberRestart = "member_restart" // re-registration: old epoch retired
 	EventMemberExpired = "member_expired" // member went silent past expiry
 	EventMemberFinal   = "member_final"   // member's final push retired its epoch
-	EventConfigSet     = "config_set"     // operator set a new config version
-	EventConfigApplied = "config_applied" // member reported a config version applied
 	EventRejectSpike   = "reject_spike"   // push rejections crossed a milestone
 )
 
@@ -48,7 +46,7 @@ type Event struct {
 	DurationMS float64 `json:"duration_ms,omitempty"`
 	FlowHash   uint32  `json:"flow_hash,omitempty"`
 	// Detail is the human-readable tail: epoch for lifecycle events,
-	// version for config events, code and count for reject spikes.
+	// code and count for reject spikes.
 	Detail string `json:"detail,omitempty"`
 }
 

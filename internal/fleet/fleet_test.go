@@ -22,7 +22,7 @@ import (
 )
 
 // newTestMonitor builds a monitor in full member trim (triage and
-// flight configured, so the head can toggle both).
+// flight configured).
 func newTestMonitor() *live.Monitor {
 	m := live.New(live.Config{
 		Shards: 2,
@@ -417,6 +417,24 @@ func TestExpiredMemberKeepsUnheardRecords(t *testing.T) {
 }
 
 // TestPushRejectsBadSnapshots covers the protocol's input validation.
+// TestRegisterRejectsOtherWireVersion: a member that speaks another
+// wire version is refused at register and leaves no trace — no member
+// row, no join event.
+func TestRegisterRejectsOtherWireVersion(t *testing.T) {
+	head := NewHead(HeadConfig{})
+	if _, err := head.Register(RegisterRequest{Version: WireVersion - 1, MemberID: "old"}); err == nil {
+		t.Fatal("register at an older wire version was accepted")
+	}
+	if ms := head.Members(); len(ms) != 0 {
+		t.Errorf("refused member is listed: %+v", ms)
+	}
+	for _, ev := range head.Events(0).Events {
+		if ev.Type == EventMemberJoin {
+			t.Errorf("refused member published %+v", ev)
+		}
+	}
+}
+
 func TestPushRejectsBadSnapshots(t *testing.T) {
 	head := NewHead(HeadConfig{})
 	if resp := head.Push(miniSnap("ghost", 1, 1, 1)); resp.OK || resp.Error != ErrUnknownMember {

@@ -32,9 +32,8 @@ type HeadConfig struct {
 }
 
 // Head is the fleet control plane: it assigns epochs, ingests member
-// snapshots, merges them into fleet-wide totals, and hands config
-// down. One Head serves many members; all methods are safe for
-// concurrent use.
+// snapshots, and merges them into fleet-wide totals. One Head serves
+// many members; all methods are safe for concurrent use.
 type Head struct {
 	clock  func() time.Time
 	expiry time.Duration
@@ -53,8 +52,6 @@ type Head struct {
 	// in as the epoch retires, so head memory and per-push cost stay
 	// bounded by live members, not epochs ever seen. guarded by mu
 	retired Totals
-	// config is the current downlink, nil until SetConfig. guarded by mu
-	config *ConfigUpdate
 	// mergeLat is a ring of the validation fold's latency, in
 	// milliseconds, over the last mergeLatCap pushes that reach it;
 	// mergeN counts every one. guarded by mu
@@ -92,16 +89,15 @@ type headCounters struct {
 // every field is guarded by Head.mu — memberState pointers never
 // escape the Head methods that look them up under the lock.
 type memberState struct {
-	id            string
-	epoch         uint64
-	lastSeq       uint64
-	lastSeen      time.Time
-	configVersion uint64
-	last          *Snapshot // latest accepted snapshot; nil once retired
-	done          bool      // epoch over: final push received or expired
-	final         bool
-	expired       bool
-	restarts      uint64
+	id       string
+	epoch    uint64
+	lastSeq  uint64
+	lastSeen time.Time
+	last     *Snapshot // latest accepted snapshot; nil once retired
+	done     bool      // epoch over: final push received or expired
+	final    bool
+	expired  bool
+	restarts uint64
 }
 
 // NewHead builds a Head.
@@ -160,20 +156,13 @@ func (h *Head) Register(req RegisterRequest) (RegisterResponse, error) {
 	ms.done = false
 	ms.final = false
 	ms.expired = false
-	ms.configVersion = 0
 	h.counters.registrations++
-	resp := RegisterResponse{Epoch: ms.epoch}
-	if h.config != nil {
-		resp.Config = h.configCopyLocked()
-	}
-	return resp, nil
+	return RegisterResponse{Epoch: ms.epoch}, nil
 }
 
 // Push ingests one member snapshot. Accepted snapshots REPLACE the
 // member's previous one (cumulative counters), so duplicates and
-// losses never skew totals; rejected pushes report why. The response
-// doubles as the config downlink when the head holds a newer config
-// than the member reports applied.
+// losses never skew totals; rejected pushes report why.
 func (h *Head) Push(snap *Snapshot) PushResponse {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -221,16 +210,9 @@ func (h *Head) Push(snap *Snapshot) PushResponse {
 	// then let the new cumulative snapshot replace the old.
 	h.series.fold(now, ms.last, &cp)
 	h.ingestDigestLocked(&cp)
-	if snap.ConfigVersion != ms.configVersion && snap.ConfigVersion > 0 {
-		h.publishLocked(Event{
-			Type: EventConfigApplied, Member: snap.MemberID,
-			Detail: fmt.Sprintf("config v%d", snap.ConfigVersion),
-		})
-	}
 	ms.last = &cp
 	ms.lastSeq = snap.Seq
 	ms.lastSeen = now
-	ms.configVersion = snap.ConfigVersion
 	h.counters.pushes++
 	if snap.Final {
 		ms.done = true
@@ -242,11 +224,7 @@ func (h *Head) Push(snap *Snapshot) PushResponse {
 			Detail: fmt.Sprintf("epoch %d settled", snap.Epoch),
 		})
 	}
-	resp := PushResponse{OK: true}
-	if h.config != nil && h.config.Version > snap.ConfigVersion {
-		resp.Config = h.configCopyLocked()
-	}
-	return resp
+	return PushResponse{OK: true}
 }
 
 // rejectLocked counts and shapes one push rejection. The first
@@ -292,14 +270,6 @@ func (h *Head) sweepLocked(now time.Time) {
 			})
 		}
 	}
-}
-
-func (h *Head) configCopyLocked() *ConfigUpdate {
-	cp := ConfigUpdate{Version: h.config.Version, Settings: map[string]any{}}
-	for k, v := range h.config.Settings {
-		cp.Settings[k] = v
-	}
-	return &cp
 }
 
 // Totals returns the fleet-wide cumulative totals: the retired total
@@ -348,17 +318,16 @@ func (h *Head) Window() WindowTotals {
 
 // MemberInfo is one row of the /fleet/members view.
 type MemberInfo struct {
-	ID            string  `json:"id"`
-	Epoch         uint64  `json:"epoch"`
-	LastSeq       uint64  `json:"last_seq"`
-	AgeS          float64 `json:"age_s"`
-	Live          bool    `json:"live"`
-	Final         bool    `json:"final,omitempty"`
-	Expired       bool    `json:"expired,omitempty"`
-	Restarts      uint64  `json:"restarts,omitempty"`
-	ConfigVersion uint64  `json:"config_version"`
-	ActiveFlows   int     `json:"active_flows"`
-	Ingested      uint64  `json:"records_ingested"`
+	ID          string  `json:"id"`
+	Epoch       uint64  `json:"epoch"`
+	LastSeq     uint64  `json:"last_seq"`
+	AgeS        float64 `json:"age_s"`
+	Live        bool    `json:"live"`
+	Final       bool    `json:"final,omitempty"`
+	Expired     bool    `json:"expired,omitempty"`
+	Restarts    uint64  `json:"restarts,omitempty"`
+	ActiveFlows int     `json:"active_flows"`
+	Ingested    uint64  `json:"records_ingested"`
 }
 
 // Members lists every known member, live and dead, sorted by ID.
@@ -370,15 +339,14 @@ func (h *Head) Members() []MemberInfo {
 	out := make([]MemberInfo, 0, len(h.members))
 	for _, ms := range h.members {
 		mi := MemberInfo{
-			ID:            ms.id,
-			Epoch:         ms.epoch,
-			LastSeq:       ms.lastSeq,
-			AgeS:          now.Sub(ms.lastSeen).Seconds(),
-			Live:          !ms.done,
-			Final:         ms.final,
-			Expired:       ms.expired,
-			Restarts:      ms.restarts,
-			ConfigVersion: ms.configVersion,
+			ID:       ms.id,
+			Epoch:    ms.epoch,
+			LastSeq:  ms.lastSeq,
+			AgeS:     now.Sub(ms.lastSeen).Seconds(),
+			Live:     !ms.done,
+			Final:    ms.final,
+			Expired:  ms.expired,
+			Restarts: ms.restarts,
 		}
 		if ms.last != nil {
 			mi.ActiveFlows = ms.last.ActiveFlows
@@ -388,37 +356,6 @@ func (h *Head) Members() []MemberInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// SetConfig merges the given settings into the downlink config and
-// bumps its version; members pick it up on their next push. Returns
-// the new version.
-func (h *Head) SetConfig(settings map[string]any) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.config == nil {
-		h.config = &ConfigUpdate{Settings: map[string]any{}}
-	}
-	for k, v := range settings {
-		h.config.Settings[k] = v
-	}
-	h.config.Version++
-	h.publishLocked(Event{
-		Type:   EventConfigSet,
-		Detail: fmt.Sprintf("config v%d (%d settings)", h.config.Version, len(h.config.Settings)),
-	})
-	return h.config.Version
-}
-
-// ConfigSnapshot returns a copy of the current downlink config, or
-// nil if none has been set.
-func (h *Head) ConfigSnapshot() *ConfigUpdate {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.config == nil {
-		return nil
-	}
-	return h.configCopyLocked()
 }
 
 // AddSnapshotBytes feeds the wire-bytes counter (called by the HTTP

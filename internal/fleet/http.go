@@ -36,8 +36,6 @@ func NewServer(addr string, h http.Handler) *http.Server {
 //	GET  /fleet/timeseries     per-interval delta rings: fleet, services, members (?service=)
 //	GET  /fleet/events         event ring backlog (?since=ID)
 //	GET  /fleet/events/stream  the same as live SSE (?since= / Last-Event-ID)
-//	GET  /fleet/config         the current config downlink
-//	POST /fleet/config         merge settings into the downlink, bump version
 //	GET  /dashboard            embedded operator dashboard (self-contained HTML)
 //	GET  /metrics              Prometheus text exposition
 //	GET  /healthz              liveness
@@ -110,28 +108,6 @@ func NewHandler(h *Head) http.Handler {
 		}
 		rows := serviceRows(totals, h.Window())
 		writeJSON(w, map[string]any{"count": len(rows), "services": rows})
-	})
-	mux.HandleFunc("GET /fleet/config", func(w http.ResponseWriter, r *http.Request) {
-		cu := h.ConfigSnapshot()
-		if cu == nil {
-			writeJSON(w, map[string]any{"version": 0})
-			return
-		}
-		writeJSON(w, cu)
-	})
-	mux.HandleFunc("POST /fleet/config", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Settings map[string]any `json:"settings"`
-		}
-		if !readJSON(w, r, &req) {
-			return
-		}
-		if len(req.Settings) == 0 {
-			http.Error(w, `empty update: body must be {"settings": {...}}`, http.StatusBadRequest)
-			return
-		}
-		v := h.SetConfig(req.Settings)
-		writeJSON(w, map[string]any{"version": v})
 	})
 	mux.HandleFunc("GET /fleet/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, h.Stats())
@@ -360,7 +336,6 @@ var (
 	famTriageRecords = promtext.NewFamily("fleet_triage_records_total", promtext.Counter, "Records handled by triage fast paths across the fleet.")
 	famFlowsSeen     = promtext.NewFamily("fleet_flows_seen_total", promtext.Counter, "Flows admitted across the fleet.")
 	famFlowsEvicted  = promtext.NewFamily("fleet_flows_evicted_total", promtext.Counter, "Flows evicted across the fleet, by reason.", "reason")
-	famUnknownKeys   = promtext.NewFamily("fleet_unknown_config_keys_total", promtext.Counter, "Config keys members did not understand.")
 	famStalls        = promtext.NewFamily("fleet_stalls_total", promtext.Counter, "Closed stalls across the fleet, by service and cause.", "service", "cause")
 	famStallSeconds  = promtext.NewFamily("fleet_stall_seconds_total", promtext.Counter, "Stalled seconds across the fleet, by service and cause.", "service", "cause")
 	famRetransStalls = promtext.NewFamily("fleet_retrans_stalls_total", promtext.Counter, "Retransmission stalls across the fleet, by Table-5 sub-cause.", "subcause")
@@ -389,12 +364,10 @@ func writeMetrics(w io.Writer, st HeadStats, t Totals, win WindowTotals) {
 	pw.Uint(famIngested, t.Ingested)
 	pw.Uint(famDropped, t.RingDrops, "ring_full")
 	pw.Uint(famDropped, t.RecordCapDrops, "flow_record_cap")
-	pw.Uint(famDropped, t.SampledOut, "sampled_out")
 	pw.Uint(famFed, t.RecordsFed)
 	pw.Uint(famTriageRecords, t.TriageFastRecords)
 	pw.Uint(famFlowsSeen, t.FlowsSeen)
 	pw.Counts(famFlowsEvicted, t.FlowsEvicted)
-	pw.Uint(famUnknownKeys, t.UnknownConfigKeys)
 	pw.Family(famStalls)
 	for _, sc := range t.Stalls {
 		pw.Uint(famStalls, sc.Count, sc.Service, sc.Cause)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -37,9 +36,8 @@ type MemberConfig struct {
 }
 
 // Member wires a local live.Monitor to a fleet head: it registers for
-// an epoch, pushes cumulative snapshots on a ticker, applies config
-// staged from push responses between ingest batches, and optionally
-// samples flows down before they reach the monitor.
+// an epoch, pushes cumulative snapshots on a ticker, and accounts the
+// sizes of the ingest batches it hands the monitor.
 //
 // Protocol methods (Register, Push, Run, Close) serialize on an
 // internal mutex; the ingest path (IngestBatch, WrapIngest) never
@@ -51,21 +49,10 @@ type Member struct {
 	interval time.Duration
 	client   *http.Client
 
-	// pending is the config staged from the last head response,
-	// consumed (and applied) at the next ingest batch boundary —
-	// config never changes analyzer behavior mid-batch.
-	pending atomic.Pointer[ConfigUpdate]
-	// cfgVersion is the version of the last APPLIED config.
-	cfgVersion atomic.Uint64
-	// sampleOneIn keeps 1 flow in N when > 1.
-	sampleOneIn atomic.Int64
-
-	sampledOut  atomic.Uint64
-	unknownKeys atomic.Uint64
 	bytesPushed atomic.Uint64
 
 	batchMu sync.Mutex
-	// batches summarizes post-sampling ingest batch sizes. guarded by batchMu
+	// batches summarizes ingest batch sizes. guarded by batchMu
 	batches stats.Summary
 
 	mu sync.Mutex
@@ -123,8 +110,7 @@ func NewMember(cfg MemberConfig) (*Member, error) {
 	}, nil
 }
 
-// Register obtains a (fresh) epoch from the head and stages any
-// config it hands down.
+// Register obtains a (fresh) epoch from the head.
 func (mb *Member) Register(ctx context.Context) error {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -152,16 +138,12 @@ func (mb *Member) registerLocked(ctx context.Context) error {
 	}
 	mb.epoch = resp.Epoch
 	mb.seq = 0
-	if resp.Config != nil {
-		mb.pending.Store(resp.Config)
-	}
 	return nil
 }
 
 // Push snapshots the monitor and pushes to the head. A stale-epoch or
 // unknown-member rejection triggers one re-register and retry, which
-// heals head restarts and expiry evictions transparently. Any config
-// in the response is staged for the next ingest batch.
+// heals head restarts and expiry evictions transparently.
 func (mb *Member) Push(ctx context.Context) error {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -204,9 +186,6 @@ func (mb *Member) pushLocked(ctx context.Context, final, mayReregister bool) err
 	// The head has the digest now; start the next interval empty.
 	mb.digest = nil
 	mb.digestDropped = 0
-	if resp.Config != nil {
-		mb.pending.Store(resp.Config)
-	}
 	return nil
 }
 
@@ -217,8 +196,6 @@ func (mb *Member) pushLocked(ctx context.Context, final, mayReregister bool) err
 func (mb *Member) snapshotLocked() (Snapshot, Counters) {
 	ls := mb.mon.Snapshot()
 	snap := snapshotOf(&ls)
-	snap.SampledOut = mb.sampledOut.Load()
-	snap.UnknownConfigKeys = mb.unknownKeys.Load()
 	mb.batchMu.Lock()
 	snap.IngestBatchSizes = mb.batches.State()
 	mb.batchMu.Unlock()
@@ -228,7 +205,6 @@ func (mb *Member) snapshotLocked() (Snapshot, Counters) {
 	}
 	snap.MemberID = mb.id
 	snap.Epoch = mb.epoch
-	snap.ConfigVersion = mb.cfgVersion.Load()
 	mb.drainDigestLocked()
 	snap.Events = mb.digest
 	snap.EventsDropped = mb.digestDropped
@@ -295,103 +271,30 @@ func (mb *Member) Close(ctx context.Context) error {
 	return mb.pushLocked(ctx, true, true)
 }
 
-// IngestBatch applies any staged config, samples the batch, and feeds
-// it to the monitor, blocking until the records are queued.
+// IngestBatch feeds a batch to the monitor, blocking until the
+// records are queued.
 func (mb *Member) IngestBatch(evs []trace.RecordEvent) {
-	mb.mon.IngestBatchWait(mb.prepareBatch(evs))
+	mb.countBatch(len(evs))
+	mb.mon.IngestBatchWait(evs)
 }
 
 // WrapIngest decorates a monitor ingest function with the member's
-// batch-boundary duties.
+// batch-size accounting.
 func (mb *Member) WrapIngest(fn func([]trace.RecordEvent)) func([]trace.RecordEvent) {
-	return func(evs []trace.RecordEvent) { fn(mb.prepareBatch(evs)) }
+	return func(evs []trace.RecordEvent) {
+		mb.countBatch(len(evs))
+		fn(evs)
+	}
 }
 
-// prepareBatch does the batch-boundary duties — staged config first,
-// then flow sampling, then batch-size accounting — and returns what is kept.
-func (mb *Member) prepareBatch(evs []trace.RecordEvent) []trace.RecordEvent {
-	mb.applyPending()
-	kept := mb.sampleBatch(evs)
+// countBatch adds one ingest batch of n records to the batch-size summary.
+func (mb *Member) countBatch(n int) {
 	mb.batchMu.Lock()
-	mb.batches.Add(float64(len(kept)))
+	mb.batches.Add(float64(n))
 	mb.batchMu.Unlock()
-	return kept
 }
 
-// applyPending applies the staged config update, if any. Known keys
-// map onto the monitor's runtime knobs; unknown keys — and known keys
-// with values of the wrong shape — are counted and skipped, so a
-// newer head never breaks an older member.
-func (mb *Member) applyPending() {
-	cu := mb.pending.Swap(nil)
-	if cu == nil {
-		return
-	}
-	for k, v := range cu.Settings {
-		ok := false
-		switch k {
-		case SettingSampleOneIn:
-			var n int
-			if n, ok = asInt(v); ok {
-				// Values the uint32 flow hash cannot spread over are
-				// rejected like malformed ones: a negative N is
-				// meaningless, and anything above 2^32-1 would sample
-				// out essentially everything (or, as a multiple of
-				// 2^32, truncate to a zero modulus).
-				if n < 0 || int64(n) > math.MaxUint32 {
-					ok = false
-				} else {
-					mb.sampleOneIn.Store(int64(n))
-				}
-			}
-		case SettingMaxRecordsPerFlow:
-			var n int
-			if n, ok = asInt(v); ok {
-				mb.mon.SetMaxRecordsPerFlow(n)
-			}
-		case SettingTriage:
-			var on bool
-			if on, ok = asBool(v); ok {
-				ok = mb.mon.SetTriageEnabled(on)
-			}
-		case SettingFlight:
-			var on bool
-			if on, ok = asBool(v); ok {
-				ok = mb.mon.SetFlightEnabled(on)
-			}
-		}
-		if !ok {
-			mb.unknownKeys.Add(1)
-		}
-	}
-	mb.cfgVersion.Store(cu.Version)
-}
-
-// sampleBatch drops flows hashed out by the sample_one_in setting.
-// Sampling is flow-granular — every record of a flow shares its fate —
-// so kept flows are still analyzed whole.
-func (mb *Member) sampleBatch(evs []trace.RecordEvent) []trace.RecordEvent {
-	n := mb.sampleOneIn.Load()
-	if n <= 1 {
-		return evs
-	}
-	kept := evs[:0:len(evs)]
-	dropped := uint64(0)
-	for _, ev := range evs {
-		if uint64(flowHash(ev.FlowID))%uint64(n) == 0 {
-			kept = append(kept, ev)
-		} else {
-			dropped++
-		}
-	}
-	if dropped > 0 {
-		mb.sampledOut.Add(dropped)
-	}
-	return kept
-}
-
-// flowHash is FNV-1a over the flow ID, allocation-free (the sampler
-// sits on the ingest hot path).
+// flowHash is FNV-1a over the flow ID, allocation-free.
 func flowHash(id string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(id); i++ {
@@ -404,12 +307,9 @@ func flowHash(id string) uint32 {
 // MemberStats is the member's own accounting, for tests and tapod's
 // report.
 type MemberStats struct {
-	Epoch             uint64 `json:"epoch"`
-	Seq               uint64 `json:"seq"`
-	ConfigVersion     uint64 `json:"config_version"`
-	SampledOut        uint64 `json:"records_sampled_out"`
-	UnknownConfigKeys uint64 `json:"unknown_config_keys"`
-	BytesPushed       uint64 `json:"bytes_pushed"`
+	Epoch       uint64 `json:"epoch"`
+	Seq         uint64 `json:"seq"`
+	BytesPushed uint64 `json:"bytes_pushed"`
 }
 
 // Stats snapshots the member's counters.
@@ -418,12 +318,9 @@ func (mb *Member) Stats() MemberStats {
 	epoch, seq := mb.epoch, mb.seq
 	mb.mu.Unlock()
 	return MemberStats{
-		Epoch:             epoch,
-		Seq:               seq,
-		ConfigVersion:     mb.cfgVersion.Load(),
-		SampledOut:        mb.sampledOut.Load(),
-		UnknownConfigKeys: mb.unknownKeys.Load(),
-		BytesPushed:       mb.bytesPushed.Load(),
+		Epoch:       epoch,
+		Seq:         seq,
+		BytesPushed: mb.bytesPushed.Load(),
 	}
 }
 
@@ -455,36 +352,4 @@ func (mb *Member) postBytes(ctx context.Context, path string, body []byte, out a
 		return fmt.Errorf("%s: %s", hresp.Status, bytes.TrimSpace(data))
 	}
 	return json.Unmarshal(data, out)
-}
-
-// asInt accepts the integer shapes a JSON decode can produce.
-func asInt(v any) (int, bool) {
-	switch x := v.(type) {
-	case float64:
-		if x == math.Trunc(x) {
-			return int(x), true
-		}
-	case int:
-		return x, true
-	case int64:
-		return int(x), true
-	}
-	return 0, false
-}
-
-// asBool accepts booleans and their common string spellings ("on",
-// "off", …), since tapoctl config presets arrive as strings.
-func asBool(v any) (bool, bool) {
-	switch x := v.(type) {
-	case bool:
-		return x, true
-	case string:
-		switch x {
-		case "on", "true", "1":
-			return true, true
-		case "off", "false", "0":
-			return false, true
-		}
-	}
-	return false, false
 }

@@ -25,9 +25,9 @@ func TestMetricsGolden(t *testing.T) {
 		MergeCount:    57, MergeP50MS: 0.125, MergeP99MS: 1.5,
 	}
 	tot := Totals{Epochs: 4, Counters: Counters{
-		Ingested: 123456, RingDrops: 3, RecordsFed: 120000, RecordCapDrops: 456, SampledOut: 7,
+		Ingested: 123456, RingDrops: 3, RecordsFed: 120000, RecordCapDrops: 456,
 		FlowsSeen: 42, FlowsEvicted: map[string]uint64{"lru": 1, "done": 30},
-		UnknownConfigKeys: 1, TriageFastRecords: 99000,
+		TriageFastRecords: 99000,
 		Stalls: []StallCounter{
 			{Service: "", Cause: "zero-rwnd", Count: 1, Time: 2 * time.Second},
 			{Service: "web-search", Cause: "pkt-delay", Count: 3, Time: 375 * time.Millisecond},

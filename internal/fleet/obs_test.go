@@ -260,7 +260,6 @@ func TestHandlerHeaders(t *testing.T) {
 		{"/fleet/stats", "application/json; charset=utf-8"},
 		{"/fleet/timeseries", "application/json; charset=utf-8"},
 		{"/fleet/events", "application/json; charset=utf-8"},
-		{"/fleet/config", "application/json; charset=utf-8"},
 		{"/dashboard", "text/html; charset=utf-8"},
 		{"/metrics", "text/plain; version=0.0.4; charset=utf-8"},
 		{"/healthz", "text/plain; charset=utf-8"},

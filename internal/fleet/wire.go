@@ -3,8 +3,8 @@
 // their rolling-window state — per-service stall counters, mergeable
 // histograms and summaries, triage and eviction accounting — into a
 // versioned wire Snapshot and push it to the head over HTTP. The head
-// merges snapshots into fleet-wide state and pushes config back down
-// in the heartbeat (push) responses.
+// merges snapshots into fleet-wide state. Nothing flows back down but
+// acceptance: a member is configured by its own flags.
 //
 // Protocol invariants:
 //
@@ -43,7 +43,7 @@ import (
 // snapshots whose version it does not speak; bumping this is the
 // signal that a field changed meaning (adding fields is not a bump —
 // unknown JSON fields are ignored on both sides).
-const WireVersion = 2
+const WireVersion = 3
 
 // Snapshot is one member's cumulative state as pushed to the head.
 type Snapshot struct {
@@ -57,9 +57,6 @@ type Snapshot struct {
 	// settled (every flow flushed), so the head may retire the epoch
 	// without waiting for expiry.
 	Final bool `json:"final,omitempty"`
-	// ConfigVersion is the head config version the member has applied,
-	// so the head can tell which members have converged.
-	ConfigVersion uint64 `json:"config_version"`
 
 	// Gauges: the monitor's occupancy at snapshot time. They describe
 	// one member now, so they never enter Totals.
@@ -110,11 +107,9 @@ type RegisterRequest struct {
 	MemberID string `json:"member_id"`
 }
 
-// RegisterResponse assigns the member its epoch and hands down the
-// current config, if any has been set.
+// RegisterResponse assigns the member its epoch.
 type RegisterResponse struct {
-	Epoch  uint64        `json:"epoch"`
-	Config *ConfigUpdate `json:"config,omitempty"`
+	Epoch uint64 `json:"epoch"`
 }
 
 // Push rejection reasons, as they appear in PushResponse.Error and
@@ -127,45 +122,15 @@ const (
 )
 
 // PushResponse doubles as the heartbeat response: acceptance status
-// plus the config downlink when the head's config is newer than what
-// the member reports applied.
+// and, on rejection, its reason.
 type PushResponse struct {
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
-	// Config is present when the member should apply a newer config;
-	// members stage it and apply between ingest batches.
-	Config *ConfigUpdate `json:"config,omitempty"`
 }
-
-// ConfigUpdate is the head→member config downlink. Settings is an
-// open key space for forward compatibility: a member applies the keys
-// it knows (see the Setting* constants) and counts the ones it does
-// not, so a newer head can talk to an older member without breaking
-// it.
-type ConfigUpdate struct {
-	Version  uint64         `json:"version"`
-	Settings map[string]any `json:"settings,omitempty"`
-}
-
-// The setting keys members understand.
-const (
-	// SettingSampleOneIn keeps 1 flow in N (flow-granular, by flow-ID
-	// hash); 1 or 0 keeps everything.
-	SettingSampleOneIn = "sample_one_in"
-	// SettingMaxRecordsPerFlow retunes the per-flow analyzer record
-	// cap (-1 unlimited, 0 restores the member's configured default).
-	SettingMaxRecordsPerFlow = "max_records_per_flow"
-	// SettingTriage steers new flows onto ("on"/true) or off
-	// ("off"/false) the two-phase fast path.
-	SettingTriage = "triage"
-	// SettingFlight attaches (true) or withholds (false) flight
-	// recorders on new analyzers.
-	SettingFlight = "flight"
-)
 
 // snapshotOf converts a live monitor snapshot into wire form.
-// Identity (member, epoch, seq) and member-level counters (sampling,
-// config, batch sizes) are the caller's to fill.
+// Identity (member, epoch, seq) and the member-level batch sizes are
+// the caller's to fill.
 func snapshotOf(s *live.Snapshot) Snapshot {
 	out := Snapshot{
 		Version:       WireVersion,

@@ -209,7 +209,9 @@ type Config struct {
 	MaxStalls int
 }
 
-func (c *Config) defaults() {
+// WithDefaults returns the configuration with the documented
+// defaults filled in.
+func (c Config) WithDefaults() Config {
 	if c.RingSize <= 0 {
 		c.RingSize = 256
 	}
@@ -219,6 +221,7 @@ func (c *Config) defaults() {
 	if c.MaxStalls <= 0 {
 		c.MaxStalls = 32
 	}
+	return c
 }
 
 // Ref names one stall's evidence: flow ID plus the flow-scoped
@@ -261,7 +264,7 @@ type Recorder struct {
 // NewRecorder builds an enabled recorder. The event ring is allocated
 // on the first Emit.
 func NewRecorder(cfg Config) *Recorder {
-	cfg.defaults()
+	cfg = cfg.WithDefaults()
 	return &Recorder{
 		cfg:    cfg,
 		recent: make([]RecSample, 0, cfg.WindowK+1),

@@ -35,18 +35,18 @@ type StallCounter struct {
 // RegisterResponse drifts by hiding wire state on an unexported
 // field and by a tag that names no key.
 type RegisterResponse struct {
-	Epoch  uint64         `json:"epoch"`
-	Config *ConfigUpdate  `json:"config,omitempty"`
-	epoch  uint64         `json:"epoch_internal"` // want `json tag on unexported field`
-	Extra  map[string]any `json:",omitempty"`     // want `names no key`
+	Epoch uint64         `json:"epoch"`
+	Base  *Counters      `json:"base,omitempty"`
+	epoch uint64         `json:"epoch_internal"` // want `json tag on unexported field`
+	Extra map[string]any `json:",omitempty"`     // want `names no key`
 }
 
-// ConfigUpdate is clean — a false-positive guard for map-valued
-// fields and omitempty.
-type ConfigUpdate struct {
-	Version  uint64         `json:"version"`
-	Settings map[string]any `json:"settings,omitempty"`
-	Internal int            `json:"-"`
+// Counters is clean — a false-positive guard for map-valued fields
+// and omitempty.
+type Counters struct {
+	Ingested uint64            `json:"records_ingested"`
+	Evicted  map[string]uint64 `json:"flows_evicted,omitempty"`
+	Internal int               `json:"-"`
 }
 
 // headState never serializes: an untagged struct stays out of scope

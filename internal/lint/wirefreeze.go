@@ -8,6 +8,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,7 +18,7 @@ import (
 
 // Wirefreeze pins the fleet wire protocol to a committed snapshot.
 // Every struct reachable from the roots — fleet.Snapshot and the
-// register/push/config/events/timeseries wire types — is
+// register/push/events/timeseries wire types — is
 // fingerprinted (field names, fully-qualified field types, json
 // tags; order-insensitive hash) and compared against
 // internal/lint/testdata/wirefreeze/wire.json, which also records
@@ -29,7 +30,10 @@ import (
 // regenerate with `go run ./cmd/tapolint -update-wirefreeze ./...`.
 // Bumping the version without regenerating (or vice versa) is also a
 // finding, so protocol drift between mixed-version tapods is a
-// compile-time event, not a 3 a.m. aggregation mystery.
+// compile-time event, not a 3 a.m. aggregation mystery. Update mode
+// holds to the same rule: it refuses to re-freeze a changed wire under
+// the WireVersion the existing snapshot was taken at, reports the drift
+// instead, and leaves the file as it was.
 //
 // The check runs only when every root package is loaded (a partial
 // `tapolint ./internal/core/...` run has nothing to compare); the
@@ -54,7 +58,6 @@ var (
 		{modulePkg("internal/fleet"), "RegisterRequest"},
 		{modulePkg("internal/fleet"), "RegisterResponse"},
 		{modulePkg("internal/fleet"), "PushResponse"},
-		{modulePkg("internal/fleet"), "ConfigUpdate"},
 		{modulePkg("internal/fleet"), "Event"},
 		{modulePkg("internal/fleet"), "EventsResponse"},
 		{modulePkg("internal/fleet"), "SeriesResponse"},
@@ -140,19 +143,24 @@ func runWirefreeze(pp *ProgramPass) error {
 		snapPath = filepath.Join(root, "internal", "lint", "testdata", "wirefreeze", "wire.json")
 	}
 
-	if WirefreezeUpdate {
-		return writeWireSnapshot(snapPath, wireSnapshot{WireVersion: version, Types: hashes})
-	}
-
 	var snap wireSnapshot
 	raw, err := os.ReadFile(snapPath)
-	if err != nil {
+	committed := err == nil
+	if committed {
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			return fmt.Errorf("wirefreeze: parsing %s: %w", snapPath, err)
+		}
+	}
+	// Update mode writes unless that would re-freeze a drifted wire at
+	// the snapshot's own version; then it falls through to the check,
+	// whose drift findings demand the bump.
+	if WirefreezeUpdate && (!committed || version != snap.WireVersion || maps.Equal(hashes, snap.Types)) {
+		return writeWireSnapshot(snapPath, wireSnapshot{WireVersion: version, Types: hashes})
+	}
+	if !committed {
 		pp.Reportf(fleetPkg, versionPos,
 			"no wirefreeze snapshot at %s; commit one with `go run ./cmd/tapolint -update-wirefreeze ./...`", snapPath)
 		return nil
-	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("wirefreeze: parsing %s: %w", snapPath, err)
 	}
 
 	reportAt := func(key, format string, args ...any) {

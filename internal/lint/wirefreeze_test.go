@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,8 +16,9 @@ import (
 // embedded structs and still checks clean (encoding/json inlines
 // them), bad/ drifts a retag inside an embedded struct, a field rename
 // and a new struct without a version bump, and vbump/ bumps the
-// version without regenerating. The real repo snapshot is exercised
-// by TestRepoClean.
+// version without regenerating. Update mode run against bad/ must
+// report the same drift and leave the snapshot untouched. The real
+// repo snapshot is exercised by TestRepoClean.
 func TestWirefreeze(t *testing.T) {
 	oldRoots, oldSnap, oldUpd := lint.WirefreezeRoots, lint.WirefreezeSnapshot, lint.WirefreezeUpdate
 	defer func() {
@@ -44,6 +46,22 @@ func TestWirefreeze(t *testing.T) {
 	})
 	t.Run("version-bump-without-regen", func(t *testing.T) {
 		linttest.Run(t, lint.Wirefreeze, "testdata/wirefreeze/vbump", "tcpstall/internal/fleet")
+	})
+	t.Run("update-refuses-drift-without-bump", func(t *testing.T) {
+		before, err := os.ReadFile(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lint.WirefreezeUpdate = true
+		defer func() { lint.WirefreezeUpdate = false }()
+		linttest.Run(t, lint.Wirefreeze, "testdata/wirefreeze/bad", "tcpstall/internal/fleet")
+		after, err := os.ReadFile(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("update mode rewrote the snapshot for a drifted wire at the same WireVersion:\n%s", after)
+		}
 	})
 }
 

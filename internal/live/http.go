@@ -98,15 +98,6 @@ func NewHandler(m *Monitor) http.Handler {
 				"init_rto":   cfg.Analysis.InitRTO.String(),
 				"min_rto":    cfg.Analysis.MinRTO.String(),
 			},
-			// The runtime block is the live truth: these values start as
-			// the constructed configuration but can be retuned while the
-			// monitor runs (a fleet head pushes them via the member's
-			// heartbeat responses).
-			"runtime": map[string]any{
-				"max_records_per_flow": m.MaxRecordsPerFlow(),
-				"triage_enabled":       m.TriageEnabled(),
-				"flight_enabled":       m.FlightEnabled(),
-			},
 		}
 		if cfg.Triage != nil {
 			out["triage"] = map[string]any{
@@ -116,6 +107,13 @@ func NewHandler(m *Monitor) http.Handler {
 				"init_rto":     cfg.Triage.InitRTO.String(),
 				"dup_burst":    cfg.Triage.DupBurst,
 				"demote_after": cfg.Triage.DemoteAfter.String(),
+			}
+		}
+		if cfg.Flight != nil {
+			out["flight"] = map[string]any{
+				"ring_size":  cfg.Flight.RingSize,
+				"window_k":   cfg.Flight.WindowK,
+				"max_stalls": cfg.Flight.MaxStalls,
 			}
 		}
 		writeJSON(w, out)

@@ -3,12 +3,15 @@ package live
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"tcpstall/internal/flight"
 	"tcpstall/internal/sim"
+	"tcpstall/internal/triage"
 )
 
 func get(t *testing.T, h *httptest.Server, path string) (int, string) {
@@ -97,6 +100,41 @@ func TestHTTPPlane(t *testing.T) {
 	code, body = get(t, srv, "/config")
 	if code != 200 || !strings.Contains(body, "\"max_flows\": 65536") {
 		t.Errorf("/config = %d %q", code, body)
+	}
+	// The triage and flight blocks say what is on: each is present
+	// exactly when configured, flight with its defaulted values.
+	for _, tc := range []struct{ triage, flight bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		cfg := Config{Shards: 1, Clock: clk.Now}
+		if tc.triage {
+			cfg.Triage = &triage.Config{}
+		}
+		if tc.flight {
+			cfg.Flight = &flight.Config{WindowK: 4}
+		}
+		cm := New(cfg)
+		csrv := httptest.NewServer(NewHandler(cm))
+		code, body := get(t, csrv, "/config")
+		csrv.Close()
+		cm.Close()
+		var out map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(body), &out); code != 200 || err != nil {
+			t.Fatalf("%+v: /config = %d %v\n%s", tc, code, err, body)
+		}
+		if _, ok := out["triage"]; ok != tc.triage {
+			t.Errorf("%+v: /config triage block present = %v", tc, ok)
+		}
+		if _, ok := out["flight"]; ok != tc.flight {
+			t.Errorf("%+v: /config flight block present = %v", tc, ok)
+		}
+		if tc.flight {
+			var fl map[string]int
+			if err := json.Unmarshal(out["flight"], &fl); err != nil {
+				t.Fatalf("%+v: flight block: %v", tc, err)
+			}
+			if want := map[string]int{"ring_size": 256, "window_k": 4, "max_stalls": 32}; !maps.Equal(fl, want) {
+				t.Errorf("%+v: flight block = %v, want %v", tc, fl, want)
+			}
+		}
 	}
 
 	// Shutdown flips the health check.

@@ -154,6 +154,10 @@ func (c *Config) defaults() {
 		t = t.WithDefaults()
 		c.Triage = &t
 	}
+	if c.Flight != nil {
+		f := c.Flight.WithDefaults()
+		c.Flight = &f
+	}
 }
 
 // Monitor is the live flow table. Create with New, Start, feed with
@@ -169,16 +173,6 @@ type Monitor struct {
 
 	ingested  atomic.Uint64
 	ringDrops atomic.Uint64
-
-	// Runtime-tunable knobs — the subset of Config a fleet head may
-	// re-push while the monitor runs. Reads are single atomic loads on
-	// the feed path; writes take effect for subsequent records
-	// (dynMaxRecs) or subsequently admitted flows (dynTriage,
-	// dynFlight), so a caller that only writes between ingest batches
-	// gets batch-atomic semantics.
-	dynMaxRecs atomic.Int64
-	dynTriage  atomic.Bool
-	dynFlight  atomic.Bool
 
 	// batchFree recycles the per-shard event buffers ingest splits a
 	// batch into: the shard returns each buffer after draining it, so
@@ -233,9 +227,6 @@ func (p *batchFreeList) put(b []trace.RecordEvent) {
 func New(cfg Config) *Monitor {
 	cfg.defaults()
 	m := &Monitor{cfg: cfg}
-	m.dynMaxRecs.Store(int64(cfg.MaxRecordsPerFlow))
-	m.dynTriage.Store(cfg.Triage != nil)
-	m.dynFlight.Store(cfg.Flight != nil)
 	m.batchFree.max = batchFreePerShard * cfg.Shards
 	m.recent.buf = make([]core.LiveStall, cfg.RecentStalls)
 	if cfg.DigestSize > 0 {
@@ -264,54 +255,6 @@ func New(cfg Config) *Monitor {
 
 // Config reports the (defaulted) configuration in effect.
 func (m *Monitor) Config() Config { return m.cfg }
-
-// SetMaxRecordsPerFlow retunes the per-flow analyzer record cap at
-// runtime: n > 0 sets the cap, n < 0 disables it, n == 0 restores the
-// constructed configuration's value. Takes effect for the next record
-// of every flow (already-truncated flows stay truncated).
-func (m *Monitor) SetMaxRecordsPerFlow(n int) {
-	if n == 0 {
-		n = m.cfg.MaxRecordsPerFlow
-	}
-	m.dynMaxRecs.Store(int64(n))
-}
-
-// MaxRecordsPerFlow reports the per-flow record cap currently in
-// effect (negative: unlimited).
-func (m *Monitor) MaxRecordsPerFlow() int { return int(m.dynMaxRecs.Load()) }
-
-// SetTriageEnabled steers subsequently admitted flows onto (true) or
-// off (false) the two-phase fast path. Flows already admitted keep
-// the mode they started with — mid-flow conversion would forfeit the
-// byte-identical-verdict guarantee. Enabling requires Config.Triage
-// to have been set at construction (the fast-path thresholds and
-// shard arenas exist only then); it reports whether the request took
-// effect.
-func (m *Monitor) SetTriageEnabled(on bool) bool {
-	if on && m.cfg.Triage == nil {
-		return false
-	}
-	m.dynTriage.Store(on)
-	return true
-}
-
-// TriageEnabled reports whether newly admitted flows start on the
-// triage fast path.
-func (m *Monitor) TriageEnabled() bool { return m.cfg.Triage != nil && m.dynTriage.Load() }
-
-// SetFlightEnabled attaches (true) or withholds (false) flight
-// recorders on subsequently created analyzers. Requires Config.Flight
-// at construction; reports whether the request took effect.
-func (m *Monitor) SetFlightEnabled(on bool) bool {
-	if on && m.cfg.Flight == nil {
-		return false
-	}
-	m.dynFlight.Store(on)
-	return true
-}
-
-// FlightEnabled reports whether new analyzers get a flight recorder.
-func (m *Monitor) FlightEnabled() bool { return m.cfg.Flight != nil && m.dynFlight.Load() }
 
 // Start launches the shard workers.
 func (m *Monitor) Start() {
@@ -548,7 +491,7 @@ func (sh *shard) admitLocked(now time.Time, ev *trace.RecordEvent) *flowEntry {
 				InitRwnd: ev.InitRwnd,
 			},
 		}
-		if sh.m.TriageEnabled() {
+		if sh.m.cfg.Triage != nil {
 			// Two-phase mode: the flow starts on the fast path; the
 			// analyzer is built lazily at first promotion. Ring blocks
 			// come from the shard arena and return at eviction.
@@ -572,7 +515,7 @@ func (sh *shard) newAnalyzerLocked(e *flowEntry) {
 	e.inc = core.NewIncremental(sh.m.cfg.Analysis)
 	e.inc.SetMeta(e.meta)
 	e.inc.OnStall = sh.stallClosedLocked
-	if sh.m.FlightEnabled() {
+	if sh.m.cfg.Flight != nil {
 		e.rec = flight.NewRecorder(*sh.m.cfg.Flight)
 		e.inc.SetRecorder(e.rec)
 	}
@@ -591,7 +534,7 @@ func (sh *shard) newAnalyzerLocked(e *flowEntry) {
 func (sh *shard) feedRunLocked(now time.Time, evs []trace.RecordEvent) int {
 	e := sh.admitLocked(now, &evs[0])
 	pending := sh.scratch[:0]
-	capRecs := int(sh.m.dynMaxRecs.Load())
+	capRecs := sh.m.cfg.MaxRecordsPerFlow
 	n, evict := 0, false
 	for ; n < len(evs) && !evict && evs[n].FlowID == e.id; n++ {
 		ev := &evs[n]

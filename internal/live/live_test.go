@@ -344,31 +344,48 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestRecordCapTruncates feeds nine records to one flow under a cap
+// of 5, which keeps five and truncates the flow, and under -1, which
+// disables the cap.
 func TestRecordCapTruncates(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	m := New(Config{Shards: 1, MaxRecordsPerFlow: 5, Clock: clk.Now})
-	for i := 0; i < 9; i++ {
-		feedDirect(m, dataEvent("f", sim.Time(i)*sim.Time(time.Millisecond), 1000+uint32(i)*1460, 1460))
-	}
-	s := m.Snapshot()
-	if s.RecordsFed != 5 {
-		t.Errorf("RecordsFed = %d, want 5", s.RecordsFed)
-	}
-	if s.RecordsCapDrop != 4 {
-		t.Errorf("RecordsCapDrop = %d, want 4", s.RecordsCapDrop)
-	}
-	for _, fi := range m.Flows() {
-		if !fi.Truncated {
-			t.Errorf("flow %s not marked truncated", fi.ID)
-		}
-		if fi.Records != 5 {
-			t.Errorf("flow %s retained %d records, want 5", fi.ID, fi.Records)
-		}
-	}
-	// Truncation is surfaced again at eviction.
-	m.SweepIdleNow(t)
-	if got := m.Snapshot().FlowsTruncated; got != 1 {
-		t.Errorf("FlowsTruncated = %d, want 1", got)
+	for _, tc := range []struct {
+		limit, fed, dropped int
+		truncated           bool
+	}{
+		{limit: 5, fed: 5, dropped: 4, truncated: true},
+		{limit: -1, fed: 9, dropped: 0, truncated: false},
+	} {
+		t.Run(fmt.Sprintf("cap=%d", tc.limit), func(t *testing.T) {
+			clk := &fakeClock{now: time.Unix(1000, 0)}
+			m := New(Config{Shards: 1, MaxRecordsPerFlow: tc.limit, Clock: clk.Now})
+			for i := 0; i < 9; i++ {
+				feedDirect(m, dataEvent("f", sim.Time(i)*sim.Time(time.Millisecond), 1000+uint32(i)*1460, 1460))
+			}
+			s := m.Snapshot()
+			if s.RecordsFed != uint64(tc.fed) {
+				t.Errorf("RecordsFed = %d, want %d", s.RecordsFed, tc.fed)
+			}
+			if s.RecordsCapDrop != uint64(tc.dropped) {
+				t.Errorf("RecordsCapDrop = %d, want %d", s.RecordsCapDrop, tc.dropped)
+			}
+			for _, fi := range m.Flows() {
+				if fi.Truncated != tc.truncated {
+					t.Errorf("flow %s truncated = %v, want %v", fi.ID, fi.Truncated, tc.truncated)
+				}
+				if fi.Records != tc.fed {
+					t.Errorf("flow %s retained %d records, want %d", fi.ID, fi.Records, tc.fed)
+				}
+			}
+			// Truncation is surfaced again at eviction.
+			m.SweepIdleNow(t)
+			want := uint64(0)
+			if tc.truncated {
+				want = 1
+			}
+			if got := m.Snapshot().FlowsTruncated; got != want {
+				t.Errorf("FlowsTruncated = %d, want %d", got, want)
+			}
+		})
 	}
 }
 
