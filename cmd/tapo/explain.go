@@ -34,6 +34,7 @@ func explainMain(args []string) {
 	fs.Parse(args)
 	logger := newLogger(*logFormat)
 	ports := parsePorts(*port)
+	checkTau(*tau)
 	if fs.NArg() != 1 {
 		fs.Usage()
 		os.Exit(2)

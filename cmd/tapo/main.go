@@ -4,13 +4,12 @@
 // min(2·SRTT, RTO) — and classifies each stall's root cause with the
 // Figure-5 decision tree plus the Table-5 retransmission breakdown.
 //
-// Flows are analyzed on a parallel worker pool (one worker per CPU by
-// default); results are merged deterministically by flow key, so the
-// output is identical for every -workers value.
+// The capture streams through the live.Monitor that tapod runs, with
+// every limit off, and the analyses are printed in flow-ID order.
 //
 // Usage:
 //
-//	tapo [-port 80[=service],...] [-workers N] [-v] capture.pcap
+//	tapo [-port 80[=service],...] [-tau T] [-v] [-json] capture.pcap
 //	tapo explain [-flow ID] [-stall N] [-trace-out f.jsonl] capture.pcap
 //
 // A capture to try it on: tracegen -service web-search -o ws.pcap.
@@ -24,11 +23,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"sort"
+	"sync"
 	"time"
 
 	"tcpstall/internal/core"
-	"tcpstall/internal/pipeline"
+	"tcpstall/internal/live"
 	"tcpstall/internal/stats"
 	"tcpstall/internal/trace"
 )
@@ -39,14 +42,14 @@ func main() {
 		return
 	}
 	port := flag.String("port", "80", portUsage)
-	workers := flag.Int("workers", 0, "analysis worker count (0: one per CPU)")
 	verbose := flag.Bool("v", false, "print every stall of every flow")
 	jsonOut := flag.Bool("json", false, "emit the full analysis as JSON on stdout")
 	tau := flag.Float64("tau", 2, "stall threshold multiplier in min(tau*SRTT, RTO)")
 	flag.Parse()
 	ports := parsePorts(*port)
+	checkTau(*tau)
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tapo [-port 80[=service],...] [-workers N] [-v] capture.pcap")
+		fmt.Fprintln(os.Stderr, "usage: tapo [-port 80[=service],...] [-tau T] [-v] [-json] capture.pcap")
 		os.Exit(2)
 	}
 
@@ -57,16 +60,13 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	// Streaming import: flows are analyzed while the capture is still
-	// being read.
-	res, err := pipeline.Run(pipeline.FromPcap(f, trace.ImportConfig{Ports: ports}),
-		pipeline.Options{Workers: *workers, Config: cfg})
+	analyses, err := analyzeCapture(f, trace.ImportConfig{Ports: ports}, cfg)
 	if err != nil {
 		fatal(err)
 	}
 
 	if *verbose && !*jsonOut {
-		for _, a := range res.Analyses {
+		for _, a := range analyses {
 			if len(a.Stalls) == 0 {
 				continue
 			}
@@ -88,7 +88,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		buf, merr := core.MarshalAnalyses(res.Analyses)
+		buf, merr := core.MarshalAnalyses(analyses)
 		if merr != nil {
 			fatal(merr)
 		}
@@ -97,7 +97,42 @@ func main() {
 		}
 		return
 	}
-	report(res.Report)
+	report(core.NewReport(analyses))
+}
+
+// analyzeCapture streams r in chunks of 512 records through a
+// live.Monitor whose flow, record and idle limits cannot bind, so each
+// flow is analyzed whole, and returns the analyses in flow-ID order.
+func analyzeCapture(r io.Reader, icfg trace.ImportConfig, cfg core.Config) ([]*core.FlowAnalysis, error) {
+	var mu sync.Mutex
+	var analyses []*core.FlowAnalysis
+	m := live.New(live.Config{
+		MaxFlows:          math.MaxInt,
+		MaxRecordsPerFlow: -1,
+		IdleTimeout:       math.MaxInt64,
+		Analysis:          cfg,
+		OnFlow: func(_ string, a *core.FlowAnalysis) {
+			mu.Lock()
+			analyses = append(analyses, a)
+			mu.Unlock()
+		},
+	})
+	m.Start()
+	buf := make([]trace.RecordEvent, 0, 512)
+	err := trace.ImportPcapRecords(r, icfg, func(ev trace.RecordEvent) error {
+		if buf = append(buf, ev); len(buf) == cap(buf) {
+			m.IngestBatchWait(buf)
+			buf = buf[:0]
+		}
+		return nil
+	})
+	m.IngestBatchWait(buf)
+	m.Close() // evicts the flows still open at the end of the capture
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(analyses, func(i, j int) bool { return analyses[i].FlowID < analyses[j].FlowID })
+	return analyses, nil
 }
 
 func report(r *core.Report) {
@@ -133,6 +168,15 @@ func report(r *core.Report) {
 // portUsage documents -port, which tapo and tapo explain share.
 const portUsage = "server ports, each optionally naming its service: 80 or 80=web-search,8080=cloud-storage"
 
+// checkTau exits with status 2 unless tau is in (0, 1000]: below, the
+// analyzer would default it; above, τ·SRTT could overflow a Duration.
+func checkTau(tau float64) {
+	if !(tau > 0 && tau <= 1000) {
+		fmt.Fprintf(os.Stderr, "tapo: -tau %v: want a value in (0, 1000]\n", tau)
+		os.Exit(2)
+	}
+}
+
 // parsePorts reads a -port value, exiting with status 2 when it is
 // malformed.
 func parsePorts(s string) []trace.PortService {
@@ -147,11 +191,4 @@ func parsePorts(s string) []trace.PortService {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tapo:", err)
 	os.Exit(1)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

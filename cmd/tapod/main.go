@@ -101,6 +101,8 @@ func main() {
 		usageError("-port: %v", err)
 	case *pcapPath == "":
 		usageError("-pcap is required")
+	case !(*tau > 0 && *tau <= 1000): // τ ≤ 0 would default to 2; τ·SRTT must fit a time.Duration
+		usageError("-tau %v: want a value in (0, 1000]", *tau)
 	case flag.NArg() > 0:
 		usageError("unexpected argument %q", flag.Arg(0))
 	}

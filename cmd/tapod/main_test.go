@@ -302,6 +302,11 @@ func TestUsageErrors(t *testing.T) {
 		"-pcap " + goldenPcap + " -port 80=",   // empty service name
 		"-pcap " + goldenPcap + " -port 80,80", // duplicate port
 		"-pcap " + goldenPcap + " -triage on",  // "on" is a stray argument
+		"-pcap " + goldenPcap + " -tau NaN",    // τ·SRTT is no duration
+		"-pcap " + goldenPcap + " -tau +Inf",   // τ·SRTT overflows a time.Duration
+		"-pcap " + goldenPcap + " -tau 1e300",  // likewise
+		"-pcap " + goldenPcap + " -tau 0",      // would silently run at τ = 2
+		"-pcap " + goldenPcap + " -tau -1",     // likewise
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestUsageErrors$")
 		cmd.Env = append(os.Environ(), "TAPOD_TEST_ARGS="+args)

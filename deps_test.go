@@ -19,6 +19,7 @@ var simulatorFree = []string{
 	"internal/fleet",
 	"internal/explain",
 	"internal/promtext",
+	"cmd/tapo",
 	"cmd/tapoctl",
 	"cmd/tapod",
 }

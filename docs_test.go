@@ -22,7 +22,7 @@ var checkedDocs = []string{
 }
 
 var (
-	docPathRE  = regexp.MustCompile(`\b(?:cmd|internal)/[\w./-]*`)
+	docPathRE  = regexp.MustCompile(`\b(?:bench|cmd|internal)/[\w./-]*`)
 	docNameRE  = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
 	docGoRunRE = regexp.MustCompile("go run \\./cmd/([\\w-]+)")
 	// goTestPatternRE matches the end of text that makes the next name
@@ -31,10 +31,10 @@ var (
 )
 
 // TestDocReferences keeps the docs honest about the code they cite.
-// Every cmd/… or internal/… path must exist; every Test…, Fuzz… or
-// Benchmark… name must be declared in a _test.go file (a name written
-// with a trailing * or as a -run/-bench/-fuzz argument must prefix
-// one); and every -flag on a `go run ./cmd/<name>` command must be
+// Every bench/…, cmd/… or internal/… path must exist; every Test…,
+// Fuzz… or Benchmark… name must be declared in a _test.go file (a name
+// written with a trailing * or as a -run/-bench/-fuzz argument must
+// prefix one); and every -flag on a `go run ./cmd/<name>` command must be
 // declared in that command's source.
 func TestDocReferences(t *testing.T) {
 	declared := declaredTestNames(t)

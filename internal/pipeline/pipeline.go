@@ -11,9 +11,9 @@
 // drivers of the same analysis: core.Analyze is implemented as
 // core.NewIncremental + Feed every record + Flush, so analyzing a
 // completed flow here produces byte-identical output to streaming the
-// same records through the live monitor and evicting the flow. Use
-// this package for offline captures, internal/live (cmd/tapod) for
-// traffic still in flight.
+// same records through the live monitor and evicting the flow. The
+// experiments and the benchmarks use this package; cmd/tapo and
+// cmd/tapod stream captures through internal/live.
 package pipeline
 
 import (
