@@ -28,7 +28,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"time"
 
 	"tcpstall/internal/core"
 	"tcpstall/internal/live"
@@ -72,17 +71,17 @@ func main() {
 			}
 			fmt.Printf("flow %s: %d stalls, %.1f%% of lifetime stalled\n",
 				a.FlowID, len(a.Stalls), 100*a.StalledFraction())
-			for _, st := range a.Stalls {
-				cause := st.Cause.String()
-				if st.Cause == core.CauseTimeoutRetrans {
-					cause += "/" + st.RetransCause.String()
-					if st.RetransCause == core.RetransDouble {
-						cause += "(" + st.DoubleKind.String() + ")"
-					}
+			for i := range a.Stalls {
+				js := a.Stalls[i].JSON()
+				cause := js.Cause
+				if js.SubCause != "" {
+					cause += "/" + js.SubCause
 				}
-				fmt.Printf("  %9.3fs +%6.0fms  %-32s state=%v in_flight=%d rwnd=%d\n",
-					st.Start.Seconds(), float64(st.Duration)/float64(time.Millisecond),
-					cause, st.CaState, st.InFlight, st.Rwnd)
+				if js.DoubleKind != "" {
+					cause += "(" + js.DoubleKind + ")"
+				}
+				fmt.Printf("  %9.3fs +%6.0fms  %-32s state=%s in_flight=%d rwnd=%d\n",
+					js.StartS, js.DurationMS, cause, js.CaState, js.InFlight, js.Rwnd)
 			}
 		}
 	}

@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
+
+	"tcpstall/internal/fleet"
 )
 
 // tailMain follows a head's SSE event stream and prints one line per
@@ -68,11 +71,11 @@ func tailOnce(ctx context.Context, headAddr string, last *uint64) error {
 		if !ok {
 			continue
 		}
-		var ev tailEvent
+		var ev fleet.Event
 		if err := json.Unmarshal([]byte(data), &ev); err != nil {
 			continue
 		}
-		printEvent(ev)
+		printEvent(os.Stdout, ev)
 		if ev.ID > *last {
 			*last = ev.ID
 		}
@@ -80,34 +83,20 @@ func tailOnce(ctx context.Context, headAddr string, last *uint64) error {
 	return sc.Err()
 }
 
-// tailEvent mirrors fleet.Event; decoding locally keeps the tail loop
-// honest about what it actually reads off the wire.
-type tailEvent struct {
-	ID         uint64  `json:"id"`
-	TimeMS     int64   `json:"time_ms"`
-	Type       string  `json:"type"`
-	Member     string  `json:"member,omitempty"`
-	Service    string  `json:"service,omitempty"`
-	Cause      string  `json:"cause,omitempty"`
-	DurationMS float64 `json:"duration_ms,omitempty"`
-	FlowHash   uint32  `json:"flow_hash,omitempty"`
-	Detail     string  `json:"detail,omitempty"`
-}
-
-func printEvent(ev tailEvent) {
+// printEvent writes one event as a line of text.
+func printEvent(w io.Writer, ev fleet.Event) {
 	when := "--:--:--"
 	if ev.TimeMS != 0 {
 		when = time.UnixMilli(ev.TimeMS).Format("15:04:05")
 	}
-	switch ev.Type {
-	case "stall":
-		fmt.Printf("%s  %-15s %-12s %s %s %.0fms flow=%08x\n",
-			when, ev.Type, ev.Member, ev.Service, ev.Cause, ev.DurationMS, ev.FlowHash)
-	default:
-		sep := ""
-		if ev.Member != "" && ev.Detail != "" {
-			sep = " "
-		}
-		fmt.Printf("%s  %-15s %s%s%s\n", when, ev.Type, ev.Member, sep, ev.Detail)
+	if st := ev.Stall; st != nil {
+		fmt.Fprintf(w, "%s  %-15s %-12s %s %s %.0fms flow=%08x\n",
+			when, ev.Type, ev.Member, st.Service, st.Cause, st.DurationMS, st.FlowHash)
+		return
 	}
+	sep := ""
+	if ev.Member != "" && ev.Detail != "" {
+		sep = " "
+	}
+	fmt.Fprintf(w, "%s  %-15s %s%s%s\n", when, ev.Type, ev.Member, sep, ev.Detail)
 }

@@ -346,18 +346,15 @@ func (a *analyzer) rel(off uint64) int64 {
 // horizon, final response bounds) are known.
 func (a *analyzer) recordEvidence(ps *pendingStall) {
 	tr := &flight.Trail{}
-	cause := a.topCause(ps, tr)
-	sub, dk := "", ""
-	if cause == CauseTimeoutRetrans {
-		rc, kind, _ := a.retransCause(ps, tr)
-		sub = rc.String()
-		if kind != DoubleNone {
-			dk = kind.String()
-		}
+	st := ps.stall
+	st.Cause = a.topCause(ps, tr)
+	if st.Cause == CauseTimeoutRetrans {
+		st.RetransCause, st.DoubleKind, _ = a.retransCause(ps, tr)
 	}
-	a.rec.StallClosed(flight.Ref{Flow: a.out.FlowID, Stall: ps.stall.ID},
-		ps.stall.EndRecIdx-1, ps.stall.EndRecIdx, ps.stall.Start, ps.stall.End,
-		cause.String(), sub, dk, tr)
+	js := st.JSON()
+	a.rec.StallClosed(flight.Ref{Flow: a.out.FlowID, Stall: st.ID},
+		st.EndRecIdx-1, st.EndRecIdx, st.Start, st.End,
+		js.Cause, js.SubCause, js.DoubleKind, tr)
 }
 
 // onStall captures a stall event; classification happens in

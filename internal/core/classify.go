@@ -37,14 +37,8 @@ func (a *analyzer) finalize() {
 			st.Position = float64(ps.retransSegIdx) / float64(total)
 		}
 		if a.rec != nil {
-			sub, dk := "", ""
-			if st.Cause == CauseTimeoutRetrans {
-				sub = st.RetransCause.String()
-				if st.DoubleKind != DoubleNone {
-					dk = st.DoubleKind.String()
-				}
-			}
-			a.rec.Finalize(st.ID, st.Cause.String(), sub, dk, tr)
+			js := st.JSON()
+			a.rec.Finalize(st.ID, js.Cause, js.SubCause, js.DoubleKind, tr)
 		}
 		a.out.Stalls = append(a.out.Stalls, *st)
 		a.out.TotalStallTime += st.Duration

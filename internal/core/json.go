@@ -6,17 +6,46 @@ import (
 	"time"
 )
 
-// JSONStall is the machine-readable stall record.
-type JSONStall struct {
+// StallJSON is the one machine-readable stall record: every surface
+// that reports a stall verdict (tapo -json, /stalls, -trace-out, the
+// fleet wire) embeds it, and only (*Stall).JSON builds it.
+type StallJSON struct {
 	ID         int     `json:"id"`
-	StartMS    float64 `json:"start_ms"`
+	StartS     float64 `json:"start_s"`
+	EndS       float64 `json:"end_s"`
 	DurationMS float64 `json:"duration_ms"`
 	Cause      string  `json:"cause"`
-	Retrans    string  `json:"retrans_cause,omitempty"`
-	DoubleKind string  `json:"double_kind,omitempty"`
-	CaState    string  `json:"ca_state"`
-	InFlight   int     `json:"in_flight"`
-	Rwnd       int     `json:"rwnd"`
+	// SubCause is the Table-5 sub-cause of a timeout retransmission;
+	// DoubleKind the Table-6 split of a double retransmission.
+	SubCause   string `json:"sub_cause,omitempty"`
+	DoubleKind string `json:"double_kind,omitempty"`
+	Category   string `json:"category"`
+	CaState    string `json:"ca_state"`
+	InFlight   int    `json:"in_flight"`
+	Rwnd       int    `json:"rwnd"`
+}
+
+// JSON renders the stall's verdict and its Table-2 context at stall
+// start.
+func (st *Stall) JSON() StallJSON {
+	js := StallJSON{
+		ID:         st.ID,
+		StartS:     st.Start.Seconds(),
+		EndS:       st.End.Seconds(),
+		DurationMS: float64(st.Duration) / float64(time.Millisecond),
+		Cause:      st.Cause.String(),
+		Category:   CategoryOf(st.Cause).String(),
+		CaState:    st.CaState.String(),
+		InFlight:   st.InFlight,
+		Rwnd:       st.Rwnd,
+	}
+	if st.Cause == CauseTimeoutRetrans {
+		js.SubCause = st.RetransCause.String()
+		if st.RetransCause == RetransDouble {
+			js.DoubleKind = st.DoubleKind.String()
+		}
+	}
+	return js
 }
 
 // JSONFlow is the machine-readable per-flow analysis.
@@ -32,7 +61,7 @@ type JSONFlow struct {
 	ZeroRwnd      bool        `json:"zero_rwnd_seen"`
 	TransmissionS float64     `json:"transmission_s"`
 	StalledS      float64     `json:"stalled_s"`
-	Stalls        []JSONStall `json:"stalls"`
+	Stalls        []StallJSON `json:"stalls"`
 }
 
 // ToJSON converts one analysis to its machine-readable form.
@@ -49,25 +78,10 @@ func (a *FlowAnalysis) ToJSON() JSONFlow {
 		ZeroRwnd:      a.ZeroRwndSeen,
 		TransmissionS: a.TransmissionTime.Seconds(),
 		StalledS:      a.TotalStallTime.Seconds(),
-		Stalls:        []JSONStall{},
+		Stalls:        []StallJSON{},
 	}
-	for _, st := range a.Stalls {
-		js := JSONStall{
-			ID:         st.ID,
-			StartMS:    st.Start.Milliseconds(),
-			DurationMS: float64(st.Duration) / float64(time.Millisecond),
-			Cause:      st.Cause.String(),
-			CaState:    st.CaState.String(),
-			InFlight:   st.InFlight,
-			Rwnd:       st.Rwnd,
-		}
-		if st.Cause == CauseTimeoutRetrans {
-			js.Retrans = st.RetransCause.String()
-			if st.RetransCause == RetransDouble {
-				js.DoubleKind = st.DoubleKind.String()
-			}
-		}
-		jf.Stalls = append(jf.Stalls, js)
+	for i := range a.Stalls {
+		jf.Stalls = append(jf.Stalls, a.Stalls[i].JSON())
 	}
 	return jf
 }

@@ -14,29 +14,17 @@ import (
 // captured record, tagged so plotting tools can split directions and
 // overlay stall spans.
 type PktLine struct {
-	Type string  `json:"type"` // "pkt"
-	Flow string  `json:"flow"`
-	Idx  int     `json:"idx"`
-	TS   float64 `json:"t_s"`
-	Dir  string  `json:"dir"`
-	Seq  uint32  `json:"seq"`
-	Ack  uint32  `json:"ack"`
-	Len  int     `json:"len"`
-	Wnd  int     `json:"rwnd"`
-	Flag string  `json:"flags"`
-	Sack int     `json:"sack_blocks,omitempty"`
+	Type string `json:"type"` // "pkt"
+	Flow string `json:"flow"`
+	flight.SampleJSON
 }
 
 // StallLine marks one classified stall span, carrying the evidence
 // (decision path + window) inline when the recorder held it.
 type StallLine struct {
-	Type     string               `json:"type"` // "stall"
-	Flow     string               `json:"flow"`
-	ID       int                  `json:"id"`
-	StartS   float64              `json:"start_s"`
-	EndS     float64              `json:"end_s"`
-	Cause    string               `json:"cause"`
-	SubCause string               `json:"sub_cause,omitempty"`
+	Type string `json:"type"` // "stall"
+	Flow string `json:"flow"`
+	core.StallJSON
 	Evidence *flight.EvidenceJSON `json:"evidence,omitempty"`
 }
 
@@ -54,23 +42,12 @@ func WriteTraceJSONL(w io.Writer, f *trace.Flow, a *core.FlowAnalysis, rec *flig
 		stallAt[st.EndRecIdx] = append(stallAt[st.EndRecIdx], st)
 	}
 	for i := range f.Records {
-		r := &f.Records[i]
-		if err := enc.Encode(PktLine{
-			Type: "pkt", Flow: a.FlowID, Idx: i, TS: r.T.Seconds(),
-			Dir: r.Dir.String(), Seq: r.Seg.Seq, Ack: r.Seg.Ack, Len: r.Seg.Len,
-			Wnd: r.Seg.Wnd, Flag: r.Seg.Flags.String(), Sack: r.Seg.SACK.Len(),
-		}); err != nil {
+		pkt := PktLine{Type: "pkt", Flow: a.FlowID, SampleJSON: flight.SampleOf(i, &f.Records[i]).JSON()}
+		if err := enc.Encode(pkt); err != nil {
 			return err
 		}
 		for _, st := range stallAt[i] {
-			line := StallLine{
-				Type: "stall", Flow: a.FlowID, ID: st.ID,
-				StartS: st.Start.Seconds(), EndS: st.End.Seconds(),
-				Cause: st.Cause.String(),
-			}
-			if st.Cause == core.CauseTimeoutRetrans {
-				line.SubCause = st.RetransCause.String()
-			}
+			line := StallLine{Type: "stall", Flow: a.FlowID, StallJSON: st.JSON()}
 			if st.Evidence != nil {
 				if ev := rec.Evidence(st.Evidence.Stall); ev != nil {
 					j := ev.JSON()

@@ -40,11 +40,8 @@ type Event struct {
 	TimeMS int64  `json:"time_ms"`
 	Type   string `json:"type"`
 	Member string `json:"member,omitempty"`
-	// Stall fields, set when Type == EventStall.
-	Service    string  `json:"service,omitempty"`
-	Cause      string  `json:"cause,omitempty"`
-	DurationMS float64 `json:"duration_ms,omitempty"`
-	FlowHash   uint32  `json:"flow_hash,omitempty"`
+	// Stall is the digest entry, set when Type == EventStall.
+	Stall *StallEvent `json:"stall,omitempty"`
 	// Detail is the human-readable tail: epoch for lifecycle events,
 	// code and count for reject spikes.
 	Detail string `json:"detail,omitempty"`
@@ -226,15 +223,11 @@ func (h *Head) ingestDigestLocked(snap *Snapshot) {
 	}
 	h.counters.stallEvents += uint64(len(evs))
 	h.counters.digestDropped += snap.EventsDropped
+	// se is a copy per iteration, so the ring never aliases the
+	// caller's snapshot.
 	for _, se := range evs {
 		h.events.publish(Event{
-			TimeMS:     se.TimeMS,
-			Type:       EventStall,
-			Member:     snap.MemberID,
-			Service:    se.Service,
-			Cause:      se.Cause,
-			DurationMS: se.DurationMS,
-			FlowHash:   se.FlowHash,
+			TimeMS: se.TimeMS, Type: EventStall, Member: snap.MemberID, Stall: &se,
 		})
 	}
 }

@@ -224,11 +224,10 @@ func (mb *Member) drainDigestLocked() {
 			continue
 		}
 		mb.digest = append(mb.digest, StallEvent{
-			TimeMS:     e.At.UnixMilli(),
-			Service:    e.Stall.Service,
-			Cause:      e.Stall.Stall.Cause.String(),
-			DurationMS: float64(e.Stall.Stall.Duration) / float64(time.Millisecond),
-			FlowHash:   flowHash(e.Stall.FlowID),
+			TimeMS:    e.At.UnixMilli(),
+			Service:   e.Stall.Service,
+			FlowHash:  flowHash(e.Stall.FlowID),
+			StallJSON: e.Stall.Stall.JSON(),
 		})
 	}
 }

@@ -468,7 +468,7 @@ func TestEventStreamEndToEnd(t *testing.T) {
 
 	select {
 	case ev := <-stallCh:
-		if ev.Member != "sse-m" || ev.Cause == "" || ev.ID == 0 {
+		if ev.Member != "sse-m" || ev.Stall == nil || ev.Stall.Cause == "" || ev.ID == 0 {
 			t.Errorf("stall event incomplete: %+v", ev)
 		}
 	case err := <-streamDone:
@@ -522,4 +522,44 @@ func TestEventStreamEndToEnd(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("SSE stream did not terminate after head.Close")
 	}
+}
+
+// TestStallEventKeepsZeroFields pushes a digest entry whose flow hash
+// and duration are 0: /fleet/events must still carry both keys, since
+// the dashboard formats them unconditionally.
+func TestStallEventKeepsZeroFields(t *testing.T) {
+	head := NewHead(HeadConfig{})
+	srv := httptest.NewServer(NewHandler(head))
+	defer srv.Close()
+	reg, err := head.Register(RegisterRequest{Version: WireVersion, MemberID: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := miniSnap("m", reg.Epoch, 1, 1)
+	snap.Events = []StallEvent{{TimeMS: 1, Service: "web-search", FlowHash: 0}}
+	if pr := postPush(t, srv.URL, marshal(t, snap)); !pr.OK {
+		t.Fatalf("push rejected: %+v", pr)
+	}
+	resp, err := http.Get(srv.URL + "/fleet/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Events []map[string]any `json:"events"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range body.Events {
+		if ev["type"] != EventStall {
+			continue
+		}
+		st, _ := ev["stall"].(map[string]any)
+		if st["flow_hash"] != 0.0 || st["duration_ms"] != 0.0 {
+			t.Errorf("stall event lost a zero field: %v", ev)
+		}
+		return
+	}
+	t.Fatalf("no stall event in %v", body.Events)
 }

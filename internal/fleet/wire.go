@@ -35,6 +35,7 @@ import (
 	"slices"
 	"time"
 
+	"tcpstall/internal/core"
 	"tcpstall/internal/live"
 	"tcpstall/internal/stats"
 )
@@ -43,7 +44,7 @@ import (
 // snapshots whose version it does not speak; bumping this is the
 // signal that a field changed meaning (adding fields is not a bump —
 // unknown JSON fields are ignored on both sides).
-const WireVersion = 3
+const WireVersion = 4
 
 // Snapshot is one member's cumulative state as pushed to the head.
 type Snapshot struct {
@@ -89,15 +90,15 @@ type Snapshot struct {
 const MaxDigestEvents = 256
 
 // StallEvent is one digested stall close, as pushed to the head's
-// event stream. FlowHash is the FNV-1a hash of the flow ID — enough
-// to correlate a flow's stalls across events without shipping the
-// (potentially identifying, unbounded-cardinality) ID itself.
+// event stream: the stall record plus when and where it closed.
+// FlowHash is the FNV-1a hash of the flow ID — enough to correlate a
+// flow's stalls across events without shipping the (potentially
+// identifying, unbounded-cardinality) ID itself.
 type StallEvent struct {
-	TimeMS     int64   `json:"time_ms"`
-	Service    string  `json:"service,omitempty"`
-	Cause      string  `json:"cause"`
-	DurationMS float64 `json:"duration_ms"`
-	FlowHash   uint32  `json:"flow_hash"`
+	TimeMS   int64  `json:"time_ms"`
+	Service  string `json:"service,omitempty"`
+	FlowHash uint32 `json:"flow_hash"`
+	core.StallJSON
 }
 
 // RegisterRequest announces a member (or a restarted incarnation of

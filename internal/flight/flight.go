@@ -177,8 +177,8 @@ func (s RecSample) Dir() trace.Dir {
 	return trace.DirIn
 }
 
-// sampleOf flattens a trace record.
-func sampleOf(idx int, r *trace.Record) RecSample {
+// SampleOf flattens a trace record, the idx-th of its flow.
+func SampleOf(idx int, r *trace.Record) RecSample {
 	return RecSample{
 		Idx:   idx,
 		T:     r.T,
@@ -294,7 +294,7 @@ func (r *Recorder) Sample(idx int, rec *trace.Record) {
 	if r == nil {
 		return
 	}
-	s := sampleOf(idx, rec)
+	s := SampleOf(idx, rec)
 	if len(r.open) > 0 {
 		keep := r.open[:0]
 		for _, ev := range r.open {

@@ -114,7 +114,7 @@ func FuzzFlightRing(f *testing.F) {
 				rec := &trace.Record{T: tm, Dir: trace.Dir(op >> 7), Seg: trace.Segment{
 					Seq: uint32(in.uint64()), Ack: uint32(idx), Len: int(in.byte()), Wnd: int(in.byte())}}
 				r.Sample(idx, rec)
-				samples = append(samples, sampleOf(idx, rec))
+				samples = append(samples, SampleOf(idx, rec))
 			case 6:
 				startIdx := idx - int(in.byte()%16)
 				var w want

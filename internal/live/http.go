@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"time"
 
 	"tcpstall/internal/core"
 	"tcpstall/internal/promtext"
@@ -77,7 +76,11 @@ func NewHandler(m *Monitor) http.Handler {
 		}
 		out := make([]stallJSON, 0, len(stalls))
 		for _, ls := range stalls {
-			out = append(out, newStallJSON(ls))
+			sj := stallJSON{FlowID: ls.FlowID, Service: ls.Service, StallJSON: ls.Stall.JSON()}
+			if ls.Stall.Evidence != nil {
+				sj.Evidence = ls.Stall.Evidence.String()
+			}
+			out = append(out, sj)
 		}
 		writeJSON(w, map[string]any{"count": len(out), "stalls": out})
 	})
@@ -147,43 +150,16 @@ func limitParam(w http.ResponseWriter, r *http.Request) (int, bool) {
 	return n, true
 }
 
-// stallJSON flattens a LiveStall for the admin plane. ID is the
-// stall's flow-scoped identifier — the same one evidence refs and
-// groundtruth grading use.
+// stallJSON is one /stalls row: the stall record of a LiveStall,
+// tagged with its flow.
 type stallJSON struct {
-	FlowID       string  `json:"flow_id"`
-	Service      string  `json:"service,omitempty"`
-	ID           int     `json:"id"`
-	StartS       float64 `json:"start_s"`
-	EndS         float64 `json:"end_s"`
-	DurationMS   float64 `json:"duration_ms"`
-	Cause        string  `json:"cause"`
-	Category     string  `json:"category"`
-	RetransCause string  `json:"retrans_cause,omitempty"`
+	FlowID  string `json:"flow_id"`
+	Service string `json:"service,omitempty"`
+	core.StallJSON
 	// Evidence names the flight-recorder entry for this stall
 	// (resolve via /debug/flows/{flow_id}/trace); absent when the
 	// recorder is disabled.
 	Evidence string `json:"evidence,omitempty"`
-}
-
-func newStallJSON(ls core.LiveStall) stallJSON {
-	sj := stallJSON{
-		FlowID:     ls.FlowID,
-		Service:    ls.Service,
-		ID:         ls.Stall.ID,
-		StartS:     ls.Stall.Start.Seconds(),
-		EndS:       ls.Stall.End.Seconds(),
-		DurationMS: float64(ls.Stall.Duration) / float64(time.Millisecond),
-		Cause:      ls.Stall.Cause.String(),
-		Category:   core.CategoryOf(ls.Stall.Cause).String(),
-	}
-	if ls.Stall.Cause == core.CauseTimeoutRetrans {
-		sj.RetransCause = ls.Stall.RetransCause.String()
-	}
-	if ls.Stall.Evidence != nil {
-		sj.Evidence = ls.Stall.Evidence.String()
-	}
-	return sj
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
