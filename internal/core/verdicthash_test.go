@@ -20,33 +20,43 @@ import (
 // analyzer or the flight recorder that must not move a single output
 // byte. It feeds generated flows (seeds 1–4 × every service × native
 // and healthy twin × 150 flows) record by record through a recorder
-// under three flight configs and hashes, per config, everything a
-// consumer can observe: the analysis JSON, each LiveStall with the
-// provisional evidence as it stands at close, every ring event, every
-// settled evidence entry and the drop counters. The committed digests
-// were computed before the recorder's ring and entries were resized;
-// a mismatch means some verdict, evidence or event byte changed.
+// under three flight configs and keeps two digests per config:
+//
+//   - verdict: the analysis JSON, each LiveStall with the provisional
+//     evidence as it stands at close, every settled evidence entry
+//     and the evidence-drop count — everything a stall's consumer
+//     reads;
+//   - trail: the events the recorder still holds at flush and its
+//     event-drop count — what /debug/flows/{id}/trace adds on top.
+//
+// Evidence is hashed with its EventDrops zeroed, so the verdict digest
+// does not depend on how long the recorder's trail is. A mismatch in
+// a verdict digest means some verdict or evidence byte changed.
 //
 // It is slow (tens of seconds), so it sits behind a build tag:
 //
 //	go test -tags verdicthash -run TestVerdictHash ./internal/core
 func TestVerdictHash(t *testing.T) {
 	configs := []struct {
-		name   string
-		cfg    flight.Config
-		events int // events retained at flush, summed over flows
-		sha    string
+		name           string
+		cfg            flight.Config
+		events         int // trail events held at flush, summed over flows
+		verdict, trail string
 	}{
-		// The default ring (256) wraps on most long flows.
 		{"default", flight.Config{},
-			479196, "ad593d7985eb4351e0c182e04ae0d6e896c56ebb6075b6d3ccebe158e76775d0"},
-		// A ring and evidence store that never drop.
-		{"unbounded", flight.Config{RingSize: 1 << 20, MaxStalls: 1 << 20},
-			3101357, "616105c1fbdf4ecec5c6b37ec123935685230cfe965db71802d3ee93715e986b"},
-		// A ring that wraps at a non-power-of-two size, a narrow
-		// window and an evidence store that evicts.
-		{"tight", flight.Config{RingSize: 100, WindowK: 3, MaxStalls: 4},
-			241900, "541f4ffa3ffc7674037ff2105e6cd62acb21e059c2d0b712cf9273d7a627e5f9"},
+			479196,
+			"c1ffb4b1d66988be25c9709406f6c8525d24750573ae3880587ffdf68a7974fb",
+			"f297a6a7cca32be4186fc3076837a2765116ab8ce8f1b3075dc7b17a675f9023"},
+		// An evidence store that never drops.
+		{"unbounded", flight.Config{MaxStalls: 1 << 20},
+			479196,
+			"4d34651d383f0179ba9737fa2dac7636c47b354205caf8a6e2d6b4ad3e503e2d",
+			"f297a6a7cca32be4186fc3076837a2765116ab8ce8f1b3075dc7b17a675f9023"},
+		// A narrow window and an evidence store that evicts.
+		{"tight", flight.Config{WindowK: 3, MaxStalls: 4},
+			479196,
+			"c10c0811758c374abae190d95dd1771951a40e90d28e7ad0d08b974431b3b79d",
+			"f297a6a7cca32be4186fc3076837a2765116ab8ce8f1b3075dc7b17a675f9023"},
 	}
 	const wantFlows, wantStalls = 3600, 4098
 
@@ -65,34 +75,42 @@ func TestVerdictHash(t *testing.T) {
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
-			h := sha256.New()
+			verdict, trail := sha256.New(), sha256.New()
 			stalls, events := 0, 0
 			for _, f := range flows {
-				s, e := hashFlow(t, h, f, c.cfg)
+				s, e := hashFlow(t, verdict, trail, f, c.cfg)
 				stalls += s
 				events += e
 			}
-			got := hex.EncodeToString(h.Sum(nil))
 			if stalls != wantStalls || events != c.events {
-				t.Errorf("%d stalls, %d retained events; want %d, %d", stalls, events, wantStalls, c.events)
+				t.Errorf("%d stalls, %d trail events; want %d, %d", stalls, events, wantStalls, c.events)
 			}
-			if got != c.sha {
-				t.Errorf("sha256 = %s\n              want %s", got, c.sha)
+			if got := hex.EncodeToString(verdict.Sum(nil)); got != c.verdict {
+				t.Errorf("verdict sha256 = %s\n                      want %s", got, c.verdict)
+			}
+			if got := hex.EncodeToString(trail.Sum(nil)); got != c.trail {
+				t.Errorf("trail sha256 = %s\n                    want %s", got, c.trail)
 			}
 		})
 	}
 }
 
-// hashFlow feeds one flow and writes its observable output to h. It
-// reports the flow's stall count and the events its ring retains.
-func hashFlow(t *testing.T, h hash.Hash, f *trace.Flow, cfg flight.Config) (stalls, events int) {
-	put := func(v any) {
+// hashFlow feeds one flow and writes its verdicts to verdict and its
+// recorder's trail to trail. It reports the flow's stall count and
+// the events the trail holds at flush.
+func hashFlow(t *testing.T, verdict, trail hash.Hash, f *trace.Flow, cfg flight.Config) (stalls, events int) {
+	put := func(h hash.Hash, v any) {
 		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		h.Write(b)
 		h.Write([]byte{'\n'})
+	}
+	putEvidence := func(ev *flight.Evidence) {
+		j := ev.JSON()
+		j.EventDrops = 0
+		put(verdict, j)
 	}
 	// put(a) hashes the whole FlowAnalysis, per-ACK series included,
 	// so the harness keeps them, as every analysis did when the
@@ -102,23 +120,24 @@ func hashFlow(t *testing.T, h hash.Hash, f *trace.Flow, cfg flight.Config) (stal
 	rec := flight.NewRecorder(cfg)
 	inc.SetRecorder(rec)
 	inc.OnStall = func(ls core.LiveStall) {
-		put(ls)
+		put(verdict, ls)
 		if ev := rec.Evidence(ls.Stall.ID); ev != nil {
-			put(ev.JSON())
+			putEvidence(ev)
 		}
 	}
 	for i := range f.Records {
 		inc.Feed(&f.Records[i])
 	}
 	a := inc.Flush()
-	put(a)
+	put(verdict, a)
+	for _, ev := range rec.Evidences() {
+		putEvidence(ev)
+	}
+	fmt.Fprintf(verdict, "evidence drops %d\n", rec.EvidenceDrops())
 	evs := rec.Events()
 	for _, e := range evs {
-		put(e.JSON())
+		put(trail, e.JSON())
 	}
-	for _, ev := range rec.Evidences() {
-		put(ev.JSON())
-	}
-	fmt.Fprintf(h, "drops %d %d\n", rec.EventDrops(), rec.EvidenceDrops())
+	fmt.Fprintf(trail, "event drops %d\n", rec.EventDrops())
 	return len(a.Stalls), len(evs)
 }
