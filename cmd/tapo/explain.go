@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -23,7 +24,6 @@ func explainMain(args []string) {
 	flowID := fs.String("flow", "", "only flows whose ID contains this substring")
 	stallID := fs.Int("stall", -1, "only the stall with this ID (requires -flow)")
 	winK := fs.Int("k", 0, "packet-window radius around each gap (0: recorder default)")
-	ring := fs.Int("ring", 0, "event-ring size per flow (0: recorder default)")
 	traceOut := fs.String("trace-out", "", "write time/sequence samples + verdicts as JSONL to this file")
 	tau := fs.Float64("tau", 2, "stall threshold multiplier in min(tau*SRTT, RTO)")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
@@ -42,14 +42,14 @@ func explainMain(args []string) {
 
 	cfg := core.DefaultConfig()
 	cfg.Tau = *tau
-	fcfg := flight.Config{WindowK: *winK, RingSize: *ring}
+	fcfg := flight.Config{WindowK: *winK}
 
 	in, err := os.Open(fs.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
 	defer in.Close()
-	flows, err := trace.ImportPcap(in, trace.ImportConfig{Ports: ports})
+	flows, err := trace.ImportPcap(bufio.NewReaderSize(in, readBuf), trace.ImportConfig{Ports: ports})
 	if err != nil {
 		fatal(err)
 	}

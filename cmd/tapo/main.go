@@ -21,6 +21,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -59,7 +60,7 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	analyses, err := analyzeCapture(f, trace.ImportConfig{Ports: ports}, cfg)
+	analyses, err := analyzeCapture(bufio.NewReaderSize(f, readBuf), trace.ImportConfig{Ports: ports}, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -98,6 +99,10 @@ func main() {
 	}
 	report(core.NewReport(analyses))
 }
+
+// readBuf is the read-ahead both subcommands put in front of the
+// capture file, so the decoder's two reads per record hit memory.
+const readBuf = 64 << 10
 
 // analyzeCapture streams r in chunks of 512 records through a
 // live.Monitor whose flow, record and idle limits cannot bind, so each

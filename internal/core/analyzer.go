@@ -228,10 +228,9 @@ type analyzer struct {
 	pending []pendingStall
 	out     FlowAnalysis
 
-	// onStall, when set, fires synchronously as each stall closes
-	// (before the closing record is processed). The incremental
-	// analyzer uses it to surface live stall events.
-	stallHook func(a *analyzer, ps *pendingStall)
+	// live is the Incremental this analyzer runs in; its OnStall
+	// receives each stall as it closes.
+	live *Incremental
 }
 
 // Analyze runs TAPO on one flow. It is the batch entry point and is
@@ -247,7 +246,7 @@ func Analyze(f *trace.Flow, cfg Config) *FlowAnalysis {
 
 // AnalyzeFlight is Analyze with a flight recorder attached: the
 // returned recorder holds the per-stall evidence (decision paths,
-// record windows) and the flow's event ring. Apart from the extra
+// record windows) and the flow's last event window. Apart from the extra
 // Stall.ID/Evidence references, the analysis itself is byte-identical
 // to Analyze's.
 func AnalyzeFlight(f *trace.Flow, cfg Config, fcfg flight.Config) (*FlowAnalysis, *flight.Recorder) {
@@ -313,11 +312,8 @@ func (a *analyzer) feed(r *trace.Record) {
 	if closed {
 		ps := &a.pending[len(a.pending)-1]
 		ps.haveBaseAtEnd = a.haveBase
-		if a.rec != nil {
-			a.recordEvidence(ps)
-		}
-		if a.stallHook != nil {
-			a.stallHook(a, ps)
+		if a.rec != nil || a.live != nil && a.live.OnStall != nil {
+			a.closeStall(ps)
 		}
 	}
 }
@@ -340,21 +336,35 @@ func (a *analyzer) rel(off uint64) int64 {
 	return int64(off - a.base)
 }
 
-// recordEvidence classifies one stall with a decision trail attached
-// and stores the provisional evidence as the stall closes; finalize
-// replaces the trail with the settled one once post-hoc facts (DSACK
+// closeStall classifies one stall as it closes, once, with a decision
+// trail when a recorder is attached, and hands the verdict to the
+// recorder as provisional evidence and to OnStall. finalize settles
+// the sub-cause and replaces the trail once post-hoc facts (DSACK
 // horizon, final response bounds) are known.
-func (a *analyzer) recordEvidence(ps *pendingStall) {
-	tr := &flight.Trail{}
+func (a *analyzer) closeStall(ps *pendingStall) {
+	var tr *flight.Trail
+	if a.rec != nil {
+		tr = &flight.Trail{}
+	}
 	st := ps.stall
 	st.Cause = a.topCause(ps, tr)
 	if st.Cause == CauseTimeoutRetrans {
-		st.RetransCause, st.DoubleKind, _ = a.retransCause(ps, tr)
+		st.RetransCause, st.DoubleKind, st.TailState = a.retransCause(ps, tr)
+		total := a.out.DataPackets
+		if total < 1 {
+			total = 1
+		}
+		st.Position = float64(ps.retransSegIdx) / float64(total)
 	}
-	js := st.JSON()
-	a.rec.StallClosed(flight.Ref{Flow: a.out.FlowID, Stall: st.ID},
-		st.EndRecIdx-1, st.EndRecIdx, st.Start, st.End,
-		js.Cause, js.SubCause, js.DoubleKind, tr)
+	if a.rec != nil {
+		js := st.JSON()
+		a.rec.StallClosed(flight.Ref{Flow: a.out.FlowID, Stall: st.ID},
+			st.EndRecIdx-1, st.EndRecIdx, st.Start, st.End,
+			js.Cause, js.SubCause, js.DoubleKind, tr)
+	}
+	if a.live != nil && a.live.OnStall != nil {
+		a.live.OnStall(LiveStall{FlowID: a.out.FlowID, Service: a.out.Service, Stall: st, Index: st.ID})
+	}
 }
 
 // onStall captures a stall event; classification happens in

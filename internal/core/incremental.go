@@ -72,27 +72,7 @@ func NewIncremental(cfg Config) *Incremental {
 		cwnd:      float64(cfg.InitCwnd),
 		ssthresh:  1 << 30,
 		rto:       cfg.InitRTO,
-	}
-	inc.a.stallHook = func(a *analyzer, ps *pendingStall) {
-		if inc.OnStall == nil {
-			return
-		}
-		st := ps.stall
-		st.Cause = a.topCause(ps, nil)
-		if st.Cause == CauseTimeoutRetrans {
-			st.RetransCause, st.DoubleKind, st.TailState = a.retransCause(ps, nil)
-			total := a.out.DataPackets
-			if total < 1 {
-				total = 1
-			}
-			st.Position = float64(ps.retransSegIdx) / float64(total)
-		}
-		inc.OnStall(LiveStall{
-			FlowID:  inc.meta.ID,
-			Service: inc.meta.Service,
-			Stall:   st,
-			Index:   st.ID,
-		})
+		live:      inc,
 	}
 	return inc
 }

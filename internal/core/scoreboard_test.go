@@ -328,7 +328,7 @@ func TestRetiredSegmentResent(t *testing.T) {
 		synData(last+30, segSeq(7)+700, segLen-700))
 
 	inc := NewIncremental(DefaultConfig())
-	rec := flight.NewRecorder(flight.Config{RingSize: 1 << 12})
+	rec := flight.NewRecorder(flight.Config{WindowK: len(recs)}) // a window wider than the flow keeps every event
 	inc.SetRecorder(rec)
 	FeedChecked(t, inc, recs)
 	a := inc.Flush()

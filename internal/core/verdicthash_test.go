@@ -26,12 +26,12 @@ import (
 //     evidence as it stands at close, every settled evidence entry
 //     and the evidence-drop count — everything a stall's consumer
 //     reads;
-//   - trail: the events the recorder still holds at flush and its
-//     event-drop count — what /debug/flows/{id}/trace adds on top.
+//   - trail: the events the recorder's window still holds at flush —
+//     what /debug/flows/{id}/trace adds on top.
 //
-// Evidence is hashed with its EventDrops zeroed, so the verdict digest
-// does not depend on how long the recorder's trail is. A mismatch in
-// a verdict digest means some verdict or evidence byte changed.
+// The verdict digests were computed when the recorder still kept a
+// 256-event ring, with each evidence's drop count zeroed; a mismatch
+// means some verdict or evidence byte changed.
 //
 // It is slow (tens of seconds), so it sits behind a build tag:
 //
@@ -44,19 +44,19 @@ func TestVerdictHash(t *testing.T) {
 		verdict, trail string
 	}{
 		{"default", flight.Config{},
-			479196,
+			59288,
 			"c1ffb4b1d66988be25c9709406f6c8525d24750573ae3880587ffdf68a7974fb",
-			"f297a6a7cca32be4186fc3076837a2765116ab8ce8f1b3075dc7b17a675f9023"},
+			"f6a33f238ece247e4450d3871aac0e6e93b3a33c6dec8a5723fdfd31b3cc5abd"},
 		// An evidence store that never drops.
 		{"unbounded", flight.Config{MaxStalls: 1 << 20},
-			479196,
+			59288,
 			"4d34651d383f0179ba9737fa2dac7636c47b354205caf8a6e2d6b4ad3e503e2d",
-			"f297a6a7cca32be4186fc3076837a2765116ab8ce8f1b3075dc7b17a675f9023"},
+			"f6a33f238ece247e4450d3871aac0e6e93b3a33c6dec8a5723fdfd31b3cc5abd"},
 		// A narrow window and an evidence store that evicts.
 		{"tight", flight.Config{WindowK: 3, MaxStalls: 4},
-			479196,
+			33103,
 			"c10c0811758c374abae190d95dd1771951a40e90d28e7ad0d08b974431b3b79d",
-			"f297a6a7cca32be4186fc3076837a2765116ab8ce8f1b3075dc7b17a675f9023"},
+			"7897dff6d26f0e6674430f254a337de6c79b3d5cfa1826a0ac48bfdb91a745ce"},
 	}
 	const wantFlows, wantStalls = 3600, 4098
 
@@ -107,11 +107,6 @@ func hashFlow(t *testing.T, verdict, trail hash.Hash, f *trace.Flow, cfg flight.
 		h.Write(b)
 		h.Write([]byte{'\n'})
 	}
-	putEvidence := func(ev *flight.Evidence) {
-		j := ev.JSON()
-		j.EventDrops = 0
-		put(verdict, j)
-	}
 	// put(a) hashes the whole FlowAnalysis, per-ACK series included,
 	// so the harness keeps them, as every analysis did when the
 	// digests were computed.
@@ -122,7 +117,7 @@ func hashFlow(t *testing.T, verdict, trail hash.Hash, f *trace.Flow, cfg flight.
 	inc.OnStall = func(ls core.LiveStall) {
 		put(verdict, ls)
 		if ev := rec.Evidence(ls.Stall.ID); ev != nil {
-			putEvidence(ev)
+			put(verdict, ev.JSON())
 		}
 	}
 	for i := range f.Records {
@@ -131,13 +126,12 @@ func hashFlow(t *testing.T, verdict, trail hash.Hash, f *trace.Flow, cfg flight.
 	a := inc.Flush()
 	put(verdict, a)
 	for _, ev := range rec.Evidences() {
-		putEvidence(ev)
+		put(verdict, ev.JSON())
 	}
 	fmt.Fprintf(verdict, "evidence drops %d\n", rec.EvidenceDrops())
 	evs := rec.Events()
 	for _, e := range evs {
 		put(trail, e.JSON())
 	}
-	fmt.Fprintf(trail, "event drops %d\n", rec.EventDrops())
 	return len(a.Stalls), len(evs)
 }

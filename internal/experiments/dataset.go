@@ -7,8 +7,12 @@
 package experiments
 
 import (
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
+
 	"tcpstall/internal/core"
-	"tcpstall/internal/pipeline"
 	"tcpstall/internal/workload"
 )
 
@@ -43,29 +47,44 @@ type Dataset struct {
 	Report   *core.Report
 }
 
-// BuildDataset generates and analyzes one service on the parallel
-// pipeline, using one worker per CPU.
+// BuildDataset generates and analyzes one service, using one worker
+// per CPU.
 func BuildDataset(svc workload.Service, seed int64, flows int) *Dataset {
 	return buildDataset(svc, seed, flows, 0)
 }
 
 func buildDataset(svc workload.Service, seed int64, flows, workers int) *Dataset {
 	res := workload.Generate(svc, seed, workload.GenOptions{Flows: flows, Workers: workers})
-	ds := &Dataset{Service: svc, Results: res}
 	// Figure 11 reads every analysis's per-ACK in_flight series.
 	cfg := core.DefaultConfig()
 	cfg.PerACKSeries = true
-	pr, err := pipeline.Run(pipeline.FromResults(res), pipeline.Options{
-		Workers: workers,
-		Config:  cfg,
-	})
-	if err != nil {
-		// FromResults cannot fail; a non-nil error would be a pipeline
-		// bug, and an empty dataset is the loudest downstream signal.
-		return ds
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	ds.Analyses = pr.Analyses
-	ds.Report = pr.Report
+	analyses := make([]*core.FlowAnalysis, len(res))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(res); i = int(next.Add(1) - 1) {
+				if f := res[i].Flow; f != nil {
+					analyses[i] = core.Analyze(f, cfg)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	ds := &Dataset{Service: svc, Results: res}
+	for _, a := range analyses {
+		if a != nil {
+			ds.Analyses = append(ds.Analyses, a)
+		}
+	}
+	// Flow-ID order, generation order among equal IDs.
+	sort.SliceStable(ds.Analyses, func(i, j int) bool { return ds.Analyses[i].FlowID < ds.Analyses[j].FlowID })
+	ds.Report = core.NewReport(ds.Analyses)
 	return ds
 }
 

@@ -88,9 +88,6 @@ func Stall(w io.Writer, st *core.Stall, ev *flight.Evidence) {
 				e.Idx, e.T.Seconds(), e.Kind, e.Name, e.A, e.B, e.C)
 		}
 	}
-	if ev.EventDrops > 0 {
-		fmt.Fprintf(w, "  (event ring overwrote %d earlier events of this flow)\n", ev.EventDrops)
-	}
 	if ev.Provisional {
 		fmt.Fprintf(w, "  (provisional: classification not yet settled by flow end)\n")
 	}

@@ -31,22 +31,30 @@ func loadSickMix(b *testing.B) *sickMix {
 	for _, svc := range workload.Services() {
 		for _, fr := range workload.Generate(svc, 11, workload.GenOptions{Flows: 4}) {
 			f := fr.Flow
-			rec := flight.NewRecorder(flight.Config{RingSize: 1 << 20})
+			rec := flight.NewRecorder(flight.Config{})
 			inc := core.NewIncremental(core.Config{})
 			inc.SetMeta(core.FlowMeta{ID: f.ID, Service: f.Service, MSS: f.MSS, InitRwnd: f.InitRwnd})
 			inc.SetRecorder(rec)
+			// Record i emits events of records i−1 and i, so once it
+			// is fed, record i−1's are all in the window.
+			harvest := func(idx int) {
+				for _, e := range rec.Events() {
+					if e.Idx == idx {
+						e.Idx += m.idxSpan
+						e.T += m.tSpan
+						m.events = append(m.events, e)
+					}
+				}
+			}
 			for i := range f.Records {
 				inc.Feed(&f.Records[i])
+				harvest(i - 1)
 				r := f.Records[i]
 				r.T += m.tSpan
 				m.recs = append(m.recs, r)
 			}
 			inc.Flush()
-			for _, e := range rec.Events() {
-				e.Idx += m.idxSpan
-				e.T += m.tSpan
-				m.events = append(m.events, e)
-			}
+			harvest(len(f.Records) - 1)
 			m.idxSpan += len(f.Records)
 			if n := len(f.Records); n > 0 {
 				m.tSpan += f.Records[n-1].T + sim.Time(time.Second)
@@ -66,13 +74,13 @@ func (m *sickMix) emit(r *flight.Recorder, i int) {
 	r.Emit(e.Idx+round*m.idxSpan, e.T+sim.Time(round)*m.tSpan, e.Kind, e.Name, e.A, e.B, e.C)
 }
 
-// BenchmarkEmit is the cost of one event into a full default ring
-// (256 events), so every Emit also drops the oldest.
+// BenchmarkEmit is the cost of one event into a default window that
+// has reached its size, so Emit also trims the events it slides past.
 func BenchmarkEmit(b *testing.B) {
 	m := loadSickMix(b)
 	r := flight.NewRecorder(flight.Config{})
 	i := 0
-	for ; i < 4*len(m.events) || r.EventDrops() == 0; i++ {
+	for ; i < 4*len(m.events); i++ {
 		m.emit(r, i)
 	}
 	b.ReportAllocs()

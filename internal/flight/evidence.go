@@ -128,22 +128,17 @@ type Evidence struct {
 	// Window holds the records around the gap: up to WindowK before,
 	// the closing record, and up to WindowK after.
 	Window []RecSample
-	// EventDrops is the ring's drop count when the evidence was
-	// captured — non-zero means earlier events of this flow are gone.
-	EventDrops uint64
 
-	// events is the ring's encoded suffix from the first event at or
-	// after record StartIdx − WindowK (see Events); base is what its
-	// first event decodes against.
+	// events holds the window's events of record StartIdx − WindowK
+	// and later, encoded (see Events).
 	events []byte
-	base   cursor
 	// postWanted counts the post-gap samples still to capture.
 	postWanted int
 }
 
-// Events decodes the ring events near the stall, oldest first: every
-// event the ring held at close time attributed to record
-// StartIdx − WindowK or later.
+// Events decodes the events near the stall, oldest first: every
+// event attributed to record StartIdx − WindowK or later that the
+// window held at close time.
 func (e *Evidence) Events() []Event {
 	count := 0
 	for off := 0; off < len(e.events); count++ {
@@ -152,7 +147,7 @@ func (e *Evidence) Events() []Event {
 	if count == 0 {
 		return nil
 	}
-	return decodeEvents(e.events, e.base, count)
+	return decodeEvents(e.events, count)
 }
 
 // Duration is End − Start.
@@ -187,7 +182,6 @@ type EvidenceJSON struct {
 	Decision    []BranchStep `json:"decision"`
 	Window      []SampleJSON `json:"window"`
 	Events      []EventJSON  `json:"events,omitempty"`
-	EventDrops  uint64       `json:"event_drops,omitempty"`
 }
 
 // SampleJSON is the wire form of a RecSample.
@@ -256,7 +250,6 @@ func (e *Evidence) JSON() EvidenceJSON {
 		SubCause:    e.SubCause,
 		DoubleKind:  e.DoubleKind,
 		Provisional: e.Provisional,
-		EventDrops:  e.EventDrops,
 	}
 	out.Decision = make([]BranchStep, len(e.Decision))
 	for i, s := range e.Decision {

@@ -3,20 +3,19 @@
 // auditable evidence chain. When a Recorder is attached, the core
 // analyzer emits typed events (congestion-state transitions,
 // cwnd/ssthresh moves, SRTT/RTO updates, scoreboard edits, stall
-// open/close) into a bounded ring, and every classified stall is
+// open/close) into a small window, and every classified stall is
 // stored as an Evidence entry: the Figure-5/Table-5 decision path
-// with the concrete variable values that decided each branch, plus
-// the ±K packet records around the silent gap (tcptrace-style
-// time/sequence samples).
+// with the concrete variable values that decided each branch, the
+// ±K packet records around the silent gap (tcptrace-style
+// time/sequence samples) and the events near it.
 //
-// Everything is bounded and accounted: the event ring, a byte buffer
-// of delta-encoded events, drops its oldest events once RingSize are
-// held (counted in EventDrops), the evidence store keeps
-// the most recent MaxStalls stalls (older entries counted in
-// EvidenceDrops), and a stall's record window holds at most
-// 2·WindowK+1 samples. A nil *Recorder is the disabled mode — every
-// method is nil-receiver safe, so the analyzer's fast path costs one
-// pointer test per emission site.
+// Everything is bounded: the event window holds only the events of
+// the last WindowK+2 records, which are all a stall's evidence
+// reads; the evidence store keeps the most recent MaxStalls stalls
+// (older entries counted in EvidenceDrops), and a stall's record
+// window holds at most 2·WindowK+1 samples. A nil *Recorder is the
+// disabled mode — every method is nil-receiver safe, so the
+// analyzer's fast path costs one pointer test per emission site.
 //
 // A Recorder is owned by one flow and is not safe for concurrent
 // use; concurrent readers (the live admin plane) must copy under the
@@ -136,8 +135,9 @@ func (n Name) String() string {
 	return fmt.Sprintf("name(%d)", int(n))
 }
 
-// Event is one recorder event as Events decodes it: 48 bytes, no
-// pointers. The ring itself holds events encoded (see ring).
+// Event is one recorder event: 48 bytes, no pointers. The window
+// holds events as they are; evidence keeps them encoded (see
+// encodeEvents).
 type Event struct {
 	// Idx is the record index (0-based feed order) the event is
 	// attributed to.
@@ -195,14 +195,11 @@ func SampleOf(idx int, r *trace.Record) RecSample {
 // Config sizes a Recorder. The zero value selects the documented
 // defaults.
 type Config struct {
-	// RingSize is the event-ring capacity in events (default 256).
-	// The ring holds its events encoded and grows on demand, so a
-	// flow pays only for the events it holds. When full, the oldest
-	// event is dropped and counted in EventDrops.
-	RingSize int
 	// WindowK is how many records are kept on each side of a stall
 	// gap (default 8): a stall's window holds up to WindowK records
-	// before the gap, the gap-closing record, and WindowK after.
+	// before the gap, the gap-closing record, and WindowK after, and
+	// its events are those of records StartIdx−WindowK on. The event
+	// window holds the events of the last WindowK+2 records.
 	WindowK int
 	// MaxStalls caps retained Evidence entries per flow (default 32).
 	// Older entries are discarded first and counted in EvidenceDrops.
@@ -212,9 +209,6 @@ type Config struct {
 // WithDefaults returns the configuration with the documented
 // defaults filled in.
 func (c Config) WithDefaults() Config {
-	if c.RingSize <= 0 {
-		c.RingSize = 256
-	}
 	if c.WindowK <= 0 {
 		c.WindowK = 8
 	}
@@ -241,9 +235,9 @@ func (r Ref) String() string { return fmt.Sprintf("%s/stall/%d", r.Flow, r.Stall
 type Recorder struct {
 	cfg Config
 
-	// events is the bounded event ring.
+	// events holds the events of the last WindowK+2 records.
 	// guarded by the owning analyzer's single goroutine (external)
-	events ring
+	events window
 
 	// recent holds the last WindowK+1 record samples (pre-gap
 	// context) as a circular window: once full, head is the oldest.
@@ -261,8 +255,8 @@ type Recorder struct {
 	evidenceDrops uint64 // guarded by the owning analyzer's single goroutine (external)
 }
 
-// NewRecorder builds an enabled recorder. The event ring is allocated
-// on the first Emit.
+// NewRecorder builds an enabled recorder. The event window is
+// allocated on the first Emit.
 func NewRecorder(cfg Config) *Recorder {
 	cfg = cfg.WithDefaults()
 	return &Recorder{
@@ -275,16 +269,16 @@ func NewRecorder(cfg Config) *Recorder {
 // Enabled reports whether the recorder exists (nil-receiver safe).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Emit appends one event to the ring, dropping the oldest once
-// RingSize events are held. idx must not decrease from one call to
-// the next — the analyzer attributes events to its record counter —
-// so the events a stall's evidence keeps are a suffix of the ring.
-// Nil-receiver safe.
+// Emit appends one event to the window, first trimming the events
+// of records before idx−(WindowK+1). idx must not decrease from one
+// call to the next — the analyzer attributes events to its record
+// counter — so the window is oldest first and the events a stall's
+// evidence keeps are a suffix of it. Nil-receiver safe.
 func (r *Recorder) Emit(idx int, t sim.Time, kind Kind, name Name, a, b, c int64) {
 	if r == nil {
 		return
 	}
-	r.events.push(r.cfg.RingSize, idx, t, kind, name, a, b, c)
+	r.events.push(idx-r.cfg.WindowK-1, Event{Idx: idx, T: t, Kind: kind, Name: name, A: a, B: b, C: c})
 }
 
 // Sample feeds one record into the window machinery: it completes
@@ -319,8 +313,8 @@ func (r *Recorder) Sample(idx int, rec *trace.Record) {
 // StallClosed stores the evidence for a freshly closed stall: the
 // decision trail walked at close time (provisional for the Table-5
 // sub-cause), the pre-gap record window accumulated so far, and the
-// current event-drop watermark. The gap-closing record must already
-// have been Sampled. Nil-receiver safe.
+// window's events from record startIdx−WindowK on. The gap-closing
+// record must already have been Sampled. Nil-receiver safe.
 func (r *Recorder) StallClosed(ref Ref, startIdx, endIdx int, start, end sim.Time, cause, subCause, doubleKind string, tr *Trail) {
 	if r == nil {
 		return
@@ -342,10 +336,8 @@ func (r *Recorder) StallClosed(ref Ref, startIdx, endIdx int, start, end sim.Tim
 	// circular window is copied oldest first.
 	ev.Window = make([]RecSample, 0, len(r.recent)+r.cfg.WindowK)
 	ev.Window = append(append(ev.Window, r.recent[r.head:]...), r.recent[:r.head]...)
-	// Events inside or near the stall: the ring's suffix from its
-	// first event at or after the window start.
-	ev.events, ev.base = r.events.suffix(startIdx - r.cfg.WindowK)
-	ev.EventDrops = r.EventDrops()
+	// Events inside or near the stall, encoded.
+	ev.events = encodeEvents(r.events.since(startIdx - r.cfg.WindowK))
 	r.stalls[ref.Stall] = ev
 	r.order = append(r.order, ref.Stall)
 	r.open = append(r.open, ev)
@@ -409,22 +401,14 @@ func (r *Recorder) Evidences() []*Evidence {
 	return out
 }
 
-// Events returns the event ring oldest-first (a copy).
-// Nil-receiver safe.
+// Events returns the event window oldest-first (a copy): the events
+// of the last WindowK+2 records. Nil-receiver safe.
 func (r *Recorder) Events() []Event {
-	if r == nil {
+	if r == nil || r.events.n == 0 {
 		return nil
 	}
-	return r.events.events()
-}
-
-// EventDrops reports how many events the ring has dropped.
-// Nil-receiver safe.
-func (r *Recorder) EventDrops() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.events.drops()
+	a, b := r.events.runs()
+	return append(append(make([]Event, 0, r.events.n), a...), b...)
 }
 
 // EvidenceDrops reports how many evidence entries the MaxStalls cap
@@ -436,11 +420,54 @@ func (r *Recorder) EvidenceDrops() uint64 {
 	return r.evidenceDrops
 }
 
-// Config reports the (defaulted) configuration; the zero Config for
-// a nil recorder.
-func (r *Recorder) Config() Config {
-	if r == nil {
-		return Config{}
+// window is a circular buffer of events, oldest first: n of them from
+// buf[head] on, wrapping at len(buf). It grows when full, so it holds
+// every event of the records it spans.
+type window struct {
+	buf     []Event
+	head, n int
+}
+
+// push trims the events of records before lo, then appends e.
+func (w *window) push(lo int, e Event) {
+	for w.n > 0 && w.buf[w.head].Idx < lo {
+		if w.head++; w.head == len(w.buf) {
+			w.head = 0
+		}
+		w.n--
 	}
-	return r.cfg
+	if w.n == len(w.buf) {
+		buf := make([]Event, max(16, 2*w.n))
+		copy(buf[copy(buf, w.buf[w.head:]):], w.buf[:w.head])
+		w.buf, w.head = buf, 0
+	}
+	i := w.head + w.n
+	if i >= len(w.buf) {
+		i -= len(w.buf)
+	}
+	w.buf[i] = e
+	w.n++
+}
+
+// runs returns the held events, oldest first, as the two runs of the
+// circular buffer.
+func (w *window) runs() (a, b []Event) {
+	if end := w.head + w.n; end > len(w.buf) {
+		return w.buf[w.head:], w.buf[:end-len(w.buf)]
+	}
+	return w.buf[w.head : w.head+w.n], nil
+}
+
+// since is runs without the events of records before lo.
+func (w *window) since(lo int) (a, b []Event) {
+	a, b = w.runs()
+	for len(a) > 0 && a[0].Idx < lo {
+		a = a[1:]
+	}
+	if len(a) == 0 {
+		for len(b) > 0 && b[0].Idx < lo {
+			b = b[1:]
+		}
+	}
+	return a, b
 }

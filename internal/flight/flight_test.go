@@ -30,7 +30,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.Evidence(0) != nil || r.Evidences() != nil || r.Events() != nil {
 		t.Fatal("nil recorder returned data")
 	}
-	if r.EventDrops() != 0 || r.EvidenceDrops() != 0 {
+	if r.EvidenceDrops() != 0 {
 		t.Fatal("nil recorder counted drops")
 	}
 	var tr *Trail
@@ -40,24 +40,27 @@ func TestNilRecorderSafe(t *testing.T) {
 	tr.Note("note")
 }
 
-// The event ring must drop oldest-first and account for every
-// dropped event.
-func TestEventRingTruncationAccounting(t *testing.T) {
-	r := NewRecorder(Config{RingSize: 4})
-	for i := 0; i < 10; i++ {
-		r.Emit(i, sim.Time(i), KindSeg, NameDataSent, int64(i), 0, 0)
+// The event window must keep every event of the last WindowK+2
+// records, oldest first, and nothing older.
+func TestEventWindowTrims(t *testing.T) {
+	r := NewRecorder(Config{WindowK: 2})
+	for i := 0; i < 20; i++ {
+		r.Emit(i/2, sim.Time(i), KindSeg, NameDataSent, int64(i), 0, 0)
 	}
-	if got := r.EventDrops(); got != 6 {
-		t.Fatalf("EventDrops = %d, want 6", got)
-	}
+	// Records 6…9, two events each.
 	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(evs))
+	if len(evs) != 8 {
+		t.Fatalf("window holds %d events, want 8", len(evs))
 	}
 	for i, e := range evs {
-		if want := int64(6 + i); e.A != want {
-			t.Errorf("ring[%d].A = %d, want %d (oldest-first order)", i, e.A, want)
+		if want := int64(12 + i); e.A != want {
+			t.Errorf("window[%d].A = %d, want %d (oldest-first order)", i, e.A, want)
 		}
+	}
+	// A jump past the window leaves only the new event.
+	r.Emit(100, 100, KindAck, NameAckAdvance, 1, 0, 0)
+	if evs := r.Events(); len(evs) != 1 || evs[0].Idx != 100 {
+		t.Fatalf("after a jump the window holds %v, want the one new event", evs)
 	}
 }
 
@@ -184,46 +187,55 @@ func TestEntrySizes(t *testing.T) {
 	}
 }
 
-// A recorder that has emitted nothing must cost next to nothing,
-// whatever its RingSize: the ring is allocated on demand.
+// A recorder that has emitted nothing must cost next to nothing: the
+// event window is allocated on demand.
 func TestNewRecorderLazyRing(t *testing.T) {
 	const n = 100
-	for _, size := range []int{256, 1 << 20} {
-		keep := make([]*Recorder, n)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := range keep {
-			keep[i] = NewRecorder(Config{RingSize: size})
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(keep)
-		if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n; per > 1024 {
-			t.Errorf("RingSize %d: a fresh recorder retains %d B, want ≤ 1 KB", size, per)
-		}
+	keep := make([]*Recorder, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewRecorder(Config{})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n; per > 1024 {
+		t.Errorf("a fresh recorder retains %d B, want ≤ 1 KB", per)
 	}
 }
 
-// The encoded ring must behave exactly like a naive ring of RingSize
-// slots — same Events, same drop count — keep its buffer within
-// twice the held events' bytes plus one maximal event, and cut each
-// stall's events out of the ring as it stands at close, at every wrap
-// position.
+// The event window must hold exactly what a naive model holds — every
+// event of the last WindowK+2 records — at every wrap position of its
+// circular buffer, and each stall's evidence the model's events from
+// record StartIdx − WindowK on, encoded and decoded back.
 func TestEventRingMatchesModel(t *testing.T) {
-	const k = 2
-	for _, size := range []int{1, 7, 16, 17, 100, 256} {
-		for _, count := range []int{0, 1, size - 1, size, size + 1, 3*size + 5} {
-			r := NewRecorder(Config{RingSize: size, WindowK: k, MaxStalls: 1 << 20})
+	for _, k := range []int{1, 2, 8} {
+		for _, perRec := range []int{1, 3, 7} {
+			r := NewRecorder(Config{WindowK: k, MaxStalls: 1 << 20})
 			var all []Event // every event emitted, oldest first
-			model := func() []Event { return all[max(0, len(all)-size):] }
-			for i := 0; i < count; i++ {
-				// Two events per record index, so the filter cuts inside runs.
-				e := Event{Idx: i / 2, T: sim.Time(i), Kind: KindSeg, Name: NameDataSent, A: int64(i)}
+			model := func() []Event {
+				var held []Event
+				for _, e := range all {
+					if e.Idx >= all[len(all)-1].Idx-k-1 {
+						held = append(held, e)
+					}
+				}
+				return held
+			}
+			for i := 0; i < 40*perRec; i++ {
+				// perRec events per record, so the window's edges cut
+				// inside runs, and a skipped record every 11.
+				idx := i / perRec
+				idx += idx / 11
+				e := Event{Idx: idx, T: sim.Time(i), Kind: KindSeg, Name: NameDataSent, A: int64(i)}
 				r.Emit(e.Idx, e.T, e.Kind, e.Name, e.A, 0, 0)
 				all = append(all, e)
-				checkRingBytes(t, r)
-				startIdx := i/2 - i%5
+				if got, want := r.Events(), model(); !slices.Equal(got, want) {
+					t.Fatalf("k %d, %d events: Events() = %v, want %v", k, i+1, got, want)
+				}
+				startIdx := idx - i%(k+3)
 				r.StallClosed(Ref{"f", i}, startIdx, startIdx+1, 0, 0, "c", "", "", nil)
 				var want []Event
 				for _, m := range model() {
@@ -232,53 +244,44 @@ func TestEventRingMatchesModel(t *testing.T) {
 					}
 				}
 				if got := r.Evidence(i).Events(); !slices.Equal(got, want) {
-					t.Fatalf("size %d, %d events: evidence events %v, want %v", size, i+1, got, want)
+					t.Fatalf("k %d, %d events: evidence events %v, want %v", k, i+1, got, want)
 				}
-			}
-			if got, want := r.Events(), model(); !slices.Equal(got, want) {
-				t.Fatalf("size %d, %d events: Events() = %v, want %v", size, count, got, want)
-			}
-			if got, want := r.EventDrops(), uint64(count-len(model())); got != want {
-				t.Fatalf("size %d, %d events: EventDrops = %d, want %d", size, count, got, want)
 			}
 		}
 	}
 }
 
-// Reading a wrapped ring decodes straight into the result: Events
-// allocates only the copy, and StallClosed only the evidence, its
-// window and its slice of the encoded ring.
-func TestWrappedRingAllocs(t *testing.T) {
-	r := NewRecorder(Config{RingSize: 1 << 10, MaxStalls: 1 << 20})
-	for i := 0; i < 3<<10+5; i++ {
-		r.Emit(i, sim.Time(i), KindSeg, NameDataSent, int64(i), 0, 0)
+// Once a flow's window has grown to the most events its WindowK+2
+// records emit, Emit is a slot write that allocates nothing. Reading
+// the window allocates only the copy, and StallClosed only the
+// evidence, its record window and its encoded events.
+func TestWindowEmitAllocs(t *testing.T) {
+	r := NewRecorder(Config{MaxStalls: 1 << 20})
+	i := 0
+	emit := func() {
+		// Up to five events per record.
+		r.Emit(i/5, sim.Time(i), KindSeg, NameDataSent, int64(i), 0, 0)
+		i++
 	}
-	if r.EventDrops() == 0 {
-		t.Fatal("ring did not wrap")
+	for range 1000 {
+		emit()
+	}
+	if n := testing.AllocsPerRun(1000, emit); n != 0 {
+		t.Errorf("steady-state Emit: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { r.Events() }); n != 1 {
-		t.Errorf("Events on a wrapped ring: %v allocs, want 1", n)
+		t.Errorf("Events: %v allocs, want 1", n)
 	}
+	last := (i - 1) / 5 // the last event's record
 	id := 0
 	n := testing.AllocsPerRun(100, func() {
 		id++
-		r.StallClosed(Ref{"f", id}, 0, 1, 0, 0, "c", "", "", nil)
+		r.StallClosed(Ref{"f", id}, last-1, last, 0, 0, "c", "", "", nil)
 	})
 	if n > 3 {
-		t.Errorf("StallClosed on a wrapped ring: %v allocs, want ≤ 3", n)
+		t.Errorf("StallClosed: %v allocs, want ≤ 3", n)
 	}
-	if got := len(r.Evidence(id).Events()); got != 1<<10 {
-		t.Fatalf("evidence holds %d events, want the whole ring", got)
-	}
-}
-
-// checkRingBytes fails t unless r's buffer holds at most twice its
-// held events' encoded bytes plus one maximal event, so a wrapped
-// ring cannot grow without bound.
-func checkRingBytes(t testing.TB, r *Recorder) {
-	t.Helper()
-	g := &r.events
-	if live := len(g.buf) - g.start; cap(g.buf) > 2*live+maxEventBytes {
-		t.Fatalf("%d events held in %d encoded bytes, buffer of %d", g.held, live, cap(g.buf))
+	if got, want := len(r.Evidence(id).Events()), len(r.Events()); got != want {
+		t.Fatalf("evidence holds %d events, want the window's %d", got, want)
 	}
 }

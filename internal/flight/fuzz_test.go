@@ -51,22 +51,22 @@ func (in *fuzzInput) value() int64 {
 	}
 }
 
-// FuzzFlightRing drives a recorder with an arbitrary stream of
+// FuzzFlightWindow drives a recorder with an arbitrary stream of
 // emits, samples, closed stalls and finalizations and checks it
-// against a naive model: the ring must hold exactly the last RingSize
-// events emitted, count the rest as drops, stay within its byte
-// bound, and hand every retained evidence the events the model held
-// at close from record StartIdx − WindowK on, and its window of
-// samples. The first bytes pick RingSize (1–300), WindowK and
-// MaxStalls; Idx never decreases, T moves by deltas of either sign,
-// payloads include the int64 extremes, and Kind and Name are any
-// byte.
-func FuzzFlightRing(f *testing.F) {
-	f.Add([]byte{0, 3, 1, 2})
-	f.Add([]byte{7, 1, 2, 3, 0, 1, 1, 1, 2, 2, 2, 6, 0, 1, 0, 5, 9, 7, 0})
-	// A 5-event ring wrapped many times over by events of every
+// against a naive model: the window must hold exactly the events of
+// the last WindowK+2 records emitted, its buffer at most twice the
+// most events it has held, and every retained evidence must hold the
+// events the model held at close from record StartIdx − WindowK on,
+// and its window of samples. The first bytes pick WindowK (any int8,
+// so zero and negatives select the default) and MaxStalls; Idx never
+// decreases, T moves by deltas of either sign, payloads include the
+// int64 extremes, and Kind and Name are any byte.
+func FuzzFlightWindow(f *testing.F) {
+	f.Add([]byte{3, 1, 2})
+	f.Add([]byte{1, 2, 3, 0, 1, 1, 1, 2, 2, 2, 6, 0, 1, 0, 5, 9, 7, 0})
+	// A 2-record window slid many times over by events of every
 	// payload class, with samples, stalls and finalizations between.
-	seed := []byte{4, 0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	seed := []byte{1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 	for i := range 200 {
 		b := byte(i)
 		seed = append(seed, b%8, b%4, 2, b, b*7, 3, b, 1+b%7, 2, 0)
@@ -77,10 +77,9 @@ func FuzzFlightRing(f *testing.F) {
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
-		size := 1 + int(binary.LittleEndian.Uint16([]byte{in.byte(), in.byte()}))%300
-		k := 1 + int(in.byte()%12)
-		maxStalls := 1 + int(in.byte()%8)
-		r := NewRecorder(Config{RingSize: size, WindowK: k, MaxStalls: maxStalls})
+		cfg := Config{WindowK: int(int8(in.byte())), MaxStalls: 1 + int(in.byte()%8)}
+		r := NewRecorder(cfg)
+		k := cfg.WithDefaults().WindowK
 
 		var all []Event         // every event emitted, oldest first
 		var samples []RecSample // every record sampled, oldest first
@@ -90,9 +89,20 @@ func FuzzFlightRing(f *testing.F) {
 			closed int // samples taken when the stall closed
 		}
 		wants := map[int]want{}
-		held := func() []Event { return all[max(0, len(all)-size):] }
+		held := func() []Event {
+			if len(all) == 0 {
+				return nil
+			}
+			var out []Event
+			for _, e := range all {
+				if e.Idx >= all[len(all)-1].Idx-k-1 {
+					out = append(out, e)
+				}
+			}
+			return out
+		}
 		idx, tm := int(int32(in.uint64())), sim.Time(in.value())
-		stall := 0
+		stall, peak := 0, 0
 		for ops := 0; len(in) > 0 && ops < 2000; ops++ {
 			switch op := in.byte(); op % 8 {
 			case 0, 1, 2, 3, 4:
@@ -109,7 +119,10 @@ func FuzzFlightRing(f *testing.F) {
 					A: in.value(), B: in.value(), C: in.value()}
 				r.Emit(e.Idx, e.T, e.Kind, e.Name, e.A, e.B, e.C)
 				all = append(all, e)
-				checkRingBytes(t, r)
+				peak = max(peak, len(held()))
+				if n := len(r.events.buf); n > max(16, 2*peak) {
+					t.Fatalf("window buffer of %d events, at most %d held", n, peak)
+				}
 			case 5:
 				rec := &trace.Record{T: tm, Dir: trace.Dir(op >> 7), Seg: trace.Segment{
 					Seq: uint32(in.uint64()), Ack: uint32(idx), Len: int(in.byte()), Wnd: int(in.byte())}}
@@ -136,11 +149,8 @@ func FuzzFlightRing(f *testing.F) {
 			if got := r.Events(); !slices.Equal(got, held()) {
 				t.Fatalf("after %d events: Events() = %v, want %v", len(all), got, held())
 			}
-			if got, want := r.EventDrops(), uint64(len(all)-len(held())); got != want {
-				t.Fatalf("after %d events: EventDrops = %d, want %d", len(all), got, want)
-			}
 		}
-		if got, want := r.EvidenceDrops(), uint64(max(0, stall-maxStalls)); got != want {
+		if got, want := r.EvidenceDrops(), uint64(max(0, stall-cfg.MaxStalls)); got != want {
 			t.Fatalf("EvidenceDrops = %d, want %d", got, want)
 		}
 		for _, ev := range r.Evidences() {

@@ -34,8 +34,7 @@ type aggregates struct {
 	recordsFed     uint64
 	recordsCapDrop uint64 // dropped by the per-flow record cap
 
-	// flight-recorder ring truncation, folded in at flow eviction.
-	flightEventDrops    uint64
+	// flight-recorder evidence evictions, folded in at flow eviction.
 	flightEvidenceDrops uint64
 
 	// Two-phase triage accounting (all zero when Config.Triage is
@@ -99,7 +98,6 @@ func (ag *aggregates) merge(o *aggregates) {
 	ag.flowsTruncated += o.flowsTruncated
 	ag.recordsFed += o.recordsFed
 	ag.recordsCapDrop += o.recordsCapDrop
-	ag.flightEventDrops += o.flightEventDrops
 	ag.flightEvidenceDrops += o.flightEvidenceDrops
 	ag.triFastRecords += o.triFastRecords
 	ag.triRepromotions += o.triRepromotions
@@ -125,6 +123,10 @@ func (ag *aggregates) merge(o *aggregates) {
 		ag.retransTime[c] += d
 	}
 }
+
+// windowBuckets is how many buckets a shard's rolling window spans
+// Config.Window in.
+const windowBuckets = 12
 
 // rollWindow is a ring of time buckets implementing the rolling
 // aggregation window: bucket i holds epoch e ≡ i (mod len), and a

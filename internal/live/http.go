@@ -92,8 +92,6 @@ func NewHandler(m *Monitor) http.Handler {
 			"max_records_per_flow": cfg.MaxRecordsPerFlow,
 			"idle_timeout":         cfg.IdleTimeout.String(),
 			"window":               cfg.Window.String(),
-			"window_buckets":       cfg.WindowBuckets,
-			"recent_stalls":        cfg.RecentStalls,
 			"analysis": map[string]any{
 				"tau":        cfg.Analysis.Tau,
 				"dup_thresh": cfg.Analysis.DupThresh,
@@ -114,7 +112,6 @@ func NewHandler(m *Monitor) http.Handler {
 		}
 		if cfg.Flight != nil {
 			out["flight"] = map[string]any{
-				"ring_size":  cfg.Flight.RingSize,
 				"window_k":   cfg.Flight.WindowK,
 				"max_stalls": cfg.Flight.MaxStalls,
 			}
@@ -175,7 +172,7 @@ var (
 	famIngested           = promtext.NewFamily("tapod_records_ingested_total", promtext.Counter, "Records accepted into shard queues.")
 	famDropped            = promtext.NewFamily("tapod_records_dropped_total", promtext.Counter, "Records discarded, by reason.", "reason")
 	famShardRingDrops     = promtext.NewFamily("tapod_shard_ring_drops_total", promtext.Counter, "Records shed at each shard's full intake queue.", "shard")
-	famFlightDrops        = promtext.NewFamily("tapod_flight_drops_total", promtext.Counter, "Flight-recorder ring truncation (settled at flow eviction), by kind.", "kind")
+	famFlightDrops        = promtext.NewFamily("tapod_flight_drops_total", promtext.Counter, "Flight-recorder evidence evicted by the per-flow cap (settled at flow eviction), by kind.", "kind")
 	famFed                = promtext.NewFamily("tapod_records_fed_total", promtext.Counter, "Records fed into per-flow analyzers.")
 	famTriageRecords      = promtext.NewFamily("tapod_triage_records_total", promtext.Counter, "Records handled by the triage fast path.")
 	famTriagePromotions   = promtext.NewFamily("tapod_triage_promotions_total", promtext.Counter, "Flow promotions to full analysis, by symptom.", "symptom")
@@ -217,7 +214,6 @@ func writeMetrics(w io.Writer, s Snapshot) {
 	for i, n := range s.ShardRingDrops {
 		pw.Uint(famShardRingDrops, n, strconv.Itoa(i))
 	}
-	pw.Uint(famFlightDrops, s.FlightEventDrops, "event")
 	pw.Uint(famFlightDrops, s.FlightEvidenceDrops, "evidence")
 	pw.Uint(famFed, s.RecordsFed)
 	pw.Uint(famTriageRecords, s.TriageFastRecords)

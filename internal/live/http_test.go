@@ -131,7 +131,7 @@ func TestHTTPPlane(t *testing.T) {
 			if err := json.Unmarshal(out["flight"], &fl); err != nil {
 				t.Fatalf("%+v: flight block: %v", tc, err)
 			}
-			if want := map[string]int{"ring_size": 256, "window_k": 4, "max_stalls": 32}; !maps.Equal(fl, want) {
+			if want := map[string]int{"window_k": 4, "max_stalls": 32}; !maps.Equal(fl, want) {
 				t.Errorf("%+v: flight block = %v, want %v", tc, fl, want)
 			}
 		}

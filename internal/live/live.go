@@ -54,17 +54,11 @@ type Config struct {
 	// scoreboard memory without bound.
 	MaxRecordsPerFlow int
 	// IdleTimeout evicts flows with no packet for this long on the
-	// wall clock (default 5m; sweeps run on SweepEvery).
+	// wall clock (default 5m; sweeps run every IdleTimeout/4).
 	IdleTimeout time.Duration
-	// SweepEvery is the idle-sweep period (default IdleTimeout/4).
-	SweepEvery time.Duration
-	// Window/WindowBuckets shape the rolling aggregation window
-	// (default 60s over 12 buckets).
-	Window        time.Duration
-	WindowBuckets int
-	// RecentStalls bounds the admin plane's recent-stall ring
-	// (default 256).
-	RecentStalls int
+	// Window is the span of the rolling aggregation window (default
+	// 60s, in windowBuckets buckets).
+	Window time.Duration
 	// DigestSize bounds the stall digest — the drain-and-reset event
 	// buffer a fleet member attaches to each snapshot push (default
 	// 256; negative disables). The digest keeps the FIRST DigestSize
@@ -115,17 +109,8 @@ func (c *Config) defaults() {
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 5 * time.Minute
 	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = c.IdleTimeout / 4
-	}
 	if c.Window <= 0 {
 		c.Window = time.Minute
-	}
-	if c.WindowBuckets <= 0 {
-		c.WindowBuckets = 12
-	}
-	if c.RecentStalls <= 0 {
-		c.RecentStalls = 256
 	}
 	if c.DigestSize == 0 {
 		c.DigestSize = 256
@@ -228,7 +213,7 @@ func New(cfg Config) *Monitor {
 	cfg.defaults()
 	m := &Monitor{cfg: cfg}
 	m.batchFree.max = batchFreePerShard * cfg.Shards
-	m.recent.buf = make([]core.LiveStall, cfg.RecentStalls)
+	m.recent.buf = make([]core.LiveStall, recentStalls)
 	if cfg.DigestSize > 0 {
 		m.digest.cap = cfg.DigestSize
 	}
@@ -243,7 +228,7 @@ func New(cfg Config) *Monitor {
 			flows:    map[string]*flowEntry{},
 			maxFlows: perShard,
 			agg:      newAggregates(),
-			window:   newRollWindow(cfg.Window, cfg.WindowBuckets),
+			window:   newRollWindow(cfg.Window, windowBuckets),
 		}
 		if cfg.Triage != nil {
 			sh.arena = triage.NewArena()
@@ -438,7 +423,7 @@ func (sh *shard) enqueue(b []trace.RecordEvent, wait bool) int {
 
 func (sh *shard) run() {
 	defer sh.m.wg.Done()
-	sweep := time.NewTicker(sh.m.cfg.SweepEvery)
+	sweep := time.NewTicker(sh.m.cfg.IdleTimeout / 4)
 	defer sweep.Stop()
 	for {
 		select {
@@ -691,9 +676,8 @@ func (sh *shard) evictLocked(e *flowEntry, reason string) {
 	}
 	sh.agg.flowEvicted(reason, a, e.truncated)
 	if e.rec != nil {
-		// Flight-ring truncation is settled at eviction: what the
-		// rings overwrote while the flow lived is final now.
-		sh.agg.flightEventDrops += e.rec.EventDrops()
+		// Evidence evictions are settled at eviction: what the
+		// MaxStalls cap discarded while the flow lived is final now.
 		sh.agg.flightEvidenceDrops += e.rec.EvidenceDrops()
 	}
 	if sh.m.cfg.OnFlow != nil {
@@ -758,6 +742,9 @@ func (m *Monitor) SweepIdle() {
 		sh.SweepIdle()
 	}
 }
+
+// recentStalls bounds the admin plane's recent-stall ring.
+const recentStalls = 256
 
 // stallRing keeps the most recent stall events for the admin plane.
 type stallRing struct {
@@ -870,10 +857,8 @@ type Snapshot struct {
 	RecordsFed     uint64
 	RecordsCapDrop uint64
 
-	// FlightEventDrops / FlightEvidenceDrops count flight-recorder
-	// ring overwrites and evidence evictions, settled at flow
-	// eviction. Zero when Config.Flight is nil.
-	FlightEventDrops    uint64
+	// FlightEvidenceDrops counts flight-recorder evidence evictions,
+	// settled at flow eviction. Zero when Config.Flight is nil.
 	FlightEvidenceDrops uint64
 
 	// Two-phase triage state (all zero when Config.Triage is nil).
@@ -930,7 +915,6 @@ func (m *Monitor) Snapshot() Snapshot {
 		RecordsFed:     total.recordsFed,
 		RecordsCapDrop: total.recordsCapDrop,
 
-		FlightEventDrops:    total.flightEventDrops,
 		FlightEvidenceDrops: total.flightEvidenceDrops,
 
 		PromotedFlows:             promoted,
@@ -1026,14 +1010,14 @@ func (m *Monitor) Flow(id string) (FlowInfo, bool) {
 }
 
 // FlowTrace is the /debug/flows/{id}/trace payload: everything the
-// flow's flight recorder holds, deep-copied so it can be marshalled
-// after the shard lock is released.
+// flow's flight recorder holds — its evidence entries and the events
+// of its current window — deep-copied so it can be marshalled after
+// the shard lock is released.
 type FlowTrace struct {
 	FlowInfo
 	// Flight is false when the monitor runs without recorders; the
 	// evidence fields are then empty.
 	Flight        bool                  `json:"flight"`
-	EventDrops    uint64                `json:"event_drops"`
 	EvidenceDrops uint64                `json:"evidence_drops"`
 	Evidences     []flight.EvidenceJSON `json:"evidences"`
 	Events        []flight.EventJSON    `json:"events"`
@@ -1048,7 +1032,6 @@ func (m *Monitor) FlowTrace(id string) (FlowTrace, bool) {
 			return
 		}
 		ft.Flight = true
-		ft.EventDrops = e.rec.EventDrops()
 		ft.EvidenceDrops = e.rec.EvidenceDrops()
 		for _, ev := range e.rec.Evidences() {
 			ft.Evidences = append(ft.Evidences, ev.JSON())

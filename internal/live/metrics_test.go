@@ -35,7 +35,6 @@ func goldenSnapshot() Snapshot {
 		RecordsFed:     120000,
 		RecordsCapDrop: 456,
 
-		FlightEventDrops:    5,
 		FlightEvidenceDrops: 1,
 
 		PromotedFlows:             3,

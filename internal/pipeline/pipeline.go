@@ -11,9 +11,10 @@
 // drivers of the same analysis: core.Analyze is implemented as
 // core.NewIncremental + Feed every record + Flush, so analyzing a
 // completed flow here produces byte-identical output to streaming the
-// same records through the live monitor and evicting the flow. The
-// experiments and the benchmarks use this package; cmd/tapo and
-// cmd/tapod stream captures through internal/live.
+// same records through the live monitor and evicting the flow. Only
+// the benchmarks use this package; cmd/tapo and cmd/tapod stream
+// captures through internal/live, and internal/experiments runs
+// core.Analyze itself.
 package pipeline
 
 import (
@@ -23,7 +24,6 @@ import (
 	"sync"
 
 	"tcpstall/internal/core"
-	"tcpstall/internal/stats"
 	"tcpstall/internal/trace"
 	"tcpstall/internal/workload"
 )
@@ -83,8 +83,6 @@ type Options struct {
 	// Workers bounds the analysis pool; <= 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Config parameterizes core.Analyze (zero value: defaults).
-	Config core.Config
 }
 
 // Result is the merged output of a pipeline run.
@@ -95,9 +93,6 @@ type Result struct {
 	// Report is the per-worker reports merged associatively; it equals
 	// core.NewReport(Analyses).
 	Report *core.Report
-	// StallDurationsMS collects every stall's duration, merged from
-	// the ordered analyses.
-	StallDurationsMS *stats.Sample
 }
 
 // Run streams flows from src through the worker pool and merges the
@@ -134,7 +129,7 @@ func Run(src Source, opt Options) (*Result, error) {
 			for b := range jobs {
 				ds := make([]done, 0, len(b.flows))
 				for i, f := range b.flows {
-					a := core.Analyze(f, opt.Config)
+					a := core.Analyze(f, core.Config{})
 					rep.Add(a)
 					ds = append(ds, done{b.base + i, a})
 				}
@@ -187,30 +182,14 @@ func Run(src Source, opt Options) (*Result, error) {
 		return results[i].idx < results[j].idx
 	})
 
-	res := &Result{
-		Report:           core.NewReport(nil),
-		StallDurationsMS: stats.NewSample(len(results)),
-	}
+	res := &Result{Report: core.NewReport(nil)}
 	for w := 0; w < workers; w++ {
 		if reports[w] != nil {
 			res.Report.Merge(reports[w])
 		}
 	}
-	perFlow := stats.NewSample(0)
 	for _, d := range results {
 		res.Analyses = append(res.Analyses, d.a)
-		perFlow.Reset()
-		for _, st := range d.a.Stalls {
-			perFlow.Add(st.Duration.Seconds() * 1000)
-		}
-		res.StallDurationsMS.Merge(perFlow)
 	}
 	return res, nil
-}
-
-// MarshalJSON renders the merged analyses as the canonical report
-// (see core.MarshalAnalyses): byte-identical across runs and worker
-// counts.
-func (r *Result) MarshalJSON() ([]byte, error) {
-	return core.MarshalAnalyses(r.Analyses)
 }

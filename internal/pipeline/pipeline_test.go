@@ -13,9 +13,10 @@ import (
 )
 
 // sequentialJSON is the reference the parallel pipeline must match:
-// one core.Analyze call per flow on a single goroutine, ordered by
-// the pipeline's canonical (FlowID, arrival) key.
-func sequentialJSON(t *testing.T, flows []*trace.Flow, cfg core.Config) []byte {
+// one core.Analyze call per flow under the default configuration on a
+// single goroutine, ordered by the pipeline's canonical (FlowID,
+// arrival) key.
+func sequentialJSON(t *testing.T, flows []*trace.Flow) []byte {
 	t.Helper()
 	type keyed struct {
 		idx int
@@ -23,7 +24,7 @@ func sequentialJSON(t *testing.T, flows []*trace.Flow, cfg core.Config) []byte {
 	}
 	var ref []keyed
 	for i, f := range flows {
-		ref = append(ref, keyed{i, core.Analyze(f, cfg)})
+		ref = append(ref, keyed{i, core.Analyze(f, core.DefaultConfig())})
 	}
 	sort.Slice(ref, func(i, j int) bool {
 		if ref[i].a.FlowID != ref[j].a.FlowID {
@@ -65,7 +66,6 @@ func TestSequentialEquivalence(t *testing.T) {
 		{workload.SoftwareDownload(), 8},
 		{workload.WebSearch(), 14},
 	}
-	cfg := core.DefaultConfig()
 	for _, sc := range services {
 		sc := sc
 		t.Run(sc.svc.Name, func(t *testing.T) {
@@ -73,13 +73,13 @@ func TestSequentialEquivalence(t *testing.T) {
 			if len(flows) == 0 {
 				t.Fatal("no flows generated")
 			}
-			want := sequentialJSON(t, flows, cfg)
+			want := sequentialJSON(t, flows)
 			for _, workers := range []int{1, 2, 4, 8} {
-				res, err := Run(FromFlows(flows), Options{Workers: workers, Config: cfg})
+				res, err := Run(FromFlows(flows), Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				got, err := res.MarshalJSON()
+				got, err := core.MarshalAnalyses(res.Analyses)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -103,7 +103,7 @@ func TestPipelineDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := res.MarshalJSON()
+		got, err := core.MarshalAnalyses(res.Analyses)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestPipelineRaceGuard(t *testing.T) {
 	if len(flows) == 0 {
 		t.Fatal("no flows generated")
 	}
-	want := sequentialJSON(t, flows, core.DefaultConfig())
+	want := sequentialJSON(t, flows)
 	for _, workers := range []int{1, 2, 4, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -133,7 +133,7 @@ func TestPipelineRaceGuard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := res.MarshalJSON()
+			got, err := core.MarshalAnalyses(res.Analyses)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,10 +172,6 @@ func TestMergedReportMatchesNewReport(t *testing.T) {
 			t.Errorf("retrans cause %v time = %v, want %v", c, got.RetransTimeByCause[c], d)
 		}
 	}
-	if res.StallDurationsMS.Len() != want.TotalStalls {
-		t.Errorf("stall duration sample has %d entries, want %d",
-			res.StallDurationsMS.Len(), want.TotalStalls)
-	}
 }
 
 // TestPipelineFromPcapMatchesBatchImport round-trips generated flows
@@ -196,14 +192,14 @@ func TestPipelineFromPcapMatchesBatchImport(t *testing.T) {
 	if len(imported) != len(flows) {
 		t.Fatalf("imported %d flows, want %d", len(imported), len(flows))
 	}
-	want := sequentialJSON(t, imported, core.DefaultConfig())
+	want := sequentialJSON(t, imported)
 
 	for _, workers := range []int{1, 4} {
 		res, err := Run(FromPcap(bytes.NewReader(pcapBytes), trace.ImportConfig{}), Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := res.MarshalJSON()
+		got, err := core.MarshalAnalyses(res.Analyses)
 		if err != nil {
 			t.Fatal(err)
 		}
