@@ -10,7 +10,7 @@
 //	POST /fleet/register       member registration (epoch assignment)
 //	POST /fleet/push           member snapshot push + heartbeat
 //	GET  /fleet/members        every known member, live and dead
-//	GET  /fleet/stalls         fleet-wide stall totals, cumulative + rolling window (?service=)
+//	GET  /fleet/stalls         fleet-wide stall totals, cumulative + the last minute, summed from the series rings (?service=)
 //	GET  /fleet/services       per-service rollup
 //	GET  /fleet/stats          the head's own protocol accounting
 //	GET  /fleet/timeseries     per-interval delta rings: fleet, services, members (?service=)

@@ -30,9 +30,9 @@
 // aggregates every -push-interval. The head sends nothing back but
 // acceptance: a member runs with the configuration its own flags give
 // it, in fleet mode as alone. Each push also carries a bounded digest
-// of recent stall events (-digest, default 256 per push) that feeds
-// the head's live event stream and dashboard; the digest is visibility
-// only and never enters the fleet totals.
+// of recent stall events (at most 256 per push) that feeds the head's
+// live event stream and dashboard; the digest is visibility only and
+// never enters the fleet totals.
 //
 // Self-observability: by default every flow carries a flight recorder
 // (disable with -flight=false), so /debug/flows/{id}/trace serves
@@ -79,7 +79,6 @@ func main() {
 	maxFlows := flag.Int("max-flows", 0, "active-flow cap across all shards (0: default 65536)")
 	maxRecs := flag.Int("max-records", 0, "per-flow analyzer record cap (0: default 100000, -1: unlimited)")
 	idle := flag.Duration("idle", 5*time.Minute, "evict flows idle this long")
-	window := flag.Duration("window", time.Minute, "rolling aggregation window")
 	shed := flag.Bool("shed", false, "drop records when shard queues fill instead of applying backpressure")
 	triageOn := flag.Bool("triage", false, "two-phase triage: fully analyze only flows that show a stall symptom")
 	triageRing := flag.Int("triage-ring", 0, "triage per-flow ring of recent records N (0: default 1024); the ring grows in 64-record blocks, so memory is paid at 48 bytes per record held, up to N")
@@ -88,7 +87,6 @@ func main() {
 	headURL := flag.String("head", "", "fleet mode: push snapshots to this tapoctl head URL")
 	memberID := flag.String("member-id", "", "with -head: fleet member identity (default: hostname + listen address)")
 	pushInterval := flag.Duration("push-interval", fleet.DefaultPushInterval, "with -head: snapshot push interval")
-	digest := flag.Int("digest", 0, "with -head: stall events digested per push for the head's event stream (0: default 256, -1: disable)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiles under /debug/pprof/")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	flag.Parse()
@@ -113,8 +111,6 @@ func main() {
 		MaxFlows:          *maxFlows,
 		MaxRecordsPerFlow: *maxRecs,
 		IdleTimeout:       *idle,
-		Window:            *window,
-		DigestSize:        *digest,
 		Analysis:          cfg,
 		OnFlow: func(reason string, a *core.FlowAnalysis) {
 			// LRU displacement means the flow table is too small for

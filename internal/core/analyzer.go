@@ -363,7 +363,7 @@ func (a *analyzer) closeStall(ps *pendingStall) {
 			js.Cause, js.SubCause, js.DoubleKind, tr)
 	}
 	if a.live != nil && a.live.OnStall != nil {
-		a.live.OnStall(LiveStall{FlowID: a.out.FlowID, Service: a.out.Service, Stall: st, Index: st.ID})
+		a.live.OnStall(LiveStall{FlowID: a.out.FlowID, Service: a.out.Service, Stall: st})
 	}
 }
 

@@ -29,8 +29,6 @@ type LiveStall struct {
 	FlowID  string
 	Service string
 	Stall   Stall
-	// Index is the stall's ordinal within its flow (0-based).
-	Index int
 }
 
 // Incremental is the streaming form of the TAPO analyzer: records

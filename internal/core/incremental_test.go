@@ -104,8 +104,8 @@ func TestIncrementalLiveStalls(t *testing.T) {
 				t.Fatalf("%s: %d live events, %d final stalls", f.ID, len(events), len(a.Stalls))
 			}
 			for i, ev := range events {
-				if ev.Index != i {
-					t.Errorf("%s: event %d carries index %d", f.ID, i, ev.Index)
+				if ev.Stall.ID != i {
+					t.Errorf("%s: event %d carries stall ID %d", f.ID, i, ev.Stall.ID)
 				}
 				if ev.FlowID != f.ID || ev.Service != f.Service {
 					t.Errorf("%s: event identity = %s/%s", f.ID, ev.FlowID, ev.Service)

@@ -115,7 +115,12 @@ func hashFlow(t *testing.T, verdict, trail hash.Hash, f *trace.Flow, cfg flight.
 	rec := flight.NewRecorder(cfg)
 	inc.SetRecorder(rec)
 	inc.OnStall = func(ls core.LiveStall) {
-		put(verdict, ls)
+		// LiveStall once carried the stall ID a second time, as Index;
+		// the digests were frozen with it, so the harness puts it back.
+		put(verdict, struct {
+			core.LiveStall
+			Index int
+		}{ls, ls.Stall.ID})
 		if ev := rec.Evidence(ls.Stall.ID); ev != nil {
 			put(verdict, ev.JSON())
 		}

@@ -21,11 +21,11 @@ const (
 	EventRejectSpike   = "reject_spike"   // push rejections crossed a milestone
 )
 
-// DefaultEventRing is how many events the head retains. At the default
+// eventRingSize is how many events the head retains. At the default
 // digest and push cadence this is minutes of history — enough for a
 // dashboard to backfill on load and for tapoctl tail to reconnect
 // without a gap.
-const DefaultEventRing = 1024
+const eventRingSize = 1024
 
 // rejectSpikeEvery is the rejection-count milestone cadence: the first
 // rejection of each code is an event, then every rejectSpikeEvery-th
@@ -64,10 +64,8 @@ type EventsResponse struct {
 type eventRing struct {
 	mu sync.Mutex
 	// buf is the ring storage; ID i (when still retained) lives at
-	// (i-1)%cap. guarded by mu
+	// (i-1)%eventRingSize. guarded by mu
 	buf []Event
-	// cap is the fixed ring capacity; immutable after construction.
-	cap int
 	// nextID is the next ID to assign, starting at 1. guarded by mu
 	nextID uint64
 	// dropped counts overwritten events. guarded by mu
@@ -87,13 +85,9 @@ type eventRing struct {
 	closed chan struct{}
 }
 
-func newEventRing(capacity int) *eventRing {
-	if capacity <= 0 {
-		capacity = DefaultEventRing
-	}
+func newEventRing() *eventRing {
 	return &eventRing{
-		buf:    make([]Event, 0, capacity),
-		cap:    capacity,
+		buf:    make([]Event, 0, eventRingSize),
 		nextID: 1,
 		subs:   map[chan Event]struct{}{},
 		closed: make(chan struct{}),
@@ -108,10 +102,10 @@ func (er *eventRing) publish(ev Event) {
 	defer er.mu.Unlock()
 	ev.ID = er.nextID
 	er.nextID++
-	if len(er.buf) < er.cap {
+	if len(er.buf) < eventRingSize {
 		er.buf = append(er.buf, ev)
 	} else {
-		er.buf[(ev.ID-1)%uint64(er.cap)] = ev
+		er.buf[(ev.ID-1)%eventRingSize] = ev
 		er.dropped++
 	}
 	for ch := range er.subs {
@@ -138,7 +132,7 @@ func (er *eventRing) since(after uint64) EventsResponse {
 		lo = after + 1
 	}
 	for id := lo; id < er.nextID; id++ {
-		resp.Events = append(resp.Events, er.buf[(id-1)%uint64(er.cap)])
+		resp.Events = append(resp.Events, er.buf[(id-1)%eventRingSize])
 	}
 	return resp
 }
@@ -172,7 +166,7 @@ func (er *eventRing) sinceLocked(after uint64) []Event {
 	}
 	var out []Event
 	for id := lo; id < er.nextID; id++ {
-		out = append(out, er.buf[(id-1)%uint64(er.cap)])
+		out = append(out, er.buf[(id-1)%eventRingSize])
 	}
 	return out
 }

@@ -477,9 +477,6 @@ func TestPushRejectsBadSnapshots(t *testing.T) {
 			rc := RetransCounter{Subcause: "double", Count: 1, Time: time.Second}
 			s.Retrans = []RetransCounter{rc, rc}
 		},
-		"unsorted window cells": func(s *Snapshot) {
-			s.WindowStalls = []StallCounter{cell("web", "pkt-delay"), cell("cdn", "pkt-delay")}
-		},
 		"negative summary count": func(s *Snapshot) {
 			s.IngestBatchSizes = stats.SummaryState{N: -1}
 		},

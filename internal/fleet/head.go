@@ -23,12 +23,6 @@ type HeadConfig struct {
 	// Clock overrides time.Now — injected by tests so expiry is
 	// deterministic.
 	Clock func() time.Time
-	// SeriesStep and SeriesBuckets override the time-series ring
-	// geometry (DefaultSeriesStep / DefaultSeriesBuckets) when positive.
-	SeriesStep    time.Duration
-	SeriesBuckets int
-	// EventRing overrides DefaultEventRing when positive.
-	EventRing int
 }
 
 // Head is the fleet control plane: it assigns epochs, ingests member
@@ -114,8 +108,8 @@ func NewHead(cfg HeadConfig) *Head {
 		members:  map[string]*memberState{},
 		retired:  emptyTotals(),
 		counters: headCounters{rejects: map[string]uint64{}},
-		series:   newSeriesStore(cfg.SeriesStep, cfg.SeriesBuckets),
-		events:   newEventRing(cfg.EventRing),
+		series:   newSeriesStore(),
+		events:   newEventRing(),
 	}
 }
 
@@ -190,17 +184,12 @@ func (h *Head) Push(snap *Snapshot) PushResponse {
 	// the member's previous good snapshot keeps contributing, its seq
 	// stays where it was, and a Final flag cannot retire garbage. The
 	// fold is the per-push merge cost (the chain benchmark's
-	// fleet.head_merge_p99_ms), so it runs under the clock. The window
-	// cells, which Window folds rather than Totals, get the same
-	// sortedness check.
+	// fleet.head_merge_p99_ms), so it runs under the clock.
 	start := time.Now()
 	probe := emptyTotals()
 	err := probe.add(&cp)
 	h.mergeLat[h.mergeN%mergeLatCap] = float64(time.Since(start)) / float64(time.Millisecond)
 	h.mergeN++
-	if err == nil {
-		_, err = freshCells(nil, cp.WindowStalls)
-	}
 	if err != nil {
 		return h.rejectLocked(ErrBadSnapshot)
 	}
@@ -289,27 +278,35 @@ func (h *Head) Totals() (Totals, error) {
 	return t, nil
 }
 
-// WindowTotals is the fleet's rolling-window view: live members only,
-// since a retired epoch has nothing recent to say.
+// WindowTotals is the fleet's rolling-window view: the stall cells
+// pushed in the last minute, and how many members are live.
 type WindowTotals struct {
 	SpanS   float64        `json:"window_span_s"`
 	Members int            `json:"members"`
 	Stalls  []StallCounter `json:"stalls,omitempty"`
 }
 
-// Window sums the rolling windows of the live members.
+// Window sums the fleet time-series ring's last windowBuckets buckets,
+// the current one included, so it agrees with /fleet/timeseries by
+// construction. A stall counts from the push that carried it; a member
+// retired inside the window still contributes what it pushed.
 func (h *Head) Window() WindowTotals {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.sweepLocked(h.clock())
-	var out WindowTotals
+	now := h.clock()
+	h.sweepLocked(now)
+	out := WindowTotals{SpanS: (time.Duration(windowBuckets) * seriesStep).Seconds()}
 	for _, ms := range h.members {
-		if s := ms.last; s != nil {
+		if ms.last != nil {
 			out.Members++
-			out.SpanS = max(out.SpanS, s.WindowSpanS)
-			// Push checked the cells sorted, so this cannot fail.
-			if fresh, err := freshCells(out.Stalls, s.WindowStalls); err == nil {
-				out.Stalls = mergeCells(out.Stalls, s.WindowStalls, fresh)
+		}
+	}
+	cur := now.UnixNano() / int64(seriesStep)
+	for ep := cur - windowBuckets + 1; ep <= cur; ep++ {
+		if b := h.series.fleet.at(ep); b != nil {
+			// The bucket's cells are ascending, so this cannot fail.
+			if fresh, err := freshCells(out.Stalls, b.stalls); err == nil {
+				out.Stalls = mergeCells(out.Stalls, b.stalls, fresh)
 			}
 		}
 	}
@@ -440,8 +437,8 @@ func (h *Head) Stats() HeadStats {
 const mergeLatCap = 4096
 
 // Totals is the fleet-wide cumulative merge: counters only — no
-// gauges, no identity, no rolling window — so that the sum of every
-// epoch's final snapshot is exactly the head's total, byte for byte.
+// gauges, no identity — so that the sum of every epoch's final
+// snapshot is exactly the head's total, byte for byte.
 type Totals struct {
 	Epochs int `json:"epochs"`
 	Counters

@@ -30,7 +30,7 @@ func NewServer(addr string, h http.Handler) *http.Server {
 //	POST /fleet/register       member registration → epoch assignment
 //	POST /fleet/push           member snapshot push (doubles as heartbeat)
 //	GET  /fleet/members        every known member, live and dead
-//	GET  /fleet/stalls         fleet-wide stall totals, cumulative + window (?service=)
+//	GET  /fleet/stalls         fleet-wide stall totals, cumulative + last minute (?service=)
 //	GET  /fleet/services       per-service rollup of the same
 //	GET  /fleet/stats          the head's own protocol accounting
 //	GET  /fleet/timeseries     per-interval delta rings: fleet, services, members (?service=)
@@ -340,8 +340,8 @@ var (
 	famStallSeconds  = promtext.NewFamily("fleet_stall_seconds_total", promtext.Counter, "Stalled seconds across the fleet, by service and cause.", "service", "cause")
 	famRetransStalls = promtext.NewFamily("fleet_retrans_stalls_total", promtext.Counter, "Retransmission stalls across the fleet, by Table-5 sub-cause.", "subcause")
 	famStallDuration = promtext.NewFamily("fleet_stall_duration_ms", promtext.Histogram, "Closed stall durations across the fleet, in milliseconds.")
-	famWindowStalls  = promtext.NewFamily("fleet_window_stalls", promtext.Gauge, "Stalls inside the rolling window across live members.", "service", "cause")
-	famWindowSpan    = promtext.NewFamily("fleet_window_span_seconds", promtext.Gauge, "Width of the rolling window.")
+	famWindowStalls  = promtext.NewFamily("fleet_window_stalls", promtext.Gauge, "Stalls pushed to the head in the last minute, by service and cause.", "service", "cause")
+	famWindowSpan    = promtext.NewFamily("fleet_window_span_seconds", promtext.Gauge, "Span of the last-minute window, in seconds.")
 )
 
 // writeMetrics renders the head's fleet-wide state. Label sets are

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -194,7 +195,7 @@ func TestSeriesEpochRestartRebase(t *testing.T) {
 	if resp := head.Push(stallSnap("m", reg.Epoch, 1, 1000, 100, 5*time.Second)); !resp.OK {
 		t.Fatalf("push 1: %+v", resp)
 	}
-	now = now.Add(DefaultSeriesStep)
+	now = now.Add(seriesStep)
 	if resp := head.Push(stallSnap("m", reg.Epoch, 2, 1200, 120, 6*time.Second)); !resp.OK {
 		t.Fatalf("push 2: %+v", resp)
 	}
@@ -204,7 +205,7 @@ func TestSeriesEpochRestartRebase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(DefaultSeriesStep)
+	now = now.Add(seriesStep)
 	if resp := head.Push(stallSnap("m", reg2.Epoch, 1, 50, 5, 500*time.Millisecond)); !resp.OK {
 		t.Fatalf("push 3: %+v", resp)
 	}
@@ -239,6 +240,94 @@ func TestSeriesEpochRestartRebase(t *testing.T) {
 	if svcStalls != 125 {
 		t.Errorf("service ring stalls = %d, want 125", svcStalls)
 	}
+}
+
+// TestWindowFromSeries pins the head's one-minute window to the fleet
+// time-series ring: Window sums the ring's last windowBuckets buckets
+// cell by cell, a member whose final push landed 30 s ago still
+// counts, and a push 61 s old does not.
+func TestWindowFromSeries(t *testing.T) {
+	// T is deliberately not on a step boundary.
+	T := time.Unix(10_000, 0).Add(2 * time.Second)
+	now := T.Add(-61 * time.Second)
+	head := NewHead(HeadConfig{Clock: func() time.Time { return now }})
+	cell := func(svc, cause string, n uint64) StallCounter {
+		return StallCounter{Service: svc, Cause: cause, Count: n, Time: time.Duration(n) * 100 * time.Millisecond}
+	}
+	push := func(at time.Duration, id string, seq uint64, final bool, cells ...StallCounter) {
+		t.Helper()
+		now = T.Add(at)
+		if seq == 1 {
+			if _, err := head.Register(RegisterRequest{Version: WireVersion, MemberID: id}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var epoch uint64
+		for _, mi := range head.Members() {
+			if mi.ID == id {
+				epoch = mi.Epoch
+			}
+		}
+		s := miniSnap(id, epoch, seq, 10*seq)
+		s.Final = final
+		s.Stalls = cells
+		if resp := head.Push(s); !resp.OK {
+			t.Fatalf("%s seq %d: %+v", id, seq, resp)
+		}
+	}
+	push(-61*time.Second, "old", 1, false, cell("a", "rto", 7))
+	push(-45*time.Second, "gone", 1, false, cell("a", "rto", 2), cell("b", "zero-rwnd", 1))
+	push(-30*time.Second, "gone", 2, true, cell("a", "rto", 5), cell("b", "zero-rwnd", 1))
+	push(-20*time.Second, "live", 1, false, cell("a", "rto", 1))
+	push(0, "live", 2, false, cell("a", "rto", 2), cell("c", "client-idle", 4))
+
+	// ringSum is the reference: the fleet ring's last windowBuckets
+	// buckets, the current one included, summed per (service, cause).
+	ringSum := func() map[[2]string]StallCounter {
+		out := map[[2]string]StallCounter{}
+		cur := now.UnixNano() / int64(seriesStep)
+		for ep := cur - windowBuckets + 1; ep <= cur; ep++ {
+			if b := head.series.fleet.at(ep); b != nil {
+				for _, sc := range b.stalls {
+					k := [2]string{sc.Service, sc.Cause}
+					acc := out[k]
+					acc.Service, acc.Cause = sc.Service, sc.Cause
+					acc.add(&sc)
+					out[k] = acc
+				}
+			}
+		}
+		return out
+	}
+	check := func(want ...StallCounter) {
+		t.Helper()
+		win := head.Window()
+		if win.SpanS != 60 {
+			t.Errorf("span = %gs, want 60", win.SpanS)
+		}
+		if !slices.Equal(win.Stalls, want) {
+			t.Errorf("window = %+v\nwant     %+v", win.Stalls, want)
+		}
+		ref := ringSum()
+		if len(ref) != len(win.Stalls) {
+			t.Errorf("window has %d cells, the ring's last %d buckets %d", len(win.Stalls), windowBuckets, len(ref))
+		}
+		for _, sc := range win.Stalls {
+			if r := ref[[2]string{sc.Service, sc.Cause}]; r != sc {
+				t.Errorf("window cell %+v, ring sum %+v", sc, r)
+			}
+		}
+	}
+
+	// "old" pushed 61 s ago and has since expired: it counts nowhere.
+	// "gone" retired with its final push 30 s ago and still counts.
+	check(cell("a", "rto", 5+2), cell("b", "zero-rwnd", 1), cell("c", "client-idle", 4))
+	if win := head.Window(); win.Members != 1 {
+		t.Errorf("members = %d, want 1 (only \"live\" is live)", win.Members)
+	}
+	// 31 s on, "gone"'s final push is 61 s old and drops out.
+	now = T.Add(31 * time.Second)
+	check(cell("a", "rto", 2), cell("c", "client-idle", 4))
 }
 
 // TestHandlerHeaders audits every GET endpoint for the content-type

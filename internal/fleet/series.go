@@ -24,10 +24,14 @@ import (
 // clamps at zero as belt and braces against a malformed payload that
 // slipped past fold validation.
 
-// Series geometry defaults. ~10 minutes of 5-second buckets.
+// Series geometry: ~10 minutes of 5-second buckets.
 const (
-	DefaultSeriesStep    = 5 * time.Second
-	DefaultSeriesBuckets = 120
+	seriesStep    = 5 * time.Second
+	seriesBuckets = 120
+
+	// windowBuckets is how many of the newest fleet-ring buckets
+	// Head.Window sums: the last minute, the current bucket included.
+	windowBuckets = int64(time.Minute / seriesStep)
 
 	// maxSeriesKeys bounds each keyed ring family (services, members).
 	// Past it, new keys fold into the fleet ring only and are counted,
@@ -39,10 +43,6 @@ const (
 // seriesStore holds every ring. Single-owner: all methods are called
 // by Head methods holding the Head mutex.
 type seriesStore struct {
-	// step and size are fixed at construction; immutable thereafter.
-	step time.Duration
-	size int
-
 	// fleet is the whole-fleet ring. guarded by Head.mu
 	fleet *seriesRing
 	// services and members are the keyed ring families, bounded at
@@ -55,45 +55,29 @@ type seriesStore struct {
 	droppedKeys uint64
 }
 
-func newSeriesStore(step time.Duration, size int) *seriesStore {
-	if step <= 0 {
-		step = DefaultSeriesStep
-	}
-	if size <= 0 {
-		size = DefaultSeriesBuckets
-	}
+func newSeriesStore() *seriesStore {
 	return &seriesStore{
-		step:     step,
-		size:     size,
-		fleet:    newSeriesRing(size),
+		fleet:    new(seriesRing),
 		services: map[string]*seriesRing{},
 		members:  map[string]*seriesRing{},
 	}
 }
 
-// seriesRing is one bounded bucket ring, indexed by step epoch the
-// same way live's rollWindow is: bucket i holds step epoch e where
-// e%len == i, and a bucket whose stored epoch is stale is reset on
-// first touch.
-type seriesRing struct {
-	buckets []seriesBucket
-}
-
-func newSeriesRing(size int) *seriesRing {
-	return &seriesRing{buckets: make([]seriesBucket, size)}
-}
+// seriesRing is one bounded bucket ring, indexed by step epoch: bucket
+// i holds step epoch e where e%seriesBuckets == i, and a bucket whose
+// stored epoch is stale is reset on first touch.
+type seriesRing [seriesBuckets]seriesBucket
 
 // seriesBucket accumulates one step interval's deltas.
 type seriesBucket struct {
 	used  bool
 	epoch int64
 
-	pushes     uint64
-	records    uint64
-	recordsFed uint64
-	stalls     uint64
-	stallTime  time.Duration
-	causes     map[string]uint64
+	pushes  uint64
+	records uint64
+	// stalls holds the interval's stall-cell deltas, ascending by
+	// (service, cause) like the wire cells.
+	stalls []StallCounter
 	// durs holds the interval's stall-duration deltas for quantiles.
 	// Only fleet and member rings carry it — the wire histogram is
 	// member-level, so per-service duration attribution is impossible.
@@ -103,11 +87,31 @@ type seriesBucket struct {
 // bucket returns the ring bucket for step epoch ep, resetting it if it
 // last held an older interval.
 func (r *seriesRing) bucket(ep int64) *seriesBucket {
-	b := &r.buckets[ep%int64(len(r.buckets))]
-	if !b.used || b.epoch != ep {
+	b := r.at(ep)
+	if b == nil {
+		b = &r[ep%seriesBuckets]
 		*b = seriesBucket{used: true, epoch: ep}
 	}
 	return b
+}
+
+// at returns the bucket holding step epoch ep, or nil if the ring
+// holds nothing for that interval.
+func (r *seriesRing) at(ep int64) *seriesBucket {
+	b := &r[ep%seriesBuckets]
+	if !b.used || b.epoch != ep {
+		return nil
+	}
+	return b
+}
+
+// addStalls folds ascending delta cells into the bucket's cells.
+func (b *seriesBucket) addStalls(cells []StallCounter) {
+	// Push validated the snapshot's cells ascending and Sub keeps them
+	// so, so this cannot fail.
+	if fresh, err := freshCells(b.stalls, cells); err == nil {
+		b.stalls = mergeCells(b.stalls, cells, fresh)
+	}
 }
 
 // fold differences cur against prev and folds the delta into the
@@ -119,36 +123,16 @@ func (ss *seriesStore) fold(now time.Time, prev, cur *Snapshot) {
 	if prev != nil {
 		d = cur.Sub(&prev.Counters)
 	}
-	ep := now.UnixNano() / int64(ss.step)
+	ep := now.UnixNano() / int64(seriesStep)
 
-	var stalls uint64
-	var stallTime time.Duration
-	for _, sc := range d.Stalls {
-		stalls += sc.Count
-		stallTime += sc.Time
-	}
 	durs, err := stats.HistogramFromState(d.DurationsMS)
 	if err != nil || durs.N() == 0 {
 		durs = nil
 	}
-
-	causes := func(b *seriesBucket, cells []StallCounter) {
-		for _, sc := range cells {
-			if sc.Count > 0 {
-				if b.causes == nil {
-					b.causes = map[string]uint64{}
-				}
-				b.causes[sc.Cause] += sc.Count
-			}
-		}
-	}
 	apply := func(b *seriesBucket) {
 		b.pushes++
 		b.records += d.Ingested
-		b.recordsFed += d.RecordsFed
-		b.stalls += stalls
-		b.stallTime += stallTime
-		causes(b, d.Stalls)
+		b.addStalls(d.Stalls)
 		if durs != nil {
 			if b.durs == nil {
 				b.durs = stats.NewHistogram(durs.Bounds())
@@ -175,11 +159,7 @@ func (ss *seriesStore) fold(now time.Time, prev, cur *Snapshot) {
 		}
 		b := r.bucket(ep)
 		b.pushes++
-		for _, sc := range run {
-			b.stalls += sc.Count
-			b.stallTime += sc.Time
-		}
-		causes(b, run)
+		b.addStalls(run)
 	}
 }
 
@@ -195,7 +175,7 @@ func (ss *seriesStore) ring(m map[string]*seriesRing, key string) *seriesRing {
 			ss.droppedKeys++
 			return nil
 		}
-		r = newSeriesRing(ss.size)
+		r = new(seriesRing)
 		m[key] = r
 	}
 	return r
@@ -228,33 +208,33 @@ type SeriesResponse struct {
 // render lists a ring's live buckets — those whose interval falls
 // inside the retained window ending at now — oldest first, skipping
 // empty intervals.
-func (ss *seriesStore) render(r *seriesRing, now time.Time) []SeriesPoint {
-	if r == nil {
-		return nil
-	}
-	cur := now.UnixNano() / int64(ss.step)
-	oldest := cur - int64(ss.size) + 1
+func (r *seriesRing) render(now time.Time) []SeriesPoint {
+	cur := now.UnixNano() / int64(seriesStep)
 	var out []SeriesPoint
-	for ep := oldest; ep <= cur; ep++ {
-		b := &r.buckets[ep%int64(len(r.buckets))]
-		if !b.used || b.epoch != ep {
+	for ep := cur - seriesBuckets + 1; ep <= cur; ep++ {
+		b := r.at(ep)
+		if b == nil {
 			continue
 		}
 		p := SeriesPoint{
-			TimeMS:       time.Unix(0, b.epoch*int64(ss.step)).UnixMilli(),
-			Pushes:       b.pushes,
-			Stalls:       b.stalls,
-			StallSeconds: b.stallTime.Seconds(),
-			Records:      b.records,
+			TimeMS:  time.Unix(0, b.epoch*int64(seriesStep)).UnixMilli(),
+			Pushes:  b.pushes,
+			Records: b.records,
 		}
-		if b.records > 0 {
-			p.RecordsPerSec = float64(b.records) / ss.step.Seconds()
-		}
-		if len(b.causes) > 0 {
-			p.Causes = make(map[string]uint64, len(b.causes))
-			for k, n := range b.causes {
-				p.Causes[k] = n
+		var stallTime time.Duration
+		for _, sc := range b.stalls {
+			p.Stalls += sc.Count
+			stallTime += sc.Time
+			if sc.Count > 0 {
+				if p.Causes == nil {
+					p.Causes = map[string]uint64{}
+				}
+				p.Causes[sc.Cause] += sc.Count
 			}
+		}
+		p.StallSeconds = stallTime.Seconds()
+		if b.records > 0 {
+			p.RecordsPerSec = float64(b.records) / seriesStep.Seconds()
 		}
 		if b.durs != nil && b.durs.N() > 0 {
 			p.DurP50MS = b.durs.Quantile(0.5)
@@ -276,8 +256,8 @@ func (h *Head) TimeSeries(service string) (SeriesResponse, bool) {
 	h.sweepLocked(now)
 	ss := h.series
 	resp := SeriesResponse{
-		StepS:       ss.step.Seconds(),
-		Buckets:     ss.size,
+		StepS:       seriesStep.Seconds(),
+		Buckets:     seriesBuckets,
 		DroppedKeys: ss.droppedKeys,
 	}
 	if service != "" {
@@ -285,20 +265,20 @@ func (h *Head) TimeSeries(service string) (SeriesResponse, bool) {
 		if r == nil {
 			return SeriesResponse{}, false
 		}
-		resp.Services = map[string][]SeriesPoint{service: ss.render(r, now)}
+		resp.Services = map[string][]SeriesPoint{service: r.render(now)}
 		return resp, true
 	}
-	resp.Fleet = ss.render(ss.fleet, now)
+	resp.Fleet = ss.fleet.render(now)
 	if len(ss.services) > 0 {
 		resp.Services = make(map[string][]SeriesPoint, len(ss.services))
 		for name, r := range ss.services {
-			resp.Services[name] = ss.render(r, now)
+			resp.Services[name] = r.render(now)
 		}
 	}
 	if len(ss.members) > 0 {
 		resp.Members = make(map[string][]SeriesPoint, len(ss.members))
 		for name, r := range ss.members {
-			resp.Members[name] = ss.render(r, now)
+			resp.Members[name] = r.render(now)
 		}
 	}
 	return resp, true

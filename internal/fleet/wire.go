@@ -1,10 +1,12 @@
 // Package fleet is the aggregation tier above the per-host monitor:
 // many tapod members, one tapoctl head. Members periodically snapshot
-// their rolling-window state — per-service stall counters, mergeable
+// their cumulative counters — per-service stall counters, mergeable
 // histograms and summaries, triage and eviction accounting — into a
 // versioned wire Snapshot and push it to the head over HTTP. The head
-// merges snapshots into fleet-wide state. Nothing flows back down but
-// acceptance: a member is configured by its own flags.
+// merges snapshots into fleet-wide state and differences consecutive
+// ones into its time-series rings, which also give the "stalls in the
+// last minute" window. Nothing flows back down but acceptance: a
+// member is configured by its own flags.
 //
 // Protocol invariants:
 //
@@ -44,7 +46,7 @@ import (
 // snapshots whose version it does not speak; bumping this is the
 // signal that a field changed meaning (adding fields is not a bump —
 // unknown JSON fields are ignored on both sides).
-const WireVersion = 4
+const WireVersion = 5
 
 // Snapshot is one member's cumulative state as pushed to the head.
 type Snapshot struct {
@@ -67,12 +69,6 @@ type Snapshot struct {
 
 	// Counters are cumulative since the member epoch started.
 	Counters
-
-	// The rolling window, for "right now" fleet views. Only live
-	// members' windows are summed; retired epochs contribute nothing
-	// recent by definition.
-	WindowSpanS  float64        `json:"window_span_s"`
-	WindowStalls []StallCounter `json:"window_stalls,omitempty"`
 
 	// Events is the bounded, sampled digest of stall events closed
 	// since the previous push — at most MaxDigestEvents, first-K
@@ -153,8 +149,6 @@ func snapshotOf(s *live.Snapshot) Snapshot {
 			TriageTruncatedPromotions: s.TriageTruncatedPromotions,
 			Stalls:                    stallCounters(s.StallCount, s.StallTime),
 		},
-		WindowSpanS:  s.Window.Span.Seconds(),
-		WindowStalls: stallCounters(s.Window.StallCount, s.Window.StallTime),
 	}
 	for c, n := range s.RetransCount {
 		out.Retrans = append(out.Retrans, RetransCounter{

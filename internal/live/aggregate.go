@@ -123,96 +123,3 @@ func (ag *aggregates) merge(o *aggregates) {
 		ag.retransTime[c] += d
 	}
 }
-
-// windowBuckets is how many buckets a shard's rolling window spans
-// Config.Window in.
-const windowBuckets = 12
-
-// rollWindow is a ring of time buckets implementing the rolling
-// aggregation window: bucket i holds epoch e ≡ i (mod len), and a
-// bucket is reset the first time a newer epoch lands on it, so stale
-// counters age out without a sweeper.
-type rollWindow struct {
-	step    time.Duration
-	buckets []wbucket
-}
-
-type wbucket struct {
-	epoch     int64 // step index since the Unix epoch; -1 = empty
-	count     map[CauseKey]uint64
-	stallTime map[CauseKey]time.Duration
-}
-
-func newRollWindow(span time.Duration, buckets int) *rollWindow {
-	if buckets < 1 {
-		buckets = 1
-	}
-	step := span / time.Duration(buckets)
-	if step <= 0 {
-		step = time.Second
-	}
-	w := &rollWindow{step: step, buckets: make([]wbucket, buckets)}
-	for i := range w.buckets {
-		w.buckets[i] = wbucket{
-			epoch:     -1,
-			count:     map[CauseKey]uint64{},
-			stallTime: map[CauseKey]time.Duration{},
-		}
-	}
-	return w
-}
-
-// stallClosed counts one live stall in the bucket of now.
-func (w *rollWindow) stallClosed(now time.Time, ls core.LiveStall) {
-	epoch := now.UnixNano() / int64(w.step)
-	b := &w.buckets[int(epoch%int64(len(w.buckets)))]
-	if b.epoch != epoch {
-		b.epoch = epoch
-		clear(b.count)
-		clear(b.stallTime)
-	}
-	k := CauseKey{Service: ls.Service, Cause: ls.Stall.Cause}
-	b.count[k]++
-	b.stallTime[k] += ls.Stall.Duration
-}
-
-// WindowSnapshot is the rolling window summed over its live buckets.
-type WindowSnapshot struct {
-	Span       time.Duration
-	StallCount map[CauseKey]uint64
-	StallTime  map[CauseKey]time.Duration
-}
-
-// snapshot sums the buckets still inside the window ending at now.
-func (w *rollWindow) snapshot(now time.Time) WindowSnapshot {
-	s := WindowSnapshot{
-		Span:       w.step * time.Duration(len(w.buckets)),
-		StallCount: map[CauseKey]uint64{},
-		StallTime:  map[CauseKey]time.Duration{},
-	}
-	epoch := now.UnixNano() / int64(w.step)
-	oldest := epoch - int64(len(w.buckets)) + 1
-	for i := range w.buckets {
-		b := &w.buckets[i]
-		if b.epoch < oldest || b.epoch > epoch {
-			continue
-		}
-		for k, n := range b.count {
-			s.StallCount[k] += n
-		}
-		for k, d := range b.stallTime {
-			s.StallTime[k] += d
-		}
-	}
-	return s
-}
-
-// mergeWindow folds o's live buckets into s (cross-shard snapshot).
-func (s *WindowSnapshot) mergeWindow(o WindowSnapshot) {
-	for k, n := range o.StallCount {
-		s.StallCount[k] += n
-	}
-	for k, d := range o.StallTime {
-		s.StallTime[k] += d
-	}
-}

@@ -15,64 +15,6 @@ func stallEvent(service string, cause core.Cause, d time.Duration) core.LiveStal
 	}
 }
 
-func TestRollWindowAges(t *testing.T) {
-	ag := newAggregates()
-	w := newRollWindow(10*time.Second, 5) // 2s buckets
-	base := time.Unix(10_000, 0)
-	k := CauseKey{Service: "svc", Cause: core.CausePacketDelay}
-
-	closeAt := func(at, d time.Duration) {
-		ls := stallEvent("svc", core.CausePacketDelay, d)
-		ag.stallClosed(ls)
-		w.stallClosed(base.Add(at), ls)
-	}
-	closeAt(0, 100*time.Millisecond)
-	closeAt(4*time.Second, 200*time.Millisecond)
-
-	// Both stalls inside the window.
-	win := w.snapshot(base.Add(5 * time.Second))
-	if win.StallCount[k] != 2 {
-		t.Fatalf("window count = %d, want 2", win.StallCount[k])
-	}
-
-	// 11s after the first stall: only the second remains.
-	win = w.snapshot(base.Add(11 * time.Second))
-	if win.StallCount[k] != 1 {
-		t.Fatalf("aged window count = %d, want 1", win.StallCount[k])
-	}
-	if got := win.StallTime[k]; got != 200*time.Millisecond {
-		t.Errorf("aged window stall time = %v, want 200ms", got)
-	}
-
-	// Far future: empty window, but cumulative totals persist.
-	win = w.snapshot(base.Add(time.Hour))
-	if len(win.StallCount) != 0 {
-		t.Errorf("stale window still counts %v", win.StallCount)
-	}
-	if ag.stallCount[k] != 2 {
-		t.Errorf("cumulative count = %d, want 2", ag.stallCount[k])
-	}
-	if ag.durationsMS.N() != 2 {
-		t.Errorf("duration histogram N = %d, want 2", ag.durationsMS.N())
-	}
-}
-
-func TestRollWindowBucketReuse(t *testing.T) {
-	w := newRollWindow(4*time.Second, 4) // 1s buckets
-	base := time.Unix(20_000, 0)
-	k := CauseKey{Service: "s", Cause: core.CauseClientIdle}
-
-	w.stallClosed(base, stallEvent("s", core.CauseClientIdle, time.Second))
-	// Same ring slot, 4 steps later: the old epoch must be wiped, not
-	// accumulated into.
-	w.stallClosed(base.Add(4*time.Second), stallEvent("s", core.CauseClientIdle, time.Second))
-
-	win := w.snapshot(base.Add(4 * time.Second))
-	if win.StallCount[k] != 1 {
-		t.Fatalf("reused bucket count = %d, want 1 (stale epoch leaked)", win.StallCount[k])
-	}
-}
-
 func TestAggregatesMerge(t *testing.T) {
 	a := newAggregates()
 	b := newAggregates()

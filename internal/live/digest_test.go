@@ -15,7 +15,8 @@ func digestStall(flow string) core.LiveStall {
 // FIRST cap events of a drain interval and counts the overflow — a
 // deterministic bound, unlike the newest-wins stall ring.
 func TestStallDigestFirstK(t *testing.T) {
-	m := New(Config{DigestSize: 3})
+	m := New(Config{})
+	m.digest.cap = 3
 	now := time.Unix(1000, 0)
 	for i := 0; i < 5; i++ {
 		m.digest.push(now.Add(time.Duration(i)*time.Second), digestStall(string(rune('a'+i))))
@@ -49,22 +50,9 @@ func TestStallDigestFirstK(t *testing.T) {
 	}
 }
 
-// TestStallDigestDisabled pins the opt-out: DigestSize -1 disables the
-// digest entirely — no retention, no overflow accounting — for members
-// that only want counters on the wire.
-func TestStallDigestDisabled(t *testing.T) {
-	m := New(Config{DigestSize: -1})
-	for i := 0; i < 4; i++ {
-		m.digest.push(time.Unix(1000, 0), digestStall("f"))
-	}
-	if evs, dropped := m.DrainStallDigest(); len(evs) != 0 || dropped != 0 {
-		t.Errorf("disabled digest retained %d events, %d dropped", len(evs), dropped)
-	}
-}
-
-// TestStallDigestDefaultSize pins the zero-value default: an untouched
-// Config digests up to 256 events per push, so fleet members get the
-// event stream without any flag.
+// TestStallDigestDefaultSize pins the digest bound: a monitor digests
+// up to 256 events per push (fleet.MaxDigestEvents), so fleet members
+// get the event stream without any flag.
 func TestStallDigestDefaultSize(t *testing.T) {
 	m := New(Config{})
 	if m.digest.cap != 256 {

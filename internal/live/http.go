@@ -91,7 +91,6 @@ func NewHandler(m *Monitor) http.Handler {
 			"max_flows":            cfg.MaxFlows,
 			"max_records_per_flow": cfg.MaxRecordsPerFlow,
 			"idle_timeout":         cfg.IdleTimeout.String(),
-			"window":               cfg.Window.String(),
 			"analysis": map[string]any{
 				"tau":        cfg.Analysis.Tau,
 				"dup_thresh": cfg.Analysis.DupThresh,
@@ -190,9 +189,6 @@ var (
 	famStallDuration      = promtext.NewFamily("tapod_stall_duration_ms", promtext.Histogram, "Closed stall durations in milliseconds.")
 	famRetransStalls      = promtext.NewFamily("tapod_retrans_stalls_total", promtext.Counter, "Retransmission stalls by Table-5 sub-cause (settled at eviction).", "subcause")
 	famRetransSeconds     = promtext.NewFamily("tapod_retrans_stall_seconds_total", promtext.Counter, "Retransmission stall seconds by Table-5 sub-cause.", "subcause")
-	famWindowStalls       = promtext.NewFamily("tapod_window_stalls", promtext.Gauge, "Stalls closed inside the rolling window, by service and cause.", "service", "cause")
-	famWindowSeconds      = promtext.NewFamily("tapod_window_stall_seconds", promtext.Gauge, "Stalled seconds inside the rolling window.", "service", "cause")
-	famWindowSpan         = promtext.NewFamily("tapod_window_span_seconds", promtext.Gauge, "Width of the rolling window.")
 	famGoroutines         = promtext.NewFamily("tapod_goroutines", promtext.Gauge, "Current goroutine count.")
 	famHeapAlloc          = promtext.NewFamily("tapod_heap_alloc_bytes", promtext.Gauge, "Bytes of allocated heap objects.")
 	famHeapSys            = promtext.NewFamily("tapod_heap_sys_bytes", promtext.Gauge, "Heap memory obtained from the OS.")
@@ -249,15 +245,6 @@ func writeMetrics(w io.Writer, s Snapshot) {
 	for _, c := range sortedRetrans(s.RetransTime) {
 		pw.Float(famRetransSeconds, s.RetransTime[c].Seconds(), c.String())
 	}
-	pw.Family(famWindowStalls)
-	forEachCause(s.Window.StallCount, func(k CauseKey) {
-		pw.Uint(famWindowStalls, s.Window.StallCount[k], k.Service, k.Cause.String())
-	})
-	pw.Family(famWindowSeconds)
-	forEachCause(s.Window.StallTime, func(k CauseKey) {
-		pw.Float(famWindowSeconds, s.Window.StallTime[k].Seconds(), k.Service, k.Cause.String())
-	})
-	pw.Float(famWindowSpan, s.Window.Span.Seconds())
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -54,7 +54,6 @@ func TestHTTPPlane(t *testing.T) {
 		// (0), so the classifier reads the gap as zero-rwnd.
 		"tapod_stalls_total{service=\"\",cause=\"zero-rwnd\",category=\"client\"} 1",
 		"tapod_stall_duration_ms_count 1",
-		"tapod_window_span_seconds 60",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\n%s", want, body)

@@ -8,10 +8,11 @@
 // Memory is hard-bounded: the flow table caps active flows (LRU
 // eviction), each flow caps retained analyzer records, and the shard
 // queues cap queued batches — every discard is counted, never silent.
-// Stalls surface the moment they close; per-service cause counters, a
-// rolling aggregation window, stall-duration histograms and the
-// Table-5 retransmission breakdown feed the /metrics and admin planes
-// (see NewHandler).
+// Stalls surface the moment they close; per-service cause counters,
+// stall-duration histograms and the Table-5 retransmission breakdown
+// feed the /metrics and admin planes (see NewHandler). They are
+// cumulative: a rate over the last minute is the scraper's (or the
+// fleet head's) difference of two readings.
 package live
 
 import (
@@ -56,15 +57,6 @@ type Config struct {
 	// IdleTimeout evicts flows with no packet for this long on the
 	// wall clock (default 5m; sweeps run every IdleTimeout/4).
 	IdleTimeout time.Duration
-	// Window is the span of the rolling aggregation window (default
-	// 60s, in windowBuckets buckets).
-	Window time.Duration
-	// DigestSize bounds the stall digest — the drain-and-reset event
-	// buffer a fleet member attaches to each snapshot push (default
-	// 256; negative disables). The digest keeps the FIRST DigestSize
-	// stall closes between drains and counts the overflow, so a stall
-	// storm bounds push size instead of growing it.
-	DigestSize int
 	// Analysis parameterizes the per-flow analyzer (zero value:
 	// core.DefaultConfig).
 	Analysis core.Config
@@ -108,12 +100,6 @@ func (c *Config) defaults() {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.Window <= 0 {
-		c.Window = time.Minute
-	}
-	if c.DigestSize == 0 {
-		c.DigestSize = 256
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -214,9 +200,7 @@ func New(cfg Config) *Monitor {
 	m := &Monitor{cfg: cfg}
 	m.batchFree.max = batchFreePerShard * cfg.Shards
 	m.recent.buf = make([]core.LiveStall, recentStalls)
-	if cfg.DigestSize > 0 {
-		m.digest.cap = cfg.DigestSize
-	}
+	m.digest.cap = digestSize
 	perShard := cfg.MaxFlows / cfg.Shards
 	if perShard < 1 {
 		perShard = 1
@@ -228,7 +212,6 @@ func New(cfg Config) *Monitor {
 			flows:    map[string]*flowEntry{},
 			maxFlows: perShard,
 			agg:      newAggregates(),
-			window:   newRollWindow(cfg.Window, windowBuckets),
 		}
 		if cfg.Triage != nil {
 			sh.arena = triage.NewArena()
@@ -388,9 +371,6 @@ type shard struct {
 	lru list.List
 	// agg folds per-shard counters and stall aggregates. guarded by mu
 	agg *aggregates
-	// window holds the stalls closed inside the rolling window.
-	// guarded by mu
-	window *rollWindow
 	// promoted/parked count triage-mode flows with a live analyzer
 	// (actively fed / demoted but retained). guarded by mu
 	promoted int
@@ -629,11 +609,9 @@ func (sh *shard) promoteLocked(e *flowEntry, sym triage.Symptom) {
 // stallClosedLocked runs synchronously inside Feed; the caller (the
 // shard goroutine, via processBatch) holds sh.mu.
 func (sh *shard) stallClosedLocked(ls core.LiveStall) {
-	now := sh.m.cfg.Clock()
 	sh.agg.stallClosed(ls)
-	sh.window.stallClosed(now, ls)
 	sh.m.recent.push(ls)
-	sh.m.digest.push(now, ls)
+	sh.m.digest.push(sh.m.cfg.Clock(), ls)
 	if sh.m.cfg.OnStall != nil {
 		sh.m.cfg.OnStall(ls)
 	}
@@ -795,6 +773,10 @@ type DigestedStall struct {
 	Stall core.LiveStall
 }
 
+// digestSize bounds the stall digest: the events retained per drain
+// interval, which is fleet.MaxDigestEvents, the most one push carries.
+const digestSize = 256
+
 // stallDigest is the drain-and-reset event buffer behind
 // DrainStallDigest. Unlike stallRing (which rotates, keeping the
 // newest), the digest keeps the FIRST cap events of each drain
@@ -802,7 +784,7 @@ type DigestedStall struct {
 // one stall storm cannot grow a fleet push without bound while the
 // overflow still surfaces as a count.
 type stallDigest struct {
-	// cap bounds retained events per drain interval; 0 disables.
+	// cap bounds retained events per drain interval (digestSize).
 	cap int
 
 	mu sync.Mutex
@@ -813,9 +795,6 @@ type stallDigest struct {
 }
 
 func (d *stallDigest) push(now time.Time, ls core.LiveStall) {
-	if d.cap <= 0 {
-		return
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.buf) >= d.cap {
@@ -827,8 +806,7 @@ func (d *stallDigest) push(now time.Time, ls core.LiveStall) {
 
 // DrainStallDigest returns the stall events digested since the last
 // drain (oldest first) plus the count dropped past the digest bound,
-// and resets both. Fleet members call this once per push; with the
-// digest disabled it returns nothing.
+// and resets both. Fleet members call this once per push.
 func (m *Monitor) DrainStallDigest() ([]DigestedStall, uint64) {
 	d := &m.digest
 	d.mu.Lock()
@@ -878,26 +856,18 @@ type Snapshot struct {
 	DurationsMS  *stats.Histogram
 	RetransCount map[core.RetransCause]uint64
 	RetransTime  map[core.RetransCause]time.Duration
-
-	Window WindowSnapshot
 }
 
 // Snapshot merges every shard's counters under their locks.
 func (m *Monitor) Snapshot() Snapshot {
 	now := m.cfg.Clock()
 	total := newAggregates()
-	win := WindowSnapshot{
-		Span:       m.cfg.Window,
-		StallCount: map[CauseKey]uint64{},
-		StallTime:  map[CauseKey]time.Duration{},
-	}
 	active := 0
 	promoted, parked := 0, 0
 	shardDrops := make([]uint64, len(m.shards))
 	for i, sh := range m.shards {
 		sh.mu.Lock()
 		total.merge(sh.agg)
-		win.mergeWindow(sh.window.snapshot(now))
 		active += len(sh.flows)
 		promoted += sh.promoted
 		parked += sh.parked
@@ -930,7 +900,6 @@ func (m *Monitor) Snapshot() Snapshot {
 		DurationsMS:  total.durationsMS,
 		RetransCount: total.retransCount,
 		RetransTime:  total.retransTime,
-		Window:       win,
 	}
 	if m.started.Load() {
 		s.Uptime = now.Sub(m.startAt)

@@ -58,11 +58,6 @@ func goldenSnapshot() Snapshot {
 		DurationsMS:  durs,
 		RetransCount: map[core.RetransCause]uint64{core.RetransTail: 1, core.RetransDouble: 1},
 		RetransTime:  map[core.RetransCause]time.Duration{core.RetransTail: 500 * time.Millisecond, core.RetransDouble: 750 * time.Millisecond},
-		Window: WindowSnapshot{
-			Span:       time.Minute,
-			StallCount: map[CauseKey]uint64{{odd, core.CauseTimeoutRetrans}: 1},
-			StallTime:  map[CauseKey]time.Duration{{odd, core.CauseTimeoutRetrans}: 450 * time.Millisecond},
-		},
 	}
 }
 

@@ -396,8 +396,6 @@ func headFixture(t *testing.T) *fleet.Head {
 				Retrans:     []fleet.RetransCounter{{Subcause: "tail-retrans", Count: 2, Time: 1250 * time.Millisecond}},
 				DurationsMS: durs.State(),
 			},
-			WindowSpanS:  60,
-			WindowStalls: []fleet.StallCounter{{Service: "web-search", Cause: "retransmission", Count: 1, Time: 500 * time.Millisecond}},
 		}
 		if resp := h.Push(snap); !resp.OK {
 			t.Fatalf("push %s: %s", id, resp.Error)
