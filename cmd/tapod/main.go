@@ -81,7 +81,7 @@ func main() {
 	idle := flag.Duration("idle", 5*time.Minute, "evict flows idle this long")
 	shed := flag.Bool("shed", false, "drop records when shard queues fill instead of applying backpressure")
 	triageOn := flag.Bool("triage", false, "two-phase triage: fully analyze only flows that show a stall symptom")
-	triageRing := flag.Int("triage-ring", 0, "triage per-flow ring of recent records N (0: default 1024); the ring grows in 64-record blocks, so memory is paid at 48 bytes per record held, up to N")
+	triageRing := flag.Int("triage-ring", 0, "triage per-flow ring of recent records N (0: default 1024); records are delta-encoded into 256-byte chunks, about 7 bytes per record held, up to N")
 	flightOn := flag.Bool("flight", true, "attach a flight recorder to every flow (serves /debug/flows/{id}/trace)")
 	flightK := flag.Int("flight-k", 0, "flight packet-window radius around each stall gap (0: default)")
 	headURL := flag.String("head", "", "fleet mode: push snapshots to this tapoctl head URL")

@@ -101,13 +101,19 @@ func NewMember(cfg MemberConfig) (*Member, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 10 * time.Second}
 	}
-	return &Member{
+	mb := &Member{
 		id:       cfg.ID,
 		head:     cfg.Head,
 		mon:      cfg.Monitor,
 		interval: cfg.PushInterval,
 		client:   cfg.Client,
-	}, nil
+	}
+	// The monitor digests stalls only from its first drain on: drain
+	// now, so every stall closed from here on reaches a push.
+	mb.mu.Lock()
+	mb.drainDigestLocked()
+	mb.mu.Unlock()
+	return mb, nil
 }
 
 // Register obtains a (fresh) epoch from the head.

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"tcpstall/internal/core"
+	"tcpstall/internal/trace"
+	"tcpstall/internal/workload"
 )
 
 func digestStall(flow string) core.LiveStall {
@@ -17,6 +19,7 @@ func digestStall(flow string) core.LiveStall {
 func TestStallDigestFirstK(t *testing.T) {
 	m := New(Config{})
 	m.digest.cap = 3
+	m.DrainStallDigest() // arm the digest
 	now := time.Unix(1000, 0)
 	for i := 0; i < 5; i++ {
 		m.digest.push(now.Add(time.Duration(i)*time.Second), digestStall(string(rune('a'+i))))
@@ -50,12 +53,48 @@ func TestStallDigestFirstK(t *testing.T) {
 	}
 }
 
-// TestStallDigestDefaultSize pins the digest bound: a monitor digests
-// up to 256 events per push (fleet.MaxDigestEvents), so fleet members
-// get the event stream without any flag.
+// TestStallDigestDefaultSize pins the digest bound: a drained monitor
+// digests up to 256 events per push (fleet.MaxDigestEvents), so fleet
+// members get the event stream without any flag.
 func TestStallDigestDefaultSize(t *testing.T) {
 	m := New(Config{})
-	if m.digest.cap != 256 {
-		t.Errorf("default digest cap = %d, want 256", m.digest.cap)
+	m.DrainStallDigest()
+	now := time.Unix(1000, 0)
+	for i := 0; i < 300; i++ {
+		m.digest.push(now, digestStall("f"))
+	}
+	if evs, dropped := m.DrainStallDigest(); len(evs) != 256 || dropped != 44 {
+		t.Errorf("300 stalls: drained %d, dropped %d; want 256 and 44", len(evs), dropped)
+	}
+}
+
+// TestStallDigestInertUntilDrained: a monitor nothing drains keeps no
+// DigestedStall however many stalls close; the first drain arms it,
+// and stalls closed from then on are digested.
+func TestStallDigestInertUntilDrained(t *testing.T) {
+	var fs []*trace.Flow
+	for _, fr := range workload.Generate(workload.Services()[0], 11, workload.GenOptions{Flows: 8}) {
+		fs = append(fs, fr.Flow)
+	}
+	m := New(Config{Shards: 1})
+	for _, f := range fs[:4] {
+		m.shards[0].processBatch(events(f))
+	}
+	if len(m.RecentStalls()) == 0 {
+		t.Fatal("the sick flows closed no stall")
+	}
+	if len(m.digest.buf) != 0 || m.digest.dropped != 0 {
+		t.Fatalf("an undrained monitor digested %d stalls (%d dropped)", len(m.digest.buf), m.digest.dropped)
+	}
+	if evs, dropped := m.DrainStallDigest(); len(evs) != 0 || dropped != 0 {
+		t.Fatalf("first drain = %d events, %d dropped; want none", len(evs), dropped)
+	}
+	before := len(m.RecentStalls())
+	for _, f := range fs[4:] {
+		m.shards[0].processBatch(events(f))
+	}
+	evs, _ := m.DrainStallDigest()
+	if want := len(m.RecentStalls()) - before; want == 0 || len(evs) != want {
+		t.Fatalf("armed digest holds %d stalls, want the %d closed since the first drain", len(evs), want)
 	}
 }

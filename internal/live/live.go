@@ -359,7 +359,7 @@ type shard struct {
 	mu sync.Mutex
 	// flows is the live flow table. guarded by mu
 	flows map[string]*flowEntry
-	// arena recycles triage ring blocks across this shard's flows
+	// arena recycles triage ring chunks across this shard's flows
 	// (nil outside triage mode). guarded by mu
 	arena *triage.Arena
 	// scratch batches consecutive same-flow records for FeedBatch;
@@ -786,6 +786,10 @@ const digestSize = 256
 type stallDigest struct {
 	// cap bounds retained events per drain interval (digestSize).
 	cap int
+	// armed is set by the first drain. Until then push keeps nothing
+	// and takes no lock: a monitor nothing drains (tapo, tapod without
+	// a head) pays one atomic load per stall close.
+	armed atomic.Bool
 
 	mu sync.Mutex
 	// buf holds the retained events, oldest first. guarded by mu
@@ -795,6 +799,9 @@ type stallDigest struct {
 }
 
 func (d *stallDigest) push(now time.Time, ls core.LiveStall) {
+	if !d.armed.Load() {
+		return
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.buf) >= d.cap {
@@ -806,9 +813,12 @@ func (d *stallDigest) push(now time.Time, ls core.LiveStall) {
 
 // DrainStallDigest returns the stall events digested since the last
 // drain (oldest first) plus the count dropped past the digest bound,
-// and resets both. Fleet members call this once per push.
+// and resets both. The digest keeps stalls only from the first drain
+// on: fleet.NewMember drains once when it wraps the monitor, then once
+// per push.
 func (m *Monitor) DrainStallDigest() ([]DigestedStall, uint64) {
 	d := &m.digest
+	d.armed.Store(true)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := d.buf

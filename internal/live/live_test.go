@@ -633,7 +633,7 @@ func fitLine(xs, ys []float64) (a, b float64) {
 // triage: workload.Healthy flows that never promote, so each holds
 // only its fast-path state and its ring; the fit is against the
 // records the rings retain and gates the heap one more retained
-// record costs, per-flow state included, at 64 B. No flow repeats, so
+// record costs, per-flow state included, at 24 B. No flow repeats, so
 // the mix of flow lengths is the generator's.
 func TestHeapSlopePerFlow(t *testing.T) {
 	ns := []int{128, 512, 1024}
@@ -690,7 +690,7 @@ func TestHeapSlopePerFlow(t *testing.T) {
 		}
 	})
 	t.Run("triage", func(t *testing.T) {
-		const budget = 64
+		const budget = 24
 		ringCap := triage.Config{}.WithDefaults().RingCap
 		// The services' flows taken in turn, so every N sees the same
 		// mix; a flow whose fed half raises a symptom would promote

@@ -711,7 +711,7 @@ func fuzzSeedHandshake() []byte {
 // streams go through a triage-enabled monitor shard and the evicted
 // verdict must match the batch analyzer over exactly the records the
 // monitor consumed — byte-identical when promoted, zero-stall when
-// not. The first input byte sizes the ring (fuzzRingCap), so block
+// not. The first input byte sizes the ring (fuzzRingCap), so chunk
 // edges and spill while parked are fuzzed along with the records; an
 // input whose promotion truncated replays from the ring start by
 // design and is not graded.
@@ -761,9 +761,9 @@ func FuzzTriagePromotion(f *testing.F) {
 	first := append([]byte{fuzzWholeRing}, encodeFuzzRecord(trace.DirIn, packet.FlagACK, 43, 5001, 0, 0, 0)...)
 	f.Add(first)
 
-	// Seed: symptom just past a block edge — the handshake and 33
-	// healthy pairs carry the ring across its first 64-record block,
-	// then a promoting gap.
+	// Seed: symptom just past record 64 — the handshake and 33
+	// healthy pairs carry the ring across several chunk edges, then a
+	// promoting gap.
 	edge := []byte{fuzzWholeRing}
 	edge = append(edge, fuzzSeedHandshake()...)
 	seq := uint32(5001)
@@ -792,10 +792,9 @@ func FuzzTriagePromotion(f *testing.F) {
 	hostile = append(hostile, encodeFuzzRecord(trace.DirIn, packet.FlagRST, 1, 0, 0, 0, 1)...)
 	f.Add(hostile)
 
-	// Seed: SACK at a block edge in a 65-record ring. Records 63 and
-	// 64, on either side of the first block edge, are SACK-bearing
-	// duplicate ACKs that promote; the flow heals and parks, and the
-	// parked ring wraps inside its second block, spilling both SACK
+	// Seed: SACK near the capacity of a 65-record ring. Records 63 and
+	// 64 are SACK-bearing duplicate ACKs that promote; the flow heals
+	// and parks, and the parked ring wraps, spilling both SACK
 	// records, before a gap repromotes it.
 	sackEdge := []byte{65 - 2} // fuzzRingCap: a 65-record ring
 	sackEdge = append(sackEdge, fuzzSeedHandshake()...)

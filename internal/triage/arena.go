@@ -1,52 +1,53 @@
 package triage
 
-// Arena recycles ring blocks. In triage mode the per-flow rings
+// Arena recycles ring chunks. In triage mode the per-flow rings
 // dominate the monitor's heap, and short-lived flows would otherwise
-// allocate fresh blocks each, churning the GC at connection rate. A
+// allocate fresh chunks each, churning the GC at connection rate. A
 // shard hands its Arena to every Flow it creates and calls Release
-// when the flow closes; the next flow's grow reuses the returned
-// blocks instead of allocating. Every ring is made of one block size,
-// so the arena is a single free list.
+// when the flow closes; the next flow's rings reuse the returned
+// chunks instead of allocating. Every ring is made of one chunk size,
+// so the arena is a single free list, linked through the chunks.
 //
 // Not safe for concurrent use: each live shard owns exactly one
 // Arena, mirroring the ownership rule for Flow itself.
 type Arena struct {
-	free []*block
+	free *chunk
+	held int
 }
 
-// arenaMaxHeld bounds the blocks an Arena retains (768 KB) so a burst
-// of closed flows cannot pin memory forever; beyond it, Release lets
-// the GC take the block.
-const arenaMaxHeld = 256
+// arenaMaxHeld bounds the chunks an Arena retains to 768 KB, so a
+// burst of closed flows cannot pin memory forever; beyond it, Release
+// lets the GC take the chunk.
+const arenaMaxHeld = 768 << 10 / chunkBytes
 
 // NewArena returns an empty arena.
-func NewArena() *Arena {
-	return &Arena{free: make([]*block, 0, arenaMaxHeld)}
-}
+func NewArena() *Arena { return &Arena{} }
 
-// get returns a zeroed block, recycled when available (put clears
+// get returns an empty chunk, recycled when available (put clears
 // them), so a recycled ring is indistinguishable from a fresh one.
-func (a *Arena) get() *block {
-	if a != nil && len(a.free) > 0 {
-		b := a.free[len(a.free)-1]
-		a.free[len(a.free)-1] = nil
-		a.free = a.free[:len(a.free)-1]
-		return b
+func (a *Arena) get() *chunk {
+	if a == nil || a.free == nil {
+		return new(chunk)
 	}
-	return new(block)
+	c := a.free
+	a.free = c.next
+	a.held--
+	c.next = nil
+	return c
 }
 
-// put hands a block back for reuse, cleared so no flow history leaks
+// put hands a chunk back for reuse, cleared so no flow history leaks
 // into the next owner.
-func (a *Arena) put(b *block) {
-	if a == nil || len(a.free) >= arenaMaxHeld {
+func (a *Arena) put(c *chunk) {
+	if a == nil || a.held >= arenaMaxHeld {
 		return
 	}
-	b.reset()
-	a.free = append(a.free, b)
+	c.reset(a.free)
+	a.free = c
+	a.held++
 }
 
-// NewFlowIn returns a fast-path tracker whose ring blocks come from
+// NewFlowIn returns a fast-path tracker whose ring chunks come from
 // and return to a (which may be nil, degrading to NewFlow behavior).
 func NewFlowIn(cfg Config, a *Arena) *Flow {
 	f := NewFlow(cfg)
@@ -54,13 +55,17 @@ func NewFlowIn(cfg Config, a *Arena) *Flow {
 	return f
 }
 
-// Release returns the flow's ring blocks to its arena and drops its
-// SACK side store. The flow must not be used afterwards; the live
-// monitor calls this when it evicts a flow.
+// Release returns the flow's ring chunks to its arena. The flow must
+// not be used afterwards; the live monitor calls this when it evicts a
+// flow.
 func (f *Flow) Release() {
-	for _, b := range f.blocks {
-		f.arena.put(b)
+	for c := f.front; c != nil; {
+		next := c.next
+		f.arena.put(c)
+		c = next
 	}
-	f.blocks = nil
-	f.sacks = nil
+	if f.spare != nil {
+		f.arena.put(f.spare)
+	}
+	f.front, f.tail, f.spare, f.cur = nil, nil, nil, nil
 }

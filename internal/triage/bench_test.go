@@ -17,8 +17,9 @@ func benchRecords(n int) []trace.Record {
 }
 
 // BenchmarkObserve measures the triage fast path in steady state: the
-// ring is at capacity, so every record is counter math plus one
-// pointer-free slot copy. Run with -benchmem — the hot-path
+// ring is at capacity, so every record is counter math plus one delta
+// encoding into the tail chunk, and now and then a chunk freed at the
+// front and refilled at the tail. Run with -benchmem — the hot-path
 // budget is 0 allocs/op (TestZeroAlloc enforces it).
 func BenchmarkObserve(b *testing.B) {
 	recs := benchRecords(1024)
@@ -33,9 +34,36 @@ func BenchmarkObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayUnfed measures the decode side: the replay a
+// promotion runs over a full 1024-record ring, from the ring start.
+// Each iteration rewinds fed to the ring start and replays every
+// retained record.
+func BenchmarkReplayUnfed(b *testing.B) {
+	recs := benchRecords(2048)
+	f := NewFlow(Config{RingCap: 1024})
+	for i := range recs {
+		f.Observe(&recs[i])
+	}
+	f.Attach()
+	n := 0
+	count := func(*trace.Record) { n++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.fed = f.ringStart
+		f.seek()
+		f.ReplayUnfed(count)
+	}
+	b.StopTimer()
+	if n != 1024*b.N {
+		b.Fatalf("replayed %d records, want %d", n, 1024*b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/record")
+}
+
 // benchLifecycle runs one whole flow life — admit, grow the ring a
-// block at a time to RingCap, release — per iteration. The
-// fresh/arena pair isolates what block recycling saves at connection
+// chunk at a time to RingCap, release — per iteration. The
+// fresh/arena pair isolates what chunk recycling saves at connection
 // rate.
 func benchLifecycle(b *testing.B, arena *Arena) {
 	recs := benchRecords(256)
@@ -55,8 +83,8 @@ func BenchmarkRingGrowthFresh(b *testing.B) { benchLifecycle(b, nil) }
 func BenchmarkRingGrowthArena(b *testing.B) { benchLifecycle(b, NewArena()) }
 
 // TestArenaRecycleAllocs: once the arena is warm, a whole flow
-// lifecycle allocates only the Flow struct and its block table —
-// every block of the ring comes back recycled.
+// lifecycle allocates only the Flow struct — every chunk of the ring
+// comes back recycled.
 func TestArenaRecycleAllocs(t *testing.T) {
 	a := NewArena()
 	recs := benchRecords(256)
@@ -68,16 +96,16 @@ func TestArenaRecycleAllocs(t *testing.T) {
 		}
 		f.Release()
 	}
-	lifecycle() // seed the arena with a full ring's blocks
+	lifecycle() // seed the arena with a full ring's chunks
 	allocs := testing.AllocsPerRun(50, lifecycle)
-	if allocs > 2 {
-		t.Fatalf("warm-arena flow lifecycle allocates %v, want <= 2 (the Flow struct and block table)", allocs)
+	if allocs > 1 {
+		t.Fatalf("warm-arena flow lifecycle allocates %v, want <= 1 (the Flow struct)", allocs)
 	}
 }
 
 // TestArenaRetentionBounded: a burst of full-ring flows closing
-// together leaves the arena holding at most arenaMaxHeld blocks; the
-// rest of their rings goes to the collector.
+// together leaves the arena holding at most arenaMaxHeld chunks, 768
+// KB; the rest of their rings goes to the collector.
 func TestArenaRetentionBounded(t *testing.T) {
 	liveHeap := func() int64 {
 		var ms runtime.MemStats
@@ -103,7 +131,7 @@ func TestArenaRetentionBounded(t *testing.T) {
 	flows = nil
 	held := liveHeap() - before
 	runtime.KeepAlive(a)
-	limit := int64(arenaMaxHeld*unsafe.Sizeof(block{})) + 64<<10
+	limit := int64(arenaMaxHeld*unsafe.Sizeof(chunk{})) + 64<<10
 	if held > limit {
 		t.Fatalf("arena retains %d KB after 300 full flows closed, want <= %d KB", held>>10, limit>>10)
 	}

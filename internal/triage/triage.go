@@ -117,39 +117,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// slot is one buffered record, stored field-flat and pointer-free in
-// 48 bytes: the rings dominate the monitor's heap in triage mode, and
-// blocks the garbage collector never has to scan keep GC cost
-// independent of how much history the fast path retains. Few records
-// carry SACK blocks, so a slot holds only a reference to its list in
-// the flow's side store (0: none). Storing and materializing a record
-// is a value copy: retained records never alias caller memory and the
-// steady-state push allocates nothing.
-type slot struct {
-	t     sim.Time
-	tsVal sim.Time
-	tsEcr sim.Time
-	seq   uint32
-	ack   uint32
-	len   int32
-	wnd   int32
-	flags packet.TCPFlags
-	dir   uint8
-	sack  uint32
-}
-
-// blockSlots is the ring's unit of growth. A block of 64 slots is
-// 3072 bytes, one Go size class, so a block wastes no allocator slack.
-const blockSlots = 64
-
-// block is one fixed run of ring slots. Rings grow a block at a time
-// and the shard arena recycles blocks between flows.
-type block [blockSlots]slot
-
-// reset clears a recycled block so no flow history leaks into its next
-// owner and no stale SACK reference survives.
-func (b *block) reset() { *b = block{} }
-
 // Flow is one connection's fast-path state. Not safe for concurrent
 // use: the live monitor owns each Flow from a single shard goroutine.
 type Flow struct {
@@ -198,31 +165,31 @@ type Flow struct {
 	lastSym      Symptom
 	lastSymptomT sim.Time
 
-	// Ring of recent raw records: absolute indices [ringStart,
-	// total) are retained at ring positions head, head+1, … modulo
-	// RingCap, position p living in blocks[p/blockSlots]. Until the
-	// ring first fills, head is 0 and blocks are appended as records
-	// arrive; from then on it is one circular buffer. fed is the
-	// absolute index of the next record not yet replayed into the
-	// promoted analyzer (meaningful once attached).
-	blocks    []*block
-	head      int
-	ringStart uint64
-	fed       uint64
-	attached  bool
-	truncated bool
+	// Ring of recent raw records (see ring.go): absolute indices
+	// [ringStart, total) are retained, encoded in the chunks front →
+	// … → tail. front's records start at index frontFirst; the first
+	// ringStart−frontFirst of them are dropped already. enc is the
+	// state after the tail's last record, and spare a freed chunk kept
+	// for the next one the ring fills. fed is the absolute index of
+	// the next record not yet replayed into the promoted analyzer
+	// (meaningful once attached), and cur, made at the first Attach,
+	// the decode position of record fed.
+	front, tail, spare *chunk
+	frontFirst         uint64
+	enc                codec
+	cur                *cursor
+	ringStart          uint64
+	fed                uint64
+	attached           bool
+	truncated          bool
 
-	// sacks holds the retained records' SACK lists; it is made at the
-	// first SACK-bearing record.
-	sacks *sackStore
-
-	// arena, when set, recycles ring blocks across flows (see Arena).
+	// arena, when set, recycles ring chunks across flows (see Arena).
 	// Nil means plain allocation.
 	arena *Arena
 }
 
-// NewFlow returns a fast-path tracker. The ring grows a block at a
-// time up to cfg.RingCap as records arrive.
+// NewFlow returns a fast-path tracker. The ring grows a chunk at a
+// time up to cfg.RingCap records as records arrive.
 func NewFlow(cfg Config) *Flow {
 	return &Flow{cfg: cfg.withDefaults()}
 }
@@ -239,10 +206,22 @@ func (f *Flow) Config() Config { return f.cfg }
 // it to the parked analyzer before the next Observe, which keeps
 // repromotion byte-identical to always-on analysis at bounded lag.
 //
+// Buffering appends r to the ring and, once RingCap records are held,
+// first drops the oldest one, decoding it as the spill when it was
+// never fed. Steady state (ring at capacity) allocates nothing.
+//
 // tapo:hotpath
 func (f *Flow) Observe(r *trace.Record) (sym Symptom, spill trace.Record, spilled bool) {
 	sym = f.observe(r)
-	spill, spilled = f.buffer(r)
+	if f.retained() == f.cfg.RingCap {
+		if f.attached && f.fed == f.ringStart {
+			spill = f.next()
+			spilled = true
+			f.fed++
+		}
+		f.dropOldest()
+	}
+	f.append(r)
 	f.total++
 	return sym, spill, spilled
 }
@@ -457,171 +436,6 @@ func satInt(u uint64) int {
 // tapo:hotpath
 func (f *Flow) retained() int { return satInt(f.total - f.ringStart) }
 
-// slotAt returns the slot at ring position p.
-//
-// tapo:hotpath
-func (f *Flow) slotAt(p int) *slot {
-	u := uint(p) // unsigned: the divisions become shifts and masks
-	return &f.blocks[u/blockSlots][u%blockSlots]
-}
-
-// buffer appends r to the ring, adding a block whenever the filling
-// ring needs one, then, once RingCap records are held, overwriting the
-// oldest record. Steady state (ring at capacity) allocates nothing;
-// growth is delegated to grow so the allocation stays off this path's
-// body.
-//
-// tapo:hotpath
-func (f *Flow) buffer(r *trace.Record) (spill trace.Record, spilled bool) {
-	n := f.retained()
-	if n < f.cfg.RingCap {
-		// Filling: nothing was overwritten yet, so head is 0 and the
-		// record lands at position n.
-		if n == len(f.blocks)*blockSlots {
-			f.grow()
-		}
-		f.write(n, r)
-		return spill, spilled
-	}
-	// Full at capacity: the oldest record is overwritten. If the flow
-	// is attached and that record was never fed to its analyzer (the
-	// flow is parked), hand it back for immediate trickle-feeding so
-	// exactness survives at bounded lag.
-	if f.attached && f.fed == f.ringStart {
-		// materialize is a value copy, so the spill stays valid after
-		// the slot is overwritten below.
-		spill = f.materialize(f.head)
-		spilled = true
-		f.fed++
-	}
-	f.write(f.head, r)
-	if f.head++; f.head == f.cfg.RingCap {
-		f.head = 0
-	}
-	f.ringStart++
-	return spill, spilled
-}
-
-// grow appends one block to the filling ring. Blocks never move, so
-// growth copies nothing; the block table itself doubles up to the
-// blocks RingCap needs.
-func (f *Flow) grow() {
-	if len(f.blocks) == cap(f.blocks) {
-		need := (f.cfg.RingCap + blockSlots - 1) / blockSlots
-		t := make([]*block, len(f.blocks), min(max(2*cap(f.blocks), 4), need))
-		copy(t, f.blocks)
-		f.blocks = t
-	}
-	f.blocks = append(f.blocks, f.arena.get())
-}
-
-// write stores r at ring position p: one flat value copy, plus the
-// SACK list in the side store when the record carries one. The list
-// of the record the slot held before, if any, is freed first.
-//
-// tapo:hotpath
-func (f *Flow) write(p int, r *trace.Record) {
-	s := f.slotAt(p)
-	if s.sack != 0 {
-		f.sacks.release(s.sack)
-	}
-	s.t = r.T
-	s.tsVal = r.Seg.TSVal
-	s.tsEcr = r.Seg.TSEcr
-	s.seq = r.Seg.Seq
-	s.ack = r.Seg.Ack
-	s.len = int32(r.Seg.Len)
-	s.wnd = int32(r.Seg.Wnd)
-	s.flags = r.Seg.Flags
-	s.dir = uint8(r.Dir)
-	s.sack = 0
-	// A list without blocks is the zero value (packet.SACKList only
-	// appends), so storing none loses nothing.
-	if r.Seg.SACK.Len() > 0 {
-		if f.sacks == nil {
-			f.newSACKStore()
-		}
-		s.sack = f.sacks.store(&r.Seg.SACK)
-	}
-}
-
-// newSACKStore makes the flow's SACK side store, at its first
-// SACK-bearing record.
-func (f *Flow) newSACKStore() { f.sacks = new(sackStore) }
-
-// sackStore keeps the SACK lists of a flow's retained records out of
-// line: few records carry one, so a slot holds only a reference, the
-// list's index plus one. free[:nFree] lists the entries whose records
-// were overwritten; free is as long as lists, so releasing never grows
-// it.
-type sackStore struct {
-	lists []packet.SACKList
-	free  []uint32
-	nFree int
-}
-
-// store copies l into a free entry and returns its reference.
-//
-// tapo:hotpath
-func (st *sackStore) store(l *packet.SACKList) uint32 {
-	if st.nFree == 0 {
-		st.grow()
-	}
-	st.nFree--
-	i := st.free[st.nFree]
-	st.lists[i] = *l
-	return i + 1
-}
-
-// release frees the entry behind ref.
-//
-// tapo:hotpath
-func (st *sackStore) release(ref uint32) {
-	st.free[st.nFree] = ref - 1
-	st.nFree++
-}
-
-// grow doubles the entries, starting at four: a flow pays for SACK
-// storage in proportion to the SACK-bearing records it holds at once.
-func (st *sackStore) grow() {
-	n := len(st.lists)
-	grown := max(2*n, 4)
-	lists := make([]packet.SACKList, grown)
-	copy(lists, st.lists)
-	st.lists = lists
-	st.free = make([]uint32, grown)
-	for i := grown - 1; i >= n; i-- {
-		st.free[st.nFree] = uint32(i)
-		st.nFree++
-	}
-}
-
-// materialize rebuilds the record at ring position p by value: the
-// result owns its SACK blocks and stays valid after the slot is
-// overwritten.
-//
-// tapo:hotpath
-func (f *Flow) materialize(p int) trace.Record {
-	s := f.slotAt(p)
-	r := trace.Record{
-		T:   s.t,
-		Dir: trace.Dir(s.dir),
-		Seg: trace.Segment{
-			Flags: s.flags,
-			Seq:   s.seq,
-			Ack:   s.ack,
-			Len:   int(s.len),
-			Wnd:   int(s.wnd),
-			TSVal: s.tsVal,
-			TSEcr: s.tsEcr,
-		},
-	}
-	if s.sack != 0 {
-		r.Seg.SACK = f.sacks.lists[s.sack-1]
-	}
-	return r
-}
-
 // Attach marks the flow promoted: from now on ReplayUnfed feeds the
 // buffered suffix (and, via Observe's spill, ring overflow while
 // parked trickle-feeds). It reports whether THIS attach lost history
@@ -635,23 +449,27 @@ func (f *Flow) Attach() (truncated bool) {
 		f.truncated = true
 		truncated = true
 	}
-	f.attached = true
+	if !f.attached {
+		f.attached = true
+		f.seek()
+	}
 	return truncated
 }
 
 // ReplayUnfed hands every buffered record the analyzer has not seen
-// yet to fn, in capture order. The record pointer is only valid for
-// the duration of the call (the value is a self-contained copy, SACK
-// blocks included). Promoted callers invoke it once per
+// yet to fn, in capture order; the flow must be attached. The record
+// pointer is only valid for the duration of the call (the value is a
+// self-contained copy, SACK blocks included). Promoted callers invoke it once per
 // Observe (feeding exactly the new record); repromotion replays the
-// whole parked suffix.
+// whole parked suffix. One record is decoded into at a time, so a
+// replay allocates at most once, however long.
 func (f *Flow) ReplayUnfed(fn func(*trace.Record)) {
+	if f.fed == f.total {
+		return
+	}
+	var r trace.Record
 	for f.fed < f.total {
-		// fed-ringStart < RingCap by the ring invariant; the modulo
-		// keeps the narrowing provably in range even on 32-bit ints.
-		rc := f.cfg.RingCap
-		p := (f.head + satInt((f.fed-f.ringStart)%uint64(rc))) % rc
-		r := f.materialize(p)
+		r = f.next()
 		fn(&r)
 		f.fed++
 	}

@@ -1,6 +1,7 @@
 package triage
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
 	"tcpstall/internal/trace"
+	"tcpstall/internal/workload"
 )
 
 // rec builds one record at t milliseconds.
@@ -258,7 +260,7 @@ func TestSymNoAdvance(t *testing.T) {
 	}
 }
 
-// TestRingGrowthAndOverwrite pins the ring mechanics: growth a block
+// TestRingGrowthAndOverwrite pins the ring mechanics: growth a chunk
 // at a time, capacity clamp, oldest-first overwrite, and absolute
 // index accounting.
 func TestRingGrowthAndOverwrite(t *testing.T) {
@@ -377,9 +379,9 @@ func TestSpillWhileParked(t *testing.T) {
 	}
 }
 
-// TestSACKInlineCopy: buffered SACK blocks are copied into the flow's
-// side store and must not alias the caller's record — the caller may
-// reuse it immediately.
+// TestSACKInlineCopy: buffered SACK blocks are encoded into the ring
+// and must not alias the caller's record — the caller may reuse it
+// immediately.
 func TestSACKInlineCopy(t *testing.T) {
 	f := NewFlow(Config{RingCap: 8})
 	r := rec(0, trace.DirIn, trace.Segment{
@@ -396,20 +398,39 @@ func TestSACKInlineCopy(t *testing.T) {
 	})
 }
 
-// TestSlotLayout pins the ring's footprint: a 48-byte slot and a
-// 64-slot block of 3072 bytes, which is one Go size class.
-func TestSlotLayout(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got != 48 {
-		t.Errorf("slot is %d bytes, want 48", got)
+// TestChunkLayout pins the ring's footprint: a chunk is 256 bytes,
+// one Go size class, and holds the largest record; on the healthy
+// simulator mix a record encodes to at most 8 bytes (the flat slot it
+// replaced took 48).
+func TestChunkLayout(t *testing.T) {
+	if got := unsafe.Sizeof(chunk{}); got != chunkBytes || chunkBytes != 256 {
+		t.Errorf("chunk is %d bytes, want %d = 256", got, chunkBytes)
 	}
-	if got := unsafe.Sizeof(block{}); got != 3072 {
-		t.Errorf("block is %d bytes, want 3072", got)
+	if maxRecordBytes > len(chunk{}.b) {
+		t.Errorf("a record may take %d bytes, more than a chunk's %d", maxRecordBytes, len(chunk{}.b))
+	}
+	var recs, bytes int
+	for _, svc := range workload.Services() {
+		for _, fr := range workload.Generate(workload.Healthy(svc), 11, workload.GenOptions{Flows: 40}) {
+			f := NewFlow(Config{RingCap: len(fr.Flow.Records) + 2})
+			feedAll(f, fr.Flow.Records)
+			for c := f.front; c != nil; c = c.next {
+				recs += int(c.recs)
+				bytes += int(c.used)
+			}
+		}
+	}
+	per := float64(bytes) / float64(recs)
+	t.Logf("healthy mix: %d records in %d encoded bytes, %.2f B/record", recs, bytes, per)
+	if recs == 0 || per > 8 {
+		t.Errorf("healthy records encode to %.2f B each, want <= 8", per)
 	}
 }
 
 // ringRecord builds record i of a stream whose every field varies with
-// i. Records on both sides of each 64-record block edge, and every
-// seventh one, carry SACK blocks (one to four).
+// i, so records differ in size and chunk edges fall at shifting
+// indices. Every seventh and every thirteenth record carries SACK
+// blocks (one to four).
 func ringRecord(i int) trace.Record {
 	r := rec(i, trace.Dir(i%2), trace.Segment{
 		Flags: packet.TCPFlags(i%7) | packet.FlagACK,
@@ -420,7 +441,7 @@ func ringRecord(i int) trace.Record {
 		TSVal: sim.Time(i) * sim.Time(time.Microsecond),
 		TSEcr: sim.Time(2*i) * sim.Time(time.Microsecond),
 	})
-	if i%blockSlots == 0 || i%blockSlots == blockSlots-1 || i%7 == 3 {
+	if i%7 == 3 || i%13 == 0 {
 		for k := 0; k <= i%packet.MaxSACKBlocks; k++ {
 			left := uint32(i*1000 + k*10)
 			r.Seg.SACK.Append(packet.SACKBlock{Left: left, Right: left + 5})
@@ -429,21 +450,46 @@ func ringRecord(i int) trace.Record {
 	return r
 }
 
-// TestRingLayout drives rings of sizes around the block edges through
-// several wraps with SACK-bearing records on both sides of each edge.
-// The flow attaches after half a ring, then alternates between
-// promoted stretches (every record replayed at once) and parked ones
-// (the ring spills what the analyzer has not consumed). Retention
-// must be exactly the last RingCap records after every Observe, and
-// every record handed back, by replay or by spill, must equal the
-// record observed at its index, in order, with none skipped. With the
-// shared arena, each ring reuses the blocks the previous ones released.
+// checkChunks verifies that the chain front → … → tail holds exactly
+// the retained records: only the front's first ringStart−frontFirst
+// records are dropped ones, and no chunk holds nothing retained.
+func checkChunks(t *testing.T, f *Flow) {
+	t.Helper()
+	if f.front == nil {
+		t.Fatalf("no chunks while %d records are retained", f.retained())
+	}
+	held := 0
+	for c := f.front; c != nil; c = c.next {
+		if c.recs == 0 {
+			t.Fatalf("an empty chunk is linked into the ring")
+		}
+		held += int(c.recs)
+		if c.next == nil && c != f.tail {
+			t.Fatalf("the chain ends before the tail")
+		}
+	}
+	dropped := f.ringStart - f.frontFirst
+	if dropped >= uint64(f.front.recs) || held-int(dropped) != f.retained() {
+		t.Fatalf("chunks hold %d records, %d of them dropped; %d retained", held, dropped, f.retained())
+	}
+}
+
+// TestRingLayout drives rings of several sizes through several wraps
+// with records of varying size, SACK-bearing ones among them. The
+// flow attaches after half a ring, then alternates between promoted
+// stretches (every record replayed at once) and parked ones (the ring
+// spills what the analyzer has not consumed). Retention must be
+// exactly the last RingCap records after every Observe, the chunks
+// must hold those and no wholly dropped chunk, and every record handed
+// back, by replay or by spill, must equal the record observed at its
+// index, in order, with none skipped. With the shared arena, each ring
+// reuses the chunks the previous ones released.
 func TestRingLayout(t *testing.T) {
 	shared := NewArena()
-	for _, ringCap := range []int{2, 63, 64, 65, 130, 1024} {
+	for _, ringCap := range []int{2, 3, 13, 14, 15, 130, 1024} {
 		for _, arena := range []*Arena{nil, shared} {
 			f := NewFlowIn(Config{RingCap: ringCap}, arena)
-			total := 3*ringCap + 2*blockSlots + 5
+			total := 3*ringCap + 133
 			recs := make([]trace.Record, total)
 			for i := range recs {
 				recs[i] = ringRecord(i)
@@ -466,19 +512,7 @@ func TestRingLayout(t *testing.T) {
 				if got, want := f.retained(), min(i+1, ringCap); got != want {
 					t.Fatalf("RingCap %d: %d records retained after %d observed, want %d", ringCap, got, i+1, want)
 				}
-				// The side store holds exactly the retained SACK lists.
-				held, want := 0, 0
-				if f.sacks != nil {
-					held = len(f.sacks.lists) - f.sacks.nFree
-				}
-				for _, r := range recs[i+1-f.retained() : i+1] {
-					if r.Seg.SACK.Len() > 0 {
-						want++
-					}
-				}
-				if held != want {
-					t.Fatalf("RingCap %d: side store holds %d SACK lists after %d observed, want %d", ringCap, held, i+1, want)
-				}
+				checkChunks(t, f)
 				if i+1 == ringCap/2+1 {
 					f.Attach()
 				}
@@ -498,11 +532,72 @@ func TestRingLayout(t *testing.T) {
 	}
 }
 
+// TestRingRoundTripExact: every field comes back at its full width —
+// the 48-byte slot this ring replaced narrowed Len and Wnd to int32.
+// Each case is observed into a fresh ring (so its first record is
+// encoded against the zero state) and into one already holding a
+// record of each direction, then replayed.
+func TestRingRoundTripExact(t *testing.T) {
+	const big = 1 << 40
+	sack := func(ack uint32, n int) packet.SACKList {
+		var l packet.SACKList
+		for k := 0; k < n; k++ {
+			// The first block of the longest list is a DSACK below Ack.
+			left := ack + uint32(k)*3000
+			if k == 0 && n == packet.MaxSACKBlocks {
+				left = ack - 2000
+			}
+			l.Append(packet.SACKBlock{Left: left, Right: left + 1448})
+		}
+		return l
+	}
+	var cases []trace.Record
+	for _, t0 := range []sim.Time{math.MinInt64, -1, 0, math.MaxInt64} {
+		cases = append(cases, trace.Record{T: t0, Dir: trace.DirOut, Seg: trace.Segment{
+			TSVal: t0, TSEcr: -t0 - 1, Len: big, Wnd: -1}})
+	}
+	for _, v := range []int{big, -1, math.MaxInt, math.MinInt, 0} {
+		cases = append(cases, trace.Record{T: 5, Dir: trace.DirIn, Seg: trace.Segment{Len: v, Wnd: v}})
+	}
+	for _, seq := range []uint32{math.MaxUint32, 0, 7, math.MaxUint32 - 3} {
+		cases = append(cases, trace.Record{T: 9, Dir: trace.DirOut, Seg: trace.Segment{
+			Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Ack: ^seq, Len: 1448, Wnd: 65535,
+			TSVal: -3, TSEcr: math.MinInt64}})
+	}
+	for n := 0; n <= packet.MaxSACKBlocks; n++ {
+		for _, ack := range []uint32{1000, 500, math.MaxUint32 - 100} {
+			cases = append(cases, trace.Record{T: 11, Dir: trace.DirIn, Seg: trace.Segment{
+				Flags: packet.FlagACK, Ack: ack, Wnd: 1 << 20, SACK: sack(ack, n)}})
+		}
+	}
+	cases = append(cases, trace.Record{T: 13, Dir: trace.Dir(-7)}, trace.Record{T: 14, Dir: trace.Dir(2)})
+	prefix := []trace.Record{
+		{T: 1, Dir: trace.DirOut, Seg: trace.Segment{Seq: 100, Ack: 200, Len: 10, Wnd: 30, TSVal: 4, TSEcr: 5}},
+		{T: 2, Dir: trace.DirIn, Seg: trace.Segment{Seq: 200, Ack: 110, Len: 3, Wnd: 40, TSVal: 6, TSEcr: 4}},
+	}
+	for i := range cases {
+		for _, pre := range [][]trace.Record{nil, prefix} {
+			f := NewFlow(Config{RingCap: 8})
+			recs := append(append([]trace.Record(nil), pre...), cases[i], cases[i], cases[(i+1)%len(cases)])
+			for j := range recs {
+				f.Observe(&recs[j])
+			}
+			f.Attach()
+			var got []trace.Record
+			f.ReplayUnfed(func(r *trace.Record) { got = append(got, *r) })
+			if !reflect.DeepEqual(got, recs) {
+				t.Errorf("case %d, %d-record prefix: replayed\n%+v\nwant\n%+v", i, len(pre), got, recs)
+			}
+		}
+	}
+}
+
 // TestZeroAlloc: the steady-state fast path — Observe on a flow whose
 // ring is at capacity — performs zero heap allocations per record, the
 // property that makes triage line-rate. The measured records cross
-// more than four block boundaries past capacity, carry SACK blocks,
-// and run with and without an arena.
+// many chunk boundaries past capacity, carry SACK blocks, and run with
+// and without an arena: a ring at capacity keeps the chunk it frees
+// for the next one it fills.
 func TestZeroAlloc(t *testing.T) {
 	const ringCap = 130
 	recs := make([]trace.Record, 4*ringCap)
@@ -511,13 +606,12 @@ func TestZeroAlloc(t *testing.T) {
 	}
 	for _, arena := range []*Arena{nil, NewArena()} {
 		f := NewFlowIn(Config{RingCap: ringCap}, arena)
-		// Fill the ring twice with the stream the measurement repeats,
-		// so the SACK side store has reached its size.
+		// Fill the ring twice with the stream the measurement repeats.
 		for i := range recs[:2*ringCap] {
 			f.Observe(&recs[i])
 		}
 		i := 0
-		allocs := testing.AllocsPerRun(5*blockSlots, func() {
+		allocs := testing.AllocsPerRun(320, func() {
 			f.Observe(&recs[i%len(recs)])
 			i++
 		})
@@ -629,6 +723,7 @@ func TestCountersPast2to31(t *testing.T) {
 	const jump = uint64(1)<<32 + uint64(1)<<31
 	f.total += jump
 	f.ringStart += jump
+	f.frontFirst += jump
 	f.outDataSegs += jump
 	if got := f.retained(); got != 32 {
 		t.Fatalf("retained=%d past 2^31, want 32", got)
