@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"time"
@@ -127,13 +128,15 @@ type analyzer struct {
 	mss int
 
 	// segs is the scoreboard window over unacked data: entry i is the
-	// segment with ordinal segBase+i (its rank in first-send order),
-	// and segIdx maps each window entry's offset to its ordinal. Like
-	// the kernel freeing a cumulatively acked skb, newAck retires the
-	// acked prefix, so the window holds about one flight.
-	segs    []aSeg
-	segIdx  map[uint64]int
-	segBase int
+	// segment with ordinal segBase+i (its rank in first-send order).
+	// Like the kernel freeing a cumulatively acked skb, newAck retires
+	// the acked prefix, so the window holds about one flight. First-send
+	// order is offset order unless a repacketized retransmission starts
+	// at a new offset below an entry; unsorted records that case, and
+	// find reads it to choose between binary search and a scan.
+	segs     []aSeg
+	segBase  int
+	unsorted bool
 
 	// spurious (made on first use) maps a window entry's offset to the
 	// times a DSACK covered it while it was unacked; a stall closing on
@@ -400,9 +403,9 @@ func (a *analyzer) onStall(endIdx int, start sim.Time, cur *trace.Record) {
 	// to look.
 	if cur.Dir == trace.DirOut && cur.Seg.Len > 0 {
 		ps.endOff = a.u.Unwrap(cur.Seg.Seq)
-		if ord, ok := a.segIdx[ps.endOff]; ok && !a.segs[ord-a.segBase].acked {
-			g := &a.segs[ord-a.segBase]
-			ps.retransSegIdx = ord
+		if i := a.find(ps.endOff); i >= 0 && !a.segs[i].acked {
+			g := &a.segs[i]
+			ps.retransSegIdx = a.segBase + i
 			ps.copiesBefore = int(g.sent)
 			ps.retransLen = int(g.len)
 			ps.spuriousAt = slices.Clone(a.spurious[g.seq])
@@ -478,8 +481,8 @@ func (a *analyzer) processOut(r *trace.Record) {
 	// retired set, else it is a new segment.
 	var g *aSeg
 	sent := 1
-	if ord, ok := a.segIdx[off]; ok {
-		g = &a.segs[ord-a.segBase]
+	if i := a.find(off); i >= 0 {
+		g = &a.segs[i]
 		g.sent++
 		g.lastSent = r.T
 		sent = int(g.sent)
@@ -487,7 +490,9 @@ func (a *analyzer) processOut(r *trace.Record) {
 		sent = n + 1
 		a.setRetiredSent(off, sent)
 	} else {
-		a.segIdx[off] = a.segBase + len(a.segs)
+		if k := len(a.segs) - 1; k >= 0 && off < a.segs[k].seq {
+			a.unsorted = true
+		}
 		a.segs = append(a.segs, aSeg{
 			seq:      off,
 			len:      int32(seg.Len),
@@ -769,27 +774,57 @@ func (a *analyzer) newAck(r *trace.Record, seg *trace.Segment, ack uint64) {
 	}
 }
 
+// find returns the index in segs of the window entry starting at off,
+// or -1. Every entry ends at or below maxEnd, so new data needs no
+// search; a window in offset order is binary-searched, and only one
+// holding an out-of-order entry is scanned — the cost every ACK's
+// scans already pay.
+func (a *analyzer) find(off uint64) int {
+	if off >= a.maxEnd {
+		return -1
+	}
+	if a.unsorted {
+		for i := range a.segs {
+			if a.segs[i].seq == off {
+				return i
+			}
+		}
+		return -1
+	}
+	lo, hi := 0, len(a.segs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a.segs[m].seq < off {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(a.segs) && a.segs[lo].seq == off {
+		return lo
+	}
+	return -1
+}
+
 // retire moves the acked prefix segs[:lo] into the retired set and
-// slides the window down over it. Once the window's backing array is
-// over 4× what the window needs, it is reallocated at 2× and segIdx is
-// rebuilt (a Go map never shrinks), so a flow's scoreboard follows its
-// current flight, not the largest it ever had.
+// slides the window down over it, then settles whether what is left is
+// in offset order. Once the window's backing array is over 4× what the
+// window needs, it is reallocated at 2×, so a flow's scoreboard follows
+// its current flight, not the largest it ever had.
 func (a *analyzer) retire() {
 	for i := 0; i < a.lo; i++ {
 		g := &a.segs[i]
-		delete(a.segIdx, g.seq)
 		delete(a.spurious, g.seq)
 		a.retireSeg(g)
 	}
 	a.segBase += a.lo
 	live := a.segs[a.lo:]
 	a.lo = 0
+	if a.unsorted {
+		a.unsorted = !slices.IsSortedFunc(live, func(x, y aSeg) int { return cmp.Compare(x.seq, y.seq) })
+	}
 	if need := max(len(live), retireMin); cap(a.segs) > 4*need {
 		a.segs = append(make([]aSeg, 0, 2*need), live...)
-		a.segIdx = make(map[uint64]int, len(live))
-		for i := range a.segs {
-			a.segIdx[a.segs[i].seq] = a.segBase + i
-		}
 		return
 	}
 	n := copy(a.segs, live)

@@ -148,3 +148,47 @@ func BenchmarkFeedBatch(b *testing.B) {
 		inc.Flush()
 	}
 }
+
+// wideRetrans builds one flow that sends n full-size segments, then,
+// after an RTO-sized silence, retransmits all of them — in offset order
+// (go-back-N) or from the top down — before one cumulative ACK covers
+// them. Every retransmission looks its segment up in an n-entry window,
+// so this is the scoreboard lookup's worst case.
+func wideRetrans(n int, topDown bool) []trace.Record {
+	recs := synHandshake()
+	t := 30.0
+	for i := 0; i < n; i++ {
+		recs = append(recs, synData(t, segSeq(i), segLen))
+		t += 0.01
+	}
+	t += 1000
+	for k := 0; k < n; k++ {
+		i := k
+		if topDown {
+			i = n - 1 - k
+		}
+		recs = append(recs, synData(t, segSeq(i), segLen))
+		t += 0.01
+	}
+	return append(recs, synAck(t+20, segSeq(n)))
+}
+
+// BenchmarkFeedWideRetrans measures the per-record cost of
+// retransmitting a whole 1k- or 4k-segment window, go-back-N and top
+// down. Run with -benchmem.
+func BenchmarkFeedWideRetrans(b *testing.B) {
+	for _, order := range []string{"gobackn", "topdown"} {
+		for _, n := range []int{1 << 10, 1 << 12} {
+			recs := wideRetrans(n, order == "topdown")
+			b.Run(fmt.Sprintf("%s/segs=%dk", order, n>>10), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					inc := NewIncremental(DefaultConfig())
+					inc.FeedBatch(recs)
+					inc.Flush()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+			})
+		}
+	}
+}

@@ -173,6 +173,23 @@ func FuzzIncrementalFeed(f *testing.F) {
 	long = append(long, dblk[:]...)
 	f.Add(long)
 
+	// Seed: a repacketized retransmission at a new offset inside the
+	// window, below entries sent before it, then resends of an entry
+	// above it and of itself — the window out of offset order — and an
+	// ACK covering all of it.
+	var repack []byte
+	repack = append(repack, encodeFuzzRecord(trace.DirIn, packet.FlagSYN, 100, 0, 65535, 0, 0)...)
+	repack = append(repack, encodeFuzzRecord(trace.DirOut, packet.FlagSYN|packet.FlagACK, 5000, 101, 65535, 0, 1)...)
+	repack = append(repack, encodeFuzzRecord(trace.DirIn, packet.FlagACK, 101, 5001, 65535, 3, 10)...)
+	for i := 0; i < 4; i++ {
+		repack = append(repack, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 5001+uint32(i)*1455, 101, 65535, 15, 1)...)
+	}
+	repack = append(repack, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 5001+1455+700, 101, 65535, 15, 5)...)
+	repack = append(repack, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 5001+3*1455, 101, 65535, 15, 5)...)
+	repack = append(repack, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 5001+1455+700, 101, 65535, 15, 5)...)
+	repack = append(repack, encodeFuzzRecord(trace.DirIn, packet.FlagACK, 101, 5001+4*1455, 65535, 0, 5)...)
+	f.Add(repack)
+
 	// Seed: pathological — a retransmission-shaped repeat with RST.
 	var hostile []byte
 	hostile = append(hostile, encodeFuzzRecord(trace.DirOut, packet.FlagACK, 1000, 1, 0, 20, 0)...)

@@ -64,7 +64,6 @@ func NewIncremental(cfg Config) *Incremental {
 	inc.a = analyzer{
 		cfg:       cfg,
 		mss:       1460,
-		segIdx:    make(map[uint64]int),
 		dupThresh: cfg.DupThresh,
 		caState:   trace.StateOpen,
 		cwnd:      float64(cfg.InitCwnd),

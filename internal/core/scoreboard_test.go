@@ -14,8 +14,9 @@ import (
 
 // checkScoreboard recomputes by full scan what the analyzer keeps
 // incrementally — packets_out, sacked_out, the acked-prefix cursor and
-// the window's offset index — checks the retired runs' shape, and
-// reports the first disagreement.
+// the window's order flag — checks that window offsets are unique and
+// every entry ends at or below maxEnd, checks the retired runs' shape,
+// and reports the first disagreement.
 func (a *analyzer) checkScoreboard() error {
 	out, sacked := 0, 0
 	for i := range a.segs {
@@ -44,16 +45,30 @@ func (a *analyzer) checkScoreboard() error {
 	if a.lo < len(a.segs) && a.segs[a.lo].acked {
 		return fmt.Errorf("cursor lo = %d stops at an acked segment", a.lo)
 	}
-	if len(a.segIdx) != len(a.segs) {
-		return fmt.Errorf("segIdx holds %d offsets for %d window entries", len(a.segIdx), len(a.segs))
-	}
+	sorted := true
 	for i := range a.segs {
-		if ord, ok := a.segIdx[a.segs[i].seq]; !ok || ord != a.segBase+i {
-			return fmt.Errorf("segs[%d]: segIdx ordinal %d (present %v), want %d", i, ord, ok, a.segBase+i)
+		g := &a.segs[i]
+		if g.end() > a.maxEnd {
+			return fmt.Errorf("segs[%d] ends at %d, above maxEnd %d", i, g.end(), a.maxEnd)
+		}
+		if i > 0 && g.seq <= a.segs[i-1].seq {
+			sorted = false
+		}
+	}
+	if a.unsorted == sorted {
+		return fmt.Errorf("unsorted = %v on a window whose strict offset order is %v", a.unsorted, sorted)
+	}
+	if !sorted { // a strictly increasing window has unique offsets
+		at := make(map[uint64]int, len(a.segs))
+		for i := range a.segs {
+			if j, dup := at[a.segs[i].seq]; dup {
+				return fmt.Errorf("segs[%d] and segs[%d] both start at offset %d", j, i, a.segs[i].seq)
+			}
+			at[a.segs[i].seq] = i
 		}
 	}
 	for off := range a.spurious {
-		if _, ok := a.segIdx[off]; !ok {
+		if a.find(off) < 0 {
 			return fmt.Errorf("spurious table keeps offset %d, which is not in the window", off)
 		}
 	}
@@ -70,12 +85,36 @@ func (a *analyzer) checkScoreboard() error {
 	return nil
 }
 
+// checkFind checks that find agrees with a full scan at every window
+// offset and at offsets between entries: one below and one above each
+// entry's start, and its end. Once find returns i for every entry's
+// offset (unique, by checkScoreboard), a miss elsewhere is right, so
+// only a hit there needs its offset checked. find reads only the
+// entries' offsets, maxEnd and unsorted, which only data records and
+// retires change.
+func (a *analyzer) checkFind() error {
+	for i := range a.segs {
+		if got := a.find(a.segs[i].seq); got != i {
+			return fmt.Errorf("find(%d) = %d, but segs[%d] starts there", a.segs[i].seq, got, i)
+		}
+	}
+	for i := range a.segs {
+		g := &a.segs[i]
+		for _, off := range [...]uint64{g.seq - 1, g.seq + 1, g.end()} {
+			if got := a.find(off); got >= 0 && a.segs[got].seq != off {
+				return fmt.Errorf("find(%d) = segs[%d], which starts at %d", off, got, a.segs[got].seq)
+			}
+		}
+	}
+	return nil
+}
+
 // checkSent checks that offset off, sent want times, is found exactly
 // once — in the window or in the retired set — with that copy count.
 func (a *analyzer) checkSent(off uint64, want int) error {
 	win := 0
-	if ord, ok := a.segIdx[off]; ok {
-		win = int(a.segs[ord-a.segBase].sent)
+	if i := a.find(off); i >= 0 {
+		win = int(a.segs[i].sent)
 	}
 	ret := a.retiredCount(off)
 	if win > 0 && ret > 0 {
@@ -96,7 +135,7 @@ func (a *analyzer) checkHistory(sent map[uint64]int) error {
 		if err := a.checkSent(off, n); err != nil {
 			return err
 		}
-		if _, ok := a.segIdx[off]; ok {
+		if a.find(off) >= 0 {
 			inWindow++
 		}
 	}
@@ -111,9 +150,12 @@ func (a *analyzer) checkHistory(sent map[uint64]int) error {
 // shadow count of each offset's transmissions built from the records
 // alone. A record that retires history, and the last one, have every
 // offset ever sent re-checked; any other record changes only its own
-// offset's count, so that offset is checked. FeedChecked is exported
-// for the external test package, which drives the workload generator
-// (workload imports core).
+// offset's count, so that offset is checked. find is checked in full
+// after a retire, after the last record and after data below maxEnd,
+// the records that move entries or add one out of order; new data
+// appends at the top, and checkSent checks find at its offset.
+// FeedChecked is exported for the external test package, which drives
+// the workload generator (workload imports core).
 func FeedChecked(tb testing.TB, inc *Incremental, recs []trace.Record) {
 	tb.Helper()
 	a := &inc.a
@@ -127,9 +169,12 @@ func FeedChecked(tb testing.TB, inc *Incremental, recs []trace.Record) {
 			off = u.Unwrap(r.Seg.Seq)
 			sent[off]++
 		}
-		base := a.segBase
+		base, below := a.segBase, data && off < a.maxEnd
 		inc.Feed(r)
 		err := a.checkScoreboard()
+		if err == nil && (below || a.segBase != base || i == len(recs)-1) {
+			err = a.checkFind()
+		}
 		switch {
 		case err != nil:
 		case a.segBase != base || i == len(recs)-1:
@@ -280,6 +325,61 @@ func TestScoreboardShrinksAfterFlight(t *testing.T) {
 	}
 }
 
+// TestScoreboardRepacketizedBelowMaxEnd: a retransmission repacketized
+// at a new offset inside the window is a new entry below entries sent
+// before it, so the window leaves offset order; resends of an entry
+// above it and of the new entry are still found. Retiring the window
+// restores offset order.
+func TestScoreboardRepacketizedBelowMaxEnd(t *testing.T) {
+	recs := synHandshake()
+	for i := 0; i < 4; i++ {
+		recs = append(recs, synData(30+0.1*float64(i), segSeq(i), segLen))
+	}
+	repack := segSeq(1) + 700
+	recs = append(recs,
+		synData(40, repack, segLen),
+		synData(45, segSeq(3), segLen),
+		synData(50, repack, segLen),
+		synAck(55, segSeq(4)))
+	n := len(recs)
+	recs = pipelined(recs, 60, 4, retireMin)
+
+	inc := NewIncremental(DefaultConfig())
+	FeedChecked(t, inc, recs[:n])
+	if !inc.a.unsorted || len(inc.a.segs) != 5 {
+		t.Fatalf("unsorted = %v with %d entries, want an out-of-order window of 5", inc.a.unsorted, len(inc.a.segs))
+	}
+	inc = NewIncremental(DefaultConfig())
+	FeedChecked(t, inc, recs)
+	if inc.a.segBase == 0 || inc.a.unsorted {
+		t.Fatalf("segBase = %d, unsorted = %v: the window did not retire back into offset order", inc.a.segBase, inc.a.unsorted)
+	}
+	if a := inc.Flush(); a.DataPackets != retireMin+5 || a.RetransPackets != 2 {
+		t.Fatalf("data=%d retrans=%d, want %d/2", a.DataPackets, a.RetransPackets, retireMin+5)
+	}
+}
+
+// TestScoreboardResendAckedUnretired: a segment acked but not yet
+// retired (fewer than retireMin acked) is still a window entry, below
+// the cursor lo, and a resend of it is a retransmission of that entry.
+func TestScoreboardResendAckedUnretired(t *testing.T) {
+	recs := synHandshake()
+	for i := 0; i < 4; i++ {
+		recs = append(recs, synData(30+0.1*float64(i), segSeq(i), segLen))
+	}
+	recs = append(recs, synAck(40, segSeq(2)), synData(45, segSeq(0), segLen))
+
+	inc := NewIncremental(DefaultConfig())
+	FeedChecked(t, inc, recs)
+	if inc.a.lo != 2 || inc.a.segBase != 0 || inc.a.segs[0].sent != 2 {
+		t.Fatalf("lo = %d, segBase = %d, segs[0].sent = %d: want the resend counted on the acked entry below lo",
+			inc.a.lo, inc.a.segBase, inc.a.segs[0].sent)
+	}
+	if a := inc.Flush(); a.DataPackets != 4 || a.RetransPackets != 1 {
+		t.Fatalf("data=%d retrans=%d, want 4/1", a.DataPackets, a.RetransPackets)
+	}
+}
+
 // TestSegEntrySize: the scoreboard window holds one aSeg per segment in
 // flight, so its size is a per-flight term of live_heap_mb on the sick
 // replay.
@@ -372,7 +472,7 @@ func TestRetiredStallKeepsDSACKEvidence(t *testing.T) {
 	inc.SetRecorder(rec)
 	FeedChecked(t, inc, recs[:len(recs)-2])
 	off0 := inc.a.base
-	if _, ok := inc.a.segIdx[off0]; ok || inc.a.retiredCount(off0) != 2 {
+	if inc.a.find(off0) >= 0 || inc.a.retiredCount(off0) != 2 {
 		t.Fatalf("segment 0 not retired before the DSACKs (segBase %d)", inc.a.segBase)
 	}
 	inc.FeedBatch(recs[len(recs)-2:])

@@ -626,9 +626,10 @@ func fitLine(xs, ys []float64) (a, b float64) {
 // costs at 32 KB. The flows are 32 per service at seed 11, replayed
 // under fresh IDs to reach N.
 //
-// no_flight: the same flows without recorders. always_on's slope
+// no_flight: the same flows without recorders, so the slope is the
+// analyzer's own per-flow state, gated at 6 KB. always_on's slope
 // minus this one is what the flight recorder costs a flow, gated at
-// 6 KB.
+// 6 KB too.
 //
 // triage: workload.Healthy flows that never promote, so each holds
 // only its fast-path state and its ring; the fit is against the
@@ -683,7 +684,11 @@ func TestHeapSlopePerFlow(t *testing.T) {
 		if withFlight == 0 {
 			t.Skip("needs always_on's slope")
 		}
-		share := withFlight - sickSlope(t, nil)
+		own := sickSlope(t, nil)
+		if own > budget {
+			t.Errorf("each concurrent mid-flight flow holds %.1f KB of analyzer heap, budget %d KB", own/1024, budget>>10)
+		}
+		share := withFlight - own
 		t.Logf("flight share: %.1f KB/flow", share/1024)
 		if share > budget {
 			t.Errorf("the flight recorder costs each mid-flight flow %.1f KB of heap, budget %d KB", share/1024, budget>>10)

@@ -289,12 +289,15 @@ func (in *byteReader) uvarint() uint64 {
 }
 
 // cursor is a decode position in the ring: the next record to decode
-// is record k of chunk c, at byte off, against state st.
+// is record k of chunk c, at byte off, against state st. rec is the
+// record ReplayUnfed decodes into and lends to its callback, so a
+// replay allocates nothing.
 type cursor struct {
 	c   *chunk
 	off int
 	k   int
 	st  codec
+	rec trace.Record
 }
 
 // at moves the cursor to the start of chunk c.

@@ -461,16 +461,12 @@ func (f *Flow) Attach() (truncated bool) {
 // pointer is only valid for the duration of the call (the value is a
 // self-contained copy, SACK blocks included). Promoted callers invoke it once per
 // Observe (feeding exactly the new record); repromotion replays the
-// whole parked suffix. One record is decoded into at a time, so a
-// replay allocates at most once, however long.
+// whole parked suffix. Each record is decoded into the cursor's one
+// record, so a replay allocates nothing, however long.
 func (f *Flow) ReplayUnfed(fn func(*trace.Record)) {
-	if f.fed == f.total {
-		return
-	}
-	var r trace.Record
 	for f.fed < f.total {
-		r = f.next()
-		fn(&r)
+		f.cur.rec = f.next()
+		fn(&f.cur.rec)
 		f.fed++
 	}
 }

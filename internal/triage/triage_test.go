@@ -621,6 +621,38 @@ func TestZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestReplayUnfedZeroAlloc: a promoted flow hands each new record to
+// the analyzer through ReplayUnfed right after Observe buffers it, and
+// that replay allocates nothing per record: the record is decoded into
+// the cursor, not into a value that escapes through the callback.
+func TestReplayUnfedZeroAlloc(t *testing.T) {
+	const ringCap = 130
+	recs := make([]trace.Record, 4*ringCap)
+	for i := range recs {
+		recs[i] = ringRecord(i)
+	}
+	f := NewFlow(Config{RingCap: ringCap})
+	fed := 0
+	feed := func(r *trace.Record) { fed += r.Seg.Len }
+	for i := range recs[:2*ringCap] {
+		f.Observe(&recs[i])
+	}
+	f.Attach()
+	f.ReplayUnfed(feed)
+	i := 0
+	allocs := testing.AllocsPerRun(320, func() {
+		f.Observe(&recs[i%len(recs)])
+		f.ReplayUnfed(feed)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a promoted flow allocates %v per record observed and replayed, want 0", allocs)
+	}
+	if f.Fed() != f.Total() || fed == 0 {
+		t.Fatalf("fed %d of %d records (%d bytes): the replay did not keep up", f.Fed(), f.Total(), fed)
+	}
+}
+
 // TestWrappedISN: sequence math near the 2^32 wrap must not
 // misclassify in-order sends as retransmissions.
 func TestWrappedISN(t *testing.T) {
