@@ -87,7 +87,8 @@ func (r *retiredRun) end() uint64 { return r.start + uint64(r.segLen)*uint64(r.n
 // copy per retired entry.
 const retireMin = 64
 
-// pendingStall is a detected stall awaiting post-hoc classification.
+// pendingStall is a closed stall whose verdict the records fed so far
+// do not yet fix (see settled).
 type pendingStall struct {
 	stall Stall
 	// endDir/endLen/endOff capture the stall-ending record (cur_pkt):
@@ -118,8 +119,11 @@ type pendingStall struct {
 	maxEndAtStall        uint64
 	// haveBaseAtEnd freezes whether any data had been seen once the
 	// stall-ending record was processed, so classification reads the
-	// same value at stall close and at flush.
+	// same value whenever it runs.
 	haveBaseAtEnd bool
+	// trail records the decision path when a recorder is attached: the
+	// Figure-5 walk at close, the Table-5 walk at settlement.
+	trail *flight.Trail
 }
 
 // analyzer replays one flow.
@@ -192,9 +196,9 @@ type analyzer struct {
 	haveRwnd bool
 
 	// respBounds[i] is the unwrapped stream offset where response i
-	// starts.
-	respBounds  []uint64
-	pendingResp int
+	// starts. A boundary is the stream base or snd_nxt when a request
+	// arrives, so the slice is ascending.
+	respBounds []uint64
 
 	lastInT sim.Time
 	prevWnd int
@@ -218,9 +222,11 @@ type analyzer struct {
 	nRecs  int
 
 	// curT is the record timestamp currently being processed (event
-	// attribution); stallSeq issues flow-scoped monotonic stall IDs.
-	curT     sim.Time
-	stallSeq int
+	// attribution); stallSeq issues flow-scoped monotonic stall IDs,
+	// and the latest stall closed at lastStallEnd.
+	curT         sim.Time
+	stallSeq     int
+	lastStallEnd sim.Time
 
 	// rec, when non-nil, is the flight recorder receiving typed
 	// events, record windows and per-stall decision evidence. The
@@ -228,11 +234,18 @@ type analyzer struct {
 	// test.
 	rec *flight.Recorder
 
-	pending []pendingStall
-	out     FlowAnalysis
+	// pending holds the unsettled stalls in ID order; settled ones
+	// leave from the front, into out.Stalls. holdUntilFlush (tests
+	// only) keeps them all until Flush: the reference for settlement.
+	pending        []pendingStall
+	holdUntilFlush bool
+	out            FlowAnalysis
+	// retransOrd[i] is the ordinal of the segment out.Stalls[i]
+	// retransmitted, or -1; Flush turns it into the stall's Position.
+	retransOrd []int
 
 	// live is the Incremental this analyzer runs in; its OnStall
-	// receives each stall as it closes.
+	// receives each stall as it settles.
 	live *Incremental
 }
 
@@ -309,15 +322,20 @@ func (a *analyzer) feed(r *trace.Record) {
 	// Facts frozen after the closing record is processed: a stall
 	// ending at the flow's first data packet needs that record's own
 	// processing to anchor the first response boundary (isRespHead)
-	// and to settle haveBase. The live hook fires only now, so the
-	// provisional classification reads the same frozen facts as the
-	// final one.
+	// and to settle haveBase, and its evidence keeps the events that
+	// processing emitted. The top-level cause is final from here on.
 	if closed {
 		ps := &a.pending[len(a.pending)-1]
 		ps.haveBaseAtEnd = a.haveBase
-		if a.rec != nil || a.live != nil && a.live.OnStall != nil {
-			a.closeStall(ps)
+		if a.rec != nil {
+			ps.trail = &flight.Trail{}
+			st := &ps.stall
+			a.rec.StallClosed(*st.Evidence, st.EndRecIdx-1, st.EndRecIdx, st.Start, st.End)
 		}
+		ps.stall.Cause = a.topCause(ps, ps.trail)
+	}
+	if len(a.pending) > 0 && !a.holdUntilFlush {
+		a.settleReady()
 	}
 }
 
@@ -339,43 +357,13 @@ func (a *analyzer) rel(off uint64) int64 {
 	return int64(off - a.base)
 }
 
-// closeStall classifies one stall as it closes, once, with a decision
-// trail when a recorder is attached, and hands the verdict to the
-// recorder as provisional evidence and to OnStall. finalize settles
-// the sub-cause and replaces the trail once post-hoc facts (DSACK
-// horizon, final response bounds) are known.
-func (a *analyzer) closeStall(ps *pendingStall) {
-	var tr *flight.Trail
-	if a.rec != nil {
-		tr = &flight.Trail{}
-	}
-	st := ps.stall
-	st.Cause = a.topCause(ps, tr)
-	if st.Cause == CauseTimeoutRetrans {
-		st.RetransCause, st.DoubleKind, st.TailState = a.retransCause(ps, tr)
-		total := a.out.DataPackets
-		if total < 1 {
-			total = 1
-		}
-		st.Position = float64(ps.retransSegIdx) / float64(total)
-	}
-	if a.rec != nil {
-		js := st.JSON()
-		a.rec.StallClosed(flight.Ref{Flow: a.out.FlowID, Stall: st.ID},
-			st.EndRecIdx-1, st.EndRecIdx, st.Start, st.End,
-			js.Cause, js.SubCause, js.DoubleKind, tr)
-	}
-	if a.live != nil && a.live.OnStall != nil {
-		a.live.OnStall(LiveStall{FlowID: a.out.FlowID, Service: a.out.Service, Stall: st})
-	}
-}
-
-// onStall captures a stall event; classification happens in
-// finalize, once post-hoc facts (response ends, DSACKs, totals) are
-// known. cur is the record ending the stall.
+// onStall captures a stall event; settle classifies it once the
+// records that follow fix its verdict. cur is the record ending the
+// stall.
 func (a *analyzer) onStall(endIdx int, start sim.Time, cur *trace.Record) {
 	id := a.stallSeq
 	a.stallSeq++
+	a.lastStallEnd = cur.T
 	ps := pendingStall{
 		stall: Stall{
 			ID:         id,
@@ -475,7 +463,6 @@ func (a *analyzer) processOut(r *trace.Record) {
 		// The first response starts at the first data byte; requests
 		// seen before any data anchor here too.
 		a.respBounds = append(a.respBounds, off)
-		a.pendingResp = 0
 	}
 	// Was this exact offset sent before: in the window, else in the
 	// retired set, else it is a new segment.
@@ -511,7 +498,8 @@ func (a *analyzer) processOut(r *trace.Record) {
 	if sent > 1 {
 		// Retransmission.
 		a.out.RetransPackets++
-		isTimeout := a.wasStallEnding(r.T)
+		// A copy that ended a stall is a timeout retransmission.
+		isTimeout := a.stallSeq > 0 && a.lastStallEnd == r.T
 		// A retired segment is acked and never ends a stall again, so
 		// it keeps no f-double/t-double fact.
 		if sent == 2 && g != nil {
@@ -542,15 +530,6 @@ func (a *analyzer) processOut(r *trace.Record) {
 			a.enterRecovery()
 		}
 	}
-}
-
-// wasStallEnding reports whether the record at time t ended a
-// detected stall (used to split timeout vs fast retransmissions).
-func (a *analyzer) wasStallEnding(t sim.Time) bool {
-	if len(a.pending) == 0 {
-		return false
-	}
-	return a.pending[len(a.pending)-1].stall.End == t
 }
 
 func (a *analyzer) enterRecovery() {
@@ -594,15 +573,11 @@ func (a *analyzer) processIn(r *trace.Record) {
 		a.emit(flight.KindState, flight.NameWindowReopen, 0, int64(seg.Wnd), 0)
 	}
 
-	if seg.Len > 0 {
+	if seg.Len > 0 && a.haveBase {
 		// A client request: the next response starts at the current
 		// snd_nxt. Requests arriving before any response data map to
-		// the stream base once it is known.
-		if a.haveBase {
-			a.respBounds = append(a.respBounds, a.maxEnd)
-		} else {
-			a.pendingResp++
-		}
+		// the stream base, where the first response starts.
+		a.respBounds = append(a.respBounds, a.maxEnd)
 	}
 
 	// ACK values and SACK edges live in the server's data sequence
@@ -626,9 +601,10 @@ func (a *analyzer) processIn(r *trace.Record) {
 			dsacked = true
 			l0, r0 := a.u.Unwrap(b0.Left), a.u.Unwrap(b0.Right)
 			// A stamp is read only through a stall that closed on the
-			// segment, which copied the stamps so far: stamp those
-			// stalls, and the unacked segments a stall may still close
-			// on. An acked segment never ends a stall again.
+			// segment, which copied the stamps so far: stamp the
+			// unsettled ones, and the unacked segments a stall may
+			// still close on. An acked segment never ends a stall
+			// again.
 			for i := a.lo; i < len(a.segs); i++ {
 				g := &a.segs[i]
 				if !g.acked && g.seq >= l0 && g.end() <= r0 {

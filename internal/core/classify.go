@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"tcpstall/internal/flight"
@@ -8,69 +9,95 @@ import (
 	"tcpstall/internal/trace"
 )
 
-// finalize resolves response boundaries, classifies every pending
-// stall with the Figure-5 tree and Table-5 precedence, and fills the
-// flow-level aggregates. With a flight recorder attached, each
-// stall's settled decision path replaces the provisional one captured
-// at close time.
-func (a *analyzer) finalize() {
-	a.out.DataBytes = int64(a.maxEnd - a.base)
-	if !a.haveBase {
-		a.out.DataBytes = 0
+// settleReady settles the unsettled stalls whose verdicts are fixed,
+// oldest first; a stall waits for those before it (ID order).
+func (a *analyzer) settleReady() {
+	n := 0
+	for n < len(a.pending) && a.settled(&a.pending[n]) {
+		a.settle(&a.pending[n])
+		n++
 	}
-	sort.Slice(a.respBounds, func(i, j int) bool { return a.respBounds[i] < a.respBounds[j] })
+	a.pending = slices.Delete(a.pending, 0, n)
+}
 
-	total := a.out.DataPackets
-	if total < 1 {
-		total = 1
+// settled reports whether no later record can change ps's verdict:
+// at close for every cause but a timeout retransmission, and for a
+// double one. Else the tail test must be decided — too many segments
+// above the loss, a response boundary above it (later ones land at
+// the send edge), or snd_nxt past its value at the stall — and fire,
+// or a DSACK inside the horizon be stamped, or the flow be past the
+// horizon (record times do not decrease).
+func (a *analyzer) settled(ps *pendingStall) bool {
+	if ps.stall.Cause != CauseTimeoutRetrans || ps.copiesBefore >= 2 {
+		return true
 	}
+	n := len(a.respBounds)
+	if ps.segsAboveOutstanding < a.cfg.DupThresh && a.maxEnd == ps.maxEndAtStall &&
+		(n == 0 || a.respBounds[n-1] <= ps.endOff) {
+		return false
+	}
+	if tail, _ := a.tail(ps); tail {
+		return true
+	}
+	_, spurious := a.dsackInHorizon(ps)
+	return spurious || a.lastT.Sub(ps.stall.End) > a.cfg.DSACKHorizon
+}
+
+// settle completes one stall's classification — the top-level cause
+// was walked at close — and publishes the verdict to the recorder,
+// OnStall and the flow's analysis.
+func (a *analyzer) settle(ps *pendingStall) {
+	st := ps.stall
+	ord := -1
+	if st.Cause == CauseTimeoutRetrans {
+		st.RetransCause, st.DoubleKind, st.TailState = a.retransCause(ps, ps.trail)
+		ord = ps.retransSegIdx
+	}
+	if a.rec != nil {
+		js := st.JSON()
+		a.rec.Settle(st.ID, js.Cause, js.SubCause, js.DoubleKind, ps.trail)
+	}
+	if a.live.OnStall != nil {
+		a.live.OnStall(LiveStall{FlowID: a.out.FlowID, Service: a.out.Service, Stall: st})
+	}
+	a.out.Stalls = append(a.out.Stalls, st)
+	a.out.TotalStallTime += st.Duration
+	a.retransOrd = append(a.retransOrd, ord)
+}
+
+// finish settles the stalls still open and fills what needs the whole
+// flow: the stream span and each retransmission's position.
+func (a *analyzer) finish() {
 	for i := range a.pending {
-		ps := &a.pending[i]
-		st := &ps.stall
-		var tr *flight.Trail
-		if a.rec != nil {
-			tr = &flight.Trail{}
+		a.settle(&a.pending[i])
+	}
+	a.pending = nil
+	if a.haveBase {
+		a.out.DataBytes = int64(a.maxEnd - a.base)
+	}
+	total := float64(max(a.out.DataPackets, 1))
+	for i, ord := range a.retransOrd {
+		if ord >= 0 {
+			a.out.Stalls[i].Position = float64(ord) / total
 		}
-		st.Cause = a.topCause(ps, tr)
-		if st.Cause == CauseTimeoutRetrans {
-			st.RetransCause, st.DoubleKind, st.TailState = a.retransCause(ps, tr)
-			st.Position = float64(ps.retransSegIdx) / float64(total)
-		}
-		if a.rec != nil {
-			js := st.JSON()
-			a.rec.Finalize(st.ID, js.Cause, js.SubCause, js.DoubleKind, tr)
-		}
-		a.out.Stalls = append(a.out.Stalls, *st)
-		a.out.TotalStallTime += st.Duration
 	}
 }
 
-// respRange locates the response containing unwrapped stream offset
-// seq and returns its [start, end) bounds. The end of the last
-// response is the flow's final snd_nxt.
-func (a *analyzer) respRange(seq uint64) (start, end uint64) {
-	start = a.base
-	end = a.maxEnd
-	for _, b := range a.respBounds {
-		if b <= seq && b >= start {
-			start = b
-		}
-		if b > seq {
-			end = b
-			break
-		}
+// respEnd returns the end of the response holding unwrapped stream
+// offset seq: the first response boundary above it, else snd_nxt so
+// far, which at Flush is the flow's final one.
+func (a *analyzer) respEnd(seq uint64) uint64 {
+	i := sort.Search(len(a.respBounds), func(i int) bool { return a.respBounds[i] > seq })
+	if i < len(a.respBounds) {
+		return a.respBounds[i]
 	}
-	return start, end
+	return a.maxEnd
 }
 
 // isRespHead reports whether unwrapped offset seq starts a response.
 func (a *analyzer) isRespHead(seq uint64) bool {
-	for _, b := range a.respBounds {
-		if b == seq {
-			return true
-		}
-	}
-	return seq == a.base
+	_, found := slices.BinarySearch(a.respBounds, seq)
+	return found || seq == a.base
 }
 
 // topCause walks the Figure-5 tree for one stall, reading the
@@ -158,10 +185,10 @@ func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCaus
 	// 2. Tail retransmission: every byte of the response was already
 	// sent and too few segments sit above the loss to produce
 	// dupthres dupacks.
-	_, respEnd := a.respRange(ps.endOff)
+	tail, respEnd := a.tail(ps)
 	allSent := ps.maxEndAtStall >= respEnd
 	if tr.Check("T5.2 tail: response fully sent and too few segments above the loss",
-		allSent && ps.segsAboveOutstanding < a.cfg.DupThresh,
+		tail,
 		flight.V("all_sent", allSent), flight.V("snd_nxt", a.rel(ps.maxEndAtStall)),
 		flight.V("resp_end", a.rel(respEnd)),
 		flight.V("segs_above", ps.segsAboveOutstanding), flight.V("dupthresh", a.cfg.DupThresh)) {
@@ -181,15 +208,7 @@ func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCaus
 	// precede the small-window tests: a spurious retransmission
 	// almost always happens at small in-flight and would otherwise
 	// be swallowed by them.
-	spurious := false
-	var spuriousAt sim.Time
-	for _, t := range ps.spuriousAt {
-		if t > ps.stall.End && t.Sub(ps.stall.End) <= a.cfg.DSACKHorizon {
-			spurious = true
-			spuriousAt = t
-			break
-		}
-	}
+	spuriousAt, spurious := a.dsackInHorizon(ps)
 	if tr.Check("T5.3 spurious: a DSACK covered the retransmission within the horizon",
 		spurious,
 		flight.V("dsacks_for_seg", len(ps.spuriousAt)), flight.V("dsack_at", spuriousAt),
@@ -224,4 +243,24 @@ func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCaus
 	// 7. Undetermined.
 	tr.Note("T5.7 no rule matched: undetermined")
 	return RetransUndetermined, 0, 0
+}
+
+// tail is Table 5's tail test: the response holding the retransmitted
+// segment was fully sent when the stall began, and too few segments
+// sat above it to produce dupthresh dupacks. It also returns the
+// response end the test read.
+func (a *analyzer) tail(ps *pendingStall) (bool, uint64) {
+	respEnd := a.respEnd(ps.endOff)
+	return ps.maxEndAtStall >= respEnd && ps.segsAboveOutstanding < a.cfg.DupThresh, respEnd
+}
+
+// dsackInHorizon returns the first DSACK covering the retransmission
+// within the horizon after the stall, if one has arrived.
+func (a *analyzer) dsackInHorizon(ps *pendingStall) (sim.Time, bool) {
+	for _, t := range ps.spuriousAt {
+		if t > ps.stall.End && t.Sub(ps.stall.End) <= a.cfg.DSACKHorizon {
+			return t, true
+		}
+	}
+	return 0, false
 }

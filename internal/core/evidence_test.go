@@ -62,9 +62,6 @@ func TestEvidenceResolvesPerStall(t *testing.T) {
 		if ev == nil {
 			t.Fatalf("evidence %v does not resolve", st.Evidence)
 		}
-		if ev.Provisional {
-			t.Errorf("stall %d evidence still provisional after Flush", i)
-		}
 		if ev.Cause != st.Cause.String() {
 			t.Errorf("stall %d evidence cause %q, stall cause %q", i, ev.Cause, st.Cause)
 		}

@@ -17,14 +17,10 @@ type FlowMeta struct {
 	InitRwnd int // client SYN window; learned from the SYN when 0
 }
 
-// LiveStall is a stall event surfaced the moment it closes, before
-// the flow ends. The top-level Cause is final: every Figure-5 branch
-// tests facts that are frozen once the closing record is known (a
-// later response boundary can never equal the closing segment's
-// offset, because boundaries only appear at the ever-growing send
-// edge). The Table-5 retransmission sub-cause is provisional — it may
-// still be refined by post-hoc evidence (a DSACK inside the horizon,
-// the final response boundary) — and Flush reports the settled value.
+// LiveStall is a stall event surfaced the moment its verdict settles,
+// usually a few records after it closes and before the flow ends. Its
+// Stall equals the one Flush reports, except Position, which needs the
+// flow's final packet count and stays −1 here.
 type LiveStall struct {
 	FlowID  string
 	Service string
@@ -33,7 +29,7 @@ type LiveStall struct {
 
 // Incremental is the streaming form of the TAPO analyzer: records
 // enter one at a time through Feed, stalls surface through OnStall as
-// they close, and Flush classifies and returns the completed
+// they settle, and Flush settles the rest and returns the completed
 // FlowAnalysis. Feeding a completed flow's records in order and
 // flushing produces byte-identical output to Analyze — Analyze is
 // implemented as exactly that loop.
@@ -42,12 +38,11 @@ type LiveStall struct {
 // gives each flow to exactly one shard goroutine.
 type Incremental struct {
 	a       analyzer
-	meta    FlowMeta
 	flushed bool
-	// OnStall, when set before records are fed, is called
-	// synchronously from Feed as each stall closes. The event's
-	// top-level cause is final; its retransmission sub-cause is the
-	// best estimate at close time (see LiveStall).
+	// OnStall, when set before records are fed, is called once per
+	// stall, in ID order, synchronously from Feed as soon as the
+	// records fed so far fix the stall's verdict, or from Flush for a
+	// stall still open at the flow's end (see LiveStall).
 	OnStall func(LiveStall)
 }
 
@@ -79,15 +74,11 @@ func NewIncremental(cfg Config) *Incremental {
 // before the first Feed so the event stream covers the whole flow.
 func (inc *Incremental) SetRecorder(rec *flight.Recorder) { inc.a.rec = rec }
 
-// Recorder reports the attached flight recorder (nil when disabled).
-func (inc *Incremental) Recorder() *flight.Recorder { return inc.a.rec }
-
 // SetMeta attaches the flow identity. The live monitor calls it again
 // as facts arrive mid-flow (the SYN's MSS, the client window), so a
 // zero InitRwnd never erases a value the analyzer already learned
 // from the SYN itself.
 func (inc *Incremental) SetMeta(m FlowMeta) {
-	inc.meta = m
 	inc.a.out.FlowID = m.ID
 	inc.a.out.Service = m.Service
 	if m.InitRwnd != 0 {
@@ -130,9 +121,8 @@ func (inc *Incremental) FeedBatch(recs []trace.Record) {
 // Records reports how many records have been fed.
 func (inc *Incremental) Records() int { return inc.a.nRecs }
 
-// Stalls reports how many stalls have closed so far (classified or
-// not).
-func (inc *Incremental) Stalls() int { return len(inc.a.pending) }
+// Stalls reports how many stalls have closed so far, settled or not.
+func (inc *Incremental) Stalls() int { return len(inc.a.out.Stalls) + len(inc.a.pending) }
 
 // LastT reports the timestamp of the most recent record (zero before
 // the first Feed).
@@ -155,7 +145,7 @@ func (inc *Incremental) Flush() *FlowAnalysis {
 		if inc.a.nRecs > 1 {
 			inc.a.out.TransmissionTime = inc.a.lastT.Sub(inc.a.firstT)
 		}
-		inc.a.finalize()
+		inc.a.finish()
 	}
 	return &inc.a.out
 }

@@ -14,15 +14,19 @@ import (
 )
 
 // incremental runs a flow through the streaming analyzer one record
-// at a time, checking the scoreboard after each, and returns its
+// at a time, checking the scoreboard after each and the OnStall events
+// against a run that settles nothing before Flush, and returns its
 // marshalled analysis.
-func incremental(t *testing.T, f *trace.Flow, onStall func(core.LiveStall)) []byte {
+func incremental(t *testing.T, f *trace.Flow) []byte {
 	t.Helper()
 	inc := core.NewIncremental(core.Config{})
 	inc.SetMeta(core.FlowMeta{ID: f.ID, Service: f.Service, MSS: f.MSS, InitRwnd: f.InitRwnd})
-	inc.OnStall = onStall
+	var events []core.LiveStall
+	inc.OnStall = func(ls core.LiveStall) { events = append(events, ls) }
 	core.FeedChecked(t, inc, f.Records)
-	b, err := core.MarshalAnalyses([]*core.FlowAnalysis{inc.Flush()})
+	a := inc.Flush()
+	core.CheckLiveStalls(t, events, core.AnalyzeHeld(f))
+	b, err := core.MarshalAnalyses([]*core.FlowAnalysis{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +43,8 @@ func batch(t *testing.T, f *trace.Flow) []byte {
 }
 
 // TestIncrementalMatchesBatchGolden pins the streaming analyzer to
-// the batch analyzer on the three committed golden pcaps — one per
+// the batch analyzer, and its OnStall events to a run that settles
+// nothing before Flush, on the three committed golden pcaps — one per
 // Figure-5 stall family.
 func TestIncrementalMatchesBatchGolden(t *testing.T) {
 	for _, name := range []string{"golden_server", "golden_client", "golden_network"} {
@@ -53,7 +58,7 @@ func TestIncrementalMatchesBatchGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range flows {
-			if got, want := incremental(t, f, nil), batch(t, f); !bytes.Equal(got, want) {
+			if got, want := incremental(t, f), batch(t, f); !bytes.Equal(got, want) {
 				t.Errorf("%s flow %s: incremental != batch\ninc:   %s\nbatch: %s", name, f.ID, got, want)
 			}
 		}
@@ -72,7 +77,7 @@ func TestIncrementalMatchesBatchGenerated(t *testing.T) {
 				if len(f.Records) == 0 {
 					continue
 				}
-				if got, want := incremental(t, f, nil), batch(t, f); !bytes.Equal(got, want) {
+				if got, want := incremental(t, f), batch(t, f); !bytes.Equal(got, want) {
 					t.Errorf("%s: incremental != batch\ninc:   %s\nbatch: %s", f.ID, got, want)
 				}
 			}
@@ -80,9 +85,11 @@ func TestIncrementalMatchesBatchGenerated(t *testing.T) {
 	}
 }
 
-// TestIncrementalLiveStalls checks the streaming event contract: one
-// event per final stall, in order, with the top-level cause already
-// final at close time and stall end times nondecreasing.
+// TestIncrementalLiveStalls checks the streaming event contract on
+// every service model: each OnStall event is the stall of the same ID
+// that a run settling nothing before Flush reports, Position aside
+// (CheckLiveStalls), early settlement leaves the flushed analysis as
+// that run's, and stall end times are nondecreasing.
 func TestIncrementalLiveStalls(t *testing.T) {
 	checked := 0
 	for _, svc := range workload.Services() {
@@ -99,30 +106,24 @@ func TestIncrementalLiveStalls(t *testing.T) {
 				inc.Feed(&f.Records[i])
 			}
 			a := inc.Flush()
-
-			if len(events) != len(a.Stalls) {
-				t.Fatalf("%s: %d live events, %d final stalls", f.ID, len(events), len(a.Stalls))
+			held := core.AnalyzeHeld(f)
+			core.CheckLiveStalls(t, events, held)
+			got, err := core.MarshalAnalyses([]*core.FlowAnalysis{a})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i, ev := range events {
-				if ev.Stall.ID != i {
-					t.Errorf("%s: event %d carries stall ID %d", f.ID, i, ev.Stall.ID)
+			want, err := core.MarshalAnalyses([]*core.FlowAnalysis{held})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: settled mid-flow != held to Flush\nmid-flow: %s\nheld:     %s", f.ID, got, want)
+			}
+			for i, st := range a.Stalls {
+				if st.Start >= st.End {
+					t.Errorf("%s stall %d: Start %v >= End %v", f.ID, i, st.Start, st.End)
 				}
-				if ev.FlowID != f.ID || ev.Service != f.Service {
-					t.Errorf("%s: event identity = %s/%s", f.ID, ev.FlowID, ev.Service)
-				}
-				st := a.Stalls[i]
-				if ev.Stall.Start != st.Start || ev.Stall.End != st.End {
-					t.Errorf("%s stall %d: live bounds [%v,%v] != final [%v,%v]",
-						f.ID, i, ev.Stall.Start, ev.Stall.End, st.Start, st.End)
-				}
-				if ev.Stall.Cause != st.Cause {
-					t.Errorf("%s stall %d: live cause %v != final %v (top cause must be final at close)",
-						f.ID, i, ev.Stall.Cause, st.Cause)
-				}
-				if ev.Stall.Start >= ev.Stall.End {
-					t.Errorf("%s stall %d: Start %v >= End %v", f.ID, i, ev.Stall.Start, ev.Stall.End)
-				}
-				if i > 0 && ev.Stall.End < events[i-1].Stall.End {
+				if i > 0 && st.End < a.Stalls[i-1].End {
 					t.Errorf("%s: stall end times regress at %d", f.ID, i)
 				}
 				checked++
@@ -131,6 +132,40 @@ func TestIncrementalLiveStalls(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("generated workload produced no stalls; test is vacuous")
+	}
+}
+
+// TestStallsSettleMidFlow: publication waits for a settled verdict,
+// not for the flow's end. On golden_network and golden_client every
+// stall's OnStall fires while records are still being fed, stall 2 of
+// golden_network, whose tail test is open at close, included.
+func TestStallsSettleMidFlow(t *testing.T) {
+	for _, name := range []string{"golden_network", "golden_client"} {
+		fh, err := os.Open(filepath.Join("testdata", name+".pcap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows, err := trace.ImportPcap(fh, trace.ImportConfig{})
+		fh.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, total := 0, 0
+		for _, f := range flows {
+			var events []core.LiveStall
+			inc := core.NewIncremental(core.Config{})
+			inc.SetMeta(core.FlowMeta{ID: f.ID, Service: f.Service, MSS: f.MSS, InitRwnd: f.InitRwnd})
+			inc.OnStall = func(ls core.LiveStall) { events = append(events, ls) }
+			inc.FeedBatch(f.Records)
+			before += len(events)
+			inc.Flush()
+			held := core.AnalyzeHeld(f)
+			core.CheckLiveStalls(t, events, held)
+			total += len(held.Stalls)
+		}
+		if before != total || total == 0 {
+			t.Errorf("%s: %d of %d stalls settled before Flush, want all", name, before, total)
+		}
 	}
 }
 
@@ -210,7 +245,7 @@ func TestFeedBatchMatchesFeed(t *testing.T) {
 			if len(f.Records) == 0 {
 				continue
 			}
-			want := incremental(t, f, nil)
+			want := incremental(t, f)
 			for _, chunk := range []int{1, 3, 64, len(f.Records)} {
 				inc := core.NewIncremental(core.Config{})
 				inc.SetMeta(core.FlowMeta{ID: f.ID, Service: f.Service, MSS: f.MSS, InitRwnd: f.InitRwnd})

@@ -238,6 +238,50 @@ func pipelined(recs []trace.Record, start float64, first, n int) []trace.Record 
 	return recs
 }
 
+// TestSettledStallsLeavePending: a flow of 1,000 timeout
+// retransmissions, each followed by 2.1 s of paced traffic — past the
+// DSACK horizon — holds at most one unsettled stall at a time, while
+// Stalls counts every stall that closed and Flush reports them all.
+func TestSettledStallsLeavePending(t *testing.T) {
+	const stalls = 1000
+	inc := NewIncremental(DefaultConfig())
+	feed := func(recs []trace.Record) {
+		for i := range recs {
+			inc.Feed(&recs[i])
+			if n := len(inc.a.pending); n > 1 || cap(inc.a.pending) > 4 {
+				t.Fatalf("after %d records: %d unsettled stalls (cap %d)", inc.Records(), n, cap(inc.a.pending))
+			}
+		}
+	}
+	feed(synHandshake())
+	seg, t0 := 0, 30.0
+	for c := 0; c < stalls; c++ {
+		// Segment seg, then its retransmission after a 400 ms silence,
+		// then an ACK and 210 segments at 10 ms spacing.
+		recs := []trace.Record{
+			synData(t0, segSeq(seg), segLen),
+			synData(t0+400, segSeq(seg), segLen),
+			synAck(t0+420, segSeq(seg+1)),
+		}
+		recs = pipelined(recs, t0+430, seg+1, 210)
+		feed(recs)
+		if got := inc.Stalls(); got != c+1 {
+			t.Fatalf("cycle %d: Stalls() = %d, want %d", c, got, c+1)
+		}
+		seg += 211
+		t0 += 430 + 10*212
+	}
+	a := inc.Flush()
+	if len(a.Stalls) != stalls {
+		t.Fatalf("Flush reports %d stalls, want %d", len(a.Stalls), stalls)
+	}
+	for _, st := range a.Stalls {
+		if st.Cause != CauseTimeoutRetrans {
+			t.Fatalf("stall %d: cause %v, want %v", st.ID, st.Cause, CauseTimeoutRetrans)
+		}
+	}
+}
+
 // TestScoreboardLongFlow runs the benchmark's periodic-SACKed-loss
 // flow: one hole per 64 segments, each fast-retransmitted.
 func TestScoreboardLongFlow(t *testing.T) {
@@ -457,7 +501,8 @@ func TestRetiredSegmentResent(t *testing.T) {
 
 // TestRetiredStallKeepsDSACKEvidence: an RTO retransmission ends a
 // stall, is acked and retired; a DSACK for it inside DSACKHorizon still
-// makes the stall spurious (ACK delay/loss), with the same evidence.
+// makes the stall spurious (ACK delay/loss). That DSACK settles the
+// stall, so the evidence counts it and not the repeat after it.
 func TestRetiredStallKeepsDSACKEvidence(t *testing.T) {
 	recs := append(synHandshake(),
 		synData(30, segSeq(0), segLen),
@@ -484,7 +529,7 @@ func TestRetiredStallKeepsDSACKEvidence(t *testing.T) {
 		t.Fatalf("stall = %v/%v, want %v/%v", st.Cause, st.RetransCause, CauseTimeoutRetrans, RetransAckDelayLoss)
 	}
 	want := map[string]string{
-		"dsacks_for_seg": flight.V("", 2).Val,
+		"dsacks_for_seg": flight.V("", 1).Val,
 		"dsack_at":       flight.V("", msT(1070)).Val,
 	}
 	for _, step := range rec.Evidence(0).Decision {

@@ -22,16 +22,16 @@ import (
 // and healthy twin × 150 flows) record by record through a recorder
 // under three flight configs and keeps two digests per config:
 //
-//   - verdict: the analysis JSON, each LiveStall with the provisional
-//     evidence as it stands at close, every settled evidence entry
+//   - verdict: the analysis JSON, each LiveStall with its evidence as
+//     it stands when the stall settles, every evidence entry at flush
 //     and the evidence-drop count — everything a stall's consumer
 //     reads;
 //   - trail: the events the recorder's window still holds at flush —
 //     what /debug/flows/{id}/trace adds on top.
 //
-// The verdict digests were computed when the recorder still kept a
-// 256-event ring, with each evidence's drop count zeroed; a mismatch
-// means some verdict or evidence byte changed.
+// The verdict digests were computed when stalls began to be published
+// once, at settlement, which left the trail digests as they were; a
+// mismatch means some verdict or evidence byte changed.
 //
 // It is slow (tens of seconds), so it sits behind a build tag:
 //
@@ -45,17 +45,17 @@ func TestVerdictHash(t *testing.T) {
 	}{
 		{"default", flight.Config{},
 			59288,
-			"c1ffb4b1d66988be25c9709406f6c8525d24750573ae3880587ffdf68a7974fb",
+			"430eecdbb2a8deb49a4af1e7f49d57559a3c6f0419e48aa82d0968f002fb8aa2",
 			"f6a33f238ece247e4450d3871aac0e6e93b3a33c6dec8a5723fdfd31b3cc5abd"},
 		// An evidence store that never drops.
 		{"unbounded", flight.Config{MaxStalls: 1 << 20},
 			59288,
-			"4d34651d383f0179ba9737fa2dac7636c47b354205caf8a6e2d6b4ad3e503e2d",
+			"e70bbecd593e26c46a241c9605c1ac49f764bc7b7bedba98eb964b73de9878cb",
 			"f6a33f238ece247e4450d3871aac0e6e93b3a33c6dec8a5723fdfd31b3cc5abd"},
 		// A narrow window and an evidence store that evicts.
 		{"tight", flight.Config{WindowK: 3, MaxStalls: 4},
 			33103,
-			"c10c0811758c374abae190d95dd1771951a40e90d28e7ad0d08b974431b3b79d",
+			"7e3fe84e73ec91c49df1b1f70a478a3ae423f54d87b74741e3221e6f8db777e0",
 			"7897dff6d26f0e6674430f254a337de6c79b3d5cfa1826a0ac48bfdb91a745ce"},
 	}
 	const wantFlows, wantStalls = 3600, 4098

@@ -88,9 +88,6 @@ func Stall(w io.Writer, st *core.Stall, ev *flight.Evidence) {
 				e.Idx, e.T.Seconds(), e.Kind, e.Name, e.A, e.B, e.C)
 		}
 	}
-	if ev.Provisional {
-		fmt.Fprintf(w, "  (provisional: classification not yet settled by flow end)\n")
-	}
 }
 
 func causeLabel(st *core.Stall) string {

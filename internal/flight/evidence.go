@@ -115,13 +115,11 @@ type Evidence struct {
 
 	// Cause is the Figure-5 verdict; SubCause the Table-5
 	// retransmission sub-cause ("" otherwise); DoubleKind the Table-6
-	// split for double retransmissions.
+	// split for double retransmissions. All three, and Decision, stay
+	// empty until the stall settles.
 	Cause      string
 	SubCause   string
 	DoubleKind string
-	// Provisional is true until Finalize replaces the close-time
-	// classification with the settled one.
-	Provisional bool
 
 	// Decision is the branch-by-branch classification walk.
 	Decision []BranchStep
@@ -153,35 +151,21 @@ func (e *Evidence) Events() []Event {
 // Duration is End − Start.
 func (e *Evidence) Duration() time.Duration { return e.End.Sub(e.Start) }
 
-// CauseLabel joins cause, sub-cause and double kind the way reports
-// print them (e.g. "retransmission/double-retrans(t-double)").
-func (e *Evidence) CauseLabel() string {
-	s := e.Cause
-	if e.SubCause != "" {
-		s += "/" + e.SubCause
-		if e.DoubleKind != "" && e.DoubleKind != "none" {
-			s += "(" + e.DoubleKind + ")"
-		}
-	}
-	return s
-}
-
 // EvidenceJSON is the wire form of an Evidence for the admin plane
 // and JSONL exports.
 type EvidenceJSON struct {
-	Ref         Ref          `json:"ref"`
-	StartIdx    int          `json:"start_idx"`
-	EndIdx      int          `json:"end_idx"`
-	StartS      float64      `json:"start_s"`
-	EndS        float64      `json:"end_s"`
-	DurationMS  float64      `json:"duration_ms"`
-	Cause       string       `json:"cause"`
-	SubCause    string       `json:"sub_cause,omitempty"`
-	DoubleKind  string       `json:"double_kind,omitempty"`
-	Provisional bool         `json:"provisional,omitempty"`
-	Decision    []BranchStep `json:"decision"`
-	Window      []SampleJSON `json:"window"`
-	Events      []EventJSON  `json:"events,omitempty"`
+	Ref        Ref          `json:"ref"`
+	StartIdx   int          `json:"start_idx"`
+	EndIdx     int          `json:"end_idx"`
+	StartS     float64      `json:"start_s"`
+	EndS       float64      `json:"end_s"`
+	DurationMS float64      `json:"duration_ms"`
+	Cause      string       `json:"cause"`
+	SubCause   string       `json:"sub_cause,omitempty"`
+	DoubleKind string       `json:"double_kind,omitempty"`
+	Decision   []BranchStep `json:"decision"`
+	Window     []SampleJSON `json:"window"`
+	Events     []EventJSON  `json:"events,omitempty"`
 }
 
 // SampleJSON is the wire form of a RecSample.
@@ -240,16 +224,15 @@ func (e Event) JSON() EventJSON {
 // flow lock is released).
 func (e *Evidence) JSON() EvidenceJSON {
 	out := EvidenceJSON{
-		Ref:         e.Ref,
-		StartIdx:    e.StartIdx,
-		EndIdx:      e.EndIdx,
-		StartS:      e.Start.Seconds(),
-		EndS:        e.End.Seconds(),
-		DurationMS:  float64(e.Duration()) / float64(time.Millisecond),
-		Cause:       e.Cause,
-		SubCause:    e.SubCause,
-		DoubleKind:  e.DoubleKind,
-		Provisional: e.Provisional,
+		Ref:        e.Ref,
+		StartIdx:   e.StartIdx,
+		EndIdx:     e.EndIdx,
+		StartS:     e.Start.Seconds(),
+		EndS:       e.End.Seconds(),
+		DurationMS: float64(e.Duration()) / float64(time.Millisecond),
+		Cause:      e.Cause,
+		SubCause:   e.SubCause,
+		DoubleKind: e.DoubleKind,
 	}
 	out.Decision = make([]BranchStep, len(e.Decision))
 	for i, s := range e.Decision {

@@ -311,26 +311,21 @@ func (r *Recorder) Sample(idx int, rec *trace.Record) {
 }
 
 // StallClosed stores the evidence for a freshly closed stall: the
-// decision trail walked at close time (provisional for the Table-5
-// sub-cause), the pre-gap record window accumulated so far, and the
-// window's events from record startIdx−WindowK on. The gap-closing
-// record must already have been Sampled. Nil-receiver safe.
-func (r *Recorder) StallClosed(ref Ref, startIdx, endIdx int, start, end sim.Time, cause, subCause, doubleKind string, tr *Trail) {
+// pre-gap record window accumulated so far and the window's events
+// from record startIdx−WindowK on. Its verdict comes later, from
+// Settle. The gap-closing record must already have been Sampled.
+// Nil-receiver safe.
+func (r *Recorder) StallClosed(ref Ref, startIdx, endIdx int, start, end sim.Time) {
 	if r == nil {
 		return
 	}
 	ev := &Evidence{
-		Ref:         ref,
-		StartIdx:    startIdx,
-		EndIdx:      endIdx,
-		Start:       start,
-		End:         end,
-		Cause:       cause,
-		SubCause:    subCause,
-		DoubleKind:  doubleKind,
-		Provisional: true,
-		Decision:    tr.steps(),
-		postWanted:  r.cfg.WindowK,
+		Ref:        ref,
+		StartIdx:   startIdx,
+		EndIdx:     endIdx,
+		Start:      start,
+		End:        end,
+		postWanted: r.cfg.WindowK,
 	}
 	// Room for the WindowK post-gap samples Sample appends; the
 	// circular window is copied oldest first.
@@ -357,11 +352,10 @@ func (r *Recorder) StallClosed(ref Ref, startIdx, endIdx int, start, end sim.Tim
 	}
 }
 
-// Finalize replaces a stall's decision trail and causes with the
-// settled, post-hoc classification (DSACK horizon, final response
-// bounds). Unknown IDs — evidence already evicted — are ignored.
-// Nil-receiver safe.
-func (r *Recorder) Finalize(stallID int, cause, subCause, doubleKind string, tr *Trail) {
+// Settle writes a stall's verdict and the decision trail that reached
+// it, once, when the stall's verdict is settled. Unknown IDs —
+// evidence already evicted — are ignored. Nil-receiver safe.
+func (r *Recorder) Settle(stallID int, cause, subCause, doubleKind string, tr *Trail) {
 	if r == nil {
 		return
 	}
@@ -373,7 +367,6 @@ func (r *Recorder) Finalize(stallID int, cause, subCause, doubleKind string, tr 
 	ev.SubCause = subCause
 	ev.DoubleKind = doubleKind
 	ev.Decision = tr.steps()
-	ev.Provisional = false
 }
 
 // Evidence returns the stored evidence for one stall ID, or nil when

@@ -25,8 +25,8 @@ func TestNilRecorderSafe(t *testing.T) {
 	}
 	r.Emit(0, 0, KindState, NameEnterLoss, 1, 2, 3)
 	r.Sample(0, rec(0, trace.DirOut, 0, 1))
-	r.StallClosed(Ref{"f", 0}, 0, 1, 0, 0, "c", "", "", nil)
-	r.Finalize(0, "c", "", "", nil)
+	r.StallClosed(Ref{"f", 0}, 0, 1, 0, 0)
+	r.Settle(0, "c", "", "", nil)
 	if r.Evidence(0) != nil || r.Evidences() != nil || r.Events() != nil {
 		t.Fatal("nil recorder returned data")
 	}
@@ -72,7 +72,7 @@ func TestWindowCapture(t *testing.T) {
 		r.Sample(i, rec(sim.Time(i)*sim.Time(time.Second), trace.DirOut, uint32(i*1460), 1460))
 	}
 	// Stall closed at record 4 (gap between 3 and 4).
-	r.StallClosed(Ref{"f", 0}, 3, 4, 3e9, 4e9, "pkt-delay", "", "", nil)
+	r.StallClosed(Ref{"f", 0}, 3, 4, 3e9, 4e9)
 	// Two post-gap records arrive; a third must not extend the window.
 	for i := 5; i < 8; i++ {
 		r.Sample(i, rec(sim.Time(i)*sim.Time(time.Second), trace.DirIn, 0, 0))
@@ -99,7 +99,7 @@ func TestWindowCapture(t *testing.T) {
 	r2 := NewRecorder(Config{WindowK: 4})
 	r2.Sample(0, rec(0, trace.DirOut, 0, 1460))
 	r2.Sample(1, rec(2e9, trace.DirOut, 1460, 1460))
-	r2.StallClosed(Ref{"f", 0}, 0, 1, 0, 2e9, "pkt-delay", "", "", nil)
+	r2.StallClosed(Ref{"f", 0}, 0, 1, 0, 2e9)
 	if n := len(r2.Evidence(0).Window); n != 2 {
 		t.Fatalf("short-flow window = %d samples, want 2", n)
 	}
@@ -110,7 +110,7 @@ func TestEvidenceCap(t *testing.T) {
 	r := NewRecorder(Config{MaxStalls: 2, WindowK: 1})
 	for id := 0; id < 5; id++ {
 		r.Sample(id, rec(sim.Time(id), trace.DirOut, 0, 1))
-		r.StallClosed(Ref{"f", id}, id, id, 0, 0, "c", "", "", nil)
+		r.StallClosed(Ref{"f", id}, id, id, 0, 0)
 	}
 	if got := r.EvidenceDrops(); got != 3 {
 		t.Fatalf("EvidenceDrops = %d, want 3", got)
@@ -124,42 +124,36 @@ func TestEvidenceCap(t *testing.T) {
 	}
 }
 
-// Finalize must replace the provisional decision in place and ignore
-// unknown IDs.
-func TestFinalizeReplacesProvisional(t *testing.T) {
+// A closed stall's evidence carries no verdict until Settle writes
+// one, and Settle ignores unknown IDs.
+func TestSettleWritesVerdict(t *testing.T) {
 	r := NewRecorder(Config{})
 	r.Sample(0, rec(0, trace.DirOut, 0, 1))
-	tr := &Trail{}
-	tr.Check("provisional rule", true)
-	r.StallClosed(Ref{"f", 0}, 0, 0, 0, 1e9, "retransmission", "small-cwnd", "", tr)
+	r.StallClosed(Ref{"f", 0}, 0, 0, 0, 1e9)
 	ev := r.Evidence(0)
-	if !ev.Provisional || ev.SubCause != "small-cwnd" {
-		t.Fatalf("close-time evidence = %+v", ev)
+	if ev.Cause != "" || ev.SubCause != "" || ev.Decision != nil || len(ev.Window) != 1 {
+		t.Fatalf("unsettled evidence = %+v", ev)
 	}
-	tr2 := &Trail{}
-	tr2.Check("settled rule", false, V("x", 7), V("dur", 250*time.Millisecond))
-	r.Finalize(0, "retransmission", "ack-delay-loss", "", tr2)
+	tr := &Trail{}
+	tr.Check("settled rule", false, V("x", 7), V("dur", 250*time.Millisecond))
+	r.Settle(0, "retransmission", "ack-delay-loss", "", tr)
 	ev = r.Evidence(0)
-	if ev.Provisional || ev.SubCause != "ack-delay-loss" || len(ev.Decision) != 1 || ev.Decision[0].Rule != "settled rule" {
-		t.Fatalf("finalized evidence = %+v", ev)
+	if ev.Cause != "retransmission" || ev.SubCause != "ack-delay-loss" || len(ev.Decision) != 1 || ev.Decision[0].Rule != "settled rule" {
+		t.Fatalf("settled evidence = %+v", ev)
 	}
-	r.Finalize(99, "x", "", "", nil) // unknown: no panic
+	r.Settle(99, "x", "", "", nil) // unknown: no panic
 }
 
-// The JSON view must round-trip through encoding/json and keep the
-// label-building helpers coherent.
+// The JSON view must round-trip through encoding/json.
 func TestEvidenceJSON(t *testing.T) {
 	r := NewRecorder(Config{WindowK: 1})
 	r.Emit(0, 0, KindRTT, NameRTTSample, 1000, 500, 200000)
 	r.Sample(0, rec(0, trace.DirOut, 42, 1460))
 	tr := &Trail{}
 	tr.Check("stall ends with outgoing data", true, V("len", 1460))
-	r.StallClosed(Ref{"flow-1", 3}, 0, 0, 0, 5e8, "retransmission", "double-retrans", "t-double", tr)
-	ev := r.Evidence(3)
-	if got := ev.CauseLabel(); got != "retransmission/double-retrans(t-double)" {
-		t.Fatalf("CauseLabel = %q", got)
-	}
-	b, err := json.Marshal(ev.JSON())
+	r.StallClosed(Ref{"flow-1", 3}, 0, 0, 0, 5e8)
+	r.Settle(3, "retransmission", "double-retrans", "t-double", tr)
+	b, err := json.Marshal(r.Evidence(3).JSON())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +161,7 @@ func TestEvidenceJSON(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Ref != (Ref{"flow-1", 3}) || back.Cause != "retransmission" ||
+	if back.Ref != (Ref{"flow-1", 3}) || back.Cause != "retransmission" || back.DoubleKind != "t-double" ||
 		len(back.Decision) != 1 || len(back.Window) != 1 || len(back.Events) != 1 {
 		t.Fatalf("round-trip = %+v", back)
 	}
@@ -236,7 +230,7 @@ func TestEventRingMatchesModel(t *testing.T) {
 					t.Fatalf("k %d, %d events: Events() = %v, want %v", k, i+1, got, want)
 				}
 				startIdx := idx - i%(k+3)
-				r.StallClosed(Ref{"f", i}, startIdx, startIdx+1, 0, 0, "c", "", "", nil)
+				r.StallClosed(Ref{"f", i}, startIdx, startIdx+1, 0, 0)
 				var want []Event
 				for _, m := range model() {
 					if m.Idx >= startIdx-k {
@@ -276,7 +270,7 @@ func TestWindowEmitAllocs(t *testing.T) {
 	id := 0
 	n := testing.AllocsPerRun(100, func() {
 		id++
-		r.StallClosed(Ref{"f", id}, last-1, last, 0, 0, "c", "", "", nil)
+		r.StallClosed(Ref{"f", id}, last-1, last, 0, 0)
 	})
 	if n > 3 {
 		t.Errorf("StallClosed: %v allocs, want ≤ 3", n)

@@ -139,11 +139,11 @@ func FuzzFlightWindow(f *testing.F) {
 				w.window = max(0, len(samples)-(k+1))
 				w.closed = len(samples)
 				wants[stall] = w
-				r.StallClosed(Ref{"f", stall}, startIdx, startIdx+1, 0, 0, "c", "", "", nil)
+				r.StallClosed(Ref{"f", stall}, startIdx, startIdx+1, 0, 0)
 				stall++
 			case 7:
 				if stall > 0 {
-					r.Finalize(int(in.byte())%stall, "settled", "", "", nil)
+					r.Settle(int(in.byte())%stall, "settled", "", "", nil)
 				}
 			}
 			if got := r.Events(); !slices.Equal(got, held()) {

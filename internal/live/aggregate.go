@@ -23,10 +23,8 @@ var DurationBoundsMS = []float64{
 
 // aggregates accumulates one shard's counters. All fields are owned
 // by the shard (guarded by its mutex); snapshot() copies them out.
-// Stall counters are fed live as stalls close (top-level causes are
-// final at close); the Table-5 retransmission breakdown is folded in
-// at eviction from each flow's settled analysis, since sub-causes can
-// be refined by post-hoc evidence.
+// Each stall is folded in once, when its verdict settles: its cause
+// cells and, for a timeout retransmission, its Table-5 cells.
 type aggregates struct {
 	flowsSeen      uint64
 	flowsEvicted   map[string]uint64 // by eviction reason
@@ -69,24 +67,14 @@ func newAggregates() *aggregates {
 	}
 }
 
-// stallClosed folds one live stall event in.
-func (ag *aggregates) stallClosed(ls core.LiveStall) {
-	k := CauseKey{Service: ls.Service, Cause: ls.Stall.Cause}
+// stallSettled folds one settled stall in.
+func (ag *aggregates) stallSettled(ls core.LiveStall) {
+	st := &ls.Stall
+	k := CauseKey{Service: ls.Service, Cause: st.Cause}
 	ag.stallCount[k]++
-	ag.stallTime[k] += ls.Stall.Duration
-	ag.durationsMS.Add(ls.Stall.Duration)
-}
-
-// flowEvicted folds a completed flow's settled analysis in.
-func (ag *aggregates) flowEvicted(reason string, a *core.FlowAnalysis, truncated bool) {
-	ag.flowsEvicted[reason]++
-	if truncated {
-		ag.flowsTruncated++
-	}
-	for _, st := range a.Stalls {
-		if st.Cause != core.CauseTimeoutRetrans {
-			continue
-		}
+	ag.stallTime[k] += st.Duration
+	ag.durationsMS.Add(st.Duration)
+	if st.Cause == core.CauseTimeoutRetrans {
 		ag.retransCount[st.RetransCause]++
 		ag.retransTime[st.RetransCause] += st.Duration
 	}

@@ -19,9 +19,9 @@ func TestAggregatesMerge(t *testing.T) {
 	a := newAggregates()
 	b := newAggregates()
 
-	a.stallClosed(stallEvent("s1", core.CauseZeroWindow, time.Second))
-	b.stallClosed(stallEvent("s1", core.CauseZeroWindow, 2*time.Second))
-	b.stallClosed(stallEvent("s2", core.CauseDataUnavailable, 50*time.Millisecond))
+	a.stallSettled(stallEvent("s1", core.CauseZeroWindow, time.Second))
+	b.stallSettled(stallEvent("s1", core.CauseZeroWindow, 2*time.Second))
+	b.stallSettled(stallEvent("s2", core.CauseDataUnavailable, 50*time.Millisecond))
 	a.flowsSeen, b.flowsSeen = 3, 4
 	a.flowsEvicted[EvictDone] = 2
 	b.flowsEvicted[EvictDone] = 1
@@ -46,22 +46,27 @@ func TestAggregatesMerge(t *testing.T) {
 	}
 }
 
-func TestRetransBreakdownAtEviction(t *testing.T) {
+// A settled stall folds into the cause cells and, for a timeout
+// retransmission, into the Table-5 cells too.
+func TestRetransBreakdownAtSettlement(t *testing.T) {
 	ag := newAggregates()
-	a := &core.FlowAnalysis{Stalls: []core.Stall{
+	for _, st := range []core.Stall{
 		{Cause: core.CauseTimeoutRetrans, RetransCause: core.RetransTail, Duration: sim.Duration(time.Second)},
 		{Cause: core.CauseTimeoutRetrans, RetransCause: core.RetransDouble, Duration: sim.Duration(2 * time.Second)},
 		{Cause: core.CauseClientIdle, Duration: sim.Duration(5 * time.Second)}, // not a retrans stall
-	}}
-	ag.flowEvicted(EvictDone, a, true)
-
+	} {
+		ag.stallSettled(core.LiveStall{Service: "s", Stall: st})
+	}
 	if ag.retransCount[core.RetransTail] != 1 || ag.retransCount[core.RetransDouble] != 1 {
 		t.Errorf("retransCount = %v", ag.retransCount)
 	}
 	if len(ag.retransCount) != 2 {
 		t.Errorf("non-retrans stall leaked into breakdown: %v", ag.retransCount)
 	}
-	if ag.flowsTruncated != 1 {
-		t.Errorf("flowsTruncated = %d, want 1", ag.flowsTruncated)
+	if ag.retransTime[core.RetransDouble] != 2*time.Second {
+		t.Errorf("retransTime = %v", ag.retransTime)
+	}
+	if n := ag.stallCount[CauseKey{Service: "s", Cause: core.CauseTimeoutRetrans}]; n != 2 {
+		t.Errorf("retransmission cause cell = %d, want 2", n)
 	}
 }

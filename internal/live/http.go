@@ -21,7 +21,7 @@ import (
 //	GET /flows                   JSON list of active flows (?n= limits)
 //	GET /flows/{id}              one active flow, 404 when unknown/evicted
 //	GET /debug/flows/{id}/trace  the flow's flight-recorder evidence
-//	GET /stalls                  JSON ring of the most recent closed stalls (?n= limits)
+//	GET /stalls                  JSON ring of the most recent settled stalls (?n= limits)
 //	GET /config                  JSON of the effective (defaulted) configuration
 func NewHandler(m *Monitor) http.Handler {
 	mux := http.NewServeMux()
@@ -187,7 +187,7 @@ var (
 	famStalls             = promtext.NewFamily("tapod_stalls_total", promtext.Counter, "Closed stalls by service and Figure-5 cause.", "service", "cause", "category")
 	famStallSeconds       = promtext.NewFamily("tapod_stall_seconds_total", promtext.Counter, "Total stalled seconds by service and cause.", "service", "cause")
 	famStallDuration      = promtext.NewFamily("tapod_stall_duration_ms", promtext.Histogram, "Closed stall durations in milliseconds.")
-	famRetransStalls      = promtext.NewFamily("tapod_retrans_stalls_total", promtext.Counter, "Retransmission stalls by Table-5 sub-cause (settled at eviction).", "subcause")
+	famRetransStalls      = promtext.NewFamily("tapod_retrans_stalls_total", promtext.Counter, "Retransmission stalls by Table-5 sub-cause.", "subcause")
 	famRetransSeconds     = promtext.NewFamily("tapod_retrans_stall_seconds_total", promtext.Counter, "Retransmission stall seconds by Table-5 sub-cause.", "subcause")
 	famGoroutines         = promtext.NewFamily("tapod_goroutines", promtext.Gauge, "Current goroutine count.")
 	famHeapAlloc          = promtext.NewFamily("tapod_heap_alloc_bytes", promtext.Gauge, "Bytes of allocated heap objects.")

@@ -134,10 +134,6 @@ func TestHTTPDebugFlowTrace(t *testing.T) {
 	if len(ev.Decision) == 0 || len(ev.Window) == 0 {
 		t.Errorf("evidence lacks decision path or window: %+v", ev)
 	}
-	// Live evidence is provisional until the flow is flushed.
-	if !ev.Provisional {
-		t.Errorf("mid-flow evidence should be provisional")
-	}
 
 	if code, _ := get(t, srv, "/debug/flows/gone/trace"); code != 404 {
 		t.Errorf("unknown flow trace = %d, want 404", code)

@@ -8,10 +8,10 @@
 // Memory is hard-bounded: the flow table caps active flows (LRU
 // eviction), each flow caps retained analyzer records, and the shard
 // queues cap queued batches — every discard is counted, never silent.
-// Stalls surface the moment they close; per-service cause counters,
-// stall-duration histograms and the Table-5 retransmission breakdown
-// feed the /metrics and admin planes (see NewHandler). They are
-// cumulative: a rate over the last minute is the scraper's (or the
+// Stalls surface the moment their verdicts settle; per-service cause
+// counters, stall-duration histograms and the Table-5 retransmission
+// breakdown feed the /metrics and admin planes (see NewHandler). They
+// are cumulative: a rate over the last minute is the scraper's (or the
 // fleet head's) difference of two readings.
 package live
 
@@ -83,8 +83,9 @@ type Config struct {
 	// analysis. Called from shard goroutines with the shard locked:
 	// it must be fast and must not call back into the Monitor.
 	OnFlow func(reason string, a *core.FlowAnalysis)
-	// OnStall, when set, receives each stall as it closes. Same
-	// constraints as OnFlow.
+	// OnStall, when set, receives each stall once, when its verdict
+	// settles (see core.Incremental.OnStall). Same constraints as
+	// OnFlow.
 	OnStall func(core.LiveStall)
 }
 
@@ -479,7 +480,7 @@ func (sh *shard) admitLocked(now time.Time, ev *trace.RecordEvent) *flowEntry {
 func (sh *shard) newAnalyzerLocked(e *flowEntry) {
 	e.inc = core.NewIncremental(sh.m.cfg.Analysis)
 	e.inc.SetMeta(e.meta)
-	e.inc.OnStall = sh.stallClosedLocked
+	e.inc.OnStall = sh.stallSettledLocked
 	if sh.m.cfg.Flight != nil {
 		e.rec = flight.NewRecorder(*sh.m.cfg.Flight)
 		e.inc.SetRecorder(e.rec)
@@ -606,10 +607,11 @@ func (sh *shard) promoteLocked(e *flowEntry, sym triage.Symptom) {
 	sh.agg.triPromotions[sym.String()]++
 }
 
-// stallClosedLocked runs synchronously inside Feed; the caller (the
-// shard goroutine, via processBatch) holds sh.mu.
-func (sh *shard) stallClosedLocked(ls core.LiveStall) {
-	sh.agg.stallClosed(ls)
+// stallSettledLocked is the one point a stall reaches the monitor's
+// surfaces. It runs synchronously inside Feed or Flush; the caller
+// (the shard goroutine) holds sh.mu.
+func (sh *shard) stallSettledLocked(ls core.LiveStall) {
+	sh.agg.stallSettled(ls)
 	sh.m.recent.push(ls)
 	sh.m.digest.push(sh.m.cfg.Clock(), ls)
 	if sh.m.cfg.OnStall != nil {
@@ -652,7 +654,10 @@ func (sh *shard) evictLocked(e *flowEntry, reason string) {
 		// go back to the shard arena for the next admitted flow.
 		e.tri.Release()
 	}
-	sh.agg.flowEvicted(reason, a, e.truncated)
+	sh.agg.flowsEvicted[reason]++
+	if e.truncated {
+		sh.agg.flowsTruncated++
+	}
 	if e.rec != nil {
 		// Evidence evictions are settled at eviction: what the
 		// MaxStalls cap discarded while the flow lived is final now.
@@ -763,11 +768,11 @@ func (r *stallRing) list() []core.LiveStall {
 	return out
 }
 
-// RecentStalls returns the most recent closed stalls, oldest first.
+// RecentStalls returns the most recent settled stalls, oldest first.
 func (m *Monitor) RecentStalls() []core.LiveStall { return m.recent.list() }
 
-// DigestedStall is one stall close retained by the stall digest: the
-// live event plus the wall-clock time it closed at.
+// DigestedStall is one settled stall retained by the stall digest: the
+// live event plus the wall-clock time it settled at.
 type DigestedStall struct {
 	At    time.Time
 	Stall core.LiveStall
@@ -788,7 +793,7 @@ type stallDigest struct {
 	cap int
 	// armed is set by the first drain. Until then push keeps nothing
 	// and takes no lock: a monitor nothing drains (tapo, tapod without
-	// a head) pays one atomic load per stall close.
+	// a head) pays one atomic load per settled stall.
 	armed atomic.Bool
 
 	mu sync.Mutex

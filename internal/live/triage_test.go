@@ -711,7 +711,8 @@ func fuzzSeedHandshake() []byte {
 // streams go through a triage-enabled monitor shard and the evicted
 // verdict must match the batch analyzer over exactly the records the
 // monitor consumed — byte-identical when promoted, zero-stall when
-// not. The first input byte sizes the ring (fuzzRingCap), so chunk
+// not — and OnStall must have published each batch stall once, in ID
+// order, with its StallJSON. The first input byte sizes the ring (fuzzRingCap), so chunk
 // edges and spill while parked are fuzzed along with the records; an
 // input whose promotion truncated replays from the ring start by
 // design and is not graded.
@@ -828,9 +829,11 @@ func FuzzTriagePromotion(f *testing.F) {
 		}
 		clk := &fakeClock{now: time.Unix(1000, 0)}
 		var got []*core.FlowAnalysis
+		var published []core.LiveStall
 		m := New(Config{Shards: 1, Clock: clk.Now,
-			Triage: &triage.Config{RingCap: ringCap},
-			OnFlow: func(reason string, a *core.FlowAnalysis) { got = append(got, a) }})
+			Triage:  &triage.Config{RingCap: ringCap},
+			OnFlow:  func(reason string, a *core.FlowAnalysis) { got = append(got, a) },
+			OnStall: func(ls core.LiveStall) { published = append(published, ls) }})
 		sh := m.shardOf("fuzz")
 		fed := 0
 		for i := range recs {
@@ -857,6 +860,14 @@ func FuzzTriagePromotion(f *testing.F) {
 		a := got[0]
 		flow := &trace.Flow{ID: "fuzz", Service: "fuzz", Records: recs[:fed]}
 		batch := core.Analyze(flow, core.Config{})
+		if len(published) != len(batch.Stalls) {
+			t.Fatalf("OnStall published %d stalls, batch found %d", len(published), len(batch.Stalls))
+		}
+		for i, ls := range published {
+			if got, want := ls.Stall.JSON(), batch.Stalls[i].JSON(); got != want {
+				t.Fatalf("published stall %d = %+v, batch %+v", i, got, want)
+			}
+		}
 		want, err := core.MarshalAnalyses([]*core.FlowAnalysis{batch})
 		if err != nil {
 			t.Fatal(err)

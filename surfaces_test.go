@@ -21,14 +21,13 @@ import (
 	"tcpstall/internal/trace"
 )
 
-// TestStallSurfacesAgree renders stalls of golden_network.pcap
+// TestStallSurfacesAgree renders every stall of golden_network.pcap
 // through each surface that reports stalls and requires every
 // core.StallJSON key to be there with the value the stall's own JSON
 // gives (an omitted key omitted everywhere). An outer field that
 // shadows an embedded key passes jsontags; it fails here. Stall 0
-// carries every key, stall 1 a nonzero id. The live surfaces report
-// the verdict at stall close, so stall 2 is left out: it reads
-// tail-retrans there and small-cwnd once the response end is known.
+// carries every key, stall 1 a nonzero id, and stall 2 a verdict
+// that settles only after its close.
 func TestStallSurfacesAgree(t *testing.T) {
 	raw, err := os.ReadFile("internal/core/testdata/golden_network.pcap")
 	if err != nil {
@@ -40,8 +39,8 @@ func TestStallSurfacesAgree(t *testing.T) {
 	}
 	f := flows[0]
 	a, rec := core.AnalyzeFlight(f, core.DefaultConfig(), flight.Config{})
-	if len(a.Stalls) < 2 {
-		t.Fatalf("golden_network has %d stalls, want at least 2", len(a.Stalls))
+	if len(a.Stalls) < 3 {
+		t.Fatalf("golden_network has %d stalls, want at least 3", len(a.Stalls))
 	}
 
 	// The live side: one member feeds the capture to a monitor and
@@ -138,7 +137,7 @@ func TestStallSurfacesAgree(t *testing.T) {
 		{"/fleet/events", events},
 	}
 	keys := stallKeys()
-	for i, st := range a.Stalls[:2] {
+	for i, st := range a.Stalls {
 		var want map[string]any
 		decode(t, mustMarshal(t, st.JSON()), &want)
 		if i == 0 && len(want) != len(keys) {
