@@ -13,45 +13,36 @@ import (
 	"tcpstall/internal/trace"
 )
 
-// Config parameterizes the analysis.
+// Config parameterizes the analysis. The TCP stack the analyzer
+// mimics is fixed: the constants below and trace's MinRTO, InitRTO
+// and MaxRTO.
 type Config struct {
 	// Tau is the stall threshold multiplier: a gap is a stall when it
-	// exceeds min(Tau·SRTT, RTO). The paper uses 2.
+	// exceeds min(Tau·SRTT, RTO). Zero selects trace.DefaultTau, the
+	// paper's 2.
 	Tau float64
-	// InitCwnd seeds the congestion-window mimic (3, as in the
-	// paper's 2.6.32 kernel).
-	InitCwnd int
-	// MinRTO/MaxRTO/InitRTO mirror RFC 6298 as implemented in Linux.
-	MinRTO  time.Duration
-	MaxRTO  time.Duration
-	InitRTO time.Duration
-	// DupThresh is the fast-retransmit threshold mimic.
-	DupThresh int
-	// SmallInFlight is the "small window" boundary in segments
-	// (4 MSS in the paper).
-	SmallInFlight int
-	// DSACKHorizon bounds how long after a retransmission a DSACK
-	// still marks it spurious.
-	DSACKHorizon time.Duration
 	// PerACKSeries keeps FlowAnalysis's per-ACK series (RTTSamplesMS,
 	// RTOSamplesMS, InFlightOnAck), which grow with the flow's length.
 	// The paper's figures read them; a monitor leaves it off.
 	PerACKSeries bool
 }
 
+// The paper's 2.6.32 kernel, as the analyzer mimics it.
+const (
+	// InitCwnd seeds the congestion-window mimic.
+	InitCwnd = 3
+	// DupThresh is the fast-retransmit threshold mimic.
+	DupThresh = 3
+	// SmallInFlight is the "small window" boundary in segments
+	// (4 MSS in the paper).
+	SmallInFlight = 4
+	// DSACKHorizon bounds how long after a retransmission a DSACK
+	// still marks it spurious.
+	DSACKHorizon = 2 * time.Second
+)
+
 // DefaultConfig returns the paper's parameters.
-func DefaultConfig() Config {
-	return Config{
-		Tau:           2,
-		InitCwnd:      3,
-		MinRTO:        200 * time.Millisecond,
-		MaxRTO:        120 * time.Second,
-		InitRTO:       time.Second,
-		DupThresh:     3,
-		SmallInFlight: 4,
-		DSACKHorizon:  2 * time.Second,
-	}
-}
+func DefaultConfig() Config { return Config{Tau: trace.DefaultTau} }
 
 // aSeg is the replayer's per-segment scoreboard entry, 32 bytes. seq
 // is an unwrapped stream offset (low 32 bits = wire value), so entries
@@ -179,7 +170,6 @@ type analyzer struct {
 	maxEnd   uint64
 
 	dupacks    int
-	dupThresh  int
 	caState    trace.CongState
 	recoverSeq uint64
 
@@ -521,8 +511,8 @@ func (a *analyzer) processOut(r *trace.Record) {
 			a.dupacks = 0
 			a.rtoBackoff++
 			a.rto *= 2
-			if a.rto > a.cfg.MaxRTO {
-				a.rto = a.cfg.MaxRTO
+			if a.rto > trace.MaxRTO {
+				a.rto = trace.MaxRTO
 			}
 			a.emit(flight.KindCwnd, flight.NameLossReset, int64(a.cwnd), int64(a.ssthresh), int64(a.rto/time.Microsecond))
 		} else if a.caState != trace.StateLoss && a.caState != trace.StateRecovery {
@@ -655,12 +645,12 @@ func (a *analyzer) processIn(r *trace.Record) {
 	case a.haveBase && hasAck && ack == a.sndUna && seg.Len == 0 &&
 		a.packetsOut() > 0 && (sackedNew || len(sblocks) > 0 || seg.Wnd == prevRwnd):
 		a.dupacks++
-		a.emit(flight.KindAck, flight.NameDupack, int64(a.dupacks), int64(a.dupThresh), 0)
+		a.emit(flight.KindAck, flight.NameDupack, int64(a.dupacks), DupThresh, 0)
 		if a.caState == trace.StateOpen {
 			a.emit(flight.KindState, flight.NameEnterDisorder, int64(trace.StateOpen), int64(trace.StateDisorder), 0)
 			a.caState = trace.StateDisorder
 		}
-		if a.caState == trace.StateDisorder && a.dupacks >= a.dupThresh {
+		if a.caState == trace.StateDisorder && a.dupacks >= DupThresh {
 			a.enterRecovery()
 		}
 	}
@@ -875,15 +865,15 @@ func (a *analyzer) rttSample(rtt time.Duration) {
 	}
 	// Mirror the kernel: RTO = SRTT + max(4·RTTVAR, minRTO).
 	v := 4 * a.rttvar
-	if v < a.cfg.MinRTO {
-		v = a.cfg.MinRTO
+	if v < trace.MinRTO {
+		v = trace.MinRTO
 	}
 	rto := a.srtt + v
 	for i := 0; i < a.rtoBackoff; i++ {
 		rto *= 2
 	}
-	if rto > a.cfg.MaxRTO {
-		rto = a.cfg.MaxRTO
+	if rto > trace.MaxRTO {
+		rto = trace.MaxRTO
 	}
 	a.rto = rto
 	a.emit(flight.KindRTT, flight.NameRTTSample,

@@ -32,7 +32,7 @@ func (a *analyzer) settled(ps *pendingStall) bool {
 		return true
 	}
 	n := len(a.respBounds)
-	if ps.segsAboveOutstanding < a.cfg.DupThresh && a.maxEnd == ps.maxEndAtStall &&
+	if ps.segsAboveOutstanding < DupThresh && a.maxEnd == ps.maxEndAtStall &&
 		(n == 0 || a.respBounds[n-1] <= ps.endOff) {
 		return false
 	}
@@ -40,7 +40,7 @@ func (a *analyzer) settled(ps *pendingStall) bool {
 		return true
 	}
 	_, spurious := a.dsackInHorizon(ps)
-	return spurious || a.lastT.Sub(ps.stall.End) > a.cfg.DSACKHorizon
+	return spurious || a.lastT.Sub(ps.stall.End) > DSACKHorizon
 }
 
 // settle completes one stall's classification — the top-level cause
@@ -191,7 +191,7 @@ func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCaus
 		tail,
 		flight.V("all_sent", allSent), flight.V("snd_nxt", a.rel(ps.maxEndAtStall)),
 		flight.V("resp_end", a.rel(respEnd)),
-		flight.V("segs_above", ps.segsAboveOutstanding), flight.V("dupthresh", a.cfg.DupThresh)) {
+		flight.V("segs_above", ps.segsAboveOutstanding), flight.V("dupthresh", DupThresh)) {
 		tailState := ps.stall.CaState
 		switch tailState {
 		case trace.StateDisorder:
@@ -212,15 +212,15 @@ func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCaus
 	if tr.Check("T5.3 spurious: a DSACK covered the retransmission within the horizon",
 		spurious,
 		flight.V("dsacks_for_seg", len(ps.spuriousAt)), flight.V("dsack_at", spuriousAt),
-		flight.V("horizon", a.cfg.DSACKHorizon)) {
+		flight.V("horizon", DSACKHorizon)) {
 		return RetransAckDelayLoss, 0, 0
 	}
 
 	// 4/5. Small in-flight: fast retransmit starved of dupacks.
 	if tr.Check("T5.4 small window: in_flight below the 4-segment boundary",
-		ps.stall.InFlight < a.cfg.SmallInFlight,
-		flight.V("in_flight", ps.stall.InFlight), flight.V("boundary", a.cfg.SmallInFlight)) {
-		limit := a.cfg.SmallInFlight * a.mss
+		ps.stall.InFlight < SmallInFlight,
+		flight.V("in_flight", ps.stall.InFlight), flight.V("boundary", SmallInFlight)) {
+		limit := SmallInFlight * a.mss
 		if tr.Check("T5.5 rwnd-limited: rwnd under 4 MSS and at or below cwnd",
 			ps.stall.Rwnd > 0 && ps.stall.Rwnd < limit && ps.stall.Rwnd <= ps.stall.CwndEst*a.mss,
 			flight.V("rwnd", ps.stall.Rwnd), flight.V("limit", limit),
@@ -233,7 +233,7 @@ func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCaus
 	// 6. Continuous loss: a full window (≥ SmallInFlight segments)
 	// outstanding with zero SACK/dupack feedback.
 	if tr.Check("T5.6 continuous loss: full window outstanding, zero SACK/dupack feedback",
-		ps.outstandingAtStart >= a.cfg.SmallInFlight &&
+		ps.outstandingAtStart >= SmallInFlight &&
 			ps.sackedOutAtStart == 0 && ps.dupacksAtStart == 0,
 		flight.V("packets_out", ps.outstandingAtStart),
 		flight.V("sacked_out", ps.sackedOutAtStart), flight.V("dupacks", ps.dupacksAtStart)) {
@@ -251,14 +251,14 @@ func (a *analyzer) retransCause(ps *pendingStall, tr *flight.Trail) (RetransCaus
 // response end the test read.
 func (a *analyzer) tail(ps *pendingStall) (bool, uint64) {
 	respEnd := a.respEnd(ps.endOff)
-	return ps.maxEndAtStall >= respEnd && ps.segsAboveOutstanding < a.cfg.DupThresh, respEnd
+	return ps.maxEndAtStall >= respEnd && ps.segsAboveOutstanding < DupThresh, respEnd
 }
 
 // dsackInHorizon returns the first DSACK covering the retransmission
 // within the horizon after the stall, if one has arrived.
 func (a *analyzer) dsackInHorizon(ps *pendingStall) (sim.Time, bool) {
 	for _, t := range ps.spuriousAt {
-		if t > ps.stall.End && t.Sub(ps.stall.End) <= a.cfg.DSACKHorizon {
+		if t > ps.stall.End && t.Sub(ps.stall.End) <= DSACKHorizon {
 			return t, true
 		}
 	}

@@ -47,24 +47,20 @@ type Incremental struct {
 }
 
 // NewIncremental returns a streaming analyzer with the given
-// configuration (zero-value Tau selects DefaultConfig, as in
-// Analyze, keeping the PerACKSeries choice).
+// configuration (a zero Tau selects trace.DefaultTau, as in Analyze).
 func NewIncremental(cfg Config) *Incremental {
 	if cfg.Tau <= 0 {
-		series := cfg.PerACKSeries
-		cfg = DefaultConfig()
-		cfg.PerACKSeries = series
+		cfg.Tau = trace.DefaultTau
 	}
 	inc := &Incremental{}
 	inc.a = analyzer{
-		cfg:       cfg,
-		mss:       1460,
-		dupThresh: cfg.DupThresh,
-		caState:   trace.StateOpen,
-		cwnd:      float64(cfg.InitCwnd),
-		ssthresh:  1 << 30,
-		rto:       cfg.InitRTO,
-		live:      inc,
+		cfg:      cfg,
+		mss:      1460,
+		caState:  trace.StateOpen,
+		cwnd:     InitCwnd,
+		ssthresh: 1 << 30,
+		rto:      trace.InitRTO,
+		live:     inc,
 	}
 	return inc
 }

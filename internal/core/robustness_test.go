@@ -65,7 +65,7 @@ func TestPropertyAnalyzerNeverPanics(t *testing.T) {
 // behaviour and the RTO: a property over random RTT feeding.
 func TestPropertyThresholdBounds(t *testing.T) {
 	f := func(rtts []uint16) bool {
-		a := &analyzer{cfg: DefaultConfig(), rto: DefaultConfig().InitRTO}
+		a := &analyzer{cfg: DefaultConfig(), rto: trace.InitRTO}
 		for _, r := range rtts {
 			a.rttSample(time.Duration(r%2000) * time.Millisecond)
 		}

@@ -387,7 +387,7 @@ func TestFigure12ContinuousLoss(t *testing.T) {
 	}
 	for i, s := range fs.Series {
 		for _, v := range s.Values() {
-			if v < float64(core.DefaultConfig().SmallInFlight) {
+			if v < core.SmallInFlight {
 				t.Errorf("%s: continuous-loss in-flight %v below threshold", fs.Names[i], v)
 			}
 		}

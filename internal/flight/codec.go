@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"tcpstall/internal/sim"
@@ -11,11 +12,13 @@ import (
 //
 //	header      one byte: the event's encoded length << 2 | idx class
 //	Kind, Name  one byte each
-//	Idx delta   zigzag varint from the previous event's Idx, present
-//	            only in idx class 2; classes 0 and 1 are the deltas
-//	            0 and 1, which is how the analyzer's Idx moves
-//	T delta     zigzag varint from the previous event's T
-//	A, B, C     zigzag varints
+//	Idx delta   varint from the previous event's Idx, present only
+//	            in idx class 2; classes 0 and 1 are the deltas 0 and
+//	            1, which is how the analyzer's Idx moves
+//	T delta     varint from the previous event's T
+//	A, B, C     varints
+//
+// Varints are encoding/binary's signed (zigzag) varints.
 //
 // The first event's deltas are from Idx 0 and T 0. Deltas wrap in
 // two's complement, so every int64 round-trips. The length in the
@@ -73,30 +76,18 @@ func (e encBuf) put(ev *Event, prev cursor) int {
 	di := ev.Idx - prev.idx
 	h, i := byte(di), 3
 	if uint(di) > 1 {
-		h, i = 2, e.putVarint(i, int64(di))
+		h = 2
+		i += binary.PutVarint(e[i:], int64(di))
 	}
-	i = e.putVarint(i, int64(ev.T-prev.t))
-	i = e.putVarint(i, ev.A)
-	i = e.putVarint(i, ev.B)
-	i = e.putVarint(i, ev.C)
+	i += binary.PutVarint(e[i:], int64(ev.T-prev.t))
+	i += binary.PutVarint(e[i:], ev.A)
+	i += binary.PutVarint(e[i:], ev.B)
+	i += binary.PutVarint(e[i:], ev.C)
 	e[0], e[1], e[2] = byte(i)<<2|h, byte(ev.Kind), byte(ev.Name)
 	return i
 }
 
-// putVarint writes x as a zigzag varint at e[i:] and returns the
-// offset past it.
-func (e encBuf) putVarint(i int, x int64) int {
-	u := uint64(x<<1 ^ x>>63)
-	for u >= 0x80 {
-		e[i] = byte(u) | 0x80
-		u >>= 7
-		i++
-	}
-	e[i] = byte(u)
-	return i + 1
-}
-
-// varintLen is the length of x as a zigzag varint.
+// varintLen is the length of x as a varint.
 func varintLen(x int64) int {
 	return (bits.Len64(uint64(x<<1^x>>63)|1) + 6) / 7
 }
@@ -104,35 +95,24 @@ func varintLen(x int64) int {
 // decodeEvent decodes the event at src[off:], whose predecessor's Idx
 // and T are prev, and returns it with the offset of the next event.
 func decodeEvent(src []byte, off int, prev cursor) (Event, int) {
-	h, p := src[off], off+3
+	h, in := src[off], varints(src[off+3:])
 	if h&3 < 2 {
 		prev.idx += int(h & 3)
 	} else {
-		var d int64
-		d, p = varintAt(src, p)
-		prev.idx += int(d)
+		prev.idx += int(in.next())
 	}
-	d, p := varintAt(src, p)
-	e := Event{Idx: prev.idx, T: prev.t + sim.Time(d), Kind: Kind(src[off+1]), Name: Name(src[off+2])}
-	e.A, p = varintAt(src, p)
-	e.B, p = varintAt(src, p)
-	e.C, _ = varintAt(src, p)
+	e := Event{Idx: prev.idx, T: prev.t + sim.Time(in.next()), Kind: Kind(src[off+1]), Name: Name(src[off+2])}
+	e.A, e.B, e.C = in.next(), in.next(), in.next()
 	return e, off + int(h>>2)
 }
 
-// varintAt decodes the zigzag varint at src[off:] and returns it
-// with the offset past it. It is binary.Varint without the overflow
-// checks, which bytes put wrote never need.
-func varintAt(src []byte, off int) (int64, int) {
-	var u uint64
-	for shift := 0; ; shift += 7 {
-		b := src[off]
-		off++
-		u |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return int64(u>>1) ^ -int64(u&1), off
-		}
-	}
+// varints reads varints front to back.
+type varints []byte
+
+func (v *varints) next() int64 {
+	x, n := binary.Varint(*v)
+	*v = (*v)[n:]
+	return x
 }
 
 // decodeEvents decodes src, which holds count events.

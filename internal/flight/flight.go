@@ -23,7 +23,9 @@
 package flight
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
@@ -247,11 +249,10 @@ type Recorder struct {
 	head   int         // guarded by the owning analyzer's single goroutine (external)
 	open   []*Evidence // guarded by the owning analyzer's single goroutine (external)
 
-	// stalls maps stall ID → evidence; order preserves insertion so
-	// the cap evicts oldest-first.
+	// stalls holds the retained evidence in stall-ID order: IDs only
+	// grow, so the cap evicts from the front.
 	// guarded by the owning analyzer's single goroutine (external)
-	stalls        map[int]*Evidence
-	order         []int  // guarded by the owning analyzer's single goroutine (external)
+	stalls        []*Evidence
 	evidenceDrops uint64 // guarded by the owning analyzer's single goroutine (external)
 }
 
@@ -262,7 +263,6 @@ func NewRecorder(cfg Config) *Recorder {
 	return &Recorder{
 		cfg:    cfg,
 		recent: make([]RecSample, 0, cfg.WindowK+1),
-		stalls: make(map[int]*Evidence),
 	}
 }
 
@@ -313,8 +313,8 @@ func (r *Recorder) Sample(idx int, rec *trace.Record) {
 // StallClosed stores the evidence for a freshly closed stall: the
 // pre-gap record window accumulated so far and the window's events
 // from record startIdx−WindowK on. Its verdict comes later, from
-// Settle. The gap-closing record must already have been Sampled.
-// Nil-receiver safe.
+// Settle. The gap-closing record must already have been Sampled, and
+// ref.Stall must exceed every ID closed before. Nil-receiver safe.
 func (r *Recorder) StallClosed(ref Ref, startIdx, endIdx int, start, end sim.Time) {
 	if r == nil {
 		return
@@ -333,21 +333,14 @@ func (r *Recorder) StallClosed(ref Ref, startIdx, endIdx int, start, end sim.Tim
 	ev.Window = append(append(ev.Window, r.recent[r.head:]...), r.recent[:r.head]...)
 	// Events inside or near the stall, encoded.
 	ev.events = encodeEvents(r.events.since(startIdx - r.cfg.WindowK))
-	r.stalls[ref.Stall] = ev
-	r.order = append(r.order, ref.Stall)
+	r.stalls = append(r.stalls, ev)
 	r.open = append(r.open, ev)
-	for len(r.order) > r.cfg.MaxStalls {
-		victim := r.order[0]
-		r.order = r.order[1:]
-		if old := r.stalls[victim]; old != nil {
-			delete(r.stalls, victim)
-			r.evidenceDrops++
-			for i, o := range r.open {
-				if o == old {
-					r.open = append(r.open[:i], r.open[i+1:]...)
-					break
-				}
-			}
+	if len(r.stalls) > r.cfg.MaxStalls {
+		old := r.stalls[0]
+		r.stalls = slices.Delete(r.stalls, 0, 1)
+		r.evidenceDrops++
+		if i := slices.Index(r.open, old); i >= 0 {
+			r.open = slices.Delete(r.open, i, i+1)
 		}
 	}
 }
@@ -359,7 +352,7 @@ func (r *Recorder) Settle(stallID int, cause, subCause, doubleKind string, tr *T
 	if r == nil {
 		return
 	}
-	ev := r.stalls[stallID]
+	ev := r.Evidence(stallID)
 	if ev == nil {
 		return
 	}
@@ -376,7 +369,13 @@ func (r *Recorder) Evidence(stallID int) *Evidence {
 	if r == nil {
 		return nil
 	}
-	return r.stalls[stallID]
+	i, ok := slices.BinarySearchFunc(r.stalls, stallID, func(ev *Evidence, id int) int {
+		return cmp.Compare(ev.Ref.Stall, id)
+	})
+	if !ok {
+		return nil
+	}
+	return r.stalls[i]
 }
 
 // Evidences lists retained evidence entries in stall-ID order.
@@ -385,13 +384,7 @@ func (r *Recorder) Evidences() []*Evidence {
 	if r == nil {
 		return nil
 	}
-	out := make([]*Evidence, 0, len(r.order))
-	for _, id := range r.order {
-		if ev := r.stalls[id]; ev != nil {
-			out = append(out, ev)
-		}
-	}
-	return out
+	return slices.Clone(r.stalls)
 }
 
 // Events returns the event window oldest-first (a copy): the events

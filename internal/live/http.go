@@ -12,6 +12,8 @@ import (
 	"tcpstall/internal/core"
 	"tcpstall/internal/promtext"
 	"tcpstall/internal/stats"
+	"tcpstall/internal/trace"
+	"tcpstall/internal/triage"
 )
 
 // NewHandler exposes a Monitor's metrics and admin planes:
@@ -93,19 +95,19 @@ func NewHandler(m *Monitor) http.Handler {
 			"idle_timeout":         cfg.IdleTimeout.String(),
 			"analysis": map[string]any{
 				"tau":        cfg.Analysis.Tau,
-				"dup_thresh": cfg.Analysis.DupThresh,
-				"init_cwnd":  cfg.Analysis.InitCwnd,
-				"init_rto":   cfg.Analysis.InitRTO.String(),
-				"min_rto":    cfg.Analysis.MinRTO.String(),
+				"dup_thresh": core.DupThresh,
+				"init_cwnd":  core.InitCwnd,
+				"init_rto":   trace.InitRTO.String(),
+				"min_rto":    trace.MinRTO.String(),
 			},
 		}
 		if cfg.Triage != nil {
 			out["triage"] = map[string]any{
 				"ring_cap":     cfg.Triage.RingCap,
-				"tau":          cfg.Triage.Tau,
-				"min_rto":      cfg.Triage.MinRTO.String(),
-				"init_rto":     cfg.Triage.InitRTO.String(),
-				"dup_burst":    cfg.Triage.DupBurst,
+				"tau":          cfg.Analysis.Tau,
+				"min_rto":      trace.MinRTO.String(),
+				"init_rto":     trace.InitRTO.String(),
+				"dup_burst":    triage.DupBurst,
 				"demote_after": cfg.Triage.DemoteAfter.String(),
 			}
 		}

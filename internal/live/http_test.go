@@ -101,7 +101,9 @@ func TestHTTPPlane(t *testing.T) {
 		t.Errorf("/config = %d %q", code, body)
 	}
 	// The triage and flight blocks say what is on: each is present
-	// exactly when configured, flight with its defaulted values.
+	// exactly when configured, flight with its defaulted values. The
+	// analysis block shows what the analyzers run at, and triage
+	// shares its τ and RTO bounds.
 	for _, tc := range []struct{ triage, flight bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 		cfg := Config{Shards: 1, Clock: clk.Now}
 		if tc.triage {
@@ -124,6 +126,25 @@ func TestHTTPPlane(t *testing.T) {
 		}
 		if _, ok := out["flight"]; ok != tc.flight {
 			t.Errorf("%+v: /config flight block present = %v", tc, ok)
+		}
+		var an map[string]any
+		if err := json.Unmarshal(out["analysis"], &an); err != nil {
+			t.Fatalf("%+v: analysis block: %v", tc, err)
+		}
+		want := map[string]any{"tau": 2.0, "dup_thresh": 3.0, "init_cwnd": 3.0, "init_rto": "1s", "min_rto": "200ms"}
+		if !maps.Equal(an, want) {
+			t.Errorf("%+v: analysis block = %v, want %v", tc, an, want)
+		}
+		if tc.triage {
+			var tr map[string]any
+			if err := json.Unmarshal(out["triage"], &tr); err != nil {
+				t.Fatalf("%+v: triage block: %v", tc, err)
+			}
+			want := map[string]any{"ring_cap": 1024.0, "tau": 2.0, "min_rto": "200ms", "init_rto": "1s",
+				"dup_burst": 2.0, "demote_after": "2s"}
+			if !maps.Equal(tr, want) {
+				t.Errorf("%+v: triage block = %v, want %v", tc, tr, want)
+			}
 		}
 		if tc.flight {
 			var fl map[string]int

@@ -58,7 +58,7 @@ type Config struct {
 	// wall clock (default 5m; sweeps run every IdleTimeout/4).
 	IdleTimeout time.Duration
 	// Analysis parameterizes the per-flow analyzer (zero value:
-	// core.DefaultConfig).
+	// core.DefaultConfig). The triage fast path runs on its Tau.
 	Analysis core.Config
 	// Flight, when non-nil, attaches a flight recorder (with these
 	// settings; zero fields select flight defaults) to every admitted
@@ -74,7 +74,7 @@ type Config struct {
 	// repromotion replays the parked suffix into the same analyzer,
 	// so verdicts stay byte-identical to always-on analysis whenever
 	// the ring is deep enough. Zero fields inherit the documented
-	// triage defaults, with Tau/MinRTO/InitRTO mirroring Analysis.
+	// triage defaults.
 	Triage *triage.Config
 	// Clock supplies wall time (default time.Now; injectable for
 	// tests).
@@ -105,25 +105,11 @@ func (c *Config) defaults() {
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
+	if c.Analysis.Tau <= 0 {
+		c.Analysis.Tau = trace.DefaultTau
+	}
 	if c.Triage != nil {
-		// The fast path's conservative thresholds must mirror the
-		// analyzer configuration actually in use, or the
-		// no-missed-stall argument breaks.
-		eff := c.Analysis
-		if eff.Tau <= 0 {
-			eff = core.DefaultConfig()
-		}
-		t := *c.Triage
-		if t.Tau <= 0 {
-			t.Tau = eff.Tau
-		}
-		if t.MinRTO <= 0 {
-			t.MinRTO = eff.MinRTO
-		}
-		if t.InitRTO <= 0 {
-			t.InitRTO = eff.InitRTO
-		}
-		t = t.WithDefaults()
+		t := c.Triage.WithDefaults()
 		c.Triage = &t
 	}
 	if c.Flight != nil {
@@ -461,7 +447,7 @@ func (sh *shard) admitLocked(now time.Time, ev *trace.RecordEvent) *flowEntry {
 			// Two-phase mode: the flow starts on the fast path; the
 			// analyzer is built lazily at first promotion. Ring blocks
 			// come from the shard arena and return at eviction.
-			e.tri = triage.NewFlowIn(*sh.m.cfg.Triage, sh.arena)
+			e.tri = triage.NewFlowIn(*sh.m.cfg.Triage, sh.m.cfg.Analysis.Tau, sh.arena)
 		} else {
 			sh.newAnalyzerLocked(e)
 		}

@@ -50,9 +50,10 @@ func collector(t *testing.T) (func(string, *core.FlowAnalysis), map[string]captu
 // never-promoted path, where the synthesized summary omits the
 // per-ACK series — and there the batch verdict must be "no stalls"
 // with matching volume counters, or the fast path let a stall escape.
-func assertTriageEquiv(t *testing.T, f *trace.Flow, c capture) bool {
+// The batch analyzer runs at an, the monitor's Analysis.
+func assertTriageEquiv(t *testing.T, an core.Config, f *trace.Flow, c capture) bool {
 	t.Helper()
-	batch := core.Analyze(f, core.Config{})
+	batch := core.Analyze(f, an)
 	want, err := core.MarshalAnalyses([]*core.FlowAnalysis{batch})
 	if err != nil {
 		t.Fatal(err)
@@ -104,46 +105,55 @@ func TestTriageMatchesBatch(t *testing.T) {
 		t.Fatalf("generated only %d usable flows", len(flows))
 	}
 
-	cfg := Config{Triage: &triage.Config{}}
-	t.Run("generated", func(t *testing.T) {
-		forEachChunkSize(t, cfg, interleave(flows), func(t *testing.T, r chunkRun) {
-			var stalled, clean int
-			for _, f := range flows {
-				g := r.evicted[f.ID]
-				if len(g) != 1 {
-					t.Fatalf("flow %s evicted %d times, want once", f.ID, len(g))
+	// The triage gap threshold runs at the analyzer's τ, whatever it is.
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"generated", Config{Triage: &triage.Config{}}},
+		{"generated_tau3", Config{Analysis: core.Config{Tau: 3}, Triage: &triage.Config{}}},
+	} {
+		cfg := tc.cfg
+		t.Run(tc.name, func(t *testing.T) {
+			forEachChunkSize(t, cfg, interleave(flows), func(t *testing.T, r chunkRun) {
+				var stalled, clean int
+				for _, f := range flows {
+					g := r.evicted[f.ID]
+					if len(g) != 1 {
+						t.Fatalf("flow %s evicted %d times, want once", f.ID, len(g))
+					}
+					if assertTriageEquiv(t, cfg.Analysis, f, g[0]) && len(g[0].a.Stalls) > 0 {
+						stalled++
+					} else if len(g[0].a.Stalls) == 0 {
+						clean++
+					}
 				}
-				if assertTriageEquiv(t, f, g[0]) && len(g[0].a.Stalls) > 0 {
-					stalled++
-				} else if len(g[0].a.Stalls) == 0 {
-					clean++
+				if stalled == 0 {
+					t.Error("no flow exercised the promoted path (want some stalls)")
 				}
-			}
-			if stalled == 0 {
-				t.Error("no flow exercised the promoted path (want some stalls)")
-			}
-			if clean == 0 {
-				t.Error("no flow exercised the fast path (want some stall-free flows)")
-			}
+				if clean == 0 {
+					t.Error("no flow exercised the fast path (want some stall-free flows)")
+				}
 
-			s := r.snap
-			if s.TriageFastRecords == 0 {
-				t.Error("TriageFastRecords = 0: triage never engaged")
-			}
-			var promos uint64
-			for _, v := range s.TriagePromotions {
-				promos += v
-			}
-			if promos == 0 {
-				t.Error("no promotions recorded despite stalling flows")
-			}
-			if s.PromotedFlows != 0 || s.ParkedFlows != 0 {
-				t.Errorf("gauges not drained after Close: promoted=%d parked=%d",
-					s.PromotedFlows, s.ParkedFlows)
-			}
+				s := r.snap
+				if s.TriageFastRecords == 0 {
+					t.Error("TriageFastRecords = 0: triage never engaged")
+				}
+				var promos uint64
+				for _, v := range s.TriagePromotions {
+					promos += v
+				}
+				if promos == 0 {
+					t.Error("no promotions recorded despite stalling flows")
+				}
+				if s.PromotedFlows != 0 || s.ParkedFlows != 0 {
+					t.Errorf("gauges not drained after Close: promoted=%d parked=%d",
+						s.PromotedFlows, s.ParkedFlows)
+				}
+			})
 		})
-	})
-	checkEdgeCases(t, cfg)
+	}
+	checkEdgeCases(t, Config{Triage: &triage.Config{}})
 }
 
 // loadGoldenPcap imports one Figure-5 golden capture from the core
@@ -200,7 +210,7 @@ func TestTriageMatchesBatchGolden(t *testing.T) {
 				if !ok {
 					t.Fatalf("flow %s never evicted", f.ID)
 				}
-				if assertTriageEquiv(t, f, c) && len(c.a.Stalls) > 0 {
+				if assertTriageEquiv(t, core.Config{}, f, c) && len(c.a.Stalls) > 0 {
 					stalled++
 				}
 			}
@@ -263,7 +273,7 @@ func TestTriageMatchesBatchUnderTSOffset(t *testing.T) {
 			if !ok {
 				t.Fatal("flow never evicted")
 			}
-			assertTriageEquiv(t, f, c)
+			assertTriageEquiv(t, core.Config{}, f, c)
 			if len(c.a.Stalls) != 1 {
 				t.Errorf("got %d stalls, want the one 400 ms silence", len(c.a.Stalls))
 			}
@@ -318,7 +328,7 @@ func TestTriageWrappedISNMatchesBatch(t *testing.T) {
 	if !ok {
 		t.Fatal("flow never evicted")
 	}
-	if !assertTriageEquiv(t, f, c) {
+	if !assertTriageEquiv(t, core.Config{}, f, c) {
 		t.Fatal("wrapped-ISN flow did not take the promoted byte-identical path")
 	}
 	if len(c.a.Stalls) == 0 {
@@ -376,7 +386,7 @@ func TestTriageChurnMatchesAlwaysOn(t *testing.T) {
 	if !ok {
 		t.Fatal("flow never evicted")
 	}
-	if !assertTriageEquiv(t, f, c) {
+	if !assertTriageEquiv(t, core.Config{}, f, c) {
 		t.Fatal("churning flow did not stay byte-identical to batch")
 	}
 	if want := 5; len(c.a.Stalls) != want {
@@ -410,7 +420,7 @@ func TestTriageChurnGolden(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: flow %s never evicted", name, f.ID)
 			}
-			assertTriageEquiv(t, f, c)
+			assertTriageEquiv(t, core.Config{}, f, c)
 		}
 		mu.Unlock()
 	}
@@ -448,7 +458,7 @@ func TestTriageEvictionFlushesPendingStall(t *testing.T) {
 			t.Fatalf("prefix %d: eviction flushed %d stalls, batch found %d",
 				i, len(c.a.Stalls), len(batch.Stalls))
 		}
-		assertTriageEquiv(t, prefix, c)
+		assertTriageEquiv(t, core.Config{}, prefix, c)
 		if len(batch.Stalls) > maxStalls {
 			maxStalls = len(batch.Stalls)
 		}

@@ -52,11 +52,25 @@ type Segment struct {
 	TSEcr sim.Time
 }
 
+// The retransmission-timer bounds of the stack the analyses mimic,
+// Linux 2.6.32 after RFC 6298, and the paper's stall threshold
+// multiplier. core's analyzer runs on them, and triage's fast gap
+// threshold lower-bounds the analyzer's with the same values, so the
+// two cannot disagree.
+const (
+	MinRTO  = 200 * time.Millisecond
+	InitRTO = time.Second
+	MaxRTO  = 120 * time.Second
+	// DefaultTau is τ when a caller sets none: a gap is a stall when
+	// it exceeds min(τ·SRTT, RTO).
+	DefaultTau = 2
+)
+
 // MaxTSRTT bounds an RTT sample taken from TCP timestamps. A larger
 // one is what the echo of a TSval that wrapped 2^32 ticks gives, so the
 // analyses discard it and take their timestamp-free sample instead. It
 // equals the largest retransmission timeout Linux arms.
-const MaxTSRTT = 120 * time.Second
+const MaxTSRTT = MaxRTO
 
 // End reports Seq + Len (+1 for SYN/FIN).
 func (s *Segment) End() uint32 {

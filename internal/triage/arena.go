@@ -47,12 +47,12 @@ func (a *Arena) put(c *chunk) {
 	a.held++
 }
 
-// NewFlowIn returns a fast-path tracker whose ring chunks come from
-// and return to a (which may be nil, degrading to NewFlow behavior).
-func NewFlowIn(cfg Config, a *Arena) *Flow {
-	f := NewFlow(cfg)
-	f.arena = a
-	return f
+// NewFlowIn returns a fast-path tracker for an analyzer at
+// threshold multiplier tau, whose ring chunks come from and return to
+// a (nil means plain allocation). tau must be the promoted analyzer's,
+// or the gap threshold no longer lower-bounds its stall threshold.
+func NewFlowIn(cfg Config, tau float64, a *Arena) *Flow {
+	return &Flow{ringCap: cfg.WithDefaults().RingCap, tau: tau, arena: a}
 }
 
 // Release returns the flow's ring chunks to its arena. The flow must

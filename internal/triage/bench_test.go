@@ -71,7 +71,7 @@ func benchLifecycle(b *testing.B, arena *Arena) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewFlowIn(cfg, arena)
+		f := NewFlowIn(cfg, trace.DefaultTau, arena)
 		for j := range recs {
 			f.Observe(&recs[j])
 		}
@@ -90,7 +90,7 @@ func TestArenaRecycleAllocs(t *testing.T) {
 	recs := benchRecords(256)
 	cfg := Config{RingCap: 256}
 	lifecycle := func() {
-		f := NewFlowIn(cfg, a)
+		f := NewFlowIn(cfg, trace.DefaultTau, a)
 		for j := range recs {
 			f.Observe(&recs[j])
 		}
@@ -120,7 +120,7 @@ func TestArenaRetentionBounded(t *testing.T) {
 	a := NewArena()
 	flows := make([]*Flow, 300)
 	for i := range flows {
-		flows[i] = NewFlowIn(cfg, a)
+		flows[i] = NewFlowIn(cfg, trace.DefaultTau, a)
 		for j := range recs {
 			flows[i].Observe(&recs[j])
 		}

@@ -130,7 +130,7 @@ func FuzzTriageRing(f *testing.F) {
 		}
 		z := &fuzzInput{b: data[1:]}
 		arena := NewArena()
-		fl := NewFlowIn(Config{RingCap: ringCap}, arena)
+		fl := NewFlowIn(Config{RingCap: ringCap}, trace.DefaultTau, arena)
 		var all []trace.Record
 		var prev trace.Record
 		var fed uint64
@@ -163,7 +163,7 @@ func FuzzTriageRing(f *testing.F) {
 				}
 			case 7:
 				fl.Release()
-				fl = NewFlowIn(Config{RingCap: ringCap}, arena)
+				fl = NewFlowIn(Config{RingCap: ringCap}, trace.DefaultTau, arena)
 				all, fed, attached = all[:0], 0, false
 			default:
 				r := z.record(&prev)

@@ -103,9 +103,6 @@ func dirIndex(d trace.Dir) int {
 	return 1
 }
 
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
 // sink is the room an encoded record is written into. Bytes past its
 // end are counted but not written, so a length over len(sink) says the
 // record did not fit.
@@ -131,6 +128,12 @@ func (b sink) uvarint(n int, v uint64) int {
 	}
 	return b.put(n, byte(v))
 }
+
+// varint writes v as a signed varint (zigzag, as encoding/binary's
+// PutVarint writes it) at n and returns the next offset.
+//
+// tapo:hotpath
+func (b sink) varint(n int, v int64) int { return b.uvarint(n, uint64(v<<1)^uint64(v>>63)) }
 
 // encode writes r, encoded against c, into b, advances c past it and
 // returns the record's length. When the record does not fit, the
@@ -160,37 +163,37 @@ func (c *codec) encode(b sink, r *trace.Record) int {
 			n = b.put(n, byte(s.Flags))
 		}
 		if ext&extDir != 0 {
-			n = b.uvarint(n, zigzag(int64(r.Dir)))
+			n = b.varint(n, int64(r.Dir))
 		}
 	}
-	n = b.uvarint(n, zigzag(int64(r.T-c.t)))
+	n = b.varint(n, int64(r.T-c.t))
 	if d := seqspace.Diff(s.Seq, p.seq+uint32(p.len)); d != 0 {
 		hdr |= hdrSeq
-		n = b.uvarint(n, zigzag(int64(d)))
+		n = b.varint(n, int64(d))
 	}
 	if s.Len != p.len {
 		hdr |= hdrLen
-		n = b.uvarint(n, zigzag(int64(s.Len)))
+		n = b.varint(n, int64(s.Len))
 	}
 	if d := seqspace.Diff(s.Ack, p.ack); d != 0 {
 		hdr |= hdrAck
-		n = b.uvarint(n, zigzag(int64(d)))
+		n = b.varint(n, int64(d))
 	}
 	if d := s.Wnd - p.wnd; d != 0 {
 		hdr |= hdrWnd
-		n = b.uvarint(n, zigzag(int64(d)))
+		n = b.varint(n, int64(d))
 	}
 	if d := s.TSVal - p.tsVal; d != 0 {
 		hdr |= hdrTSVal
-		n = b.uvarint(n, zigzag(int64(d)))
+		n = b.varint(n, int64(d))
 	}
 	if d := s.TSEcr - p.tsEcr; d != 0 {
 		hdr |= hdrTSEcr
-		n = b.uvarint(n, zigzag(int64(d)))
+		n = b.varint(n, int64(d))
 	}
 	for i := range int(ext >> extSACKShift) {
 		blk := s.SACK.At(i)
-		n = b.uvarint(n, zigzag(int64(seqspace.Diff(blk.Left, s.Ack))))
+		n = b.varint(n, int64(seqspace.Diff(blk.Left, s.Ack)))
 		n = b.uvarint(n, uint64(uint32(seqspace.Diff(blk.Right, blk.Left))))
 	}
 	b.put(0, hdr)
@@ -233,35 +236,35 @@ func (c *codec) decode(src []byte) (r trace.Record, n int) {
 		s.Flags = packet.TCPFlags(in.byte())
 	}
 	if ext&extDir != 0 {
-		r.Dir = trace.Dir(unzigzag(in.uvarint()))
+		r.Dir = trace.Dir(in.varint())
 	}
-	r.T = c.t + sim.Time(unzigzag(in.uvarint()))
+	r.T = c.t + sim.Time(in.varint())
 	s.Seq = p.seq + uint32(p.len)
 	if hdr&hdrSeq != 0 {
-		s.Seq += uint32(unzigzag(in.uvarint()))
+		s.Seq += uint32(in.varint())
 	}
 	s.Len = p.len
 	if hdr&hdrLen != 0 {
-		s.Len = int(unzigzag(in.uvarint()))
+		s.Len = int(in.varint())
 	}
 	s.Ack = p.ack
 	if hdr&hdrAck != 0 {
-		s.Ack += uint32(unzigzag(in.uvarint()))
+		s.Ack += uint32(in.varint())
 	}
 	s.Wnd = p.wnd
 	if hdr&hdrWnd != 0 {
-		s.Wnd += int(unzigzag(in.uvarint()))
+		s.Wnd += int(in.varint())
 	}
 	s.TSVal = p.tsVal
 	if hdr&hdrTSVal != 0 {
-		s.TSVal += sim.Time(unzigzag(in.uvarint()))
+		s.TSVal += sim.Time(in.varint())
 	}
 	s.TSEcr = p.tsEcr
 	if hdr&hdrTSEcr != 0 {
-		s.TSEcr += sim.Time(unzigzag(in.uvarint()))
+		s.TSEcr += sim.Time(in.varint())
 	}
 	for k := int(ext >> extSACKShift); k > 0; k-- {
-		left := s.Ack + uint32(unzigzag(in.uvarint()))
+		left := s.Ack + uint32(in.varint())
 		s.SACK.Append(packet.SACKBlock{Left: left, Right: left + uint32(in.uvarint())})
 	}
 	c.update(&r)
@@ -278,6 +281,13 @@ type byteReader struct {
 func (in *byteReader) byte() byte {
 	v := in.b[in.n]
 	in.n++
+	return v
+}
+
+// tapo:hotpath
+func (in *byteReader) varint() int64 {
+	v, k := binary.Varint(in.b[in.n:])
+	in.n += k
 	return v
 }
 

@@ -37,7 +37,7 @@ const (
 	SymGap                // inter-record silence exceeded the conservative fast threshold
 	SymRetrans            // outgoing data below the send edge (retransmission or probe)
 	SymZeroWindow         // client advertised a zero receive window
-	SymDupAck             // duplicate-ACK streak reached Config.DupBurst
+	SymDupAck             // duplicate-ACK streak reached DupBurst
 	SymNoAdvance          // data outstanding, cumulative ACK pinned beyond the hold threshold
 )
 
@@ -58,9 +58,8 @@ func (s Symptom) String() string {
 }
 
 // Config tunes the fast path. The zero value selects the documented
-// defaults; Tau/MinRTO/InitRTO should mirror the core.Config the
-// promoted analyzers run with, so the conservative-threshold argument
-// holds against the analyzer actually in use.
+// defaults. The gap threshold needs no settings of its own: it runs on
+// the analyzer's τ (see NewFlowIn) and trace's MinRTO and InitRTO.
 type Config struct {
 	// RingCap bounds the per-flow ring of recent raw records
 	// (default 1024, minimum 2). A promotion whose symptom evidence
@@ -68,29 +67,21 @@ type Config struct {
 	// flow start — conservative, and counted by the caller via
 	// Attach's truncated result.
 	RingCap int
-	// Tau is the analyzer's stall-threshold multiplier (default 2).
-	Tau float64
-	// MinRTO mirrors core.Config.MinRTO (default 200ms).
-	MinRTO time.Duration
-	// InitRTO mirrors core.Config.InitRTO (default 1s): the gap
-	// threshold before any RTT sample exists.
-	InitRTO time.Duration
-	// DupBurst is the duplicate-ACK streak that promotes (default 2
-	// — below the analyzer's fast-retransmit threshold of 3, so the
-	// full analyzer is watching before recovery begins).
-	DupBurst int
 	// DemoteAfter is how long (in record time) a promoted flow must
 	// stay symptom-free before the caller may park its analyzer
 	// (default 2s).
 	DemoteAfter time.Duration
 }
 
+// DupBurst is the duplicate-ACK streak that promotes: below the
+// analyzer's fast-retransmit threshold of 3, so the full analyzer is
+// watching before recovery begins.
+const DupBurst = 2
+
 // WithDefaults returns the configuration with the documented
 // defaults filled in (callers embedding a Config can normalize it
 // once, up front).
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	if c.RingCap <= 0 {
 		c.RingCap = 1024
 	}
@@ -98,18 +89,6 @@ func (c Config) withDefaults() Config {
 		// A stall is a gap between two records; the closing pair must
 		// always survive in the ring.
 		c.RingCap = 2
-	}
-	if c.Tau <= 0 {
-		c.Tau = 2
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
-	if c.InitRTO <= 0 {
-		c.InitRTO = time.Second
-	}
-	if c.DupBurst <= 0 {
-		c.DupBurst = 2
 	}
 	if c.DemoteAfter <= 0 {
 		c.DemoteAfter = 2 * time.Second
@@ -120,7 +99,8 @@ func (c Config) withDefaults() Config {
 // Flow is one connection's fast-path state. Not safe for concurrent
 // use: the live monitor owns each Flow from a single shard goroutine.
 type Flow struct {
-	cfg Config
+	ringCap int
+	tau     float64 // the promoted analyzer's threshold multiplier
 
 	// Counters.
 	total       uint64
@@ -188,14 +168,10 @@ type Flow struct {
 	arena *Arena
 }
 
-// NewFlow returns a fast-path tracker. The ring grows a chunk at a
-// time up to cfg.RingCap records as records arrive.
-func NewFlow(cfg Config) *Flow {
-	return &Flow{cfg: cfg.withDefaults()}
-}
-
-// Config reports the defaulted configuration in effect.
-func (f *Flow) Config() Config { return f.cfg }
+// NewFlow returns a fast-path tracker for an analyzer at
+// trace.DefaultTau. The ring grows a chunk at a time up to cfg.RingCap
+// records as records arrive.
+func NewFlow(cfg Config) *Flow { return NewFlowIn(cfg, trace.DefaultTau, nil) }
 
 // Observe feeds one record through the fast path: it updates the
 // counters, buffers the record in the ring, and reports the stall
@@ -213,7 +189,7 @@ func (f *Flow) Config() Config { return f.cfg }
 // tapo:hotpath
 func (f *Flow) Observe(r *trace.Record) (sym Symptom, spill trace.Record, spilled bool) {
 	sym = f.observe(r)
-	if f.retained() == f.cfg.RingCap {
+	if f.retained() == f.ringCap {
 		if f.attached && f.fed == f.ringStart {
 			spill = f.next()
 			spilled = true
@@ -329,7 +305,7 @@ func (f *Flow) observe(r *trace.Record) Symptom {
 				// The analyzer's duplicate-ACK test, minus the
 				// scoreboard: window updates don't count.
 				f.dupStreak++
-				if f.dupStreak >= f.cfg.DupBurst && sym == SymNone {
+				if f.dupStreak >= DupBurst && sym == SymNone {
 					sym = SymDupAck
 				}
 			}
@@ -381,10 +357,10 @@ func (f *Flow) outstanding() bool {
 // tapo:hotpath
 func (f *Flow) threshold() time.Duration {
 	if !f.hasRTT {
-		return f.cfg.InitRTO
+		return trace.InitRTO
 	}
-	th := time.Duration(f.cfg.Tau * float64(f.minRTT))
-	if alt := f.minRTT + f.cfg.MinRTO; alt < th {
+	th := time.Duration(f.tau * float64(f.minRTT))
+	if alt := f.minRTT + trace.MinRTO; alt < th {
 		th = alt
 	}
 	return th
@@ -397,8 +373,8 @@ func (f *Flow) threshold() time.Duration {
 // tapo:hotpath
 func (f *Flow) noAdvanceHold() time.Duration {
 	h := 4 * f.threshold()
-	if h < f.cfg.MinRTO {
-		h = f.cfg.MinRTO
+	if h < trace.MinRTO {
+		h = trace.MinRTO
 	}
 	return h
 }

@@ -46,8 +46,7 @@ func feedAll(f *Flow, recs []trace.Record) Symptom {
 
 func TestDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.RingCap != 1024 || c.Tau != 2 || c.MinRTO != 200*time.Millisecond ||
-		c.InitRTO != time.Second || c.DupBurst != 2 || c.DemoteAfter != 2*time.Second {
+	if c.RingCap != 1024 || c.DemoteAfter != 2*time.Second {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	if c := (Config{RingCap: 1}).WithDefaults(); c.RingCap != 2 {
@@ -488,7 +487,7 @@ func TestRingLayout(t *testing.T) {
 	shared := NewArena()
 	for _, ringCap := range []int{2, 3, 13, 14, 15, 130, 1024} {
 		for _, arena := range []*Arena{nil, shared} {
-			f := NewFlowIn(Config{RingCap: ringCap}, arena)
+			f := NewFlowIn(Config{RingCap: ringCap}, trace.DefaultTau, arena)
 			total := 3*ringCap + 133
 			recs := make([]trace.Record, total)
 			for i := range recs {
@@ -605,7 +604,7 @@ func TestZeroAlloc(t *testing.T) {
 		recs[i] = ringRecord(i)
 	}
 	for _, arena := range []*Arena{nil, NewArena()} {
-		f := NewFlowIn(Config{RingCap: ringCap}, arena)
+		f := NewFlowIn(Config{RingCap: ringCap}, trace.DefaultTau, arena)
 		// Fill the ring twice with the stream the measurement repeats.
 		for i := range recs[:2*ringCap] {
 			f.Observe(&recs[i])
