@@ -8,6 +8,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -48,15 +49,27 @@ func main() {
 		}
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := trace.ExportPcap(f, fl, trace.ExportConfig{}); err != nil {
+	if err := writeCapture(*out, fl); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d flows (%d packets) to %s\n", len(fl), pkts, *out)
+}
+
+// writeCapture exports flows to path through a 1 MiB buffer, so the
+// writer's two writes per record do not each become a system call.
+func writeCapture(path string, flows []*trace.Flow) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(f, 1<<20)
+	err = trace.ExportPcap(bw, flows, trace.ExportConfig{})
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

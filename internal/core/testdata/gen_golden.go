@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -79,7 +80,9 @@ func main() {
 		// <= 60) while dropping the zero-filled payloads; the importer
 		// takes segment lengths from the IP headers, so analysis is
 		// unchanged and the fixtures stay small.
-		must(trace.ExportPcap(pf, flows, trace.ExportConfig{Snaplen: 96}))
+		bw := bufio.NewWriterSize(pf, 1<<20)
+		must(trace.ExportPcap(bw, flows, trace.ExportConfig{Snaplen: 96}))
+		must(bw.Flush())
 		must(pf.Close())
 
 		// Golden JSON is computed from the round-tripped pcap, exactly

@@ -1,10 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -65,8 +65,9 @@ func ticksToTime(ticks uint32) sim.Time {
 }
 
 // ExportPcap writes flows as one Ethernet/IPv4/TCP capture. Payloads
-// are zero-filled to the recorded lengths, so the file opens in
-// tcpdump/tshark with correct sequence analysis.
+// are zero-filled to the recorded lengths and cut, like the headers,
+// at cfg.Snaplen, so the file opens in tcpdump/tshark with correct
+// sequence analysis.
 func ExportPcap(w io.Writer, flows []*Flow, cfg ExportConfig) error {
 	cfg.defaults()
 	hdr := pcap.Header{LinkType: pcap.LinkTypeEthernet, Snaplen: cfg.Snaplen, Nanosecond: true}
@@ -74,29 +75,39 @@ func ExportPcap(w io.Writer, flows []*Flow, cfg ExportConfig) error {
 	if err != nil {
 		return err
 	}
+	snaplen := int(cmp.Or(cfg.Snaplen, pcap.DefaultSnaplen))
 	serverMAC := packet.MAC{0x02, 0, 0, 0, 0, 1}
 	clientMAC := packet.MAC{0x02, 0, 0, 0, 0, 2}
 
-	// Merge all records into one timeline for a realistic capture.
+	// Merge all records into one timeline for a realistic capture,
+	// ordered by time, then flow, then position in the flow. The key
+	// is total, so a plain sort keeps each flow's order and breaks
+	// ties between flows by their order in flows.
 	type item struct {
-		t    sim.Time
-		flow int
-		rec  *Record
+		t         sim.Time
+		flow, rec int
 	}
-	var items []item
+	n := 0
+	for _, f := range flows {
+		n += len(f.Records)
+	}
+	items := make([]item, 0, n)
 	for fi, f := range flows {
 		for ri := range f.Records {
-			items = append(items, item{f.Records[ri].T, fi, &f.Records[ri]})
+			items = append(items, item{f.Records[ri].T, fi, ri})
 		}
 	}
-	// Stable sort by time (preserves intra-flow order).
-	sort.SliceStable(items, func(i, j int) bool { return items[i].t < items[j].t })
+	slices.SortFunc(items, func(a, b item) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.flow, b.flow), cmp.Compare(a.rec, b.rec))
+	})
 
-	var ipID uint16
+	eth := packet.Ethernet{Type: packet.EtherTypeIPv4}
+	ip := packet.IPv4{TTL: 64, Protocol: packet.IPProtoTCP}
+	var frame []byte // reused by every record
 	for _, it := range items {
 		f := flows[it.flow]
 		cip, cport := clientAddr(it.flow)
-		r := it.rec
+		r := &f.Records[it.rec]
 		tcp := packet.TCPHeader{
 			Seq:    r.Seg.Seq,
 			Ack:    r.Seg.Ack,
@@ -119,11 +130,7 @@ func ExportPcap(w io.Writer, flows []*Flow, cfg ExportConfig) error {
 			tcp.Options.MSS = uint16(mssOf(f))
 			tcp.Options.SACKPermitted = true
 		}
-		var eth packet.Ethernet
-		var ip packet.IPv4
-		ip.TTL = 64
-		ipID++
-		ip.ID = ipID
+		ip.ID++
 		if r.Dir == DirOut {
 			eth.Src, eth.Dst = serverMAC, clientMAC
 			ip.Src, ip.Dst = cfg.ServerIP, cip
@@ -133,11 +140,22 @@ func ExportPcap(w io.Writer, flows []*Flow, cfg ExportConfig) error {
 			ip.Src, ip.Dst = cip, cfg.ServerIP
 			tcp.SrcPort, tcp.DstPort = cport, cfg.ServerPort
 		}
-		payload := make([]byte, r.Seg.Len)
-		frame := packet.EncodeTCPv4(&eth, &ip, &tcp, payload)
+		segLen := tcp.HeaderLen() + r.Seg.Len
+		frame = eth.AppendTo(frame[:0])
+		frame = ip.AppendTo(frame, segLen)
+		// The payload is all zeros, which add nothing to the
+		// ones'-complement sum: the header summed under the full
+		// segment length is the whole segment's checksum. Zeros are
+		// then appended only as far as the snap length keeps them.
+		frame = tcp.AppendTo(frame, nil, packet.V4Context(ip.Src, ip.Dst, segLen))
+		origLen := len(frame) + r.Seg.Len
+		if keep := min(origLen, snaplen); keep > len(frame) {
+			frame = append(frame, make([]byte, keep-len(frame))...)
+		}
 		err := pw.WritePacket(pcap.Packet{
 			Timestamp: cfg.BaseTime.Add(time.Duration(it.t)),
 			Data:      frame,
+			OrigLen:   origLen,
 		})
 		if err != nil {
 			return fmt.Errorf("exporting flow %s: %w", f.ID, err)

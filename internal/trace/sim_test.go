@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"cmp"
 	"testing"
 	"time"
 
@@ -164,55 +165,53 @@ func TestPcapMultiFlow(t *testing.T) {
 	}
 }
 
+// TestExportedFramesAreValid checks every exported frame, whole and cut
+// at a header-only snap length: its lengths agree with its IP header,
+// it decodes, and both checksums verify once a cut frame is padded
+// back to its wire length with the zeros the export left out.
 func TestExportedFramesAreValid(t *testing.T) {
 	f := simFlow(t, 6, 10_000, nil)
-	var buf bytes.Buffer
-	if err := trace.ExportPcap(&buf, []*trace.Flow{f}, trace.ExportConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	// Every frame must decode and carry valid checksums.
-	flows, err := trace.ImportPcap(bytes.NewReader(buf.Bytes()), trace.ImportConfig{})
-	if err != nil || len(flows) != 1 {
-		t.Fatalf("import: %v", err)
-	}
-	// Deep-validate checksums via raw re-read.
-	r, _ := newRawReader(buf.Bytes())
-	n := 0
-	for _, data := range r {
-		var fr packet.Frame
-		if err := fr.Decode(data); err != nil {
-			t.Fatalf("frame %d: %v", n, err)
+	for _, snaplen := range []uint32{0, 96} {
+		var buf bytes.Buffer
+		if err := trace.ExportPcap(&buf, []*trace.Flow{f}, trace.ExportConfig{Snaplen: snaplen}); err != nil {
+			t.Fatal(err)
 		}
-		if !fr.IP4.VerifyChecksum(data[packet.EthernetHeaderLen:]) {
-			t.Fatalf("frame %d: bad IP checksum", n)
+		flows, err := trace.ImportPcap(bytes.NewReader(buf.Bytes()), trace.ImportConfig{})
+		if err != nil || len(flows) != 1 {
+			t.Fatalf("snaplen %d: import: %v", snaplen, err)
 		}
-		segLen := int(fr.IP4.TotalLen) - fr.IP4.HeaderLen()
-		ctx := packet.V4Context(fr.IP4.Src, fr.IP4.Dst, segLen)
-		seg := data[packet.EthernetHeaderLen+fr.IP4.HeaderLen():]
-		if !packet.VerifyChecksum(seg, ctx) {
-			t.Fatalf("frame %d: bad TCP checksum", n)
+		r, err := pcap.NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		n++
+		pkts, err := r.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		capLen := int(cmp.Or(snaplen, pcap.DefaultSnaplen))
+		for n, p := range pkts {
+			if want := min(p.OrigLen, capLen); len(p.Data) != want {
+				t.Fatalf("snaplen %d, frame %d: captured %d bytes, want %d", snaplen, n, len(p.Data), want)
+			}
+			var fr packet.Frame
+			if err := fr.Decode(p.Data); err != nil {
+				t.Fatalf("snaplen %d, frame %d: %v", snaplen, n, err)
+			}
+			if want := packet.EthernetHeaderLen + int(fr.IP4.TotalLen); p.OrigLen != want {
+				t.Fatalf("snaplen %d, frame %d: orig_len %d, want %d", snaplen, n, p.OrigLen, want)
+			}
+			if !fr.IP4.VerifyChecksum(p.Data[packet.EthernetHeaderLen:]) {
+				t.Fatalf("snaplen %d, frame %d: bad IP checksum", snaplen, n)
+			}
+			wire := append(p.Data, make([]byte, p.OrigLen-len(p.Data))...)
+			segLen := int(fr.IP4.TotalLen) - fr.IP4.HeaderLen()
+			ctx := packet.V4Context(fr.IP4.Src, fr.IP4.Dst, segLen)
+			if !packet.VerifyChecksum(wire[packet.EthernetHeaderLen+fr.IP4.HeaderLen():], ctx) {
+				t.Fatalf("snaplen %d, frame %d: bad TCP checksum", snaplen, n)
+			}
+		}
+		if len(pkts) == 0 {
+			t.Fatalf("snaplen %d: no frames", snaplen)
+		}
 	}
-	if n == 0 {
-		t.Fatal("no frames")
-	}
-}
-
-// newRawReader extracts raw frame bytes from a pcap buffer (helper
-// for checksum validation).
-func newRawReader(data []byte) ([][]byte, error) {
-	r, err := pcap.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	pkts, err := r.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, 0, len(pkts))
-	for _, p := range pkts {
-		out = append(out, p.Data)
-	}
-	return out, nil
 }
