@@ -8,7 +8,7 @@
 // Endpoints:
 //
 //	POST /fleet/register       member registration (epoch assignment)
-//	POST /fleet/push           member snapshot push + heartbeat
+//	POST /fleet/push           member snapshot push + heartbeat (binary Snapshot)
 //	GET  /fleet/members        every known member, live and dead
 //	GET  /fleet/stalls         fleet-wide stall totals, cumulative + the last minute, summed from the series rings (?service=)
 //	GET  /fleet/services       per-service rollup

@@ -165,7 +165,7 @@ func TestCountersMergeSubProperties(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -239,11 +239,7 @@ func FuzzHeadPush(f *testing.F) {
 		s := good
 		s.Counters = good.Clone()
 		mutate(&s)
-		b, err := json.Marshal(&s)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
+		f.Add(encode(f, &s))
 	}
 	seed(func(*Snapshot) {})
 	seed(func(s *Snapshot) { slices.Reverse(s.Stalls) })
@@ -257,6 +253,11 @@ func FuzzHeadPush(f *testing.F) {
 	// A batch count that, added to the retired epoch's, passes MaxInt:
 	// the total must saturate, not wrap negative and fail Totals.
 	seed(func(s *Snapshot) { s.IngestBatchSizes.N = math.MaxInt })
+	// What a member left at wire v5 sends, and a body cut short.
+	v5 := good
+	v5.Version = 5
+	f.Add(mustJSON(f, &v5))
+	f.Add(encode(f, &good)[:100])
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		head := NewHead(HeadConfig{})
@@ -274,7 +275,7 @@ func FuzzHeadPush(f *testing.F) {
 			}
 		}
 		var snap Snapshot
-		if json.Unmarshal(body, &snap) != nil {
+		if snap.UnmarshalBinary(body) != nil {
 			return
 		}
 		before, err := head.Totals()

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,6 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -230,7 +233,7 @@ func miniSnap(id string, epoch, seq, ingested uint64) *Snapshot {
 // out-of-order duplicate.
 func postPush(t *testing.T, url string, body []byte) PushResponse {
 	t.Helper()
-	resp, err := http.Post(url+"/fleet/push", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/fleet/push", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +269,11 @@ func TestRestartEpochSemantics(t *testing.T) {
 	}
 
 	e1 := register()
-	push1 := marshal(t, miniSnap("m", e1, 1, 100))
+	push1 := encode(t, miniSnap("m", e1, 1, 100))
 	if pr := postPush(t, srv.URL, push1); !pr.OK {
 		t.Fatalf("push 1: %+v", pr)
 	}
-	if pr := postPush(t, srv.URL, marshal(t, miniSnap("m", e1, 2, 150))); !pr.OK {
+	if pr := postPush(t, srv.URL, encode(t, miniSnap("m", e1, 2, 150))); !pr.OK {
 		t.Fatalf("push 2: %+v", pr)
 	}
 
@@ -285,11 +288,11 @@ func TestRestartEpochSemantics(t *testing.T) {
 		t.Fatalf("stale replay: got %+v, want stale_epoch reject", pr)
 	}
 
-	if pr := postPush(t, srv.URL, marshal(t, miniSnap("m", e2, 1, 30))); !pr.OK {
+	if pr := postPush(t, srv.URL, encode(t, miniSnap("m", e2, 1, 30))); !pr.OK {
 		t.Fatalf("push on fresh epoch: %+v", pr)
 	}
 	// Duplicate within the live epoch.
-	if pr := postPush(t, srv.URL, marshal(t, miniSnap("m", e2, 1, 30))); pr.OK || pr.Error != ErrDuplicateSeq {
+	if pr := postPush(t, srv.URL, encode(t, miniSnap("m", e2, 1, 30))); pr.OK || pr.Error != ErrDuplicateSeq {
 		t.Fatalf("duplicate seq: got %+v, want duplicate_seq reject", pr)
 	}
 
@@ -499,6 +502,40 @@ func TestPushRejectsBadSnapshots(t *testing.T) {
 		if !bytes.Equal(marshal(t, before), marshal(t, after)) {
 			t.Errorf("%s: rejected push changed totals", name)
 		}
+	}
+	// A member left at wire v5 pushes JSON. The body does not decode:
+	// it is answered and counted as bad_snapshot, and the totals stay.
+	srv := httptest.NewServer(NewHandler(head))
+	defer srv.Close()
+	rejects := func() string {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if v, ok := strings.CutPrefix(sc.Text(), `tapoctl_push_rejects_total{reason="bad_snapshot"} `); ok {
+				return v
+			}
+		}
+		return "absent"
+	}
+	v5 := miniSnap("m", reg.Epoch, 1, 1)
+	v5.Version = 5
+	was := rejects()
+	if pr := postPush(t, srv.URL, marshal(t, v5)); pr.OK || pr.Error != ErrBadSnapshot {
+		t.Errorf("v5 JSON push: %+v, want bad_snapshot", pr)
+	}
+	if n, err := strconv.Atoi(was); err != nil || rejects() != strconv.Itoa(n+1) {
+		t.Errorf("bad_snapshot rejects went %s -> %s on a v5 JSON push, want one more", was, rejects())
+	}
+	after, err := head.Totals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshal(t, before), marshal(t, after)) {
+		t.Error("v5 JSON push changed totals")
 	}
 	if _, err := head.Register(RegisterRequest{Version: WireVersion + 1, MemberID: "x"}); err == nil {
 		t.Error("version-mismatched registration accepted")

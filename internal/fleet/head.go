@@ -216,6 +216,14 @@ func (h *Head) Push(snap *Snapshot) PushResponse {
 	return PushResponse{OK: true}
 }
 
+// rejectUndecodable counts and shapes the rejection of a push body
+// that does not decode, such as one of another wire version.
+func (h *Head) rejectUndecodable() PushResponse {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.rejectLocked(ErrBadSnapshot)
+}
+
 // rejectLocked counts and shapes one push rejection. The first
 // rejection of each code is an event, then every rejectSpikeEvery-th
 // after — a storm surfaces in the stream without flooding it.

@@ -40,6 +40,10 @@ func NewServer(addr string, h http.Handler) *http.Server {
 //	GET  /metrics              Prometheus text exposition
 //	GET  /healthz              liveness
 //
+// Every body is JSON but the push's, which is a Snapshot in the
+// binary encoding of Snapshot.MarshalBinary; a push that does not
+// decode is answered bad_snapshot.
+//
 // Every response carries Cache-Control: no-store — the head is a live
 // view; a cached copy of any of it is wrong by definition.
 func NewHandler(h *Head) http.Handler {
@@ -67,8 +71,8 @@ func NewHandler(h *Head) http.Handler {
 			return
 		}
 		var snap Snapshot
-		if err := json.Unmarshal(body, &snap); err != nil {
-			writeJSON(w, PushResponse{OK: false, Error: ErrBadSnapshot})
+		if err := snap.UnmarshalBinary(body); err != nil {
+			writeJSON(w, h.rejectUndecodable())
 			return
 		}
 		resp := h.Push(&snap)

@@ -170,12 +170,12 @@ func (mb *Member) pushLocked(ctx context.Context, final, mayReregister bool) err
 	snap.Seq = mb.seq
 	snap.Final = final
 
-	body, err := json.Marshal(&snap)
+	body, err := snap.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("fleet: push: %w", err)
 	}
 	var resp PushResponse
-	if err := mb.postBytes(ctx, "/fleet/push", body, &resp); err != nil {
+	if err := mb.postBytes(ctx, "/fleet/push", "application/octet-stream", body, &resp); err != nil {
 		return fmt.Errorf("fleet: push: %w", err)
 	}
 	if !resp.OK {
@@ -335,15 +335,17 @@ func (mb *Member) post(ctx context.Context, path string, req any, out any) error
 	if err != nil {
 		return err
 	}
-	return mb.postBytes(ctx, path, body, out)
+	return mb.postBytes(ctx, path, "application/json", body, out)
 }
 
-func (mb *Member) postBytes(ctx context.Context, path string, body []byte, out any) error {
+// postBytes posts body as contentType and decodes the JSON response
+// into out.
+func (mb *Member) postBytes(ctx context.Context, path, contentType string, body []byte, out any) error {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, mb.head+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", contentType)
 	hresp, err := mb.client.Do(hreq)
 	if err != nil {
 		return err

@@ -626,7 +626,7 @@ func TestStallEventKeepsZeroFields(t *testing.T) {
 	}
 	snap := miniSnap("m", reg.Epoch, 1, 1)
 	snap.Events = []StallEvent{{TimeMS: 1, Service: "web-search", FlowHash: 0}}
-	if pr := postPush(t, srv.URL, marshal(t, snap)); !pr.OK {
+	if pr := postPush(t, srv.URL, encode(t, snap)); !pr.OK {
 		t.Fatalf("push rejected: %+v", pr)
 	}
 	resp, err := http.Get(srv.URL + "/fleet/events")

@@ -42,11 +42,12 @@ import (
 	"tcpstall/internal/stats"
 )
 
-// WireVersion is the snapshot schema version. The head rejects
-// snapshots whose version it does not speak; bumping this is the
-// signal that a field changed meaning (adding fields is not a bump —
-// unknown JSON fields are ignored on both sides).
-const WireVersion = 5
+// WireVersion is the snapshot schema version, the first value of
+// every push body. The head rejects snapshots whose version it does
+// not speak. Any change to a wire struct bumps it, an added field
+// too: the push encoding has no room for a field the other side does
+// not know (tapolint's wirefreeze holds the bump to the change).
+const WireVersion = 6
 
 // Snapshot is one member's cumulative state as pushed to the head.
 type Snapshot struct {
