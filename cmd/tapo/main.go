@@ -14,10 +14,11 @@
 //
 // A capture to try it on: tracegen -service web-search -o ws.pcap.
 //
-// The explain subcommand re-analyzes with the flight recorder
-// attached and narrates each stall: the Figure-5/Table-5 decision
-// path with the concrete values that chose every branch, and the
-// packet window around the silent gap.
+// The explain subcommand streams the capture through the same monitor
+// with a flight recorder per flow and narrates each stall, in flow-ID
+// order: the Figure-5/Table-5 decision path with the concrete values
+// that chose every branch, and the packet window around the silent
+// gap.
 package main
 
 import (
@@ -31,6 +32,7 @@ import (
 	"sync"
 
 	"tcpstall/internal/core"
+	"tcpstall/internal/flight"
 	"tcpstall/internal/live"
 	"tcpstall/internal/stats"
 	"tcpstall/internal/trace"
@@ -60,7 +62,7 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	analyses, err := analyzeCapture(bufio.NewReaderSize(f, readBuf), trace.ImportConfig{Ports: ports}, cfg)
+	analyses, err := analyzeCapture(bufio.NewReaderSize(f, readBuf), trace.ImportConfig{Ports: ports}, live.Config{Analysis: cfg}, nil, nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -106,25 +108,37 @@ const readBuf = 64 << 10
 
 // analyzeCapture streams r in chunks of 512 records through a
 // live.Monitor whose flow, record and idle limits cannot bind, so each
-// flow is analyzed whole, and returns the analyses in flow-ID order.
-func analyzeCapture(r io.Reader, icfg trace.ImportConfig, cfg core.Config) ([]*core.FlowAnalysis, error) {
+// flow is analyzed whole; lcfg supplies the analysis and flight
+// settings. source, when set, sees each event first: false drops it,
+// an error ends the read. keep, when set, sees each evicted flow with
+// its recorder, one at a time, and false drops it. The analyses come
+// back in flow-ID order.
+func analyzeCapture(r io.Reader, icfg trace.ImportConfig, lcfg live.Config,
+	source func(*trace.RecordEvent) (bool, error), keep func(*core.FlowAnalysis, *flight.Recorder) bool) ([]*core.FlowAnalysis, error) {
 	var mu sync.Mutex
 	var analyses []*core.FlowAnalysis
-	m := live.New(live.Config{
-		MaxFlows:          math.MaxInt,
-		MaxRecordsPerFlow: -1,
-		IdleTimeout:       math.MaxInt64,
-		Analysis:          cfg,
-		OnFlow: func(_ string, a *core.FlowAnalysis) {
-			mu.Lock()
+	lcfg.MaxFlows = math.MaxInt
+	lcfg.MaxRecordsPerFlow = -1
+	lcfg.IdleTimeout = math.MaxInt64
+	lcfg.OnFlow = func(_ string, a *core.FlowAnalysis, rec *flight.Recorder) {
+		mu.Lock()
+		if keep == nil || keep(a, rec) {
 			analyses = append(analyses, a)
-			mu.Unlock()
-		},
-	})
+		}
+		mu.Unlock()
+	}
+	m := live.New(lcfg)
 	m.Start()
 	buf := make([]trace.RecordEvent, 0, 512)
 	err := trace.ImportPcapRecords(r, icfg, func(ev trace.RecordEvent) error {
-		if buf = append(buf, ev); len(buf) == cap(buf) {
+		buf = append(buf, ev) // source sees ev in place: &ev would move every ev to the heap
+		if source != nil {
+			if ok, err := source(&buf[len(buf)-1]); !ok || err != nil {
+				buf = buf[:len(buf)-1]
+				return err
+			}
+		}
+		if len(buf) == cap(buf) {
 			m.IngestBatchWait(buf)
 			buf = buf[:0]
 		}

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -12,6 +15,9 @@ import (
 	"time"
 
 	"tcpstall/internal/core"
+	"tcpstall/internal/explain"
+	"tcpstall/internal/flight"
+	"tcpstall/internal/live"
 	"tcpstall/internal/packet"
 	"tcpstall/internal/pcap"
 	"tcpstall/internal/trace"
@@ -86,6 +92,20 @@ func reconnectCapture(t *testing.T) []byte {
 	return c.buf.Bytes()
 }
 
+// testCaptures returns the three golden captures and the reconnect
+// capture, by name.
+func testCaptures(t *testing.T) map[string][]byte {
+	captures := map[string][]byte{"reconnect": reconnectCapture(t)}
+	for _, name := range []string{"golden_client", "golden_network", "golden_server"} {
+		data, err := os.ReadFile(goldenDir + name + ".pcap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		captures[name] = data
+	}
+	return captures
+}
+
 // batchAnalyses is the reference analyzeCapture must match:
 // core.Analyze over every flow trace.ImportPcap reassembles, ordered
 // by flow ID.
@@ -123,14 +143,7 @@ func flowIDs(as []*core.FlowAnalysis) []string {
 // the imported flows, in flow-ID order — on the golden captures and on
 // a reconnect, with one shard and with several.
 func TestAnalyzeCaptureMatchesAnalyze(t *testing.T) {
-	captures := map[string][]byte{"reconnect": reconnectCapture(t)}
-	for _, name := range []string{"golden_client", "golden_network", "golden_server"} {
-		data, err := os.ReadFile(goldenDir + name + ".pcap")
-		if err != nil {
-			t.Fatal(err)
-		}
-		captures[name] = data
-	}
+	captures := testCaptures(t)
 	cfg := core.DefaultConfig()
 	prev := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -141,7 +154,7 @@ func TestAnalyzeCaptureMatchesAnalyze(t *testing.T) {
 			if ids := flowIDs(want); name == "reconnect" && (len(ids) != 3 || ids[2] != ids[1]+"#2") {
 				t.Fatalf("reconnect capture has flows %v, want A, B, B#2", ids)
 			}
-			got, err := analyzeCapture(bytes.NewReader(data), trace.ImportConfig{}, cfg)
+			got, err := analyzeCapture(bytes.NewReader(data), trace.ImportConfig{}, live.Config{Analysis: cfg}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,14 +166,113 @@ func TestAnalyzeCaptureMatchesAnalyze(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: a malformed command line exits with status 2, for
-// tapo and tapo explain alike. Each case runs main in a child process.
-func TestUsageErrors(t *testing.T) {
-	if args, ok := os.LookupEnv("TAPO_TEST_ARGS"); ok {
-		os.Args = append([]string{"tapo"}, strings.Fields(args)...)
-		main()
-		os.Exit(0)
+// TestExplainMatchesAnalyzeFlight: tapo explain, run as a command,
+// prints what explain.Flow renders of core.AnalyzeFlight over the
+// imported flows, in flow-ID order, and its -trace-out holds for each
+// flow the reference's pkt lines in the same order and the same stall
+// lines — on the golden captures and on a reconnect, with one shard
+// and with several, unfiltered and with -flow set to the last flow ID.
+func TestExplainMatchesAnalyzeFlight(t *testing.T) {
+	dir := t.TempDir()
+	traceOut := filepath.Join(dir, "trace.jsonl")
+	for name, data := range testCaptures(t) {
+		capture := filepath.Join(dir, name+".pcap")
+		if err := os.WriteFile(capture, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		flows, err := trace.ImportPcap(bytes.NewReader(data), trace.ImportConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(flows, func(i, j int) bool { return flows[i].ID < flows[j].ID })
+		for _, filter := range []string{"", flows[len(flows)-1].ID} {
+			var want []string
+			var wantTrace bytes.Buffer
+			tw := explain.NewTraceWriter(&wantTrace)
+			for _, f := range flows {
+				if !strings.Contains(f.ID, filter) {
+					continue
+				}
+				a, rec := core.AnalyzeFlight(f, core.DefaultConfig(), flight.Config{})
+				for i := range f.Records {
+					if err := tw.Pkt(f.ID, i, &f.Records[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if filter == "" && len(a.Stalls) == 0 {
+					continue
+				}
+				if err := tw.Stalls(a, rec); err != nil {
+					t.Fatal(err)
+				}
+				var b strings.Builder
+				explain.Flow(&b, a, rec)
+				want = append(want, b.String())
+			}
+			if err := tw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatalf("%s, -flow %q: the reference explains no flow", name, filter)
+			}
+
+			args := "explain -trace-out " + traceOut + " " + capture
+			if filter != "" {
+				args = "explain -flow " + filter + " -trace-out " + traceOut + " " + capture
+			}
+			for _, procs := range []string{"1", "4"} { // the monitor runs one shard per CPU
+				stdout, stderr, err := runTapo(t, args, "GOMAXPROCS="+procs)
+				if err != nil {
+					t.Fatalf("tapo %s: %v\n%s", args, err, stderr)
+				}
+				if got := string(stdout); got != strings.Join(want, "\n") {
+					t.Errorf("%s, %s shards, -flow %q: tapo explain prints\n%s\nwant\n%s",
+						name, procs, filter, got, strings.Join(want, "\n"))
+				}
+				gotTrace, err := os.ReadFile(traceOut)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := traceByFlow(t, gotTrace), traceByFlow(t, wantTrace.Bytes()); !reflect.DeepEqual(g, w) {
+					t.Errorf("%s, %s shards, -flow %q: the -trace-out lines differ from the reference", name, procs, filter)
+				}
+			}
+		}
 	}
+}
+
+// traceByFlow splits JSONL trace lines by flow: each flow's pkt lines
+// in the order written, then its stall lines sorted.
+func traceByFlow(t *testing.T, b []byte) map[string][]string {
+	lines := map[string][]string{}
+	stalls := map[string][]string{}
+	for _, line := range strings.SplitAfter(string(b), "\n") {
+		if line == "" {
+			continue
+		}
+		var probe struct{ Type, Flow string }
+		if err := json.Unmarshal([]byte(line), &probe); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		switch probe.Type {
+		case "pkt":
+			lines[probe.Flow] = append(lines[probe.Flow], line)
+		case "stall":
+			stalls[probe.Flow] = append(stalls[probe.Flow], line)
+		default:
+			t.Fatalf("trace line of type %q: %s", probe.Type, line)
+		}
+	}
+	for flow, ls := range stalls {
+		sort.Strings(ls)
+		lines[flow] = append(lines[flow], ls...)
+	}
+	return lines
+}
+
+// TestUsageErrors: a malformed command line exits with status 2, for
+// tapo and tapo explain alike.
+func TestUsageErrors(t *testing.T) {
 	golden := goldenDir + "golden_network.pcap"
 	for _, args := range []string{
 		"",                      // no capture
@@ -176,12 +288,33 @@ func TestUsageErrors(t *testing.T) {
 		"explain -tau 1e300 " + golden,
 		"explain -tau 0 " + golden,
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestUsageErrors$")
-		cmd.Env = append(os.Environ(), "TAPO_TEST_ARGS="+args)
-		out, err := cmd.CombinedOutput()
+		_, stderr, err := runTapo(t, args)
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Errorf("tapo %s: err = %v, want exit status 2\n%s", args, err, out)
+			t.Errorf("tapo %s: err = %v, want exit status 2\n%s", args, err, stderr)
 		}
 	}
+}
+
+// TestMain runs main instead of the tests when TAPO_TEST_ARGS is set,
+// with those arguments: runTapo runs tapo that way.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("TAPO_TEST_ARGS"); ok {
+		os.Args = append([]string{"tapo"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runTapo runs tapo with the space-separated args in a child process
+// whose environment adds env.
+func runTapo(t *testing.T, args string, env ...string) (stdout, stderr []byte, err error) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(append(os.Environ(), "TAPO_TEST_ARGS="+args), env...)
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.Bytes(), errOut.Bytes(), err
 }

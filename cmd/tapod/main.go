@@ -112,7 +112,7 @@ func main() {
 		MaxRecordsPerFlow: *maxRecs,
 		IdleTimeout:       *idle,
 		Analysis:          cfg,
-		OnFlow: func(reason string, a *core.FlowAnalysis) {
+		OnFlow: func(reason string, a *core.FlowAnalysis, _ *flight.Recorder) {
 			// LRU displacement means the flow table is too small for
 			// the offered load — the one eviction worth warning about.
 			if reason == live.EvictLRU {

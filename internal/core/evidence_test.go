@@ -24,7 +24,7 @@ func TestAnalyzeFlightMatchesAnalyze(t *testing.T) {
 	f := retransScenario().runFlow(t)
 	plain := Analyze(f, DefaultConfig())
 	traced, rec := AnalyzeFlight(f, DefaultConfig(), flight.Config{})
-	if rec == nil || !rec.Enabled() {
+	if rec == nil {
 		t.Fatal("AnalyzeFlight returned no recorder")
 	}
 	if len(plain.Stalls) != len(traced.Stalls) {

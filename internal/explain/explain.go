@@ -25,19 +25,11 @@ func Flow(w io.Writer, a *core.FlowAnalysis, rec *flight.Recorder) {
 	}
 	fmt.Fprintf(w, ": %d records-worth of data in %.3fs, %d stalls, %.1f%% of lifetime stalled\n",
 		a.DataPackets, a.TransmissionTime.Seconds(), len(a.Stalls), 100*a.StalledFraction())
-	if len(a.Stalls) == 0 {
-		return
-	}
 	for i := range a.Stalls {
-		st := &a.Stalls[i]
-		var ev *flight.Evidence
-		if st.Evidence != nil {
-			ev = rec.Evidence(st.Evidence.Stall)
-		}
 		fmt.Fprintln(w)
-		Stall(w, st, ev)
+		Stall(w, &a.Stalls[i], rec.Evidence(a.Stalls[i].ID))
 	}
-	if rec != nil && rec.EvidenceDrops() > 0 {
+	if rec.EvidenceDrops() > 0 {
 		fmt.Fprintf(w, "\n(evidence for %d earlier stalls evicted by the per-flow cap)\n",
 			rec.EvidenceDrops())
 	}
@@ -70,11 +62,9 @@ func Stall(w io.Writer, st *core.Stall, ev *flight.Evidence) {
 	fmt.Fprintf(w, "    %5s %12s %-3s %6s %11s %11s %7s %s\n",
 		"rec", "t(s)", "dir", "len", "seq", "ack", "rwnd", "flags")
 	for _, s := range ev.Window {
-		if s.Idx == ev.EndIdx {
-			fmt.Fprintf(w, "    %s %s silence %s\n", "-----", fmtDur(ev.Duration()), "-----")
-		}
 		mark := ""
 		if s.Idx == ev.EndIdx {
+			fmt.Fprintf(w, "    ----- %s silence -----\n", fmtDur(ev.Duration()))
 			mark = "  <- cur_pkt"
 		}
 		fmt.Fprintf(w, "    %5d %12.6f %-3s %6d %11d %11d %7d %s%s\n",

@@ -115,7 +115,16 @@ func TestWriteTraceJSONL(t *testing.T) {
 	fl := flows[0]
 	a, rec := core.AnalyzeFlight(fl, core.DefaultConfig(), flight.Config{})
 	var buf bytes.Buffer
-	if err := WriteTraceJSONL(&buf, fl, a, rec); err != nil {
+	tw := NewTraceWriter(&buf)
+	for i := range fl.Records {
+		if err := tw.Pkt(fl.ID, i, &fl.Records[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Stalls(a, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	pkts, stalls := 0, 0

@@ -28,36 +28,43 @@ type StallLine struct {
 	Evidence *flight.EvidenceJSON `json:"evidence,omitempty"`
 }
 
-// WriteTraceJSONL streams the flow as JSON lines: every record as a
-// "pkt" time/sequence sample, and after each stall's closing record a
-// "stall" line with the verdict and (when available) the full
-// evidence. Lines appear in capture order, so a reader can replay the
-// flow and the verdicts in one pass.
-func WriteTraceJSONL(w io.Writer, f *trace.Flow, a *core.FlowAnalysis, rec *flight.Recorder) error {
+// TraceWriter streams flows as JSON lines: each record as a "pkt"
+// time/sequence sample as it is read, and each stall as a "stall"
+// line with the verdict and (when available) the full evidence once
+// its flow's analysis is settled. Write errors are sticky: after one,
+// every call returns it.
+type TraceWriter struct {
+	bw  *bufio.Writer
+	enc *json.Encoder
+}
+
+// NewTraceWriter returns a TraceWriter buffering into w; Flush writes
+// out what is buffered.
+func NewTraceWriter(w io.Writer) *TraceWriter {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	stallAt := make(map[int][]*core.Stall, len(a.Stalls))
+	return &TraceWriter{bw: bw, enc: json.NewEncoder(bw)}
+}
+
+// Pkt writes r, record idx of flow, as a "pkt" line.
+func (tw *TraceWriter) Pkt(flow string, idx int, r *trace.Record) error {
+	return tw.enc.Encode(PktLine{Type: "pkt", Flow: flow, SampleJSON: flight.SampleOf(idx, r).JSON()})
+}
+
+// Stalls writes a "stall" line for each of a's stalls, in stall-ID
+// order, with the evidence rec holds for it.
+func (tw *TraceWriter) Stalls(a *core.FlowAnalysis, rec *flight.Recorder) error {
 	for i := range a.Stalls {
-		st := &a.Stalls[i]
-		stallAt[st.EndRecIdx] = append(stallAt[st.EndRecIdx], st)
-	}
-	for i := range f.Records {
-		pkt := PktLine{Type: "pkt", Flow: a.FlowID, SampleJSON: flight.SampleOf(i, &f.Records[i]).JSON()}
-		if err := enc.Encode(pkt); err != nil {
+		line := StallLine{Type: "stall", Flow: a.FlowID, StallJSON: a.Stalls[i].JSON()}
+		if ev := rec.Evidence(a.Stalls[i].ID); ev != nil {
+			j := ev.JSON()
+			line.Evidence = &j
+		}
+		if err := tw.enc.Encode(line); err != nil {
 			return err
 		}
-		for _, st := range stallAt[i] {
-			line := StallLine{Type: "stall", Flow: a.FlowID, StallJSON: st.JSON()}
-			if st.Evidence != nil {
-				if ev := rec.Evidence(st.Evidence.Stall); ev != nil {
-					j := ev.JSON()
-					line.Evidence = &j
-				}
-			}
-			if err := enc.Encode(line); err != nil {
-				return err
-			}
-		}
 	}
-	return bw.Flush()
+	return nil
 }
+
+// Flush writes out the buffered lines.
+func (tw *TraceWriter) Flush() error { return tw.bw.Flush() }

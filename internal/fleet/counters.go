@@ -75,9 +75,9 @@ const maxExactSum = 1 << 53
 //
 // o is untrusted wire input. A cell list that is not strictly
 // ascending by key, a malformed histogram, a histogram whose layout
-// differs from c's, a summary with a negative count, or a summary sum
-// that is not a whole number of at most 2^53 is an error, and c is
-// then unchanged.
+// differs from c's, a summary with a negative count, a summary sum
+// that is not a whole number of at most 2^53, or a summary bound that
+// is NaN or infinite is an error, and c is then unchanged.
 //
 // c is updated in place and allocates only when o brings a cell key c
 // lacks, so the head's steady-state fold — every member reports the
@@ -108,6 +108,11 @@ func (c *Counters) Merge(o *Counters) error {
 	for _, v := range []float64{o.IngestBatchSizes.Sum, o.IngestBatchSizes.SumSq} {
 		if v != math.Trunc(v) || math.Abs(v) > maxExactSum {
 			return fmt.Errorf("batch-size summary sum %v is not a whole number of at most 2^53", v)
+		}
+	}
+	for _, v := range []float64{o.IngestBatchSizes.Min, o.IngestBatchSizes.Max} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("batch-size summary bound %v is not finite", v)
 		}
 	}
 

@@ -486,6 +486,12 @@ func TestPushRejectsBadSnapshots(t *testing.T) {
 		"fractional summary sum": func(s *Snapshot) {
 			s.IngestBatchSizes = stats.SummaryState{N: 2, Sum: 3.5, Min: 1, Max: 2.5, SumSq: 7.25}
 		},
+		"NaN summary min": func(s *Snapshot) {
+			s.IngestBatchSizes = stats.SummaryState{N: 2, Sum: 3, Min: math.NaN(), Max: 2, SumSq: 5}
+		},
+		"infinite summary max": func(s *Snapshot) {
+			s.IngestBatchSizes = stats.SummaryState{N: 2, Sum: 3, Min: 1, Max: math.Inf(1), SumSq: 5}
+		},
 		"foreign histogram layout": func(s *Snapshot) {
 			s.DurationsMS = stats.HistogramState{Bounds: []float64{100}, Counts: []uint64{0, 0}}
 		},

@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -61,5 +64,20 @@ func TestNewServerDropsStalledClient(t *testing.T) {
 	_, err = io.ReadAll(stalled)
 	if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatalf("server still holds the stalled connection after %v", time.Since(start))
+	}
+}
+
+// TestWriteJSONUnencodable: a value JSON cannot hold is answered 500,
+// not 200 with an empty or partial body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	w := httptest.NewRecorder()
+	writeJSON(w, map[string]any{"ok": 1, "x": math.Inf(1)})
+	if w.Code != http.StatusInternalServerError || strings.Contains(w.Body.String(), `"ok"`) {
+		t.Errorf("+Inf: %d %q, want 500 and no JSON", w.Code, w.Body.String())
+	}
+	w = httptest.NewRecorder()
+	writeJSON(w, map[string]any{"ok": 1})
+	if w.Code != http.StatusOK || w.Body.String() != "{\n  \"ok\": 1\n}\n" || w.Header().Get("Cache-Control") != "no-store" {
+		t.Errorf("encodable: %d %q %v", w.Code, w.Body.String(), w.Header())
 	}
 }

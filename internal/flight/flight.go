@@ -266,9 +266,6 @@ func NewRecorder(cfg Config) *Recorder {
 	}
 }
 
-// Enabled reports whether the recorder exists (nil-receiver safe).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Emit appends one event to the window, first trimming the events
 // of records before idx−(WindowK+1). idx must not decrease from one
 // call to the next — the analyzer attributes events to its record

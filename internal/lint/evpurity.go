@@ -13,8 +13,8 @@ import (
 // TestAnalyzeFlightMatchesAnalyze pins at runtime, and this analyzer
 // pins statically. Inside any region that executes only when a
 // recorder is attached (an `if a.rec != nil { … }` body, the tail of
-// a function after `if a.rec == nil { return }`, an Enabled() guard),
-// code may build evidence but must not change analyzer state:
+// a function after `if a.rec == nil { return }`), code may build
+// evidence but must not change analyzer state:
 //
 //   - assignments may target only variables declared inside the
 //     region or values of flight types (a Trail being filled, an
@@ -192,39 +192,28 @@ const (
 )
 
 // guardKind classifies a condition as a recorder-attachment test:
-// `x != nil` / `x == nil` on a *flight.Recorder, or `x.Enabled()` /
-// `!x.Enabled()`.
+// `x != nil` / `x == nil` on a *flight.Recorder.
 func guardKind(pass *Pass, cond ast.Expr) guard {
-	switch x := ast.Unparen(cond).(type) {
-	case *ast.BinaryExpr:
-		var other ast.Expr
-		if isNilIdent(pass, x.X) {
-			other = x.Y
-		} else if isNilIdent(pass, x.Y) {
-			other = x.X
-		} else {
-			return guardNone
-		}
-		t := pass.Info.TypeOf(other)
-		if !isRecorderPtr(t) {
-			return guardNone
-		}
-		switch x.Op.String() {
-		case "!=":
-			return guardAttached
-		case "==":
-			return guardDetached
-		}
-	case *ast.CallExpr:
-		if isEnabledCall(pass, x) {
-			return guardAttached
-		}
-	case *ast.UnaryExpr:
-		if x.Op.String() == "!" {
-			if call, ok := ast.Unparen(x.X).(*ast.CallExpr); ok && isEnabledCall(pass, call) {
-				return guardDetached
-			}
-		}
+	x, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok {
+		return guardNone
+	}
+	var other ast.Expr
+	if isNilIdent(pass, x.X) {
+		other = x.Y
+	} else if isNilIdent(pass, x.Y) {
+		other = x.X
+	} else {
+		return guardNone
+	}
+	if !isRecorderPtr(pass.Info.TypeOf(other)) {
+		return guardNone
+	}
+	switch x.Op.String() {
+	case "!=":
+		return guardAttached
+	case "==":
+		return guardDetached
 	}
 	return guardNone
 }
@@ -248,14 +237,6 @@ func isRecorderPtr(t types.Type) bool {
 		return false
 	}
 	return n.Obj().Name() == "Recorder" && pkgIs(n.Obj().Pkg().Path(), modulePkg("internal/flight"))
-}
-
-func isEnabledCall(pass *Pass, call *ast.CallExpr) bool {
-	f := funcObjOf(pass.Info, call)
-	if f == nil || f.Name() != "Enabled" || f.Pkg() == nil {
-		return false
-	}
-	return pkgIs(f.Pkg().Path(), modulePkg("internal/flight"))
 }
 
 // terminates reports whether a block always transfers control out.

@@ -72,7 +72,7 @@ func (a *analyzer) badDynamic() {
 }
 
 func (a *analyzer) badSend() {
-	if a.rec.Enabled() {
+	if a.rec != nil {
 		a.events <- 1 // want `channel send inside a recorder-attached region`
 	}
 }

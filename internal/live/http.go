@@ -160,11 +160,15 @@ type stallJSON struct {
 	Evidence string `json:"evidence,omitempty"`
 }
 
+// writeJSON answers v as indented JSON, or 500 if it cannot be encoded.
 func writeJSON(w http.ResponseWriter, v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(b, '\n'))
 }
 
 // The families tapod's /metrics exposes, in exposition order.

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"maps"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -217,5 +219,20 @@ func TestLimitParam(t *testing.T) {
 				t.Errorf("%s returned %d flows, want %d", tc.path, got, tc.n)
 			}
 		}
+	}
+}
+
+// TestWriteJSONUnencodable: a value JSON cannot hold is answered 500,
+// not 200 with an empty or partial body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	w := httptest.NewRecorder()
+	writeJSON(w, map[string]any{"ok": 1, "x": math.NaN()})
+	if w.Code != http.StatusInternalServerError || strings.Contains(w.Body.String(), `"ok"`) {
+		t.Errorf("NaN: %d %q, want 500 and no JSON", w.Code, w.Body.String())
+	}
+	w = httptest.NewRecorder()
+	writeJSON(w, map[string]any{"ok": 1})
+	if w.Code != http.StatusOK || w.Body.String() != "{\n  \"ok\": 1\n}\n" {
+		t.Errorf("encodable: %d %q", w.Code, w.Body.String())
 	}
 }

@@ -79,10 +79,11 @@ type Config struct {
 	// Clock supplies wall time (default time.Now; injectable for
 	// tests).
 	Clock func() time.Time
-	// OnFlow, when set, receives each evicted flow's settled
-	// analysis. Called from shard goroutines with the shard locked:
-	// it must be fast and must not call back into the Monitor.
-	OnFlow func(reason string, a *core.FlowAnalysis)
+	// OnFlow, when set, receives each evicted flow's settled analysis
+	// and its flight recorder (nil unless Flight is set). Called from
+	// shard goroutines with the shard locked: it must be fast and must
+	// not call back into the Monitor.
+	OnFlow func(reason string, a *core.FlowAnalysis, rec *flight.Recorder)
 	// OnStall, when set, receives each stall once, when its verdict
 	// settles (see core.Incremental.OnStall). Same constraints as
 	// OnFlow.
@@ -171,9 +172,6 @@ func (p *batchFreeList) get() []trace.RecordEvent {
 }
 
 func (p *batchFreeList) put(b []trace.RecordEvent) {
-	if cap(b) == 0 {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.free) < p.max {
@@ -408,7 +406,7 @@ func (sh *shard) run() {
 			sh.processBatch(evs)
 			sh.m.batchFree.put(evs)
 		case <-sweep.C:
-			sh.SweepIdle()
+			sh.sweepIdle()
 		}
 	}
 }
@@ -650,7 +648,7 @@ func (sh *shard) evictLocked(e *flowEntry, reason string) {
 		sh.agg.flightEvidenceDrops += e.rec.EvidenceDrops()
 	}
 	if sh.m.cfg.OnFlow != nil {
-		sh.m.cfg.OnFlow(reason, a)
+		sh.m.cfg.OnFlow(reason, a, e.rec)
 	}
 }
 
@@ -687,9 +685,9 @@ func synthesizeSummary(e *flowEntry) *core.FlowAnalysis {
 	return a
 }
 
-// SweepIdle evicts flows idle past the configured timeout. The shard
+// sweepIdle evicts flows idle past the configured timeout. The shard
 // workers call it periodically; tests may call it directly.
-func (sh *shard) SweepIdle() {
+func (sh *shard) sweepIdle() {
 	cutoff := sh.m.cfg.Clock().Add(-sh.m.cfg.IdleTimeout)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -701,14 +699,6 @@ func (sh *shard) SweepIdle() {
 			return
 		}
 		sh.evictLocked(e, EvictIdle)
-	}
-}
-
-// SweepIdle runs an idle sweep across every shard (exposed for tests
-// and the admin plane).
-func (m *Monitor) SweepIdle() {
-	for _, sh := range m.shards {
-		sh.SweepIdle()
 	}
 }
 
@@ -729,9 +719,6 @@ type stallRing struct {
 func (r *stallRing) push(ls core.LiveStall) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.buf) == 0 {
-		return
-	}
 	r.buf[r.next] = ls
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
@@ -744,9 +731,6 @@ func (r *stallRing) list() []core.LiveStall {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]core.LiveStall, 0, r.n)
-	if len(r.buf) == 0 {
-		return out
-	}
 	start := (r.next - r.n + len(r.buf)) % len(r.buf)
 	for i := 0; i < r.n; i++ {
 		out = append(out, r.buf[(start+i)%len(r.buf)])

@@ -94,7 +94,7 @@ func runChunked(t *testing.T, cfg Config, all []trace.RecordEvent, chunk int) ch
 	var mu sync.Mutex
 	r := chunkRun{evicted: map[string][]capture{}}
 	cfg.Shards, cfg.MaxFlows = 4, 4096
-	cfg.OnFlow = func(reason string, a *core.FlowAnalysis) {
+	cfg.OnFlow = func(reason string, a *core.FlowAnalysis, _ *flight.Recorder) {
 		b, err := core.MarshalAnalyses([]*core.FlowAnalysis{a})
 		if err != nil {
 			t.Errorf("marshal %s: %v", a.FlowID, err)
@@ -319,7 +319,7 @@ func TestLRUEviction(t *testing.T) {
 		Shards:   1,
 		MaxFlows: 3,
 		Clock:    clk.Now,
-		OnFlow: func(reason string, a *core.FlowAnalysis) {
+		OnFlow: func(reason string, a *core.FlowAnalysis, _ *flight.Recorder) {
 			if reason == EvictLRU {
 				evicted = append(evicted, a.FlowID)
 			}
@@ -409,13 +409,13 @@ func TestIdleSweep(t *testing.T) {
 	clk.Advance(45 * time.Second)
 	feedDirect(m, dataEvent("fresh", sim.Time(time.Second), 1000, 1460))
 
-	m.SweepIdle()
+	m.shards[0].sweepIdle()
 	if got := m.Snapshot().ActiveFlows; got != 2 {
 		t.Fatalf("premature idle eviction: ActiveFlows = %d, want 2", got)
 	}
 
 	clk.Advance(30 * time.Second) // "old" is 75s idle, "fresh" 30s
-	m.SweepIdle()
+	m.shards[0].sweepIdle()
 	s := m.Snapshot()
 	if s.ActiveFlows != 1 {
 		t.Fatalf("ActiveFlows = %d, want 1", s.ActiveFlows)
@@ -432,7 +432,7 @@ func TestTeardownEvicts(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	reasons := map[string]string{}
 	m := New(Config{Shards: 1, Clock: clk.Now,
-		OnFlow: func(reason string, a *core.FlowAnalysis) { reasons[a.FlowID] = reason }})
+		OnFlow: func(reason string, a *core.FlowAnalysis, _ *flight.Recorder) { reasons[a.FlowID] = reason }})
 
 	// FlowDone evicts at once.
 	feedDirect(m, dataEvent("rst", 0, 1000, 1460))
@@ -769,7 +769,7 @@ func quietHalf(f *trace.Flow) bool {
 func TestShutdownFlushesAll(t *testing.T) {
 	var mu sync.Mutex
 	reasons := map[string]string{}
-	m := New(Config{Shards: 2, OnFlow: func(reason string, a *core.FlowAnalysis) {
+	m := New(Config{Shards: 2, OnFlow: func(reason string, a *core.FlowAnalysis, _ *flight.Recorder) {
 		mu.Lock()
 		reasons[a.FlowID] = reason
 		mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tcpstall/internal/core"
+	"tcpstall/internal/flight"
 	"tcpstall/internal/groundtruth"
 	"tcpstall/internal/packet"
 	"tcpstall/internal/sim"
@@ -28,11 +29,11 @@ type capture struct {
 
 // collector returns an OnFlow callback storing every eviction, keyed
 // by flow ID, plus the map and its guarding mutex.
-func collector(t *testing.T) (func(string, *core.FlowAnalysis), map[string]capture, *sync.Mutex) {
+func collector(t *testing.T) (func(string, *core.FlowAnalysis, *flight.Recorder), map[string]capture, *sync.Mutex) {
 	t.Helper()
 	got := map[string]capture{}
 	var mu sync.Mutex
-	return func(reason string, a *core.FlowAnalysis) {
+	return func(reason string, a *core.FlowAnalysis, _ *flight.Recorder) {
 		b, err := core.MarshalAnalyses([]*core.FlowAnalysis{a})
 		if err != nil {
 			t.Errorf("marshal %s: %v", a.FlowID, err)
@@ -842,7 +843,7 @@ func FuzzTriagePromotion(f *testing.F) {
 		var published []core.LiveStall
 		m := New(Config{Shards: 1, Clock: clk.Now,
 			Triage:  &triage.Config{RingCap: ringCap},
-			OnFlow:  func(reason string, a *core.FlowAnalysis) { got = append(got, a) },
+			OnFlow:  func(reason string, a *core.FlowAnalysis, _ *flight.Recorder) { got = append(got, a) },
 			OnStall: func(ls core.LiveStall) { published = append(published, ls) }})
 		sh := m.shardOf("fuzz")
 		fed := 0

@@ -34,14 +34,6 @@ func LessEq(a, b uint32) bool { return int32(a-b) <= 0 }
 // values inside one window.
 func Diff(a, b uint32) int32 { return int32(a - b) }
 
-// Max returns the later of a and b in modular order.
-func Max(a, b uint32) uint32 {
-	if Less(a, b) {
-		return b
-	}
-	return a
-}
-
 // Expand places a wire value in the first epoch, Bias|seq. It is the
 // value Unwrap returns for the first sequence number it sees; use it
 // to seed offsets that must agree with an Unwrapper initialized at the

@@ -94,24 +94,3 @@ func SummaryFromState(st SummaryState) (Summary, error) {
 	}
 	return Summary{N: st.N, Sum: st.Sum, Min: st.Min, Max: st.Max, sumSq: st.SumSq}, nil
 }
-
-// SampleState is the wire form of a Sample: the retained observations
-// in ascending order. Order carries no information (Sample sorts
-// lazily before every order-derived query), so the sorted form is the
-// canonical one and serializing is deterministic.
-type SampleState struct {
-	Values []float64 `json:"values"`
-}
-
-// State snapshots the sample into its wire form. The returned slice
-// is a copy.
-func (s *Sample) State() SampleState {
-	return SampleState{Values: append([]float64{}, s.Values()...)}
-}
-
-// SampleFromState reconstructs a Sample from its wire form.
-func SampleFromState(st SampleState) *Sample {
-	out := NewSample(len(st.Values))
-	out.AddAll(st.Values)
-	return out
-}

@@ -157,42 +157,3 @@ func TestSummaryFromStateRejectsNegativeCount(t *testing.T) {
 		t.Error("negative count accepted")
 	}
 }
-
-func TestSampleSnapshotRoundTripMerge(t *testing.T) {
-	cases := map[string][2][]float64{
-		"both_populated": {{5, 1, 3}, {4, 2}},
-		"empty_left":     {{}, {8, 6}},
-		"both_empty":     {{}, {}},
-		"single_sample":  {{2.5}, {}},
-	}
-	for name, obs := range cases {
-		t.Run(name, func(t *testing.T) {
-			a, b := NewSample(0), NewSample(0)
-			a.AddAll(obs[0])
-			b.AddAll(obs[1])
-
-			direct := NewSample(0)
-			direct.Merge(a)
-			direct.Merge(b)
-
-			wired := NewSample(0)
-			for _, src := range []*Sample{a, b} {
-				bts, err := json.Marshal(src.State())
-				if err != nil {
-					t.Fatalf("marshal: %v", err)
-				}
-				var st SampleState
-				if err := json.Unmarshal(bts, &st); err != nil {
-					t.Fatalf("unmarshal: %v", err)
-				}
-				wired.Merge(SampleFromState(st))
-			}
-			if !reflect.DeepEqual(direct.Values(), wired.Values()) {
-				t.Errorf("wire merge diverged: direct %v wired %v", direct.Values(), wired.Values())
-			}
-			if direct.Len() > 0 && direct.Quantile(0.5) != wired.Quantile(0.5) {
-				t.Errorf("median diverged")
-			}
-		})
-	}
-}

@@ -102,18 +102,6 @@ func (s *Sample) AddAll(vs []float64) {
 	s.sorted = false
 }
 
-// Merge appends another sample's observations into s. Order-derived
-// quantities (quantiles, CDF, Values) are identical however the
-// observations were sharded across merges, since the sample sorts
-// before evaluating them.
-func (s *Sample) Merge(o *Sample) {
-	if o == nil || len(o.data) == 0 {
-		return
-	}
-	s.data = append(s.data, o.data...)
-	s.sorted = false
-}
-
 // Reset empties the sample, retaining its storage.
 func (s *Sample) Reset() {
 	s.data = s.data[:0]

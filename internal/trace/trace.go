@@ -6,7 +6,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"tcpstall/internal/seqspace"
 	"tcpstall/internal/sim"
@@ -96,13 +95,6 @@ func (f *Flow) OutDataPackets() int {
 		}
 	}
 	return n
-}
-
-// SortByTime orders records chronologically (stable).
-func (f *Flow) SortByTime() {
-	sort.SliceStable(f.Records, func(i, j int) bool {
-		return f.Records[i].T < f.Records[j].T
-	})
 }
 
 func (f *Flow) String() string {

@@ -12,20 +12,6 @@ import (
 	"tcpstall/internal/sim"
 )
 
-func TestSortByTime(t *testing.T) {
-	f := &Flow{Records: []Record{
-		{T: sim.Time(3 * time.Second)},
-		{T: sim.Time(1 * time.Second)},
-		{T: sim.Time(2 * time.Second)},
-	}}
-	f.SortByTime()
-	for i := 1; i < 3; i++ {
-		if f.Records[i].T < f.Records[i-1].T {
-			t.Fatal("not sorted")
-		}
-	}
-}
-
 func TestTimestampTickConversion(t *testing.T) {
 	if tsTicks(0) != 0 {
 		t.Error("zero time must map to zero tick")

@@ -89,7 +89,11 @@ func TestStallSurfacesAgree(t *testing.T) {
 	analyses = flowsJSON[0].Stalls
 
 	var jsonl bytes.Buffer
-	if err := explain.WriteTraceJSONL(&jsonl, f, a, rec); err != nil {
+	tw := explain.NewTraceWriter(&jsonl)
+	if err := tw.Stalls(a, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for sc := bufio.NewScanner(&jsonl); sc.Scan(); {
@@ -132,7 +136,7 @@ func TestStallSurfacesAgree(t *testing.T) {
 	}{
 		{"core.MarshalAnalyses", analyses},
 		{"/stalls", stalls},
-		{"WriteTraceJSONL", traced},
+		{"TraceWriter", traced},
 		{"member digest", digested},
 		{"/fleet/events", events},
 	}
