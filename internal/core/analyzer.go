@@ -191,7 +191,6 @@ type analyzer struct {
 	respBounds []uint64
 
 	lastInT sim.Time
-	prevWnd int
 
 	synackAt  sim.Time
 	rttSeeded bool

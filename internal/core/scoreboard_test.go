@@ -465,7 +465,7 @@ func TestRetiredSegmentResent(t *testing.T) {
 	// Retransmit segment 5 at 85 ms, before its ACK at 100 ms.
 	at := slices.IndexFunc(recs, func(r trace.Record) bool { return r.T > msT(85) })
 	recs = slices.Insert(recs, at, synData(85, segSeq(5), segLen))
-	last := recs[len(recs)-1].T.Milliseconds() // the ACK that retires all retireMin
+	last := float64(recs[len(recs)-1].T) / 1e6 // ms of the ACK that retires all retireMin
 	recs = append(recs,
 		synData(last+10, segSeq(5), segLen),
 		synData(last+20, segSeq(7), segLen),

@@ -29,7 +29,7 @@ import (
 // which reads as version 123. The decoder reads untrusted input: it
 // checks every length against the bytes left before allocating, and
 // refuses trailing bytes. What the values mean — cell order, the
-// histogram layout, the batch summary's sums — is checked where a
+// histogram layout, the batch summary's sum — is checked where a
 // snapshot from any source is, in Head.Push and Counters.Merge.
 // Registration, push responses and every read endpoint stay JSON.
 
@@ -93,7 +93,6 @@ func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	e.float(b.Sum)
 	e.float(b.Min)
 	e.float(b.Max)
-	e.float(b.SumSq)
 
 	e.uvarint(uint64(len(s.Events)))
 	for i := range s.Events {
@@ -167,7 +166,6 @@ func (s *Snapshot) UnmarshalBinary(data []byte) error {
 	b.Sum = d.float()
 	b.Min = d.float()
 	b.Max = d.float()
-	b.SumSq = d.float()
 
 	out.Events = list(&d, 14, func(ev *StallEvent) {
 		ev.TimeMS = d.varint()

@@ -21,7 +21,7 @@ import (
 //
 // Every sum is an integer — counts, nanoseconds of stall time, the
 // histogram's nanosecond sum, and the batch-size summary's whole-number
-// sums — so folding any set of counters gives the same bits in any
+// sum — so folding any set of counters gives the same bits in any
 // order.
 type Counters struct {
 	Ingested                  uint64            `json:"records_ingested"`
@@ -64,7 +64,7 @@ type RetransCounter struct {
 	Time     time.Duration `json:"ns"`
 }
 
-// maxExactSum bounds the batch-size summary's sums: every whole number
+// maxExactSum bounds the batch-size summary's sum: every whole number
 // up to 2^53 is exact in a float64, so sums below it add exactly in any
 // order.
 const maxExactSum = 1 << 53
@@ -105,10 +105,8 @@ func (c *Counters) Merge(o *Counters) error {
 	if err != nil {
 		return err
 	}
-	for _, v := range []float64{o.IngestBatchSizes.Sum, o.IngestBatchSizes.SumSq} {
-		if v != math.Trunc(v) || math.Abs(v) > maxExactSum {
-			return fmt.Errorf("batch-size summary sum %v is not a whole number of at most 2^53", v)
-		}
+	if v := o.IngestBatchSizes.Sum; v != math.Trunc(v) || math.Abs(v) > maxExactSum {
+		return fmt.Errorf("batch-size summary sum %v is not a whole number of at most 2^53", v)
 	}
 	for _, v := range []float64{o.IngestBatchSizes.Min, o.IngestBatchSizes.Max} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -230,7 +230,7 @@ func TestHeadPushSteadyStateAllocs(t *testing.T) {
 // one retired epoch and one live registration. The head must never
 // panic; a rejected push must leave the totals byte-identical; an
 // accepted one must leave them equal to Aggregate over the retired
-// snapshot and the push in either order, with whole-number batch sums
+// snapshot and the push in either order, with a whole-number batch sum
 // and a batch count that saturates instead of wrapping negative.
 func FuzzHeadPush(f *testing.F) {
 	good := realSnapshot(f)
@@ -301,8 +301,8 @@ func FuzzHeadPush(f *testing.F) {
 						order[0].MemberID, order[1].MemberID, mustJSON(t, after), mustJSON(t, want))
 				}
 			}
-			if b := snap.IngestBatchSizes; b.Sum != math.Trunc(b.Sum) || b.SumSq != math.Trunc(b.SumSq) {
-				t.Fatalf("accepted a batch summary with fractional sums %+v", b)
+			if b := snap.IngestBatchSizes; b.Sum != math.Trunc(b.Sum) {
+				t.Fatalf("accepted a batch summary with a fractional sum %+v", b)
 			}
 			if n := after.IngestBatchSizes.N; n < 0 {
 				t.Fatalf("batch count wrapped to %d: the next fold would reject the totals", n)

@@ -484,13 +484,13 @@ func TestPushRejectsBadSnapshots(t *testing.T) {
 			s.IngestBatchSizes = stats.SummaryState{N: -1}
 		},
 		"fractional summary sum": func(s *Snapshot) {
-			s.IngestBatchSizes = stats.SummaryState{N: 2, Sum: 3.5, Min: 1, Max: 2.5, SumSq: 7.25}
+			s.IngestBatchSizes = stats.SummaryState{N: 2, Sum: 3.5, Min: 1, Max: 2.5}
 		},
 		"NaN summary min": func(s *Snapshot) {
-			s.IngestBatchSizes = stats.SummaryState{N: 2, Sum: 3, Min: math.NaN(), Max: 2, SumSq: 5}
+			s.IngestBatchSizes = stats.SummaryState{N: 2, Sum: 3, Min: math.NaN(), Max: 2}
 		},
 		"infinite summary max": func(s *Snapshot) {
-			s.IngestBatchSizes = stats.SummaryState{N: 2, Sum: 3, Min: 1, Max: math.Inf(1), SumSq: 5}
+			s.IngestBatchSizes = stats.SummaryState{N: 2, Sum: 3, Min: 1, Max: math.Inf(1)}
 		},
 		"foreign histogram layout": func(s *Snapshot) {
 			s.DurationsMS = stats.HistogramState{Bounds: []float64{100}, Counts: []uint64{0, 0}}
@@ -713,7 +713,7 @@ func TestHeadBatchCountSaturates(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := miniSnap(id, reg.Epoch, 1, 1)
-		s.IngestBatchSizes = stats.SummaryState{N: n, Sum: 1, Min: 1, Max: 1, SumSq: 1}
+		s.IngestBatchSizes = stats.SummaryState{N: n, Sum: 1, Min: 1, Max: 1}
 		s.Final = i == 1
 		if resp := head.Push(s); !resp.OK {
 			t.Fatalf("push %s: %+v", id, resp)

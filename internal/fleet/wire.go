@@ -47,7 +47,7 @@ import (
 // not speak. Any change to a wire struct bumps it, an added field
 // too: the push encoding has no room for a field the other side does
 // not know (tapolint's wirefreeze holds the bump to the change).
-const WireVersion = 6
+const WireVersion = 7
 
 // Snapshot is one member's cumulative state as pushed to the head.
 type Snapshot struct {

@@ -11,7 +11,7 @@
 //   - seqsafe: wire sequence numbers are modular uint32 values; a raw
 //     <, >, <=, >= or - on them silently inverts at the 2^32 wrap.
 //     Outside internal/seqspace every ordered comparison or distance
-//     must go through seqspace.Less/LessEq/Diff or an Unwrapper.
+//     must go through seqspace.LessEq/Diff or an Unwrapper.
 //   - detclock: the simulator, analyzer and ground-truth packages are
 //     deterministic by contract — one seed, one output. time.Now,
 //     wall-clock timers, the global math/rand state and output emitted

@@ -11,7 +11,7 @@ import (
 // TCP sequence/ack values outside internal/seqspace. Wire sequence
 // numbers are modular: `a < b` inverts when the flow wraps 2^32, and
 // `a - b` is only a distance after int32 reinterpretation. The
-// wrap-safe forms are seqspace.Less/LessEq/Diff, or unwrapping to
+// wrap-safe forms are seqspace.LessEq/Diff, or unwrapping to
 // uint64 stream offsets with a seqspace.Unwrapper.
 //
 // An operand is sequence-like when its uint32-typed expression is
@@ -55,7 +55,7 @@ func runSeqsafe(pass *Pass) error {
 		if !seqNamed(be.X) && !seqNamed(be.Y) {
 			return true
 		}
-		verb, fix := "comparison", "seqspace.Less/LessEq"
+		verb, fix := "comparison", "seqspace.LessEq/Diff"
 		if be.Op == token.SUB {
 			verb, fix = "subtraction", "seqspace.Diff"
 		}

@@ -16,15 +16,15 @@ func violations(seq, ack uint32, seg segment, blk sackBlock) {
 	if seq < ack { // want `raw uint32 sequence comparison wraps at 2\^32`
 		_ = seq
 	}
-	if seg.Seq >= seg.Ack { // want `seqspace\.Less/LessEq`
+	if seg.Seq >= seg.Ack { // want `seqspace\.LessEq/Diff`
 		_ = seg
 	}
 	d := seq - ack // want `raw uint32 sequence subtraction wraps at 2\^32`
 	_ = d
-	if blk.Left > blk.Right { // want `use seqspace\.Less`
+	if blk.Left > blk.Right { // want `use seqspace\.LessEq`
 		_ = blk
 	}
-	if uint32(seq) <= ack { // want `seqspace\.Less/LessEq`
+	if uint32(seq) <= ack { // want `seqspace\.LessEq/Diff`
 		_ = seq
 	}
 }
@@ -32,7 +32,7 @@ func violations(seq, ack uint32, seg segment, blk sackBlock) {
 func sndNxt() uint32 { return 7 }
 
 func accessorViolation(una uint32) {
-	if sndNxt() > una { // want `seqspace\.Less/LessEq`
+	if sndNxt() > una { // want `seqspace\.LessEq/Diff`
 		return
 	}
 }

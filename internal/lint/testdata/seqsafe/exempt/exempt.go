@@ -3,6 +3,6 @@
 // Loaded as tcpstall/internal/seqspace/exempt, so no findings.
 package exempt
 
-func Less(seqA, seqB uint32) bool { return int32(seqA-seqB) < 0 }
+func LessEq(seqA, seqB uint32) bool { return int32(seqA-seqB) <= 0 }
 
 func Diff(seqA, seqB uint32) int32 { return int32(seqA - seqB) }

@@ -27,19 +27,6 @@ const (
 	KindSRTO   Kind = "srto"
 )
 
-// New builds a fresh strategy instance of the given kind with
-// defaults. SRTOConfig/TLPConfig offer full control.
-func New(kind Kind) tcpsim.Recovery {
-	switch kind {
-	case KindTLP:
-		return NewTLP(TLPConfig{})
-	case KindSRTO:
-		return NewSRTO(SRTOConfig{})
-	default:
-		return tcpsim.NativeRecovery{}
-	}
-}
-
 // --- TLP ---
 
 // TLPConfig parameterizes the Tail Loss Probe.

@@ -219,24 +219,28 @@ func TestRetransmissionOverheadOrdering(t *testing.T) {
 	}
 }
 
+// defaultStrategies builds one strategy of each Kind with defaults.
+func defaultStrategies() map[Kind]tcpsim.Recovery {
+	return map[Kind]tcpsim.Recovery{
+		KindNative: tcpsim.NativeRecovery{},
+		KindTLP:    NewTLP(TLPConfig{}),
+		KindSRTO:   NewSRTO(SRTOConfig{}),
+	}
+}
+
+// TestNewFactory checks that each constructor's strategy reports the
+// Kind the experiment harness names it by.
 func TestNewFactory(t *testing.T) {
-	if New(KindNative).Name() != "linux" {
-		t.Error("native name")
-	}
-	if New(KindTLP).Name() != "tlp" {
-		t.Error("tlp name")
-	}
-	if New(KindSRTO).Name() != "srto" {
-		t.Error("srto name")
-	}
-	if New(Kind("bogus")).Name() != "linux" {
-		t.Error("unknown kind should default to native")
+	for kind, rec := range defaultStrategies() {
+		if rec.Name() != string(kind) {
+			t.Errorf("%s strategy is named %q", kind, rec.Name())
+		}
 	}
 }
 
 func TestStrategiesDoNotBreakCleanTransfers(t *testing.T) {
-	for _, kind := range []Kind{KindNative, KindTLP, KindSRTO} {
-		m := newLab(8, 200_000, New(kind), nil, nil).run(t)
+	for kind, rec := range defaultStrategies() {
+		m := newLab(8, 200_000, rec, nil, nil).run(t)
 		if m.Sender.RTOFirings != 0 {
 			t.Errorf("%s: RTO on clean path", kind)
 		}

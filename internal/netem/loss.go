@@ -81,10 +81,6 @@ func (g *GilbertElliott) Drop(rng *sim.RNG, now sim.Time) bool {
 	return rng.Bool(p)
 }
 
-// Bad reports the current channel state (exported for tests and
-// instrumentation).
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
 // Deterministic drops exactly the packets whose 0-based index is
 // listed. It exists for scripted scenarios (e.g. the Figure 2
 // illustrative flow) and for classifier ground-truth tests.
@@ -108,6 +104,3 @@ func (d *Deterministic) Drop(_ *sim.RNG, _ sim.Time) bool {
 	d.count++
 	return drop
 }
-
-// Count reports how many packets the model has examined.
-func (d *Deterministic) Count() int { return d.count }

@@ -128,12 +128,6 @@ func (p *Path) scheduleSpike() {
 	})
 }
 
-// Stats returns a copy of the path's counters.
-func (p *Path) Stats() Stats { return p.stats }
-
-// Config returns the path configuration.
-func (p *Path) Config() Config { return p.cfg }
-
 // SetDelay changes the propagation delay mid-run (used by scripted
 // scenarios that inject RTT variation).
 func (p *Path) SetDelay(d time.Duration) { p.cfg.Delay = d }

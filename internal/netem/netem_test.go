@@ -57,7 +57,7 @@ func TestBernoulliLossRate(t *testing.T) {
 	if math.Abs(rate-0.3) > 0.02 {
 		t.Errorf("loss rate = %.3f, want ≈0.3", rate)
 	}
-	st := p.Stats()
+	st := p.stats
 	if st.Sent != n || st.LossDrops+st.Delivered != n {
 		t.Errorf("stats don't add up: %+v", st)
 	}
@@ -112,7 +112,7 @@ func TestDeterministicLoss(t *testing.T) {
 	if len(dropped) != 2 || dropped[0] != 1 || dropped[1] != 3 {
 		t.Errorf("dropped = %v, want [1 3]", dropped)
 	}
-	if m := p.Stats(); m.LossDrops != 2 {
+	if m := p.stats; m.LossDrops != 2 {
 		t.Errorf("LossDrops = %d", m.LossDrops)
 	}
 }
@@ -157,7 +157,7 @@ func TestDropTailQueue(t *testing.T) {
 	if len(*got) != 2 {
 		t.Errorf("delivered %d, want 2 (DropTail)", len(*got))
 	}
-	st := p.Stats()
+	st := p.stats
 	if st.QueueDrops != 8 {
 		t.Errorf("QueueDrops = %d, want 8", st.QueueDrops)
 	}
@@ -193,8 +193,8 @@ func TestReordering(t *testing.T) {
 	if (*got)[0] != "early" || (*got)[1] != "late" {
 		t.Errorf("order = %v, want [early late]", *got)
 	}
-	if p.Stats().Reordered != 1 {
-		t.Errorf("Reordered = %d", p.Stats().Reordered)
+	if p.stats.Reordered != 1 {
+		t.Errorf("Reordered = %d", p.stats.Reordered)
 	}
 }
 
@@ -248,7 +248,7 @@ func TestStatsBytes(t *testing.T) {
 	p.Send("a", 100) // dropped
 	p.Send("b", 200)
 	s.Run()
-	st := p.Stats()
+	st := p.stats
 	if st.BytesIn != 300 || st.BytesOut != 200 {
 		t.Errorf("bytes = %d/%d, want 300/200", st.BytesIn, st.BytesOut)
 	}
@@ -276,7 +276,7 @@ func TestDelaySpikes(t *testing.T) {
 		})
 	}
 	s.RunUntil(sim.Time(4 * time.Second))
-	if p.Stats().Spikes == 0 {
+	if p.stats.Spikes == 0 {
 		t.Fatal("no spikes fired")
 	}
 	spiked := 0
@@ -307,7 +307,7 @@ func TestLossBursts(t *testing.T) {
 		s.Schedule(time.Duration(i)*5*time.Millisecond, func() { p.Send(0, 100) })
 	}
 	s.RunUntil(sim.Time(6 * time.Second))
-	st := p.Stats()
+	st := p.stats
 	if st.Bursts == 0 {
 		t.Fatal("no bursts fired")
 	}
@@ -335,7 +335,7 @@ func TestGilbertElliottIdleReset(t *testing.T) {
 	if !ge.Drop(rng, 0) {
 		t.Fatal("first packet should drop (PGoodToBad=1, LossBad=1)")
 	}
-	if !ge.Bad() {
+	if !ge.bad {
 		t.Fatal("channel should be Bad")
 	}
 	// A packet 50ms later still sees the Bad state.
@@ -352,8 +352,8 @@ func TestGilbertElliottIdleReset(t *testing.T) {
 	if ge2.Drop(rng, sim.Time(500*time.Millisecond)) {
 		t.Error("idle reset should have returned the channel to Good")
 	}
-	if ge2.Bad() {
-		t.Error("Bad() after idle reset")
+	if ge2.bad {
+		t.Error("channel still Bad after idle reset")
 	}
 }
 
@@ -361,8 +361,8 @@ func TestDeterministicCount(t *testing.T) {
 	d := DropList(0)
 	d.Drop(nil, 0)
 	d.Drop(nil, 0)
-	if d.Count() != 2 {
-		t.Errorf("Count = %d", d.Count())
+	if d.count != 2 {
+		t.Errorf("count = %d", d.count)
 	}
 }
 
@@ -370,8 +370,8 @@ func TestConfigAccessor(t *testing.T) {
 	s := sim.New()
 	cfg := Config{Delay: 7 * time.Millisecond}
 	p := New(s, sim.NewRNG(1), cfg)
-	if p.Config().Delay != 7*time.Millisecond {
-		t.Error("Config() mismatch")
+	if p.cfg.Delay != 7*time.Millisecond {
+		t.Error("config mismatch")
 	}
 }
 

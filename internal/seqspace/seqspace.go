@@ -4,7 +4,7 @@
 // values, so raw uint32 comparisons silently invert. Two tools fix
 // that everywhere the repo reasons about sequence space:
 //
-//   - modular comparisons (Less, LessEq, Diff) in the style of
+//   - modular comparisons (LessEq, Diff) in the style of
 //     RFC 793 §3.3 / RFC 1982: a is before b when the signed 32-bit
 //     difference a−b is negative, which is correct as long as the two
 //     values are within 2^31 of each other (always true inside one
@@ -22,11 +22,8 @@ package seqspace
 // never travel more than 2^31−1 backward of where it has been.
 const Bias = uint64(1) << 32
 
-// Less reports whether wire sequence a is strictly before b in
-// modular 32-bit arithmetic.
-func Less(a, b uint32) bool { return int32(a-b) < 0 }
-
-// LessEq reports whether a is at or before b.
+// LessEq reports whether wire sequence a is at or before b in modular
+// 32-bit arithmetic; a is strictly before b when !LessEq(b, a).
 func LessEq(a, b uint32) bool { return int32(a-b) <= 0 }
 
 // Diff is the signed modular distance a−b (positive when a is after

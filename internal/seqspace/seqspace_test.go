@@ -28,12 +28,15 @@ func TestLessAroundWrap(t *testing.T) {
 	// (RFC 1982 leaves it undefined); antisymmetry holds only for
 	// |a−b| < 2^31, which every case above respects.
 	for _, c := range cases {
-		if got := Less(c.a, c.b); got != c.less {
-			t.Errorf("Less(%#x, %#x) = %v, want %v", c.a, c.b, got, c.less)
+		if got := !LessEq(c.b, c.a); got != c.less {
+			t.Errorf("!LessEq(%#x, %#x) = %v, want %v", c.b, c.a, got, c.less)
+		}
+		if got := Diff(c.a, c.b) < 0; got != c.less {
+			t.Errorf("Diff(%#x, %#x) < 0 = %v, want %v", c.a, c.b, got, c.less)
 		}
 		if c.a != c.b {
-			if Less(c.a, c.b) == Less(c.b, c.a) {
-				t.Errorf("Less not antisymmetric at %#x, %#x", c.a, c.b)
+			if LessEq(c.a, c.b) == LessEq(c.b, c.a) {
+				t.Errorf("LessEq not antisymmetric at %#x, %#x", c.a, c.b)
 			}
 		}
 		if got := LessEq(c.a, c.b); got != (c.less || c.a == c.b) {
@@ -51,11 +54,11 @@ func TestLessProperty(t *testing.T) {
 		a := uint32(rng.Uint64())
 		d := uint32(rng.Int63n(1<<31-1) + 1)
 		b := a + d // modular
-		if !Less(a, b) {
-			t.Fatalf("Less(%#x, %#x) false for step %d", a, b, d)
+		if !LessEq(a, b) {
+			t.Fatalf("LessEq(%#x, %#x) false for step %d", a, b, d)
 		}
-		if Less(b, a) {
-			t.Fatalf("Less(%#x, %#x) true backwards for step %d", b, a, d)
+		if LessEq(b, a) {
+			t.Fatalf("LessEq(%#x, %#x) true backwards for step %d", b, a, d)
 		}
 		if got := Diff(b, a); got != int32(d) {
 			t.Fatalf("Diff(%#x, %#x) = %d, want %d", b, a, got, d)

@@ -46,11 +46,6 @@ func (g *RNG) Exponential(mean float64) float64 {
 	return g.r.ExpFloat64() * mean
 }
 
-// Normal returns a normal sample.
-func (g *RNG) Normal(mean, stddev float64) float64 {
-	return g.r.NormFloat64()*stddev + mean
-}
-
 // LogNormal returns a log-normal sample parameterized by the mean and
 // standard deviation of the underlying normal (mu, sigma).
 func (g *RNG) LogNormal(mu, sigma float64) float64 {
@@ -64,15 +59,6 @@ func (g *RNG) LogNormal(mu, sigma float64) float64 {
 func (g *RNG) LogNormalMean(mean, sigma float64) float64 {
 	mu := math.Log(mean) - sigma*sigma/2
 	return g.LogNormal(mu, sigma)
-}
-
-// Pareto returns a bounded Pareto-ish sample: scale xm, shape alpha.
-func (g *RNG) Pareto(xm, alpha float64) float64 {
-	u := g.r.Float64()
-	for u == 0 {
-		u = g.r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
 }
 
 // Choice returns an index in [0, len(weights)) with probability

@@ -28,11 +28,6 @@ func (t Time) String() string {
 // Seconds reports the instant in seconds.
 func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 
-// Milliseconds reports the instant in milliseconds as a float.
-func (t Time) Milliseconds() float64 {
-	return float64(t) / float64(time.Millisecond)
-}
-
 // Add offsets the instant by d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
@@ -87,9 +82,6 @@ type Simulator struct {
 	now    Time
 	queue  eventQueue
 	nextID uint64
-	// Processed counts events executed so far (cancelled events are
-	// not counted).
-	processed uint64
 }
 
 // New returns an empty simulator with the clock at zero.
@@ -100,29 +92,8 @@ func New() *Simulator {
 // Now reports the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Processed reports how many events have executed.
-func (s *Simulator) Processed() uint64 { return s.processed }
-
-// Pending reports how many events are scheduled (including cancelled
-// events not yet reaped).
-func (s *Simulator) Pending() int { return len(s.queue) }
-
 // Handle identifies a scheduled event so it can be cancelled.
 type Handle struct{ ev *event }
-
-// Valid reports whether the handle refers to an event that has neither
-// fired nor been cancelled.
-func (h Handle) Valid() bool {
-	return h.ev != nil && !h.ev.cancel && h.ev.index >= 0
-}
-
-// At reports the instant the event will fire. Meaningless if !Valid().
-func (h Handle) At() Time {
-	if h.ev == nil {
-		return 0
-	}
-	return h.ev.at
-}
 
 // Schedule runs fn after delay d. A negative delay is treated as zero.
 func (s *Simulator) Schedule(d Duration, fn func()) Handle {
@@ -162,7 +133,6 @@ func (s *Simulator) Step() bool {
 			continue
 		}
 		s.now = ev.at
-		s.processed++
 		ev.fn()
 		return true
 	}

@@ -62,12 +62,12 @@ func TestCancel(t *testing.T) {
 	s := New()
 	ran := false
 	h := s.Schedule(time.Millisecond, func() { ran = true })
-	if !h.Valid() {
-		t.Fatal("fresh handle should be valid")
+	if h.ev.cancel {
+		t.Fatal("fresh event should not be cancelled")
 	}
 	s.Cancel(h)
-	if h.Valid() {
-		t.Error("cancelled handle should be invalid")
+	if !h.ev.cancel {
+		t.Error("Cancel did not mark the event cancelled")
 	}
 	s.Run()
 	if ran {
@@ -93,8 +93,8 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != Time(3*time.Second) {
 		t.Errorf("Now() = %v, want 3s", s.Now())
 	}
-	if s.Pending() != 2 {
-		t.Errorf("Pending() = %d, want 2", s.Pending())
+	if len(s.queue) != 2 {
+		t.Errorf("%d events queued, want 2", len(s.queue))
 	}
 	s.RunFor(10 * time.Second)
 	if fired != 5 {
@@ -149,8 +149,8 @@ func TestTimerResetStop(t *testing.T) {
 	if !tm.Armed() {
 		t.Fatal("timer should be armed")
 	}
-	if tm.Deadline() != Time(20*time.Millisecond) {
-		t.Errorf("Deadline() = %v, want 20ms", tm.Deadline())
+	if at := tm.handle.ev.at; at != Time(20*time.Millisecond) {
+		t.Errorf("timer armed for %v, want 20ms", at)
 	}
 	s.Run()
 	if fired != 1 {
@@ -168,35 +168,10 @@ func TestTimerResetStop(t *testing.T) {
 	}
 }
 
-func TestTimerResetAt(t *testing.T) {
-	s := New()
-	var at Time
-	tm := NewTimer(s, func() { at = s.Now() })
-	tm.ResetAt(Time(5 * time.Millisecond))
-	s.Run()
-	if at != Time(5*time.Millisecond) {
-		t.Errorf("fired at %v, want 5ms", at)
-	}
-}
-
-func TestProcessedCountsOnlyExecuted(t *testing.T) {
-	s := New()
-	h := s.Schedule(time.Millisecond, func() {})
-	s.Schedule(time.Millisecond, func() {})
-	s.Cancel(h)
-	s.Run()
-	if s.Processed() != 1 {
-		t.Errorf("Processed() = %d, want 1", s.Processed())
-	}
-}
-
 func TestTimeArithmetic(t *testing.T) {
 	a := Time(1500 * time.Millisecond)
 	if a.Seconds() != 1.5 {
 		t.Errorf("Seconds() = %v", a.Seconds())
-	}
-	if a.Milliseconds() != 1500 {
-		t.Errorf("Milliseconds() = %v", a.Milliseconds())
 	}
 	b := a.Add(500 * time.Millisecond)
 	if b.Sub(a) != 500*time.Millisecond {
@@ -288,20 +263,6 @@ func TestRNGDistributionMoments(t *testing.T) {
 		t.Errorf("lognormal mean = %.2f, want ≈50", mean)
 	}
 
-	sum = 0
-	for i := 0; i < n; i++ {
-		sum += g.Normal(10, 3)
-	}
-	if mean := sum / n; math.Abs(mean-10) > 0.1 {
-		t.Errorf("normal mean = %.2f, want ≈10", mean)
-	}
-
-	// Pareto samples are bounded below by xm.
-	for i := 0; i < 1000; i++ {
-		if v := g.Pareto(5, 1.5); v < 5 {
-			t.Fatalf("pareto sample %v < xm", v)
-		}
-	}
 }
 
 func TestRNGBoolAndUniform(t *testing.T) {

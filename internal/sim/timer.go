@@ -26,16 +26,6 @@ func (t *Timer) Reset(d Duration) {
 	})
 }
 
-// ResetAt (re)arms the timer to fire at instant at.
-func (t *Timer) ResetAt(at Time) {
-	t.Stop()
-	t.armed = true
-	t.handle = t.sim.ScheduleAt(at, func() {
-		t.armed = false
-		t.fn()
-	})
-}
-
 // Stop cancels the timer if armed.
 func (t *Timer) Stop() {
 	if t.armed {
@@ -46,6 +36,3 @@ func (t *Timer) Stop() {
 
 // Armed reports whether the timer is pending.
 func (t *Timer) Armed() bool { return t.armed }
-
-// Deadline reports when the timer will fire. Meaningless when !Armed().
-func (t *Timer) Deadline() Time { return t.handle.At() }

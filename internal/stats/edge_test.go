@@ -20,9 +20,6 @@ func TestSampleEmpty(t *testing.T) {
 	if got := s.Quantile(0.5); got != 0 {
 		t.Errorf("empty Quantile = %v, want 0", got)
 	}
-	if got := s.Median(); got != 0 {
-		t.Errorf("empty Median = %v, want 0", got)
-	}
 	if got := s.CDF(1); got != 0 {
 		t.Errorf("empty CDF = %v, want 0", got)
 	}
@@ -64,20 +61,11 @@ func TestSampleConstant(t *testing.T) {
 
 func TestSummaryEmptyAndConstant(t *testing.T) {
 	var sum Summary
-	if got := sum.Mean(); got != 0 {
-		t.Errorf("empty Summary Mean = %v, want 0", got)
-	}
-	if got := sum.StdDev(); got != 0 {
-		t.Errorf("empty Summary StdDev = %v, want 0", got)
-	}
 	for i := 0; i < 5; i++ {
 		sum.Add(3)
 	}
-	if got := sum.Mean(); got != 3 {
-		t.Errorf("constant Summary Mean = %v, want 3", got)
-	}
-	if got := sum.StdDev(); got != 0 {
-		t.Errorf("constant Summary StdDev = %v, want 0", got)
+	if want := (Summary{N: 5, Sum: 15, Min: 3, Max: 3}); sum != want {
+		t.Errorf("constant Summary = %+v, want %+v", sum, want)
 	}
 }
 
@@ -86,8 +74,8 @@ func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millise
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram([]float64{1, 10, 100})
-	if h.N() != 0 || h.Sum() != 0 {
-		t.Fatalf("empty N/Sum = %d/%v", h.N(), h.Sum())
+	if h.N() != 0 || h.sum != 0 {
+		t.Fatalf("empty N/sum = %d/%v", h.N(), h.sum)
 	}
 	if got := h.Mean(); got != 0 {
 		t.Errorf("empty Mean = %v, want 0", got)
@@ -95,9 +83,9 @@ func TestHistogramEmpty(t *testing.T) {
 	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("empty Quantile = %v, want 0", got)
 	}
-	for i := 0; i <= 3; i++ {
-		if got := h.Cumulative(i); got != 0 {
-			t.Errorf("empty Cumulative(%d) = %d", i, got)
+	for i, c := range h.counts {
+		if c != 0 {
+			t.Errorf("empty bucket %d holds %d", i, c)
 		}
 	}
 }
@@ -105,8 +93,8 @@ func TestHistogramEmpty(t *testing.T) {
 func TestHistogramSingleAndOverflow(t *testing.T) {
 	h := NewHistogram([]float64{1, 10, 100})
 	h.Add(ms(5))
-	if h.N() != 1 || h.Count(1) != 1 {
-		t.Fatalf("N=%d counts=%v", h.N(), []uint64{h.Count(0), h.Count(1), h.Count(2), h.Count(3)})
+	if h.N() != 1 || h.counts[1] != 1 {
+		t.Fatalf("N=%d counts=%v", h.N(), h.counts)
 	}
 	// Quantile interpolates within (1, 10].
 	if q := h.Quantile(0.5); q <= 1 || q > 10 {
@@ -115,14 +103,14 @@ func TestHistogramSingleAndOverflow(t *testing.T) {
 
 	// An observation beyond every bound lands in +Inf and clamps.
 	h.Add(ms(1e9))
-	if h.Count(3) != 1 {
-		t.Errorf("+Inf bucket count = %d, want 1", h.Count(3))
+	if h.counts[3] != 1 {
+		t.Errorf("+Inf bucket count = %d, want 1", h.counts[3])
 	}
 	if got := h.Quantile(0.99); got != 100 {
 		t.Errorf("overflow Quantile(0.99) = %v, want clamp to 100", got)
 	}
-	if got := h.Cumulative(3); got != 2 {
-		t.Errorf("Cumulative(+Inf) = %d, want 2", got)
+	if h.N() != 2 {
+		t.Errorf("N = %d, want 2", h.N())
 	}
 }
 
@@ -152,19 +140,15 @@ func TestHistogramMergeAndReset(t *testing.T) {
 	if a.N() != 3 {
 		t.Fatalf("merged N = %d, want 3", a.N())
 	}
-	if a.Count(0) != 1 || a.Count(1) != 1 || a.Count(2) != 1 {
-		t.Errorf("merged counts = %d,%d,%d", a.Count(0), a.Count(1), a.Count(2))
+	if a.counts[0] != 1 || a.counts[1] != 1 || a.counts[2] != 1 {
+		t.Errorf("merged counts = %v", a.counts)
 	}
-	if got, want := a.Sum(), ms(101); got != want {
+	if got, want := a.sum, ms(101); got != want {
 		t.Errorf("merged Sum = %v, want %v", got, want)
 	}
 	a.Merge(nil) // no-op
 	if a.N() != 3 {
 		t.Errorf("nil merge changed N to %d", a.N())
-	}
-	a.Reset()
-	if a.N() != 0 || a.Sum() != 0 || a.Cumulative(2) != 0 {
-		t.Errorf("Reset left N=%d Sum=%v", a.N(), a.Sum())
 	}
 
 	defer func() {

@@ -10,8 +10,8 @@ import (
 // Unlike Sample it retains no observations, so it is cheap enough for
 // per-record hot paths (the live monitor's rolling windows) and merges
 // in O(buckets). The sum is integer nanoseconds, so merges give the
-// same bits in any order. The cumulative-count layout matches what a
-// Prometheus histogram exposition needs.
+// same bits in any order. Its buckets, one per bound plus +Inf, are
+// what a Prometheus histogram exposition is built from.
 type Histogram struct {
 	bounds []float64 // milliseconds
 	counts []uint64  // len(bounds)+1; counts[len(bounds)] is +Inf
@@ -49,40 +49,12 @@ func (h *Histogram) Add(d time.Duration) {
 // N reports the observation count.
 func (h *Histogram) N() uint64 { return h.n }
 
-// Sum reports the sum of observations.
-func (h *Histogram) Sum() time.Duration { return h.sum }
-
 // Mean reports the observation mean (0 when empty).
 func (h *Histogram) Mean() time.Duration {
 	if h.n == 0 {
 		return 0
 	}
 	return h.sum / time.Duration(h.n)
-}
-
-// Count reports the count in bucket i (i == len(Bounds()) is +Inf).
-func (h *Histogram) Count(i int) uint64 { return h.counts[i] }
-
-// Cumulative reports the count of observations ≤ bounds[i]; for
-// i == len(Bounds()) it reports N. This is the `le` series of a
-// Prometheus histogram.
-func (h *Histogram) Cumulative(i int) uint64 {
-	var c uint64
-	for j := 0; j <= i && j < len(h.counts); j++ {
-		c += h.counts[j]
-	}
-	return c
-}
-
-// Clone returns an independent copy of h. The bounds slice is shared
-// (read-only by contract); counts are copied.
-func (h *Histogram) Clone() *Histogram {
-	return &Histogram{
-		bounds: h.bounds,
-		counts: append([]uint64{}, h.counts...),
-		n:      h.n,
-		sum:    h.sum,
-	}
 }
 
 // Merge folds another histogram into h. Both must share bounds
@@ -101,15 +73,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.n += o.n
 	h.sum += o.sum
-}
-
-// Reset zeroes the counts, retaining the bucket layout.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.n = 0
-	h.sum = 0
 }
 
 // Quantile estimates the q-quantile (q in [0,1]) in milliseconds by

@@ -70,19 +70,17 @@ func HistogramFromState(st HistogramState) (*Histogram, error) {
 	return h, nil
 }
 
-// SummaryState is the wire form of a Summary. SumSq rides along so
-// StdDev survives the round trip.
+// SummaryState is the wire form of a Summary.
 type SummaryState struct {
-	N     int     `json:"n"`
-	Sum   float64 `json:"sum"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	SumSq float64 `json:"sum_sq"`
+	N   int     `json:"n"`
+	Sum float64 `json:"sum"`
+	Min float64 `json:"min"`
+	Max float64 `json:"max"`
 }
 
 // State snapshots the summary into its wire form.
 func (s *Summary) State() SummaryState {
-	return SummaryState{N: s.N, Sum: s.Sum, Min: s.Min, Max: s.Max, SumSq: s.sumSq}
+	return SummaryState(*s)
 }
 
 // SummaryFromState reconstructs a Summary from its wire form. A
@@ -92,5 +90,5 @@ func SummaryFromState(st SummaryState) (Summary, error) {
 	if st.N < 0 {
 		return Summary{}, fmt.Errorf("stats: summary state has negative count %d", st.N)
 	}
-	return Summary{N: st.N, Sum: st.Sum, Min: st.Min, Max: st.Max, sumSq: st.SumSq}, nil
+	return Summary(st), nil
 }

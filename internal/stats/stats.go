@@ -10,14 +10,13 @@ import (
 	"sort"
 )
 
-// Summary accumulates a running mean/min/max/count without retaining
-// samples.
+// Summary accumulates a running count, sum, min and max without
+// retaining samples.
 type Summary struct {
-	N     int
-	Sum   float64
-	Min   float64
-	Max   float64
-	sumSq float64
+	N   int
+	Sum float64
+	Min float64
+	Max float64
 }
 
 // Add folds a sample into the summary.
@@ -30,22 +29,13 @@ func (s *Summary) Add(v float64) {
 	}
 	s.N++
 	s.Sum += v
-	s.sumSq += v * v
-}
-
-// Mean reports the sample mean (0 when empty).
-func (s *Summary) Mean() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.N)
 }
 
 // Merge folds another summary into s. The operation is associative
-// and commutative, so per-worker summaries built by the parallel
-// pipeline combine into the same totals regardless of how the work
-// was sharded. N saturates at math.MaxInt instead of wrapping;
-// saturating addition of non-negative counts keeps both properties.
+// and commutative, so the members' batch summaries that
+// fleet.Counters.Merge folds combine into the same totals in any
+// order. N saturates at math.MaxInt instead of wrapping; saturating
+// addition of non-negative counts keeps both properties.
 func (s *Summary) Merge(o Summary) {
 	if o.N == 0 {
 		return
@@ -62,20 +52,6 @@ func (s *Summary) Merge(o Summary) {
 		s.N += o.N
 	}
 	s.Sum += o.Sum
-	s.sumSq += o.sumSq
-}
-
-// StdDev reports the population standard deviation (0 when empty).
-func (s *Summary) StdDev() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumSq/float64(s.N) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
 }
 
 // Sample is a growable collection of float64 observations supporting
@@ -102,21 +78,8 @@ func (s *Sample) AddAll(vs []float64) {
 	s.sorted = false
 }
 
-// Reset empties the sample, retaining its storage.
-func (s *Sample) Reset() {
-	s.data = s.data[:0]
-	s.sorted = false
-}
-
 // Len reports the number of observations.
 func (s *Sample) Len() int { return len(s.data) }
-
-// Values returns the observations in ascending order. The returned
-// slice aliases internal storage; do not modify it.
-func (s *Sample) Values() []float64 {
-	s.sort()
-	return s.data
-}
 
 func (s *Sample) sort() {
 	if !s.sorted {
@@ -159,9 +122,6 @@ func (s *Sample) Quantile(q float64) float64 {
 	frac := pos - float64(lo)
 	return s.data[lo]*(1-frac) + s.data[hi]*frac
 }
-
-// Median is Quantile(0.5).
-func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
 // CDF reports the empirical distribution function F(x) = P(X ≤ x).
 func (s *Sample) CDF(x float64) float64 {

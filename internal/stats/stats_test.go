@@ -10,7 +10,7 @@ import (
 
 func TestSummary(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.StdDev() != 0 {
+	if s != (Summary{}) {
 		t.Error("empty summary should report zeros")
 	}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -19,11 +19,8 @@ func TestSummary(t *testing.T) {
 	if s.N != 8 {
 		t.Errorf("N = %d", s.N)
 	}
-	if s.Mean() != 5 {
-		t.Errorf("Mean = %v, want 5", s.Mean())
-	}
-	if s.StdDev() != 2 {
-		t.Errorf("StdDev = %v, want 2", s.StdDev())
+	if s.Sum != 40 {
+		t.Errorf("Sum = %v, want 40", s.Sum)
 	}
 	if s.Min != 2 || s.Max != 9 {
 		t.Errorf("Min/Max = %v/%v", s.Min, s.Max)
@@ -47,9 +44,6 @@ func TestQuantile(t *testing.T) {
 		if got := s.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
-	}
-	if s.Median() != s.Quantile(0.5) {
-		t.Error("Median != Quantile(0.5)")
 	}
 }
 
@@ -175,17 +169,16 @@ func TestTableRendering(t *testing.T) {
 	tab := NewTable("Table X: demo", "service", "#", "T")
 	tab.AddRow("cloud stor.", "8.5", "22.8")
 	tab.AddRow("web search", "65.9") // short row pads
-	tab.Caption = "caption line"
 	out := tab.String()
-	for _, want := range []string{"Table X: demo", "service", "cloud stor.", "22.8", "caption line", "---"} {
+	for _, want := range []string{"Table X: demo", "service", "cloud stor.", "22.8", "---"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// title + header + rule + 2 rows + caption
-	if len(lines) != 6 {
-		t.Errorf("line count = %d, want 6:\n%s", len(lines), out)
+	// title + header + rule + 2 rows
+	if len(lines) != 5 {
+		t.Errorf("line count = %d, want 5:\n%s", len(lines), out)
 	}
 }
 

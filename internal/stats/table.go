@@ -9,10 +9,9 @@ import (
 // result tables. Cells are strings; numeric formatting is the
 // caller's concern.
 type Table struct {
-	Title   string
-	Header  []string
-	Rows    [][]string
-	Caption string
+	Title  string
+	Header []string
+	Rows   [][]string
 }
 
 // NewTable returns a table with the given title and column header.
@@ -64,10 +63,6 @@ func (t *Table) String() string {
 	b.WriteByte('\n')
 	for _, row := range t.Rows {
 		writeRow(row)
-	}
-	if t.Caption != "" {
-		b.WriteString(t.Caption)
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

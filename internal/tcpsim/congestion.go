@@ -2,7 +2,6 @@ package tcpsim
 
 import (
 	"math"
-	"time"
 
 	"tcpstall/internal/sim"
 )
@@ -67,9 +66,8 @@ type CubicCC struct {
 	epochStart sim.Time
 	hasEpoch   bool
 	// Reno-friendly estimate state.
-	ackCount  float64
-	tcpCwnd   float64
-	originRTT time.Duration
+	ackCount float64
+	tcpCwnd  float64
 }
 
 // NewCubic returns a CUBIC instance with the kernel's constants.

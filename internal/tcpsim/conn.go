@@ -186,7 +186,6 @@ func NewConn(s *sim.Simulator, cfg ConnConfig, paths PathPair, sink TraceSink) *
 	c.snd.Output = c.serverTransmit
 	c.rcv.Output = c.clientTransmit
 	c.rcv.OnDeliver = c.onClientDeliver
-	c.snd.OnAllAcked = nil // completion is tracked per request
 	c.snd.truth = cfg.Truth
 	c.rcv.truth = cfg.Truth
 	return c

@@ -551,19 +551,6 @@ func TestSenderPanicsWithoutOutput(t *testing.T) {
 	snd.Write(100)
 }
 
-func TestWriteAfterClosePanics(t *testing.T) {
-	s := sim.New()
-	snd := NewSender(s, DefaultSenderConfig(), 1)
-	snd.Output = func(*trace.Segment) {}
-	snd.Close()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	snd.Write(1)
-}
-
 func TestSegmentHelpers(t *testing.T) {
 	s := trace.Segment{Flags: packet.FlagSYN, Seq: 0}
 	if s.End() != 1 {

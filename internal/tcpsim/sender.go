@@ -106,7 +106,7 @@ type sndSeg struct {
 func (g *sndSeg) end() uint64 { return g.seq + uint64(g.len) }
 
 // Sender is the server-side TCP data sender. The application feeds it
-// bytes with Write/Close; the connection wires Output to the downlink
+// bytes with Write; the connection wires Output to the downlink
 // path and calls HandleAck for every arriving client segment.
 type Sender struct {
 	sm  *sim.Simulator
@@ -116,10 +116,6 @@ type Sender struct {
 	// connection stamps Ack/Wnd before putting it on the wire.
 	Output func(seg *trace.Segment)
 
-	// OnAllAcked, if set, fires once when every written byte has
-	// been cumulatively acknowledged and the stream is closed.
-	OnAllAcked func()
-
 	// base is the unwrapped offset of data byte 0 (wire value ISN+1).
 	// All scoreboard offsets are unwrapped uint64 so comparisons stay
 	// correct across 2^32 wraps; ackU maps incoming wire values into
@@ -127,10 +123,8 @@ type Sender struct {
 	base   uint64
 	ackU   seqspace.Unwrapper
 	segs   []sndSeg
-	unaIdx int   // index of first un-cumulatively-acked segment
-	nxtIdx int   // index of next never-sent segment
-	avail  int64 // bytes the app has provided
-	closed bool
+	unaIdx int // index of first un-cumulatively-acked segment
+	nxtIdx int // index of next never-sent segment
 
 	rwnd        int // peer's advertised window, bytes
 	maxAckSeen  uint64
@@ -215,9 +209,6 @@ func (s *Sender) SetRecovery(r Recovery) {
 
 // Sim returns the simulator the sender runs on.
 func (s *Sender) Sim() *sim.Simulator { return s.sm }
-
-// Config returns the sender configuration.
-func (s *Sender) Config() SenderConfig { return s.cfg }
 
 // Stats returns a copy of the counters.
 func (s *Sender) Stats() SenderStats { return s.stats }
@@ -332,12 +323,6 @@ func (s *Sender) InFlight() int {
 // HasOutstanding reports whether any sent data awaits cumulative ACK.
 func (s *Sender) HasOutstanding() bool { return s.unaIdx < s.nxtIdx }
 
-// AvailableNewData reports whether unsent application data exists
-// (Write segments eagerly, so the scoreboard is the whole truth).
-func (s *Sender) AvailableNewData() bool {
-	return s.nxtIdx < len(s.segs)
-}
-
 // FirstUnackedRTORetransmitted reports whether the first
 // unacknowledged segment has already been retransmitted by the native
 // RTO (S-RTO's activation guard).
@@ -348,35 +333,12 @@ func (s *Sender) FirstUnackedRTORetransmitted() bool {
 	return s.segs[s.unaIdx].rtoRetrans
 }
 
-// PeerWindow reports the last advertised receive window in bytes.
-func (s *Sender) PeerWindow() int { return s.rwnd }
-
-// AllDataAcked reports whether every written byte is cumulatively
-// acknowledged.
-func (s *Sender) AllDataAcked() bool {
-	return s.unaIdx == len(s.segs) && s.avail == s.segmentedBytes()
-}
-
-func (s *Sender) segmentedBytes() int64 {
-	var n int64
-	for i := range s.segs {
-		n += int64(s.segs[i].len)
-	}
-	return n
-}
-
-// Closed reports whether the application closed the stream.
-func (s *Sender) Closed() bool { return s.closed }
-
 // --- application interface ---
 
 // Write makes n more bytes available for transmission, segmenting
 // them at MSS. It triggers transmission immediately if the window
 // allows.
 func (s *Sender) Write(n int64) {
-	if s.closed {
-		panic("tcpsim: Write after Close")
-	}
 	for n > 0 {
 		l := int64(s.cfg.MSS)
 		// Coalesce the tail into the previous segment if it was
@@ -389,7 +351,6 @@ func (s *Sender) Write(n int64) {
 			s.segs[last].len += int(room)
 			// Shift nothing: this is the final segment so far.
 			n -= room
-			s.avail += room
 			continue
 		}
 		if l > n {
@@ -400,29 +361,9 @@ func (s *Sender) Write(n int64) {
 			seq = s.segs[len(s.segs)-1].end()
 		}
 		s.segs = append(s.segs, sndSeg{seq: seq, len: int(l)})
-		s.avail += l
 		n -= l
 	}
 	s.trySend()
-}
-
-// Close marks the end of the stream; OnAllAcked fires once the last
-// byte is acknowledged.
-func (s *Sender) Close() {
-	s.closed = true
-	s.maybeFinish()
-}
-
-func (s *Sender) maybeFinish() {
-	if s.closed && s.unaIdx == len(s.segs) {
-		s.rtoTimer.Stop()
-		s.persistTimer.Stop()
-		if s.OnAllAcked != nil {
-			cb := s.OnAllAcked
-			s.OnAllAcked = nil
-			cb()
-		}
-	}
 }
 
 // --- transmission ---
@@ -732,7 +673,6 @@ func (s *Sender) HandleAck(seg *trace.Segment) {
 	}
 	s.trySend()
 	s.recovery.OnAck()
-	s.maybeFinish()
 }
 
 // isDupAck mirrors the kernel's notion of a duplicate ACK: carries no

@@ -62,7 +62,7 @@ func TestSenderTailCoalescing(t *testing.T) {
 	r := newSenderRig(cfg)
 	r.snd.Write(100)
 	r.snd.Write(200)
-	if r.snd.AvailableNewData() != true {
+	if r.snd.nxtIdx == len(r.snd.segs) {
 		t.Fatal("data should be pending")
 	}
 	// One coalesced 300-byte segment, not two tiny ones.
@@ -100,8 +100,8 @@ func TestSenderRwndLimits(t *testing.T) {
 	if len(r.sent) != 2 {
 		t.Fatalf("rwnd 2 MSS: sent %d", len(r.sent))
 	}
-	if r.snd.PeerWindow() != 2*1460 {
-		t.Errorf("PeerWindow = %d", r.snd.PeerWindow())
+	if r.snd.rwnd != 2*1460 {
+		t.Errorf("rwnd = %d", r.snd.rwnd)
 	}
 }
 
@@ -327,35 +327,10 @@ func TestSenderAdaptiveDupThresh(t *testing.T) {
 	}
 }
 
-func TestSenderCloseAndAllAcked(t *testing.T) {
-	r := newSenderRig(DefaultSenderConfig())
-	r.snd.HandleAck(&trace.Segment{Flags: packet.FlagACK, Ack: 1, Wnd: 1 << 20})
-	done := false
-	r.snd.OnAllAcked = func() { done = true }
-	r.snd.Write(1000)
-	r.snd.Close()
-	if !r.snd.Closed() {
-		t.Error("Closed() = false")
-	}
-	if r.snd.AllDataAcked() {
-		t.Error("AllDataAcked before the ACK")
-	}
-	r.ackUpTo(1001, 1<<20)
-	if !done {
-		t.Error("OnAllAcked did not fire")
-	}
-	if !r.snd.AllDataAcked() {
-		t.Error("AllDataAcked after the ACK")
-	}
-}
-
 func TestSenderAccessorsMisc(t *testing.T) {
 	r := newSenderRig(DefaultSenderConfig())
 	if r.snd.Sim() != r.sim {
 		t.Error("Sim()")
-	}
-	if r.snd.Config().MSS != 1460 {
-		t.Error("Config()")
 	}
 	r.snd.SetCwnd(0)
 	if r.snd.Cwnd() != 1 {
@@ -430,11 +405,11 @@ func TestSenderPacingCompletesTransfer(t *testing.T) {
 				r.ackUpTo(last.Seq+uint32(last.Len), 1<<20)
 			}
 		}
-		if r.snd.AllDataAcked() {
+		if r.snd.unaIdx == len(r.snd.segs) {
 			break
 		}
 	}
-	if !r.snd.AllDataAcked() {
+	if r.snd.unaIdx != len(r.snd.segs) {
 		t.Fatal("paced transfer did not complete")
 	}
 }

@@ -6,36 +6,7 @@ import (
 	"testing"
 
 	"tcpstall/internal/packet"
-	"tcpstall/internal/sim"
 )
-
-func TestCollectorMaxRecords(t *testing.T) {
-	c := NewCollector("cap", "test")
-	c.MaxRecords = 5
-	for i := 0; i < 8; i++ {
-		c.Record(sim.Time(i), DirOut, Segment{Seq: uint32(i * 1460), Len: 1460})
-	}
-	if got := len(c.Flow.Records); got != 5 {
-		t.Errorf("retained %d records, want 5", got)
-	}
-	if !c.Flow.Truncated {
-		t.Error("flow not marked Truncated")
-	}
-	if c.Flow.DroppedRecords != 3 {
-		t.Errorf("DroppedRecords = %d, want 3", c.Flow.DroppedRecords)
-	}
-}
-
-func TestCollectorUnlimitedByDefault(t *testing.T) {
-	c := NewCollector("nocap", "test")
-	for i := 0; i < 1000; i++ {
-		c.Record(sim.Time(i), DirOut, Segment{Seq: uint32(i), Len: 1})
-	}
-	if len(c.Flow.Records) != 1000 || c.Flow.Truncated || c.Flow.DroppedRecords != 0 {
-		t.Errorf("default collector truncated: %d records, truncated=%v dropped=%d",
-			len(c.Flow.Records), c.Flow.Truncated, c.Flow.DroppedRecords)
-	}
-}
 
 // TestImportPcapRecordsMatchesFlows replays a two-connection capture
 // through the per-record streamer and checks every event matches the

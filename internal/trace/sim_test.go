@@ -50,8 +50,8 @@ func TestCollectorBasics(t *testing.T) {
 	if f.DataBytes() != 30_000 {
 		t.Errorf("DataBytes = %d", f.DataBytes())
 	}
-	if want := (30_000 + 1459) / 1460; f.OutDataPackets() != want {
-		t.Errorf("OutDataPackets = %d, want %d", f.OutDataPackets(), want)
+	if got, want := outDataPackets(f), (30_000+1459)/1460; got != want {
+		t.Errorf("%d outgoing data packets, want %d", got, want)
 	}
 	if f.Duration() <= 0 {
 		t.Error("Duration <= 0")
@@ -61,12 +61,24 @@ func TestCollectorBasics(t *testing.T) {
 	}
 }
 
+// outDataPackets counts f's outgoing payload-carrying records,
+// retransmissions included.
+func outDataPackets(f *trace.Flow) int {
+	n := 0
+	for _, r := range f.Records {
+		if r.Dir == trace.DirOut && r.Seg.Len > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestOutDataPacketsCountsRetransmissions(t *testing.T) {
 	clean := simFlow(t, 2, 30_000, nil)
 	lossy := simFlow(t, 2, 30_000, netem.DropList(5))
-	if lossy.OutDataPackets() != clean.OutDataPackets()+1 {
+	if outDataPackets(lossy) != outDataPackets(clean)+1 {
 		t.Errorf("retransmission not visible: clean=%d lossy=%d",
-			clean.OutDataPackets(), lossy.OutDataPackets())
+			outDataPackets(clean), outDataPackets(lossy))
 	}
 	if lossy.DataBytes() != clean.DataBytes() {
 		t.Errorf("DataBytes must ignore retransmissions: %d vs %d",

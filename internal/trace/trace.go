@@ -38,13 +38,6 @@ type Flow struct {
 	Latency sim.Duration
 	// MSS for the flow (default 1460).
 	MSS int
-	// Truncated marks a flow whose collector hit its record cap:
-	// Records holds only the first MaxRecords packets and
-	// DroppedRecords counts the rest. Analyses of truncated flows
-	// cover the retained prefix only.
-	Truncated bool
-	// DroppedRecords counts records discarded by the collector cap.
-	DroppedRecords int
 }
 
 // Duration reports last-record time minus first-record time.
@@ -85,18 +78,6 @@ func (f *Flow) DataBytes() int64 {
 	return int64(maxEnd - base)
 }
 
-// OutDataPackets counts outgoing payload-carrying records (including
-// retransmissions).
-func (f *Flow) OutDataPackets() int {
-	n := 0
-	for i := range f.Records {
-		if f.Records[i].Dir == DirOut && f.Records[i].Seg.Len > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 func (f *Flow) String() string {
 	return fmt.Sprintf("flow %s (%s): %d records, %d data bytes, %.1fs",
 		f.ID, f.Service, len(f.Records), f.DataBytes(), f.Duration().Seconds())
@@ -106,12 +87,6 @@ func (f *Flow) String() string {
 // Flow.
 type Collector struct {
 	Flow *Flow
-	// MaxRecords caps the flow's record slice (0 = unlimited). Once
-	// the cap is reached, later records are dropped and counted in
-	// Flow.DroppedRecords and the flow is marked Truncated — so a
-	// single elephant flow cannot grow memory without bound in live
-	// mode, and the truncation is explicit rather than silent.
-	MaxRecords int
 }
 
 // NewCollector builds a collector for a new flow.
@@ -121,11 +96,6 @@ func NewCollector(id, service string) *Collector {
 
 // Record implements tcpsim.TraceSink.
 func (c *Collector) Record(t sim.Time, dir Dir, seg Segment) {
-	if c.MaxRecords > 0 && len(c.Flow.Records) >= c.MaxRecords {
-		c.Flow.Truncated = true
-		c.Flow.DroppedRecords++
-		return
-	}
 	c.Flow.Records = append(c.Flow.Records, Record{T: t, Dir: dir, Seg: seg})
 	if dir == DirIn && seg.Flags.Has(synFlag) && c.Flow.InitRwnd == 0 {
 		c.Flow.InitRwnd = seg.Wnd

@@ -179,9 +179,9 @@ func FuzzTriageRing(f *testing.F) {
 				all = append(all, r)
 				checkChunks(t, fl)
 			}
-			if fl.Total() != uint64(len(all)) || fl.RingStart() != ringStart() || fl.Fed() != fed {
+			if fl.Total() != uint64(len(all)) || fl.ringStart != ringStart() || fl.fed != fed {
 				t.Fatalf("total %d, ring start %d, fed %d; want %d, %d, %d",
-					fl.Total(), fl.RingStart(), fl.Fed(), len(all), ringStart(), fed)
+					fl.Total(), fl.ringStart, fl.fed, len(all), ringStart(), fed)
 			}
 		}
 		if attached {

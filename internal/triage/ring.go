@@ -52,13 +52,6 @@ const (
 	extSACKShift = 2
 )
 
-// maxRecordBytes bounds one encoded record (113 bytes): header,
-// extension and flags bytes, six 64-bit varints (Dir, time, Len, Wnd,
-// TSVal, TSEcr), two 32-bit ones (Seq, Ack), and four SACK blocks of
-// two 32-bit ones.
-const maxRecordBytes = 3 + 6*binary.MaxVarintLen64 + 2*binary.MaxVarintLen32 +
-	packet.MaxSACKBlocks*2*binary.MaxVarintLen32
-
 // chunkBytes is the ring's unit of storage: small enough that a short
 // flow wastes little of its last chunk, one Go size class so a chunk
 // wastes no allocator slack.

@@ -161,7 +161,6 @@ type Flow struct {
 	ringStart          uint64
 	fed                uint64
 	attached           bool
-	truncated          bool
 
 	// arena, when set, recycles ring chunks across flows (see Arena).
 	// Nil means plain allocation.
@@ -422,7 +421,6 @@ func (f *Flow) retained() int { return satInt(f.total - f.ringStart) }
 func (f *Flow) Attach() (truncated bool) {
 	if f.fed < f.ringStart {
 		f.fed = f.ringStart
-		f.truncated = true
 		truncated = true
 	}
 	if !f.attached {
@@ -452,16 +450,6 @@ func (f *Flow) ReplayUnfed(fn func(*trace.Record)) {
 // Total is the number of records observed (and buffered).
 func (f *Flow) Total() uint64 { return f.total }
 
-// Fed is the absolute index of the next record not yet replayed.
-func (f *Flow) Fed() uint64 { return f.fed }
-
-// Truncated reports whether any promotion replayed from a ring that
-// had already dropped history.
-func (f *Flow) Truncated() bool { return f.truncated }
-
-// RingStart is the absolute index of the oldest retained record.
-func (f *Flow) RingStart() uint64 { return f.ringStart }
-
 // FirstT/LastT bound the observed records (zero before the first).
 func (f *Flow) FirstT() sim.Time { return f.firstT }
 func (f *Flow) LastT() sim.Time  { return f.lastT }
@@ -488,7 +476,3 @@ func (f *Flow) LastSymptom() Symptom { return f.lastSym }
 func (f *Flow) SinceSymptom(now sim.Time) time.Duration {
 	return now.Sub(f.lastSymptomT)
 }
-
-// MinRTT reports the current RTT lower-bound estimate (0, false
-// before any sample).
-func (f *Flow) MinRTT() (time.Duration, bool) { return f.minRTT, f.hasRTT }

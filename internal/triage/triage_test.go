@@ -1,6 +1,7 @@
 package triage
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -78,7 +79,7 @@ func TestThresholdBeforeRTT(t *testing.T) {
 func TestHandshakeSeedLowersThreshold(t *testing.T) {
 	f := NewFlow(Config{})
 	feedAll(f, handshake())
-	if rtt, ok := f.MinRTT(); !ok || rtt != 10*time.Millisecond {
+	if rtt, ok := f.minRTT, f.hasRTT; !ok || rtt != 10*time.Millisecond {
 		t.Fatalf("handshake seed: got (%v,%v), want (10ms,true)", rtt, ok)
 	}
 	// 19ms gap: under 2·minRTT, quiet.
@@ -121,7 +122,7 @@ func TestTSEcrSample(t *testing.T) {
 			TSEcr: sim.Time(30 * time.Millisecond)}),
 	)
 	feedAll(f, recs)
-	if rtt, _ := f.MinRTT(); rtt != 8*time.Millisecond {
+	if rtt, _ := f.minRTT, f.hasRTT; rtt != 8*time.Millisecond {
 		t.Fatalf("TSEcr sample: minRTT=%v, want 8ms", rtt)
 	}
 }
@@ -150,7 +151,7 @@ func TestTSEcrSampleOffsetClock(t *testing.T) {
 			rec(38, trace.DirIn, trace.Segment{Flags: packet.FlagACK, Seq: 101, Ack: 1001, Wnd: 65535,
 				TSEcr: sim.Time(tc.echo)}),
 		})
-		if rtt, ok := f.MinRTT(); rtt != tc.want || !ok {
+		if rtt, ok := f.minRTT, f.hasRTT; rtt != tc.want || !ok {
 			t.Errorf("clock %v ahead, echo %v: minRTT = %v, %v; want %v", tc.off, tc.echo, rtt, ok, tc.want)
 		}
 	}
@@ -168,7 +169,7 @@ func TestSurrogateSample(t *testing.T) {
 	}
 	feedAll(f, recs)
 	// 12ms − 5ms (latest send) = 7ms, ≤ the true edge RTT of 12ms.
-	if rtt, ok := f.MinRTT(); !ok || rtt != 7*time.Millisecond {
+	if rtt, ok := f.minRTT, f.hasRTT; !ok || rtt != 7*time.Millisecond {
 		t.Fatalf("surrogate sample: got (%v,%v), want (7ms,true)", rtt, ok)
 	}
 }
@@ -274,16 +275,13 @@ func TestRingGrowthAndOverwrite(t *testing.T) {
 	if f.Total() != 100 {
 		t.Fatalf("Total=%d", f.Total())
 	}
-	if got := f.RingStart(); got != 100-32 {
+	if got := f.ringStart; got != 100-32 {
 		t.Fatalf("RingStart=%d, want %d", got, 100-32)
 	}
 	// Attach truncates (history lost) and replay yields exactly the
 	// retained suffix in order.
 	if !f.Attach() {
 		t.Fatal("Attach on an overflowed ring must report truncation")
-	}
-	if !f.Truncated() {
-		t.Fatal("Truncated() false after truncating attach")
 	}
 	var got []trace.Record
 	f.ReplayUnfed(func(r *trace.Record) { got = append(got, *r) })
@@ -297,8 +295,8 @@ func TestRingGrowthAndOverwrite(t *testing.T) {
 				i, r.T, r.Seg.Seq, want.T, want.Seg.Seq)
 		}
 	}
-	if f.Fed() != f.Total() {
-		t.Fatalf("Fed=%d after full replay, want %d", f.Fed(), f.Total())
+	if f.fed != f.Total() {
+		t.Fatalf("Fed=%d after full replay, want %d", f.fed, f.Total())
 	}
 }
 
@@ -361,8 +359,8 @@ func TestSpillWhileParked(t *testing.T) {
 	if spill.Seg.SACK.Len() != 1 || spill.Seg.SACK.At(0).Left != 4 {
 		t.Fatalf("spilled SACK=%v, want [{4 5}]", spill.Seg.SACK)
 	}
-	if f.Fed() != 5 {
-		t.Fatalf("Fed=%d after spill, want 5", f.Fed())
+	if f.fed != 5 {
+		t.Fatalf("Fed=%d after spill, want 5", f.fed)
 	}
 	// Replaying now yields records 5..8 — no duplicates, no holes.
 	var seqs []uint32
@@ -396,6 +394,13 @@ func TestSACKInlineCopy(t *testing.T) {
 		}
 	})
 }
+
+// maxRecordBytes bounds one encoded record (113 bytes): header,
+// extension and flags bytes, six 64-bit varints (Dir, time, Len, Wnd,
+// TSVal, TSEcr), two 32-bit ones (Seq, Ack), and four SACK blocks of
+// two 32-bit ones. append relies on every record fitting an empty chunk.
+const maxRecordBytes = 3 + 6*binary.MaxVarintLen64 + 2*binary.MaxVarintLen32 +
+	packet.MaxSACKBlocks*2*binary.MaxVarintLen32
 
 // TestChunkLayout pins the ring's footprint: a chunk is 256 bytes,
 // one Go size class, and holds the largest record; on the healthy
@@ -512,8 +517,8 @@ func TestRingLayout(t *testing.T) {
 					t.Fatalf("RingCap %d: %d records retained after %d observed, want %d", ringCap, got, i+1, want)
 				}
 				checkChunks(t, f)
-				if i+1 == ringCap/2+1 {
-					f.Attach()
+				if i+1 == ringCap/2+1 && f.Attach() {
+					t.Fatalf("RingCap %d: attach after %d records truncated", ringCap, i+1)
 				}
 				// Promoted for ringCap/3+1 records, then parked for as
 				// many plus one ring, so parking spills.
@@ -522,9 +527,9 @@ func TestRingLayout(t *testing.T) {
 				}
 			}
 			f.ReplayUnfed(func(r *trace.Record) { check("replayed", r) })
-			if next != uint64(total) || f.Truncated() || spills == 0 {
-				t.Fatalf("RingCap %d: %d of %d records handed back (%d spilled), truncated %v",
-					ringCap, next, total, spills, f.Truncated())
+			if next != uint64(total) || spills == 0 {
+				t.Fatalf("RingCap %d: %d of %d records handed back (%d spilled)",
+					ringCap, next, total, spills)
 			}
 			f.Release()
 		}
@@ -647,8 +652,8 @@ func TestReplayUnfedZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a promoted flow allocates %v per record observed and replayed, want 0", allocs)
 	}
-	if f.Fed() != f.Total() || fed == 0 {
-		t.Fatalf("fed %d of %d records (%d bytes): the replay did not keep up", f.Fed(), f.Total(), fed)
+	if f.fed != f.Total() || fed == 0 {
+		t.Fatalf("fed %d of %d records (%d bytes): the replay did not keep up", f.fed, f.Total(), fed)
 	}
 }
 
@@ -777,8 +782,8 @@ func TestCountersPast2to31(t *testing.T) {
 				i, r.T, r.Seg.Seq, want.T, want.Seg.Seq)
 		}
 	}
-	if f.Fed() != f.Total() {
-		t.Fatalf("Fed=%d after full replay, want %d", f.Fed(), f.Total())
+	if f.fed != f.Total() {
+		t.Fatalf("Fed=%d after full replay, want %d", f.fed, f.Total())
 	}
 	// The flow keeps working at these indices: a fresh record lands in
 	// the ring, replay hands over exactly that record.
