@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -36,43 +35,90 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 // An event is a function scheduled to run at a virtual instant.
 type event struct {
-	at     Time
-	seq    uint64 // tiebreaker: FIFO among same-instant events
-	fn     func()
-	index  int // heap index, -1 once popped or cancelled
-	cancel bool
+	at    Time
+	seq   uint64 // tiebreaker: FIFO among same-instant events
+	fn    func()
+	index int  // position in the queue, -1 when not queued
+	timer bool // owned by a Timer, never recycled
 }
 
+// before is the queue order: earlier instant first, then earlier
+// scheduling. seq is unique, so the order is total and the firing
+// sequence does not depend on the heap's shape.
+func (e *event) before(f *event) bool {
+	return e.at < f.at || e.at == f.at && e.seq < f.seq
+}
+
+// eventQueue is a binary min-heap of events in before order. Each
+// event records its own position, so a timer can re-key or remove its
+// event in place.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (q eventQueue) up(i int) {
+	ev := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	q[i] = ev
+	ev.index = i
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// down sifts the event at i toward the leaves and reports whether it
+// moved.
+func (q eventQueue) down(i int) bool {
+	ev, i0, n := q[i], i, len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(ev) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = i
+		i = c
+	}
+	q[i] = ev
+	ev.index = i
+	return i > i0
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
+// fix restores the heap order after the key of the event at i changed.
+func (q eventQueue) fix(i int) {
+	if !q.down(i) {
+		q.up(i)
+	}
+}
+
+func (q *eventQueue) push(ev *event) {
 	ev.index = len(*q)
 	*q = append(*q, ev)
+	q.up(ev.index)
 }
 
-func (q *eventQueue) Pop() any {
+// remove takes the event at i out of the queue and returns it.
+func (q *eventQueue) remove(i int) *event {
 	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev := old[i]
+	old[i] = old[n]
+	old[i].index = i
+	old[n] = nil
+	*q = old[:n]
+	if i < n {
+		q.fix(i)
+	}
 	ev.index = -1
-	*q = old[:n-1]
 	return ev
 }
 
@@ -82,6 +128,7 @@ type Simulator struct {
 	now    Time
 	queue  eventQueue
 	nextID uint64
+	free   []*event // fired Schedule events, for reuse
 }
 
 // New returns an empty simulator with the clock at zero.
@@ -92,51 +139,52 @@ func New() *Simulator {
 // Now reports the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Handle identifies a scheduled event so it can be cancelled.
-type Handle struct{ ev *event }
-
 // Schedule runs fn after delay d. A negative delay is treated as zero.
-func (s *Simulator) Schedule(d Duration, fn func()) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return s.ScheduleAt(s.now.Add(d), fn)
+func (s *Simulator) Schedule(d Duration, fn func()) {
+	s.ScheduleAt(s.after(d), fn)
+}
+
+// after is the instant d from now, never before now.
+func (s *Simulator) after(d Duration) Time {
+	return max(s.now.Add(max(d, 0)), s.now)
 }
 
 // ScheduleAt runs fn at instant t. Instants in the past are clamped to
 // the present.
-func (s *Simulator) ScheduleAt(t Time, fn func()) Handle {
-	if t < s.now {
-		t = s.now
+func (s *Simulator) ScheduleAt(t Time, fn func()) {
+	var ev *event
+	if n := len(s.free); n > 0 {
+		ev = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		ev = new(event)
 	}
-	ev := &event{at: t, seq: s.nextID, fn: fn}
-	s.nextID++
-	heap.Push(&s.queue, ev)
-	return Handle{ev: ev}
+	ev.at, ev.seq, ev.fn = max(t, s.now), s.seq(), fn
+	s.queue.push(ev)
 }
 
-// Cancel prevents a scheduled event from firing. Cancelling an event
-// that already fired (or was already cancelled) is a no-op.
-func (s *Simulator) Cancel(h Handle) {
-	if h.ev == nil || h.ev.index < 0 {
-		return
-	}
-	h.ev.cancel = true
+// seq hands out the next scheduling sequence number.
+func (s *Simulator) seq() uint64 {
+	n := s.nextID
+	s.nextID++
+	return n
 }
 
 // Step executes the single next event, advancing the clock to its
 // instant. It reports false when the queue is empty.
 func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.cancel {
-			continue
-		}
-		s.now = ev.at
-		ev.fn()
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	ev := s.queue.remove(0)
+	s.now = ev.at
+	fn := ev.fn
+	if !ev.timer {
+		ev.fn = nil
+		s.free = append(s.free, ev)
+	}
+	fn()
+	return true
 }
 
 // Run executes events until the queue drains.
@@ -148,11 +196,7 @@ func (s *Simulator) Run() {
 // RunUntil executes events with instants ≤ deadline, then advances the
 // clock to deadline. Events scheduled beyond the deadline remain queued.
 func (s *Simulator) RunUntil(deadline Time) {
-	for {
-		ev := s.peek()
-		if ev == nil || ev.at > deadline {
-			break
-		}
+	for len(s.queue) > 0 && s.queue[0].at <= deadline {
 		s.Step()
 	}
 	if s.now < deadline {
@@ -169,21 +213,8 @@ func (s *Simulator) RunFor(d Duration) {
 // Live drivers use it to pace virtual time against a wall clock: peek
 // the next instant, sleep the scaled difference, then Step.
 func (s *Simulator) NextAt() (Time, bool) {
-	ev := s.peek()
-	if ev == nil {
+	if len(s.queue) == 0 {
 		return 0, false
 	}
-	return ev.at, true
-}
-
-func (s *Simulator) peek() *event {
-	for len(s.queue) > 0 {
-		ev := s.queue[0]
-		if ev.cancel {
-			heap.Pop(&s.queue)
-			continue
-		}
-		return ev
-	}
-	return nil
+	return s.queue[0].at, true
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -58,26 +59,33 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
+func TestTimerStopCancels(t *testing.T) {
 	s := New()
 	ran := false
-	h := s.Schedule(time.Millisecond, func() { ran = true })
-	if h.ev.cancel {
-		t.Fatal("fresh event should not be cancelled")
+	tm := NewTimer(s, func() { ran = true })
+	tm.Reset(time.Millisecond)
+	if !tm.Armed() || len(s.queue) != 1 {
+		t.Fatalf("armed timer: Armed() = %v with %d events queued, want true with 1", tm.Armed(), len(s.queue))
 	}
-	s.Cancel(h)
-	if !h.ev.cancel {
-		t.Error("Cancel did not mark the event cancelled")
+	tm.Stop()
+	if tm.Armed() || len(s.queue) != 0 {
+		t.Errorf("stopped timer: Armed() = %v with %d events queued, want false with 0", tm.Armed(), len(s.queue))
 	}
 	s.Run()
 	if ran {
-		t.Error("cancelled event ran")
+		t.Error("stopped timer fired")
 	}
-	// Double-cancel and cancel-after-run are no-ops.
-	s.Cancel(h)
-	h2 := s.Schedule(0, func() {})
+	// Double stop and stop after firing are no-ops.
+	tm.Stop()
+	tm.Reset(0)
 	s.Run()
-	s.Cancel(h2)
+	if !ran {
+		t.Error("re-armed timer did not fire")
+	}
+	tm.Stop()
+	if len(s.queue) != 0 {
+		t.Errorf("%d events queued after the timer fired, want 0", len(s.queue))
+	}
 }
 
 func TestRunUntil(t *testing.T) {
@@ -149,8 +157,11 @@ func TestTimerResetStop(t *testing.T) {
 	if !tm.Armed() {
 		t.Fatal("timer should be armed")
 	}
-	if at := tm.handle.ev.at; at != Time(20*time.Millisecond) {
+	if at := tm.ev.at; at != Time(20*time.Millisecond) {
 		t.Errorf("timer armed for %v, want 20ms", at)
+	}
+	if len(s.queue) != 1 {
+		t.Errorf("%d events queued, want 1: a reset re-keys the timer's event in place", len(s.queue))
 	}
 	s.Run()
 	if fired != 1 {
@@ -165,6 +176,22 @@ func TestTimerResetStop(t *testing.T) {
 	s.Run()
 	if fired != 1 {
 		t.Errorf("fired = %d after Stop, want 1", fired)
+	}
+}
+
+// A reset orders its timer after everything scheduled before it, as a
+// newly scheduled event would, even when the instant is unchanged.
+func TestTimerResetTakesFreshSequence(t *testing.T) {
+	s := New()
+	var got []string
+	tm := NewTimer(s, func() { got = append(got, "timer") })
+	tm.Reset(10 * time.Millisecond)
+	s.Schedule(10*time.Millisecond, func() { got = append(got, "a") })
+	tm.Reset(10 * time.Millisecond)
+	s.Schedule(10*time.Millisecond, func() { got = append(got, "b") })
+	s.Run()
+	if want := []string{"a", "timer", "b"}; !slices.Equal(got, want) {
+		t.Errorf("fired %v, want %v", got, want)
 	}
 }
 

@@ -433,16 +433,18 @@ func TestRTOBackoffDoubles(t *testing.T) {
 }
 
 func TestEquation1Invariant(t *testing.T) {
-	// in_flight per Equation 1 stays within [0, cwnd+dupthresh] and
-	// the counters never go negative across a lossy transfer.
+	// The counters never go negative and always equal a walk of the
+	// scoreboard across a lossy transfer.
 	h := newHarness(17, oneReq(400_000), withDownLoss(netem.Bernoulli{P: 0.05}))
 	snd := h.conn.Sender()
 	bad := 0
 	inner := h.conn.snd.Output
 	h.conn.snd.Output = func(seg *trace.Segment) {
-		sacked, lost, retrans := snd.counters()
-		if sacked < 0 || lost < 0 || retrans < 0 {
+		if snd.sackedOut < 0 || snd.lostOut < 0 || snd.retransOut < 0 {
 			bad++
+		}
+		if d := CounterDrift(snd); d != "" {
+			t.Errorf("at %v: %s", h.sim.Now(), d)
 		}
 		if snd.PacketsOut() < 0 {
 			bad++

@@ -126,6 +126,13 @@ type Sender struct {
 	unaIdx int // index of first un-cumulatively-acked segment
 	nxtIdx int // index of next never-sent segment
 
+	// Equation 1's scoreboard counts over [unaIdx, nxtIdx), kept as
+	// the flags change (Linux's sacked_out, lost_out, retrans_out): a
+	// SACKed segment counts only as SACKed, whatever its other flags.
+	sackedOut  int
+	lostOut    int
+	retransOut int
+
 	rwnd        int // peer's advertised window, bytes
 	maxAckSeen  uint64
 	cwnd        float64
@@ -288,36 +295,27 @@ func (s *Sender) SndNxt() uint32 { return uint32(s.sndNxt64()) }
 // packets_out).
 func (s *Sender) PacketsOut() int { return s.nxtIdx - s.unaIdx }
 
-// counters scans the outstanding window and reports the kernel's
-// bookkeeping variables.
-func (s *Sender) counters() (sackedOut, lostOut, retransOut int) {
-	for i := s.unaIdx; i < s.nxtIdx; i++ {
-		g := &s.segs[i]
-		if g.acked || g.sacked {
-			if g.sacked && !g.acked {
-				sackedOut++
-			}
-			continue
-		}
-		if g.lost {
-			lostOut++
-		}
-		if g.retransOut {
-			retransOut++
-		}
-	}
-	return
-}
-
 // InFlight evaluates Equation 1 of the paper:
 // in_flight = packets_out + retrans_out − (sacked_out + lost_out).
 func (s *Sender) InFlight() int {
-	sacked, lost, retrans := s.counters()
-	fl := s.PacketsOut() + retrans - sacked - lost
-	if fl < 0 {
-		fl = 0
+	return max(s.PacketsOut()+s.retransOut-s.sackedOut-s.lostOut, 0)
+}
+
+// markLost sets segment g's lost flag. g is outstanding and not SACKed.
+func (s *Sender) markLost(g *sndSeg) {
+	if !g.lost {
+		g.lost = true
+		s.lostOut++
 	}
-	return fl
+}
+
+// clearRetransOut clears segment g's retransmission-outstanding flag.
+// g is outstanding and not SACKed.
+func (s *Sender) clearRetransOut(g *sndSeg) {
+	if g.retransOut {
+		g.retransOut = false
+		s.retransOut--
+	}
 }
 
 // HasOutstanding reports whether any sent data awaits cumulative ACK.
@@ -496,6 +494,9 @@ func (s *Sender) transmit(i int, probe bool) {
 		g.firstSent = now
 	} else {
 		g.retrans++
+		if !g.retransOut && !g.sacked {
+			s.retransOut++
+		}
 		g.retransOut = true
 		s.undoRetrans++
 		s.stats.Retransmissions++
@@ -595,9 +596,9 @@ func (s *Sender) onRTO() {
 	// (tcp_enter_loss semantics).
 	for i := s.unaIdx; i < s.nxtIdx; i++ {
 		g := &s.segs[i]
-		if !g.acked && !g.sacked {
-			g.lost = true
-			g.retransOut = false
+		if !g.sacked {
+			s.markLost(g)
+			s.clearRetransOut(g)
 		}
 	}
 	// Retransmit the head segment with timer backoff.
@@ -723,9 +724,13 @@ func (s *Sender) applySACK(seg *trace.Segment) (dsack, sackedNew bool) {
 				continue
 			}
 			if g.seq >= left && g.end() <= right {
+				if g.lost {
+					g.lost = false
+					s.lostOut--
+				}
+				s.clearRetransOut(g)
 				g.sacked = true
-				g.lost = false
-				g.retransOut = false
+				s.sackedOut++
 				sackedNew = true
 				// Reordering extent: a SACKed segment below a
 				// previously SACKed/acked one indicates reordering.
@@ -761,6 +766,19 @@ func (s *Sender) handleNewAck(ack uint64, tsecr sim.Time) {
 	haveSample := false
 	for s.unaIdx < len(s.segs) && s.segs[s.unaIdx].end() <= ack {
 		g := &s.segs[s.unaIdx]
+		switch {
+		case s.unaIdx >= s.nxtIdx:
+			// Never sent, so never counted.
+		case g.sacked:
+			s.sackedOut--
+		default:
+			if g.lost {
+				s.lostOut--
+			}
+			if g.retransOut {
+				s.retransOut--
+			}
+		}
 		g.acked = true
 		newlyAcked++
 		if g.retrans > 0 {
@@ -907,6 +925,7 @@ func (s *Sender) maybeUndo() {
 	for i := s.unaIdx; i < s.nxtIdx; i++ {
 		s.segs[i].lost = false
 	}
+	s.lostOut = 0
 }
 
 func (s *Sender) enterRecovery() {
@@ -923,10 +942,9 @@ func (s *Sender) enterRecovery() {
 	s.prrOut = 0
 	// Fast-retransmit the head segment.
 	if s.unaIdx < s.nxtIdx {
-		g := &s.segs[s.unaIdx]
-		if !g.acked && !g.sacked {
-			g.lost = true
-			g.retransOut = false
+		if g := &s.segs[s.unaIdx]; !g.sacked {
+			s.markLost(g)
+			s.clearRetransOut(g)
 		}
 	}
 }
@@ -960,7 +978,7 @@ func (s *Sender) updateLostMarks() {
 			continue
 		}
 		if sackedAbove >= s.dupThresh && s.state == trace.StateRecovery {
-			g.lost = true
+			s.markLost(g)
 		}
 	}
 }

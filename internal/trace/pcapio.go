@@ -69,6 +69,15 @@ func ticksToTime(ticks uint32) sim.Time {
 // at cfg.Snaplen, so the file opens in tcpdump/tshark with correct
 // sequence analysis.
 func ExportPcap(w io.Writer, flows []*Flow, cfg ExportConfig) error {
+	// Merge all records into one timeline for a realistic capture,
+	// ordered by time, then flow, then position in the flow.
+	m := newMerge(flows)
+	return exportOrdered(w, flows, cfg, m.next)
+}
+
+// exportOrdered writes the records next yields, as flow and record
+// indices, until it reports false.
+func exportOrdered(w io.Writer, flows []*Flow, cfg ExportConfig, next func() (flow, rec int, ok bool)) error {
 	cfg.defaults()
 	hdr := pcap.Header{LinkType: pcap.LinkTypeEthernet, Snaplen: cfg.Snaplen, Nanosecond: true}
 	pw, err := pcap.NewWriterHeader(w, hdr)
@@ -79,35 +88,17 @@ func ExportPcap(w io.Writer, flows []*Flow, cfg ExportConfig) error {
 	serverMAC := packet.MAC{0x02, 0, 0, 0, 0, 1}
 	clientMAC := packet.MAC{0x02, 0, 0, 0, 0, 2}
 
-	// Merge all records into one timeline for a realistic capture,
-	// ordered by time, then flow, then position in the flow. The key
-	// is total, so a plain sort keeps each flow's order and breaks
-	// ties between flows by their order in flows.
-	type item struct {
-		t         sim.Time
-		flow, rec int
-	}
-	n := 0
-	for _, f := range flows {
-		n += len(f.Records)
-	}
-	items := make([]item, 0, n)
-	for fi, f := range flows {
-		for ri := range f.Records {
-			items = append(items, item{f.Records[ri].T, fi, ri})
-		}
-	}
-	slices.SortFunc(items, func(a, b item) int {
-		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.flow, b.flow), cmp.Compare(a.rec, b.rec))
-	})
-
 	eth := packet.Ethernet{Type: packet.EtherTypeIPv4}
 	ip := packet.IPv4{TTL: 64, Protocol: packet.IPProtoTCP}
 	var frame []byte // reused by every record
-	for _, it := range items {
-		f := flows[it.flow]
-		cip, cport := clientAddr(it.flow)
-		r := &f.Records[it.rec]
+	for {
+		fi, ri, ok := next()
+		if !ok {
+			return nil
+		}
+		f := flows[fi]
+		cip, cport := clientAddr(fi)
+		r := &f.Records[ri]
 		tcp := packet.TCPHeader{
 			Seq:    r.Seg.Seq,
 			Ack:    r.Seg.Ack,
@@ -153,7 +144,7 @@ func ExportPcap(w io.Writer, flows []*Flow, cfg ExportConfig) error {
 			frame = append(frame, make([]byte, keep-len(frame))...)
 		}
 		err := pw.WritePacket(pcap.Packet{
-			Timestamp: cfg.BaseTime.Add(time.Duration(it.t)),
+			Timestamp: cfg.BaseTime.Add(time.Duration(r.T)),
 			Data:      frame,
 			OrigLen:   origLen,
 		})
@@ -161,7 +152,110 @@ func ExportPcap(w io.Writer, flows []*Flow, cfg ExportConfig) error {
 			return fmt.Errorf("exporting flow %s: %w", f.ID, err)
 		}
 	}
-	return nil
+}
+
+// merge yields the records of several flows in (time, flow, position)
+// order. Each flow's records are a run already in time order, or
+// stable-sorted into one, and a heap keyed by (time, flow) holds each
+// unfinished run's next record: n records over k flows cost
+// O(n log k), against O(n log n) for sorting them all.
+type merge struct {
+	flows []*Flow
+	heap  []mergeRun
+}
+
+// mergeRun is one flow's place in the merge.
+type mergeRun struct {
+	t     sim.Time // time of the next record
+	flow  int
+	next  int   // next position in order, or in the records when order is nil
+	order []int // record indices stable-sorted by time; nil when the flow's times never go backward
+}
+
+func newMerge(flows []*Flow) merge {
+	m := merge{flows: flows, heap: make([]mergeRun, 0, len(flows))}
+	for fi, f := range flows {
+		recs := f.Records
+		if len(recs) == 0 {
+			continue
+		}
+		run := mergeRun{flow: fi}
+		if !timeOrdered(recs) {
+			run.order = make([]int, len(recs))
+			for i := range run.order {
+				run.order[i] = i
+			}
+			slices.SortStableFunc(run.order, func(a, b int) int { return cmp.Compare(recs[a].T, recs[b].T) })
+		}
+		run.t = recs[run.rec(0)].T
+		m.heap = append(m.heap, run)
+	}
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+	return m
+}
+
+// timeOrdered reports whether the records' times never go backward.
+func timeOrdered(recs []Record) bool {
+	for i := 1; i < len(recs); i++ {
+		if recs[i].T < recs[i-1].T {
+			return false
+		}
+	}
+	return true
+}
+
+// next returns the flow and record index of the earliest remaining
+// record and advances past it; ok is false once every record is out.
+func (m *merge) next() (flow, rec int, ok bool) {
+	if len(m.heap) == 0 {
+		return 0, 0, false
+	}
+	run := &m.heap[0]
+	flow, rec = run.flow, run.rec(run.next)
+	run.next++
+	if recs := m.flows[flow].Records; run.next < len(recs) {
+		run.t = recs[run.rec(run.next)].T
+	} else {
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
+	}
+	if len(m.heap) > 0 {
+		m.down(0)
+	}
+	return flow, rec, true
+}
+
+func (m *merge) down(i int) {
+	h := m.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// rec is the index of the record at position i of the run.
+func (r *mergeRun) rec(i int) int {
+	if r.order != nil {
+		return r.order[i]
+	}
+	return i
+}
+
+func (r *mergeRun) before(o *mergeRun) bool {
+	return r.t < o.t || r.t == o.t && r.flow < o.flow
 }
 
 func mssOf(f *Flow) int {
